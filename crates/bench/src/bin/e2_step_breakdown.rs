@@ -11,8 +11,9 @@
 //! (schema in `vpic_bench::stepjson`), including the realized sort
 //! cadence and the coherence telemetry (spill rate, mixed-block
 //! fraction) measured over the timed window. Writing into an existing
-//! file *merges by (layout, kernel, cadence)* — run once per variant and
-//! the file carries all the records side by side. The CI smoke lane
+//! file *merges by (layout, kernel, cadence, diag, threads)* — run once
+//! per variant, and once per `RAYON_NUM_THREADS` for a thread-scaling
+//! pair, and the file carries all the records side by side. The CI smoke lane
 //! re-invokes it as `--validate <path>` to check every record in a
 //! previously written file for schema problems and NaN/zero rates, and
 //! then cross-checks the lane kernel against the scalar AoS oracle on a
@@ -340,22 +341,15 @@ fn main() {
             eprintln!("refusing to write {json}: {e}");
             std::process::exit(1);
         }
-        // Merge by (layout, kernel, cadence, diag): an existing readable
-        // file keeps its other-variant records, so one run per variant
-        // accumulates a complete set.
+        // Merge by (layout, kernel, cadence, diag, threads): an existing
+        // readable file keeps its other-variant records, so one run per
+        // variant — and per worker-thread count — accumulates a complete
+        // set.
         let path = std::path::Path::new(&json);
         let mut set = read_set(path).unwrap_or_default();
-        set.retain(|b| {
-            b.layout != bench.layout
-                || b.kernel != bench.kernel
-                || b.cadence != bench.cadence
-                || b.diag != bench.diag
-        });
+        set.retain(|b| b.merge_key() != bench.merge_key());
         set.push(bench);
-        set.sort_by(|a, b| {
-            (&a.layout, &a.kernel, &a.cadence, &a.diag)
-                .cmp(&(&b.layout, &b.kernel, &b.cadence, &b.diag))
-        });
+        set.sort_by(|a, b| a.merge_key().cmp(&b.merge_key()));
         if let Err(e) = write_set(&set, path) {
             eprintln!("write {json}: {e}");
             std::process::exit(1);
@@ -499,6 +493,7 @@ fn assert_diag(path: &str) -> i32 {
                 && b.layout == o.layout
                 && b.kernel == o.kernel
                 && b.cadence == o.cadence
+                && b.threads == o.threads
         })
     });
     let (Some(off), Some(asy)) = (off, asy) else {
@@ -542,8 +537,12 @@ fn assert_speedup(path: &str) -> i32 {
         .iter()
         .find(|b| b.layout == "aosoa" && b.kernel == "scalar");
     let lane = scalar.and_then(|s| {
-        set.iter()
-            .find(|b| b.layout == "aosoa" && b.kernel == "lane" && b.cadence == s.cadence)
+        set.iter().find(|b| {
+            b.layout == "aosoa"
+                && b.kernel == "lane"
+                && b.cadence == s.cadence
+                && b.threads == s.threads
+        })
     });
     let (Some(scalar), Some(lane)) = (scalar, lane) else {
         eprintln!("{path}: need aosoa records for both scalar and lane kernels at one cadence");
@@ -583,11 +582,15 @@ fn assert_auto(path: &str) -> i32 {
             return 1;
         }
     };
-    let find = |cadence: &str| {
-        set.iter()
-            .find(|b| b.layout == "aosoa" && b.kernel == "lane" && b.cadence == cadence)
+    let is_lane = |b: &&StepBench, cadence: &str| {
+        b.layout == "aosoa" && b.kernel == "lane" && b.cadence == cadence
     };
-    let (Some(auto), Some(fixed)) = (find("auto"), find("fixed-25")) else {
+    let auto = set.iter().find(|b| is_lane(b, "auto"));
+    let fixed = auto.and_then(|a| {
+        set.iter()
+            .find(|b| is_lane(b, "fixed-25") && b.threads == a.threads)
+    });
+    let (Some(auto), Some(fixed)) = (auto, fixed) else {
         eprintln!("{path}: need aosoa lane records for both auto and fixed-25 cadences");
         return 1;
     };

@@ -42,7 +42,8 @@ pub struct StepBench {
     pub steps: u64,
     /// Push pipelines (accumulator arrays).
     pub pipelines: usize,
-    /// Rayon worker threads observed at run time.
+    /// Width of the worker-thread pool that executed the run
+    /// (`vpic_core::worker_threads()` at run time).
     pub threads: usize,
     /// Particle storage layout (`aos` or `aosoa`).
     pub layout: String,
@@ -128,6 +129,20 @@ impl StepBench {
             other: t.other + t.diag,
             total,
         }
+    }
+
+    /// What makes two records "the same measurement, taken again": a
+    /// `--json` run replaces the record with its key and keeps the rest,
+    /// so variants — and `RAYON_NUM_THREADS=1` beside `=2` runs of one
+    /// variant — sit side by side in one file.
+    pub fn merge_key(&self) -> (&str, &str, &str, &str, usize) {
+        (
+            &self.layout,
+            &self.kernel,
+            &self.cadence,
+            &self.diag,
+            self.threads,
+        )
     }
 
     /// Attach the diagnostics-pipeline mode the timed steps ran with.

@@ -215,16 +215,20 @@ impl AccumulatorArray {
         let cx = 0.25 / (g.dt * g.dy * g.dz);
         let cy = 0.25 / (g.dt * g.dz * g.dx);
         let cz = 0.25 / (g.dt * g.dx * g.dy);
-        let a = &self.data;
+        // The slab closures take the source slice, the extents and the
+        // scale factors by value (see `InterpolatorArray::load` for why),
+        // and walk rows: voxel (i, j, k) is `i + dj·j + dk·k`.
+        let a = &self.data[..];
+        let (nx, ny, nz) = (g.nx, g.ny, g.nz);
         // jx on x-edges: i ∈ 1..=nx, j ∈ 1..=ny+1, k ∈ 1..=nz+1.
         f.jx.par_chunks_mut(dk)
             .enumerate()
             .skip(1)
-            .take(g.nz + 1)
-            .for_each(|(k, jx)| {
-                for j in 1..=g.ny + 1 {
-                    for i in 1..=g.nx {
-                        let v = g.voxel(i, j, k);
+            .take(nz + 1)
+            .for_each(move |(k, jx)| {
+                for j in 1..=ny + 1 {
+                    for i in 1..=nx {
+                        let v = i + dj * j + dk * k;
                         jx[v - k * dk] += cx
                             * (a[v].jx[0]
                                 + a[v - dj].jx[1]
@@ -237,11 +241,11 @@ impl AccumulatorArray {
         f.jy.par_chunks_mut(dk)
             .enumerate()
             .skip(1)
-            .take(g.nz + 1)
-            .for_each(|(k, jy)| {
-                for j in 1..=g.ny {
-                    for i in 1..=g.nx + 1 {
-                        let v = g.voxel(i, j, k);
+            .take(nz + 1)
+            .for_each(move |(k, jy)| {
+                for j in 1..=ny {
+                    for i in 1..=nx + 1 {
+                        let v = i + dj * j + dk * k;
                         jy[v - k * dk] += cy
                             * (a[v].jy[0] + a[v - dk].jy[1] + a[v - 1].jy[2] + a[v - dk - 1].jy[3]);
                     }
@@ -251,11 +255,11 @@ impl AccumulatorArray {
         f.jz.par_chunks_mut(dk)
             .enumerate()
             .skip(1)
-            .take(g.nz)
-            .for_each(|(k, jz)| {
-                for j in 1..=g.ny + 1 {
-                    for i in 1..=g.nx + 1 {
-                        let v = g.voxel(i, j, k);
+            .take(nz)
+            .for_each(move |(k, jz)| {
+                for j in 1..=ny + 1 {
+                    for i in 1..=nx + 1 {
+                        let v = i + dj * j + dk * k;
                         jz[v - k * dk] += cz
                             * (a[v].jz[0] + a[v - 1].jz[1] + a[v - dj].jz[2] + a[v - 1 - dj].jz[3]);
                     }
@@ -272,7 +276,9 @@ impl AccumulatorArray {
         let cx = 0.25 / (g.dt * g.dy * g.dz);
         let cy = 0.25 / (g.dt * g.dz * g.dx);
         let cz = 0.25 / (g.dt * g.dx * g.dy);
-        let a = &self.data;
+        // A slice, moved into the slab closures with the scale factors
+        // (see `InterpolatorArray::load` for why by value).
+        let a = &self.data[..];
         // jx on x-edges: i ∈ 1..=nx, j ∈ 1..=ny+1, k ∈ 1..=nz+1.
         for k in 1..=g.nz + 1 {
             for j in 1..=g.ny + 1 {
@@ -422,13 +428,14 @@ impl AccumulatorSet {
                 first.data[lo..hi]
                     .par_chunks_mut(REDUCE_CHUNK)
                     .enumerate()
-                    .for_each(|(ci, chunk)| {
+                    .for_each(move |(ci, chunk)| {
                         let base = lo + ci * REDUCE_CHUNK;
                         for r in rest {
                             let rr = r.dirty_range();
                             let (s, e) = (rr.start.max(base), rr.end.min(base + chunk.len()));
+                            let from = &r.data[..];
                             for v in s..e {
-                                let (a, b) = (&mut chunk[v - base], &r.data[v]);
+                                let (a, b) = (&mut chunk[v - base], &from[v]);
                                 for n in 0..4 {
                                     a.jx[n] += b.jx[n];
                                     a.jy[n] += b.jy[n];

@@ -26,7 +26,7 @@ use crate::push::{
     move_p_local, push_one, retarget_and_delete, Exile, MoveOutcome, PushCoefficients, PushKernel,
     PushedFate,
 };
-use crate::sort::MIN_SORT_CHUNK;
+use crate::sort::{reserved_end, MIN_SORT_CHUNK};
 use crate::threads::worker_threads;
 use rayon::prelude::*;
 
@@ -136,11 +136,37 @@ unsafe fn lane_store(b: *mut Block, l: usize, p: &Particle) {
 /// sharing the pointer across threads is sound — the AoSoA analogue of
 /// `sort::ScatterPtr`.
 #[derive(Clone, Copy)]
-struct BlockPtr(*mut Block);
+struct BlockPtr {
+    base: *mut Block,
+    n_blocks: usize,
+}
 // SAFETY: only dereferenced on lanes owned exclusively by one worker, and
-// the block buffer outlives every parallel section using the pointer.
+// the block buffer (a `&mut` borrow held by the function that opens the
+// parallel region, which does not return before every worker has
+// finished) outlives every region using the pointer. `Block` is plain
+// `Copy` data: nothing is dropped by a write from another thread.
 unsafe impl Send for BlockPtr {}
 unsafe impl Sync for BlockPtr {}
+
+impl BlockPtr {
+    fn new(blocks: &mut [Block]) -> Self {
+        BlockPtr {
+            base: blocks.as_mut_ptr(),
+            n_blocks: blocks.len(),
+        }
+    }
+
+    /// Pointer to block `bi`.
+    ///
+    /// # Safety
+    /// `bi < n_blocks`. What may be done through the result is the use
+    /// site's contract (lane ownership).
+    #[inline]
+    unsafe fn at(self, bi: usize) -> *mut Block {
+        debug_assert!(bi < self.n_blocks, "block {bi} of {}", self.n_blocks);
+        unsafe { self.base.add(bi) }
+    }
+}
 
 /// AoSoA particle store.
 #[derive(Clone, Debug, Default)]
@@ -589,7 +615,7 @@ unsafe fn drain_batch(
 ) {
     for e in batch.drain(..) {
         // SAFETY: exclusive ownership per the function contract.
-        let b = unsafe { &mut *blocks.0.add(e.bi) };
+        let b = unsafe { &mut *blocks.at(e.bi) };
         scatter_block(b, e.base, e.live, &e.push, qsp, acc, g, absorbed, exiles);
     }
 }
@@ -642,7 +668,7 @@ unsafe fn advance_range(
             // safe to take the whole block mutably and run lane-parallel.
             let live = block_live_end - block_start;
             // SAFETY: exclusive ownership per the function contract.
-            let b = unsafe { &mut *blocks.0.add(bi) };
+            let b = unsafe { &mut *blocks.at(bi) };
             tally.pushed += live as u64;
             tally.lane_blocks += 1;
             let v0 = b.i[0];
@@ -691,7 +717,7 @@ unsafe fn advance_range(
                 )
             };
             let hi = (end - block_start).min(LANES);
-            let bp = unsafe { blocks.0.add(bi) };
+            let bp = unsafe { blocks.at(bi) };
             for l in lane0..hi {
                 let gidx = (block_start + l) as u32;
                 tally.pushed += 1;
@@ -773,7 +799,7 @@ pub fn advance_p_aosoa_pipelined_with(
     assert!(n_pipes >= 1);
     let n = store.len;
     let block = n.div_ceil(n_pipes).max(1);
-    let ptr = BlockPtr(store.blocks.as_mut_ptr());
+    let ptr = BlockPtr::new(&mut store.blocks);
 
     let results: Vec<(Vec<u32>, Vec<Exile>, PushTally)> = accumulators
         .par_iter_mut()
@@ -883,11 +909,11 @@ pub(crate) fn sort_aosoa_with_workers(
     counts.clear();
     counts.resize(workers * n_voxels, 0);
     {
-        let blocks = &store.blocks;
+        let blocks = &store.blocks[..];
         counts
             .par_chunks_mut(n_voxels)
             .enumerate()
-            .for_each(|(w, hist)| {
+            .for_each(move |(w, hist)| {
                 let lo = w * chunk;
                 let hi = ((w + 1) * chunk).min(n);
                 for i in lo..hi {
@@ -912,9 +938,15 @@ pub(crate) fn sort_aosoa_with_workers(
     // lanes its prefix-sum slots reserve.
     scratch.clear();
     scratch.resize(n.div_ceil(LANES), Block::default());
-    let out = BlockPtr(scratch.as_mut_ptr());
+    let out = BlockPtr::new(scratch);
+    let starts = if cfg!(debug_assertions) {
+        counts.clone()
+    } else {
+        Vec::new()
+    };
+    let starts = &starts[..];
     {
-        let blocks = &store.blocks;
+        let blocks = &store.blocks[..];
         counts
             .par_chunks_mut(n_voxels)
             .enumerate()
@@ -923,14 +955,26 @@ pub(crate) fn sort_aosoa_with_workers(
                 let hi = ((w + 1) * chunk).min(n);
                 for i in lo..hi {
                     let p = blocks[i / LANES].lane(i % LANES);
-                    let slot = &mut offsets[p.i as usize];
+                    let v = p.i as usize;
+                    let slot = &mut offsets[v];
                     let t = *slot as usize;
+                    debug_assert!(
+                        t < reserved_end(starts, n_voxels, workers, n, w, v),
+                        "worker {w} overran its slots for voxel {v}"
+                    );
                     // SAFETY: `t` walks the half-open range reserved for
                     // this (worker, voxel) pair by the exclusive
-                    // prefix-sum; those ranges partition [0, n), so no two
-                    // writes target the same lane and every lane is in
-                    // bounds of `scratch`.
-                    unsafe { lane_store(out.0.add(t / LANES), t % LANES, &p) };
+                    // prefix-sum. Those ranges partition [0, n): worker
+                    // `w` advances only its own row of `counts`, once per
+                    // particle of its own index range — as often as its
+                    // histogram counted — so `t < n`, block `t / LANES`
+                    // is in bounds of `scratch`, and no other worker
+                    // writes lane `t`. Two workers may write different
+                    // lanes of one block at once; `lane_store` projects
+                    // through the raw pointer to the one lane and never
+                    // forms a reference to the block. `store.blocks` is
+                    // only read.
+                    unsafe { lane_store(out.at(t / LANES), t % LANES, &p) };
                     *slot += 1;
                 }
             });
@@ -1111,12 +1155,21 @@ mod tests {
         let mut want = parts.clone();
         let (mut s1, mut c1) = (Vec::new(), Vec::new());
         sort_with_workers(&mut want, nv, &mut s1, &mut c1, 1);
-        for workers in [1usize, 2, 3, 5, 8] {
-            let mut store = AosoaStore::from_particles(&parts);
-            let (mut scratch, mut counts) = (Vec::new(), Vec::new());
-            sort_aosoa_with_workers(&mut store, nv, &mut scratch, &mut counts, workers);
-            assert_eq!(store.to_particles(), want, "workers = {workers}");
-            assert_eq!(store.len(), parts.len());
+        // Sort workers (the partition) × real threads (who runs the parts).
+        for threads in [1usize, 2, 4] {
+            for workers in [1usize, 2, 3, 5, 8] {
+                let mut store = AosoaStore::from_particles(&parts);
+                let (mut scratch, mut counts) = (Vec::new(), Vec::new());
+                crate::threads::with_worker_threads(threads, || {
+                    sort_aosoa_with_workers(&mut store, nv, &mut scratch, &mut counts, workers)
+                });
+                assert_eq!(
+                    store.to_particles(),
+                    want,
+                    "workers = {workers}, threads = {threads}"
+                );
+                assert_eq!(store.len(), parts.len());
+            }
         }
     }
 

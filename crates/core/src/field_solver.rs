@@ -62,13 +62,16 @@ pub fn advance_b(f: &mut FieldArray, g: &Grid, frac: f32) {
         ref mut cbz,
         ..
     } = *f;
+    // Slices and scalars go into the slab closure by value (see
+    // `InterpolatorArray::load`): that is what lets the row loop vectorize.
+    let (ex, ey, ez) = (&ex[..], &ey[..], &ez[..]);
     cbx.par_chunks_mut(dk)
         .zip(cby.par_chunks_mut(dk))
         .zip(cbz.par_chunks_mut(dk))
         .enumerate()
         .skip(1)
         .take(g.nz)
-        .for_each(|(k, ((bx, by), bz))| {
+        .for_each(move |(k, ((bx, by), bz))| {
             for j in 1..=g.ny {
                 let row = g.voxel(1, j, k);
                 for v in row..row + g.nx {
@@ -134,13 +137,16 @@ pub fn advance_e(f: &mut FieldArray, g: &Grid) {
         ref jz,
         ..
     } = *f;
+    // By value, as in `advance_b`.
+    let (cbx, cby, cbz) = (&cbx[..], &cby[..], &cbz[..]);
+    let (jx, jy, jz) = (&jx[..], &jy[..], &jz[..]);
     ex.par_chunks_mut(dk)
         .zip(ey.par_chunks_mut(dk))
         .zip(ez.par_chunks_mut(dk))
         .enumerate()
         .skip(1)
         .take(g.nz)
-        .for_each(|(k, ((exk, eyk), ezk))| {
+        .for_each(move |(k, ((exk, eyk), ezk))| {
             for j in 1..=g.ny {
                 let row = g.voxel(1, j, k);
                 for v in row..row + g.nx {

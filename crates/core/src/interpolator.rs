@@ -119,48 +119,52 @@ impl InterpolatorArray {
         let (dj, dk) = (sx, sx * sy);
         const Q: f32 = 0.25;
         const H: f32 = 0.5;
+        // Slices, moved into the slab closure: with the array bounds and
+        // strides held by value the slab loops have nothing to reload
+        // after each store (a closure that crosses a thread boundary keeps
+        // its by-reference captures in memory the optimizer must assume
+        // those stores can reach).
+        let (ex, ey, ez) = (&f.ex[..], &f.ey[..], &f.ez[..]);
+        let (cbx, cby, cbz) = (&f.cbx[..], &f.cby[..], &f.cbz[..]);
         self.data
             .par_chunks_mut(dk)
             .enumerate()
             .skip(1)
             .take(g.nz)
-            .for_each(|(k, slab)| {
+            .for_each(move |(k, slab)| {
                 for j in 1..=g.ny {
                     for i in 1..=g.nx {
                         let v = g.voxel(i, j, k);
                         let ip = &mut slab[v - k * dk];
 
                         // Ex on the 4 x-edges of the voxel: (j,k), (j+1,k), (k+1), (j+1,k+1).
-                        let (w0, w1, w2, w3) =
-                            (f.ex[v], f.ex[v + dj], f.ex[v + dk], f.ex[v + dj + dk]);
+                        let (w0, w1, w2, w3) = (ex[v], ex[v + dj], ex[v + dk], ex[v + dj + dk]);
                         ip.ex = Q * (w0 + w1 + w2 + w3);
                         ip.dexdy = Q * ((w1 + w3) - (w0 + w2));
                         ip.dexdz = Q * ((w2 + w3) - (w0 + w1));
                         ip.d2exdydz = Q * ((w0 + w3) - (w1 + w2));
 
                         // Ey on the 4 y-edges: (k,i), (k+1,i), (i+1), (k+1,i+1).
-                        let (w0, w1, w2, w3) =
-                            (f.ey[v], f.ey[v + dk], f.ey[v + 1], f.ey[v + dk + 1]);
+                        let (w0, w1, w2, w3) = (ey[v], ey[v + dk], ey[v + 1], ey[v + dk + 1]);
                         ip.ey = Q * (w0 + w1 + w2 + w3);
                         ip.deydz = Q * ((w1 + w3) - (w0 + w2));
                         ip.deydx = Q * ((w2 + w3) - (w0 + w1));
                         ip.d2eydzdx = Q * ((w0 + w3) - (w1 + w2));
 
                         // Ez on the 4 z-edges: (i,j), (i+1,j), (j+1), (i+1,j+1).
-                        let (w0, w1, w2, w3) =
-                            (f.ez[v], f.ez[v + 1], f.ez[v + dj], f.ez[v + 1 + dj]);
+                        let (w0, w1, w2, w3) = (ez[v], ez[v + 1], ez[v + dj], ez[v + 1 + dj]);
                         ip.ez = Q * (w0 + w1 + w2 + w3);
                         ip.dezdx = Q * ((w1 + w3) - (w0 + w2));
                         ip.dezdy = Q * ((w2 + w3) - (w0 + w1));
                         ip.d2ezdxdy = Q * ((w0 + w3) - (w1 + w2));
 
                         // cB linear along its own normal.
-                        ip.cbx = H * (f.cbx[v] + f.cbx[v + 1]);
-                        ip.dcbxdx = H * (f.cbx[v + 1] - f.cbx[v]);
-                        ip.cby = H * (f.cby[v] + f.cby[v + dj]);
-                        ip.dcbydy = H * (f.cby[v + dj] - f.cby[v]);
-                        ip.cbz = H * (f.cbz[v] + f.cbz[v + dk]);
-                        ip.dcbzdz = H * (f.cbz[v + dk] - f.cbz[v]);
+                        ip.cbx = H * (cbx[v] + cbx[v + 1]);
+                        ip.dcbxdx = H * (cbx[v + 1] - cbx[v]);
+                        ip.cby = H * (cby[v] + cby[v + dj]);
+                        ip.dcbydy = H * (cby[v + dj] - cby[v]);
+                        ip.cbz = H * (cbz[v] + cbz[v + dk]);
+                        ip.dcbzdz = H * (cbz[v + dk] - cbz[v]);
                     }
                 }
             });

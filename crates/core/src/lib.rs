@@ -106,6 +106,6 @@ pub use sort::{sort_by_voxel, sort_by_voxel_with};
 pub use species::Species;
 pub use sponge::Sponge;
 pub use store::{Layout, ParticleStore, StoreIter};
-pub use threads::worker_threads;
+pub use threads::{with_worker_threads, worker_threads};
 pub use tracer::{add_tracer, tracer_species, TrackPoint, TrajectoryRecorder};
 pub use units::LabFrame;

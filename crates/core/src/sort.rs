@@ -23,16 +23,56 @@ use rayon::prelude::*;
 /// AoSoA sort so both layouts pick identical worker counts.
 pub(crate) const MIN_SORT_CHUNK: usize = 16 * 1024;
 
-/// Raw output cursor for the scatter phase. Workers write disjoint index
-/// sets (see the safety argument at the write site), so sharing the
-/// pointer across threads is sound.
+/// Raw output cursor for the scatter phase: the scratch buffer, shared by
+/// all sort workers, each of which writes only the slots the prefix-sum
+/// reserved for it.
 #[derive(Clone, Copy)]
-struct ScatterPtr(*mut Particle);
-// SAFETY: the pointer is only dereferenced at indices reserved exclusively
-// for one worker by the prefix-sum (no two workers share an index), and the
-// buffer outlives the scatter.
+struct ScatterPtr {
+    base: *mut Particle,
+    len: usize,
+}
+// SAFETY: the pointer is only written through [`ScatterPtr::write`], whose
+// contract gives every slot to exactly one worker, and the buffer (a
+// `&mut Vec` held by the sort for the whole scatter region, which the
+// region's caller does not leave before every worker has finished)
+// outlives all of them. `Particle` is plain `Copy` data, so a write on
+// another thread drops nothing.
 unsafe impl Send for ScatterPtr {}
 unsafe impl Sync for ScatterPtr {}
+
+impl ScatterPtr {
+    /// # Safety
+    /// `slot < len`, and no other thread reads or writes `slot` during the
+    /// scatter region.
+    #[inline]
+    unsafe fn write(self, slot: usize, p: Particle) {
+        debug_assert!(slot < self.len, "scatter slot {slot} of {}", self.len);
+        unsafe { self.base.add(slot).write(p) };
+    }
+}
+
+/// End of the slot range the exclusive prefix-sum reserved for the pair
+/// `(worker w, voxel v)`: the start of the next pair in `(voxel, worker)`
+/// order, `n` after the last. `starts` is a copy of the prefix-sum table
+/// taken before the scatter advances it. Debug builds of both sorts check
+/// every scatter write against this, which is what pins "no two workers
+/// share a slot" when the workers really run at once.
+pub(crate) fn reserved_end(
+    starts: &[u32],
+    n_voxels: usize,
+    workers: usize,
+    n: usize,
+    w: usize,
+    v: usize,
+) -> usize {
+    if w + 1 < workers {
+        starts[(w + 1) * n_voxels + v] as usize
+    } else if v + 1 < n_voxels {
+        starts[v + 1] as usize
+    } else {
+        n
+    }
+}
 
 /// Stable counting sort of `particles` by voxel index. `n_voxels` is the
 /// array size of the grid (ghosts included); `scratch` is reused capacity.
@@ -102,19 +142,37 @@ pub(crate) fn sort_with_workers(
     // reserved for its (w, v) pairs.
     scratch.clear();
     scratch.resize(n, Particle::default());
-    let out = ScatterPtr(scratch.as_mut_ptr());
+    let out = ScatterPtr {
+        base: scratch.as_mut_ptr(),
+        len: n,
+    };
+    let starts = if cfg!(debug_assertions) {
+        counts.clone()
+    } else {
+        Vec::new()
+    };
+    let starts = &starts[..];
     counts
         .par_chunks_mut(n_voxels)
         .zip(particles.par_chunks(chunk))
-        .for_each(move |(offsets, ps)| {
+        .enumerate()
+        .for_each(move |(w, (offsets, ps))| {
             for p in ps {
-                let slot = &mut offsets[p.i as usize];
+                let v = p.i as usize;
+                let slot = &mut offsets[v];
+                debug_assert!(
+                    (*slot as usize) < reserved_end(starts, n_voxels, workers, n, w, v),
+                    "worker {w} overran its slots for voxel {v}"
+                );
                 // SAFETY: `*slot` walks the half-open range reserved for
-                // this (worker, voxel) pair by the exclusive prefix-sum;
-                // those ranges partition [0, n), so no two writes (from
-                // this or any other worker) target the same index, and
-                // every index is in bounds of `scratch`.
-                unsafe { out.0.add(*slot as usize).write(*p) };
+                // this (worker, voxel) pair by the exclusive prefix-sum.
+                // Those ranges partition [0, n): worker `w` advances only
+                // its own row of `counts` and advances it once per
+                // particle of its own chunk — as often as its histogram
+                // counted — so it stays inside its ranges, no other
+                // worker's range overlaps them, and every index is in
+                // bounds of `scratch`. `particles` is only read.
+                unsafe { out.write(*slot as usize, *p) };
                 *slot += 1;
             }
         });
@@ -216,11 +274,16 @@ mod tests {
             })
             .collect();
         let want = reference_sort(&parts, nv);
-        for workers in [1usize, 2, 3, 5, 8, 16] {
-            let mut got = parts.clone();
-            let (mut scratch, mut counts) = (Vec::new(), Vec::new());
-            crate::sort::sort_with_workers(&mut got, nv, &mut scratch, &mut counts, workers);
-            assert_eq!(got, want, "workers = {workers}");
+        // Sort workers (the partition) × real threads (who runs the parts).
+        for threads in [1usize, 2, 4] {
+            for workers in [1usize, 2, 3, 5, 8, 16] {
+                let mut got = parts.clone();
+                let (mut scratch, mut counts) = (Vec::new(), Vec::new());
+                crate::threads::with_worker_threads(threads, || {
+                    sort_with_workers(&mut got, nv, &mut scratch, &mut counts, workers)
+                });
+                assert_eq!(got, want, "workers = {workers}, threads = {threads}");
+            }
         }
     }
 

@@ -9,8 +9,8 @@
 
 use vpic_core::checkpoint::{load, save};
 use vpic_core::{
-    load_uniform, Grid, Layout, Momentum, PushKernel, Rng, Simulation, SortPolicy, Species,
-    MAX_AUTO_INTERVAL,
+    load_uniform, with_worker_threads, Grid, Layout, Momentum, PushKernel, Rng, Simulation,
+    SortPolicy, Species, MAX_AUTO_INTERVAL,
 };
 
 /// Thermal plasma with a seeded longitudinal E perturbation (same shape
@@ -54,38 +54,44 @@ fn cadence_bits(sim: &Simulation) -> CadenceBits {
     )
 }
 
-/// Auto cadence is the same sequence of decisions at every worker count,
-/// layout and kernel: after N steps the controller state (interval, EWMA
-/// rate bits, window position) and the sort/skip counts are identical,
-/// and the runs themselves stay bit-identical.
+/// Auto cadence is the same sequence of decisions at every pipeline
+/// count, worker-thread count, layout and kernel: after N steps the
+/// controller state (interval, EWMA rate bits, window position) and the
+/// sort/skip counts are identical, and the runs themselves stay
+/// bit-identical.
 #[test]
 fn auto_cadence_is_identical_across_pipelines_layouts_and_kernels() {
     let mut reference: Option<(CadenceBits, u64, u64, u64)> = None;
     for pipes in [1usize, 2, 4, 8] {
-        for (layout, kernel) in [
-            (Layout::Aos, PushKernel::Scalar),
-            (Layout::Aosoa, PushKernel::Scalar),
-            (Layout::Aosoa, PushKernel::Lane),
-        ] {
-            let mut sim = plasma(pipes, SortPolicy::Auto, 0.08);
-            sim.set_layout(layout);
-            sim.set_kernel(kernel);
-            for _ in 0..40 {
-                sim.step();
-            }
-            let coh = sim.species[0].coherence();
-            let got = (
-                cadence_bits(&sim),
-                coh.sorts,
-                coh.skipped_sorts,
-                coh.tally.crossers,
-            );
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => assert_eq!(
-                    &got, want,
-                    "cadence diverged at {pipes} pipes, {layout} layout, {kernel:?} kernel"
-                ),
+        for threads in [1usize, 2, 4] {
+            for (layout, kernel) in [
+                (Layout::Aos, PushKernel::Scalar),
+                (Layout::Aosoa, PushKernel::Scalar),
+                (Layout::Aosoa, PushKernel::Lane),
+            ] {
+                let mut sim = plasma(pipes, SortPolicy::Auto, 0.08);
+                sim.set_layout(layout);
+                sim.set_kernel(kernel);
+                with_worker_threads(threads, || {
+                    for _ in 0..40 {
+                        sim.step();
+                    }
+                });
+                let coh = sim.species[0].coherence();
+                let got = (
+                    cadence_bits(&sim),
+                    coh.sorts,
+                    coh.skipped_sorts,
+                    coh.tally.crossers,
+                );
+                match &reference {
+                    None => reference = Some(got),
+                    Some(want) => assert_eq!(
+                        &got, want,
+                        "cadence diverged at {pipes} pipes, {threads} threads, {layout} layout, \
+                         {kernel:?} kernel"
+                    ),
+                }
             }
         }
     }
@@ -135,6 +141,32 @@ fn auto_cadence_rides_checkpoint_roundtrip() {
     assert_eq!(resumed.n_particles(), straight.n_particles());
     for (p, q) in straight.species[0].iter().zip(resumed.species[0].iter()) {
         assert_eq!(p, q);
+    }
+}
+
+/// The dump of a run is the same bytes at every worker-thread count
+/// (fixed pipelines): fields, particles, and the cadence state riding
+/// with them.
+#[test]
+fn checkpoint_bytes_are_identical_at_every_thread_count() {
+    let dump_at = |threads: usize| {
+        let mut sim = plasma(4, SortPolicy::Auto, 0.08);
+        sim.set_layout(Layout::Aosoa);
+        with_worker_threads(threads, || {
+            for _ in 0..30 {
+                sim.step();
+            }
+        });
+        let mut buf = Vec::new();
+        save(&sim, &mut buf).unwrap();
+        buf
+    };
+    let reference = dump_at(1);
+    for threads in [2usize, 4] {
+        assert!(
+            dump_at(threads) == reference,
+            "dump at {threads} threads differs from the 1-thread dump"
+        );
     }
 }
 

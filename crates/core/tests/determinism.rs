@@ -6,15 +6,21 @@
 //! count must never change a single bit. The reduction order across
 //! pipelines is fixed by pipeline index, so for a *fixed* pipeline count
 //! two identically-seeded runs are bitwise identical however the work is
-//! scheduled. These tests pin both properties.
+//! scheduled. These tests pin both properties, on real worker threads:
+//! every matrix below also runs at 1, 2 and 4 threads
+//! (`with_worker_threads`, whatever the host's core count) and must land
+//! on the bits of the 1-thread run.
 
 use vpic_core::field_solver::{
     advance_b, advance_b_serial, advance_e, advance_e_serial, bcs_of, sync_b, sync_e,
 };
 use vpic_core::{
-    load_uniform, FieldArray, Grid, InterpolatorArray, Layout, Momentum, PushKernel, Rng,
-    Simulation, Species,
+    load_uniform, with_worker_threads, FieldArray, Grid, InterpolatorArray, Layout, Momentum,
+    PushKernel, Rng, Simulation, Species,
 };
+
+/// Worker-thread widths every matrix runs at; 1 is the reference.
+const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Small thermal plasma with a seeded longitudinal E perturbation, so
 /// currents, fields and cell crossings are all exercised.
@@ -60,90 +66,86 @@ fn assert_fields_bitwise_eq(a: &FieldArray, b: &FieldArray) {
     }
 }
 
-#[test]
-fn identically_seeded_runs_are_bitwise_identical() {
-    let mut a = plasma(4);
-    let mut b = plasma(4);
-    for _ in 0..10 {
-        a.step();
-        b.step();
-    }
-    assert_eq!(a.n_particles(), b.n_particles());
+/// [`plasma`] in the given variant, stepped ten times on `threads` worker
+/// threads. Ten steps with `sort_interval = 4` exercise push, voxel sort
+/// and current deposit.
+fn stepped(pipelines: usize, layout: Layout, kernel: PushKernel, threads: usize) -> Simulation {
+    let mut sim = plasma(pipelines);
+    sim.set_layout(layout);
+    sim.set_kernel(kernel);
+    assert_eq!((sim.layout(), sim.kernel()), (layout, kernel));
+    with_worker_threads(threads, || {
+        for _ in 0..10 {
+            sim.step();
+        }
+    });
+    sim
+}
+
+fn assert_same_run(a: &Simulation, b: &Simulation, what: &str) {
+    assert_eq!(a.n_particles(), b.n_particles(), "{what}");
     for (sa, sb) in a.species.iter().zip(b.species.iter()) {
-        for (p, q) in sa.iter().zip(sb.iter()) {
-            assert_eq!(p, q);
+        for (k, (p, q)) in sa.iter().zip(sb.iter()).enumerate() {
+            assert_eq!(p, q, "{what}: particle {k} differs");
         }
     }
     assert_fields_bitwise_eq(&a.fields, &b.fields);
+}
+
+#[test]
+fn identically_seeded_runs_are_bitwise_identical() {
+    let a = stepped(4, Layout::Aos, PushKernel::Lane, 1);
+    for threads in THREADS {
+        let b = stepped(4, Layout::Aos, PushKernel::Lane, threads);
+        assert_same_run(&a, &b, &format!("{threads} threads"));
+    }
 }
 
 /// AoS vs AoSoA is the *same run*, bit for bit, at every worker count:
 /// both layouts execute identical scalar arithmetic per particle, the
 /// pipeline partition is over particle indices (never rounded to lane
 /// blocks), and the AoSoA counting sort reuses the AoS histogram/prefix
-/// formula — so layout is purely a memory transform. Ten steps with
-/// `sort_interval = 4` exercise push, voxel sort and current deposit;
-/// `refresh_rho` pins the charge-deposit path on top.
+/// formula — so layout is purely a memory transform. `refresh_rho` pins
+/// the charge-deposit path on top.
 #[test]
 fn aos_and_aosoa_runs_are_bitwise_identical_at_every_worker_count() {
     for pipes in [1usize, 2, 4, 8] {
-        let mut a = plasma(pipes); // AoS: the default layout
-        let mut b = plasma(pipes);
-        b.set_layout(Layout::Aosoa);
-        assert_eq!(b.layout(), Layout::Aosoa);
-        for _ in 0..10 {
-            a.step();
-            b.step();
-        }
-        assert_eq!(a.n_particles(), b.n_particles(), "pipes {pipes}");
-        for (sa, sb) in a.species.iter().zip(b.species.iter()) {
-            for (k, (p, q)) in sa.iter().zip(sb.iter()).enumerate() {
-                assert_eq!(p, q, "particle {k} differs with {pipes} workers");
-            }
-        }
-        assert_fields_bitwise_eq(&a.fields, &b.fields);
+        // AoS on one thread: the reference for this pipeline count.
+        let mut a = stepped(pipes, Layout::Aos, PushKernel::Scalar, 1);
         a.refresh_rho();
-        b.refresh_rho();
-        for (v, (p, q)) in a.fields.rho.iter().zip(b.fields.rho.iter()).enumerate() {
-            assert_eq!(p.to_bits(), q.to_bits(), "rho[{v}] with {pipes} workers");
+        for threads in THREADS {
+            let what = format!("{pipes} pipes, {threads} threads");
+            let mut b = stepped(pipes, Layout::Aosoa, PushKernel::Scalar, threads);
+            assert_same_run(&a, &b, &what);
+            b.refresh_rho();
+            for (v, (p, q)) in a.fields.rho.iter().zip(b.fields.rho.iter()).enumerate() {
+                assert_eq!(p.to_bits(), q.to_bits(), "rho[{v}] with {what}");
+            }
         }
     }
 }
 
 /// The lane-kernel matrix: AoS-scalar (the oracle), AoSoA-scalar and
-/// AoSoA-lane must be the *same run* bit for bit at 1/2/4/8 pipelines.
-/// Ten steps with `sort_interval = 4` mean the lane kernel sees freshly
+/// AoSoA-lane must be the *same run* bit for bit at 1/2/4/8 pipelines and
+/// 1/2/4 threads. With `sort_interval = 4` the lane kernel sees freshly
 /// sorted single-voxel blocks, drifted mixed-voxel blocks, cell-crossing
 /// spill-outs and the straddling-block scalar path — every regime the
 /// production hot path has.
 #[test]
 fn lane_kernel_matrix_is_bitwise_identical_across_layouts_and_pipelines() {
     for pipes in [1usize, 2, 4, 8] {
-        let mut oracle = plasma(pipes); // AoS ignores the kernel knob
-        let mut scalar = plasma(pipes);
-        scalar.set_layout(Layout::Aosoa);
-        scalar.set_kernel(PushKernel::Scalar);
-        let mut lane = plasma(pipes);
-        lane.set_layout(Layout::Aosoa);
-        lane.set_kernel(PushKernel::Lane);
-        assert_eq!(lane.kernel(), PushKernel::Lane);
-        for _ in 0..10 {
-            oracle.step();
-            scalar.step();
-            lane.step();
-        }
-        for (sim, which) in [(&scalar, "aosoa-scalar"), (&lane, "aosoa-lane")] {
-            assert_eq!(
-                sim.n_particles(),
-                oracle.n_particles(),
-                "{which} @{pipes} pipes"
-            );
-            for (sa, sb) in oracle.species.iter().zip(sim.species.iter()) {
-                for (k, (p, q)) in sa.iter().zip(sb.iter()).enumerate() {
-                    assert_eq!(p, q, "{which} @{pipes} pipes: particle {k} differs");
-                }
+        // AoS ignores the kernel knob and always runs the scalar body.
+        let oracle = stepped(pipes, Layout::Aos, PushKernel::Scalar, 1);
+        for threads in THREADS {
+            for (layout, kernel, which) in [
+                (Layout::Aos, PushKernel::Scalar, "aos"),
+                (Layout::Aosoa, PushKernel::Scalar, "aosoa-scalar"),
+                (Layout::Aosoa, PushKernel::Lane, "aosoa-lane"),
+            ] {
+                let sim = stepped(pipes, layout, kernel, threads);
+                let what = format!("{which} @{pipes} pipes, {threads} threads");
+                assert_same_run(&oracle, &sim, &what);
             }
-            assert_fields_bitwise_eq(&oracle.fields, &sim.fields);
         }
     }
 }
@@ -176,29 +178,34 @@ fn random_fields(g: &Grid, seed: u64) -> FieldArray {
 #[test]
 fn parallel_field_advance_matches_serial_bitwise() {
     let g = Grid::periodic((9, 6, 7), (0.3, 0.3, 0.3), 0.05);
-    let par = random_fields(&g, 77);
-    let mut fb_par = par.clone();
-    let mut fb_ser = par.clone();
-    advance_b(&mut fb_par, &g, 0.5);
+    let start = random_fields(&g, 77);
+    let mut fb_ser = start.clone();
     advance_b_serial(&mut fb_ser, &g, 0.5);
-    assert_fields_bitwise_eq(&fb_par, &fb_ser);
-
-    let mut fe_par = par.clone();
-    let mut fe_ser = par;
-    advance_e(&mut fe_par, &g);
+    let mut fe_ser = start.clone();
     advance_e_serial(&mut fe_ser, &g);
-    assert_fields_bitwise_eq(&fe_par, &fe_ser);
+    for threads in THREADS {
+        let mut fb_par = start.clone();
+        let mut fe_par = start.clone();
+        with_worker_threads(threads, || {
+            advance_b(&mut fb_par, &g, 0.5);
+            advance_e(&mut fe_par, &g);
+        });
+        assert_fields_bitwise_eq(&fb_par, &fb_ser);
+        assert_fields_bitwise_eq(&fe_par, &fe_ser);
+    }
 }
 
 #[test]
 fn parallel_interpolator_load_matches_serial_bitwise() {
     let g = Grid::periodic((8, 7, 6), (0.25, 0.25, 0.25), 0.04);
     let f = random_fields(&g, 31);
-    let mut par = InterpolatorArray::new(&g);
     let mut ser = InterpolatorArray::new(&g);
-    par.load(&f, &g);
     ser.load_serial(&f, &g);
-    for (v, (a, b)) in par.data.iter().zip(ser.data.iter()).enumerate() {
-        assert_eq!(a, b, "interpolator {v} differs");
+    for threads in THREADS {
+        let mut par = InterpolatorArray::new(&g);
+        with_worker_threads(threads, || par.load(&f, &g));
+        for (v, (a, b)) in par.data.iter().zip(ser.data.iter()).enumerate() {
+            assert_eq!(a, b, "interpolator {v} differs at {threads} threads");
+        }
     }
 }

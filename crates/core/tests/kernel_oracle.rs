@@ -8,7 +8,8 @@
 //! per-pipeline accumulator entry. Proptest-generated states round-trip
 //! through all three configurations each case; pipeline counts 1/2/3/8
 //! cover the no-split, even-split, straddling-block and over-decomposed
-//! regimes.
+//! regimes, each on 1, 2 and 4 worker threads (pipelines sharing a
+//! straddled block then really do write its lanes at the same time).
 //!
 //! The vendored proptest shim has no shrinking, so the harness does its
 //! own: on any divergence the comparison locates the *first* differing
@@ -17,8 +18,8 @@
 
 use proptest::prelude::*;
 use vpic_core::{
-    advance_p_with, AccumulatorArray, Grid, Interpolator, InterpolatorArray, Layout, Particle,
-    ParticleBc, ParticleStore, PushCoefficients, PushKernel, LANES,
+    advance_p_with, with_worker_threads, AccumulatorArray, Grid, Interpolator, InterpolatorArray,
+    Layout, Particle, ParticleBc, ParticleStore, PushCoefficients, PushKernel, LANES,
 };
 
 /// Everything one differential case needs.
@@ -164,14 +165,25 @@ fn diff(oracle: &RunResult, got: &RunResult, label: &str) -> Result<(), String> 
     Ok(())
 }
 
-/// Run the oracle and both AoSoA kernels at `pipes` pipelines and check
-/// bit-identity; `Err` carries the first-divergent-lane report.
+/// Run the oracle (on one thread) and both AoSoA kernels at `pipes`
+/// pipelines on 1, 2 and 4 worker threads and check bit-identity; `Err`
+/// carries the first-divergent-lane report.
 fn check_case(case: &Case, pipes: usize) -> Result<(), String> {
-    let oracle = run(case, Layout::Aos, PushKernel::Scalar, pipes);
-    let scalar = run(case, Layout::Aosoa, PushKernel::Scalar, pipes);
-    diff(&oracle, &scalar, &format!("aosoa-scalar @{pipes} pipes"))?;
-    let lane = run(case, Layout::Aosoa, PushKernel::Lane, pipes);
-    diff(&oracle, &lane, &format!("aosoa-lane @{pipes} pipes"))
+    let oracle = with_worker_threads(1, || run(case, Layout::Aos, PushKernel::Scalar, pipes));
+    for threads in [1usize, 2, 4] {
+        let (aos, scalar, lane) = with_worker_threads(threads, || {
+            (
+                run(case, Layout::Aos, PushKernel::Scalar, pipes),
+                run(case, Layout::Aosoa, PushKernel::Scalar, pipes),
+                run(case, Layout::Aosoa, PushKernel::Lane, pipes),
+            )
+        });
+        let at = format!("@{pipes} pipes, {threads} threads");
+        diff(&oracle, &aos, &format!("aos {at}"))?;
+        diff(&oracle, &scalar, &format!("aosoa-scalar {at}"))?;
+        diff(&oracle, &lane, &format!("aosoa-lane {at}"))?;
+    }
+    Ok(())
 }
 
 /// Interpolator filled with random (physically unconstrained) values:

@@ -270,8 +270,30 @@ where
     (results, traffic)
 }
 
+/// Worker-thread lanes each rank of an `n`-rank thread-per-rank world
+/// gets: an equal share of the spawning thread's budget
+/// (`rayon::current_num_threads()`), at least 1. Ranks already are the
+/// world's parallelism; letting each also fan out over the whole pool
+/// would oversubscribe the host `n`-fold. With as many ranks as cores
+/// every rank gets 1 lane and its step loop never leaves the rank thread.
+pub(crate) fn lanes_per_rank(n: usize) -> usize {
+    (rayon::current_num_threads() / n).max(1)
+}
+
+/// Run a rank's closure with its parallel regions limited to `lanes`
+/// threads (thread-locals do not cross `spawn`, so every rank thread sets
+/// its own width).
+pub(crate) fn on_rank_lanes<R: Send>(lanes: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(lanes)
+        .build()
+        .expect("building a pool fails only if the OS refuses its threads")
+        .install(f)
+}
+
 /// [`run`] with an optional fault-injection plan threaded through every
-/// rank's communicator.
+/// rank's communicator. Each rank runs on [`lanes_per_rank`] worker-thread
+/// lanes.
 pub fn run_with_faults<R, F>(
     n: usize,
     plan: Option<FaultPlan>,
@@ -299,6 +321,7 @@ where
     let mut receiver_slots: Vec<Option<Vec<Receiver<Packet>>>> =
         receivers.into_iter().map(Some).collect();
 
+    let lanes = lanes_per_rank(n);
     let results: Vec<Result<R, RankPanic>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
         for (rank, slot) in receiver_slots.iter_mut().enumerate() {
@@ -307,13 +330,15 @@ where
             let plan = plan.clone();
             let f = &f;
             handles.push(scope.spawn(move || {
-                let transport = LocalTransport {
-                    rank,
-                    shared,
-                    receivers: rx,
-                };
-                let mut comm = Comm::from_transport(Box::new(transport), plan);
-                f(&mut comm)
+                on_rank_lanes(lanes, || {
+                    let transport = LocalTransport {
+                        rank,
+                        shared,
+                        receivers: rx,
+                    };
+                    let mut comm = Comm::from_transport(Box::new(transport), plan);
+                    f(&mut comm)
+                })
             }));
         }
         handles

@@ -991,7 +991,10 @@ pub fn run_socket<R>(
 /// [`SocketTransport`] over real sockets — the full wire path (framing,
 /// handshakes, heartbeats) without multi-process orchestration. Used by
 /// the determinism matrix, the sweep scheduler's socket mode, and tests.
-/// A rank whose bootstrap fails is reported as a [`RankPanic`].
+/// A rank whose bootstrap fails is reported as a [`RankPanic`]. As in
+/// [`crate::run_with_faults`], each rank gets an equal share of the
+/// caller's worker-thread budget; one-rank-per-process [`run_socket`]
+/// keeps the whole of it.
 pub fn run_socket_world<R, F>(
     n: usize,
     spec: SocketAddrSpec,
@@ -1012,6 +1015,7 @@ where
     // plans and traffic counters see identical send sequences on both
     // transports. Failed bootstraps count too, so they can't hang peers.
     let booted = (Mutex::new(0usize), Condvar::new());
+    let lanes = crate::comm::lanes_per_rank(n);
     let results: Vec<Result<R, RankPanic>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
         for rank in 0..n {
@@ -1037,7 +1041,7 @@ where
                     .1
                     .wait_timeout_while(guard, Duration::from_secs(30), |done| *done < n)
                     .unwrap();
-                f(&mut comm)
+                crate::comm::on_rank_lanes(lanes, || f(&mut comm))
             }));
         }
         handles

@@ -815,12 +815,18 @@ impl Runner {
         self.cache = None;
         let ep = comm.surrender();
         let cause = fault.to_string();
+        // The spare replaces this rank, so it inherits this rank's share of
+        // the worker threads (a new thread would otherwise start at the
+        // process default and fan out over every other rank's cores).
+        let lanes = vpic_core::worker_threads();
         // Scoped so the replacement thread can borrow the drive hook.
         let joined = std::thread::scope(|s| {
             let spare = s.spawn(move || {
-                let mut comm = Comm::adopt(ep);
-                let result = self.spare_main(&mut comm, sim, at_step, attempt, &cause, drive);
-                (result, comm.surrender())
+                vpic_core::with_worker_threads(lanes, || {
+                    let mut comm = Comm::adopt(ep);
+                    let result = self.spare_main(&mut comm, sim, at_step, attempt, &cause, drive);
+                    (result, comm.surrender())
+                })
             });
             spare.join()
         });

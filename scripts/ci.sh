@@ -47,6 +47,16 @@
 # x 1/2/4/8 pipelines) with the kill-mid-measurement campaign replay,
 # and a default-size e2 bench pair asserting async diagnostics cost
 # ≤ 3% of diagnostics-off step throughput.
+#
+# The "threads" lane (also part of the default, argument-less run; or set
+# CI_THREADS=1) covers real worker threads: the vendored rayon's own
+# tests, then the determinism / kernel-oracle / cadence suites and the
+# AoS and AoSoA sort unit tests under RAYON_NUM_THREADS=1, 2 and 4 with
+# debug assertions on (the scatter-slot and chunk-bounds asserts are live)
+# — each suite additionally runs its own 1/2/4-thread axis through
+# `install`, so every (pool width x scoped width) pair is exercised. A
+# ThreadSanitizer pass over the shim tests and determinism.rs runs only
+# where a nightly toolchain with rust-src is installed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,6 +71,37 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+if [[ -z "${1:-}" || "${1:-}" == "threads" || "${CI_THREADS:-0}" == "1" ]]; then
+    echo "==> threads lane (real worker threads, debug assertions on)"
+    (
+        # Setting RUSTFLAGS replaces .cargo/config.toml's flags wholesale,
+        # so restate target-cpu=native (as the kernel lane does).
+        export RUSTFLAGS="${RUSTFLAGS:-} -C target-cpu=native -C debug-assertions=on"
+        cargo test --release -p rayon
+        for threads in 1 2 4; do
+            echo "--> RAYON_NUM_THREADS=$threads"
+            export RAYON_NUM_THREADS=$threads
+            cargo test --release -p vpic-core --test determinism
+            cargo test --release -p vpic-core --test kernel_oracle
+            cargo test --release -p vpic-core --test cadence
+            cargo test --release -p vpic-core --lib sort
+        done
+    )
+    if cargo +nightly --version >/dev/null 2>&1 &&
+        rustup +nightly component list --installed 2>/dev/null | grep -q '^rust-src'; then
+        echo "--> ThreadSanitizer (nightly, -Zbuild-std)"
+        host=$(rustc +nightly -vV | sed -n 's/^host: //p')
+        (
+            export RUSTFLAGS="-Zsanitizer=thread -C target-cpu=native"
+            export RAYON_NUM_THREADS=4
+            cargo +nightly test -Zbuild-std --target "$host" -p rayon
+            cargo +nightly test -Zbuild-std --target "$host" -p vpic-core --test determinism
+        )
+    else
+        echo "--> ThreadSanitizer skipped: no nightly toolchain with rust-src"
+    fi
+fi
 
 if [[ "${1:-}" == "soak" || "${CI_SOAK:-0}" == "1" ]]; then
     echo "==> fault-soak lane (release, ignored tests)"

@@ -406,12 +406,13 @@ fn print_diag_stats(mode: vpic::diag::DiagMode, s: &vpic::diag::DiagStats) {
 fn print_throughput(t: &vpic::core::StepTimings, pipelines: usize) {
     if t.total() > 0.0 && t.particle_steps > 0 {
         println!(
-            "throughput: {:.3e} particles/s over {} steps ({:.1}% inner loop, {} pipelines, {} rayon threads)",
+            "throughput: {:.3e} particles/s over {} steps ({:.1}% inner loop, {} pipelines, {} rayon threads, push on {} lanes)",
             t.particle_steps as f64 / t.total(),
             t.steps,
             100.0 * t.inner_loop_fraction(),
             pipelines,
-            vpic::core::worker_threads()
+            vpic::core::worker_threads(),
+            pipelines.min(vpic::core::worker_threads())
         );
     }
 }
