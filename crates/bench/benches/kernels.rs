@@ -3,6 +3,7 @@
 //! numbers for calibration and regression tracking).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use nanompi::{run_socket, SocketAddrSpec, SocketBoot, Wire, WireReader};
 use vpic_core::aosoa::{advance_p_aosoa, AosoaStore};
 use vpic_core::field_solver::{advance_b, advance_e};
 use vpic_core::push::{advance_p_serial, PushCoefficients};
@@ -165,8 +166,63 @@ fn bench_layout_conversion(c: &mut Criterion) {
     group.finish();
 }
 
+/// The halo path's pieces at the size `halo-socket` moves them: one
+/// ghost-inclusive 66×66 plane of `f32` (17 kB), and the two-component
+/// message `exchange_e` sends.
+fn bench_comm(c: &mut Criterion) {
+    const PLANE: usize = 66 * 66;
+    let mut group = c.benchmark_group("comm");
+    let plane: Vec<f32> = (0..PLANE).map(|i| i as f32 / 3.0).collect();
+
+    let mut bytes = Vec::new();
+    plane.wire_put(&mut bytes);
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("crc32_plane", |b| {
+        b.iter(|| nanompi::wire::crc32(criterion::black_box(&bytes)))
+    });
+    group.bench_function("vec_f32_encode_decode", |b| {
+        b.iter(|| {
+            let mut out = Vec::with_capacity(bytes.len());
+            criterion::black_box(&plane).wire_put(&mut out);
+            Vec::<f32>::wire_get(&mut WireReader::new(&out)).expect("round trip")
+        })
+    });
+
+    // Rank 1 echoes until it is sent an empty message.
+    const TAG: u64 = 0xBE;
+    let dir = std::env::temp_dir().join(format!("vpic_bench_comm_{}", std::process::id()));
+    let boot = |rank| SocketBoot::new(SocketAddrSpec::unix(&dir), rank, 2);
+    let message = [plane.as_slice(), plane.as_slice()].concat();
+    group.throughput(Throughput::Bytes(2 * 4 * message.len() as u64));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            run_socket(&boot(1), None, |comm| loop {
+                let msg: Vec<f32> = comm.recv(0, TAG).expect("echo recv");
+                if msg.is_empty() {
+                    break;
+                }
+                comm.send_vec(0, TAG, msg).expect("echo send");
+            })
+            .expect("rank 1 bootstrap");
+        });
+        run_socket(&boot(0), None, |comm| {
+            group.bench_function("two_plane_round_trip_unix", |b| {
+                b.iter(|| {
+                    comm.send_vec(1, TAG, message.clone()).expect("send");
+                    comm.recv::<Vec<f32>>(1, TAG).expect("recv")
+                })
+            });
+            comm.send_vec(1, TAG, Vec::<f32>::new()).expect("stop");
+        })
+        .expect("rank 0 bootstrap");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_comm,
     bench_push,
     bench_field_solver,
     bench_sort,

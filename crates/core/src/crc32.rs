@@ -2,11 +2,18 @@
 //! dependency-free. Checkpoint sections are checksummed with this so a
 //! truncated or bit-flipped restart dump is detected at load time instead
 //! of silently seeding a corrupt resumed run.
+//!
+//! The kernel is slicing-by-8 (eight bytes per step through eight tables),
+//! the same one `nanompi::wire::crc32` frames socket messages with; the
+//! two crates share no code by design, and both are pinned against a
+//! byte-wise reference in their tests.
 
 const POLY: u32 = 0xEDB8_8320;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][i]` is the
+/// CRC of byte `i` followed by `k` zero bytes.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -19,13 +26,23 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// Streaming CRC-32 state.
 #[derive(Clone, Debug)]
@@ -45,10 +62,25 @@ impl Crc32 {
     }
 
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = ((self.state ^ b as u32) & 0xFF) as usize;
-            self.state = (self.state >> 8) ^ TABLE[idx];
+        let t = &TABLES;
+        let mut crc = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.state = crc;
     }
 
     pub fn finish(&self) -> u32 {
@@ -112,14 +144,52 @@ mod tests {
         );
     }
 
+    /// Bit-at-a-time reference, independent of every table.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn slicing_kernel_matches_bytewise_at_every_length_and_offset() {
+        let data: Vec<u8> = (0..308u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=300 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn streaming_matches_one_shot() {
+        // Chunk sizes below, at and across the kernel's 8-byte stride: the
+        // register carries over exactly wherever an update ends.
         let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        let mut c = Crc32::new();
-        for chunk in data.chunks(37) {
-            c.update(chunk);
+        for size in [1, 7, 8, 37] {
+            let mut c = Crc32::new();
+            for chunk in data.chunks(size) {
+                c.update(chunk);
+            }
+            assert_eq!(c.finish(), crc32(&data), "chunk size {size}");
         }
-        assert_eq!(c.finish(), crc32(&data));
+        assert_eq!(crc32(&data), crc32_bytewise(&data));
     }
 
     #[test]

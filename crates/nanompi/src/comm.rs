@@ -480,17 +480,24 @@ impl Comm {
         self.send_impl(to, tag, nbytes, msg, true)
     }
 
-    /// The payload in whichever representation this transport moves.
-    fn make_payload<T: Wire>(&self, msg: &T) -> Payload {
-        if self.transport.by_bytes() {
-            let mut data = Vec::new();
-            msg.wire_put(&mut data);
-            Payload::Bytes {
-                fp: wire::type_fp::<T>(),
-                data,
+    /// The payload in whichever representation this transport moves: the
+    /// value itself, boxed, or its wire encoding in a buffer sized once
+    /// for the transport's framing (`nbytes`, the counted payload size, is
+    /// exact for the `Vec`s of fixed-width elements that carry the bulk
+    /// traffic and a harmless hint for everything else).
+    fn make_payload<T: Wire>(&self, msg: T, nbytes: usize) -> Payload {
+        match self.transport.frame_room() {
+            Some(room) => {
+                let mut buf = Vec::with_capacity(room.head + 8 + nbytes + room.tail);
+                buf.resize(room.head, 0);
+                msg.wire_put(&mut buf);
+                Payload::Bytes {
+                    fp: wire::type_fp::<T>(),
+                    buf,
+                    start: room.head,
+                }
             }
-        } else {
-            Payload::Local(Box::new(msg.clone()))
+            None => Payload::Local(Box::new(msg)),
         }
     }
 
@@ -521,30 +528,29 @@ impl Comm {
             // silently vanishes (the receiver times out, like Drop).
             return Ok(());
         }
-        match fate {
-            Some(FaultKind::Drop) => Ok(()),
-            Some(FaultKind::Delay(d)) => {
-                std::thread::sleep(d);
-                let payload = self.make_payload(&msg);
-                self.deliver(to, tag, seq, nbytes, false, payload)
-            }
+        let corrupt = match fate {
+            Some(FaultKind::Drop) => return Ok(()),
             Some(FaultKind::Duplicate) => {
                 // Both copies share one sequence number; the receiver's
-                // dedup admits exactly one.
-                let payload = self.make_payload(&msg);
-                self.deliver(to, tag, seq, nbytes, false, payload)?;
-                let payload = self.make_payload(&msg);
-                self.deliver(to, tag, seq, nbytes, false, payload)
+                // dedup admits exactly one. The extra copy is the network's
+                // doing, not the sender's: if it was the peer's last
+                // expected message the peer may be gone by the time the
+                // copy lands, and that must not fail the real send.
+                let copy = self.make_payload(msg.clone(), nbytes);
+                self.deliver(to, tag, seq, nbytes, false, copy)?;
+                let payload = self.make_payload(msg, nbytes);
+                let _ = self.deliver(to, tag, seq, nbytes, false, payload);
+                return Ok(());
             }
-            Some(FaultKind::Corrupt) => {
-                let payload = self.make_payload(&msg);
-                self.deliver(to, tag, seq, nbytes, true, payload)
+            Some(FaultKind::Delay(d)) => {
+                std::thread::sleep(d);
+                false
             }
-            Some(FaultKind::Kill) | None => {
-                let payload = self.make_payload(&msg);
-                self.deliver(to, tag, seq, nbytes, false, payload)
-            }
-        }
+            Some(FaultKind::Corrupt) => true,
+            Some(FaultKind::Kill) | None => false,
+        };
+        let payload = self.make_payload(msg, nbytes);
+        self.deliver(to, tag, seq, nbytes, corrupt, payload)
     }
 
     /// Raw transport delivery (no fault injection, no counting).
@@ -613,11 +619,11 @@ impl Comm {
                 .downcast::<T>()
                 .map(|b| *b)
                 .map_err(|_| CommError::TypeMismatch { from, tag }),
-            Payload::Bytes { fp, data } => {
+            Payload::Bytes { fp, buf, start } => {
                 if fp != wire::type_fp::<T>() {
                     return Err(CommError::TypeMismatch { from, tag });
                 }
-                let mut r = WireReader::new(&data);
+                let mut r = WireReader::new(&buf[start..]);
                 match T::wire_get(&mut r) {
                     Some(v) if r.done() => Ok(v),
                     // The fingerprint matched but the bytes didn't decode:
@@ -804,17 +810,7 @@ impl Comm {
 
     /// Send one recovery announcement (bypasses fault injection).
     fn announce(&mut self, to: usize) -> Result<(), CommError> {
-        let epoch = self.epoch;
-        let payload = if self.transport.by_bytes() {
-            let mut data = Vec::new();
-            epoch.wire_put(&mut data);
-            Payload::Bytes {
-                fp: wire::type_fp::<u64>(),
-                data,
-            }
-        } else {
-            Payload::Local(Box::new(epoch))
-        };
+        let payload = self.make_payload(self.epoch, 8);
         self.deliver(to, RECOVER_TAG, 1, 8, false, payload)
     }
 
@@ -823,7 +819,9 @@ impl Comm {
     fn announcement_epoch(pkt: &Packet) -> Option<u64> {
         match &pkt.payload {
             Payload::Local(b) => b.downcast_ref::<u64>().copied(),
-            Payload::Bytes { data, .. } => u64::wire_get(&mut WireReader::new(data)),
+            Payload::Bytes { buf, start, .. } => {
+                u64::wire_get(&mut WireReader::new(&buf[*start..]))
+            }
         }
     }
 
@@ -1353,6 +1351,50 @@ mod fault_tests {
             }
         });
         assert_eq!(*results[1].as_ref().unwrap(), 1);
+    }
+
+    #[test]
+    fn failed_delivery_of_the_injected_copy_does_not_fail_the_send() {
+        // A duplicated message is delivered twice; when the peer takes the
+        // first copy and leaves (it was the last message it expected), the
+        // second delivery finds a closed link. That failure belongs to the
+        // injected copy — the send itself succeeded. The transport below
+        // forces the order a live world only races into: first delivery
+        // lands, second is refused.
+        struct ClosesAfterOne {
+            delivered: bool,
+        }
+        impl Transport for ClosesAfterOne {
+            fn rank(&self) -> usize {
+                0
+            }
+            fn size(&self) -> usize {
+                2
+            }
+            fn send(&mut self, to: usize, _: Packet) -> Result<(), CommError> {
+                if std::mem::replace(&mut self.delivered, true) {
+                    return Err(CommError::PeerClosed { peer: to });
+                }
+                Ok(())
+            }
+            fn recv_timeout(&mut self, _: usize, _: Duration) -> Result<Packet, RecvError> {
+                Err(RecvError::Closed)
+            }
+            fn try_recv(&mut self, _: usize) -> Option<Packet> {
+                None
+            }
+            fn count(&self, _: usize, _: u64, _: u64) {}
+        }
+        let plan = Arc::new(FaultPlan::new(1).duplicate_message(0, 1));
+        let transport = Box::new(ClosesAfterOne { delivered: false });
+        let mut c = Comm::from_transport(transport, Some(plan));
+        c.send(1, 9, 5u32)
+            .expect("the real copy was delivered; the send succeeded");
+        // An undelivered *real* message is still the sender's error.
+        assert!(matches!(
+            c.send(1, 9, 6u32),
+            Err(CommError::PeerClosed { peer: 1 })
+        ));
     }
 
     #[test]

@@ -59,8 +59,21 @@ pub(crate) enum Payload {
     /// Boxed value (in-process transport; zero-copy, no serialization).
     Local(Box<dyn Any + Send>),
     /// Serialized bytes plus the sender's type fingerprint (byte-oriented
-    /// transports; see [`crate::wire`]).
-    Bytes { fp: u64, data: Vec<u8> },
+    /// transports; see [`crate::wire`]). The value's encoding is
+    /// `buf[start..]`; `buf[..start]` belongs to the transport's framing —
+    /// the [`FrameRoom`] it asked for on the way out, the packet header it
+    /// read on the way in — so the value is never copied to add or strip
+    /// a frame.
+    Bytes { fp: u64, buf: Vec<u8>, start: usize },
+}
+
+/// Space a byte-oriented transport wants around a serialized value so it
+/// can frame the message in place: `head` bytes in front (present in the
+/// buffer, contents ignored), capacity for `tail` more behind.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FrameRoom {
+    pub head: usize,
+    pub tail: usize,
 }
 
 /// The unit of transfer: epoch/tag/seq envelope plus payload. Identical
@@ -93,10 +106,10 @@ pub(crate) trait Transport: Send {
     fn rank(&self) -> usize;
     fn size(&self) -> usize;
 
-    /// Whether payloads must be serialized ([`Payload::Bytes`]) rather
-    /// than boxed ([`Payload::Local`]).
-    fn by_bytes(&self) -> bool {
-        false
+    /// `Some` when payloads must be serialized ([`Payload::Bytes`], laid
+    /// out with this much room) rather than boxed ([`Payload::Local`]).
+    fn frame_room(&self) -> Option<FrameRoom> {
+        None
     }
 
     /// Deliver one packet to `to` (no fault injection, no counting —

@@ -702,6 +702,48 @@ mod tests {
         assert!(traffic.total_bytes > 0);
     }
 
+    /// The per-step message schedule of a 2-rank x-split: per rank one `J`
+    /// fold, two messages for each of the two `B` exchanges and one `E`
+    /// exchange — 6 messages carrying the same 10 ghost planes the
+    /// per-component exchange sent as 10 — plus one migration round's 2.
+    #[test]
+    fn step_sends_six_plane_and_two_migration_messages_per_rank() {
+        const STEPS: u64 = 5;
+        let spec = DomainSpec::periodic((8, 4, 4), (0.25, 0.25, 0.25), 0.1, 2);
+        assert_eq!(spec.local_cells(), (4, 4, 4), "expected an x-split");
+        let plane_bytes = 4 * (4 + 2) * (4 + 2) as u64;
+        let (migrated, traffic) = run_expect(2, |comm| {
+            let mut sim = DistributedSim::new(spec.clone(), comm.rank(), 1);
+            let si = sim.add_species(Species::new("e", -1.0, 1.0));
+            sim.load_uniform(si, 7, 1.0, 8, Momentum::thermal(0.3));
+            for _ in 0..STEPS {
+                sim.step(comm).unwrap();
+            }
+            sim.migrated
+        });
+        assert!(
+            migrated.iter().all(|&m| m > 0),
+            "no migration: {migrated:?}"
+        );
+        let (plane, migration): (Vec<_>, Vec<_>) =
+            traffic.by_tag.iter().partition(|t| t.tag >> 12 != 0x9);
+        let total = |tags: &[&nanompi::TagTraffic]| {
+            tags.iter()
+                .fold((0, 0), |(m, b), t| (m + t.messages, b + t.bytes))
+        };
+        assert_eq!(total(&plane), (2 * 6 * STEPS, 2 * 10 * STEPS * plane_bytes));
+        // One round a step (the hot thermal load crosses every step, and a
+        // slab four cells deep is never crossed twice in one).
+        assert_eq!(total(&migration).0, 2 * 2 * STEPS);
+        assert_eq!(
+            total(&migration).1,
+            migrated.iter().sum::<u64>() * std::mem::size_of::<crate::Migrant>() as u64
+        );
+        for from in 0..2 {
+            assert_eq!(traffic.messages[from][1 - from], 8 * STEPS);
+        }
+    }
+
     /// An exile crossing a rank boundary must land bit-identically
     /// whichever storage layout holds it: the mover hand-off, the migrant
     /// bytes on the wire and the receiver-side move continuation are all

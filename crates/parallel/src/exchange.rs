@@ -16,11 +16,29 @@
 //! Planes are sent ghost-inclusive and axes processed in x→y→z order, so
 //! edge/corner ghosts become correct exactly as in the sequential
 //! periodic-copy argument.
+//!
+//! ## Message schedule
+//!
+//! Every component bound for one neighbor on one axis travels in **one**
+//! message (the planes concatenated in component order), and every send
+//! of an axis is posted before its first receive, so an exchange costs
+//! bytes, not round trips. Per decomposed axis and rank:
+//!
+//! | call          | to `−axis` neighbor     | to `+axis` neighbor        |
+//! |---------------|-------------------------|----------------------------|
+//! | `fold_j`      | —                       | 2 transverse `J`, plane `n+1` |
+//! | `exchange_b`  | normal `cB`, plane 1    | 2 transverse `cB`, plane `n` |
+//! | `exchange_e`  | 2 transverse `E`, plane 1 | —                        |
+//!
+//! A step calls `fold_j` once, `exchange_b` twice and `exchange_e` once:
+//! 6 messages carrying 10 planes. The receive of axis `a` completes before
+//! axis `a+1` gathers, which is what carries corner values across.
 
 use nanompi::{Comm, CommError};
 use vpic_core::field::FieldArray;
 use vpic_core::grid::Grid;
 
+// One tag per phase and direction; the axis is added to it.
 const TAG_E: u64 = 0xE000;
 const TAG_B_OWN: u64 = 0xB000;
 const TAG_B_T: u64 = 0xB100;
@@ -30,49 +48,53 @@ const TAG_S_HIGH: u64 = 0x5100;
 const TAG_S_LOW: u64 = 0x5200;
 const TAG_E_NORM: u64 = 0x5300;
 
-/// Read the full (ghost-inclusive) plane `idx` along `axis`.
-pub fn read_plane(arr: &[f32], g: &Grid, axis: usize, idx: usize) -> Vec<f32> {
+/// Call `f` with the voxel index of every point of the full
+/// (ghost-inclusive) plane `idx` along `axis`, in wire order.
+fn for_each_slot(g: &Grid, axis: usize, idx: usize, mut f: impl FnMut(usize)) {
     let (sx, sy, sz) = g.strides();
     let dims = [sx, sy, sz];
+    let step = [1, sx, sx * sy];
     let (a1, a2) = other_axes(axis);
-    let mut out = Vec::with_capacity(dims[a1] * dims[a2]);
+    let base = idx * step[axis];
     for c2 in 0..dims[a2] {
+        let row = base + c2 * step[a2];
         for c1 in 0..dims[a1] {
-            let mut cs = [0usize; 3];
-            cs[a1] = c1;
-            cs[a2] = c2;
-            cs[axis] = idx;
-            out.push(arr[g.voxel(cs[0], cs[1], cs[2])]);
+            f(row + c1 * step[a1]);
         }
     }
+}
+
+/// Points in a full (ghost-inclusive) plane normal to `axis`.
+fn plane_len(g: &Grid, axis: usize) -> usize {
+    let (sx, sy, sz) = g.strides();
+    let (a1, a2) = other_axes(axis);
+    [sx, sy, sz][a1] * [sx, sy, sz][a2]
+}
+
+/// Append the full (ghost-inclusive) plane `idx` along `axis` to `out`.
+fn append_plane(out: &mut Vec<f32>, arr: &[f32], g: &Grid, axis: usize, idx: usize) {
+    for_each_slot(g, axis, idx, |slot| out.push(arr[slot]));
+}
+
+/// Read the full (ghost-inclusive) plane `idx` along `axis`.
+pub fn read_plane(arr: &[f32], g: &Grid, axis: usize, idx: usize) -> Vec<f32> {
+    let mut out = Vec::with_capacity(plane_len(g, axis));
+    append_plane(&mut out, arr, g, axis, idx);
     out
 }
 
 /// Overwrite plane `idx` along `axis` with `data`.
 pub fn write_plane(arr: &mut [f32], g: &Grid, axis: usize, idx: usize, data: &[f32]) {
-    visit_plane(g, axis, idx, data, |slot, v| arr[slot] = v);
+    assert_eq!(data.len(), plane_len(g, axis), "plane size mismatch");
+    let mut it = data.iter();
+    for_each_slot(g, axis, idx, |slot| arr[slot] = *it.next().unwrap());
 }
 
 /// Add `data` into plane `idx` along `axis`.
 pub fn add_plane(arr: &mut [f32], g: &Grid, axis: usize, idx: usize, data: &[f32]) {
-    visit_plane(g, axis, idx, data, |slot, v| arr[slot] += v);
-}
-
-fn visit_plane(g: &Grid, axis: usize, idx: usize, data: &[f32], mut f: impl FnMut(usize, f32)) {
-    let (sx, sy, sz) = g.strides();
-    let dims = [sx, sy, sz];
-    let (a1, a2) = other_axes(axis);
-    assert_eq!(data.len(), dims[a1] * dims[a2], "plane size mismatch");
+    assert_eq!(data.len(), plane_len(g, axis), "plane size mismatch");
     let mut it = data.iter();
-    for c2 in 0..dims[a2] {
-        for c1 in 0..dims[a1] {
-            let mut cs = [0usize; 3];
-            cs[a1] = c1;
-            cs[a2] = c2;
-            cs[axis] = idx;
-            f(g.voxel(cs[0], cs[1], cs[2]), *it.next().unwrap());
-        }
-    }
+    for_each_slot(g, axis, idx, |slot| arr[slot] += *it.next().unwrap());
 }
 
 fn other_axes(axis: usize) -> (usize, usize) {
@@ -87,6 +109,27 @@ fn n_of(g: &Grid, axis: usize) -> usize {
     [g.nx, g.ny, g.nz][axis]
 }
 
+/// Which plane of a component goes which way along an axis.
+#[derive(Clone, Copy)]
+enum Flow {
+    /// Plane 1 to the `−axis` neighbor; the `+axis` neighbor's lands on my
+    /// high ghost plane `n+1`.
+    FillHigh,
+    /// Plane `n` to the `+axis` neighbor; the `−axis` neighbor's lands on
+    /// my low ghost plane 0.
+    FillLow,
+    /// Ghost plane `n+1` to the `+axis` neighbor; the `−axis` neighbor's
+    /// is *added* into my plane 1.
+    FoldHigh,
+}
+
+/// The components that share one message along an axis.
+struct Transfer<'a, 'f> {
+    tag: u64,
+    flow: Flow,
+    comps: &'a mut [&'f mut [f32]],
+}
+
 /// Ghost exchanger bound to a rank's face neighbors (`None` = no neighbor:
 /// either a physical wall or an undecomposed axis).
 #[derive(Clone, Copy, Debug)]
@@ -95,6 +138,74 @@ pub struct GhostExchanger {
 }
 
 impl GhostExchanger {
+    /// Run one axis of an exchange: one message per transfer, every send
+    /// posted before the first receive (nothing a rank sends on an axis
+    /// depends on what it receives on that axis, so waiting in between
+    /// only serialized the two ranks' round trips). A received message
+    /// whose length is not `components × plane` is [`CommError::Corrupt`].
+    fn axis_pass(
+        &self,
+        comm: &mut Comm,
+        g: &Grid,
+        axis: usize,
+        transfers: &mut [Transfer<'_, '_>],
+    ) -> Result<(), CommError> {
+        let n = n_of(g, axis);
+        let plane = plane_len(g, axis);
+        let (lo, hi) = (self.neighbors[axis], self.neighbors[axis + 3]);
+        for t in transfers.iter() {
+            let (to, src) = match t.flow {
+                Flow::FillHigh => (lo, 1),
+                Flow::FillLow => (hi, n),
+                Flow::FoldHigh => (hi, n + 1),
+            };
+            if let Some(nb) = to {
+                let mut msg = Vec::with_capacity(t.comps.len() * plane);
+                for c in t.comps.iter() {
+                    append_plane(&mut msg, c, g, axis, src);
+                }
+                comm.send_vec(nb, t.tag + axis as u64, msg)?;
+            }
+        }
+        for t in transfers.iter_mut() {
+            let (from, dst) = match t.flow {
+                Flow::FillHigh => (hi, n + 1),
+                Flow::FillLow => (lo, 0),
+                Flow::FoldHigh => (lo, 1),
+            };
+            if let Some(nb) = from {
+                let tag = t.tag + axis as u64;
+                let msg: Vec<f32> = comm.recv(nb, tag)?;
+                if msg.len() != t.comps.len() * plane {
+                    return Err(CommError::Corrupt { from: nb, tag });
+                }
+                for (c, data) in t.comps.iter_mut().zip(msg.chunks_exact(plane)) {
+                    match t.flow {
+                        Flow::FoldHigh => add_plane(c, g, axis, dst, data),
+                        Flow::FillHigh | Flow::FillLow => write_plane(c, g, axis, dst, data),
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`axis_pass`](Self::axis_pass) over x→y→z for a single array.
+    fn scalar_pass(
+        &self,
+        comm: &mut Comm,
+        arr: &mut [f32],
+        g: &Grid,
+        tag: u64,
+        flow: Flow,
+    ) -> Result<(), CommError> {
+        for axis in 0..3 {
+            let comps = &mut [&mut *arr];
+            self.axis_pass(comm, g, axis, &mut [Transfer { tag, flow, comps }])?;
+        }
+        Ok(())
+    }
+
     /// Fill `E` ghost planes from neighbors (call after every `advance_e`
     /// and after manual field initialization).
     pub fn exchange_e(
@@ -104,22 +215,17 @@ impl GhostExchanger {
         g: &Grid,
     ) -> Result<(), CommError> {
         for axis in 0..3 {
-            let comps: [&mut Vec<f32>; 2] = match axis {
+            let comps: &mut [&mut [f32]; 2] = &mut match axis {
                 0 => [&mut f.ey, &mut f.ez],
                 1 => [&mut f.ex, &mut f.ez],
                 _ => [&mut f.ex, &mut f.ey],
             };
-            let n = n_of(g, axis);
-            for (ci, c) in comps.into_iter().enumerate() {
-                let tag = TAG_E + (axis * 4 + ci) as u64;
-                if let Some(nb) = self.neighbors[axis] {
-                    comm.send_vec(nb, tag, read_plane(c, g, axis, 1))?;
-                }
-                if let Some(nb) = self.neighbors[axis + 3] {
-                    let plane: Vec<f32> = comm.recv(nb, tag)?;
-                    write_plane(c, g, axis, n + 1, &plane);
-                }
-            }
+            let across = Transfer {
+                tag: TAG_E,
+                flow: Flow::FillHigh,
+                comps,
+            };
+            self.axis_pass(comm, g, axis, &mut [across])?;
         }
         Ok(())
     }
@@ -133,39 +239,24 @@ impl GhostExchanger {
         g: &Grid,
     ) -> Result<(), CommError> {
         for axis in 0..3 {
-            let n = n_of(g, axis);
-            // Axis-normal component: my n+1 plane is the +neighbor's 1.
-            {
-                let own: &mut Vec<f32> = match axis {
-                    0 => &mut f.cbx,
-                    1 => &mut f.cby,
-                    _ => &mut f.cbz,
-                };
-                let tag = TAG_B_OWN + axis as u64;
-                if let Some(nb) = self.neighbors[axis] {
-                    comm.send_vec(nb, tag, read_plane(own, g, axis, 1))?;
-                }
-                if let Some(nb) = self.neighbors[axis + 3] {
-                    let plane: Vec<f32> = comm.recv(nb, tag)?;
-                    write_plane(own, g, axis, n + 1, &plane);
-                }
-            }
-            // Transverse components: my ghost 0 is the −neighbor's n.
-            let comps: [&mut Vec<f32>; 2] = match axis {
-                0 => [&mut f.cby, &mut f.cbz],
-                1 => [&mut f.cbx, &mut f.cbz],
-                _ => [&mut f.cbx, &mut f.cby],
+            let (own, across): (&mut [f32], &mut [&mut [f32]; 2]) = match axis {
+                0 => (&mut f.cbx, &mut [&mut f.cby, &mut f.cbz]),
+                1 => (&mut f.cby, &mut [&mut f.cbx, &mut f.cbz]),
+                _ => (&mut f.cbz, &mut [&mut f.cbx, &mut f.cby]),
             };
-            for (ci, c) in comps.into_iter().enumerate() {
-                let tag = TAG_B_T + (axis * 4 + ci) as u64;
-                if let Some(nb) = self.neighbors[axis + 3] {
-                    comm.send_vec(nb, tag, read_plane(c, g, axis, n))?;
-                }
-                if let Some(nb) = self.neighbors[axis] {
-                    let plane: Vec<f32> = comm.recv(nb, tag)?;
-                    write_plane(c, g, axis, 0, &plane);
-                }
-            }
+            // Axis-normal component: my n+1 plane is the +neighbor's 1.
+            let normal = Transfer {
+                tag: TAG_B_OWN,
+                flow: Flow::FillHigh,
+                comps: &mut [own],
+            };
+            // Transverse components: my ghost 0 is the −neighbor's n.
+            let across = Transfer {
+                tag: TAG_B_T,
+                flow: Flow::FillLow,
+                comps: across,
+            };
+            self.axis_pass(comm, g, axis, &mut [normal, across])?;
         }
         Ok(())
     }
@@ -176,18 +267,7 @@ impl GhostExchanger {
     /// so this single fold per axis suffices (same argument as `fold_j`).
     /// Call after a local `sync_rho`.
     pub fn fold_scalar(&self, comm: &mut Comm, arr: &mut [f32], g: &Grid) -> Result<(), CommError> {
-        for axis in 0..3 {
-            let n = n_of(g, axis);
-            let tag = TAG_S_FOLD + axis as u64;
-            if let Some(nb) = self.neighbors[axis + 3] {
-                comm.send_vec(nb, tag, read_plane(arr, g, axis, n + 1))?;
-            }
-            if let Some(nb) = self.neighbors[axis] {
-                let plane: Vec<f32> = comm.recv(nb, tag)?;
-                add_plane(arr, g, axis, 1, &plane);
-            }
-        }
-        Ok(())
+        self.scalar_pass(comm, arr, g, TAG_S_FOLD, Flow::FoldHigh)
     }
 
     /// Fill a scalar's high ghost plane: my `n+1` is the `+axis` neighbor's
@@ -198,18 +278,7 @@ impl GhostExchanger {
         arr: &mut [f32],
         g: &Grid,
     ) -> Result<(), CommError> {
-        for axis in 0..3 {
-            let n = n_of(g, axis);
-            let tag = TAG_S_HIGH + axis as u64;
-            if let Some(nb) = self.neighbors[axis] {
-                comm.send_vec(nb, tag, read_plane(arr, g, axis, 1))?;
-            }
-            if let Some(nb) = self.neighbors[axis + 3] {
-                let plane: Vec<f32> = comm.recv(nb, tag)?;
-                write_plane(arr, g, axis, n + 1, &plane);
-            }
-        }
-        Ok(())
+        self.scalar_pass(comm, arr, g, TAG_S_HIGH, Flow::FillHigh)
     }
 
     /// Fill a scalar's low ghost plane: my `0` is the `−axis` neighbor's
@@ -220,18 +289,7 @@ impl GhostExchanger {
         arr: &mut [f32],
         g: &Grid,
     ) -> Result<(), CommError> {
-        for axis in 0..3 {
-            let n = n_of(g, axis);
-            let tag = TAG_S_LOW + axis as u64;
-            if let Some(nb) = self.neighbors[axis + 3] {
-                comm.send_vec(nb, tag, read_plane(arr, g, axis, n))?;
-            }
-            if let Some(nb) = self.neighbors[axis] {
-                let plane: Vec<f32> = comm.recv(nb, tag)?;
-                write_plane(arr, g, axis, 0, &plane);
-            }
-        }
-        Ok(())
+        self.scalar_pass(comm, arr, g, TAG_S_LOW, Flow::FillLow)
     }
 
     /// Fill the axis-normal `E` component's low ghost plane (`ex` plane 0
@@ -246,20 +304,17 @@ impl GhostExchanger {
         g: &Grid,
     ) -> Result<(), CommError> {
         for axis in 0..3 {
-            let c: &mut Vec<f32> = match axis {
+            let own: &mut [f32] = match axis {
                 0 => &mut f.ex,
                 1 => &mut f.ey,
                 _ => &mut f.ez,
             };
-            let n = n_of(g, axis);
-            let tag = TAG_E_NORM + axis as u64;
-            if let Some(nb) = self.neighbors[axis + 3] {
-                comm.send_vec(nb, tag, read_plane(c, g, axis, n))?;
-            }
-            if let Some(nb) = self.neighbors[axis] {
-                let plane: Vec<f32> = comm.recv(nb, tag)?;
-                write_plane(c, g, axis, 0, &plane);
-            }
+            let normal = Transfer {
+                tag: TAG_E_NORM,
+                flow: Flow::FillLow,
+                comps: &mut [own],
+            };
+            self.axis_pass(comm, g, axis, &mut [normal])?;
         }
         Ok(())
     }
@@ -268,22 +323,17 @@ impl GhostExchanger {
     /// `unload` + local `sync_j`).
     pub fn fold_j(&self, comm: &mut Comm, f: &mut FieldArray, g: &Grid) -> Result<(), CommError> {
         for axis in 0..3 {
-            let n = n_of(g, axis);
-            let comps: [&mut Vec<f32>; 2] = match axis {
+            let comps: &mut [&mut [f32]; 2] = &mut match axis {
                 0 => [&mut f.jy, &mut f.jz],
                 1 => [&mut f.jx, &mut f.jz],
                 _ => [&mut f.jx, &mut f.jy],
             };
-            for (ci, c) in comps.into_iter().enumerate() {
-                let tag = TAG_J + (axis * 4 + ci) as u64;
-                if let Some(nb) = self.neighbors[axis + 3] {
-                    comm.send_vec(nb, tag, read_plane(c, g, axis, n + 1))?;
-                }
-                if let Some(nb) = self.neighbors[axis] {
-                    let plane: Vec<f32> = comm.recv(nb, tag)?;
-                    add_plane(c, g, axis, 1, &plane);
-                }
-            }
+            let across = Transfer {
+                tag: TAG_J,
+                flow: Flow::FoldHigh,
+                comps,
+            };
+            self.axis_pass(comm, g, axis, &mut [across])?;
         }
         Ok(())
     }
@@ -292,6 +342,228 @@ impl GhostExchanger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpic_core::grid::ParticleBc;
+
+    /// A rank's slab of an x-split box: exchanged along x, periodic in y
+    /// and z.
+    fn x_split_grid() -> Grid {
+        Grid::new(
+            (4, 2, 2),
+            (1.0, 1.0, 1.0),
+            0.1,
+            [
+                ParticleBc::Migrate,
+                ParticleBc::Periodic,
+                ParticleBc::Periodic,
+                ParticleBc::Migrate,
+                ParticleBc::Periodic,
+                ParticleBc::Periodic,
+            ],
+        )
+    }
+
+    /// The exchanger of a rank of a wrapped two-rank x-split.
+    fn x_split_pair(comm: &Comm) -> GhostExchanger {
+        let other = Some(1 - comm.rank());
+        GhostExchanger {
+            neighbors: [other, None, None, other, None, None],
+        }
+    }
+
+    /// Run `f` as an `n`-rank world over in-process channels and again
+    /// over Unix sockets; the per-rank results must agree.
+    fn on_both_transports<R, F>(n: usize, name: &str, f: F) -> Vec<R>
+    where
+        R: Send + PartialEq + std::fmt::Debug,
+        F: Fn(&mut Comm) -> R + Send + Sync,
+    {
+        let (local, _) = nanompi::run_expect(n, &f);
+        let dir = std::env::temp_dir().join(format!("vpic_exchange_{}_{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (socket, _) =
+            nanompi::run_socket_world(n, nanompi::SocketAddrSpec::unix(&dir), None, &f);
+        let _ = std::fs::remove_dir_all(&dir);
+        let socket: Vec<R> = socket.into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(local, socket, "transports disagree");
+        local
+    }
+
+    /// The exchange as it was before coalescing — one message per field
+    /// component, each answered before the next is sent — kept as the
+    /// reference the coalesced exchanger must reproduce bit for bit.
+    mod per_component {
+        use super::super::*;
+
+        const TAG: u64 = 0x7E57_0000;
+
+        fn pass(
+            ex: &GhostExchanger,
+            comm: &mut Comm,
+            g: &Grid,
+            axis: usize,
+            tag: u64,
+            flow: Flow,
+            c: &mut [f32],
+        ) {
+            let n = n_of(g, axis);
+            let (lo, hi) = (ex.neighbors[axis], ex.neighbors[axis + 3]);
+            let (to, src, from, dst) = match flow {
+                Flow::FillHigh => (lo, 1, hi, n + 1),
+                Flow::FillLow => (hi, n, lo, 0),
+                Flow::FoldHigh => (hi, n + 1, lo, 1),
+            };
+            if let Some(nb) = to {
+                comm.send_vec(nb, tag, read_plane(c, g, axis, src)).unwrap();
+            }
+            if let Some(nb) = from {
+                let plane: Vec<f32> = comm.recv(nb, tag).unwrap();
+                match flow {
+                    Flow::FoldHigh => add_plane(c, g, axis, dst, &plane),
+                    _ => write_plane(c, g, axis, dst, &plane),
+                }
+            }
+        }
+
+        pub fn exchange_e(ex: &GhostExchanger, comm: &mut Comm, f: &mut FieldArray, g: &Grid) {
+            for axis in 0..3 {
+                let comps: [&mut Vec<f32>; 2] = match axis {
+                    0 => [&mut f.ey, &mut f.ez],
+                    1 => [&mut f.ex, &mut f.ez],
+                    _ => [&mut f.ex, &mut f.ey],
+                };
+                for (ci, c) in comps.into_iter().enumerate() {
+                    let tag = TAG + 0x100 + (axis * 4 + ci) as u64;
+                    pass(ex, comm, g, axis, tag, Flow::FillHigh, c);
+                }
+            }
+        }
+
+        pub fn exchange_b(ex: &GhostExchanger, comm: &mut Comm, f: &mut FieldArray, g: &Grid) {
+            for axis in 0..3 {
+                let own: &mut Vec<f32> = match axis {
+                    0 => &mut f.cbx,
+                    1 => &mut f.cby,
+                    _ => &mut f.cbz,
+                };
+                let tag = TAG + 0x200 + axis as u64;
+                pass(ex, comm, g, axis, tag, Flow::FillHigh, own);
+                let comps: [&mut Vec<f32>; 2] = match axis {
+                    0 => [&mut f.cby, &mut f.cbz],
+                    1 => [&mut f.cbx, &mut f.cbz],
+                    _ => [&mut f.cbx, &mut f.cby],
+                };
+                for (ci, c) in comps.into_iter().enumerate() {
+                    let tag = TAG + 0x300 + (axis * 4 + ci) as u64;
+                    pass(ex, comm, g, axis, tag, Flow::FillLow, c);
+                }
+            }
+        }
+
+        pub fn fold_j(ex: &GhostExchanger, comm: &mut Comm, f: &mut FieldArray, g: &Grid) {
+            for axis in 0..3 {
+                let comps: [&mut Vec<f32>; 2] = match axis {
+                    0 => [&mut f.jy, &mut f.jz],
+                    1 => [&mut f.jx, &mut f.jz],
+                    _ => [&mut f.jx, &mut f.jy],
+                };
+                for (ci, c) in comps.into_iter().enumerate() {
+                    let tag = TAG + 0x400 + (axis * 4 + ci) as u64;
+                    pass(ex, comm, g, axis, tag, Flow::FoldHigh, c);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coalesced_exchange_matches_per_component_on_a_2x2x2_world() {
+        // Eight ranks, every axis decomposed and wrapped (so each rank's
+        // −axis and +axis neighbor is the same rank, and the two
+        // directions of `exchange_b` meet on one link). Every voxel of
+        // every component, ghosts, edges and corners included, must carry
+        // the bits the per-component exchange leaves there.
+        use nanompi::CartTopology;
+        let topo = CartTopology::new([2, 2, 2], [true, true, true]);
+        let g = Grid::new((3, 4, 2), (1.0, 1.0, 1.0), 0.1, [ParticleBc::Migrate; 6]);
+        let bits = |f: &FieldArray| -> Vec<u32> {
+            [
+                &f.ex, &f.ey, &f.ez, &f.cbx, &f.cby, &f.cbz, &f.jx, &f.jy, &f.jz,
+            ]
+            .into_iter()
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect()
+        };
+        let results = on_both_transports(8, "2x2x2", |comm| {
+            let rank = comm.rank();
+            let mut neighbors = [None; 6];
+            for axis in 0..3 {
+                neighbors[axis] = topo.neighbor(rank, axis, -1);
+                neighbors[axis + 3] = topo.neighbor(rank, axis, 1);
+            }
+            let ex = GhostExchanger { neighbors };
+            // Distinct, order-sensitive values everywhere: thirds are not
+            // exactly representable, so a fold added in another order or
+            // a plane landed in another slot changes bits.
+            let mut f = FieldArray::new(&g);
+            let fill = |arr: &mut Vec<f32>, comp: usize| {
+                for (v, x) in arr.iter_mut().enumerate() {
+                    *x = (1 + v + 1000 * comp + 100_000 * rank) as f32 / 3.0;
+                }
+            };
+            fill(&mut f.ex, 0);
+            fill(&mut f.ey, 1);
+            fill(&mut f.ez, 2);
+            fill(&mut f.cbx, 3);
+            fill(&mut f.cby, 4);
+            fill(&mut f.cbz, 5);
+            fill(&mut f.jx, 6);
+            fill(&mut f.jy, 7);
+            fill(&mut f.jz, 8);
+            let mut want = f.clone();
+            let start = bits(&f);
+
+            ex.fold_j(comm, &mut f, &g).unwrap();
+            ex.exchange_b(comm, &mut f, &g).unwrap();
+            ex.exchange_e(comm, &mut f, &g).unwrap();
+            per_component::fold_j(&ex, comm, &mut want, &g);
+            per_component::exchange_b(&ex, comm, &mut want, &g);
+            per_component::exchange_e(&ex, comm, &mut want, &g);
+
+            assert_ne!(bits(&f), start, "the exchange moved nothing");
+            assert_eq!(bits(&f), bits(&want), "rank {rank}");
+            bits(&f)
+        });
+        assert_eq!(results.len(), 8);
+    }
+
+    #[test]
+    fn wrong_length_plane_message_is_corrupt_not_a_panic() {
+        // A well-framed, correctly typed message of the wrong length on a
+        // halo tag (a peer built against another grid, say) must come back
+        // as a typed error from the exchange, not trip an assert inside it.
+        let g = x_split_grid();
+        let two_planes = 2 * plane_len(&g, 0);
+        for len in [two_planes - 1, two_planes + 1, 0] {
+            let flags = on_both_transports(2, &format!("badlen{len}"), |comm| {
+                let mut f = FieldArray::new(&g);
+                if comm.rank() == 0 {
+                    // Stand in for exchange_e's x-axis send, mis-sized.
+                    comm.send_vec(1, TAG_E, vec![0.0f32; len]).unwrap();
+                    let _: Vec<f32> = comm.recv(1, TAG_E).unwrap();
+                    true
+                } else {
+                    matches!(
+                        x_split_pair(comm).exchange_e(comm, &mut f, &g),
+                        Err(CommError::Corrupt {
+                            from: 0,
+                            tag: TAG_E
+                        })
+                    )
+                }
+            });
+            assert_eq!(flags, vec![true, true], "length {len}");
+        }
+    }
 
     #[test]
     fn plane_roundtrip_and_add() {
@@ -370,45 +642,36 @@ mod tests {
         // The transport's per-(peer, tag) sequence dedup must absorb a
         // duplicated plane message: the exchange lands exactly the values
         // of a fault-free run, and the stray copy never satisfies a later
-        // receive.
+        // receive. Each rank sends one message per round: the plan hits a
+        // first-round message, a middle one, and rank 0's very last (whose
+        // copy may find rank 1 already gone).
         use nanompi::{run_with_faults, FaultPlan};
         let plan = FaultPlan::new(9)
             .duplicate_message(0, 1)
-            .duplicate_message(1, 2);
+            .duplicate_message(1, 2)
+            .duplicate_message(0, 3);
         let (results, _) = run_with_faults(2, Some(plan), |comm| {
-            let g = Grid::new(
-                (4, 2, 2),
-                (1.0, 1.0, 1.0),
-                0.1,
-                [
-                    vpic_core::grid::ParticleBc::Migrate,
-                    vpic_core::grid::ParticleBc::Periodic,
-                    vpic_core::grid::ParticleBc::Periodic,
-                    vpic_core::grid::ParticleBc::Migrate,
-                    vpic_core::grid::ParticleBc::Periodic,
-                    vpic_core::grid::ParticleBc::Periodic,
-                ],
-            );
+            let g = x_split_grid();
             let mut f = FieldArray::new(&g);
-            for i in 1..=g.nx {
-                for k in 0..g.strides().2 {
-                    for j in 0..g.strides().1 {
-                        f.ey[g.voxel(i, j, k)] = (comm.rank() * 100 + 10 + i) as f32;
+            let ex = x_split_pair(comm);
+            // Three rounds with the planes changing in between: a
+            // duplicate mistaken for a later round's plane would land the
+            // earlier round's values.
+            for round in 0..3 {
+                for i in 1..=g.nx {
+                    for k in 0..g.strides().2 {
+                        for j in 0..g.strides().1 {
+                            f.ey[g.voxel(i, j, k)] =
+                                (round * 1000 + comm.rank() * 100 + 10 + i) as f32;
+                        }
                     }
                 }
+                ex.exchange_e(comm, &mut f, &g).unwrap();
             }
-            let other = 1 - comm.rank();
-            let ex = GhostExchanger {
-                neighbors: [Some(other), None, None, Some(other), None, None],
-            };
-            // Two rounds: the duplicate from round one must not be
-            // mistaken for round two's plane.
-            ex.exchange_e(comm, &mut f, &g).unwrap();
-            ex.exchange_e(comm, &mut f, &g).unwrap();
             f.ey[g.voxel(g.nx + 1, 1, 1)]
         });
         let vals: Vec<f32> = results.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(vals, vec![111.0, 11.0]);
+        assert_eq!(vals, vec![2111.0, 2011.0]);
     }
 
     #[test]

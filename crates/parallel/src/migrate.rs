@@ -25,43 +25,90 @@ pub struct Migrant {
     pub m: Mover,
 }
 
-// Bit-exact wire layout so a migration over the socket transport lands on
-// the same particle bits as the in-process transport. Floats travel as
-// bit-patterns (see `nanompi::Wire`); field order mirrors the structs.
-impl Wire for Migrant {
-    fn wire_put(&self, out: &mut Vec<u8>) {
-        self.p.dx.wire_put(out);
-        self.p.dy.wire_put(out);
-        self.p.dz.wire_put(out);
-        self.p.i.wire_put(out);
-        self.p.ux.wire_put(out);
-        self.p.uy.wire_put(out);
-        self.p.uz.wire_put(out);
-        self.p.w.wire_put(out);
-        self.m.dispx.wire_put(out);
-        self.m.dispy.wire_put(out);
-        self.m.dispz.wire_put(out);
-        self.m.idx.wire_put(out);
+/// 32-bit words of a [`Migrant`] on the wire.
+const MIGRANT_WORDS: usize = 12;
+const MIGRANT_BYTES: usize = 4 * MIGRANT_WORDS;
+
+impl Migrant {
+    /// The wire layout: every field as its 32-bit pattern, in struct
+    /// order (particle, then mover).
+    fn to_words(self) -> [u32; MIGRANT_WORDS] {
+        let Migrant { p, m } = self;
+        [
+            p.dx.to_bits(),
+            p.dy.to_bits(),
+            p.dz.to_bits(),
+            p.i,
+            p.ux.to_bits(),
+            p.uy.to_bits(),
+            p.uz.to_bits(),
+            p.w.to_bits(),
+            m.dispx.to_bits(),
+            m.dispy.to_bits(),
+            m.dispz.to_bits(),
+            m.idx,
+        ]
     }
-    fn wire_get(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(Migrant {
+
+    /// Write the record into `dst` (`MIGRANT_BYTES` long).
+    fn put_bytes(self, dst: &mut [u8]) {
+        for (d, w) in dst.chunks_exact_mut(4).zip(self.to_words()) {
+            d.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Inverse of [`put_bytes`](Self::put_bytes).
+    fn from_bytes(src: &[u8]) -> Self {
+        let w =
+            |k: usize| u32::from_le_bytes(src[4 * k..4 * k + 4].try_into().expect("4-byte word"));
+        let f = |k: usize| f32::from_bits(w(k));
+        Migrant {
             p: Particle {
-                dx: f32::wire_get(r)?,
-                dy: f32::wire_get(r)?,
-                dz: f32::wire_get(r)?,
-                i: u32::wire_get(r)?,
-                ux: f32::wire_get(r)?,
-                uy: f32::wire_get(r)?,
-                uz: f32::wire_get(r)?,
-                w: f32::wire_get(r)?,
+                dx: f(0),
+                dy: f(1),
+                dz: f(2),
+                i: w(3),
+                ux: f(4),
+                uy: f(5),
+                uz: f(6),
+                w: f(7),
             },
             m: Mover {
-                dispx: f32::wire_get(r)?,
-                dispy: f32::wire_get(r)?,
-                dispz: f32::wire_get(r)?,
-                idx: u32::wire_get(r)?,
+                dispx: f(8),
+                dispy: f(9),
+                dispz: f(10),
+                idx: w(11),
             },
-        })
+        }
+    }
+}
+
+// Bit-exact wire layout so a migration over the socket transport lands on
+// the same particle bits as the in-process transport. Floats travel as
+// bit-patterns (see `nanompi::Wire`). A batch is fixed-width records back
+// to back, so the slice hooks run one pass over a pre-sized buffer.
+impl Wire for Migrant {
+    fn wire_put(&self, out: &mut Vec<u8>) {
+        Self::wire_put_slice(std::slice::from_ref(self), out);
+    }
+    fn wire_get(r: &mut WireReader<'_>) -> Option<Self> {
+        r.take(MIGRANT_BYTES).map(Migrant::from_bytes)
+    }
+    fn wire_put_slice(items: &[Self], out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + items.len() * MIGRANT_BYTES, 0);
+        for (dst, m) in out[start..].chunks_exact_mut(MIGRANT_BYTES).zip(items) {
+            m.put_bytes(dst);
+        }
+    }
+    fn wire_get_vec(r: &mut WireReader<'_>, len: usize) -> Option<Vec<Self>> {
+        let bytes = r.take(len.checked_mul(MIGRANT_BYTES)?)?;
+        Some(
+            bytes
+                .chunks_exact(MIGRANT_BYTES)
+                .map(Migrant::from_bytes)
+                .collect(),
+        )
     }
 }
 
@@ -207,6 +254,68 @@ mod tests {
         assert_eq!(got.m.idx, m.m.idx);
         // Truncated payloads refuse to decode.
         assert!(Migrant::wire_get(&mut WireReader::new(&buf[..buf.len() - 1])).is_none());
+    }
+
+    #[test]
+    fn migrant_batch_hooks_match_the_per_record_layout() {
+        // A `Vec<Migrant>` message is the length prefix plus the records
+        // back to back, each field in struct order; the batch decodes bit
+        // for bit, and a truncated or over-long length prefix
+        // refuses to decode.
+        let batch: Vec<Migrant> = (0..5u32)
+            .map(|k| {
+                let f = |j: u32| f32::from_bits(0x7fc0_0000 ^ (k * 977 + j * 131_071));
+                Migrant {
+                    p: Particle {
+                        dx: f(0),
+                        dy: -0.0,
+                        dz: f(2),
+                        i: k * 7,
+                        ux: f(4),
+                        uy: f(5),
+                        uz: f(6),
+                        w: f(7),
+                    },
+                    m: Mover {
+                        dispx: f(8),
+                        dispy: f(9),
+                        dispz: f(10),
+                        idx: u32::MAX - k,
+                    },
+                }
+            })
+            .collect();
+        // The layout, spelled out field by field as it has always been.
+        let mut per_field = (batch.len() as u64).to_le_bytes().to_vec();
+        for Migrant { p, m } in &batch {
+            for v in [p.dx, p.dy, p.dz] {
+                v.wire_put(&mut per_field);
+            }
+            p.i.wire_put(&mut per_field);
+            for v in [p.ux, p.uy, p.uz, p.w, m.dispx, m.dispy, m.dispz] {
+                v.wire_put(&mut per_field);
+            }
+            m.idx.wire_put(&mut per_field);
+        }
+        let mut bulk = Vec::new();
+        batch.wire_put(&mut bulk);
+        assert_eq!(bulk, per_field);
+        assert_eq!(bulk.len(), 8 + batch.len() * std::mem::size_of::<Migrant>());
+
+        let mut r = WireReader::new(&bulk);
+        let back = Vec::<Migrant>::wire_get(&mut r).unwrap();
+        assert!(r.done());
+        let words = |v: &[Migrant]| v.iter().map(|m| m.to_words()).collect::<Vec<_>>();
+        assert_eq!(words(&back), words(&batch));
+
+        for cut in 0..bulk.len() {
+            assert!(Vec::<Migrant>::wire_get(&mut WireReader::new(&bulk[..cut])).is_none());
+        }
+        let mut hostile = bulk.clone();
+        hostile[..8].copy_from_slice(&(batch.len() as u64 + 1).to_le_bytes());
+        assert!(Vec::<Migrant>::wire_get(&mut WireReader::new(&hostile)).is_none());
+        hostile[..8].copy_from_slice(&(u64::MAX / 48).to_le_bytes());
+        assert!(Vec::<Migrant>::wire_get(&mut WireReader::new(&hostile)).is_none());
     }
 
     #[test]

@@ -37,9 +37,11 @@
 # through vpic-run with e5 consuming the curve artifact.
 #
 # Pass "transport" (or set CI_TRANSPORT=1) to run the socket-transport
-# lane: the nanompi wire/socket/bootstrap suites, the local-vs-socket
-# determinism matrix on the shipped SRS deck, the multi-process
-# kill -9/rejoin recovery test, and the 16-plan socket fault soak.
+# lane: the nanompi and vpic-parallel suites (wire/socket/bootstrap,
+# coalesced halo exchange), the relative CRC speed gate, the
+# local-vs-socket determinism matrix on the shipped SRS deck, the
+# multi-process kill -9/rejoin recovery test, and the 16-plan socket
+# fault soak.
 #
 # Pass "diag" (or set CI_DIAG=1) to run the diagnostics-pipeline lane:
 # the bounded-queue/engine unit and property suites, the [diag] deck
@@ -149,16 +151,22 @@ fi
 
 if [[ "${1:-}" == "transport" || "${CI_TRANSPORT:-0}" == "1" ]]; then
     echo "==> transport lane (socket worlds, kill -9 recovery)"
-    # The wire-format and socket substrate suites: framing, CRC breakage,
-    # bootstrap mismatches (version / world size / fingerprint / silent
-    # peer), heartbeat failure detection, respawn adoption.
-    cargo test --release -p nanompi --lib wire
-    cargo test --release -p nanompi --lib socket
-    # Transport plumbing above nanompi: Migrant wire round-trip, the
-    # socket-mode sweep-job launcher, the transport/laser/sponge deck
-    # globals.
-    cargo test --release -p vpic-parallel --lib migrate
-    cargo test --release -p vpic-parallel --lib sweepjob
+    # The whole of nanompi and vpic-parallel: wire codecs (bulk hooks,
+    # slicing-by-8 CRC vs the byte-wise reference at every length and
+    # offset), framing, bootstrap mismatches (version / world size /
+    # fingerprint / silent peer), heartbeat failure detection, respawn
+    # adoption, fault injection (incl. the duplicated-final-message
+    # regression); the coalesced ghost exchange vs the per-component
+    # reference on a 2x2x2 world over both transports, mis-sized plane
+    # messages, the per-step message count, Migrant batches, the
+    # socket-mode sweep-job launcher.
+    cargo test --release -p nanompi -p vpic-parallel
+    # Checkpoint/WAL framing shares the CRC kernel.
+    cargo test --release -p vpic-core --lib crc32
+    # Relative speed gate, both kernels timed in one process so host
+    # drift cancels: slicing CRC >= 2x the table loop on 64 kB.
+    cargo test --release -p nanompi --lib slicing_crc_is_at_least -- --ignored --nocapture
+    # The transport/laser/sponge deck globals.
     cargo test --release -p vpic --lib transport_global
     cargo test --release -p vpic --lib campaign_laser_and_sponge
     # Determinism matrix: the shipped SRS campaign deck must land on the
