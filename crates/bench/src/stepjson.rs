@@ -11,25 +11,12 @@ use std::path::Path;
 use vpic_core::cadence::CoherenceCounters;
 use vpic_core::sim::StepTimings;
 
-/// Schema identifier embedded in every record. v2 added the `layout`
-/// field (particle storage layout the step ran with) and multi-record
-/// files ([`write_set`]) so one `BENCH_step.json` carries an AoS and an
-/// AoSoA measurement side by side. v3 added the `kernel` field (`scalar`
-/// or `lane` push body); v2 records predate the lane kernel and parse
-/// with `kernel = "scalar"`. v4 added the `cadence` field (sort policy
-/// the run used, `auto` or `fixed-N`) and the `coherence` block (realized
-/// sorts/skips and crosser/spill/mixed-block rates), so the file captures
-/// *why* a rate came out the way it did, not just the rate; v3 and v2
-/// records parse with `cadence = "fixed-25"` (the historical default) and
-/// zeroed coherence. v5 added the `diag` field (diagnostics-pipeline mode
-/// the step paid for: `off`, `sync` or `async`); v4 and older records
-/// predate the pipeline and parse with `diag = "off"`.
+/// Schema identifier embedded in every record: one file
+/// ([`write_set`]) carries several measurements side by side, each with
+/// the `layout`, `kernel`, sort `cadence` + `coherence` block and `diag`
+/// mode the step ran with, so the file captures *why* a rate came out the
+/// way it did, not just the rate.
 pub const SCHEMA: &str = "vpic-bench/step/v5";
-
-/// Previous schemas, still readable (see [`SCHEMA`]).
-pub const SCHEMA_V4: &str = "vpic-bench/step/v4";
-pub const SCHEMA_V3: &str = "vpic-bench/step/v3";
-pub const SCHEMA_V2: &str = "vpic-bench/step/v2";
 
 /// One whole-step throughput measurement.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,9 +111,10 @@ impl StepBench {
             push: t.push,
             current: t.current,
             field: t.field,
-            // Probe sampling + snapshot publication ride the catch-all
-            // phase so the breakdown still sums to `total`.
-            other: t.other + t.diag,
+            // Probe sampling + snapshot publication (and a serial step's
+            // empty halo phases) ride the catch-all phase so the breakdown
+            // still sums to `total`.
+            other: t.other + t.diag + t.migrate + t.exchange,
             total,
         }
     }
@@ -226,44 +214,13 @@ impl StepBench {
         Self::parse(&text)
     }
 
-    /// Parse from JSON text (see [`StepBench::read`]). Understands the
-    /// current schema, v4 (no `diag` field — predates the diagnostics
-    /// pipeline, so those records parse as `diag = "off"`), v3
-    /// (additionally no `cadence`/`coherence` — defaults to the
-    /// historical fixed-25 with zeroed telemetry) and v2 (additionally no
-    /// `kernel` field — those records predate the lane kernel, so they
-    /// parse as `kernel = "scalar"`).
+    /// Parse from JSON text (see [`StepBench::read`]); only the current
+    /// schema is understood.
     pub fn parse(text: &str) -> Result<Self, String> {
         let schema = scan_string(text, "schema")?;
-        if schema != SCHEMA && schema != SCHEMA_V4 && schema != SCHEMA_V3 && schema != SCHEMA_V2 {
-            return Err(format!(
-                "schema mismatch: got {schema:?}, want {SCHEMA:?} \
-                 (or {SCHEMA_V4:?}/{SCHEMA_V3:?}/{SCHEMA_V2:?})"
-            ));
+        if schema != SCHEMA {
+            return Err(format!("schema mismatch: got {schema:?}, want {SCHEMA:?}"));
         }
-        let kernel = if schema == SCHEMA_V2 {
-            "scalar".to_string()
-        } else {
-            scan_string(text, "kernel")?
-        };
-        let (cadence, sorts, skipped_sorts, crosser_rate, spill_rate, mixed_block_fraction) =
-            if schema == SCHEMA || schema == SCHEMA_V4 {
-                (
-                    scan_string(text, "cadence")?,
-                    scan_number(text, "sorts")? as u64,
-                    scan_number(text, "skipped_sorts")? as u64,
-                    scan_number(text, "crosser_rate")?,
-                    scan_number(text, "spill_rate")?,
-                    scan_number(text, "mixed_block_fraction")?,
-                )
-            } else {
-                ("fixed-25".to_string(), 0, 0, 0.0, 0.0, 0.0)
-            };
-        let diag = if schema == SCHEMA {
-            scan_string(text, "diag")?
-        } else {
-            "off".to_string()
-        };
         Ok(StepBench {
             grid: (
                 scan_number(text, "nx")? as usize,
@@ -275,14 +232,14 @@ impl StepBench {
             pipelines: scan_number(text, "pipelines")? as usize,
             threads: scan_number(text, "threads")? as usize,
             layout: scan_string(text, "layout")?,
-            kernel,
-            cadence,
-            diag,
-            sorts,
-            skipped_sorts,
-            crosser_rate,
-            spill_rate,
-            mixed_block_fraction,
+            kernel: scan_string(text, "kernel")?,
+            cadence: scan_string(text, "cadence")?,
+            diag: scan_string(text, "diag")?,
+            sorts: scan_number(text, "sorts")? as u64,
+            skipped_sorts: scan_number(text, "skipped_sorts")? as u64,
+            crosser_rate: scan_number(text, "crosser_rate")?,
+            spill_rate: scan_number(text, "spill_rate")?,
+            mixed_block_fraction: scan_number(text, "mixed_block_fraction")?,
             particles: scan_number(text, "particles")? as u64,
             particles_per_sec: scan_number(text, "particles_per_sec")?,
             inner_loop_fraction: scan_number(text, "inner_loop_fraction")?,
@@ -532,37 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_records_parse_with_scalar_kernel() {
-        // A committed v2 BENCH_step.json predates the lane kernel; it must
-        // keep parsing, with the kernel defaulted to "scalar".
-        let v2 = sample()
-            .to_json()
-            .replace(SCHEMA, SCHEMA_V2)
-            .replace("  \"kernel\": \"scalar\",\n", "");
-        assert!(!v2.contains("kernel"));
-        let parsed = StepBench::parse(&v2).unwrap();
-        assert_eq!(parsed.kernel, "scalar");
-        parsed.validate().unwrap();
-    }
-
-    #[test]
-    fn v3_records_parse_with_default_cadence() {
-        // A committed v3 BENCH_step.json predates the cadence controller;
-        // it must keep parsing, with the historical fixed-25 default and
-        // zeroed coherence telemetry.
-        let b = sample();
-        let v3 = b
-            .to_json()
-            .replace(SCHEMA, SCHEMA_V3)
-            .replace("  \"cadence\": \"fixed-25\",\n", "");
-        let parsed = StepBench::parse(&v3).unwrap();
-        assert_eq!(parsed.cadence, "fixed-25");
-        assert_eq!(parsed.sorts, 0);
-        assert_eq!(parsed.crosser_rate, 0.0);
-        parsed.validate().unwrap();
-    }
-
-    #[test]
     fn validation_rejects_bad_cadence_and_rates() {
         let mut b = sample();
         b.cadence = "sometimes".into();
@@ -609,23 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn v4_records_parse_with_diag_off() {
-        // A committed v4 BENCH_step.json predates the diagnostics
-        // pipeline; it must keep parsing, with `diag` defaulted to "off"
-        // (and its cadence/coherence block still honored).
-        let b = sample().with_coherence("auto", &Default::default());
-        let v4 = b
-            .to_json()
-            .replace(SCHEMA, SCHEMA_V4)
-            .replace("  \"diag\": \"off\",\n", "");
-        assert!(!v4.contains("\"diag\""));
-        let parsed = StepBench::parse(&v4).unwrap();
-        assert_eq!(parsed.diag, "off");
-        assert_eq!(parsed.cadence, "auto");
-        parsed.validate().unwrap();
-    }
-
-    #[test]
     fn diag_mode_roundtrips_and_validates() {
         let b = sample().with_diag("async");
         let parsed = StepBench::parse(&b.to_json()).unwrap();
@@ -638,8 +547,10 @@ mod tests {
 
     #[test]
     fn parse_rejects_wrong_schema() {
-        let text = sample().to_json().replace(SCHEMA, "other/v0");
-        assert!(StepBench::parse(&text).is_err());
+        for other in ["other/v0", "vpic-bench/step/v4"] {
+            let text = sample().to_json().replace(SCHEMA, other);
+            assert!(StepBench::parse(&text).is_err(), "{other}");
+        }
     }
 
     #[test]

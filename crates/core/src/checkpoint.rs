@@ -943,22 +943,52 @@ pub fn load_with_layout(
     Ok(sim)
 }
 
-/// Atomically write a restart dump to `path`: buffered write to a `.tmp`
-/// sibling, fsync, rename. A crash mid-dump leaves the previous checkpoint
-/// (if any) untouched.
-pub fn save_to_path(sim: &Simulation, path: &Path) -> Result<(), CheckpointError> {
-    let tmp = path.with_extension("tmp");
-    {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = io::BufWriter::new(file);
-        save(sim, &mut w)?;
-        let file = w
-            .into_inner()
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        file.sync_all()?;
-    }
+/// Chunk size for throttled writes: small enough that pacing sleeps are
+/// fine-grained, large enough to amortise syscall cost.
+const THROTTLE_CHUNK: usize = 64 * 1024;
+
+/// The crash-safe file write every dump, sidecar and curve goes through:
+/// `fill` a buffered `<file name>.tmp` beside `path`, fsync, rename. A
+/// crash mid-write leaves the previous file (if any) untouched, and a
+/// reader never observes a half-written one. The temp name keeps the full
+/// file name, so siblings that differ only in extension (`ckpt_N.vpic`,
+/// `ckpt_N.diag`) never share a temp file.
+pub fn write_atomic<E: From<io::Error>>(
+    path: &Path,
+    fill: impl FnOnce(&mut io::BufWriter<std::fs::File>) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
+    fill(&mut w)?;
+    let file = w.into_inner().map_err(io::IntoInnerError::into_error)?;
+    file.sync_all()?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
     Ok(())
+}
+
+/// [`write_atomic`] of a pre-serialized buffer. When `throttle_bps` is
+/// set the write is paced to at most that many bytes per second by
+/// sleeping between 64 KiB chunks, bounding the instantaneous filesystem
+/// bandwidth a checkpoint can steal from the rest of the machine.
+pub fn write_bytes_atomic(path: &Path, bytes: &[u8], throttle_bps: Option<u64>) -> io::Result<()> {
+    write_atomic(path, |w| match throttle_bps {
+        None | Some(0) => w.write_all(bytes),
+        Some(bps) => {
+            for chunk in bytes.chunks(THROTTLE_CHUNK) {
+                w.write_all(chunk)?;
+                let pace = std::time::Duration::from_secs_f64(chunk.len() as f64 / bps as f64);
+                std::thread::sleep(pace);
+            }
+            Ok(())
+        }
+    })
+}
+
+/// Atomically write a restart dump to `path` (see [`write_atomic`]).
+pub fn save_to_path(sim: &Simulation, path: &Path) -> Result<(), CheckpointError> {
+    write_atomic(path, |w| save(sim, w))
 }
 
 /// Load a restart dump from `path`.
@@ -1260,6 +1290,54 @@ mod tests {
         assert!(!dir.join("dump.tmp").exists(), "temp file left behind");
         let restored = load_from_path(&path, 1).unwrap();
         assert_eq!(restored.species[0].store(), sim.species[0].store());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn throttled_write_paces_and_lands_intact() {
+        let dir = std::env::temp_dir().join(format!("vpic_test_throttle_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bytes: Vec<u8> = (0..256 * 1024).map(|i| (i % 251) as u8).collect();
+        let path = dir.join("throttled.vpic");
+        let t0 = std::time::Instant::now();
+        // 4 MiB/s over 256 KiB = at least ~62 ms of pacing sleeps.
+        write_bytes_atomic(&path, &bytes, Some(4 * 1024 * 1024)).unwrap();
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed >= std::time::Duration::from_millis(50),
+            "throttle did not pace the write: {elapsed:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A dump and its sidecar differ only in extension. The sidecar is
+    /// written here while the dump's temp file is still open — the
+    /// interleaving two writers of one generation can produce — so a temp
+    /// name derived by replacing the extension would have the two writes
+    /// clobber each other.
+    #[test]
+    fn atomic_writes_of_siblings_do_not_share_a_temp_file() {
+        let dir = std::env::temp_dir().join(format!("vpic_test_siblings_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (dump, sidecar) = (dir.join("ckpt_7.vpic"), dir.join("ckpt_7.diag"));
+        write_atomic(&dump, |w| {
+            w.write_all(b"dump")?;
+            write_bytes_atomic(&sidecar, b"sidecar", None)
+        })
+        .unwrap();
+        assert_eq!(std::fs::read(&dump).unwrap(), b"dump");
+        assert_eq!(std::fs::read(&sidecar).unwrap(), b"sidecar");
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            ["ckpt_7.diag", "ckpt_7.vpic"],
+            "temp file left behind"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -14,8 +14,11 @@
 //! ∂E/∂t    =  c ∇×(cB) − J/ε0
 //! ```
 
+use crate::deposit::deposit_rho;
 use crate::field::FieldArray;
 use crate::grid::Grid;
+use crate::sim::{Halo, Isolated};
+use crate::species::Species;
 use rayon::prelude::*;
 
 /// Field boundary condition on one domain face.
@@ -460,9 +463,8 @@ pub fn compute_div_e_err(f: &FieldArray, g: &Grid, err: &mut Vec<f32>) -> f64 {
 
 /// Mirror the node-centered `∇·E` error field on locally periodic axes so
 /// the `n+1` ghost planes (read by [`apply_marder_e`]'s forward gradient)
-/// are valid. Distributed domains fill `Exchange` axes via ghost exchange
-/// instead.
-pub fn mirror_div_e_err(err: &mut [f32], g: &Grid, bcs: FieldBcs) {
+/// are valid. `Exchange` axes are filled by the [`Halo`] instead.
+fn mirror_div_e_err(err: &mut [f32], g: &Grid, bcs: FieldBcs) {
     for (axis, &bc) in bcs.iter().enumerate().take(3) {
         if bc == FieldBc::Periodic {
             let n = n_of(g, axis);
@@ -472,10 +474,8 @@ pub fn mirror_div_e_err(err: &mut [f32], g: &Grid, bcs: FieldBcs) {
 }
 
 /// The Marder correction `E += κ ∇err` over live voxels, with κ chosen
-/// for diffusive stability. Does *not* refresh ghost planes afterwards —
-/// callers follow with [`sync_e`] (serial) or a ghost exchange
-/// (distributed).
-pub fn apply_marder_e(f: &mut FieldArray, g: &Grid, err: &[f32]) {
+/// for diffusive stability. Does *not* refresh ghost planes afterwards.
+fn apply_marder_e(f: &mut FieldArray, g: &Grid, err: &[f32]) {
     let inv2 = 1.0 / (g.dx * g.dx) + 1.0 / (g.dy * g.dy) + 1.0 / (g.dz * g.dz);
     // Half the diffusive-stability limit: at the limit (0.5/inv2) the
     // Nyquist checkerboard mode has amplification factor −1 and never
@@ -496,15 +496,48 @@ pub fn apply_marder_e(f: &mut FieldArray, g: &Grid, err: &[f32]) {
     }
 }
 
+/// Deposit the charge density of every species into `f.rho` with valid
+/// live entries everywhere: local deposit + periodic fold, then the halo's
+/// ghost-plane fold into the owning neighbour.
+pub fn refresh_rho<H: Halo>(
+    f: &mut FieldArray,
+    g: &Grid,
+    species: &[Species],
+    halo: &mut H,
+) -> Result<(), H::Error> {
+    f.clear_rho();
+    for sp in species {
+        deposit_rho(f, g, sp.iter(), sp.q);
+    }
+    sync_rho(f, g, bcs_of(g));
+    halo.fold_rho(&mut f.rho, g)
+}
+
 /// One Marder pass: `E += κ ∇(∇·E − ρ/ε0)` with κ chosen for diffusive
-/// stability. Requires `f.rho` to hold the current charge density (call a
-/// charge deposition + [`sync_rho`] first). Returns the pre-pass RMS error.
-pub fn clean_div_e(f: &mut FieldArray, g: &Grid, scratch: &mut Vec<f32>) -> f64 {
+/// stability. Requires `f.rho` to hold the current charge density (see
+/// [`refresh_rho`]). The halo refreshes exactly the ghost planes the local
+/// mirrors fill on periodic axes, so a decomposed pass is identical to the
+/// single-domain one. Returns the pre-pass RMS error over this domain.
+pub fn marder_pass_e<H: Halo>(
+    f: &mut FieldArray,
+    g: &Grid,
+    scratch: &mut Vec<f32>,
+    halo: &mut H,
+) -> Result<f64, H::Error> {
     let bcs = bcs_of(g);
+    halo.exchange_e_normal_low(f, g)?;
     let rms = compute_div_e_err(f, g, scratch);
     mirror_div_e_err(scratch, g, bcs);
+    halo.exchange_scalar_high(scratch, g)?;
     apply_marder_e(f, g, scratch);
     sync_e(f, g, bcs);
+    halo.exchange_e(f, g)?;
+    Ok(rms)
+}
+
+/// [`marder_pass_e`] on a single domain.
+pub fn clean_div_e(f: &mut FieldArray, g: &Grid, scratch: &mut Vec<f32>) -> f64 {
+    let Ok(rms) = marder_pass_e(f, g, scratch, &mut Isolated);
     rms
 }
 
@@ -535,7 +568,7 @@ pub fn compute_div_b_err(f: &FieldArray, g: &Grid, err: &mut Vec<f32>) -> f64 {
 /// Mirror the cell-centered `∇·B` error field on locally periodic axes so
 /// the `0` ghost planes (read by [`apply_marder_b`]'s backward gradient)
 /// are valid.
-pub fn mirror_div_b_err(err: &mut [f32], g: &Grid, bcs: FieldBcs) {
+fn mirror_div_b_err(err: &mut [f32], g: &Grid, bcs: FieldBcs) {
     for (axis, &bc) in bcs.iter().enumerate().take(3) {
         if bc == FieldBc::Periodic {
             let n = n_of(g, axis);
@@ -545,9 +578,8 @@ pub fn mirror_div_b_err(err: &mut [f32], g: &Grid, bcs: FieldBcs) {
 }
 
 /// The Marder correction on `B` over live voxels (cell-centered error,
-/// gradient back to faces). Callers refresh ghosts afterwards with
-/// [`sync_b`] or a ghost exchange.
-pub fn apply_marder_b(f: &mut FieldArray, g: &Grid, err: &[f32]) {
+/// gradient back to faces). Does not refresh ghost planes afterwards.
+fn apply_marder_b(f: &mut FieldArray, g: &Grid, err: &[f32]) {
     let inv2 = 1.0 / (g.dx * g.dx) + 1.0 / (g.dy * g.dy) + 1.0 / (g.dz * g.dz);
     // Half the stability limit — see `apply_marder_e` on the Nyquist mode.
     let kappa = 0.25 / inv2;
@@ -566,13 +598,27 @@ pub fn apply_marder_b(f: &mut FieldArray, g: &Grid, err: &[f32]) {
 }
 
 /// One Marder pass on `B`: `cB −= κ ∇(∇·cB)` (cell-centered error,
-/// gradient back to faces). Returns the pre-pass RMS error.
-pub fn clean_div_b(f: &mut FieldArray, g: &Grid, scratch: &mut Vec<f32>) -> f64 {
+/// gradient back to faces). Returns the pre-pass RMS error over this
+/// domain.
+pub fn marder_pass_b<H: Halo>(
+    f: &mut FieldArray,
+    g: &Grid,
+    scratch: &mut Vec<f32>,
+    halo: &mut H,
+) -> Result<f64, H::Error> {
     let bcs = bcs_of(g);
     let rms = compute_div_b_err(f, g, scratch);
     mirror_div_b_err(scratch, g, bcs);
+    halo.exchange_scalar_low(scratch, g)?;
     apply_marder_b(f, g, scratch);
     sync_b(f, g, bcs);
+    halo.exchange_b(f, g)?;
+    Ok(rms)
+}
+
+/// [`marder_pass_b`] on a single domain.
+pub fn clean_div_b(f: &mut FieldArray, g: &Grid, scratch: &mut Vec<f32>) -> f64 {
+    let Ok(rms) = marder_pass_b(f, g, scratch, &mut Isolated);
     rms
 }
 

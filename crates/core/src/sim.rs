@@ -1,27 +1,33 @@
-//! Single-domain simulation driver.
+//! The step loop, and the single-domain driver built on it.
 //!
-//! One [`Simulation::step`] performs, in order (times at loop entry:
-//! `E, B` at step `n`, momenta at `n−½`, positions at `n`):
+//! One [`advance`] performs, in order (times at loop entry: `E, B` at step
+//! `n`, momenta at `n−½`, positions at `n`):
 //!
 //! 1. occasional voxel sort of each species;
 //! 2. interpolator load from `E(n), B(n)`;
 //! 3. particle advance: momenta → `n+½`, positions → `n+1`, currents
-//!    deposited at `n+½` into per-pipeline accumulators;
+//!    deposited at `n+½` into per-pipeline accumulators; each species'
+//!    exiles are settled right after its push;
 //! 4. accumulator reduce + unload into `J`, ghost folding;
 //! 5. the caller's current drive hook (laser antennas add to `J` here);
-//! 6. field advance: `B` half, `E` full, `B` half → `E(n+1), B(n+1)`;
+//! 6. field advance: `B` half, `E` full, `B` half → `E(n+1), B(n+1)`,
+//!    ghost planes refreshed after each sub-update;
 //! 7. optional sponge damping and occasional Marder divergence cleaning.
+//!
+//! Everything a domain needs from the domains around it goes through a
+//! [`Halo`]: [`Isolated`] (nothing out there) makes this the serial
+//! [`Simulation`], `vpic-parallel`'s rank halo makes the same sequence
+//! one rank of a distributed run.
 //!
 //! Phase wall-times are accumulated in [`StepTimings`] — the breakdown the
 //! paper reports when separating "inner loop" (0.488 Pflop/s) from
 //! sustained whole-step (0.374 Pflop/s) performance.
 
-use crate::accumulator::AccumulatorSet;
+use crate::accumulator::{AccumulatorArray, AccumulatorSet};
 use crate::collision::CollisionOperator;
-use crate::deposit::deposit_rho;
 use crate::field::FieldArray;
 use crate::field_solver::{
-    advance_b, advance_e, bcs_of, clean_div_b, clean_div_e, sync_j, sync_rho,
+    advance_b, advance_e, bcs_of, clean_div_e, marder_pass_b, marder_pass_e, refresh_rho, sync_j,
 };
 use crate::grid::Grid;
 use crate::interpolator::InterpolatorArray;
@@ -31,6 +37,7 @@ use crate::sentinel::{HealthVerdict, Sentinel, SimConfig};
 use crate::species::Species;
 use crate::sponge::Sponge;
 use crate::store::Layout;
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// Accumulated per-phase wall time in seconds, plus advance counters.
@@ -40,13 +47,18 @@ pub struct StepTimings {
     pub interpolate: f64,
     /// Particle push + current accumulation (the "inner loop").
     pub push: f64,
-    /// Accumulator reduction + unload + ghost folding.
+    /// Settling exiles: migration rounds between ranks.
+    pub migrate: f64,
+    /// Accumulator reduction + unload + local ghost folding.
     pub current: f64,
-    /// Maxwell solve (B half / E full / B half + ghost sync).
+    /// Maxwell solve (B half / E full / B half + local ghost sync).
     pub field: f64,
+    /// Ghost-plane traffic with neighbouring domains (`J` fold, `E`/`B`
+    /// exchanges).
+    pub exchange: f64,
     /// Particle sorting.
     pub sort: f64,
-    /// Sponge, divergence cleaning, drive hooks.
+    /// Collisions, drive hooks, sponge, divergence cleaning, sentinel.
     pub other: f64,
     /// Diagnostics observation: probe sampling + snapshot publication
     /// (the async pipeline's residual on-hot-path cost; the FFT/artifact
@@ -66,8 +78,10 @@ impl StepTimings {
     pub fn total(&self) -> f64 {
         self.interpolate
             + self.push
+            + self.migrate
             + self.current
             + self.field
+            + self.exchange
             + self.sort
             + self.other
             + self.diag
@@ -81,6 +95,249 @@ impl StepTimings {
             0.0
         }
     }
+
+    /// Communication share (migration rounds + ghost exchange).
+    pub fn comm_fraction(&self) -> f64 {
+        if self.total() > 0.0 {
+            (self.migrate + self.exchange) / self.total()
+        } else {
+            0.0
+        }
+    }
+}
+
+/// What one domain's step needs from the domains around it. Every call is
+/// a point where a rank of a distributed run talks to its neighbours; the
+/// local (periodic / wall) half of each ghost refresh is done by the
+/// caller first.
+pub trait Halo {
+    type Error;
+
+    /// Take species `si`'s exiles — particles whose move left the domain
+    /// through a `Migrate` face — out of `sp`, and bring in whatever the
+    /// neighbours send, finishing inbound moves into `acc`. Returns how
+    /// many particles left.
+    fn settle(
+        &mut self,
+        si: usize,
+        sp: &mut Species,
+        exiles: Vec<Exile>,
+        acc: &mut AccumulatorArray,
+        g: &Grid,
+    ) -> Result<u64, Self::Error>;
+
+    /// Fold ghost-deposited `J` into the owning neighbour.
+    fn fold_j(&mut self, f: &mut FieldArray, g: &Grid) -> Result<(), Self::Error>;
+
+    /// Fold ghost-deposited charge into the owning neighbour.
+    fn fold_rho(&mut self, rho: &mut [f32], g: &Grid) -> Result<(), Self::Error>;
+
+    /// Fill `E` ghost planes after an `E` update.
+    fn exchange_e(&mut self, f: &mut FieldArray, g: &Grid) -> Result<(), Self::Error>;
+
+    /// Fill `cB` ghost planes after a `B` update.
+    fn exchange_b(&mut self, f: &mut FieldArray, g: &Grid) -> Result<(), Self::Error>;
+
+    /// Fill the axis-normal `E` component's low ghost plane, which only
+    /// the Gauss-law divergence stencil reads.
+    fn exchange_e_normal_low(&mut self, f: &mut FieldArray, g: &Grid) -> Result<(), Self::Error>;
+
+    /// Fill a node-centred scalar's high ghost plane (the `∇·E` error).
+    fn exchange_scalar_high(&mut self, arr: &mut [f32], g: &Grid) -> Result<(), Self::Error>;
+
+    /// Fill a cell-centred scalar's low ghost plane (the `∇·B` error).
+    fn exchange_scalar_low(&mut self, arr: &mut [f32], g: &Grid) -> Result<(), Self::Error>;
+}
+
+/// The halo of a domain with nothing around it: exiles are dropped (and
+/// counted), every exchange is a no-op.
+pub struct Isolated;
+
+impl Halo for Isolated {
+    type Error = Infallible;
+
+    fn settle(
+        &mut self,
+        _si: usize,
+        sp: &mut Species,
+        exiles: Vec<Exile>,
+        _acc: &mut AccumulatorArray,
+        _g: &Grid,
+    ) -> Result<u64, Infallible> {
+        Ok(sp.remove_exiles(&exiles))
+    }
+
+    fn fold_j(&mut self, _f: &mut FieldArray, _g: &Grid) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn fold_rho(&mut self, _rho: &mut [f32], _g: &Grid) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn exchange_e(&mut self, _f: &mut FieldArray, _g: &Grid) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn exchange_b(&mut self, _f: &mut FieldArray, _g: &Grid) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn exchange_e_normal_low(&mut self, _f: &mut FieldArray, _g: &Grid) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn exchange_scalar_high(&mut self, _arr: &mut [f32], _g: &Grid) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn exchange_scalar_low(&mut self, _arr: &mut [f32], _g: &Grid) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
+/// A driver's state, borrowed for one [`advance`].
+pub struct Domain<'a> {
+    pub grid: &'a Grid,
+    pub fields: &'a mut FieldArray,
+    pub interp: &'a mut InterpolatorArray,
+    pub species: &'a mut [Species],
+    pub accumulators: &'a mut AccumulatorSet,
+    /// Scratch for divergence-error fields.
+    pub scratch: &'a mut Vec<f32>,
+    pub step_count: &'a mut u64,
+    pub timings: &'a mut StepTimings,
+    pub kernel: PushKernel,
+    /// Binary-collision operators and their random stream.
+    pub collisions: Option<(&'a [(usize, CollisionOperator)], &'a mut Rng)>,
+    /// Damping layers, with this domain's x offset in cells and the
+    /// global domain's length in cells (see [`Sponge::apply_at`]).
+    pub sponge: Option<(Sponge, usize, usize)>,
+    /// Marder-clean `∇·E` every this many steps (0 = never).
+    pub clean_div_e_interval: usize,
+    /// Marder-clean `∇·B` every this many steps (0 = never).
+    pub clean_div_b_interval: usize,
+}
+
+/// Seconds since `*clock`, which restarts.
+fn lap(clock: &mut Instant) -> f64 {
+    let now = Instant::now();
+    let dt = now.duration_since(*clock).as_secs_f64();
+    *clock = now;
+    dt
+}
+
+/// One PIC step of `d` (see the module docs for the phase order); `drive`
+/// is called right before the field advance and may add external currents
+/// (e.g. a laser antenna) into `fields.j*`. Returns how many particles
+/// left the domain.
+///
+/// On `Err` the state may be mid-step (some phases applied); the caller
+/// must treat it as poisoned and roll back to a checkpoint.
+pub fn advance<H: Halo>(
+    d: Domain<'_>,
+    halo: &mut H,
+    drive: impl FnOnce(&mut FieldArray, &Grid, u64),
+) -> Result<u64, H::Error> {
+    let (g, f, t) = (d.grid, d.fields, d.timings);
+    let bcs = bcs_of(g);
+    let mut clock = Instant::now();
+
+    // 1. Occasional sort, under the per-species cadence controller (fixed
+    // interval or auto-tuned from coherence telemetry). The controller
+    // skips the counting sort when the store is provably still in voxel
+    // order, and never fires on step 0. Sorting is domain-local and the
+    // controller's inputs are bit-deterministic, so ranks need no
+    // collective to stay in lockstep with their own particles.
+    for sp in d.species.iter_mut() {
+        if sp.sort_due(*d.step_count) {
+            sp.sort_on_cadence(g);
+        }
+    }
+    t.sort += lap(&mut clock);
+
+    // 2. Interpolator from E(n), B(n).
+    d.interp.load(f, g);
+    t.interpolate += lap(&mut clock);
+
+    // 3. Particle advance, settling each species' exiles after its push.
+    d.accumulators.clear();
+    let mut departed = 0;
+    for (si, sp) in d.species.iter_mut().enumerate() {
+        let coeffs = PushCoefficients::new(sp.q, sp.m, g);
+        t.particle_steps += sp.len() as u64;
+        let (exiles, tally) = advance_p_tallied(
+            sp.store_mut(),
+            coeffs,
+            d.interp,
+            &mut d.accumulators.arrays,
+            g,
+            d.kernel,
+        );
+        t.push += lap(&mut clock);
+        departed += halo.settle(si, sp, exiles, &mut d.accumulators.arrays[0], g)?;
+        // After settling, so the controller's length check sees any
+        // appended migrants (a length change dirties voxel order).
+        sp.note_push_tally(&tally);
+        t.migrate += lap(&mut clock);
+    }
+
+    // Binary collisions (TA77), on voxel-sorted particles.
+    if let Some((ops, rng)) = d.collisions {
+        for (si, op) in ops {
+            if d.step_count.is_multiple_of(op.interval as u64) {
+                let sp = &mut d.species[*si];
+                sp.sort(g);
+                op.apply(sp, g, rng);
+            }
+        }
+        t.other += lap(&mut clock);
+    }
+
+    // 4. Currents to the grid (range-parallel reduce + slab-parallel
+    // unload; see `AccumulatorSet::reduce_and_unload`).
+    f.clear_currents();
+    d.accumulators.reduce_and_unload(f, g);
+    sync_j(f, g, bcs);
+    t.current += lap(&mut clock);
+    halo.fold_j(f, g)?;
+    t.exchange += lap(&mut clock);
+
+    // 5. External drive.
+    drive(f, g, *d.step_count);
+    t.other += lap(&mut clock);
+
+    // 6. Field advance.
+    advance_b(f, g, 0.5);
+    t.field += lap(&mut clock);
+    halo.exchange_b(f, g)?;
+    t.exchange += lap(&mut clock);
+    advance_e(f, g);
+    t.field += lap(&mut clock);
+    halo.exchange_e(f, g)?;
+    t.exchange += lap(&mut clock);
+    advance_b(f, g, 0.5);
+    t.field += lap(&mut clock);
+    halo.exchange_b(f, g)?;
+    t.exchange += lap(&mut clock);
+    t.voxel_steps += g.n_live() as u64;
+
+    // 7. Sponge + divergence cleaning.
+    if let Some((sponge, x_off, global_nx)) = d.sponge {
+        sponge.apply_at(f, g, x_off, global_nx);
+    }
+    *d.step_count += 1;
+    t.steps += 1;
+    let due = |interval: usize| interval > 0 && d.step_count.is_multiple_of(interval as u64);
+    if due(d.clean_div_e_interval) {
+        refresh_rho(f, g, d.species, halo)?;
+        marder_pass_e(f, g, d.scratch, halo)?;
+    }
+    if due(d.clean_div_b_interval) {
+        marder_pass_b(f, g, d.scratch, halo)?;
+    }
+    t.other += lap(&mut clock);
+    Ok(departed)
 }
 
 /// A single-domain PIC simulation.
@@ -244,131 +501,41 @@ impl Simulation {
     /// One step; `drive` is called right before the field advance and may
     /// add external currents (e.g. a laser antenna) into `fields.j*`.
     pub fn step_with(&mut self, drive: impl FnOnce(&mut FieldArray, &Grid, u64)) {
-        let g = &self.grid;
-        let bcs = bcs_of(g);
-
-        // 1. Occasional sort, under the per-species cadence controller
-        // (fixed interval or auto-tuned from coherence telemetry). The
-        // controller skips the counting sort when the store is provably
-        // still in voxel order, and never fires on step 0.
-        let t0 = Instant::now();
-        for sp in &mut self.species {
-            if sp.sort_due(self.step_count) {
-                sp.sort_on_cadence(g);
-            }
-        }
-        self.timings.sort += t0.elapsed().as_secs_f64();
-
-        // 2. Interpolator from E(n), B(n).
-        let t0 = Instant::now();
-        self.interp.load(&self.fields, g);
-        self.timings.interpolate += t0.elapsed().as_secs_f64();
-
-        // 3. Particle advance.
-        let t0 = Instant::now();
-        self.accumulators.clear();
-        let mut lost = 0u64;
-        let mut advanced = 0u64;
-        for sp in &mut self.species {
-            let coeffs = PushCoefficients::new(sp.q, sp.m, g);
-            advanced += sp.len() as u64;
-            let (exiles, tally): (Vec<Exile>, _) = advance_p_tallied(
-                sp.store_mut(),
-                coeffs,
-                &self.interp,
-                &mut self.accumulators.arrays,
-                g,
-                self.kernel,
-            );
-            // Single-domain: migrate faces should not appear; drop & count.
-            if !exiles.is_empty() {
-                let mut idxs: Vec<u32> = exiles.iter().map(|e| e.idx).collect();
-                idxs.sort_unstable_by(|a, b| b.cmp(a));
-                for idx in idxs {
-                    sp.swap_remove(idx as usize);
-                    lost += 1;
-                }
-            }
-            sp.note_push_tally(&tally);
-        }
+        let domain = Domain {
+            grid: &self.grid,
+            fields: &mut self.fields,
+            interp: &mut self.interp,
+            species: &mut self.species,
+            accumulators: &mut self.accumulators,
+            scratch: &mut self.scratch,
+            step_count: &mut self.step_count,
+            timings: &mut self.timings,
+            kernel: self.kernel,
+            collisions: Some((&self.collisions, &mut self.collision_rng)),
+            sponge: self.sponge.map(|s| (s, 0, self.grid.nx)),
+            clean_div_e_interval: self.clean_div_e_interval,
+            clean_div_b_interval: self.clean_div_b_interval,
+        };
+        // Single-domain: migrate faces should not appear; what leaves
+        // through one is lost.
+        let Ok(lost) = advance(domain, &mut Isolated, drive);
         self.lost_particles += lost;
-        self.timings.push += t0.elapsed().as_secs_f64();
-        self.timings.particle_steps += advanced;
 
-        // Binary collisions (TA77), on voxel-sorted particles.
-        if !self.collisions.is_empty() {
-            let t0 = Instant::now();
-            for (si, op) in self.collisions.clone() {
-                if self.step_count.is_multiple_of(op.interval as u64) {
-                    let sp = &mut self.species[si];
-                    sp.sort(g);
-                    op.apply(sp, g, &mut self.collision_rng);
-                }
-            }
-            self.timings.other += t0.elapsed().as_secs_f64();
-        }
-
-        // 4. Currents to the grid (range-parallel reduce + slab-parallel
-        // unload; see `AccumulatorSet::reduce_and_unload`).
-        let t0 = Instant::now();
-        self.fields.clear_currents();
-        self.accumulators.reduce_and_unload(&mut self.fields, g);
-        sync_j(&mut self.fields, g, bcs);
-        self.timings.current += t0.elapsed().as_secs_f64();
-
-        // 5. External drive.
-        let t0 = Instant::now();
-        drive(&mut self.fields, g, self.step_count);
-        self.timings.other += t0.elapsed().as_secs_f64();
-
-        // 6. Field advance.
-        let t0 = Instant::now();
-        advance_b(&mut self.fields, g, 0.5);
-        advance_e(&mut self.fields, g);
-        advance_b(&mut self.fields, g, 0.5);
-        self.timings.field += t0.elapsed().as_secs_f64();
-        self.timings.voxel_steps += g.n_live() as u64;
-
-        // 7. Sponge + divergence cleaning.
-        let t0 = Instant::now();
-        if let Some(sponge) = self.sponge {
-            sponge.apply(&mut self.fields, g);
-        }
-        self.step_count += 1;
-        if self.clean_div_e_interval > 0
-            && self
-                .step_count
-                .is_multiple_of(self.clean_div_e_interval as u64)
-        {
-            self.refresh_rho();
-            clean_div_e(&mut self.fields, &self.grid, &mut self.scratch);
-        }
-        if self.clean_div_b_interval > 0
-            && self
-                .step_count
-                .is_multiple_of(self.clean_div_b_interval as u64)
-        {
-            clean_div_b(&mut self.fields, &self.grid, &mut self.scratch);
-        }
         // Sentinel check-and-heal on its own cadence (take/put so the
         // sentinel can borrow the whole simulation mutably).
         if let Some(mut sentinel) = self.sentinel.take() {
+            let t0 = Instant::now();
             if sentinel.due(self.step_count) {
                 sentinel.check(self);
             }
             self.sentinel = Some(sentinel);
+            self.timings.other += t0.elapsed().as_secs_f64();
         }
-        self.timings.other += t0.elapsed().as_secs_f64();
-        self.timings.steps += 1;
     }
 
     /// Recompute the diagnostic charge density from the particles.
     pub fn refresh_rho(&mut self) {
-        self.fields.clear_rho();
-        for sp in &self.species {
-            deposit_rho(&mut self.fields, &self.grid, sp.iter(), sp.q);
-        }
-        sync_rho(&mut self.fields, &self.grid, bcs_of(&self.grid));
+        let Ok(()) = refresh_rho(&mut self.fields, &self.grid, &self.species, &mut Isolated);
     }
 
     /// Establish a self-consistent initial `E` from the loaded particles by

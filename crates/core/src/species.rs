@@ -9,6 +9,7 @@ use crate::aosoa::{sort_aosoa_with, Block};
 use crate::cadence::{CadenceState, CoherenceCounters, PushTally, SortPolicy};
 use crate::grid::Grid;
 use crate::particle::Particle;
+use crate::push::Exile;
 use crate::sort::sort_by_voxel_with;
 use crate::store::{Layout, ParticleStore, StoreIter};
 
@@ -198,6 +199,17 @@ impl Species {
     #[inline]
     pub fn swap_remove(&mut self, i: usize) -> Particle {
         self.store.swap_remove(i)
+    }
+
+    /// Remove the particles that left the domain; returns how many.
+    pub fn remove_exiles(&mut self, exiles: &[Exile]) -> u64 {
+        let mut idxs: Vec<u32> = exiles.iter().map(|e| e.idx).collect();
+        // Descending order keeps pending indices valid across swap_removes.
+        idxs.sort_unstable_by(|a, b| b.cmp(a));
+        for idx in idxs {
+            self.swap_remove(idx as usize);
+        }
+        exiles.len() as u64
     }
 
     /// Drop every particle (keeps capacity and layout).

@@ -42,12 +42,23 @@ impl Sponge {
         1.0 - self.strength * d * d * d
     }
 
-    /// Damp all field components in the layers (called once per step,
-    /// after the field advance).
+    /// Damp all field components in the layers of a single domain
+    /// (called once per step, after the field advance).
     pub fn apply(&self, f: &mut FieldArray, g: &Grid) {
+        self.apply_at(f, g, 0, g.nx);
+    }
+
+    /// Damp every local x-plane — ghosts included — by the factor at its
+    /// *global* index `x_off + i` in a domain `global_nx` cells long. A
+    /// ghost plane's global index lands exactly on the owning neighbour's
+    /// live plane, so ghosts pick up the same damping the neighbour
+    /// applies and stay bit-consistent across ranks without an exchange;
+    /// [`Sponge::factor`] clamps the domain-edge ghosts at 0 and
+    /// `global_nx + 1` to full wall strength.
+    pub fn apply_at(&self, f: &mut FieldArray, g: &Grid, x_off: usize, global_nx: usize) {
         let (sx, sy, sz) = g.strides();
-        for i in 1..sx {
-            let fac = self.factor(i, g.nx);
+        for i in 0..sx {
+            let fac = self.factor(x_off + i, global_nx);
             if fac == 1.0 {
                 continue;
             }
@@ -104,6 +115,36 @@ mod tests {
         assert!(f.ey[g.voxel(1, 1, 1)] < 0.6);
         assert_eq!(f.ey[g.voxel(10, 1, 1)], 1.0);
         assert_eq!(f.ey[g.voxel(20, 1, 1)], 1.0);
+    }
+
+    /// Slabs of a decomposed domain damp by *global* x position: each
+    /// sees only its portion of the layer, and ghost planes pick up
+    /// exactly the factor the owning neighbour applies.
+    #[test]
+    fn apply_at_damps_in_global_coordinates() {
+        let sponge = Sponge::symmetric(2, 0.5);
+        let g = Grid::periodic((4, 2, 2), (0.5, 0.5, 0.5), 0.1);
+        let slabs: Vec<FieldArray> = [0, 4]
+            .into_iter()
+            .map(|x_off| {
+                let mut f = FieldArray::new(&g);
+                f.ey.fill(1.0);
+                sponge.apply_at(&mut f, &g, x_off, 8);
+                f
+            })
+            .collect();
+        let ey = |slab: usize, i: usize| slabs[slab].ey[g.voxel(i, 1, 1)];
+        // Slab 0 holds global planes 1–4: plane 1 is the wall, planes 3–4
+        // sit outside the 2-cell layer.
+        assert_eq!(ey(0, 1), sponge.factor(1, 8), "wall plane");
+        assert_eq!(ey(0, 0), sponge.factor(1, 8), "edge ghost at wall strength");
+        assert_eq!((ey(0, 3), ey(0, 4)), (1.0, 1.0), "interior");
+        // Slab 1 holds global planes 5–8: local plane 4 is the high wall.
+        assert_eq!(ey(1, 1), 1.0, "interior");
+        assert_eq!(ey(1, 4), sponge.factor(8, 8), "high wall");
+        // Ghosts match the neighbour's live plane without an exchange.
+        assert_eq!(ey(1, 0), ey(0, 4));
+        assert_eq!(ey(0, 5), ey(1, 1));
     }
 
     #[test]

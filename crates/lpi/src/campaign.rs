@@ -25,8 +25,8 @@ use std::path::{Path, PathBuf};
 
 use nanompi::{run_with_faults, Comm, CommError, FaultPlan};
 use vpic_core::checkpoint::{
-    load_with_layout, read_section, save, write_section, CheckpointError, PayloadReader,
-    PayloadWriter,
+    load_with_layout, read_section, save, write_bytes_atomic, write_section, CheckpointError,
+    PayloadReader, PayloadWriter,
 };
 use vpic_core::crc32::fingerprint32;
 use vpic_core::sentinel::{
@@ -327,24 +327,6 @@ fn decode_sidecar(bytes: &[u8]) -> Result<(u64, SidecarState), CheckpointError> 
     ))
 }
 
-/// Crash-safe file write: temp file in the same directory, fsync, rename.
-/// A reader never observes a half-written checkpoint or sidecar.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut tmp_name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
 /// Scan `cfg.checkpoint_dir` for the newest `(dump, sidecar)` pair whose
 /// steps agree and whose frames verify; restore it into `run`. Unusable
 /// generations are logged and skipped, oldest-last. Returns the restored
@@ -381,7 +363,6 @@ fn restore_newest(
                 run.params.layout,
             )
             .map_err(|e| format!("dump corrupt: {e}"))?;
-            sim.set_kernel(run.params.kernel);
             sim.sponge = sponge;
             sim.lost_particles = diag.lost;
             run.sim = sim;
@@ -540,11 +521,12 @@ fn drive(
             // implies its diagnostic sidecar is already durable, so a
             // crash between the two writes never strands a dump that
             // cannot be resumed.
-            write_atomic(
+            write_bytes_atomic(
                 &sidecar_path(&cfg.checkpoint_dir, step),
                 &encode_sidecar(step, &diag),
+                None,
             )?;
-            write_atomic(&checkpoint_path(&cfg.checkpoint_dir, step), &bytes)?;
+            write_bytes_atomic(&checkpoint_path(&cfg.checkpoint_dir, step), &bytes, None)?;
             generations.push_back(Generation { step, bytes, diag });
             while generations.len() > cfg.keep_checkpoints.max(1) {
                 if let Some(old) = generations.pop_front() {
@@ -591,7 +573,6 @@ fn rollback(
             Ok(mut sim) => {
                 // The v2 dump carries fields/particles/step/config; the
                 // sponge and diagnostics live outside it.
-                sim.set_kernel(run.params.kernel);
                 sim.sponge = sponge;
                 sim.lost_particles = gen.diag.lost;
                 run.sim = sim;

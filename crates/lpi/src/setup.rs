@@ -9,7 +9,6 @@ use crate::srs::{srs_match, SrsMatch};
 use vpic_core::cadence::SortPolicy;
 use vpic_core::grid::{Grid, ParticleBc};
 use vpic_core::maxwellian::{load_profile, Momentum};
-use vpic_core::push::PushKernel;
 use vpic_core::rng::Rng;
 use vpic_core::sim::Simulation;
 use vpic_core::species::Species;
@@ -62,9 +61,6 @@ pub struct LpiParams {
     pub ti_over_te: f32,
     /// Particle storage layout (`layout = aos|aosoa` deck knob).
     pub layout: Layout,
-    /// AoSoA push kernel (`kernel = scalar|lane` deck knob). Bit-identical
-    /// by contract; a diagnosis/ablation switch, not a physics knob.
-    pub kernel: PushKernel,
     /// Sort cadence (`sort_interval = auto|<n>` deck knob), applied to
     /// every species. Cadence decisions feed only on deterministic
     /// counters, so `auto` keeps the bit-identity contract.
@@ -93,7 +89,6 @@ impl Default for LpiParams {
             ion_mass: None,
             ti_over_te: 0.1,
             layout: Layout::default(),
-            kernel: PushKernel::default(),
             sort: SortPolicy::default(),
             diag: DiagConfig::default(),
         }
@@ -158,7 +153,6 @@ impl LpiRun {
         let g = Grid::new((nx, 1, 1), (dx, dx, dx), dt, bc);
         let mut sim = Simulation::new(g, params.pipelines);
         sim.set_layout(params.layout);
-        sim.set_kernel(params.kernel);
         sim.sponge = Some(Sponge::symmetric(params.sponge_cells, 0.15));
 
         // Electrons; ions are an immobile neutralizing background with the

@@ -387,7 +387,7 @@ pub fn parse_curve_reflectivities(json: &str) -> Vec<(f64, f64)> {
 /// Atomic JSON artifact write (tmp + fsync + rename), shared with the
 /// scheduler.
 pub(crate) fn write_json_atomic(path: &Path, json: &str) -> std::io::Result<()> {
-    crate::campaign::write_atomic(path, json.as_bytes())
+    vpic_core::checkpoint::write_bytes_atomic(path, json.as_bytes(), None)
 }
 
 #[cfg(test)]

@@ -33,9 +33,7 @@
 //! Packets additionally carry a per-`(sender, tag)` sequence number and the
 //! receiver suppresses replays, so an injected `Duplicate` fault cannot
 //! desync the per-tag FIFO that step-periodic tags (ghost exchange,
-//! migration) rely on. [`Comm::surrender`] / [`Comm::adopt`] move a rank's
-//! whole endpoint between threads, which is how the campaign runtime's
-//! hot-spare recovery replaces a dead rank with a fresh worker thread.
+//! migration) rely on.
 
 use std::any::Any;
 use std::collections::hash_map::Entry;
@@ -45,9 +43,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultKind, FaultPlan, FaultState};
-use crate::transport::{
-    HuskTransport, LocalTransport, Packet, Payload, RecvError, Shared, TagTraffic, Transport,
-};
+use crate::transport::{LocalTransport, Packet, Payload, RecvError, Shared, TagTraffic, Transport};
 use crate::wire::{self, Wire, WireReader};
 
 /// Default bound on how long a receive (or collective) waits for a peer
@@ -137,51 +133,6 @@ pub struct Comm {
     /// Newest `(epoch, seq)` accepted per `(from, tag)`; duplicates at or
     /// below it are dropped on receipt.
     recv_seq: HashMap<(usize, u64), (u64, u64)>,
-    /// Set once this rank's state moved into an [`Endpoint`]; every
-    /// operation on the husk fails until [`Comm::readopt`].
-    surrendered: bool,
-}
-
-/// A rank's detached communication state: everything a replacement
-/// ("hot spare") worker thread needs to take over a dead rank's seat in the
-/// world. Produced by [`Comm::surrender`], consumed by [`Comm::adopt`] /
-/// [`Comm::readopt`].
-///
-/// The endpoint carries the rank's transport seat, pending buffers,
-/// epoch, collective sequence, dedup state, and the *live* fault-injection
-/// state — spent one-shot rules stay spent and the probability stream
-/// continues — so the spare is indistinguishable from the original rank to
-/// every peer, and the plan cannot re-fire an already-delivered kill on it.
-pub struct Endpoint {
-    rank: usize,
-    transport: Box<dyn Transport>,
-    pending: Vec<VecDeque<Packet>>,
-    epoch: u64,
-    coll_seq: u64,
-    op_timeout: Duration,
-    fault: FaultState,
-    send_seq: HashMap<(usize, u64), u64>,
-    recv_seq: HashMap<(usize, u64), (u64, u64)>,
-    /// The step the original holder was killed at, if any (informational;
-    /// adoption clears the kill).
-    killed: Option<u64>,
-}
-
-impl Endpoint {
-    /// The rank this endpoint speaks for.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-}
-
-impl std::fmt::Debug for Endpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Endpoint")
-            .field("rank", &self.rank)
-            .field("epoch", &self.epoch)
-            .field("killed", &self.killed)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Aggregate communication statistics for one `run`.
@@ -410,7 +361,6 @@ impl Comm {
             killed: None,
             send_seq: HashMap::new(),
             recv_seq: HashMap::new(),
-            surrendered: false,
         }
     }
 
@@ -453,12 +403,6 @@ impl Comm {
     }
 
     fn check_alive(&self) -> Result<(), CommError> {
-        if self.surrendered {
-            return Err(CommError::Killed {
-                rank: self.rank(),
-                step: self.killed.unwrap_or(u64::MAX),
-            });
-        }
         match self.killed {
             Some(step) => Err(CommError::Killed {
                 rank: self.rank(),
@@ -875,12 +819,6 @@ impl Comm {
     /// Recovery messages bypass fault injection: the substrate models a
     /// hardened control channel.
     pub fn recover(&mut self) -> Result<u64, CommError> {
-        if self.surrendered {
-            return Err(CommError::RecoveryFailed {
-                rank: self.rank(),
-                detail: "endpoint surrendered to a hot spare".to_string(),
-            });
-        }
         self.killed = None;
         // A rejoining process starts at epoch 0 but has heard the world's
         // real epoch via its bootstrap handshake; catch up before bumping.
@@ -978,55 +916,6 @@ impl Comm {
                 }
             }
         }
-    }
-
-    /// Detach this rank's entire communication state into an [`Endpoint`]
-    /// that another thread can [`Comm::adopt`]. The remaining `Comm` is a
-    /// husk: every operation on it returns a typed error until the endpoint
-    /// comes back via [`Comm::readopt`]. This is how a hot-spare worker
-    /// thread takes over a dead rank's seat without the world renumbering.
-    pub fn surrender(&mut self) -> Endpoint {
-        self.surrendered = true;
-        let rank = self.rank();
-        let size = self.size();
-        let husk: Box<dyn Transport> = Box::new(HuskTransport { rank, size });
-        Endpoint {
-            rank,
-            transport: std::mem::replace(&mut self.transport, husk),
-            pending: std::mem::take(&mut self.pending),
-            epoch: self.epoch,
-            coll_seq: self.coll_seq,
-            op_timeout: self.op_timeout,
-            fault: std::mem::replace(&mut self.fault, FaultState::new(None, rank)),
-            send_seq: std::mem::take(&mut self.send_seq),
-            recv_seq: std::mem::take(&mut self.recv_seq),
-            killed: self.killed,
-        }
-    }
-
-    /// Build a live communicator around a surrendered endpoint. Clears the
-    /// kill (the spare is a fresh process image in the same seat); the
-    /// inherited fault state keeps spent one-shot rules spent.
-    pub fn adopt(ep: Endpoint) -> Comm {
-        Comm {
-            transport: ep.transport,
-            pending: ep.pending,
-            epoch: ep.epoch,
-            coll_seq: ep.coll_seq,
-            op_timeout: ep.op_timeout,
-            fault: ep.fault,
-            killed: None,
-            send_seq: ep.send_seq,
-            recv_seq: ep.recv_seq,
-            surrendered: false,
-        }
-    }
-
-    /// Re-attach an endpoint to the husk left behind by [`Comm::surrender`]
-    /// (e.g. after joining the spare thread that used it), making this
-    /// communicator fully operational again.
-    pub fn readopt(&mut self, ep: Endpoint) {
-        *self = Comm::adopt(ep);
     }
 }
 
@@ -1530,38 +1419,6 @@ mod fault_tests {
             assert_eq!(*sum, 3.0);
             assert_eq!(*epoch, 1);
         }
-    }
-
-    #[test]
-    fn surrendered_endpoint_adopted_by_spare_thread_and_readopted() {
-        let (results, _) = run_expect(2, |c| {
-            c.set_op_timeout(Duration::from_millis(500));
-            if c.rank() == 0 {
-                let ep = c.surrender();
-                assert_eq!(ep.rank(), 0);
-                // The husk is inert until readopt.
-                assert!(matches!(c.send(1, 1, 0u32), Err(CommError::Killed { .. })));
-                assert!(matches!(c.recv::<u32>(1, 1), Err(CommError::Killed { .. })));
-                assert!(matches!(c.recover(), Err(CommError::RecoveryFailed { .. })));
-                let spare = std::thread::spawn(move || {
-                    let mut comm = Comm::adopt(ep);
-                    comm.send(1, 1, 41u32).unwrap();
-                    let got: u32 = comm.recv(1, 2).unwrap();
-                    (got, comm.surrender())
-                });
-                let (got, ep) = spare.join().unwrap();
-                c.readopt(ep);
-                let last: u32 = c.recv(1, 3).unwrap();
-                (got + last) as usize
-            } else {
-                let v: u32 = c.recv(0, 1).unwrap();
-                c.send(0, 2, v + 1).unwrap();
-                c.send(0, 3, 100u32).unwrap();
-                v as usize
-            }
-        });
-        assert_eq!(results[0], 42 + 100);
-        assert_eq!(results[1], 41);
     }
 
     #[test]

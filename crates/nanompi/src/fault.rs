@@ -24,8 +24,7 @@
 //!   (the message itself is still delivered) and land at the following tick.
 //!   From then on every communication call on that rank returns
 //!   [`CommError::Killed`](crate::CommError::Killed) until the rank is
-//!   revived by [`Comm::recover`](crate::Comm::recover) or replaced by a
-//!   hot spare adopting its endpoint.
+//!   revived by [`Comm::recover`](crate::Comm::recover).
 
 use std::sync::Arc;
 use std::time::Duration;

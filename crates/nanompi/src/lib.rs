@@ -37,8 +37,7 @@ pub mod wire;
 
 pub use cart::CartTopology;
 pub use comm::{
-    run, run_expect, run_with_faults, Comm, CommError, Endpoint, RankPanic, TrafficReport,
-    DEFAULT_OP_TIMEOUT,
+    run, run_expect, run_with_faults, Comm, CommError, RankPanic, TrafficReport, DEFAULT_OP_TIMEOUT,
 };
 pub use fault::{FaultKind, FaultPlan, FaultRule, PartitionRule, Trigger};
 pub use socket::{

@@ -238,35 +238,3 @@ impl Transport for LocalTransport {
         e.1 += nbytes;
     }
 }
-
-/// The inert transport left in a [`Comm`](crate::Comm) husk after
-/// [`surrender`](crate::Comm::surrender); every operation is unreachable
-/// because the husk fails its liveness check first.
-pub(crate) struct HuskTransport {
-    pub rank: usize,
-    pub size: usize,
-}
-
-impl Transport for HuskTransport {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn send(&mut self, to: usize, _pkt: Packet) -> Result<(), CommError> {
-        Err(CommError::PeerClosed { peer: to })
-    }
-
-    fn recv_timeout(&mut self, _from: usize, _timeout: Duration) -> Result<Packet, RecvError> {
-        Err(RecvError::Closed)
-    }
-
-    fn try_recv(&mut self, _from: usize) -> Option<Packet> {
-        None
-    }
-
-    fn count(&self, _to: usize, _tag: u64, _nbytes: u64) {}
-}

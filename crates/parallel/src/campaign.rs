@@ -1,5 +1,4 @@
-//! Fault-tolerant campaign runtime: rollback-recovery and hot-spare
-//! replacement over checkpoints.
+//! Fault-tolerant campaign runtime: rollback-recovery over checkpoints.
 //!
 //! VPIC's trillion-particle Roadrunner campaigns outlived the machine's
 //! mean time between interrupts the unglamorous way — periodic restart
@@ -35,18 +34,9 @@
 //! gracefully, writing a best-effort partial dump and returning
 //! [`CampaignEnd::Degraded`] instead of aborting the process.
 //!
-//! Two recovery modes are offered ([`RecoveryMode`]):
-//!
-//! * **Rollback** (default): the killed rank's own thread clears its fault
-//!   and rejoins the world, exactly as PR 1 landed it.
-//! * **HotSpare**: the killed rank *stays dead*. Its worker surrenders the
-//!   [`nanompi`] endpoint, spawns a replacement thread that adopts it
-//!   ([`Comm::adopt`]), restores the shard from the newest validated
-//!   checkpoint on disk, and finishes the campaign while surviving ranks
-//!   wait at the rendezvous and restore from their in-memory cache — one
-//!   rank reads disk instead of the whole world. The victim thread only
-//!   reclaims the endpoint after the spare finishes, so post-campaign
-//!   collectives still work from the original worker.
+//! A rank the fault plan killed clears its fault at the rendezvous and
+//! rejoins the world from its own thread; a rank whose *process* died is
+//! replaced by a respawned one through [`rejoin_campaign`].
 //!
 //! The checkpoint cadence is either a fixed step count or
 //! [`CheckpointPolicy::Auto`]: the Young/Daly optimum
@@ -62,17 +52,16 @@
 //!
 //! With one push pipeline per rank the replay is bit-exact: a campaign
 //! that lost a rank mid-flight ends in exactly the state of an
-//! uninterrupted run (asserted by `tests/recovery.rs`), in either
-//! recovery mode.
+//! uninterrupted run (asserted by `tests/recovery.rs`).
 
-use crate::dcheckpoint::{dump_rank_bytes, load_rank, load_rank_from_path, write_bytes_atomic};
+use crate::dcheckpoint::{dump_rank_bytes, load_rank, load_rank_from_path};
 use crate::dsim::DistributedSim;
 use nanompi::{Comm, CommError};
 use roadrunner_model::young_daly_interval_steps;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use vpic_core::checkpoint::CheckpointError;
+use vpic_core::checkpoint::{write_bytes_atomic, CheckpointError};
 use vpic_core::field::FieldArray;
 use vpic_core::grid::Grid;
 use vpic_core::sentinel::{
@@ -121,17 +110,6 @@ impl CheckpointPolicy {
     }
 }
 
-/// What happens to a rank the fault plan kills.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RecoveryMode {
-    /// The victim's own thread clears the fault and rejoins the world.
-    #[default]
-    Rollback,
-    /// The victim stays dead; a freshly spawned replacement thread adopts
-    /// its communicator endpoint and restores the shard from disk.
-    HotSpare,
-}
-
 /// Knobs for one fault-tolerant campaign.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
@@ -153,8 +131,6 @@ pub struct CampaignConfig {
     pub max_energy_growth: f64,
     /// Override the communicator's op timeout for the whole campaign.
     pub op_timeout: Option<Duration>,
-    /// How killed ranks come back.
-    pub recovery: RecoveryMode,
     /// Allow delta+RLE compression of dump sections.
     pub compress: bool,
     /// Pace checkpoint writes to at most this many bytes/second.
@@ -181,7 +157,6 @@ impl CampaignConfig {
             health_interval: 1,
             max_energy_growth: 10.0,
             op_timeout: None,
-            recovery: RecoveryMode::Rollback,
             compress: true,
             write_throttle_bps: None,
             sentinel: SentinelConfig::default(),
@@ -223,11 +198,6 @@ impl CampaignConfig {
         self
     }
 
-    pub fn with_recovery(mut self, mode: RecoveryMode) -> Self {
-        self.recovery = mode;
-        self
-    }
-
     pub fn with_compression(mut self, on: bool) -> Self {
         self.compress = on;
         self
@@ -255,7 +225,7 @@ impl CampaignConfig {
     }
 }
 
-/// One recovery episode (rollback or hot-spare hand-off).
+/// One recovery episode.
 #[derive(Clone, Debug)]
 pub struct RecoveryEvent {
     /// Step at which the fault was detected.
@@ -266,8 +236,9 @@ pub struct RecoveryEvent {
     pub cause: String,
     /// Checkpoint step the world rolled back to.
     pub restored_step: u64,
-    /// True when this rank's shard was adopted by a replacement thread.
-    pub hot_spare: bool,
+    /// True when this rank's seat was taken over by a respawned process
+    /// ([`rejoin_campaign`]).
+    pub rejoined: bool,
 }
 
 /// How the campaign ended.
@@ -302,9 +273,6 @@ pub struct CampaignOutcome {
     /// `Fixed` this is the configured value; for `Auto` the resolved
     /// Young/Daly optimum).
     pub effective_interval: u64,
-    /// The thread that ran the campaign to its end — differs from the
-    /// original worker thread iff a hot spare took over.
-    pub finished_by: std::thread::ThreadId,
 }
 
 /// Unrecoverable campaign failure (rollback cannot fix these).
@@ -317,9 +285,6 @@ pub enum CampaignError {
     Io(io::Error),
     /// No checkpoint generation is valid on every rank.
     NoCommonCheckpoint,
-    /// The hot-spare replacement thread died without handing the endpoint
-    /// back.
-    HotSpare(String),
     /// A world launch failed before (or instead of) producing an outcome:
     /// a rank panicked or a socket bootstrap was refused.
     Launch(String),
@@ -342,9 +307,6 @@ impl std::fmt::Display for CampaignError {
             CampaignError::Io(e) => write!(f, "campaign I/O failure: {e}"),
             CampaignError::NoCommonCheckpoint => {
                 write!(f, "no checkpoint generation is valid on every rank")
-            }
-            CampaignError::HotSpare(detail) => {
-                write!(f, "hot-spare replacement failed: {detail}")
             }
             CampaignError::Launch(detail) => write!(f, "world launch failed: {detail}"),
             CampaignError::Config(v) => write!(f, "invalid setup: {v}"),
@@ -445,8 +407,7 @@ fn ewma(old: f64, sample: f64) -> f64 {
     }
 }
 
-/// Per-rank campaign state that survives hot-spare hand-offs: everything
-/// the replacement thread needs travels inside this struct.
+/// Per-rank campaign state.
 struct Runner {
     cfg: CampaignConfig,
     rank: usize,
@@ -467,8 +428,8 @@ struct Runner {
     step_secs: f64,
     /// Newest *confirmed* checkpoint this rank still holds in memory:
     /// `(step, serialized bytes)`. Lets survivors restore without disk
-    /// I/O; a hot spare starts with no cache (the victim's memory is
-    /// gone).
+    /// I/O; a rejoiner starts with no cache (the dead process's memory
+    /// is gone).
     cache: Option<(u64, Vec<u8>)>,
     /// Effective sentinel thresholds (legacy knobs folded in).
     scfg: SentinelConfig,
@@ -488,9 +449,9 @@ struct Runner {
 
 /// External current drive hook threaded through the campaign loop into
 /// [`DistributedSim::step_with`] every step (the laser antenna, in the LPI
-/// decks). `Sync` because a hot-spare replacement thread borrows it.
-pub trait CampaignDrive: Fn(&mut FieldArray, &Grid, u64) + Sync {}
-impl<F: Fn(&mut FieldArray, &Grid, u64) + Sync> CampaignDrive for F {}
+/// decks).
+pub trait CampaignDrive: Fn(&mut FieldArray, &Grid, u64) {}
+impl<F: Fn(&mut FieldArray, &Grid, u64)> CampaignDrive for F {}
 
 impl Runner {
     /// Run one step of the campaign schedule: tick faults, maybe dump,
@@ -636,7 +597,7 @@ impl Runner {
         let t0 = Instant::now();
         let bytes = dump_rank_bytes(sim, self.cfg.compress).map_err(CampaignError::Checkpoint)?;
         write_bytes_atomic(&path, &bytes, self.cfg.write_throttle_bps)
-            .map_err(CampaignError::Checkpoint)?;
+            .map_err(|e| CampaignError::Checkpoint(e.into()))?;
         self.ckpt_secs = ewma(self.ckpt_secs, t0.elapsed().as_secs_f64());
         // One collective confirms every rank wrote this generation *and*
         // carries the measured (dump cost, step time) so each rank
@@ -728,11 +689,10 @@ impl Runner {
             }
         };
         // Knobs that live outside the dump carry over from the template
-        // sim (the sponge shapes the physics; layout/kernel are bit-exact
-        // performance choices).
+        // sim (the sponge shapes the physics; the layout is a bit-exact
+        // performance choice).
         restored.sponge = sim.sponge;
         restored.set_layout(sim.layout());
-        restored.set_kernel(sim.kernel());
         // Everyone must resume from the same generation.
         let confirm = comm.allgather(chosen).map_err(CampaignError::Comm)?;
         if confirm.iter().any(|&s| s != chosen) {
@@ -787,63 +747,55 @@ impl Runner {
             heals: self.heals,
             peak_imbalance: self.peak_imbalance,
             effective_interval: self.interval,
-            finished_by: std::thread::current().id(),
         }
     }
 
-    /// Hot-spare hand-off: surrender this worker's endpoint, spawn the
-    /// replacement thread, and block until it finishes the campaign (or
-    /// degrades). The victim thread never steps the sim again; it only
-    /// reclaims the endpoint afterwards so post-campaign collectives still
-    /// run from the original worker.
-    fn hand_off(
-        mut self,
+    /// Roll the world back to the newest generation valid on every rank
+    /// and record the episode. `Ok(Err(sim))` hands the unrestored sim
+    /// back: the rendezvous failed or no generation is valid everywhere —
+    /// the world is splitting up, and degrading (with a partial dump)
+    /// beats erroring out, since peers waiting on us will time out and
+    /// degrade the same way.
+    fn recover(
+        &mut self,
         comm: &mut Comm,
         sim: DistributedSim,
         at_step: u64,
         attempt: u32,
-        fault: Fault,
-        drive: &impl CampaignDrive,
-    ) -> Result<(DistributedSim, CampaignOutcome), CampaignError> {
-        append_log(
-            &self.cfg.checkpoint_dir,
-            self.rank,
-            &format!("step={at_step} attempt={attempt} cause=\"{fault}\" action=hot_spare"),
-        );
-        // The dead rank's memory — including its checkpoint cache — is
-        // considered lost; the spare must restore from disk.
-        self.cache = None;
-        let ep = comm.surrender();
-        let cause = fault.to_string();
-        // The spare replaces this rank, so it inherits this rank's share of
-        // the worker threads (a new thread would otherwise start at the
-        // process default and fan out over every other rank's cores).
-        let lanes = vpic_core::worker_threads();
-        // Scoped so the replacement thread can borrow the drive hook.
-        let joined = std::thread::scope(|s| {
-            let spare = s.spawn(move || {
-                vpic_core::with_worker_threads(lanes, || {
-                    let mut comm = Comm::adopt(ep);
-                    let result = self.spare_main(&mut comm, sim, at_step, attempt, &cause, drive);
-                    (result, comm.surrender())
-                })
-            });
-            spare.join()
-        });
-        match joined {
-            Ok((result, ep)) => {
-                comm.readopt(ep);
-                result
+        cause: &str,
+        rejoined: bool,
+    ) -> Result<Result<DistributedSim, DistributedSim>, CampaignError> {
+        match self.rollback(comm, &sim) {
+            Ok((restored, restored_step)) => {
+                // A fresh (certified-clean) generation starts the burst
+                // budget over.
+                self.bursts = 0;
+                append_log(
+                    &self.cfg.checkpoint_dir,
+                    self.rank,
+                    &format!(
+                        "step={at_step} attempt={attempt} cause=\"{cause}\" \
+                         restored_step={restored_step}{}",
+                        if rejoined { " rejoined=1" } else { "" }
+                    ),
+                );
+                self.recoveries.push(RecoveryEvent {
+                    at_step,
+                    attempt,
+                    cause: cause.to_string(),
+                    restored_step,
+                    rejoined,
+                });
+                Ok(Ok(restored))
             }
-            Err(_) => Err(CampaignError::HotSpare(
-                "replacement worker thread panicked".into(),
-            )),
+            Err(CampaignError::Comm(_)) | Err(CampaignError::NoCommonCheckpoint) => Ok(Err(sim)),
+            Err(e) => Err(e),
         }
     }
 
-    /// Entry point of the replacement thread: rendezvous with the
-    /// survivors, restore the victim's shard from the newest agreed
-    /// checkpoint, and drive the campaign to its end.
+    /// Entry point of a respawned rank: rendezvous with the survivors,
+    /// restore the dead process's shard from the newest agreed checkpoint,
+    /// and drive the campaign to its end.
     fn spare_main(
         mut self,
         comm: &mut Comm,
@@ -853,35 +805,13 @@ impl Runner {
         cause: &str,
         drive: &impl CampaignDrive,
     ) -> Result<(DistributedSim, CampaignOutcome), CampaignError> {
-        match self.rollback(comm, &sim) {
-            Ok((restored, restored_step)) => {
-                self.bursts = 0;
-                append_log(
-                    &self.cfg.checkpoint_dir,
-                    self.rank,
-                    &format!(
-                        "step={at_step} attempt={attempt} cause=\"{cause}\" \
-                         restored_step={restored_step} hot_spare=1"
-                    ),
-                );
-                self.recoveries.push(RecoveryEvent {
-                    at_step,
-                    attempt,
-                    cause: cause.to_string(),
-                    restored_step,
-                    hot_spare: true,
-                });
-                self.drive(comm, restored, drive)
-            }
-            Err(CampaignError::Comm(_)) | Err(CampaignError::NoCommonCheckpoint) => {
-                Ok(self.degrade(sim, at_step, attempt, cause))
-            }
-            Err(e) => Err(e),
+        match self.recover(comm, sim, at_step, attempt, cause, true)? {
+            Ok(restored) => self.drive(comm, restored, drive),
+            Err(sim) => Ok(self.degrade(sim, at_step, attempt, cause)),
         }
     }
 
-    /// The campaign main loop; consumes the runner so it can migrate into
-    /// a replacement thread on hot-spare hand-off.
+    /// The campaign main loop.
     fn drive(
         mut self,
         comm: &mut Comm,
@@ -924,47 +854,11 @@ impl Runner {
             if attempt > self.cfg.max_recoveries {
                 return Ok(self.degrade(sim, step, attempt, &fault.to_string()));
             }
-            // A rank the fault plan killed hands its endpoint to a hot
-            // spare when configured to; every other fault (or mode) takes
-            // the whole-world rollback path.
-            let own_kill = matches!(
-                fault,
-                Fault::Comm(CommError::Killed { rank, .. }) if rank == self.rank
-            );
-            if own_kill && self.cfg.recovery == RecoveryMode::HotSpare {
-                return self.hand_off(comm, sim, step, attempt, fault, drive);
-            }
-            match self.rollback(comm, &sim) {
-                Ok((restored, restored_step)) => {
-                    sim = restored;
-                    // A fresh (certified-clean) generation starts the
-                    // burst budget over.
-                    self.bursts = 0;
-                    append_log(
-                        &self.cfg.checkpoint_dir,
-                        self.rank,
-                        &format!(
-                            "step={step} attempt={attempt} cause=\"{fault}\" \
-                             restored_step={restored_step}"
-                        ),
-                    );
-                    self.recoveries.push(RecoveryEvent {
-                        at_step: step,
-                        attempt,
-                        cause: fault.to_string(),
-                        restored_step,
-                        hot_spare: false,
-                    });
-                }
-                // The rendezvous failed or no generation is valid
-                // everywhere: the world is splitting up. Degrading (with a
-                // partial dump) beats erroring out — peers waiting on us
-                // will time out and degrade the same way.
-                Err(CampaignError::Comm(_)) | Err(CampaignError::NoCommonCheckpoint) => {
-                    return Ok(self.degrade(sim, step, attempt, &fault.to_string()));
-                }
-                Err(e) => return Err(e),
-            }
+            let cause = fault.to_string();
+            sim = match self.recover(comm, sim, step, attempt, &cause, false)? {
+                Ok(restored) => restored,
+                Err(sim) => return Ok(self.degrade(sim, step, attempt, &cause)),
+            };
         }
     }
 }

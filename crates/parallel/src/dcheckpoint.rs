@@ -10,12 +10,9 @@
 //! field and species payloads go through the *encoded* section framing,
 //! which can byte-shuffle + delta + RLE-compress the payload when that
 //! makes it smaller. Truncation and bit rot are detected at load time
-//! with a typed [`CheckpointError`]. [`save_rank_to_path`] writes through
-//! a buffered writer to a temp file and renames it into place, keeping the
-//! previous good dump intact if the run dies mid-write, and
-//! [`write_bytes_atomic`] does the same for a pre-serialized dump with
-//! optional write-throttling so restart I/O does not monopolise the
-//! filesystem bandwidth shared with the rest of the campaign.
+//! with a typed [`CheckpointError`]. Dumps reach disk through
+//! `vpic_core::checkpoint`'s atomic write (temp file, fsync, rename),
+//! keeping the previous good dump intact if the run dies mid-write.
 
 use crate::decomposition::DomainSpec;
 use crate::dsim::DistributedSim;
@@ -23,16 +20,12 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 use vpic_core::checkpoint::{
     decode_fields, decode_sim_config, decode_species, encode_fields, encode_sim_config,
-    encode_species, read_section, read_section_encoded, write_section, write_section_encoded,
-    CheckpointError, PayloadReader, PayloadWriter,
+    encode_species, read_section, read_section_encoded, write_bytes_atomic, write_section,
+    write_section_encoded, CheckpointError, PayloadReader, PayloadWriter,
 };
 
 const MAGIC: &[u8; 8] = b"VPICRD03";
 const VERSION: u32 = 3;
-
-/// Chunk size for throttled writes: small enough that pacing sleeps are
-/// fine-grained, large enough to amortise syscall cost.
-const THROTTLE_CHUNK: usize = 64 * 1024;
 
 /// Serialize one rank's state with compression enabled. The `spec` is
 /// *not* written (the restart must be constructed with the same
@@ -133,44 +126,10 @@ pub fn load_rank(
     Ok(sim)
 }
 
-/// Atomically write one rank's restart dump to `path` (buffered write to a
-/// `.tmp` sibling, fsync, rename).
+/// Atomically write one rank's restart dump to `path`.
 pub fn save_rank_to_path(sim: &DistributedSim, path: &Path) -> Result<(), CheckpointError> {
     let bytes = dump_rank_bytes(sim, true)?;
-    write_bytes_atomic(path, &bytes, None)
-}
-
-/// Atomically write a pre-serialized dump to `path`: chunked write to a
-/// `.tmp` sibling, fsync, rename. When `throttle_bps` is set the write is
-/// paced to at most that many bytes per second by sleeping between 64 KiB
-/// chunks, bounding the instantaneous filesystem bandwidth a checkpoint
-/// can steal from the rest of the machine.
-pub fn write_bytes_atomic(
-    path: &Path,
-    bytes: &[u8],
-    throttle_bps: Option<u64>,
-) -> Result<(), CheckpointError> {
-    let tmp = path.with_extension("tmp");
-    {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = io::BufWriter::new(file);
-        match throttle_bps {
-            None | Some(0) => w.write_all(bytes)?,
-            Some(bps) => {
-                for chunk in bytes.chunks(THROTTLE_CHUNK) {
-                    w.write_all(chunk)?;
-                    let pace = std::time::Duration::from_secs_f64(chunk.len() as f64 / bps as f64);
-                    std::thread::sleep(pace);
-                }
-            }
-        }
-        let file = w
-            .into_inner()
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(write_bytes_atomic(path, &bytes, None)?)
 }
 
 /// Load one rank's restart dump from `path`.
@@ -398,24 +357,5 @@ mod tests {
                 "compressed dump ({packed} B) not smaller than raw ({raw} B)"
             );
         }
-    }
-
-    #[test]
-    fn throttled_write_paces_and_lands_intact() {
-        let dir = std::env::temp_dir().join(format!("vpic_test_throttle_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let bytes: Vec<u8> = (0..256 * 1024).map(|i| (i % 251) as u8).collect();
-        let path = dir.join("throttled.vpic");
-        let t0 = std::time::Instant::now();
-        // 4 MiB/s over 256 KiB = at least ~62 ms of pacing sleeps.
-        write_bytes_atomic(&path, &bytes, Some(4 * 1024 * 1024)).unwrap();
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed >= std::time::Duration::from_millis(50),
-            "throttle did not pace the write: {elapsed:?}"
-        );
-        assert_eq!(std::fs::read(&path).unwrap(), bytes);
-        assert!(!path.with_extension("tmp").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

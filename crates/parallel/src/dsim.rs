@@ -6,62 +6,69 @@ use crate::exchange::GhostExchanger;
 use crate::migrate::migrate_species;
 use nanompi::{Comm, CommError};
 use std::time::Instant;
-use vpic_core::accumulator::AccumulatorSet;
-use vpic_core::deposit::deposit_rho;
+use vpic_core::accumulator::{AccumulatorArray, AccumulatorSet};
 use vpic_core::field::FieldArray;
-use vpic_core::field_solver::{
-    advance_b, advance_e, apply_marder_b, apply_marder_e, bcs_of, compute_div_b_err,
-    compute_div_e_err, mirror_div_b_err, mirror_div_e_err, sync_b, sync_e, sync_j, sync_rho,
-};
+use vpic_core::field_solver::{bcs_of, marder_pass_b, marder_pass_e, refresh_rho, sync_b, sync_e};
 use vpic_core::grid::Grid;
 use vpic_core::interpolator::InterpolatorArray;
 use vpic_core::maxwellian::{load_uniform, Momentum};
-use vpic_core::push::{advance_p_tallied, PushKernel};
+use vpic_core::push::{Exile, PushKernel};
 use vpic_core::rng::Rng;
 use vpic_core::sentinel::{self, HealthSample, SentinelConfig, SimConfig};
+use vpic_core::sim::{advance, Domain, Halo, StepTimings};
 use vpic_core::species::Species;
 use vpic_core::sponge::Sponge;
 use vpic_core::store::Layout;
 use vpic_core::Particle;
 
-/// Per-phase wall time for a distributed rank.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DistTimings {
-    pub sort: f64,
-    pub interpolate: f64,
-    pub push: f64,
-    pub migrate: f64,
-    pub current: f64,
-    pub field: f64,
-    pub exchange: f64,
-    /// Diagnostics observation (snapshot publication off this rank's
-    /// hot path; see `step_observed`).
-    pub diag: f64,
-    pub steps: u64,
-    pub particle_steps: u64,
+/// One rank's [`Halo`]: exiles migrate to the neighbouring ranks, ghost
+/// planes travel through the [`GhostExchanger`].
+struct RankHalo<'a> {
+    comm: &'a mut Comm,
+    exchanger: &'a GhostExchanger,
 }
 
-impl DistTimings {
-    /// Total accounted time.
-    pub fn total(&self) -> f64 {
-        self.sort
-            + self.interpolate
-            + self.push
-            + self.migrate
-            + self.current
-            + self.field
-            + self.exchange
-            + self.diag
+impl Halo for RankHalo<'_> {
+    type Error = CommError;
+
+    fn settle(
+        &mut self,
+        si: usize,
+        sp: &mut Species,
+        exiles: Vec<Exile>,
+        acc: &mut AccumulatorArray,
+        g: &Grid,
+    ) -> Result<u64, CommError> {
+        let neighbors = &self.exchanger.neighbors;
+        migrate_species(self.comm, neighbors, g, sp.q, sp, acc, exiles, si as u64)
     }
 
-    /// Communication share (migration rounds + ghost exchange).
-    pub fn comm_fraction(&self) -> f64 {
-        let t = self.total();
-        if t > 0.0 {
-            (self.migrate + self.exchange) / t
-        } else {
-            0.0
-        }
+    fn fold_j(&mut self, f: &mut FieldArray, g: &Grid) -> Result<(), CommError> {
+        self.exchanger.fold_j(self.comm, f, g)
+    }
+
+    fn fold_rho(&mut self, rho: &mut [f32], g: &Grid) -> Result<(), CommError> {
+        self.exchanger.fold_scalar(self.comm, rho, g)
+    }
+
+    fn exchange_e(&mut self, f: &mut FieldArray, g: &Grid) -> Result<(), CommError> {
+        self.exchanger.exchange_e(self.comm, f, g)
+    }
+
+    fn exchange_b(&mut self, f: &mut FieldArray, g: &Grid) -> Result<(), CommError> {
+        self.exchanger.exchange_b(self.comm, f, g)
+    }
+
+    fn exchange_e_normal_low(&mut self, f: &mut FieldArray, g: &Grid) -> Result<(), CommError> {
+        self.exchanger.exchange_e_normal_low(self.comm, f, g)
+    }
+
+    fn exchange_scalar_high(&mut self, arr: &mut [f32], g: &Grid) -> Result<(), CommError> {
+        self.exchanger.exchange_scalar_high(self.comm, arr, g)
+    }
+
+    fn exchange_scalar_low(&mut self, arr: &mut [f32], g: &Grid) -> Result<(), CommError> {
+        self.exchanger.exchange_scalar_low(self.comm, arr, g)
     }
 }
 
@@ -79,7 +86,7 @@ pub struct DistributedSim {
     pub step_count: u64,
     /// Particles shipped to neighbors (all steps, all rounds).
     pub migrated: u64,
-    pub timings: DistTimings,
+    pub timings: StepTimings,
     /// Cleaning cadence + sentinel thresholds (checkpoint-portable; every
     /// rank must hold the same value for the collectives to agree).
     pub config: SimConfig,
@@ -88,7 +95,7 @@ pub struct DistributedSim {
     /// Open-boundary damping layers evaluated in *global* x coordinates
     /// (the deck's sponge spans the full domain, not each rank's slab).
     /// Every rank must hold the same value. Not checkpointed — the runner
-    /// re-seats it after a rollback, like the layout/kernel knobs.
+    /// re-seats it after a rollback, like the layout.
     pub sponge: Option<Sponge>,
     /// Particle storage layout applied to every species on this rank.
     layout: Layout,
@@ -116,7 +123,7 @@ impl DistributedSim {
             exchanger: GhostExchanger { neighbors },
             step_count: 0,
             migrated: 0,
-            timings: DistTimings::default(),
+            timings: StepTimings::default(),
             config: SimConfig::default(),
             sponge: None,
             scratch: Vec::new(),
@@ -178,8 +185,7 @@ impl DistributedSim {
     }
 
     /// One full distributed step (see `vpic_core::sim` for the phase
-    /// ordering; migration happens right after the local push, ghost
-    /// exchanges after each field sub-update).
+    /// ordering).
     pub fn step(&mut self, comm: &mut Comm) -> Result<(), CommError> {
         self.step_with(comm, |_, _, _| {})
     }
@@ -202,7 +208,8 @@ impl DistributedSim {
         Ok(())
     }
 
-    /// One step with an external current drive hook.
+    /// One step with an external current drive hook: [`advance`] with this
+    /// rank's neighbours as the halo.
     ///
     /// On `Err` the local state may be mid-step (some phases applied); the
     /// caller must treat it as poisoned and roll back to a checkpoint.
@@ -211,162 +218,41 @@ impl DistributedSim {
         comm: &mut Comm,
         drive: impl FnOnce(&mut FieldArray, &Grid, u64),
     ) -> Result<(), CommError> {
-        let g = self.grid.clone();
-        let bcs = bcs_of(&g);
-
-        // Per-species cadence controller (fixed or auto-tuned); sorting is
-        // rank-local, and the controller's inputs are bit-deterministic,
-        // so no collective is needed for ranks to stay in lockstep with
-        // their own particles.
-        let t0 = Instant::now();
-        for sp in &mut self.species {
-            if sp.sort_due(self.step_count) {
-                sp.sort_on_cadence(&g);
-            }
-        }
-        self.timings.sort += t0.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        self.interp.load(&self.fields, &g);
-        self.timings.interpolate += t0.elapsed().as_secs_f64();
-
-        self.accumulators.clear();
-        for si in 0..self.species.len() {
-            let t0 = Instant::now();
-            let sp = &mut self.species[si];
-            let coeffs = vpic_core::push::PushCoefficients::new(sp.q, sp.m, &g);
-            self.timings.particle_steps += sp.len() as u64;
-            let (exiles, tally) = advance_p_tallied(
-                sp.store_mut(),
-                coeffs,
-                &self.interp,
-                &mut self.accumulators.arrays,
-                &g,
-                self.kernel,
-            );
-            self.timings.push += t0.elapsed().as_secs_f64();
-
-            let t0 = Instant::now();
-            let qsp = sp.q;
-            self.migrated += migrate_species(
-                comm,
-                &self.exchanger.neighbors,
-                &g,
-                qsp,
-                sp,
-                &mut self.accumulators.arrays[0],
-                exiles,
-                si as u64,
-            )?;
-            // After migration, so the controller's length check sees any
-            // appended migrants (a length change dirties voxel order).
-            self.species[si].note_push_tally(&tally);
-            self.timings.migrate += t0.elapsed().as_secs_f64();
-        }
-
-        let t0 = Instant::now();
-        self.fields.clear_currents();
-        self.accumulators.reduce_and_unload(&mut self.fields, &g);
-        sync_j(&mut self.fields, &g, bcs);
-        self.timings.current += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        self.exchanger.fold_j(comm, &mut self.fields, &g)?;
-        self.timings.exchange += t0.elapsed().as_secs_f64();
-
-        drive(&mut self.fields, &g, self.step_count);
-
-        let t0 = Instant::now();
-        advance_b(&mut self.fields, &g, 0.5);
-        self.timings.field += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        self.exchanger.exchange_b(comm, &mut self.fields, &g)?;
-        self.timings.exchange += t0.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        advance_e(&mut self.fields, &g);
-        self.timings.field += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        self.exchanger.exchange_e(comm, &mut self.fields, &g)?;
-        self.timings.exchange += t0.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        advance_b(&mut self.fields, &g, 0.5);
-        self.timings.field += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        self.exchanger.exchange_b(comm, &mut self.fields, &g)?;
-        self.timings.exchange += t0.elapsed().as_secs_f64();
-
-        if self.sponge.is_some() {
-            let t0 = Instant::now();
-            self.apply_sponge(&g);
-            self.timings.field += t0.elapsed().as_secs_f64();
-        }
-
-        self.step_count += 1;
-        self.timings.steps += 1;
-
-        let cfg = self.config;
-        if cfg.clean_div_e_interval > 0
-            && self
-                .step_count
-                .is_multiple_of(cfg.clean_div_e_interval as u64)
-        {
-            self.refresh_rho(comm)?;
-            self.marder_clean_e(comm, 1)?;
-        }
-        if cfg.clean_div_b_interval > 0
-            && self
-                .step_count
-                .is_multiple_of(cfg.clean_div_b_interval as u64)
-        {
-            self.marder_clean_b(comm, 1)?;
-        }
-        Ok(())
-    }
-
-    /// Damp every local x-plane — ghosts included — by the sponge factor
-    /// at its *global* index. A ghost plane's global index lands exactly
-    /// on the owning neighbor's live plane, so ghosts pick up the same
-    /// damping the neighbor applies and stay bit-consistent across ranks
-    /// without an extra exchange. (Runs after the last ghost exchange of
-    /// the step; `Sponge::factor` clamps the domain-edge ghosts at 0 and
-    /// `global_nx + 1` to full wall strength.)
-    fn apply_sponge(&mut self, g: &Grid) {
-        let Some(sponge) = self.sponge else { return };
+        // The deck's sponge spans the full domain, not each rank's slab.
         let global_nx = self.spec.global_cells.0;
         let x_off = self.spec.topo.coords_of(self.rank)[0] * self.spec.local_cells().0;
-        let (sx, sy, sz) = g.strides();
-        let f = &mut self.fields;
-        for i in 0..sx {
-            let fac = sponge.factor(x_off + i, global_nx);
-            if fac == 1.0 {
-                continue;
-            }
-            for k in 0..sz {
-                for j in 0..sy {
-                    let v = g.voxel(i, j, k);
-                    f.ex[v] *= fac;
-                    f.ey[v] *= fac;
-                    f.ez[v] *= fac;
-                    f.cbx[v] *= fac;
-                    f.cby[v] *= fac;
-                    f.cbz[v] *= fac;
-                }
-            }
-        }
+        let domain = Domain {
+            grid: &self.grid,
+            fields: &mut self.fields,
+            interp: &mut self.interp,
+            species: &mut self.species,
+            accumulators: &mut self.accumulators,
+            scratch: &mut self.scratch,
+            step_count: &mut self.step_count,
+            timings: &mut self.timings,
+            kernel: self.kernel,
+            collisions: None,
+            sponge: self.sponge.map(|s| (s, x_off, global_nx)),
+            clean_div_e_interval: self.config.clean_div_e_interval,
+            clean_div_b_interval: self.config.clean_div_b_interval,
+        };
+        let mut halo = RankHalo {
+            comm,
+            exchanger: &self.exchanger,
+        };
+        self.migrated += advance(domain, &mut halo, drive)?;
+        Ok(())
     }
 
     /// Deposit the charge density of every species into `fields.rho` with
     /// valid live entries everywhere: local deposit + periodic fold, then a
     /// ghost-plane fold into the owning neighbor on decomposed axes.
     pub fn refresh_rho(&mut self, comm: &mut Comm) -> Result<(), CommError> {
-        self.fields.clear_rho();
-        for sp in &self.species {
-            deposit_rho(&mut self.fields, &self.grid, sp.iter(), sp.q);
-        }
-        let g = self.grid.clone();
-        sync_rho(&mut self.fields, &g, bcs_of(&g));
-        self.exchanger.fold_scalar(comm, &mut self.fields.rho, &g)
+        let mut halo = RankHalo {
+            comm,
+            exchanger: &self.exchanger,
+        };
+        refresh_rho(&mut self.fields, &self.grid, &self.species, &mut halo)
     }
 
     /// `passes` distributed Marder passes on `E` (`E += κ∇(∇·E − ρ/ε0)`).
@@ -375,46 +261,26 @@ impl DistributedSim {
     /// the ghost planes the serial pass mirrors locally, so the cleaned
     /// field is identical to a single-domain run of the same pass count.
     pub fn marder_clean_e(&mut self, comm: &mut Comm, passes: u32) -> Result<(), CommError> {
-        let g = self.grid.clone();
-        let bcs = bcs_of(&g);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut run = |sim: &mut Self, scratch: &mut Vec<f32>| -> Result<(), CommError> {
-            for _ in 0..passes {
-                sim.exchanger
-                    .exchange_e_normal_low(comm, &mut sim.fields, &g)?;
-                compute_div_e_err(&sim.fields, &g, scratch);
-                mirror_div_e_err(scratch, &g, bcs);
-                sim.exchanger.exchange_scalar_high(comm, scratch, &g)?;
-                apply_marder_e(&mut sim.fields, &g, scratch);
-                sync_e(&mut sim.fields, &g, bcs);
-                sim.exchanger.exchange_e(comm, &mut sim.fields, &g)?;
-            }
-            Ok(())
+        let mut halo = RankHalo {
+            comm,
+            exchanger: &self.exchanger,
         };
-        let r = run(self, &mut scratch);
-        self.scratch = scratch;
-        r
+        for _ in 0..passes {
+            marder_pass_e(&mut self.fields, &self.grid, &mut self.scratch, &mut halo)?;
+        }
+        Ok(())
     }
 
     /// `passes` distributed Marder passes on `B` (`cB −= κ∇(∇·cB)`).
     pub fn marder_clean_b(&mut self, comm: &mut Comm, passes: u32) -> Result<(), CommError> {
-        let g = self.grid.clone();
-        let bcs = bcs_of(&g);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut run = |sim: &mut Self, scratch: &mut Vec<f32>| -> Result<(), CommError> {
-            for _ in 0..passes {
-                compute_div_b_err(&sim.fields, &g, scratch);
-                mirror_div_b_err(scratch, &g, bcs);
-                sim.exchanger.exchange_scalar_low(comm, scratch, &g)?;
-                apply_marder_b(&mut sim.fields, &g, scratch);
-                sync_b(&mut sim.fields, &g, bcs);
-                sim.exchanger.exchange_b(comm, &mut sim.fields, &g)?;
-            }
-            Ok(())
+        let mut halo = RankHalo {
+            comm,
+            exchanger: &self.exchanger,
         };
-        let r = run(self, &mut scratch);
-        self.scratch = scratch;
-        r
+        for _ in 0..passes {
+            marder_pass_b(&mut self.fields, &self.grid, &mut self.scratch, &mut halo)?;
+        }
+        Ok(())
     }
 
     /// One healing burst: fresh `rho` plus `passes_e`/`passes_b` Marder
@@ -445,24 +311,20 @@ impl DistributedSim {
         comm: &mut Comm,
         cfg: &SentinelConfig,
     ) -> Result<HealthSample, CommError> {
-        let g = self.grid.clone();
         if cfg.max_div_e_rms > 0.0 {
             self.refresh_rho(comm)?;
             self.exchanger
-                .exchange_e_normal_low(comm, &mut self.fields, &g)?;
+                .exchange_e_normal_low(comm, &mut self.fields, &self.grid)?;
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let s = sentinel::local_sample(
+        Ok(sentinel::local_sample(
             self.step_count,
             &self.fields,
-            &g,
+            &self.grid,
             &self.species,
             &self.accumulators,
             cfg,
-            &mut scratch,
-        );
-        self.scratch = scratch;
-        Ok(s)
+            &mut self.scratch,
+        ))
     }
 
     /// Global particle count.
@@ -543,58 +405,6 @@ mod tests {
     use super::*;
     use nanompi::run_expect;
     use vpic_core::sim::Simulation;
-
-    /// The distributed sponge must damp by *global* x position: each
-    /// rank's slab sees only its portion of the layer, and ghost planes
-    /// pick up exactly the factor the owning neighbor applies.
-    #[test]
-    fn sponge_damps_in_global_coordinates() {
-        let spec = DomainSpec::periodic((8, 2, 2), (0.5, 0.5, 0.5), 0.1, 2);
-        let lx = spec.local_cells().0;
-        assert_eq!(lx, 4, "expected an x-decomposed 2-rank split");
-        let sponge = Sponge::symmetric(2, 0.5);
-        let sims: Vec<DistributedSim> = (0..2)
-            .map(|rank| {
-                let mut sim = DistributedSim::new(spec.clone(), rank, 1);
-                sim.sponge = Some(sponge);
-                for v in sim.fields.ey.iter_mut() {
-                    *v = 1.0;
-                }
-                let g = sim.grid.clone();
-                sim.apply_sponge(&g);
-                sim
-            })
-            .collect();
-
-        let g = sims[0].grid.clone();
-        // Rank 0 holds global planes 1–4: plane 1 is the wall, planes 3–4
-        // sit outside the 2-cell layer.
-        assert_eq!(
-            sims[0].fields.ey[g.voxel(1, 1, 1)],
-            sponge.factor(1, 8),
-            "wall plane"
-        );
-        assert_eq!(sims[0].fields.ey[g.voxel(3, 1, 1)], 1.0, "interior");
-        assert_eq!(sims[0].fields.ey[g.voxel(4, 1, 1)], 1.0, "interior");
-        // Rank 1 holds global planes 5–8: local plane 4 is the high wall.
-        assert_eq!(sims[1].fields.ey[g.voxel(1, 1, 1)], 1.0, "interior");
-        assert_eq!(
-            sims[1].fields.ey[g.voxel(4, 1, 1)],
-            sponge.factor(8, 8),
-            "high wall"
-        );
-        // Rank 1's low ghost (global plane 4) matches rank 0's live
-        // plane 4 — ghosts stay bit-consistent without an exchange.
-        assert_eq!(
-            sims[1].fields.ey[g.voxel(0, 1, 1)],
-            sims[0].fields.ey[g.voxel(4, 1, 1)]
-        );
-        // And rank 0's high ghost (global 5) matches rank 1's live plane 1.
-        assert_eq!(
-            sims[0].fields.ey[g.voxel(5, 1, 1)],
-            sims[1].fields.ey[g.voxel(1, 1, 1)]
-        );
-    }
 
     /// A ballistic particle crossing rank boundaries must follow the exact
     /// same trajectory as in an equivalent single-domain run.

@@ -16,8 +16,8 @@
 //! * [`campaign`] — the fault-tolerant campaign runtime: periodic
 //!   CRC-protected (optionally compressed and write-throttled)
 //!   checkpoints on a fixed or Young/Daly-auto schedule, global health
-//!   checks, and automatic recovery — whole-world rollback or hot-spare
-//!   rank replacement — with bounded retries and graceful degradation;
+//!   checks, and automatic whole-world rollback recovery with bounded
+//!   retries and graceful degradation;
 //! * [`sweepjob`] — distributed campaigns as WAL-journaled sweep jobs,
 //!   sharing the reflectivity-sweep service's job-queue state machine
 //!   (leases, retry/backoff, quarantine, exactly-once results).
@@ -32,14 +32,14 @@ pub mod sweepjob;
 
 pub use campaign::{
     rejoin_campaign, run_campaign, run_campaign_with, CampaignConfig, CampaignDrive, CampaignEnd,
-    CampaignError, CampaignOutcome, CheckpointPolicy, RecoveryEvent, RecoveryMode,
+    CampaignError, CampaignOutcome, CheckpointPolicy, RecoveryEvent,
 };
 pub use dcheckpoint::{
     dump_rank_bytes, load_rank, load_rank_from_path, save_rank, save_rank_to_path, save_rank_with,
-    spec_fingerprint, write_bytes_atomic,
+    spec_fingerprint,
 };
 pub use decomposition::DomainSpec;
-pub use dsim::{DistTimings, DistributedSim};
+pub use dsim::DistributedSim;
 pub use exchange::GhostExchanger;
 pub use migrate::{migrate_species, transform_to_receiver, Migrant};
 pub use sweepjob::{launch_world, JobJournal, JobResult, JobVerdict, SweepJobError};

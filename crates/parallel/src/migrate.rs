@@ -154,11 +154,7 @@ pub fn migrate_species(
         debug_assert!(neighbors[ex.face].is_some(), "exile through a wall face");
         outgoing[ex.face].push(Migrant { p, m: ex.mover });
     }
-    let mut idxs: Vec<u32> = exiles.iter().map(|e| e.idx).collect();
-    idxs.sort_unstable_by(|a, b| b.cmp(a));
-    for idx in idxs {
-        sp.swap_remove(idx as usize);
-    }
+    sp.remove_exiles(&exiles);
 
     let mut sent_total = 0u64;
     loop {

@@ -81,7 +81,7 @@ where
 pub struct JobResult {
     /// Total sim steps executed, including replayed ones.
     pub steps_run: u64,
-    /// Rollback/hot-spare recoveries survived on the way.
+    /// Rollback recoveries survived on the way.
     pub recoveries: u64,
     /// Largest `max/mean` particle-count imbalance observed.
     pub peak_imbalance: f64,
@@ -376,7 +376,6 @@ mod tests {
             heals: Vec::new(),
             peak_imbalance: 1.0,
             effective_interval: 4,
-            finished_by: std::thread::current().id(),
         }
     }
 

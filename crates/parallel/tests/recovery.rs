@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 use vpic_core::maxwellian::Momentum;
 use vpic_core::species::Species;
-use vpic_parallel::campaign::{run_campaign, CampaignConfig, CampaignEnd, RecoveryMode};
+use vpic_parallel::campaign::{run_campaign, CampaignConfig, CampaignEnd};
 use vpic_parallel::decomposition::DomainSpec;
 use vpic_parallel::dsim::DistributedSim;
 
@@ -40,18 +40,9 @@ fn campaign_snapshot(
     comm: &mut nanompi::Comm,
     dir: &std::path::Path,
 ) -> (Snapshot, vpic_parallel::campaign::CampaignOutcome) {
-    campaign_snapshot_mode(comm, dir, RecoveryMode::Rollback)
-}
-
-fn campaign_snapshot_mode(
-    comm: &mut nanompi::Comm,
-    dir: &std::path::Path,
-    mode: RecoveryMode,
-) -> (Snapshot, vpic_parallel::campaign::CampaignOutcome) {
     let cfg = CampaignConfig::new(STEPS, 4, dir)
         .with_op_timeout(Duration::from_millis(500))
-        .with_health_interval(2)
-        .with_recovery(mode);
+        .with_health_interval(2);
     let (sim, outcome) = run_campaign(comm, build_sim(comm.rank()), &cfg).unwrap();
     let snap = (
         sim.step_count,
@@ -113,96 +104,6 @@ fn killed_rank_recovers_and_matches_uninterrupted_run() {
     assert!(
         contents.contains("restored_step="),
         "log has no restore record: {contents}"
-    );
-
-    let _ = std::fs::remove_dir_all(&clean_dir);
-    let _ = std::fs::remove_dir_all(&fault_dir);
-}
-
-#[test]
-fn hot_spare_replaces_killed_rank_and_matches_uninterrupted_run() {
-    let clean_dir = temp_dir("hotspare_clean");
-    let fault_dir = temp_dir("hotspare_fault");
-
-    // Reference: no faults (hot-spare mode changes nothing on a clean run).
-    let (clean, _) = nanompi::run(RANKS, |comm| {
-        let (snap, outcome) =
-            campaign_snapshot_mode(comm, &clean_dir.join("_0"), RecoveryMode::HotSpare);
-        assert!(matches!(outcome.end, CampaignEnd::Completed));
-        assert!(outcome.recoveries.is_empty());
-        assert_eq!(
-            outcome.finished_by,
-            std::thread::current().id(),
-            "no fault, yet a spare thread finished the campaign"
-        );
-        snap
-    });
-
-    // Rank 2 is killed at step 6. In hot-spare mode its worker thread must
-    // never step the sim again: a freshly spawned replacement adopts the
-    // endpoint, restores from the step-4 checkpoint, and finishes.
-    let plan = nanompi::FaultPlan::new(1).kill(2, 6);
-    let (faulted, _) = nanompi::run_with_faults(RANKS, Some(plan), |comm| {
-        let victim = comm.rank() == 2;
-        let worker = std::thread::current().id();
-        let (snap, outcome) =
-            campaign_snapshot_mode(comm, &fault_dir.join("_0"), RecoveryMode::HotSpare);
-        assert!(
-            matches!(outcome.end, CampaignEnd::Completed),
-            "campaign did not complete"
-        );
-        assert!(!outcome.recoveries.is_empty());
-        if victim {
-            assert_ne!(
-                outcome.finished_by, worker,
-                "victim's own thread finished the campaign — it was revived, not replaced"
-            );
-            assert!(
-                outcome.recoveries.iter().any(|ev| ev.hot_spare),
-                "victim recorded no hot-spare hand-off: {:?}",
-                outcome.recoveries
-            );
-        } else {
-            assert_eq!(
-                outcome.finished_by, worker,
-                "survivor lost its campaign to a spare thread"
-            );
-            assert!(
-                outcome.recoveries.iter().all(|ev| !ev.hot_spare),
-                "survivor recorded a hot-spare event: {:?}",
-                outcome.recoveries
-            );
-        }
-        // Post-campaign collectives still work from the original worker
-        // thread (the victim readopted its endpoint from the spare).
-        let total = comm.allreduce_sum(1.0).unwrap();
-        assert_eq!(total, RANKS as f64);
-        snap
-    });
-
-    for rank in 0..RANKS {
-        let a = clean[rank].as_ref().expect("clean rank ok");
-        let b = faulted[rank].as_ref().expect("faulted rank ok");
-        assert_eq!(a.0, STEPS, "clean run did not finish");
-        assert_eq!(b.0, STEPS, "hot-spare run did not finish");
-        assert_eq!(
-            a.1, b.1,
-            "rank {rank}: particles differ after hot-spare recovery"
-        );
-        assert_eq!(a.2, b.2, "rank {rank}: ex fields differ");
-        assert_eq!(a.3, b.3, "rank {rank}: ey fields differ");
-    }
-
-    // The hand-off was logged on disk.
-    let log = fault_dir.join("_0").join("recovery_r0002.log");
-    let contents = std::fs::read_to_string(&log).expect("recovery log written");
-    assert!(
-        contents.contains("action=hot_spare"),
-        "log has no hand-off record: {contents}"
-    );
-    assert!(
-        contents.contains("hot_spare=1"),
-        "no spare restore: {contents}"
     );
 
     let _ = std::fs::remove_dir_all(&clean_dir);

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate for the workspace: build, tests, formatting, lints.
+# Tier-1 gate for the workspace: build, every package's tests,
+# formatting, lints.
 # Run from the repository root:  bash scripts/ci.sh
 #
 # Pass "soak" (or set CI_SOAK=1) to additionally run the seeded fault-soak
@@ -25,10 +26,10 @@
 # oracle, including the deferred-scatter batch cases), the lane-math unit
 # suite, the determinism matrix, the adaptive-sort-cadence determinism and
 # checkpoint round-trip suites, and the fault-injected SRS rollback matrix
-# at 1/2/4/8 pipelines — all with debug assertions on — then a bench
-# smoke that asserts the lane kernel is at least as fast as the scalar
-# body it replaced and that the auto cadence is at least on par with the
-# historical fixed-25 default.
+# (AoS oracle vs AoSoA at 1/2/4/8 pipelines) — all with debug assertions
+# on — then a bench smoke that asserts the lane kernel is at least as fast
+# as the scalar body it replaced and that the auto cadence is at least on
+# par with the historical fixed-25 default.
 #
 # Pass "sweep" (or set CI_SWEEP=1) to run the reflectivity-sweep-service
 # lane: the WAL corruption matrix, the job-queue state machine, the
@@ -45,8 +46,8 @@
 #
 # Pass "diag" (or set CI_DIAG=1) to run the diagnostics-pipeline lane:
 # the bounded-queue/engine unit and property suites, the [diag] deck
-# knobs, the sync-vs-async artifact bit-identity matrix (layout x kernel
-# x 1/2/4/8 pipelines) with the kill-mid-measurement campaign replay,
+# knobs, the sync-vs-async artifact bit-identity matrix (layout x
+# 1/2/4/8 pipelines) with the kill-mid-measurement campaign replay,
 # and a default-size e2 bench pair asserting async diagnostics cost
 # ≤ 3% of diagnostics-off step throughput.
 #
@@ -65,8 +66,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -195,7 +196,7 @@ if [[ "${1:-}" == "diag" || "${CI_DIAG:-0}" == "1" ]]; then
     # The `diag = off|sync|async` global and the [diag] section knobs.
     cargo test --release -p vpic --lib diag
     # The contract tests: sync-vs-async artifact bit-identity across
-    # layout x kernel x pipeline count, and a seeded kill mid-measurement
+    # layout x pipeline count, and a seeded kill mid-measurement
     # whose rollback replay must not double-count a single sample.
     cargo test --release --test diag_pipeline
     # Bench smoke at the default e2 size (tiny grids are noise-bound and
@@ -265,11 +266,10 @@ if [[ "${1:-}" == "kernel" || "${CI_KERNEL:-0}" == "1" ]]; then
     # zero-crosser sort skip.
     cargo test --release -p vpic-core --lib cadence
     cargo test --release -p vpic-core --test cadence
-    # The `kernel = scalar|lane` deck knob, and the fault-injected SRS
-    # rollback matrix: a NaN upset mid-campaign must recover onto the
-    # same bits under every kernel/pipeline combination.
-    cargo test --release -p vpic --lib kernel_knob
-    cargo test --release --test srs_soak lane_kernel
+    # The fault-injected SRS rollback matrix: a NaN upset mid-campaign
+    # must recover onto the same bits on the AoS oracle and the AoSoA
+    # lane kernel at every pipeline count.
+    cargo test --release --test srs_soak srs_layout_matrix
     # Bench smoke: both kernels and both cadences on the same grid,
     # schema + oracle cross-check, then the speedup gate (lane >= scalar)
     # and the cadence gate (auto >= 0.97x fixed-25, same-file records).

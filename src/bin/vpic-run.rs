@@ -38,7 +38,6 @@ use vpic::deck::{build, BuiltRun, Deck};
 use vpic::diag::{write_field_line_x, write_series, EnergyLogger};
 use vpic::parallel::campaign::{
     rejoin_campaign, run_campaign_with, CampaignEnd, CampaignOutcome, CheckpointPolicy,
-    RecoveryMode,
 };
 use vpic::parallel::{dump_rank_bytes, spec_fingerprint};
 
@@ -140,14 +139,13 @@ fn run(deck_path: &str, out_dir: &str, cli: &Cli) -> Result<(), Box<dyn std::err
     match built {
         BuiltRun::Plasma(mut sim) => {
             println!(
-                "plasma run: {} cells, {} particles, {} steps, {} pipelines, {} rayon threads, {} layout, {} kernel",
+                "plasma run: {} cells, {} particles, {} steps, {} pipelines, {} rayon threads, {} layout",
                 sim.grid.n_live(),
                 sim.n_particles(),
                 steps,
                 sim.accumulators.n_pipelines(),
                 vpic::core::worker_threads(),
-                sim.layout(),
-                sim.kernel()
+                sim.layout()
             );
             let names: Vec<String> = sim.species.iter().map(|s| s.name.clone()).collect();
             let mut elog = EnergyLogger::new(
@@ -174,7 +172,7 @@ fn run(deck_path: &str, out_dir: &str, cli: &Cli) -> Result<(), Box<dyn std::err
         }
         BuiltRun::Lpi(mut run) => {
             println!(
-                "LPI run: a0 = {}, n/ncr = {}, {} particles, {} steps, {} pipelines, {} rayon threads, {} layout, {} kernel, {} diag",
+                "LPI run: a0 = {}, n/ncr = {}, {} particles, {} steps, {} pipelines, {} rayon threads, {} layout, {} diag",
                 run.params.a0,
                 run.params.n_over_ncr,
                 run.sim.n_particles(),
@@ -182,7 +180,6 @@ fn run(deck_path: &str, out_dir: &str, cli: &Cli) -> Result<(), Box<dyn std::err
                 run.sim.accumulators.n_pipelines(),
                 vpic::core::worker_threads(),
                 run.sim.layout(),
-                run.sim.kernel(),
                 run.params.diag.mode.as_str()
             );
             // Streaming artifacts (progress.json) land next to the TSVs.
@@ -476,16 +473,12 @@ fn run_campaign_deck(
         ),
     };
     println!(
-        "campaign run: {} ranks, {} steps, checkpoint {} into {}{}{}",
+        "campaign run: {} ranks, {} steps, checkpoint {} into {}{}",
         setup.ranks,
         cfg.steps,
         cadence,
         cfg.checkpoint_dir.display(),
-        if cfg.compress { ", compressed" } else { "" },
-        match cfg.recovery {
-            RecoveryMode::HotSpare => ", hot-spare recovery",
-            RecoveryMode::Rollback => "",
-        }
+        if cfg.compress { ", compressed" } else { "" }
     );
     if let Some(bps) = cfg.write_throttle_bps {
         println!(
@@ -698,7 +691,7 @@ fn report_outcome(summary: &mut fs::File, outcome: &CampaignOutcome) -> std::io:
             ev.at_step,
             ev.cause,
             ev.restored_step,
-            if ev.hot_spare { " (hot spare)" } else { "" }
+            if ev.rejoined { " (rejoined)" } else { "" }
         );
     }
     Ok(())

@@ -37,9 +37,8 @@
 //! `checkpoint_interval` steps (or on the Young/Daly optimum with
 //! `checkpoint_interval = auto`, tuned by `mtbi_seconds` and
 //! `auto_min_interval`/`auto_max_interval`), health-checked, and
-//! automatically recovered on failure — by whole-world rollback or, with
-//! `recovery = hot_spare`, by handing the dead rank to a replacement
-//! thread. Dumps honour `compress = true|false` and an optional
+//! automatically recovered on failure by whole-world rollback. Dumps
+//! honour `compress = true|false` and an optional
 //! `checkpoint_write_mbps` throttle. Fault-injection knobs
 //! (`kill_rank`/`kill_step`, `drop_prob`, `fault_seed`) exercise the
 //! recovery path on purpose.
@@ -79,13 +78,13 @@ use vpic_core::sentinel::{
 };
 use vpic_core::{
     load_juttner, load_two_stream, load_uniform, FieldArray, Grid, Layout, Momentum, ParticleBc,
-    PushKernel, Rng, Simulation, SortPolicy, Species, Sponge,
+    Rng, Simulation, SortPolicy, Species, Sponge,
 };
 use vpic_diag::{Backpressure, DiagConfig, DiagMode};
 use vpic_lpi::{
     LaserAntenna, LpiCampaignConfig, LpiParams, LpiRun, Polarization, SweepConfig, SweepGrid,
 };
-use vpic_parallel::campaign::{CampaignConfig, CheckpointPolicy, RecoveryMode};
+use vpic_parallel::campaign::{CampaignConfig, CheckpointPolicy};
 use vpic_parallel::{DistributedSim, DomainSpec};
 
 /// A parsed deck: sections of key → value.
@@ -355,8 +354,6 @@ pub struct CampaignSetup {
     pub pipelines: usize,
     /// Particle storage layout on every rank.
     pub layout: Layout,
-    /// AoSoA push kernel on every rank (bit-identical either way).
-    pub kernel: PushKernel,
     /// Sort cadence on every rank's species. Cadence decisions feed only
     /// on deterministic counters, so `auto` keeps rollback replay exact.
     pub sort: SortPolicy,
@@ -365,8 +362,6 @@ pub struct CampaignSetup {
     /// Checkpoint schedule: a fixed step interval or the Young/Daly
     /// auto mode.
     pub checkpoint: CheckpointPolicy,
-    /// How killed ranks come back (rollback or hot-spare replacement).
-    pub recovery: RecoveryMode,
     /// Allow delta+RLE compression of dump sections.
     pub compress: bool,
     /// Checkpoint write throttle, bytes/second.
@@ -404,7 +399,6 @@ impl CampaignSetup {
     pub fn build_rank(&self, rank: usize) -> DistributedSim {
         let mut sim = DistributedSim::new(self.spec.clone(), rank, self.pipelines);
         sim.set_layout(self.layout);
-        sim.set_kernel(self.kernel);
         for sp in &self.species {
             let si = sim.add_species(
                 Species::new(&sp.name, sp.charge, sp.mass).with_sort_policy(self.sort),
@@ -458,7 +452,6 @@ impl CampaignSetup {
             .unwrap_or_else(|| fallback.join("checkpoints"));
         let mut cfg = CampaignConfig::new(self.steps, 0, dir)
             .with_checkpoint_policy(self.checkpoint)
-            .with_recovery(self.recovery)
             .with_compression(self.compress)
             .with_write_throttle(self.checkpoint_write_bps)
             .with_max_recoveries(self.max_recoveries)
@@ -670,17 +663,6 @@ fn parse_layout(deck: &Deck) -> Result<Layout, DeckError> {
     }
 }
 
-/// Global `kernel = scalar|lane` knob selecting the AoSoA push body
-/// (default lane — the production kernel). Bit-identical by contract, so
-/// this is an ablation/diagnosis switch, not a physics knob.
-fn parse_kernel(deck: &Deck) -> Result<PushKernel, DeckError> {
-    match deck.globals.get("kernel") {
-        None => Ok(PushKernel::default()),
-        Some(v) => PushKernel::parse(v)
-            .ok_or_else(|| err(format!("kernel must be scalar or lane, got {v}"))),
-    }
-}
-
 /// Global `sort_interval = auto|<n>` knob selecting the per-species sort
 /// cadence (default the historical fixed 25; `0` disables sorting;
 /// `auto` arms the coherence-driven controller). Accepts both
@@ -701,8 +683,8 @@ fn parse_sort_policy(deck: &Deck) -> Result<SortPolicy, DeckError> {
 /// (`mode`, `cadence`, `queue_depth`, `decimation`, `series_cap`,
 /// `backpressure = block|drop`). `sync` keeps the inline oracle path;
 /// `async` hands snapshots to the bounded-queue worker — bit-identical
-/// artifacts by contract, so like `kernel` this is a performance knob,
-/// not a physics knob.
+/// artifacts by contract, so this is a performance knob, not a physics
+/// knob.
 fn parse_diag(deck: &Deck) -> Result<DiagConfig, DeckError> {
     let mut cfg = DiagConfig::default();
     if let Some(v) = deck.globals.get("diag") {
@@ -865,15 +847,6 @@ fn build_campaign(deck: &Deck) -> Result<CampaignSetup, DeckError> {
             CheckpointPolicy::Fixed(interval)
         }
     };
-    let recovery = match ckv.get("recovery").map(String::as_str) {
-        None | Some("rollback") => RecoveryMode::Rollback,
-        Some("hot_spare") => RecoveryMode::HotSpare,
-        Some(other) => {
-            return Err(err(format!(
-                "campaign.recovery must be rollback or hot_spare, got {other}"
-            )))
-        }
-    };
     let compress = match ckv.get("compress").map(String::as_str) {
         None | Some("true") => true,
         Some("false") => false,
@@ -942,11 +915,9 @@ fn build_campaign(deck: &Deck) -> Result<CampaignSetup, DeckError> {
         seed: deck.seed(),
         pipelines: get_usize(&deck.globals, "pipelines", 1)?,
         layout: parse_layout(deck)?,
-        kernel: parse_kernel(deck)?,
         sort: parse_sort_policy(deck)?,
         steps,
         checkpoint,
-        recovery,
         compress,
         checkpoint_write_bps,
         dir: ckv.get("dir").map(PathBuf::from),
@@ -1007,7 +978,6 @@ fn build_plasma(deck: &Deck) -> Result<Simulation, DeckError> {
     let pipelines = get_usize(&deck.globals, "pipelines", 1)?;
     let mut sim = Simulation::new(grid, pipelines);
     sim.set_layout(parse_layout(deck)?);
-    sim.set_kernel(parse_kernel(deck)?);
     let sort = parse_sort_policy(deck)?;
 
     let species = deck.sections_with_prefix("species");
@@ -1071,7 +1041,6 @@ fn build_lpi(deck: &Deck) -> Result<LpiRun, DeckError> {
         ion_mass: get_f32(kv, "ion_mass")?,
         ti_over_te: req_f32(kv, "ti_over_te", defaults.ti_over_te)?,
         layout: parse_layout(deck)?,
-        kernel: parse_kernel(deck)?,
         sort: parse_sort_policy(deck)?,
         diag: parse_diag(deck)?,
     };
@@ -1250,7 +1219,6 @@ kill_step = 6
         assert_eq!(setup.ranks, 4);
         assert_eq!(setup.steps, 12);
         assert_eq!(setup.checkpoint, CheckpointPolicy::Fixed(4));
-        assert_eq!(setup.recovery, RecoveryMode::Rollback);
         assert!(setup.compress);
         assert_eq!(setup.checkpoint_write_bps, None);
         assert_eq!(setup.max_recoveries, 2);
@@ -1274,19 +1242,18 @@ kill_step = 6
     }
 
     #[test]
-    fn campaign_auto_interval_and_recovery_knobs() {
+    fn campaign_auto_interval_and_dump_knobs() {
         let auto = CAMPAIGN_DECK
             .replace("checkpoint_interval = 4", "checkpoint_interval = auto")
             .replace(
                 "max_recoveries = 2",
                 "max_recoveries = 2\nmtbi_seconds = 1800\nauto_min_interval = 2\n\
-                 auto_max_interval = 50\nrecovery = hot_spare\ncompress = false\n\
+                 auto_max_interval = 50\ncompress = false\n\
                  checkpoint_write_mbps = 8",
             );
         let BuiltRun::Campaign(setup) = build(&Deck::parse(&auto).unwrap()).unwrap() else {
             panic!("wrong kind")
         };
-        assert_eq!(setup.recovery, RecoveryMode::HotSpare);
         assert!(!setup.compress);
         assert_eq!(setup.checkpoint_write_bps, Some(8_000_000));
         let CheckpointPolicy::Auto {
@@ -1316,10 +1283,6 @@ kill_step = 6
 
         // Bad knobs are rejected loudly.
         for (from, to) in [
-            (
-                "max_recoveries = 2",
-                "max_recoveries = 2\nrecovery = quantum",
-            ),
             ("max_recoveries = 2", "max_recoveries = 2\ncompress = maybe"),
             (
                 "max_recoveries = 2",
@@ -1552,31 +1515,6 @@ corrupt_count = 4
         assert_eq!(run.sim.layout(), Layout::Aosoa);
 
         let bad = "kind = plasma\nlayout = soa\n[grid]\ncells = 2 2 2\n[species.e]\nppc = 1";
-        assert!(build(&Deck::parse(bad).unwrap()).is_err());
-    }
-
-    #[test]
-    fn kernel_knob_selects_push_body_and_rejects_junk() {
-        let text = "kind = plasma\nkernel = scalar\n[grid]\ncells = 4 2 2\n[species.e]\nppc = 8";
-        let BuiltRun::Plasma(sim) = build(&Deck::parse(text).unwrap()).unwrap() else {
-            panic!("wrong kind")
-        };
-        assert_eq!(sim.kernel(), PushKernel::Scalar);
-
-        // Default is the production lane kernel; LPI decks honour it too.
-        let text = "kind = plasma\n[grid]\ncells = 2 2 2\n[species.e]\nppc = 1";
-        let BuiltRun::Plasma(sim) = build(&Deck::parse(text).unwrap()).unwrap() else {
-            panic!("wrong kind")
-        };
-        assert_eq!(sim.kernel(), PushKernel::Lane);
-        let text = "kind = lpi\nkernel = scalar\n[laser]\na0 = 0.01";
-        let BuiltRun::Lpi(run) = build(&Deck::parse(text).unwrap()).unwrap() else {
-            panic!("wrong kind")
-        };
-        assert_eq!(run.sim.kernel(), PushKernel::Scalar);
-        assert_eq!(run.params.kernel, PushKernel::Scalar);
-
-        let bad = "kind = plasma\nkernel = avx\n[grid]\ncells = 2 2 2\n[species.e]\nppc = 1";
         assert!(build(&Deck::parse(bad).unwrap()).is_err());
     }
 

@@ -4,18 +4,15 @@
 //! The soak (`#[ignore]`d; run it in release with
 //! `cargo test --release -- --ignored`) generates 32 random fault plans
 //! from fixed seeds — kills, random drops, delays, duplicates and payload
-//! corruptions — and throws each at a 4-rank campaign, alternating
-//! between rollback and hot-spare recovery. Every run must terminate
-//! within its deadline and either complete bit-identically to the
-//! fault-free reference (pipelines = 1) or degrade gracefully to a
+//! corruptions — and throws each at a 4-rank campaign. Every run must
+//! terminate within its deadline and either complete bit-identically to
+//! the fault-free reference (pipelines = 1) or degrade gracefully to a
 //! partial dump. No hangs, no panics, no unrecoverable errors.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use vpic::core::{Momentum, Species};
-use vpic::parallel::campaign::{
-    run_campaign, CampaignConfig, CampaignEnd, CampaignOutcome, RecoveryMode,
-};
+use vpic::parallel::campaign::{run_campaign, CampaignConfig, CampaignEnd, CampaignOutcome};
 use vpic::parallel::dcheckpoint::{dump_rank_bytes, load_rank};
 use vpic::parallel::{DistributedSim, DomainSpec};
 
@@ -41,12 +38,11 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn soak_config(dir: &std::path::Path, mode: RecoveryMode) -> CampaignConfig {
+fn soak_config(dir: &std::path::Path) -> CampaignConfig {
     CampaignConfig::new(STEPS, 3, dir)
         .with_op_timeout(Duration::from_millis(150))
         .with_health_interval(2)
         .with_max_recoveries(5)
-        .with_recovery(mode)
 }
 
 /// Per-rank final state for exact comparison.
@@ -112,7 +108,7 @@ fn reference() -> Vec<Snapshot> {
     let (results, _) = nanompi::run_expect(RANKS, {
         let dir = dir.clone();
         move |comm| {
-            let cfg = soak_config(&dir, RecoveryMode::Rollback);
+            let cfg = soak_config(&dir);
             let (sim, outcome) = run_campaign(comm, build_sim(comm.rank()), &cfg).unwrap();
             assert!(matches!(outcome.end, CampaignEnd::Completed));
             snapshot(&sim)
@@ -130,17 +126,12 @@ fn seeded_fault_soak_recovers_or_degrades_gracefully() {
     let mut degraded = 0usize;
     for seed in 0..SOAK_PLANS {
         let plan = random_plan(seed);
-        let mode = if seed.is_multiple_of(2) {
-            RecoveryMode::HotSpare
-        } else {
-            RecoveryMode::Rollback
-        };
         let dir = temp_dir(&format!("plan{seed}"));
         let t0 = Instant::now();
         let (results, _) = nanompi::run_with_faults(RANKS, Some(plan), {
             let dir = dir.clone();
             move |comm| {
-                let cfg = soak_config(&dir, mode);
+                let cfg = soak_config(&dir);
                 let (sim, outcome) = run_campaign(comm, build_sim(comm.rank()), &cfg)
                     .map_err(|e| format!("unrecoverable: {e}"))?;
                 Ok::<_, String>((outcome, snapshot(&sim)))
@@ -149,19 +140,14 @@ fn seeded_fault_soak_recovers_or_degrades_gracefully() {
         let elapsed = t0.elapsed();
         assert!(
             elapsed < PLAN_DEADLINE,
-            "plan {seed} ({mode:?}) blew its deadline: {elapsed:?}"
+            "plan {seed} blew its deadline: {elapsed:?}"
         );
 
         let mut outcomes: Vec<(CampaignOutcome, Snapshot)> = Vec::new();
         for (rank, res) in results.into_iter().enumerate() {
-            let res = res.unwrap_or_else(|p| {
-                panic!(
-                    "plan {seed} ({mode:?}): rank {rank} panicked: {}",
-                    p.message
-                )
-            });
-            let ok = res
-                .unwrap_or_else(|e| panic!("plan {seed} ({mode:?}): rank {rank} failed hard: {e}"));
+            let res =
+                res.unwrap_or_else(|p| panic!("plan {seed}: rank {rank} panicked: {}", p.message));
+            let ok = res.unwrap_or_else(|e| panic!("plan {seed}: rank {rank} failed hard: {e}"));
             outcomes.push(ok);
         }
         let all_completed = outcomes
@@ -172,7 +158,7 @@ fn seeded_fault_soak_recovers_or_degrades_gracefully() {
             for (rank, (_, snap)) in outcomes.iter().enumerate() {
                 assert_eq!(
                     snap, &clean[rank],
-                    "plan {seed} ({mode:?}): rank {rank} completed but diverged \
+                    "plan {seed}: rank {rank} completed but diverged \
                      from the fault-free reference"
                 );
             }
@@ -182,7 +168,7 @@ fn seeded_fault_soak_recovers_or_degrades_gracefully() {
                 if let CampaignEnd::Degraded { partial_dump, .. } = &o.end {
                     assert!(
                         partial_dump.exists(),
-                        "plan {seed} ({mode:?}): rank {rank} degraded without a \
+                        "plan {seed}: rank {rank} degraded without a \
                          partial dump at {partial_dump:?}"
                     );
                 }

@@ -1,9 +1,8 @@
 //! Diagnostics pipeline contract tests: the async (worker-thread) sink
 //! must produce science artifacts byte-identical to the sync oracle at
-//! every pipeline count, across particle layouts and push kernels, and
+//! every pipeline count and on both particle layouts, and
 //! a kill + rollback mid-campaign must never double-count a sample.
 
-use vpic::core::push::PushKernel;
 use vpic::core::store::Layout;
 use vpic::diag::{DiagConfig, DiagMode};
 use vpic::lpi::{run_lpi_campaign, LpiCampaignConfig, LpiCampaignEnd, LpiParams, LpiRun};
@@ -11,7 +10,7 @@ use vpic::nanompi::FaultPlan;
 
 /// A short-transit SRS slab: small sponges and vacuum gaps keep
 /// `measure_after` low so CI-sized runs collect a real sample window.
-fn short_params(mode: DiagMode, layout: Layout, kernel: PushKernel, pipelines: usize) -> LpiParams {
+fn short_params(mode: DiagMode, layout: Layout, pipelines: usize) -> LpiParams {
     LpiParams {
         flat: 2.0,
         ramp: 1.0,
@@ -22,7 +21,6 @@ fn short_params(mode: DiagMode, layout: Layout, kernel: PushKernel, pipelines: u
         sponge_cells: 8,
         ramp_periods: 1.0,
         layout,
-        kernel,
         pipelines,
         diag: DiagConfig {
             mode,
@@ -41,10 +39,9 @@ fn short_params(mode: DiagMode, layout: Layout, kernel: PushKernel, pipelines: u
 fn diag_artifacts(
     mode: DiagMode,
     layout: Layout,
-    kernel: PushKernel,
     pipelines: usize,
 ) -> (String, Vec<(u64, u64)>, Vec<u64>) {
-    let mut run = LpiRun::new(short_params(mode, layout, kernel, pipelines));
+    let mut run = LpiRun::new(short_params(mode, layout, pipelines));
     let steps = run.measure_after + 160;
     run.run(steps);
     let (engine, stats) = run.diag_finish();
@@ -72,21 +69,17 @@ fn diag_artifacts(
     (progress, spectrum, sg)
 }
 
-/// The tentpole contract: at every (layout, kernel, pipelines) point the
-/// async pipeline's artifacts carry exactly the bits the sync oracle
-/// produces — offloading the spectra must not change a single ULP.
+/// The tentpole contract: at every (layout, pipelines) point — the AoS
+/// oracle and the AoSoA production store — the async pipeline's artifacts
+/// carry exactly the bits the sync oracle produces: offloading the spectra
+/// must not change a single ULP.
 #[test]
-fn async_matches_sync_across_layout_kernel_and_pipelines() {
-    let combos = [
-        (Layout::Aos, PushKernel::Scalar),
-        (Layout::Aosoa, PushKernel::Scalar),
-        (Layout::Aosoa, PushKernel::Lane),
-    ];
-    for (layout, kernel) in combos {
+fn async_matches_sync_across_layout_and_pipelines() {
+    for layout in [Layout::Aos, Layout::Aosoa] {
         for pipelines in [1usize, 2, 4, 8] {
-            let tag = format!("{layout:?}/{kernel:?}/p{pipelines}");
-            let sync = diag_artifacts(DiagMode::Sync, layout, kernel, pipelines);
-            let asy = diag_artifacts(DiagMode::Async, layout, kernel, pipelines);
+            let tag = format!("{layout:?}/p{pipelines}");
+            let sync = diag_artifacts(DiagMode::Sync, layout, pipelines);
+            let asy = diag_artifacts(DiagMode::Async, layout, pipelines);
             assert_eq!(sync.0, asy.0, "{tag}: progress.json diverged");
             assert_eq!(sync.1, asy.1, "{tag}: spectrum bits diverged");
             assert_eq!(sync.2, asy.2, "{tag}: spectrogram bits diverged");
@@ -109,12 +102,7 @@ fn campaign_cfg(dir: &std::path::Path, steps: u64, interval: u64) -> LpiCampaign
 /// double-counting across the replayed window.
 #[test]
 fn killed_async_campaign_replays_without_double_counting() {
-    let probe = LpiRun::new(short_params(
-        DiagMode::Sync,
-        Layout::default(),
-        PushKernel::default(),
-        1,
-    ));
+    let probe = LpiRun::new(short_params(DiagMode::Sync, Layout::default(), 1));
     let measure_after = probe.measure_after;
     drop(probe);
     let steps = measure_after + 120;
@@ -129,7 +117,7 @@ fn killed_async_campaign_replays_without_double_counting() {
     let dir_sync = std::env::temp_dir().join("diag_pipe_camp_sync");
     let _ = std::fs::remove_dir_all(&dir_sync);
     let clean = run_lpi_campaign(
-        short_params(DiagMode::Sync, Layout::default(), PushKernel::default(), 1),
+        short_params(DiagMode::Sync, Layout::default(), 1),
         &campaign_cfg(&dir_sync, steps, interval),
     )
     .unwrap();
@@ -139,11 +127,8 @@ fn killed_async_campaign_replays_without_double_counting() {
     let _ = std::fs::remove_dir_all(&dir_async);
     let mut cfg = campaign_cfg(&dir_async, steps, interval);
     cfg.fault_plan = Some(FaultPlan::new(11).kill(0, kill_at));
-    let faulted = run_lpi_campaign(
-        short_params(DiagMode::Async, Layout::default(), PushKernel::default(), 1),
-        &cfg,
-    )
-    .unwrap();
+    let faulted =
+        run_lpi_campaign(short_params(DiagMode::Async, Layout::default(), 1), &cfg).unwrap();
     assert!(matches!(faulted.end, LpiCampaignEnd::Completed));
     assert_eq!(faulted.recoveries.len(), 1, "{:?}", faulted.recoveries);
     assert_eq!(faulted.recoveries[0].restored_step, restore);

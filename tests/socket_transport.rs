@@ -10,16 +10,15 @@
 //!
 //! The `#[ignore]`d soak throws 16 seeded fault plans — kills, drops,
 //! delays, duplicates, corruptions — at a 4-rank campaign running over
-//! real sockets (`run_socket_world`), alternating rollback and hot-spare
-//! recovery: every plan must complete bit-identically to the fault-free
-//! reference or degrade gracefully.
+//! real sockets (`run_socket_world`): every plan must complete
+//! bit-identically to the fault-free reference or degrade gracefully.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 use vpic::core::crc32::fingerprint32;
 use vpic::core::{Momentum, Species};
-use vpic::parallel::campaign::{run_campaign, CampaignConfig, CampaignEnd, RecoveryMode};
+use vpic::parallel::campaign::{run_campaign, CampaignConfig, CampaignEnd};
 use vpic::parallel::{dump_rank_bytes, DistributedSim, DomainSpec};
 
 const WORLD: usize = 4;
@@ -191,12 +190,11 @@ fn build_sim(rank: usize) -> DistributedSim {
     sim
 }
 
-fn soak_config(dir: &Path, mode: RecoveryMode) -> CampaignConfig {
+fn soak_config(dir: &Path) -> CampaignConfig {
     CampaignConfig::new(STEPS, 3, dir)
         .with_op_timeout(Duration::from_millis(500))
         .with_health_interval(2)
         .with_max_recoveries(5)
-        .with_recovery(mode)
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -251,7 +249,7 @@ fn socket_fault_soak_sixteen_plans() {
         nanompi::SocketAddrSpec::unix(ref_dir.join("sock")),
         None,
         |comm| {
-            let cfg = soak_config(&ref_dir.join("ckpt"), RecoveryMode::Rollback);
+            let cfg = soak_config(&ref_dir.join("ckpt"));
             let (sim, outcome) = run_campaign(comm, build_sim(comm.rank()), &cfg).unwrap();
             assert!(matches!(outcome.end, CampaignEnd::Completed));
             fingerprint32(&dump_rank_bytes(&sim, false).unwrap())
@@ -264,11 +262,6 @@ fn socket_fault_soak_sixteen_plans() {
     let mut degraded = 0usize;
     for seed in 0..SOAK_PLANS {
         let plan = random_plan(seed);
-        let mode = if seed.is_multiple_of(2) {
-            RecoveryMode::HotSpare
-        } else {
-            RecoveryMode::Rollback
-        };
         let dir = temp_dir(&format!("soak{seed}"));
         let ckpt_dir = dir.join("ckpt");
         let (results, _) = nanompi::run_socket_world(
@@ -276,7 +269,7 @@ fn socket_fault_soak_sixteen_plans() {
             nanompi::SocketAddrSpec::unix(dir.join("sock")),
             Some(plan),
             |comm| {
-                let cfg = soak_config(&ckpt_dir, mode);
+                let cfg = soak_config(&ckpt_dir);
                 let (sim, outcome) = run_campaign(comm, build_sim(comm.rank()), &cfg)
                     .map_err(|e| format!("unrecoverable: {e}"))?;
                 let fp = fingerprint32(&dump_rank_bytes(&sim, false).map_err(|e| e.to_string())?);
@@ -286,11 +279,9 @@ fn socket_fault_soak_sixteen_plans() {
 
         let mut outcomes = Vec::new();
         for (rank, res) in results.into_iter().enumerate() {
-            let res = res
-                .unwrap_or_else(|p| panic!("plan {seed} ({mode:?}): rank {rank}: {}", p.message));
-            outcomes.push(res.unwrap_or_else(|e| {
-                panic!("plan {seed} ({mode:?}): rank {rank} failed hard: {e}")
-            }));
+            let res = res.unwrap_or_else(|p| panic!("plan {seed}: rank {rank}: {}", p.message));
+            outcomes
+                .push(res.unwrap_or_else(|e| panic!("plan {seed}: rank {rank} failed hard: {e}")));
         }
         if outcomes
             .iter()
@@ -300,7 +291,7 @@ fn socket_fault_soak_sixteen_plans() {
             for (rank, (_, fp)) in outcomes.iter().enumerate() {
                 assert_eq!(
                     *fp, reference[rank],
-                    "plan {seed} ({mode:?}): rank {rank} completed but diverged"
+                    "plan {seed}: rank {rank} completed but diverged"
                 );
             }
         } else {

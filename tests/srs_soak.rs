@@ -203,17 +203,17 @@ fn aosoa_campaign_recovers_bit_identically_to_aos() {
     );
 }
 
-/// Lane-kernel matrix on the shrunk SRS deck: at every pipeline count the
-/// production lane kernel must retrace the scalar AoS oracle bit for bit
-/// through a *fault-injected* campaign — the seeded NaN upset trips the
-/// sentinel, the campaign rolls back to the last checkpoint and replays,
-/// and the replayed lane-kernel trajectory still lands on the oracle's
-/// exact digest. This pins the kernel contract through the recovery path,
-/// not just the clean step loop. The matrix runs under the `auto` sort
-/// cadence, so the adaptive controller's decisions are covered by the
-/// same rollback-replay bit-identity contract.
+/// Layout × pipelines matrix on the shrunk SRS deck: at every pipeline
+/// count the production AoSoA store (lane kernel) must retrace the AoS
+/// oracle bit for bit through a *fault-injected* campaign — the seeded
+/// NaN upset trips the sentinel, the campaign rolls back to the last
+/// checkpoint and replays, and the replayed trajectory still lands on the
+/// oracle's exact digest. This pins the kernel contract through the
+/// recovery path, not just the clean step loop. The matrix runs under the
+/// `auto` sort cadence, so the adaptive controller's decisions are covered
+/// by the same rollback-replay bit-identity contract.
 #[test]
-fn srs_lane_kernel_matrix_recovers_bit_identically_at_every_pipeline_count() {
+fn srs_layout_matrix_recovers_bit_identically_at_every_pipeline_count() {
     let steps = 60u64;
     let cfg_for = |dir: &Path| {
         let mut cfg = LpiCampaignConfig::new(steps, 20, dir);
@@ -230,14 +230,10 @@ fn srs_lane_kernel_matrix_recovers_bit_identically_at_every_pipeline_count() {
     };
     for pipelines in [1usize, 2, 4, 8] {
         let mut digests = Vec::new();
-        for (layout, kernel) in [
-            (vpic::core::Layout::Aos, vpic::core::PushKernel::Scalar),
-            (vpic::core::Layout::Aosoa, vpic::core::PushKernel::Lane),
-        ] {
-            let dir = temp_dir(&format!("kmatrix_{pipelines}_{layout}_{kernel}"));
+        for layout in [vpic::core::Layout::Aos, vpic::core::Layout::Aosoa] {
+            let dir = temp_dir(&format!("lmatrix_{pipelines}_{layout}"));
             let params = LpiParams {
                 layout,
-                kernel,
                 pipelines,
                 sort: vpic::core::SortPolicy::Auto,
                 ..small_params()
@@ -245,19 +241,19 @@ fn srs_lane_kernel_matrix_recovers_bit_identically_at_every_pipeline_count() {
             let out = run_lpi_campaign(params, &cfg_for(&dir)).unwrap();
             assert!(
                 matches!(out.end, LpiCampaignEnd::Completed),
-                "{layout}/{kernel} @{pipelines} pipes: {:?}",
+                "{layout} @{pipelines} pipes: {:?}",
                 out.end
             );
             assert!(
                 !out.recoveries.is_empty(),
-                "{layout}/{kernel} @{pipelines} pipes: NaN upset never exercised rollback"
+                "{layout} @{pipelines} pipes: NaN upset never exercised rollback"
             );
             digests.push(digest(&out));
             let _ = std::fs::remove_dir_all(&dir);
         }
         assert_eq!(
             digests[0], digests[1],
-            "lane kernel diverged from the scalar AoS oracle at {pipelines} pipelines"
+            "AoSoA diverged from the AoS oracle at {pipelines} pipelines"
         );
     }
 }
