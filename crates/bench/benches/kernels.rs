@@ -6,11 +6,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use nanompi::{run_socket, SocketAddrSpec, SocketBoot, Wire, WireReader};
 use vpic_core::aosoa::{advance_p_aosoa, AosoaStore};
 use vpic_core::field_solver::{advance_b, advance_e};
-use vpic_core::push::{advance_p_serial, PushCoefficients};
+use vpic_core::lanes::{self, transpose8, F32x8, LANES};
+use vpic_core::push::{advance_p_serial, advance_p_tallied, PushCoefficients, PushKernel};
 use vpic_core::sort::sort_by_voxel;
 use vpic_core::{
-    load_uniform, AccumulatorArray, FieldArray, Grid, InterpolatorArray, Momentum, Rng, Simulation,
-    Species,
+    load_uniform, AccumulatorArray, FieldArray, Grid, InterpolatorArray, Momentum, ParticleStore,
+    Rng, Simulation, Species,
 };
 
 fn plasma(n: (usize, usize, usize), ppc: usize) -> Simulation {
@@ -38,6 +39,7 @@ fn plasma(n: (usize, usize, usize), ppc: usize) -> Simulation {
 }
 
 fn bench_push(c: &mut Criterion) {
+    println!("lane backend: {}", lanes::BACKEND);
     let mut group = c.benchmark_group("particle_push");
     for ppc in [16usize, 64] {
         let sim = plasma((12, 12, 12), ppc);
@@ -61,7 +63,43 @@ fn bench_push(c: &mut Criterion) {
                 advance_p_aosoa(&mut store, coeffs, &interp, &mut acc, &g);
             })
         });
+        // The path that ships: one pipeline of the production advance,
+        // deferred-scatter queue and tallies included.
+        let mut store = ParticleStore::Aosoa(AosoaStore::from_particles(&parts));
+        let mut accs = [AccumulatorArray::new(&g)];
+        group.bench_with_input(BenchmarkId::new("aosoa_pipelined", ppc), &ppc, |b, _| {
+            b.iter(|| {
+                accs[0].clear();
+                advance_p_tallied(&mut store, coeffs, &interp, &mut accs, &g, PushKernel::Lane)
+            })
+        });
     }
+    group.finish();
+}
+
+/// The two data-movement pieces of one block's compute phase, so the
+/// compute/scatter split in EXPERIMENTS.md E2 can be regenerated.
+fn bench_lane_primitives(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lane_primitives");
+    group.throughput(Throughput::Elements(LANES as u64));
+    let rows: [F32x8; LANES] =
+        std::array::from_fn(|r| F32x8(std::array::from_fn(|l| (r * LANES + l) as f32)));
+    group.bench_function("transpose8", |b| {
+        b.iter(|| transpose8(criterion::black_box(rows)))
+    });
+    let sim = plasma((12, 12, 12), 16);
+    let parts = sim.species[0].to_particles();
+    // One sorted block's voxels and offsets (mostly one voxel, as in a run).
+    let idx: [u32; LANES] = std::array::from_fn(|l| parts[l].i);
+    let dx = F32x8(std::array::from_fn(|l| parts[l].dx));
+    let dy = F32x8(std::array::from_fn(|l| parts[l].dy));
+    let dz = F32x8(std::array::from_fn(|l| parts[l].dz));
+    group.bench_function("gather_ha_cb8", |b| {
+        b.iter(|| {
+            let (idx, dx, dy, dz) = criterion::black_box((&idx, dx, dy, dz));
+            sim.interp.gather_ha_cb8(idx, dx, dy, dz, 0.1)
+        })
+    });
     group.finish();
 }
 
@@ -224,6 +262,7 @@ criterion_group!(
     benches,
     bench_comm,
     bench_push,
+    bench_lane_primitives,
     bench_field_solver,
     bench_sort,
     bench_full_step,

@@ -225,8 +225,9 @@ fn main() {
         &format!(
             "E2: step breakdown, grid {n:?}, ppc {ppc}, {steps} steps, \
              {pipelines} pipelines, {} rayon threads, {layout} layout, \
-             {kernel_name} kernel, {cadence_name} cadence, {diag_name} diag{}",
+             {kernel_name} kernel ({} lanes), {cadence_name} cadence, {diag_name} diag{}",
             vpic_core::worker_threads(),
+            vpic_core::lanes::BACKEND,
             if sentinel { ", sentinel armed" } else { "" }
         ),
         &["phase", "seconds", "share"],

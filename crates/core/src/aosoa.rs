@@ -1,9 +1,9 @@
 //! AoSoA ("array of structures of arrays") particle storage and push —
 //! the SIMD blocking VPIC used to feed the Cell SPEs' 4-wide single
 //! precision pipelines. Particles are stored in blocks of [`LANES`] with
-//! each field contiguous across the block, so the hot loop is expressible
-//! as straight-line lane arithmetic the autovectorizer can turn into
-//! packed instructions.
+//! each field contiguous across the block, so the hot loop is straight-line
+//! lane arithmetic: one packed instruction per operation in
+//! [`crate::lanes`]' intrinsic body.
 //!
 //! This is a full production backend of
 //! [`ParticleStore`](crate::store::ParticleStore): element access, mover
@@ -20,7 +20,7 @@ use crate::accumulator::{quadrants_lanes, AccumulatorArray};
 use crate::cadence::PushTally;
 use crate::grid::Grid;
 use crate::interpolator::InterpolatorArray;
-use crate::lanes::{transpose8, F32x8};
+use crate::lanes::{transpose8, F32x8, Mask8};
 use crate::particle::{Mover, Particle};
 use crate::push::{
     move_p_local, push_one, retarget_and_delete, Exile, MoveOutcome, PushCoefficients, PushKernel,
@@ -327,8 +327,9 @@ impl AosoaStore {
 /// ([`PushKernel::Lane`]). Four phases:
 ///
 /// 1. **Gather**: transpose the 18 interpolator coefficients of the eight
-///    lanes' voxels into [`F32x8`] vectors ([`InterpolatorArray::gather8`]),
-///    so the arithmetic phase has no memory indirection.
+///    lanes' voxels into [`F32x8`] vectors
+///    ([`InterpolatorArray::gather_ha_cb8`]), so the arithmetic phase has
+///    no memory indirection.
 /// 2. **Push**: the relativistic Boris kick/rotate/displace as lane-wide
 ///    ops mirroring `push_one`'s expression tree *exactly* — same
 ///    grouping, no fused multiply-adds — so every lane computes the same
@@ -363,15 +364,17 @@ fn advance_full_block(
     absorbed: &mut Vec<u32>,
     exiles: &mut Vec<Exile>,
 ) {
-    let s = compute_block(b, c, interp);
+    let mut s = BlockPush::default();
+    compute_block(b, c, interp, &mut s);
     scatter_block(b, base_idx, live, &s, c.qsp, acc, g, absorbed, exiles);
 }
 
 /// Everything [`compute_block`] hands to [`scatter_block`]: the stay
 /// mask, the half displacements the movers need, and the quadrant
 /// addends already transposed lane-major.
+#[derive(Clone, Copy, Default)]
 struct BlockPush {
-    stay: crate::lanes::Mask8,
+    stay: Mask8,
     hx: F32x8,
     hy: F32x8,
     hz: F32x8,
@@ -387,9 +390,16 @@ struct BlockPush {
 /// back-to-back (independent sqrt/div chains the ROB can overlap) before
 /// draining their queued [`BlockPush`]es through [`scatter_block`] in
 /// block order, which keeps every accumulator deposit in the exact
-/// particle-index order the serial kernel would use.
+/// particle-index order the serial kernel would use. The result is
+/// written straight into `out` — a slot of the caller's queue — so the
+/// 650-byte record is never copied.
 #[inline]
-fn compute_block(b: &mut Block, c: PushCoefficients, interp: &InterpolatorArray) -> BlockPush {
+fn compute_block(
+    b: &mut Block,
+    c: PushCoefficients,
+    interp: &InterpolatorArray,
+    out: &mut BlockPush,
+) {
     let one = F32x8::splat(1.0);
     let third = F32x8::splat(1.0 / 3.0);
     let two_fifteenths = F32x8::splat(2.0 / 15.0);
@@ -464,14 +474,14 @@ fn compute_block(b: &mut Block, c: PushCoefficients, interp: &InterpolatorArray)
     let zero = F32x8::splat(0.0);
     let tz = transpose8([jz[0], jz[1], jz[2], jz[3], zero, zero, zero, zero]);
 
-    BlockPush {
+    *out = BlockPush {
         stay,
         hx,
         hy,
         hz,
         txy,
         tz,
-    }
+    };
 }
 
 /// Phase 4 of [`advance_full_block`]: the in-order lane scatter with
@@ -584,10 +594,12 @@ fn spill_lane(
 /// accumulator writes retire. Computing a batch of independent chains
 /// back-to-back lets the out-of-order core overlap them; 8 blocks ≈ 64
 /// particles comfortably covers the chain depth while the queued
-/// [`BlockPush`]es (~5 KiB) stay L1-resident.
-const SCATTER_BATCH: usize = 8;
+/// [`BlockPush`]es (~5 KiB) stay L1-resident — a fixed array on
+/// [`advance_range`]'s stack.
+pub const SCATTER_BATCH: usize = 8;
 
 /// One computed-but-not-yet-scattered block in the deferred-scatter queue.
+#[derive(Clone, Copy, Default)]
 struct QueuedBlock {
     bi: usize,
     base: u32,
@@ -605,7 +617,7 @@ struct QueuedBlock {
 /// [`advance_range`]); no `&mut Block` to any of them may be live.
 #[allow(clippy::too_many_arguments)]
 unsafe fn drain_batch(
-    batch: &mut Vec<QueuedBlock>,
+    batch: &[QueuedBlock],
     blocks: BlockPtr,
     qsp: f32,
     acc: &mut AccumulatorArray,
@@ -613,7 +625,7 @@ unsafe fn drain_batch(
     absorbed: &mut Vec<u32>,
     exiles: &mut Vec<Exile>,
 ) {
-    for e in batch.drain(..) {
+    for e in batch {
         // SAFETY: exclusive ownership per the function contract.
         let b = unsafe { &mut *blocks.at(e.bi) };
         scatter_block(b, e.base, e.live, &e.push, qsp, acc, g, absorbed, exiles);
@@ -656,7 +668,8 @@ unsafe fn advance_range(
     let mut absorbed: Vec<u32> = Vec::new();
     let mut exiles: Vec<Exile> = Vec::new();
     let mut tally = PushTally::default();
-    let mut batch: Vec<QueuedBlock> = Vec::with_capacity(SCATTER_BATCH);
+    let mut batch = [QueuedBlock::default(); SCATTER_BATCH];
+    let mut queued = 0;
     let mut idx = start;
     while idx < end {
         let bi = idx / LANES;
@@ -675,21 +688,21 @@ unsafe fn advance_range(
             if b.i[1..live].iter().any(|&v| v != v0) {
                 tally.mixed_blocks += 1;
             }
-            let push = compute_block(b, c, interp);
-            let spills = (0..live).filter(|&l| !push.stay.test(l)).count() as u64;
+            let slot = &mut batch[queued];
+            slot.bi = bi;
+            slot.base = block_start as u32;
+            slot.live = live;
+            compute_block(b, c, interp, &mut slot.push);
+            // Live lanes whose stay bit is clear.
+            let spills = (!slot.push.stay.0 & (0xFF >> (LANES - live))).count_ones() as u64;
             tally.lane_spills += spills;
             tally.crossers += spills;
-            batch.push(QueuedBlock {
-                bi,
-                base: block_start as u32,
-                live,
-                push,
-            });
-            if batch.len() == SCATTER_BATCH {
+            queued += 1;
+            if queued == SCATTER_BATCH {
                 // SAFETY: no block reference is live; ownership as above.
                 unsafe {
                     drain_batch(
-                        &mut batch,
+                        &batch[..queued],
                         blocks,
                         c.qsp,
                         acc,
@@ -698,6 +711,7 @@ unsafe fn advance_range(
                         &mut exiles,
                     )
                 };
+                queued = 0;
             }
             idx = block_live_end;
         } else {
@@ -707,7 +721,7 @@ unsafe fn advance_range(
             // SAFETY: as above.
             unsafe {
                 drain_batch(
-                    &mut batch,
+                    &batch[..queued],
                     blocks,
                     c.qsp,
                     acc,
@@ -716,6 +730,7 @@ unsafe fn advance_range(
                     &mut exiles,
                 )
             };
+            queued = 0;
             let hi = (end - block_start).min(LANES);
             let bp = unsafe { blocks.at(bi) };
             for l in lane0..hi {
@@ -748,7 +763,7 @@ unsafe fn advance_range(
     // SAFETY: as above.
     unsafe {
         drain_batch(
-            &mut batch,
+            &batch[..queued],
             blocks,
             c.qsp,
             acc,

@@ -45,7 +45,35 @@ pub struct Interpolator {
     pub dcbzdz: f32,
 }
 
+/// [`Interpolator`] seen as the lane kernel loads it: the first sixteen
+/// coefficients as two eight-float rows, then the `cbz` pair.
+#[repr(C)]
+pub(crate) struct InterpolatorRows {
+    /// `ex dexdy dexdz d2exdydz ey deydz deydx d2eydzdx`.
+    pub ex_ey: [f32; LANES],
+    /// `ez dezdx dezdy d2ezdxdy cbx dcbxdx cby dcbydy`.
+    pub ez_cbx_cby: [f32; LANES],
+    pub cbz: f32,
+    pub dcbzdz: f32,
+}
+
+const _: () = {
+    assert!(std::mem::size_of::<Interpolator>() == std::mem::size_of::<InterpolatorRows>());
+    assert!(std::mem::align_of::<Interpolator>() == std::mem::align_of::<InterpolatorRows>());
+};
+
 impl Interpolator {
+    /// The same eighteen floats, grouped into rows.
+    #[inline(always)]
+    pub(crate) fn rows(&self) -> &InterpolatorRows {
+        // SAFETY: both types are `#[repr(C)]` and made of eighteen `f32`s
+        // and nothing else, so they have the same size and alignment (the
+        // const block above checks it) with no padding, field `n` of one
+        // at the byte offset of float `n` of the other; every bit pattern
+        // is a valid `f32`; the result borrows `self`.
+        unsafe { &*(self as *const Interpolator as *const InterpolatorRows) }
+    }
+
     /// Evaluate `E` at voxel-relative offsets.
     #[inline]
     pub fn e_at(&self, dx: f32, dy: f32, dz: f32) -> (f32, f32, f32) {
@@ -65,31 +93,6 @@ impl Interpolator {
             self.cbz + dz * self.dcbzdz,
         )
     }
-}
-
-/// The 18 interpolation coefficients of eight voxels, transposed into
-/// lane vectors — the gather stage of the AoSoA lane kernel. Field names
-/// mirror [`Interpolator`] one for one.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct InterpolatorLanes {
-    pub ex: F32x8,
-    pub dexdy: F32x8,
-    pub dexdz: F32x8,
-    pub d2exdydz: F32x8,
-    pub ey: F32x8,
-    pub deydz: F32x8,
-    pub deydx: F32x8,
-    pub d2eydzdx: F32x8,
-    pub ez: F32x8,
-    pub dezdx: F32x8,
-    pub dezdy: F32x8,
-    pub d2ezdxdy: F32x8,
-    pub cbx: F32x8,
-    pub dcbxdx: F32x8,
-    pub cby: F32x8,
-    pub dcbydy: F32x8,
-    pub cbz: F32x8,
-    pub dcbzdz: F32x8,
 }
 
 /// Interpolator coefficients for every voxel (ghost entries stay zero).
@@ -170,62 +173,18 @@ impl InterpolatorArray {
             });
     }
 
-    /// Gather the coefficients of eight voxels into lane vectors (the
-    /// transposed load behind the AoSoA lane kernel). Values are copied
-    /// bit-for-bit, so lane `l` sees exactly `data[idx[l]]`.
-    #[inline]
-    pub fn gather8(&self, idx: &[u32; LANES]) -> InterpolatorLanes {
-        // Read each lane's coefficients as two contiguous 8-float rows
-        // (the row field order matches the struct declaration, so LLVM
-        // merges the reads into wide loads), then shuffle-transpose
-        // rows→fields. Pure data movement — lane `l`, field `f` of the
-        // result is bit-for-bit `self.data[idx[l]].f`, exactly what a
-        // scalar per-field gather produces.
-        let mut ra = [F32x8::splat(0.0); LANES];
-        let mut rb = [F32x8::splat(0.0); LANES];
-        let mut cbz = [0.0f32; LANES];
-        let mut dcbzdz = [0.0f32; LANES];
-        for l in 0..LANES {
-            let f = &self.data[idx[l] as usize];
-            ra[l] = F32x8([
-                f.ex, f.dexdy, f.dexdz, f.d2exdydz, f.ey, f.deydz, f.deydx, f.d2eydzdx,
-            ]);
-            rb[l] = F32x8([
-                f.ez, f.dezdx, f.dezdy, f.d2ezdxdy, f.cbx, f.dcbxdx, f.cby, f.dcbydy,
-            ]);
-            cbz[l] = f.cbz;
-            dcbzdz[l] = f.dcbzdz;
-        }
-        let ta = transpose8(ra);
-        let tb = transpose8(rb);
-        InterpolatorLanes {
-            ex: ta[0],
-            dexdy: ta[1],
-            dexdz: ta[2],
-            d2exdydz: ta[3],
-            ey: ta[4],
-            deydz: ta[5],
-            deydx: ta[6],
-            d2eydzdx: ta[7],
-            ez: tb[0],
-            dezdx: tb[1],
-            dezdy: tb[2],
-            d2ezdxdy: tb[3],
-            cbx: tb[4],
-            dcbxdx: tb[5],
-            cby: tb[6],
-            dcbydy: tb[7],
-            cbz: F32x8(cbz),
-            dcbzdz: F32x8(dcbzdz),
-        }
-    }
-
     /// Fused gather + field interpolation for the lane kernel: returns
     /// the half E kick `(hax, hay, haz)` and interpolated `(cbx, cby,
     /// cbz)` for eight particles at voxel-relative offsets `(dx, dy,
-    /// dz)`. The arithmetic is the scalar push's interpolation expression
-    /// tree verbatim, evaluated element-wise on the [`Self::gather8`]
-    /// transpose — so every lane is bit-identical to the scalar path.
+    /// dz)`. Each lane's voxel is read as its two coefficient rows
+    /// ([`Interpolator::rows`] — two 32-byte loads in the intrinsic lane
+    /// body) plus the `cbz`/`dcbzdz` pair, and the rows are
+    /// shuffle-transposed into per-coefficient vectors: pure data
+    /// movement, lane `l` sees exactly `data[idx[l]]`. The arithmetic is
+    /// the scalar push's interpolation expression tree verbatim,
+    /// evaluated element-wise — so every lane is bit-identical to
+    /// [`Interpolator::e_at`]/[`Interpolator::cb_at`] scaled the way
+    /// `push_one` scales them.
     ///
     /// Fusing matters for register pressure, not semantics: the eighteen
     /// coefficient vectors die here instead of staying live across the
@@ -246,13 +205,9 @@ impl InterpolatorArray {
         let mut cbz0 = [0.0f32; LANES];
         let mut dcbzdz = [0.0f32; LANES];
         for l in 0..LANES {
-            let f = &self.data[idx[l] as usize];
-            ra[l] = F32x8([
-                f.ex, f.dexdy, f.dexdz, f.d2exdydz, f.ey, f.deydz, f.deydx, f.d2eydzdx,
-            ]);
-            rb[l] = F32x8([
-                f.ez, f.dezdx, f.dezdy, f.d2ezdxdy, f.cbx, f.dcbxdx, f.cby, f.dcbydy,
-            ]);
+            let f = self.data[idx[l] as usize].rows();
+            ra[l] = F32x8::load(&f.ex_ey);
+            rb[l] = F32x8::load(&f.ez_cbx_cby);
             cbz0[l] = f.cbz;
             dcbzdz[l] = f.dcbzdz;
         }
@@ -375,78 +330,56 @@ mod tests {
     }
 
     #[test]
-    fn gather8_transposes_bitwise() {
+    fn gather_ha_cb8_matches_scalar_interpolation_bitwise() {
+        // The production entry point against the scalar evaluators, on
+        // random coefficients, random (mixed, repeated) voxels and random
+        // offsets: lane `l` must be `qdt_2mc · e_at` / `cb_at` of voxel
+        // `idx[l]`, bit for bit.
         let g = Grid::periodic((4, 4, 4), (1.0, 1.0, 1.0), 0.1);
+        let mut rng = crate::rng::Rng::seeded(0x6A7E);
         let mut ia = InterpolatorArray::new(&g);
-        // Stamp every voxel with distinct values in every slot.
-        for (v, ip) in ia.data.iter_mut().enumerate() {
-            let base = v as f32;
-            ip.ex = base + 0.01;
-            ip.dexdy = base + 0.02;
-            ip.dexdz = base + 0.03;
-            ip.d2exdydz = base + 0.04;
-            ip.ey = base + 0.05;
-            ip.deydz = base + 0.06;
-            ip.deydx = base + 0.07;
-            ip.d2eydzdx = base + 0.08;
-            ip.ez = base + 0.09;
-            ip.dezdx = base + 0.10;
-            ip.dezdy = base + 0.11;
-            ip.d2ezdxdy = base + 0.12;
-            ip.cbx = base + 0.13;
-            ip.dcbxdx = base + 0.14;
-            ip.cby = base + 0.15;
-            ip.dcbydy = base + 0.16;
-            ip.cbz = base + 0.17;
-            ip.dcbzdz = base + 0.18;
+        for ip in ia.data.iter_mut() {
+            let mut f = || rng.uniform_in(-2.0, 2.0) as f32;
+            *ip = Interpolator {
+                ex: f(),
+                dexdy: f(),
+                dexdz: f(),
+                d2exdydz: f(),
+                ey: f(),
+                deydz: f(),
+                deydx: f(),
+                d2eydzdx: f(),
+                ez: f(),
+                dezdx: f(),
+                dezdy: f(),
+                d2ezdxdy: f(),
+                cbx: f(),
+                dcbxdx: f(),
+                cby: f(),
+                dcbydy: f(),
+                cbz: f(),
+                dcbzdz: f(),
+            };
         }
-        // Mixed, repeated voxels across the lanes.
-        let idx = [3u32, 17, 3, 0, 42, 7, 42, 63];
-        let lanes = ia.gather8(&idx);
-        for (l, &v) in idx.iter().enumerate() {
-            let f = &ia.data[v as usize];
-            assert_eq!(lanes.ex.0[l].to_bits(), f.ex.to_bits());
-            assert_eq!(lanes.dexdy.0[l].to_bits(), f.dexdy.to_bits());
-            assert_eq!(lanes.dexdz.0[l].to_bits(), f.dexdz.to_bits());
-            assert_eq!(lanes.d2exdydz.0[l].to_bits(), f.d2exdydz.to_bits());
-            assert_eq!(lanes.ey.0[l].to_bits(), f.ey.to_bits());
-            assert_eq!(lanes.deydz.0[l].to_bits(), f.deydz.to_bits());
-            assert_eq!(lanes.deydx.0[l].to_bits(), f.deydx.to_bits());
-            assert_eq!(lanes.d2eydzdx.0[l].to_bits(), f.d2eydzdx.to_bits());
-            assert_eq!(lanes.ez.0[l].to_bits(), f.ez.to_bits());
-            assert_eq!(lanes.dezdx.0[l].to_bits(), f.dezdx.to_bits());
-            assert_eq!(lanes.dezdy.0[l].to_bits(), f.dezdy.to_bits());
-            assert_eq!(lanes.d2ezdxdy.0[l].to_bits(), f.d2ezdxdy.to_bits());
-            assert_eq!(lanes.cbx.0[l].to_bits(), f.cbx.to_bits());
-            assert_eq!(lanes.dcbxdx.0[l].to_bits(), f.dcbxdx.to_bits());
-            assert_eq!(lanes.cby.0[l].to_bits(), f.cby.to_bits());
-            assert_eq!(lanes.dcbydy.0[l].to_bits(), f.dcbydy.to_bits());
-            assert_eq!(lanes.cbz.0[l].to_bits(), f.cbz.to_bits());
-            assert_eq!(lanes.dcbzdz.0[l].to_bits(), f.dcbzdz.to_bits());
-        }
-
-        // The fused gather+interpolate path must reproduce the scalar
-        // push's interpolation expressions bit-for-bit, lane by lane.
-        let mk = |seed: u32| {
-            F32x8(std::array::from_fn(|l| {
-                ((seed + l as u32) as f32).mul_add(0.0371, -0.45)
-            }))
-        };
-        let (dx, dy, dz) = (mk(1), mk(5), mk(11));
-        let qdt = 0.173_f32;
-        let ((hax, hay, haz), (cbx, cby, cbz)) = ia.gather_ha_cb8(&idx, dx, dy, dz, qdt);
-        for (l, &v) in idx.iter().enumerate() {
-            let f = &ia.data[v as usize];
-            let (x, y, z) = (dx.0[l], dy.0[l], dz.0[l]);
-            let sx = qdt * ((f.ex + y * f.dexdy) + z * (f.dexdz + y * f.d2exdydz));
-            let sy = qdt * ((f.ey + z * f.deydz) + x * (f.deydx + z * f.d2eydzdx));
-            let sz = qdt * ((f.ez + x * f.dezdx) + y * (f.dezdy + x * f.d2ezdxdy));
-            assert_eq!(hax.0[l].to_bits(), sx.to_bits());
-            assert_eq!(hay.0[l].to_bits(), sy.to_bits());
-            assert_eq!(haz.0[l].to_bits(), sz.to_bits());
-            assert_eq!(cbx.0[l].to_bits(), (f.cbx + x * f.dcbxdx).to_bits());
-            assert_eq!(cby.0[l].to_bits(), (f.cby + y * f.dcbydy).to_bits());
-            assert_eq!(cbz.0[l].to_bits(), (f.cbz + z * f.dcbzdz).to_bits());
+        let nv = ia.data.len();
+        for round in 0..200 {
+            let mut idx: [u32; LANES] = std::array::from_fn(|_| rng.index(nv) as u32);
+            if round % 2 == 0 {
+                idx[5] = idx[1]; // lanes sharing a voxel, the sorted case
+                idx[6] = idx[1];
+            }
+            let mut offset = || F32x8(std::array::from_fn(|_| rng.uniform_in(-1.0, 1.0) as f32));
+            let (dx, dy, dz) = (offset(), offset(), offset());
+            let qdt = rng.uniform_in(-0.5, 0.5) as f32;
+            let ((hax, hay, haz), (cbx, cby, cbz)) = ia.gather_ha_cb8(&idx, dx, dy, dz, qdt);
+            for (l, &v) in idx.iter().enumerate() {
+                let f = &ia.data[v as usize];
+                let (ex, ey, ez) = f.e_at(dx.0[l], dy.0[l], dz.0[l]);
+                let (bx, by, bz) = f.cb_at(dx.0[l], dy.0[l], dz.0[l]);
+                let got = [hax, hay, haz, cbx, cby, cbz].map(|v| v.0[l].to_bits());
+                let want = [qdt * ex, qdt * ey, qdt * ez, bx, by, bz].map(f32::to_bits);
+                assert_eq!(got, want, "round {round}, lane {l}, voxel {v}");
+            }
         }
     }
 

@@ -1,57 +1,70 @@
-//! Vendored lane-math: fixed-width `[f32; 8]` / `[f64; 8]` wrappers whose
-//! operators are element-wise loops LLVM reliably turns into packed
-//! instructions — no nightly `std::simd`, no intrinsics, consistent with
-//! the offline `shims/` approach.
+//! Vendored lane-math: the eight-lane `f32` vector ([`F32x8`]), the lane
+//! mask a compare produces ([`Mask8`]) and the 8×8 transpose the AoSoA
+//! push (`aosoa::compute_block`) is written in.
 //!
-//! The wrappers exist to express the AoSoA push (`aosoa::advance_full_block`)
-//! as straight-line lane arithmetic while keeping the bitwise-determinism
-//! contract with the scalar oracle (`push::push_one`):
+//! Every operation has exactly two bodies, chosen by `cfg` at compile
+//! time and reported by [`BACKEND`]:
 //!
-//! * every operator is element-wise — lane `l` of the result depends only on
-//!   lane `l` of the operands, with the exact IEEE-754 operation the scalar
-//!   code performs (no reassociation, no horizontal ops);
-//! * [`F32x8::mul_add`] is deliberately **unfused** (`a*b + c` as two
-//!   rounded operations). The scalar oracle never emits an FMA — rustc does
-//!   not contract float expressions — so a fused variant would change bits;
-//! * `sqrt`/`div` lower to `vsqrtps`/`vdivps`-class instructions, which are
-//!   correctly rounded per IEEE-754 and therefore bit-identical to their
-//!   scalar forms;
-//! * comparisons return a [`Mask8`]; NaN compares false on every ordered
-//!   predicate, exactly like the scalar `<=`, so NaN lanes fall off the
-//!   branchless common path into the scalar spill-out just as the scalar
-//!   kernel's `if` would.
+//! * `avx2` — `core::arch::x86_64` intrinsics, one packed instruction per
+//!   operation, compiled whenever the target has AVX2 (the repo's
+//!   `.cargo/config.toml` builds with `target-cpu=native`). The paper's
+//!   inner loop was hand-written SPE SIMD for the same reason this one is:
+//!   LLVM does not reliably turn `[f32; 8]` loops into packed code once
+//!   they are inlined into a kernel the size of the push (it rebuilt
+//!   vectors a scalar at a time and ran the transposes on half-width
+//!   registers).
+//! * `portable` — element-wise loops over the `[f32; 8]` storage, for
+//!   every other target, and the oracle the intrinsic body is proptested
+//!   against (it stays compiled under `cfg(test)`).
+//!
+//! The two cannot differ in a bit, which is what keeps the
+//! bitwise-determinism contract with the scalar oracle (`push::push_one`):
+//!
+//! * every operator is element-wise — lane `l` of the result depends only
+//!   on lane `l` of the operands, with the exact IEEE-754 operation the
+//!   scalar code performs (no reassociation, no horizontal ops);
+//! * there is no fused multiply-add in either body. The scalar oracle
+//!   never emits one — rustc does not contract float expressions — so a
+//!   fused product would change bits;
+//! * add/sub/mul/div/sqrt are correctly rounded per IEEE-754 at every
+//!   vector width (`vsqrtps`/`vdivps` included), so a packed instruction
+//!   returns the bits of its scalar form lane by lane;
+//! * `abs`, `select`, [`F32x8::load`] and [`transpose8`] only move bits;
+//! * `le` is the ordered compare (`_CMP_LE_OQ`): false on NaN, exactly
+//!   like the scalar `<=`, so NaN lanes fall off the branchless common
+//!   path into the scalar spill-out just as the scalar kernel's `if`
+//!   would.
+//!
+//! (One freedom IEEE leaves open: an operation on *two* NaNs returns one
+//! of the two payloads, and which one is the compiler's operand order.
+//! Both bodies return a NaN there; no kernel result depends on which.)
 
 /// Lanes per AoSoA block (the Cell SPE was 4-wide; 8 suits AVX hosts).
 pub const LANES: usize = 8;
 
-/// Eight-lane boolean mask (result of lane comparisons).
+/// Which body of the lane operations this build compiled: `"avx2"`
+/// (intrinsics) or `"portable"` (element-wise loops). An externally
+/// exported `RUSTFLAGS` replaces `.cargo/config.toml`'s `target-cpu=native`
+/// and would drop the fast body silently; the benches print this.
+pub const BACKEND: &str = body::NAME;
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+use avx2 as body;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+use portable as body;
+
+/// Eight-lane boolean mask: bit `l` is lane `l` — the byte `vmovmskps`
+/// produces from a lane compare.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[repr(transparent)]
-pub struct Mask8(pub [bool; LANES]);
+pub struct Mask8(pub u8);
 
 impl Mask8 {
-    /// True mask.
-    #[inline(always)]
-    pub fn splat(v: bool) -> Self {
-        Mask8([v; LANES])
-    }
-
     /// Value of lane `l`.
     #[inline(always)]
     pub fn test(self, l: usize) -> bool {
-        self.0[l]
-    }
-
-    /// True when every lane is set.
-    #[inline(always)]
-    pub fn all(self) -> bool {
-        self.0.iter().all(|&b| b)
-    }
-
-    /// True when any lane is set.
-    #[inline(always)]
-    pub fn any(self) -> bool {
-        self.0.iter().any(|&b| b)
+        debug_assert!(l < LANES);
+        self.0 >> l & 1 != 0
     }
 }
 
@@ -59,217 +72,297 @@ impl std::ops::BitAnd for Mask8 {
     type Output = Mask8;
     #[inline(always)]
     fn bitand(self, rhs: Mask8) -> Mask8 {
-        Mask8(std::array::from_fn(|l| self.0[l] & rhs.0[l]))
+        Mask8(self.0 & rhs.0)
     }
 }
 
-impl std::ops::BitOr for Mask8 {
-    type Output = Mask8;
+/// Eight lanes of `f32`; element-wise ops, no fusion.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[repr(transparent)]
+pub struct F32x8(pub [f32; LANES]);
+
+impl F32x8 {
+    /// All lanes set to `v`.
     #[inline(always)]
-    fn bitor(self, rhs: Mask8) -> Mask8 {
-        Mask8(std::array::from_fn(|l| self.0[l] | rhs.0[l]))
+    pub fn splat(v: f32) -> Self {
+        F32x8([v; LANES])
     }
-}
 
-impl std::ops::Not for Mask8 {
-    type Output = Mask8;
+    /// Eight consecutive floats as one vector (bits pass through): one
+    /// unaligned 32-byte load in the intrinsic body.
     #[inline(always)]
-    fn not(self) -> Mask8 {
-        Mask8(std::array::from_fn(|l| !self.0[l]))
+    pub fn load(row: &[f32; LANES]) -> Self {
+        F32x8(body::load(row))
+    }
+
+    /// Lane-wise IEEE square root (correctly rounded, so identical bits
+    /// to the scalar `sqrt` of each lane).
+    #[inline(always)]
+    pub fn sqrt(self) -> Self {
+        F32x8(body::sqrt(self.0))
+    }
+
+    /// Lane-wise absolute value (sign-bit clear; NaN payload kept).
+    #[inline(always)]
+    pub fn abs(self) -> Self {
+        F32x8(body::abs(self.0))
+    }
+
+    /// Lane-wise `self <= rhs` (false on NaN, like scalar `<=`).
+    #[inline(always)]
+    pub fn le(self, rhs: Self) -> Mask8 {
+        Mask8(body::le(self.0, rhs.0))
+    }
+
+    /// Per-lane blend: lane `l` of the result is `t` where the mask is
+    /// set, else `f`. Bits pass through untouched (NaNs and signed zeros
+    /// survive), so select-based write-back is exact.
+    #[inline(always)]
+    pub fn select(m: Mask8, t: Self, f: Self) -> Self {
+        F32x8(body::select(m.0, t.0, f.0))
     }
 }
 
-macro_rules! lane_vector {
-    ($name:ident, $elem:ty) => {
-        #[doc = concat!("Eight lanes of `", stringify!($elem), "`; element-wise ops, no fusion.")]
-        #[derive(Clone, Copy, Debug, Default, PartialEq)]
-        #[repr(transparent)]
-        pub struct $name(pub [$elem; LANES]);
-
-        impl $name {
-            /// All lanes set to `v`.
+macro_rules! lane_operator {
+    ($trait:ident, $method:ident) => {
+        impl std::ops::$trait for F32x8 {
+            type Output = F32x8;
             #[inline(always)]
-            pub fn splat(v: $elem) -> Self {
-                $name([v; LANES])
-            }
-
-            /// Lane-wise IEEE square root (correctly rounded, so identical
-            /// bits to the scalar `sqrt` of each lane).
-            #[inline(always)]
-            pub fn sqrt(self) -> Self {
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = self.0[l].sqrt();
-                }
-                $name(out)
-            }
-
-            /// Lane-wise absolute value (sign-bit clear; NaN payload kept).
-            #[inline(always)]
-            pub fn abs(self) -> Self {
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = self.0[l].abs();
-                }
-                $name(out)
-            }
-
-            /// **Unfused** multiply-add: `self*b + c` as two rounded IEEE
-            /// operations per lane. The scalar push never emits an FMA
-            /// (rustc does not contract float math), so the lane kernel
-            /// must not either — a fused product would change bits.
-            #[inline(always)]
-            pub fn mul_add(self, b: Self, c: Self) -> Self {
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = self.0[l] * b.0[l] + c.0[l];
-                }
-                $name(out)
-            }
-
-            /// Lane-wise `self <= rhs` (false on NaN, like scalar `<=`).
-            #[inline(always)]
-            pub fn le(self, rhs: Self) -> Mask8 {
-                let mut out = [false; LANES];
-                for l in 0..LANES {
-                    out[l] = self.0[l] <= rhs.0[l];
-                }
-                Mask8(out)
-            }
-
-            /// Lane-wise `self < rhs` (false on NaN).
-            #[inline(always)]
-            pub fn lt(self, rhs: Self) -> Mask8 {
-                let mut out = [false; LANES];
-                for l in 0..LANES {
-                    out[l] = self.0[l] < rhs.0[l];
-                }
-                Mask8(out)
-            }
-
-            /// Per-lane blend: lane `l` of the result is `t` where the mask
-            /// is set, else `f`. Bits pass through untouched (NaNs and
-            /// signed zeros survive), so select-based write-back is exact.
-            #[inline(always)]
-            pub fn select(m: Mask8, t: Self, f: Self) -> Self {
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = if m.0[l] { t.0[l] } else { f.0[l] };
-                }
-                $name(out)
-            }
-        }
-
-        impl std::ops::Add for $name {
-            type Output = $name;
-            #[inline(always)]
-            fn add(self, rhs: $name) -> $name {
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = self.0[l] + rhs.0[l];
-                }
-                $name(out)
-            }
-        }
-
-        impl std::ops::Sub for $name {
-            type Output = $name;
-            #[inline(always)]
-            fn sub(self, rhs: $name) -> $name {
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = self.0[l] - rhs.0[l];
-                }
-                $name(out)
-            }
-        }
-
-        impl std::ops::Mul for $name {
-            type Output = $name;
-            #[inline(always)]
-            fn mul(self, rhs: $name) -> $name {
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = self.0[l] * rhs.0[l];
-                }
-                $name(out)
-            }
-        }
-
-        impl std::ops::Div for $name {
-            type Output = $name;
-            #[inline(always)]
-            fn div(self, rhs: $name) -> $name {
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = self.0[l] / rhs.0[l];
-                }
-                $name(out)
-            }
-        }
-
-        impl std::ops::Neg for $name {
-            type Output = $name;
-            #[inline(always)]
-            fn neg(self) -> $name {
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = -self.0[l];
-                }
-                $name(out)
+            fn $method(self, rhs: F32x8) -> F32x8 {
+                F32x8(body::$method(self.0, rhs.0))
             }
         }
     };
 }
 
-lane_vector!(F32x8, f32);
-lane_vector!(F64x8, f64);
+lane_operator!(Add, add);
+lane_operator!(Sub, sub);
+lane_operator!(Mul, mul);
+lane_operator!(Div, div);
 
-impl F32x8 {
-    /// Interleave the low halves of two vectors:
-    /// `[a0 b0 a1 b1 a2 b2 a3 b3]`. Pure data movement (bits pass
-    /// through), written as a fixed-index rebuild so LLVM lowers it to a
-    /// single shuffle.
+/// 8×8 transpose: lane `l` of output row `r` is lane `r` of input row
+/// `l`. Pure data movement — no arithmetic, every bit passes through — so
+/// gather/scatter paths built on it cannot perturb the kernel's
+/// bitwise-determinism contract. It replaces the 64-element scalar
+/// transpose the structure-of-lanes conversion would otherwise need.
+#[inline(always)]
+pub fn transpose8(m: [F32x8; LANES]) -> [F32x8; LANES] {
+    body::transpose8(m.map(|r| r.0)).map(F32x8)
+}
+
+/// The intrinsic body: each operation is one packed AVX instruction on
+/// the `[f32; 8]` storage reinterpreted as a `__m256` (a same-size
+/// transmute, SROA'd into a register once inlined).
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+mod avx2 {
+    use super::LANES;
+    use core::arch::x86_64::*;
+
+    pub const NAME: &str = "avx2";
+
+    type V = [f32; LANES];
+
+    // SAFETY (every intrinsic call of this module): the module is compiled
+    // only under `cfg(target_feature = "avx2")`, i.e. when the whole
+    // program is built for CPUs that have AVX and AVX2, so the
+    // instructions behind these intrinsics exist wherever the binary may
+    // run. All but `load` work on register values only.
+
     #[inline(always)]
-    pub fn zip_lo(self, rhs: Self) -> Self {
-        let (a, b) = (self.0, rhs.0);
-        F32x8([a[0], b[0], a[1], b[1], a[2], b[2], a[3], b[3]])
+    fn ld(a: V) -> __m256 {
+        // SAFETY: `[f32; 8]` and `__m256` are both 32 bytes of plain
+        // floats in lane order; every bit pattern is valid in either.
+        unsafe { core::mem::transmute::<V, __m256>(a) }
     }
 
-    /// Interleave the high halves: `[a4 b4 a5 b5 a6 b6 a7 b7]`.
     #[inline(always)]
-    pub fn zip_hi(self, rhs: Self) -> Self {
-        let (a, b) = (self.0, rhs.0);
-        F32x8([a[4], b[4], a[5], b[5], a[6], b[6], a[7], b[7]])
+    fn st(v: __m256) -> V {
+        // SAFETY: as in `ld`.
+        unsafe { core::mem::transmute::<__m256, V>(v) }
+    }
+
+    #[inline(always)]
+    pub fn load(row: &V) -> V {
+        // SAFETY: see the module note; `row` is 32 readable bytes and the
+        // unaligned load needs no alignment.
+        st(unsafe { _mm256_loadu_ps(row.as_ptr()) })
+    }
+
+    macro_rules! binary {
+        ($name:ident, $intrinsic:ident) => {
+            #[inline(always)]
+            pub fn $name(a: V, b: V) -> V {
+                // SAFETY: see the module note.
+                st(unsafe { $intrinsic(ld(a), ld(b)) })
+            }
+        };
+    }
+
+    binary!(add, _mm256_add_ps);
+    binary!(sub, _mm256_sub_ps);
+    binary!(mul, _mm256_mul_ps);
+    binary!(div, _mm256_div_ps);
+
+    #[inline(always)]
+    pub fn sqrt(a: V) -> V {
+        // SAFETY: see the module note.
+        st(unsafe { _mm256_sqrt_ps(ld(a)) })
+    }
+
+    #[inline(always)]
+    pub fn abs(a: V) -> V {
+        // SAFETY: see the module note.
+        st(unsafe { _mm256_andnot_ps(_mm256_set1_ps(-0.0), ld(a)) })
+    }
+
+    #[inline(always)]
+    pub fn le(a: V, b: V) -> u8 {
+        // SAFETY: see the module note.
+        unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(ld(a), ld(b))) as u8 }
+    }
+
+    #[inline(always)]
+    pub fn select(m: u8, t: V, f: V) -> V {
+        // SAFETY: see the module note.
+        st(unsafe {
+            // Bit `l` of the mask byte → all 32 bits of lane `l`.
+            let bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+            let set = _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_set1_epi32(m as i32), bit), bit);
+            _mm256_blendv_ps(ld(f), ld(t), _mm256_castsi256_ps(set))
+        })
+    }
+
+    /// The 24-shuffle network: `unpacklo/hi` interleaves row pairs inside
+    /// each 128-bit half, `shuffle_ps 0x44/0xEE` gathers four rows' worth
+    /// of one column pair, `permute2f128 0x20/0x31` joins the halves.
+    #[inline(always)]
+    pub fn transpose8(m: [V; LANES]) -> [V; LANES] {
+        let r = m.map(ld);
+        // SAFETY: see the module note.
+        let out = unsafe {
+            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+            let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+            let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+            let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+            let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+            let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+            let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+            let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+            let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+            let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+            let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+            [
+                _mm256_permute2f128_ps::<0x20>(u0, u4),
+                _mm256_permute2f128_ps::<0x20>(u1, u5),
+                _mm256_permute2f128_ps::<0x20>(u2, u6),
+                _mm256_permute2f128_ps::<0x20>(u3, u7),
+                _mm256_permute2f128_ps::<0x31>(u0, u4),
+                _mm256_permute2f128_ps::<0x31>(u1, u5),
+                _mm256_permute2f128_ps::<0x31>(u2, u6),
+                _mm256_permute2f128_ps::<0x31>(u3, u7),
+            ]
+        };
+        out.map(st)
     }
 }
 
-/// 8×8 transpose via three rounds of the perfect shuffle:
-/// `s[2i] = zip_lo(r[i], r[i+4])`, `s[2i+1] = zip_hi(r[i], r[i+4])`.
-/// One round maps flat element `p = 8·row + lane` to `2p mod 63`, a
-/// left-rotate of the 6-bit index; three rotates swap the row/lane bit
-/// triples, which is exactly the transpose. Pure data movement — no
-/// arithmetic, every bit passes through — so gather/scatter paths built
-/// on it cannot perturb the kernel's bitwise-determinism contract. LLVM
-/// turns each zip into one `vunpck`/`vperm` class shuffle, replacing the
-/// 64-element scalar transpose the structure-of-lanes conversion would
-/// otherwise need.
-#[inline(always)]
-pub fn transpose8(m: [F32x8; 8]) -> [F32x8; 8] {
-    let mut t = m;
-    for _ in 0..3 {
-        t = [
-            t[0].zip_lo(t[4]),
-            t[0].zip_hi(t[4]),
-            t[1].zip_lo(t[5]),
-            t[1].zip_hi(t[5]),
-            t[2].zip_lo(t[6]),
-            t[2].zip_hi(t[6]),
-            t[3].zip_lo(t[7]),
-            t[3].zip_hi(t[7]),
-        ];
+/// The portable body: element-wise loops, the only body on targets
+/// without AVX2 and the oracle the intrinsic body is tested against.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx2"))))]
+mod portable {
+    use super::LANES;
+
+    #[cfg_attr(all(target_arch = "x86_64", target_feature = "avx2"), allow(dead_code))]
+    pub const NAME: &str = "portable";
+
+    type V = [f32; LANES];
+
+    #[inline(always)]
+    pub fn load(row: &V) -> V {
+        *row
     }
-    t
+
+    macro_rules! binary {
+        ($name:ident, $op:tt) => {
+            #[inline(always)]
+            pub fn $name(a: V, b: V) -> V {
+                let mut out = [0.0; LANES];
+                for l in 0..LANES {
+                    out[l] = a[l] $op b[l];
+                }
+                out
+            }
+        };
+    }
+
+    binary!(add, +);
+    binary!(sub, -);
+    binary!(mul, *);
+    binary!(div, /);
+
+    #[inline(always)]
+    pub fn sqrt(a: V) -> V {
+        a.map(f32::sqrt)
+    }
+
+    #[inline(always)]
+    pub fn abs(a: V) -> V {
+        a.map(f32::abs)
+    }
+
+    #[inline(always)]
+    pub fn le(a: V, b: V) -> u8 {
+        let mut m = 0;
+        for l in 0..LANES {
+            m |= ((a[l] <= b[l]) as u8) << l;
+        }
+        m
+    }
+
+    #[inline(always)]
+    pub fn select(m: u8, t: V, f: V) -> V {
+        std::array::from_fn(|l| if m >> l & 1 != 0 { t[l] } else { f[l] })
+    }
+
+    /// `[a0 b0 a1 b1 a2 b2 a3 b3]`.
+    #[inline(always)]
+    fn zip_lo(a: V, b: V) -> V {
+        [a[0], b[0], a[1], b[1], a[2], b[2], a[3], b[3]]
+    }
+
+    /// `[a4 b4 a5 b5 a6 b6 a7 b7]`.
+    #[inline(always)]
+    fn zip_hi(a: V, b: V) -> V {
+        [a[4], b[4], a[5], b[5], a[6], b[6], a[7], b[7]]
+    }
+
+    /// Three rounds of the perfect shuffle: `s[2i] = zip_lo(r[i], r[i+4])`,
+    /// `s[2i+1] = zip_hi(r[i], r[i+4])`. One round maps flat element
+    /// `p = 8·row + lane` to `2p mod 63`, a left-rotate of the 6-bit
+    /// index; three rotates swap the row/lane bit triples, which is
+    /// exactly the transpose.
+    #[inline(always)]
+    pub fn transpose8(m: [V; LANES]) -> [V; LANES] {
+        let mut t = m;
+        for _ in 0..3 {
+            t = [
+                zip_lo(t[0], t[4]),
+                zip_hi(t[0], t[4]),
+                zip_lo(t[1], t[5]),
+                zip_hi(t[1], t[5]),
+                zip_lo(t[2], t[6]),
+                zip_hi(t[2], t[6]),
+                zip_lo(t[3], t[7]),
+                zip_hi(t[3], t[7]),
+            ];
+        }
+        t
+    }
 }
 
 #[cfg(test)]
@@ -278,6 +371,16 @@ mod tests {
 
     fn ramp() -> F32x8 {
         F32x8([-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.5, 8.0])
+    }
+
+    #[test]
+    fn backend_is_avx2_whenever_the_target_has_it() {
+        let want = if cfg!(all(target_arch = "x86_64", target_feature = "avx2")) {
+            "avx2"
+        } else {
+            "portable"
+        };
+        assert_eq!(BACKEND, want);
     }
 
     #[test]
@@ -293,7 +396,6 @@ mod tests {
             assert_eq!(dif.0[l].to_bits(), (a.0[l] - b.0[l]).to_bits());
             assert_eq!(prd.0[l].to_bits(), (a.0[l] * b.0[l]).to_bits());
             assert_eq!(quo.0[l].to_bits(), (a.0[l] / b.0[l]).to_bits());
-            assert_eq!((-a).0[l].to_bits(), (-a.0[l]).to_bits());
         }
     }
 
@@ -320,23 +422,23 @@ mod tests {
     }
 
     #[test]
-    fn mul_add_is_unfused() {
-        // Pick operands where fused and unfused results differ: with an
-        // FMA, a*b + c keeps the full product 1 + 2^-50 before the add;
-        // unfused, a*b rounds back to 1.0f32 and the sum is exactly 0.
+    fn multiply_then_add_is_unfused() {
+        // Operands where fused and unfused results differ: with an FMA,
+        // a*b + c keeps the full product 1 - 2^-46 before the add;
+        // unfused, a*b rounds to 1.0f32 and the sum is exactly 0.
         let a = F32x8::splat(1.0 + f32::EPSILON);
         let b = F32x8::splat(1.0 - f32::EPSILON);
         let c = F32x8::splat(-1.0);
         let unfused = (1.0f32 + f32::EPSILON) * (1.0 - f32::EPSILON) - 1.0;
-        let got = a.mul_add(b, c);
+        let fused = (1.0f32 + f32::EPSILON).mul_add(1.0 - f32::EPSILON, -1.0);
+        assert_ne!(
+            unfused.to_bits(),
+            fused.to_bits(),
+            "test operands fail to distinguish fused from unfused"
+        );
+        let got = a * b + c;
         for l in 0..LANES {
             assert_eq!(got.0[l].to_bits(), unfused.to_bits());
-            let fused = (1.0f32 + f32::EPSILON).mul_add(1.0 - f32::EPSILON, -1.0);
-            assert_ne!(
-                got.0[l].to_bits(),
-                fused.to_bits(),
-                "test operands fail to distinguish fused from unfused"
-            );
         }
     }
 
@@ -357,13 +459,15 @@ mod tests {
     fn nan_compares_false_and_select_passes_bits() {
         let nan = F32x8::splat(f32::NAN);
         let one = F32x8::splat(1.0);
-        assert!(!nan.abs().le(one).any(), "NaN must fail <=");
-        assert!(!nan.lt(one).any(), "NaN must fail <");
-        let m = Mask8([true, false, true, false, true, false, true, false]);
+        assert_eq!(nan.abs().le(one), Mask8(0), "NaN must fail <=");
+        assert_eq!(one.le(nan), Mask8(0), "NaN must fail <=");
+        assert_eq!(one.le(one), Mask8(0xFF));
+        let m = Mask8(0b0101_0101);
         let picked = F32x8::select(m, nan, one);
         for l in 0..LANES {
+            assert_eq!(m.test(l), l % 2 == 0);
             if m.test(l) {
-                assert!(picked.0[l].is_nan());
+                assert_eq!(picked.0[l].to_bits(), f32::NAN.to_bits());
             } else {
                 assert_eq!(picked.0[l].to_bits(), 1.0f32.to_bits());
             }
@@ -376,36 +480,111 @@ mod tests {
                 if m.test(l) { (-0.0f32).to_bits() } else { 0 }
             );
         }
+        assert_eq!(Mask8(0b1100_1010) & Mask8(0b1010_0110), Mask8(0b1000_0010));
+    }
+}
+
+/// The two bodies, operation by operation, on raw bit patterns.
+#[cfg(all(test, target_arch = "x86_64", target_feature = "avx2"))]
+mod differential {
+    use super::{avx2, portable, LANES};
+    use proptest::prelude::*;
+
+    /// The patterns where a vector unit could plausibly disagree with the
+    /// scalar one: NaN payloads (quiet, signalling, negative), ±0, the
+    /// extreme denormals, ±inf, ±`f32::MAX`, values around 1.
+    const EDGES: [u32; 16] = [
+        0x0000_0000,
+        0x8000_0000,
+        0x0000_0001,
+        0x807f_ffff,
+        0x0080_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7f7f_ffff,
+        0xff7f_ffff,
+        0x7fc0_0000,
+        0x7fc0_dead,
+        0xffc0_beef,
+        0x7f80_0001,
+        0x3f80_0000,
+        0xbf80_0001,
+        0x3f7f_ffff,
+    ];
+
+    /// Eight lanes of bit patterns, each an edge case or uniformly random.
+    fn lanes() -> impl Strategy<Value = [f32; LANES]> {
+        prop::collection::vec((0u32..3, 0usize..EDGES.len(), 0u32..=u32::MAX), LANES).prop_map(
+            |picks| {
+                std::array::from_fn(|l| {
+                    let (kind, edge, raw) = picks[l];
+                    f32::from_bits(if kind == 0 { EDGES[edge] } else { raw })
+                })
+            },
+        )
     }
 
-    #[test]
-    fn mask_logic() {
-        let a = Mask8([true, true, false, false, true, false, true, false]);
-        let b = Mask8([true, false, true, false, true, true, false, false]);
-        assert_eq!(
-            (a & b).0,
-            [true, false, false, false, true, false, false, false]
-        );
-        assert_eq!(
-            (a | b).0,
-            [true, true, true, false, true, true, true, false]
-        );
-        assert_eq!((!a).0, [false, false, true, true, false, true, false, true]);
-        assert!(Mask8::splat(true).all());
-        assert!(!Mask8::splat(false).any());
+    fn bits(v: [f32; LANES]) -> [u32; LANES] {
+        v.map(f32::to_bits)
     }
 
-    #[test]
-    fn f64_lanes_match_scalar_bitwise() {
-        let a = F64x8([-2.0, 0.5, 3.25, 1e-300, 7.0, -0.0, 1.0, 1e300]);
-        let b = F64x8::splat(3.0);
-        let p = a * b + a;
+    /// Bit equality — except on a lane whose operands are both NaN, where
+    /// IEEE lets either payload through and the compiler's operand order
+    /// picks: there both bodies must return a NaN.
+    fn same(
+        got: [f32; LANES],
+        want: [f32; LANES],
+        a: [f32; LANES],
+        b: [f32; LANES],
+    ) -> Result<(), String> {
         for l in 0..LANES {
-            assert_eq!(p.0[l].to_bits(), (a.0[l] * 3.0 + a.0[l]).to_bits());
+            let both_nan = a[l].is_nan() && b[l].is_nan();
+            let ok = got[l].to_bits() == want[l].to_bits()
+                || (both_nan && got[l].is_nan() && want[l].is_nan());
+            if !ok {
+                return Err(format!(
+                    "lane {l}: {:#010x} op {:#010x} = avx2 {:#010x}, portable {:#010x}",
+                    a[l].to_bits(),
+                    b[l].to_bits(),
+                    got[l].to_bits(),
+                    want[l].to_bits()
+                ));
+            }
         }
-        let s = a.abs().sqrt();
-        for l in 0..LANES {
-            assert_eq!(s.0[l].to_bits(), a.0[l].abs().sqrt().to_bits());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arithmetic_is_bit_identical(a in lanes(), b in lanes()) {
+            for (name, got, want) in [
+                ("add", avx2::add(a, b), portable::add(a, b)),
+                ("sub", avx2::sub(a, b), portable::sub(a, b)),
+                ("mul", avx2::mul(a, b), portable::mul(a, b)),
+                ("div", avx2::div(a, b), portable::div(a, b)),
+            ] {
+                if let Err(msg) = same(got, want, a, b) {
+                    prop_assert!(false, "{}: {}", name, msg);
+                }
+            }
+            prop_assert_eq!(bits(avx2::sqrt(a)), bits(portable::sqrt(a)));
+            prop_assert_eq!(bits(avx2::abs(a)), bits(portable::abs(a)));
+            prop_assert_eq!(bits(avx2::load(&a)), bits(portable::load(&a)));
+        }
+
+        #[test]
+        fn compare_and_select_are_bit_identical(a in lanes(), b in lanes(), m in 0u32..256) {
+            prop_assert_eq!(avx2::le(a, b), portable::le(a, b));
+            let m = m as u8;
+            prop_assert_eq!(bits(avx2::select(m, a, b)), bits(portable::select(m, a, b)));
+        }
+
+        #[test]
+        fn transpose_is_bit_identical(rows in prop::collection::vec(lanes(), LANES)) {
+            let m: [[f32; LANES]; LANES] = std::array::from_fn(|r| rows[r]);
+            prop_assert_eq!(avx2::transpose8(m).map(bits), portable::transpose8(m).map(bits));
         }
     }
 }

@@ -85,10 +85,10 @@ pub use grid::{Grid, ParticleBc};
 pub use harris::HarrisSheet;
 pub use hydro::{hydro_moments, HydroArray};
 pub use inject::ThermalInjector;
-pub use interpolator::{Interpolator, InterpolatorArray, InterpolatorLanes};
+pub use interpolator::{Interpolator, InterpolatorArray};
 pub use journal::{Journal, JournalError, ReplayReport};
 pub use juttner::{load_juttner, sample_juttner, sample_juttner_u};
-pub use lanes::{transpose8, F32x8, F64x8, Mask8};
+pub use lanes::{transpose8, F32x8, Mask8};
 pub use maxwellian::{load_profile, load_two_stream, load_uniform, Momentum};
 pub use particle::{Mover, Particle};
 pub use push::{

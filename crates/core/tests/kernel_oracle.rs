@@ -17,6 +17,7 @@
 //! exact bit patterns) instead of a wall of particles.
 
 use proptest::prelude::*;
+use vpic_core::aosoa::SCATTER_BATCH;
 use vpic_core::{
     advance_p_with, with_worker_threads, AccumulatorArray, Grid, Interpolator, InterpolatorArray,
     Layout, Particle, ParticleBc, ParticleStore, PushCoefficients, PushKernel, LANES,
@@ -423,8 +424,8 @@ fn straddling_blocks_with_crossers_match() {
 }
 
 /// The deferred-scatter batch: more full blocks than one batch holds
-/// (the lane kernel queues 8 blocks of precomputed scatter work before
-/// draining), with every lane crossing, so the queue fills and drains
+/// (the lane kernel queues `SCATTER_BATCH` = 8 blocks of precomputed
+/// scatter work before draining), with every lane crossing, so the queue fills and drains
 /// mid-range *and* drains a partial batch at range end — all of it
 /// bit-identical to the unbatched scalar oracle.
 #[test]
@@ -456,6 +457,32 @@ fn deferred_scatter_drains_before_straddle_lanes() {
     for pipes in [3usize, 8] {
         if let Err(msg) = check_case(&case, pipes) {
             panic!("{msg}");
+        }
+    }
+}
+
+/// The fixed queue at its edges. Two pipelines over
+/// `2·(SCATTER_BATCH·LANES + 3)` particles: pipeline 0 queues exactly
+/// `SCATTER_BATCH` full blocks (the drain fires as the last slot is
+/// written) and then meets a straddled block with the queue empty;
+/// pipeline 1 starts on the other half of that block and ends on a partial
+/// tail. And a lone full block: a queue of one, drained at range end.
+/// Stay-heavy and all-cross lanes both, so the register-resident deposit
+/// run and the spill path each cross the boundary.
+#[test]
+fn deferred_scatter_queue_fills_exactly_and_holds_one() {
+    for regime in [Regime::Thermal, Regime::AllCross] {
+        let mut rng = proptest::test_runner::TestRng::new(0xF111);
+        let n = 2 * (SCATTER_BATCH * LANES + 3);
+        let case = build_case(regime, (3, 3, 3), [0; 6], n, &mut rng);
+        for pipes in [1usize, 2] {
+            if let Err(msg) = check_case(&case, pipes) {
+                panic!("{regime:?}, exact fill: {msg}");
+            }
+        }
+        let case = build_case(regime, (3, 3, 3), [0; 6], LANES, &mut rng);
+        if let Err(msg) = check_case(&case, 1) {
+            panic!("{regime:?}, one block: {msg}");
         }
     }
 }

@@ -24,12 +24,15 @@
 # Pass "kernel" (or set CI_KERNEL=1) to run the lane-kernel lane: the
 # differential-oracle harness (lane-wide push/gather vs the scalar AoS
 # oracle, including the deferred-scatter batch cases), the lane-math unit
-# suite, the determinism matrix, the adaptive-sort-cadence determinism and
+# suite (the intrinsic body proptested against the portable one), the
+# determinism matrix, the adaptive-sort-cadence determinism and
 # checkpoint round-trip suites, and the fault-injected SRS rollback matrix
 # (AoS oracle vs AoSoA at 1/2/4/8 pipelines) — all with debug assertions
 # on — then a bench smoke that asserts the lane kernel is at least as fast
 # as the scalar body it replaced and that the auto cadence is at least on
-# par with the historical fixed-25 default.
+# par with the historical fixed-25 default; last, the lane-math, oracle
+# and determinism suites again on the portable lane body
+# (`target-cpu=x86-64`).
 #
 # Pass "sweep" (or set CI_SWEEP=1) to run the reflectivity-sweep-service
 # lane: the WAL corruption matrix, the job-queue state machine, the
@@ -284,6 +287,17 @@ if [[ "${1:-}" == "kernel" || "${CI_KERNEL:-0}" == "1" ]]; then
     ./target/release/e2_step_breakdown --validate target/BENCH_kernel_smoke.json
     ./target/release/e2_step_breakdown --assert-speedup target/BENCH_kernel_smoke.json
     ./target/release/e2_step_breakdown --assert-auto target/BENCH_kernel_smoke.json
+    # The same suites on the portable lane body: a baseline x86-64 target
+    # has no AVX2, so `lanes.rs` compiles its element-wise loops — the
+    # only body other targets get, and the oracle the intrinsic body is
+    # proptested against above. It must still be bit-identical to the
+    # scalar AoS oracle.
+    (
+        export RUSTFLAGS="-C target-cpu=x86-64 -C debug-assertions=on"
+        cargo test --release -p vpic-core --lib lanes
+        cargo test --release -p vpic-core --test kernel_oracle
+        cargo test --release -p vpic-core --test determinism
+    )
 fi
 
 if [[ "${1:-}" == "bench-smoke" || "${CI_BENCH_SMOKE:-0}" == "1" ]]; then
