@@ -5,13 +5,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nanompi::{run_socket, SocketAddrSpec, SocketBoot, Wire, WireReader};
 use vpic_core::aosoa::{advance_p_aosoa, AosoaStore};
-use vpic_core::field_solver::{advance_b, advance_e};
+use vpic_core::field_solver::{advance_b, advance_e, bcs_of, sync_b, sync_e, sync_j};
 use vpic_core::lanes::{self, transpose8, F32x8, LANES};
 use vpic_core::push::{advance_p_serial, advance_p_tallied, PushCoefficients, PushKernel};
 use vpic_core::sort::sort_by_voxel;
 use vpic_core::{
-    load_uniform, AccumulatorArray, FieldArray, Grid, InterpolatorArray, Momentum, ParticleStore,
-    Rng, Simulation, Species,
+    grid::ParticleBc, load_uniform, AccumulatorArray, FieldArray, Grid, InterpolatorArray,
+    Momentum, ParticleStore, Rng, Simulation, Species,
 };
 
 fn plasma(n: (usize, usize, usize), ppc: usize) -> Simulation {
@@ -115,6 +115,50 @@ fn bench_field_solver(c: &mut Criterion) {
     group.bench_function("advance_e", |b| b.iter(|| advance_e(&mut f, &g)));
     let mut ia = InterpolatorArray::new(&g);
     group.bench_function("interpolator_load", |b| b.iter(|| ia.load(&f, &g)));
+    group.finish();
+}
+
+/// The ghost surface on its own, at the three shapes the benchmark's
+/// workloads run: the SRS point grid (PEC in x, periodic y/z — almost all
+/// ghost), `halo-socket`'s x-split slab (x ghosts exchanged, so the local
+/// syncs see only y/z planes) and `uniform-push`'s periodic cube. The
+/// `x_plane_pack_unpack` entry is the strided end of the plane primitive:
+/// the two-component x plane `exchange_e` packs and its neighbour unpacks.
+fn bench_ghost_sync(c: &mut Criterion) {
+    use vpic_parallel::exchange::{append_plane, write_plane};
+    use ParticleBc::{Absorb, Migrate, Periodic};
+    let mut group = c.benchmark_group("ghost_sync");
+    group.sample_size(2000);
+    let shapes = [
+        ("291x1x1", (291, 1, 1), [Absorb, Periodic, Periodic]),
+        ("8x64x64", (8, 64, 64), [Migrate, Periodic, Periodic]),
+        ("64x64x64", (64, 64, 64), [Periodic, Periodic, Periodic]),
+    ];
+    for (name, n, [bx, by, bz]) in shapes {
+        let g = Grid::new(n, (0.25, 0.25, 0.25), 0.1, [bx, by, bz, bx, by, bz]);
+        let bcs = bcs_of(&g);
+        let mut f = FieldArray::new(&g);
+        group.bench_function(BenchmarkId::new("sync_b", name), |b| {
+            b.iter(|| sync_b(&mut f, &g, bcs))
+        });
+        group.bench_function(BenchmarkId::new("sync_e", name), |b| {
+            b.iter(|| sync_e(&mut f, &g, bcs))
+        });
+        group.bench_function(BenchmarkId::new("sync_j", name), |b| {
+            b.iter(|| sync_j(&mut f, &g, bcs))
+        });
+        let plane = g.plane_runs(0, 1).points();
+        let mut msg = Vec::with_capacity(2 * plane);
+        group.bench_function(BenchmarkId::new("x_plane_pack_unpack", name), |b| {
+            b.iter(|| {
+                msg.clear();
+                append_plane(&mut msg, &f.ey, &g, 0, 1);
+                append_plane(&mut msg, &f.ez, &g, 0, 1);
+                write_plane(&mut f.ey, &g, 0, g.nx + 1, &msg[..plane]);
+                write_plane(&mut f.ez, &g, 0, g.nx + 1, &msg[plane..]);
+            })
+        });
+    }
     group.finish();
 }
 
@@ -260,6 +304,7 @@ fn bench_comm(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_ghost_sync,
     bench_comm,
     bench_push,
     bench_lane_primitives,

@@ -205,63 +205,59 @@ impl AccumulatorArray {
     }
 
     /// Scatter the accumulated charge fluxes into the Yee current density,
-    /// one Rayon task per z-slab of each current component. Each `f.jx[v]`
-    /// (resp. `jy`/`jz`) is written by exactly one task with the same
-    /// 4-term sum as [`Self::unload`], so the result is bitwise identical
-    /// to the serial unload for any worker count.
+    /// one Rayon task per z-slab: the task does the `jx`, `jy` and `jz`
+    /// rows of each `j` back to back, so the accumulator rows it reads are
+    /// streamed once, not once per component. Each `f.jx[v]` (resp.
+    /// `jy`/`jz`) is written by exactly one task with the same 4-term sum
+    /// as [`Self::unload`], so the result is bitwise identical to the
+    /// serial unload for any worker count.
     pub fn unload_parallel(&self, f: &mut FieldArray, g: &Grid) {
         let (sx, sy, _) = g.strides();
         let (dj, dk) = (sx, sx * sy);
         let cx = 0.25 / (g.dt * g.dy * g.dz);
         let cy = 0.25 / (g.dt * g.dz * g.dx);
         let cz = 0.25 / (g.dt * g.dx * g.dy);
-        // The slab closures take the source slice, the extents and the
+        // The slab closure takes the source slice, the extents and the
         // scale factors by value (see `InterpolatorArray::load` for why),
-        // and walk rows: voxel (i, j, k) is `i + dj·j + dk·k`.
+        // and walks rows: voxel (i, j, k) is `i + dj·j + dk·k`.
         let a = &self.data[..];
         let (nx, ny, nz) = (g.nx, g.ny, g.nz);
-        // jx on x-edges: i ∈ 1..=nx, j ∈ 1..=ny+1, k ∈ 1..=nz+1.
         f.jx.par_chunks_mut(dk)
+            .zip(f.jy.par_chunks_mut(dk))
+            .zip(f.jz.par_chunks_mut(dk))
             .enumerate()
             .skip(1)
             .take(nz + 1)
-            .for_each(move |(k, jx)| {
+            .for_each(move |(k, ((jx, jy), jz))| {
                 for j in 1..=ny + 1 {
-                    for i in 1..=nx {
-                        let v = i + dj * j + dk * k;
+                    let row = dj * j + dk * k;
+                    // jx on x-edges: i ∈ 1..=nx, j ∈ 1..=ny+1, k ∈ 1..=nz+1.
+                    for v in row + 1..=row + nx {
                         jx[v - k * dk] += cx
                             * (a[v].jx[0]
                                 + a[v - dj].jx[1]
                                 + a[v - dk].jx[2]
                                 + a[v - dj - dk].jx[3]);
                     }
-                }
-            });
-        // jy on y-edges: i ∈ 1..=nx+1, j ∈ 1..=ny, k ∈ 1..=nz+1.
-        f.jy.par_chunks_mut(dk)
-            .enumerate()
-            .skip(1)
-            .take(nz + 1)
-            .for_each(move |(k, jy)| {
-                for j in 1..=ny {
-                    for i in 1..=nx + 1 {
-                        let v = i + dj * j + dk * k;
-                        jy[v - k * dk] += cy
-                            * (a[v].jy[0] + a[v - dk].jy[1] + a[v - 1].jy[2] + a[v - dk - 1].jy[3]);
+                    // jy on y-edges: i ∈ 1..=nx+1, j ∈ 1..=ny, k ∈ 1..=nz+1.
+                    if j <= ny {
+                        for v in row + 1..=row + nx + 1 {
+                            jy[v - k * dk] += cy
+                                * (a[v].jy[0]
+                                    + a[v - dk].jy[1]
+                                    + a[v - 1].jy[2]
+                                    + a[v - dk - 1].jy[3]);
+                        }
                     }
-                }
-            });
-        // jz on z-edges: i ∈ 1..=nx+1, j ∈ 1..=ny+1, k ∈ 1..=nz.
-        f.jz.par_chunks_mut(dk)
-            .enumerate()
-            .skip(1)
-            .take(nz)
-            .for_each(move |(k, jz)| {
-                for j in 1..=ny + 1 {
-                    for i in 1..=nx + 1 {
-                        let v = i + dj * j + dk * k;
-                        jz[v - k * dk] += cz
-                            * (a[v].jz[0] + a[v - 1].jz[1] + a[v - dj].jz[2] + a[v - 1 - dj].jz[3]);
+                    // jz on z-edges: i ∈ 1..=nx+1, j ∈ 1..=ny+1, k ∈ 1..=nz.
+                    if k <= nz {
+                        for v in row + 1..=row + nx + 1 {
+                            jz[v - k * dk] += cz
+                                * (a[v].jz[0]
+                                    + a[v - 1].jz[1]
+                                    + a[v - dj].jz[2]
+                                    + a[v - 1 - dj].jz[3]);
+                        }
                     }
                 }
             });
@@ -540,13 +536,21 @@ mod tests {
 
     #[test]
     fn reduce_and_unload_matches_serial_path() {
+        // The last two shapes are the thin ones the LPI decks run, where
+        // the fused slab task's `jy`/`jz` row guards do most of the work.
+        for shape in [(6, 5, 4), (291, 1, 1), (1, 7, 1)] {
+            reduce_and_unload_matches_serial_on(shape);
+        }
+    }
+
+    fn reduce_and_unload_matches_serial_on((nx, ny, nz): (usize, usize, usize)) {
         use crate::rng::Rng;
-        let g = Grid::periodic((6, 5, 4), (0.5, 0.5, 0.5), 0.05);
+        let g = Grid::periodic((nx, ny, nz), (0.5, 0.5, 0.5), 0.05);
         let mut rng = Rng::seeded(42);
         let mut set = AccumulatorSet::new(&g, 4);
         for (pipe, arr) in set.arrays.iter_mut().enumerate() {
             for _ in 0..50 + 30 * pipe {
-                let v = g.voxel(1 + rng.index(6), 1 + rng.index(5), 1 + rng.index(4));
+                let v = g.voxel(1 + rng.index(nx), 1 + rng.index(ny), 1 + rng.index(nz));
                 arr.deposit(
                     v,
                     rng.uniform_in(-1.0, 1.0) as f32,

@@ -950,8 +950,10 @@ pub(crate) fn sort_aosoa_with_workers(
     }
 
     // Phase 3: scatter into scratch blocks. Worker w writes exactly the
-    // lanes its prefix-sum slots reserve.
-    scratch.clear();
+    // lanes its prefix-sum slots reserve — together every live lane — and
+    // `park_tail` rewrites the tail's padding lanes, so whatever an
+    // earlier sort left in `scratch` is overwritten and only grown blocks
+    // need initializing.
     scratch.resize(n.div_ceil(LANES), Block::default());
     let out = BlockPtr::new(scratch);
     let starts = if cfg!(debug_assertions) {
@@ -1184,6 +1186,40 @@ mod tests {
                     "workers = {workers}, threads = {threads}"
                 );
                 assert_eq!(store.len(), parts.len());
+            }
+        }
+    }
+
+    #[test]
+    fn stale_scratch_never_leaks_into_a_shorter_or_longer_sort() {
+        // The scratch keeps the previous sort's blocks; a shrinking and
+        // then a growing population must each land on the reference
+        // permutation of their own particles, padding lanes parked.
+        let mut rng = Rng::seeded(33);
+        let nv = 40;
+        let (mut scratch, mut counts) = (Vec::new(), Vec::new());
+        for (round, n) in [3001usize, 17, 3011].into_iter().enumerate() {
+            let parts: Vec<Particle> = (0..n)
+                .map(|k| Particle {
+                    i: rng.index(nv) as u32,
+                    w: (10_000 * round + k) as f32, // unique across rounds
+                    ux: 1.0,
+                    ..Default::default()
+                })
+                .collect();
+            let mut store = AosoaStore::from_particles(&parts);
+            sort_aosoa_with_workers(&mut store, nv, &mut scratch, &mut counts, 3);
+            let want = crate::sort::reference_sort(&parts, nv);
+            assert_eq!(store.to_particles(), want, "round {round}");
+            assert_eq!(store.blocks.len(), n.div_ceil(LANES));
+            let tail = store.blocks.last().unwrap();
+            for l in n % LANES..LANES {
+                assert_eq!(tail.w[l], 0.0, "round {round}: padding lane {l} has weight");
+                assert_eq!(tail.ux[l], 0.0, "round {round}: padding lane {l} moves");
+                assert_eq!(
+                    tail.i[l], tail.i[0],
+                    "round {round}: padding lane {l} unparked"
+                );
             }
         }
     }

@@ -47,7 +47,12 @@ pub type FieldBcs = [FieldBc; 6];
 /// own `cB` entries and reads `E` at `v`, `v+1`, `v+dj`, `v+dk` (shared,
 /// immutable during the update), so slabs are independent and the result
 /// is bitwise identical to [`advance_b_serial`] for any worker count. The
-/// ghost sync stays serial (it is a few planes of copies).
+/// ghost sync stays serial: per component it moves a few planes, each
+/// walked as the contiguous runs [`Grid::plane_runs`] describes — a z
+/// plane is one `memcpy`, a y plane one per z-slab, and only an x plane
+/// is element-strided — so it costs what its bytes cost, which on a thin
+/// grid (where the ghost surface outweighs the volume) is what keeps it
+/// below the update itself.
 pub fn advance_b(f: &mut FieldArray, g: &Grid, frac: f32) {
     let (cdtx, cdty, cdtz) = (
         g.cvac * frac * g.dt / g.dx,
@@ -225,69 +230,34 @@ fn n_of(g: &Grid, axis: usize) -> usize {
 
 /// Copy the full (ghost-inclusive) plane `src` to plane `dst` along `axis`.
 pub(crate) fn copy_plane(arr: &mut [f32], g: &Grid, axis: usize, src: usize, dst: usize) {
-    let (sx, sy, sz) = g.strides();
-    let dims = [sx, sy, sz];
-    let (a1, a2) = match axis {
-        0 => (1, 2),
-        1 => (0, 2),
-        _ => (0, 1),
-    };
-    for c2 in 0..dims[a2] {
-        for c1 in 0..dims[a1] {
-            let mut cs = [0usize; 3];
-            cs[a1] = c1;
-            cs[a2] = c2;
-            cs[axis] = src;
-            let s = g.voxel(cs[0], cs[1], cs[2]);
-            cs[axis] = dst;
-            let d = g.voxel(cs[0], cs[1], cs[2]);
-            arr[d] = arr[s];
-        }
-    }
+    let (s, d) = (g.plane_runs(axis, src), g.plane_runs(axis, dst));
+    s.for_each_run(|s0, len| arr.copy_within(s0..s0 + len, s0 - s.first + d.first));
 }
 
 /// Add the full plane `src` into plane `dst` along `axis` (used to fold
 /// ghost-deposited currents/charge back into live entries).
 pub(crate) fn fold_plane(arr: &mut [f32], g: &Grid, axis: usize, src: usize, dst: usize) {
-    let (sx, sy, sz) = g.strides();
-    let dims = [sx, sy, sz];
-    let (a1, a2) = match axis {
-        0 => (1, 2),
-        1 => (0, 2),
-        _ => (0, 1),
-    };
-    for c2 in 0..dims[a2] {
-        for c1 in 0..dims[a1] {
-            let mut cs = [0usize; 3];
-            cs[a1] = c1;
-            cs[a2] = c2;
-            cs[axis] = src;
-            let s = g.voxel(cs[0], cs[1], cs[2]);
-            cs[axis] = dst;
-            let d = g.voxel(cs[0], cs[1], cs[2]);
-            arr[d] += arr[s];
+    let (s, d) = (g.plane_runs(axis, src), g.plane_runs(axis, dst));
+    s.for_each_run(|s0, len| {
+        let d0 = s0 - s.first + d.first;
+        // Runs of two different planes never overlap, so one split puts
+        // the source run and the destination run in different halves.
+        let (lo, hi) = arr.split_at_mut(s0.max(d0));
+        let (from, into) = if s0 < d0 {
+            (&lo[s0..s0 + len], &mut hi[..len])
+        } else {
+            (&hi[..len], &mut lo[d0..d0 + len])
+        };
+        for (x, y) in into.iter_mut().zip(from) {
+            *x += *y;
         }
-    }
+    });
 }
 
 /// Zero the full plane `idx` along `axis`.
 fn zero_plane(arr: &mut [f32], g: &Grid, axis: usize, idx: usize) {
-    let (sx, sy, sz) = g.strides();
-    let dims = [sx, sy, sz];
-    let (a1, a2) = match axis {
-        0 => (1, 2),
-        1 => (0, 2),
-        _ => (0, 1),
-    };
-    for c2 in 0..dims[a2] {
-        for c1 in 0..dims[a1] {
-            let mut cs = [0usize; 3];
-            cs[a1] = c1;
-            cs[a2] = c2;
-            cs[axis] = idx;
-            arr[g.voxel(cs[0], cs[1], cs[2])] = 0.0;
-        }
-    }
+    g.plane_runs(axis, idx)
+        .for_each_run(|s0, len| arr[s0..s0 + len].fill(0.0));
 }
 
 /// Re-establish `E` ghost/boundary planes after an `E` update.
@@ -625,7 +595,266 @@ pub fn clean_div_b(f: &mut FieldArray, g: &Grid, scratch: &mut Vec<f32>) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::ParticleBc;
     use std::f64::consts::PI;
+
+    /// The plane helpers walked one `g.voxel()` pair per element, with no
+    /// use of [`Grid::plane_runs`], and the `sync_b` built on them: the
+    /// reference the run-based helpers are compared against, bit for bit
+    /// and (in the ignored gate below) for speed.
+    mod per_element {
+        use super::super::*;
+
+        /// `f(s, d)` for every voxel pair of planes `src`/`dst` along
+        /// `axis`, lower transverse axis fastest.
+        fn for_each_pair(
+            g: &Grid,
+            axis: usize,
+            src: usize,
+            dst: usize,
+            mut f: impl FnMut(usize, usize),
+        ) {
+            let (sx, sy, sz) = g.strides();
+            let dims = [sx, sy, sz];
+            let (a1, a2) = match axis {
+                0 => (1, 2),
+                1 => (0, 2),
+                _ => (0, 1),
+            };
+            for c2 in 0..dims[a2] {
+                for c1 in 0..dims[a1] {
+                    let mut cs = [0usize; 3];
+                    cs[a1] = c1;
+                    cs[a2] = c2;
+                    cs[axis] = src;
+                    let s = g.voxel(cs[0], cs[1], cs[2]);
+                    cs[axis] = dst;
+                    let d = g.voxel(cs[0], cs[1], cs[2]);
+                    f(s, d);
+                }
+            }
+        }
+
+        pub fn copy_plane(arr: &mut [f32], g: &Grid, axis: usize, src: usize, dst: usize) {
+            for_each_pair(g, axis, src, dst, |s, d| arr[d] = arr[s]);
+        }
+
+        pub fn fold_plane(arr: &mut [f32], g: &Grid, axis: usize, src: usize, dst: usize) {
+            for_each_pair(g, axis, src, dst, |s, d| arr[d] += arr[s]);
+        }
+
+        pub fn zero_plane(arr: &mut [f32], g: &Grid, axis: usize, idx: usize) {
+            for_each_pair(g, axis, idx, idx, |s, _| arr[s] = 0.0);
+        }
+
+        /// [`super::super::sync_b`], statement for statement, on the
+        /// per-element helpers above.
+        pub fn sync_b(f: &mut FieldArray, g: &Grid, bcs: FieldBcs) {
+            for axis in 0..3 {
+                let n = n_of(g, axis);
+                let (lo, hi) = (bcs[axis], bcs[axis + 3]);
+                let own: &mut Vec<f32> = match axis {
+                    0 => &mut f.cbx,
+                    1 => &mut f.cby,
+                    _ => &mut f.cbz,
+                };
+                if lo == FieldBc::Periodic {
+                    copy_plane(own, g, axis, 1, n + 1);
+                    copy_plane(own, g, axis, n, 0);
+                } else {
+                    if lo == FieldBc::Pec {
+                        zero_plane(own, g, axis, 1);
+                        zero_plane(own, g, axis, 0);
+                    }
+                    if hi == FieldBc::Pec {
+                        zero_plane(own, g, axis, n + 1);
+                    }
+                }
+                let transverse: [&mut Vec<f32>; 2] = match axis {
+                    0 => [&mut f.cby, &mut f.cbz],
+                    1 => [&mut f.cbx, &mut f.cbz],
+                    _ => [&mut f.cbx, &mut f.cby],
+                };
+                for c in transverse {
+                    if lo == FieldBc::Periodic {
+                        copy_plane(c, g, axis, n, 0);
+                        copy_plane(c, g, axis, 1, n + 1);
+                        continue;
+                    }
+                    if lo == FieldBc::Pec {
+                        copy_plane(c, g, axis, 1, 0);
+                    }
+                    if hi == FieldBc::Pec {
+                        copy_plane(c, g, axis, n, n + 1);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The shapes the plane tests run: the degenerate ones the LPI decks
+    /// use (one cell along two axes), a small box with three different
+    /// extents, and `halo-socket`'s slab.
+    const SHAPES: [(usize, usize, usize); 5] =
+        [(291, 1, 1), (1, 7, 1), (1, 1, 5), (4, 3, 2), (8, 64, 64)];
+
+    /// Every voxel distinct and not exactly representable in thirds, so a
+    /// transposed, shifted or overlapping run changes bits.
+    fn distinct(g: &Grid) -> Vec<f32> {
+        (0..g.n_voxels()).map(|v| (v + 1) as f32 / 3.0).collect()
+    }
+
+    fn bits(arr: &[f32]) -> Vec<u32> {
+        arr.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The SRS point grid's boundary set: walls in x, periodic in y and z.
+    fn pec_x_grid(n: (usize, usize, usize)) -> Grid {
+        use ParticleBc::{Absorb, Periodic};
+        let dt = Grid::courant_dt(1.0, (0.25, 0.25, 0.25), 0.9);
+        let bc = [Absorb, Periodic, Periodic, Absorb, Periodic, Periodic];
+        Grid::new(n, (0.25, 0.25, 0.25), dt, bc)
+    }
+
+    #[test]
+    fn plane_helpers_match_the_per_element_walk() {
+        for shape in SHAPES {
+            let g = Grid::periodic(shape, (1.0, 1.0, 1.0), 0.1);
+            for axis in 0..3 {
+                let n = n_of(&g, axis);
+                // Every (src, dst) the syncs use.
+                for (src, dst) in [(1, n + 1), (n, 0), (n + 1, 1), (1, 0), (n, n + 1)] {
+                    let what = format!("{shape:?} axis {axis} {src}->{dst}");
+                    let (mut got, mut want) = (distinct(&g), distinct(&g));
+                    copy_plane(&mut got, &g, axis, src, dst);
+                    per_element::copy_plane(&mut want, &g, axis, src, dst);
+                    assert_ne!(
+                        bits(&got),
+                        bits(&distinct(&g)),
+                        "copy moved nothing: {what}"
+                    );
+                    assert_eq!(bits(&got), bits(&want), "copy {what}");
+                    // On top of the copy, so the fold sees what a sync's
+                    // fold-then-mirror sequence leaves behind.
+                    fold_plane(&mut got, &g, axis, src, dst);
+                    per_element::fold_plane(&mut want, &g, axis, src, dst);
+                    assert_eq!(bits(&got), bits(&want), "fold {what}");
+                    zero_plane(&mut got, &g, axis, src);
+                    per_element::zero_plane(&mut want, &g, axis, src);
+                    assert_eq!(bits(&got), bits(&want), "zero {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sync_b_matches_the_per_element_sync() {
+        for shape in SHAPES {
+            for g in [
+                Grid::periodic(shape, (1.0, 1.0, 1.0), 0.1),
+                pec_x_grid(shape),
+            ] {
+                let mut got = FieldArray::new(&g);
+                got.cbx = distinct(&g);
+                got.cby = got.cbx.iter().map(|x| x + 0.25).collect();
+                got.cbz = got.cbx.iter().map(|x| x + 0.75).collect();
+                let mut want = got.clone();
+                sync_b(&mut got, &g, bcs_of(&g));
+                per_element::sync_b(&mut want, &g, bcs_of(&g));
+                for (a, b) in [
+                    (&got.cbx, &want.cbx),
+                    (&got.cby, &want.cby),
+                    (&got.cbz, &want.cbz),
+                ] {
+                    assert_eq!(bits(a), bits(b), "{shape:?} {:?}", g.bc);
+                }
+            }
+        }
+    }
+
+    /// The quasi-1D SRS grid: the slab-parallel updates against their
+    /// serial references where the array is almost all ghost.
+    #[test]
+    fn thin_grid_advance_matches_serial() {
+        let g = pec_x_grid((291, 1, 1));
+        let mut f = FieldArray::new(&g);
+        let fill = |arr: &mut Vec<f32>, phase: f32| {
+            for (v, x) in arr.iter_mut().enumerate() {
+                *x = (0.37 * v as f32 + phase).sin();
+            }
+        };
+        fill(&mut f.ex, 0.1);
+        fill(&mut f.ey, 0.2);
+        fill(&mut f.ez, 0.3);
+        fill(&mut f.cbx, 0.4);
+        fill(&mut f.cby, 0.5);
+        fill(&mut f.cbz, 0.6);
+        fill(&mut f.jx, 0.7);
+        fill(&mut f.jy, 0.8);
+        fill(&mut f.jz, 0.9);
+        let mut want = f.clone();
+        let start = bits(&f.cby);
+        for _ in 0..3 {
+            advance_b(&mut f, &g, 0.5);
+            advance_e(&mut f, &g);
+            advance_b(&mut f, &g, 0.5);
+            advance_b_serial(&mut want, &g, 0.5);
+            advance_e_serial(&mut want, &g);
+            advance_b_serial(&mut want, &g, 0.5);
+        }
+        assert_ne!(bits(&f.cby), start, "the update moved nothing");
+        for (name, a, b) in [
+            ("ex", &f.ex, &want.ex),
+            ("ey", &f.ey, &want.ey),
+            ("ez", &f.ez, &want.ez),
+            ("cbx", &f.cbx, &want.cbx),
+            ("cby", &f.cby, &want.cby),
+            ("cbz", &f.cbz, &want.cbz),
+        ] {
+            assert_eq!(bits(a), bits(b), "{name}");
+        }
+    }
+
+    /// Relative speed gate (`scripts/ci.sh kernel`): both syncs timed in
+    /// one process on the SRS point grid so host drift cancels. The
+    /// run-based sync measures ≈ 30× the per-element one; 4× keeps the
+    /// quasi-1D cost from coming back unnoticed.
+    #[test]
+    #[ignore = "timing gate; run in release via scripts/ci.sh kernel"]
+    fn run_based_sync_b_is_at_least_4x_the_per_element_walk() {
+        use std::time::Instant;
+        let g = pec_x_grid((291, 1, 1));
+        let bcs = bcs_of(&g);
+        let mut f = FieldArray::new(&g);
+        f.cbx = distinct(&g);
+        f.cby = distinct(&g);
+        f.cbz = distinct(&g);
+        let mut time = |sync: fn(&mut FieldArray, &Grid, FieldBcs)| {
+            // Best of five batches: a preempted batch cannot fail the gate.
+            (0..5)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    for _ in 0..2000 {
+                        sync(std::hint::black_box(&mut f), &g, bcs);
+                    }
+                    t0.elapsed().as_secs_f64() / 2000.0
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let reference = time(per_element::sync_b);
+        let runs = time(sync_b);
+        println!(
+            "sync_b 291x1x1: per-element {:.2} us, run-based {:.2} us ({:.1}x)",
+            reference * 1e6,
+            runs * 1e6,
+            reference / runs
+        );
+        assert!(
+            reference >= 4.0 * runs,
+            "run-based sync_b is only {:.1}x the per-element walk",
+            reference / runs
+        );
+    }
 
     fn plane_wave_grid(n: usize) -> Grid {
         let dx = 1.0 / n as f32;

@@ -52,6 +52,41 @@ pub fn decode_migrate(neighbor: i64) -> Option<usize> {
     }
 }
 
+/// One ghost-inclusive plane as contiguous runs (see [`Grid::plane_runs`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PlaneRuns {
+    /// Index of the first entry of run 0.
+    pub first: usize,
+    /// Entries per run.
+    pub run_len: usize,
+    /// Distance between the starts of consecutive runs.
+    pub run_stride: usize,
+    /// Number of runs.
+    pub n_runs: usize,
+}
+
+impl PlaneRuns {
+    /// Entries in the plane.
+    #[inline]
+    pub fn points(&self) -> usize {
+        self.run_len * self.n_runs
+    }
+
+    /// Call `f(start, len)` for every run, in order. The unit-run case (an
+    /// x plane) gets its own copy of the loop so that, with `f` inlined,
+    /// `len` is the constant 1 there and a slice copy of `len` entries
+    /// compiles to one load and one store, not a `memcpy` call per entry.
+    #[inline(always)]
+    pub fn for_each_run(&self, mut f: impl FnMut(usize, usize)) {
+        let starts = (0..self.n_runs).map(|r| self.first + r * self.run_stride);
+        if self.run_len == 1 {
+            starts.for_each(|s| f(s, 1));
+        } else {
+            starts.for_each(|s| f(s, self.run_len));
+        }
+    }
+}
+
 /// Regular Yee grid with ghost ring and particle-boundary topology.
 #[derive(Clone, Debug)]
 pub struct Grid {
@@ -160,6 +195,39 @@ impl Grid {
     pub fn voxel(&self, i: usize, j: usize, k: usize) -> usize {
         debug_assert!(i < self.sx && j < self.sy && k < self.sz);
         i + self.sx * (j + self.sy * k)
+    }
+
+    /// The full (ghost-inclusive) plane `idx` normal to `axis` as
+    /// contiguous runs of the voxel array: `n_runs` runs of `run_len`
+    /// entries, run `r` starting at `first + r * run_stride`. A z plane is
+    /// one run of `sx·sy`, a y plane `sz` runs of `sx`, an x plane `sy·sz`
+    /// runs of one entry. Walking the runs in order visits the plane with
+    /// the lower transverse axis fastest — the order every plane copy,
+    /// fold and halo message in the workspace uses.
+    #[inline]
+    pub fn plane_runs(&self, axis: usize, idx: usize) -> PlaneRuns {
+        let (sx, sy, sz) = (self.sx, self.sy, self.sz);
+        debug_assert!(axis < 3 && idx < [sx, sy, sz][axis]);
+        match axis {
+            0 => PlaneRuns {
+                first: idx,
+                run_len: 1,
+                run_stride: sx,
+                n_runs: sy * sz,
+            },
+            1 => PlaneRuns {
+                first: idx * sx,
+                run_len: sx,
+                run_stride: sx * sy,
+                n_runs: sz,
+            },
+            _ => PlaneRuns {
+                first: idx * sx * sy,
+                run_len: sx * sy,
+                run_stride: sx * sy,
+                n_runs: 1,
+            },
+        }
     }
 
     /// Inverse of [`Grid::voxel`].
@@ -318,6 +386,31 @@ mod tests {
         for v in 0..g.n_voxels() {
             let (i, j, k) = g.voxel_coords(v);
             assert_eq!(g.voxel(i, j, k), v);
+        }
+    }
+
+    #[test]
+    fn plane_runs_walk_the_plane_in_voxel_order() {
+        for shape in [(291, 1, 1), (1, 7, 1), (1, 1, 5), (4, 3, 2)] {
+            let g = Grid::periodic(shape, (1.0, 1.0, 1.0), 0.1);
+            let (sx, sy, sz) = g.strides();
+            for (axis, n) in [sx, sy, sz].into_iter().enumerate() {
+                for idx in 0..n {
+                    let runs = g.plane_runs(axis, idx);
+                    let mut got = Vec::new();
+                    runs.for_each_run(|s, len| got.extend(s..s + len));
+                    // Ascending voxel index is "lower transverse axis
+                    // fastest", whichever axis the plane is normal to.
+                    let want: Vec<usize> = (0..g.n_voxels())
+                        .filter(|&v| {
+                            let (i, j, k) = g.voxel_coords(v);
+                            [i, j, k][axis] == idx
+                        })
+                        .collect();
+                    assert_eq!(got, want, "{shape:?} axis {axis} plane {idx}");
+                    assert_eq!(runs.points(), want.len());
+                }
+            }
         }
     }
 

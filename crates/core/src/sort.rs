@@ -139,8 +139,9 @@ pub(crate) fn sort_with_workers(
     }
 
     // Phase 3: scatter. Worker w writes exactly the slots the prefix-sum
-    // reserved for its (w, v) pairs.
-    scratch.clear();
+    // reserved for its (w, v) pairs — together all of `[0, n)`, so
+    // whatever an earlier sort left in `scratch` is overwritten and only
+    // a grown tail needs initializing.
     scratch.resize(n, Particle::default());
     let out = ScatterPtr {
         base: scratch.as_mut_ptr(),
@@ -195,6 +196,26 @@ pub fn locality_fraction(particles: &[Particle]) -> f64 {
     near as f64 / (particles.len() - 1) as f64
 }
 
+/// Plain textbook stable counting sort, used as the reference
+/// permutation for the parallel AoS and AoSoA sorts.
+#[cfg(test)]
+pub(crate) fn reference_sort(particles: &[Particle], n_voxels: usize) -> Vec<Particle> {
+    let mut counts = vec![0u32; n_voxels + 1];
+    for p in particles {
+        counts[p.i as usize + 1] += 1;
+    }
+    for v in 0..n_voxels {
+        counts[v + 1] += counts[v];
+    }
+    let mut out = vec![Particle::default(); particles.len()];
+    for p in particles {
+        let slot = &mut counts[p.i as usize];
+        out[*slot as usize] = *p;
+        *slot += 1;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,25 +263,6 @@ mod tests {
         assert_eq!(one[0].i, 7);
     }
 
-    /// Plain textbook stable counting sort, used as the reference
-    /// permutation for the parallel path.
-    fn reference_sort(particles: &[Particle], n_voxels: usize) -> Vec<Particle> {
-        let mut counts = vec![0u32; n_voxels + 1];
-        for p in particles {
-            counts[p.i as usize + 1] += 1;
-        }
-        for v in 0..n_voxels {
-            counts[v + 1] += counts[v];
-        }
-        let mut out = vec![Particle::default(); particles.len()];
-        for p in particles {
-            let slot = &mut counts[p.i as usize];
-            out[*slot as usize] = *p;
-            *slot += 1;
-        }
-        out
-    }
-
     #[test]
     fn any_worker_count_matches_reference_permutation() {
         let mut rng = Rng::seeded(21);
@@ -284,6 +286,28 @@ mod tests {
                 });
                 assert_eq!(got, want, "workers = {workers}, threads = {threads}");
             }
+        }
+    }
+
+    #[test]
+    fn stale_scratch_never_leaks_into_a_shorter_or_longer_sort() {
+        // The scratch keeps the previous sort's input; a shrinking and
+        // then a growing population must each land on the reference
+        // permutation of their own particles only.
+        let mut rng = Rng::seeded(33);
+        let nv = 40;
+        let (mut scratch, mut counts) = (Vec::new(), Vec::new());
+        for (round, n) in [3000usize, 17, 3011].into_iter().enumerate() {
+            let parts: Vec<Particle> = (0..n)
+                .map(|k| Particle {
+                    i: rng.index(nv) as u32,
+                    w: (10_000 * round + k) as f32, // unique across rounds
+                    ..Default::default()
+                })
+                .collect();
+            let mut got = parts.clone();
+            sort_with_workers(&mut got, nv, &mut scratch, &mut counts, 3);
+            assert_eq!(got, reference_sort(&parts, nv), "round {round}");
         }
     }
 

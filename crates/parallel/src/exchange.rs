@@ -48,61 +48,49 @@ const TAG_S_HIGH: u64 = 0x5100;
 const TAG_S_LOW: u64 = 0x5200;
 const TAG_E_NORM: u64 = 0x5300;
 
-/// Call `f` with the voxel index of every point of the full
-/// (ghost-inclusive) plane `idx` along `axis`, in wire order.
-fn for_each_slot(g: &Grid, axis: usize, idx: usize, mut f: impl FnMut(usize)) {
-    let (sx, sy, sz) = g.strides();
-    let dims = [sx, sy, sz];
-    let step = [1, sx, sx * sy];
-    let (a1, a2) = other_axes(axis);
-    let base = idx * step[axis];
-    for c2 in 0..dims[a2] {
-        let row = base + c2 * step[a2];
-        for c1 in 0..dims[a1] {
-            f(row + c1 * step[a1]);
-        }
-    }
-}
-
-/// Points in a full (ghost-inclusive) plane normal to `axis`.
-fn plane_len(g: &Grid, axis: usize) -> usize {
-    let (sx, sy, sz) = g.strides();
-    let (a1, a2) = other_axes(axis);
-    [sx, sy, sz][a1] * [sx, sy, sz][a2]
-}
-
-/// Append the full (ghost-inclusive) plane `idx` along `axis` to `out`.
-fn append_plane(out: &mut Vec<f32>, arr: &[f32], g: &Grid, axis: usize, idx: usize) {
-    for_each_slot(g, axis, idx, |slot| out.push(arr[slot]));
+/// Append the full (ghost-inclusive) plane `idx` along `axis` to `out`,
+/// run by run ([`Grid::plane_runs`]): that order is the wire order.
+pub fn append_plane(out: &mut Vec<f32>, arr: &[f32], g: &Grid, axis: usize, idx: usize) {
+    let runs = g.plane_runs(axis, idx);
+    // Sized first, then filled through a slice: a `push` per entry would
+    // chain every x-plane store through the vector's length field.
+    let mut at = out.len();
+    out.resize(at + runs.points(), 0.0);
+    runs.for_each_run(|s, len| {
+        out[at..at + len].copy_from_slice(&arr[s..s + len]);
+        at += len;
+    });
 }
 
 /// Read the full (ghost-inclusive) plane `idx` along `axis`.
 pub fn read_plane(arr: &[f32], g: &Grid, axis: usize, idx: usize) -> Vec<f32> {
-    let mut out = Vec::with_capacity(plane_len(g, axis));
+    let mut out = Vec::new();
     append_plane(&mut out, arr, g, axis, idx);
     out
 }
 
 /// Overwrite plane `idx` along `axis` with `data`.
 pub fn write_plane(arr: &mut [f32], g: &Grid, axis: usize, idx: usize, data: &[f32]) {
-    assert_eq!(data.len(), plane_len(g, axis), "plane size mismatch");
-    let mut it = data.iter();
-    for_each_slot(g, axis, idx, |slot| arr[slot] = *it.next().unwrap());
+    let runs = g.plane_runs(axis, idx);
+    assert_eq!(data.len(), runs.points(), "plane size mismatch");
+    let mut at = 0;
+    runs.for_each_run(|s, len| {
+        arr[s..s + len].copy_from_slice(&data[at..at + len]);
+        at += len;
+    });
 }
 
 /// Add `data` into plane `idx` along `axis`.
 pub fn add_plane(arr: &mut [f32], g: &Grid, axis: usize, idx: usize, data: &[f32]) {
-    assert_eq!(data.len(), plane_len(g, axis), "plane size mismatch");
-    let mut it = data.iter();
-    for_each_slot(g, axis, idx, |slot| arr[slot] += *it.next().unwrap());
-}
-
-fn other_axes(axis: usize) -> (usize, usize) {
-    match axis {
-        0 => (1, 2),
-        1 => (0, 2),
-        _ => (0, 1),
-    }
+    let runs = g.plane_runs(axis, idx);
+    assert_eq!(data.len(), runs.points(), "plane size mismatch");
+    let mut at = 0;
+    runs.for_each_run(|s, len| {
+        for (x, y) in arr[s..s + len].iter_mut().zip(&data[at..at + len]) {
+            *x += *y;
+        }
+        at += len;
+    });
 }
 
 fn n_of(g: &Grid, axis: usize) -> usize {
@@ -151,7 +139,7 @@ impl GhostExchanger {
         transfers: &mut [Transfer<'_, '_>],
     ) -> Result<(), CommError> {
         let n = n_of(g, axis);
-        let plane = plane_len(g, axis);
+        let plane = g.plane_runs(axis, 0).points();
         let (lo, hi) = (self.neighbors[axis], self.neighbors[axis + 3]);
         for t in transfers.iter() {
             let (to, src) = match t.flow {
@@ -542,7 +530,7 @@ mod tests {
         // halo tag (a peer built against another grid, say) must come back
         // as a typed error from the exchange, not trip an assert inside it.
         let g = x_split_grid();
-        let two_planes = 2 * plane_len(&g, 0);
+        let two_planes = 2 * g.plane_runs(0, 0).points();
         for len in [two_planes - 1, two_planes + 1, 0] {
             let flags = on_both_transports(2, &format!("badlen{len}"), |comm| {
                 let mut f = FieldArray::new(&g);
@@ -562,6 +550,58 @@ mod tests {
                 }
             });
             assert_eq!(flags, vec![true, true], "length {len}");
+        }
+    }
+
+    /// The voxel index of every point of plane `idx` along `axis`, found
+    /// one voxel at a time. Ascending index is the wire order (lower
+    /// transverse axis fastest) the run-based pack and unpack must keep.
+    fn plane_voxels(g: &Grid, axis: usize, idx: usize) -> Vec<usize> {
+        (0..g.n_voxels())
+            .filter(|&v| {
+                let (i, j, k) = g.voxel_coords(v);
+                [i, j, k][axis] == idx
+            })
+            .collect()
+    }
+
+    #[test]
+    fn plane_pack_and_unpack_match_the_per_element_walk() {
+        let bits = |arr: &[f32]| -> Vec<u32> { arr.iter().map(|x| x.to_bits()).collect() };
+        for shape in [(291, 1, 1), (1, 7, 1), (1, 1, 5), (4, 3, 2), (8, 64, 64)] {
+            let g = Grid::periodic(shape, (1.0, 1.0, 1.0), 0.1);
+            // Distinct everywhere and inexact in thirds, so a transposed
+            // or shifted run changes bits.
+            let arr: Vec<f32> = (0..g.n_voxels()).map(|v| (v + 1) as f32 / 3.0).collect();
+            for axis in 0..3 {
+                let n = n_of(&g, axis);
+                // Every (src, dst) an exchange or a sync uses.
+                for (src, dst) in [(1, n + 1), (n, 0), (n + 1, 1), (1, 0), (n, n + 1)] {
+                    let what = format!("{shape:?} axis {axis} {src}->{dst}");
+                    let (from, to) = (plane_voxels(&g, axis, src), plane_voxels(&g, axis, dst));
+                    let plane = read_plane(&arr, &g, axis, src);
+                    let want: Vec<f32> = from.iter().map(|&v| arr[v]).collect();
+                    assert_eq!(bits(&plane), bits(&want), "read {what}");
+                    // `append` lands behind what the message already holds.
+                    let mut msg = vec![-1.0f32];
+                    append_plane(&mut msg, &arr, &g, axis, src);
+                    assert_eq!(bits(&msg[1..]), bits(&want), "append {what}");
+                    assert_eq!(msg[0], -1.0);
+
+                    let (mut got, mut want) = (arr.clone(), arr.clone());
+                    write_plane(&mut got, &g, axis, dst, &plane);
+                    for (&v, &x) in to.iter().zip(&plane) {
+                        want[v] = x;
+                    }
+                    assert_ne!(bits(&got), bits(&arr), "write moved nothing: {what}");
+                    assert_eq!(bits(&got), bits(&want), "write {what}");
+                    add_plane(&mut got, &g, axis, dst, &plane);
+                    for (&v, &x) in to.iter().zip(&plane) {
+                        want[v] += x;
+                    }
+                    assert_eq!(bits(&got), bits(&want), "add {what}");
+                }
+            }
         }
     }
 

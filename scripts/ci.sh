@@ -30,7 +30,9 @@
 # (AoS oracle vs AoSoA at 1/2/4/8 pipelines) — all with debug assertions
 # on — then a bench smoke that asserts the lane kernel is at least as fast
 # as the scalar body it replaced and that the auto cadence is at least on
-# par with the historical fixed-25 default; last, the lane-math, oracle
+# par with the historical fixed-25 default, and the relative ghost-sync
+# gate (run-based plane walk >= 4x the per-element reference on the
+# quasi-1D SRS grid); last, the lane-math, oracle
 # and determinism suites again on the portable lane body
 # (`target-cpu=x86-64`).
 #
@@ -287,6 +289,10 @@ if [[ "${1:-}" == "kernel" || "${CI_KERNEL:-0}" == "1" ]]; then
     ./target/release/e2_step_breakdown --validate target/BENCH_kernel_smoke.json
     ./target/release/e2_step_breakdown --assert-speedup target/BENCH_kernel_smoke.json
     ./target/release/e2_step_breakdown --assert-auto target/BENCH_kernel_smoke.json
+    # Relative speed gate for the ghost surface, both walks timed in one
+    # process so host drift cancels: the run-based sync_b >= 4x the
+    # per-element reference on the quasi-1D SRS grid (291x1x1).
+    cargo test --release -p vpic-core --lib run_based_sync_b_is_at_least -- --ignored --nocapture
     # The same suites on the portable lane body: a baseline x86-64 target
     # has no AVX2, so `lanes.rs` compiles its element-wise loops — the
     # only body other targets get, and the oracle the intrinsic body is
