@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nanompi::{run_socket, SocketAddrSpec, SocketBoot, Wire, WireReader};
-use vpic_core::aosoa::{advance_p_aosoa, AosoaStore};
+use vpic_core::aosoa::{advance_p_aosoa, lane_compute, lane_scatter, AosoaStore};
 use vpic_core::field_solver::{advance_b, advance_e, bcs_of, sync_b, sync_e, sync_j};
-use vpic_core::lanes::{self, transpose8, F32x8, LANES};
+use vpic_core::lanes::{self, transpose8, F32x8, Wide, LANES};
 use vpic_core::push::{advance_p_serial, advance_p_tallied, PushCoefficients, PushKernel};
 use vpic_core::sort::sort_by_voxel;
 use vpic_core::{
@@ -77,8 +77,14 @@ fn bench_push(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two data-movement pieces of one block's compute phase, so the
-/// compute/scatter split in EXPERIMENTS.md E2 can be regenerated.
+/// The pieces of the lane kernel on their own, so the compute/scatter
+/// split in EXPERIMENTS.md E2 can be regenerated: the two data-movement
+/// primitives of a block's compute phase, the whole compute phase one and
+/// two blocks per pass (`compute_blocks/{1,2}`, per particle — what
+/// `scripts/ci.sh kernel` gates at 1.15x), and the in-order scatter of
+/// the queued records on freshly sorted blocks (`sorted`: one voxel per
+/// block, the register-carried case) and on blocks whose every lane sits
+/// in another voxel (`mixed`: a reload per lane).
 fn bench_lane_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("lane_primitives");
     group.throughput(Throughput::Elements(LANES as u64));
@@ -91,15 +97,65 @@ fn bench_lane_primitives(c: &mut Criterion) {
     let parts = sim.species[0].to_particles();
     // One sorted block's voxels and offsets (mostly one voxel, as in a run).
     let idx: [u32; LANES] = std::array::from_fn(|l| parts[l].i);
-    let dx = F32x8(std::array::from_fn(|l| parts[l].dx));
-    let dy = F32x8(std::array::from_fn(|l| parts[l].dy));
-    let dz = F32x8(std::array::from_fn(|l| parts[l].dz));
+    let dx = Wide([F32x8(std::array::from_fn(|l| parts[l].dx))]);
+    let dy = Wide([F32x8(std::array::from_fn(|l| parts[l].dy))]);
+    let dz = Wide([F32x8(std::array::from_fn(|l| parts[l].dz))]);
     group.bench_function("gather_ha_cb8", |b| {
         b.iter(|| {
             let (idx, dx, dy, dz) = criterion::black_box((&idx, dx, dy, dz));
-            sim.interp.gather_ha_cb8(idx, dx, dy, dz, 0.1)
+            sim.interp.gather_ha_cb8([idx], dx, dy, dz, 0.1)
         })
     });
+
+    let g = sim.grid.clone();
+    let coeffs = PushCoefficients::new(-1.0, 1.0, &g);
+    group.throughput(Throughput::Elements(parts.len() as u64));
+    let mut pushes = Vec::new();
+    let mut store = AosoaStore::from_particles(&parts);
+    group.bench_function(BenchmarkId::new("compute_blocks", 1), |b| {
+        b.iter(|| lane_compute::<1>(&mut store, coeffs, &sim.interp, &mut pushes))
+    });
+    let mut store = AosoaStore::from_particles(&parts);
+    group.bench_function(BenchmarkId::new("compute_blocks", 2), |b| {
+        b.iter(|| lane_compute::<2>(&mut store, coeffs, &sim.interp, &mut pushes))
+    });
+
+    // Particles at rest, so that every lane stays and the scatter can be
+    // repeated on the same records.
+    let rest: Vec<_> = parts
+        .iter()
+        .map(|p| vpic_core::Particle {
+            ux: 0.0,
+            uy: 0.0,
+            uz: 0.0,
+            ..*p
+        })
+        .collect();
+    let mut acc = AccumulatorArray::new(&g);
+    let live: Vec<u32> = (0..g.n_voxels() as u32)
+        .filter(|&v| g.is_live(v as usize))
+        .collect();
+    for (name, voxel_of) in [
+        (
+            "sorted",
+            Box::new(|k: usize| live[k / LANES % live.len()]) as Box<dyn Fn(usize) -> u32>,
+        ),
+        ("mixed", Box::new(|k: usize| live[k % live.len()])),
+    ] {
+        let placed: Vec<_> = rest
+            .iter()
+            .enumerate()
+            .map(|(k, p)| vpic_core::Particle {
+                i: voxel_of(k),
+                ..*p
+            })
+            .collect();
+        let mut store = AosoaStore::from_particles(&placed);
+        lane_compute::<2>(&mut store, coeffs, &sim.interp, &mut pushes);
+        group.bench_function(BenchmarkId::new("scatter_block", name), |b| {
+            b.iter(|| lane_scatter(&mut store, &pushes, coeffs.qsp, &mut acc, &g))
+        });
+    }
     group.finish();
 }
 

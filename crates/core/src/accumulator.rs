@@ -25,7 +25,7 @@
 
 use crate::field::FieldArray;
 use crate::grid::Grid;
-use crate::lanes::F32x8;
+use crate::lanes::{F32x8, Mask8, Wide, LANES};
 use rayon::prelude::*;
 
 /// Voxels per parallel task in the range reduction (whole `Accumulator`
@@ -42,6 +42,70 @@ pub struct Accumulator {
     pub jy: [f32; 4],
     /// z-edge quadrants in `(i,j)`, `(i+1,j)`, `(i,j+1)`, `(i+1,j+1)` order.
     pub jz: [f32; 4],
+}
+
+/// [`Accumulator`] seen as the lane scatter loads and stores it: the `jx`
+/// and `jy` quadrants as one eight-float row, then the `jz` quadrants.
+#[repr(C)]
+struct AccumulatorRows {
+    jxy: [f32; LANES],
+    jz: [f32; LANES / 2],
+}
+
+const _: () = {
+    assert!(std::mem::size_of::<Accumulator>() == std::mem::size_of::<AccumulatorRows>());
+    assert!(std::mem::align_of::<Accumulator>() == std::mem::align_of::<AccumulatorRows>());
+};
+
+impl Accumulator {
+    /// The same twelve floats, grouped into rows.
+    #[inline(always)]
+    fn rows(&self) -> &AccumulatorRows {
+        // SAFETY: both types are `#[repr(C)]` and made of twelve `f32`s
+        // and nothing else, so they have the same size and alignment (the
+        // const block above checks it) with no padding, float `n` of one
+        // at the byte offset of float `n` of the other; every bit pattern
+        // is a valid `f32`; the result borrows `self`.
+        unsafe { &*(self as *const Accumulator as *const AccumulatorRows) }
+    }
+
+    /// [`Self::rows`], writable.
+    #[inline(always)]
+    fn rows_mut(&mut self) -> &mut AccumulatorRows {
+        // SAFETY: as in `rows`; the result borrows `self` mutably.
+        unsafe { &mut *(self as *mut Accumulator as *mut AccumulatorRows) }
+    }
+}
+
+/// What a voxel the scatter has not deposited into reads as — and what
+/// [`AccumulatorArray::deposit_lane`] loads in place of the voxel it
+/// already holds in registers.
+static ZERO: Accumulator = Accumulator {
+    jx: [0.0; 4],
+    jy: [0.0; 4],
+    jz: [0.0; 4],
+};
+
+/// The accumulator entry the lane scatter deposited into last, as it now
+/// stands in memory: `jxy` lanes 0–3/4–7 are the `jx`/`jy` quadrants,
+/// `jz` lanes 0–3 the `jz` quadrants (4–7 zero). Whoever deposits into
+/// the array by another route in between (the crosser mover) resets it to
+/// [`OpenVoxel::NONE`]; memory is always current, so there is nothing to
+/// write back.
+#[derive(Clone, Copy)]
+pub(crate) struct OpenVoxel {
+    voxel: usize,
+    jxy: F32x8,
+    jz: F32x8,
+}
+
+impl OpenVoxel {
+    /// No voxel held (`usize::MAX` is no voxel's index).
+    pub(crate) const NONE: OpenVoxel = OpenVoxel {
+        voxel: usize::MAX,
+        jxy: F32x8([0.0; LANES]),
+        jz: F32x8([0.0; LANES]),
+    };
 }
 
 /// One pipeline's accumulator array.
@@ -66,7 +130,8 @@ impl AccumulatorArray {
 
     /// Half-open voxel range deposited into since the last clear. All
     /// entries outside it are zero (every mutation funnels through
-    /// [`Self::deposit`] / [`Self::reduce_from`], which widen it).
+    /// [`Self::deposit`] / [`Self::reduce_from`], which widen it, or
+    /// through [`Self::deposit_lane`], whose caller does).
     #[inline]
     pub fn dirty_range(&self) -> std::ops::Range<usize> {
         if self.dirty_lo >= self.dirty_hi {
@@ -102,12 +167,18 @@ impl AccumulatorArray {
         (hx, hy, hz): (f32, f32, f32),
     ) {
         let v5 = q * hx * hy * hz * (1.0 / 3.0);
-        self.dirty_lo = self.dirty_lo.min(voxel);
-        self.dirty_hi = self.dirty_hi.max(voxel + 1);
+        self.touch(voxel, voxel);
         let a = &mut self.data[voxel];
         accumulate_quadrants(&mut a.jx, q * hx, my, mz, v5);
         accumulate_quadrants(&mut a.jy, q * hy, mz, mx, v5);
         accumulate_quadrants(&mut a.jz, q * hz, mx, my, v5);
+    }
+
+    /// Widen the dirty range to cover voxels `lo..=hi`.
+    #[inline]
+    pub(crate) fn touch(&mut self, lo: usize, hi: usize) {
+        self.dirty_lo = self.dirty_lo.min(lo);
+        self.dirty_hi = self.dirty_hi.max(hi + 1);
     }
 
     /// Accumulate four precomputed quadrant contributions per edge
@@ -118,8 +189,7 @@ impl AccumulatorArray {
     /// feeds this with bit-identical addends lands on bit-identical sums.
     #[inline]
     pub fn deposit_quadrants(&mut self, voxel: usize, jx: [f32; 4], jy: [f32; 4], jz: [f32; 4]) {
-        self.dirty_lo = self.dirty_lo.min(voxel);
-        self.dirty_hi = self.dirty_hi.max(voxel + 1);
+        self.touch(voxel, voxel);
         let a = &mut self.data[voxel];
         for n in 0..4 {
             a.jx[n] += jx[n];
@@ -128,61 +198,50 @@ impl AccumulatorArray {
         }
     }
 
+    /// One stay lane of the lane kernel's in-order scatter:
     /// [`Self::deposit_quadrants`] with the addends pre-transposed into
-    /// per-particle registers: `jxy` holds the four `jx` quadrants in
-    /// lanes 0–3 and the four `jy` quadrants in lanes 4–7; `jz` holds the
-    /// four `jz` quadrants in lanes 0–3 (4–7 ignored). Each accumulator
-    /// entry still receives exactly one `+=` of the identical addend, so
-    /// the sums are bit-identical to the quadrant-array form — but the
-    /// addends are contiguous, so the twelve updates compile to a few
-    /// packed load-add-stores instead of a scalar extract per entry.
-    #[inline]
-    pub fn deposit_lanes(&mut self, voxel: usize, jxy: F32x8, jz: F32x8) {
-        self.dirty_lo = self.dirty_lo.min(voxel);
-        self.dirty_hi = self.dirty_hi.max(voxel + 1);
-        let a = &mut self.data[voxel];
-        for n in 0..4 {
-            a.jx[n] += jxy.0[n];
-        }
-        for n in 0..4 {
-            a.jy[n] += jxy.0[4 + n];
-        }
-        for n in 0..4 {
-            a.jz[n] += jz.0[n];
-        }
-    }
-
-    /// Read one voxel's accumulator into lane registers for a run of
-    /// register-resident deposits: `jxy` lanes 0–3/4–7 are the `jx`/`jy`
-    /// quadrants, `jz` lanes 0–3 the `jz` quadrants (4–7 zero). Paired
-    /// with [`Self::store_lanes`]; between the two, the caller adds one
-    /// addend vector per particle in scatter order, which performs the
-    /// exact per-entry `+=` sequence `deposit_quadrants` would have done
-    /// through memory — same order, same addends, same bits — without a
-    /// store-to-load round trip per particle.
-    #[inline]
-    pub fn load_lanes(&self, voxel: usize) -> (F32x8, F32x8) {
-        let a = &self.data[voxel];
-        (
-            F32x8([
-                a.jx[0], a.jx[1], a.jx[2], a.jx[3], a.jy[0], a.jy[1], a.jy[2], a.jy[3],
-            ]),
-            F32x8([a.jz[0], a.jz[1], a.jz[2], a.jz[3], 0.0, 0.0, 0.0, 0.0]),
-        )
-    }
-
-    /// Write back a register-resident accumulator run begun by
-    /// [`Self::load_lanes`], marking the voxel dirty.
-    #[inline]
-    pub fn store_lanes(&mut self, voxel: usize, jxy: F32x8, jz: F32x8) {
-        self.dirty_lo = self.dirty_lo.min(voxel);
-        self.dirty_hi = self.dirty_hi.max(voxel + 1);
-        let a = &mut self.data[voxel];
-        for n in 0..4 {
-            a.jx[n] = jxy.0[n];
-            a.jy[n] = jxy.0[4 + n];
-            a.jz[n] = jz.0[n];
-        }
+    /// per-particle registers (`jxy` holds the four `jx` quadrants in
+    /// lanes 0–3 and the four `jy` quadrants in lanes 4–7; `jz` the four
+    /// `jz` quadrants in lanes 0–3, zeros above), *without* widening the
+    /// dirty range — the caller [`Self::touch`]es a block's voxels once.
+    ///
+    /// Every entry receives exactly one `+=` of the identical addend and
+    /// the sum is stored at once, so memory is current after every lane
+    /// and the sums are those of the per-entry form. What is left out is
+    /// the store-to-load round trip between consecutive lanes of one
+    /// voxel (the sorted case): `open` carries the stored sums in
+    /// registers, and when `voxel` is the open one they are selected over
+    /// the loaded ones. There is no branch on that test — the load goes
+    /// ahead, from [`ZERO`] instead of the entry just stored to, so that
+    /// it never waits for the store either — which leaves a blend and an
+    /// add per lane on the dependency chain, whatever the voxel pattern.
+    #[inline(always)]
+    pub(crate) fn deposit_lane(
+        &mut self,
+        voxel: usize,
+        open: &mut OpenVoxel,
+        jxy: F32x8,
+        jz: F32x8,
+    ) {
+        let slot = &mut self.data[voxel];
+        let same = voxel == open.voxel;
+        let from: &Accumulator = if same { &ZERO } else { slot };
+        let from = from.rows();
+        // All lanes or none: a conditional move on the address above and
+        // on the mask here, no jump.
+        let held = Mask8(if same { 0xFF } else { 0 });
+        let [z0, z1, z2, z3] = from.jz;
+        let loaded_z = F32x8([z0, z1, z2, z3, 0.0, 0.0, 0.0, 0.0]);
+        let sxy = F32x8::select(held, open.jxy, F32x8::load(&from.jxy)) + jxy;
+        let sz = F32x8::select(held, open.jz, loaded_z) + jz;
+        let to = slot.rows_mut();
+        to.jxy = sxy.0;
+        to.jz = [sz.0[0], sz.0[1], sz.0[2], sz.0[3]];
+        *open = OpenVoxel {
+            voxel,
+            jxy: sxy,
+            jz: sz,
+        };
     }
 
     /// Sum `other` into `self` (pipeline reduction); only `other`'s dirty
@@ -328,17 +387,21 @@ fn accumulate_quadrants(quad: &mut [f32; 4], qu: f32, d1: f32, d2: f32, v5: f32)
     quad[3] += w3 + v5;
 }
 
-/// Lane-wide mirror of [`accumulate_quadrants`]: for eight particles at
-/// once, compute the four quadrant *addends* `[w0+v5, w1-v5, w2-v5,
-/// w3+v5]` without touching the array. Each lane runs the exact scalar
-/// operation sequence element-wise (same products, same ordering, no
-/// fusion), so lane `l` of the result is bit-identical to what the
-/// scalar macro would have added for that particle; the caller scatters
-/// the addends in lane index order via
-/// [`AccumulatorArray::deposit_quadrants`].
+/// Lane-wide mirror of [`accumulate_quadrants`]: for the eight particles
+/// of each of `K` blocks at once, compute the four quadrant *addends*
+/// `[w0+v5, w1-v5, w2-v5, w3+v5]` without touching the array. Each lane
+/// runs the exact scalar operation sequence element-wise (same products,
+/// same ordering, no fusion), so lane `l` of the result is bit-identical
+/// to what the scalar macro would have added for that particle; the
+/// caller adds the addends to the accumulator entry in particle order.
 #[inline(always)]
-pub(crate) fn quadrants_lanes(qu: F32x8, d1: F32x8, d2: F32x8, v5: F32x8) -> [F32x8; 4] {
-    let one = F32x8::splat(1.0);
+pub(crate) fn quadrants_lanes<const K: usize>(
+    qu: Wide<K>,
+    d1: Wide<K>,
+    d2: Wide<K>,
+    v5: Wide<K>,
+) -> [Wide<K>; 4] {
+    let one = Wide::splat(1.0);
     let v1 = qu * d1;
     let mut w0 = qu - v1; // qu(1-d1)
     let mut w1 = qu + v1; // qu(1+d1)
@@ -590,14 +653,38 @@ mod tests {
         }
     }
 
+    fn assert_bitwise_eq(want: &AccumulatorArray, got: &AccumulatorArray, what: &str) {
+        assert_eq!(want.dirty_range(), got.dirty_range(), "{what}");
+        for (v, (a, b)) in want.data.iter().zip(got.data.iter()).enumerate() {
+            for n in 0..4 {
+                assert_eq!(
+                    a.jx[n].to_bits(),
+                    b.jx[n].to_bits(),
+                    "{what}: jx[{n}] at {v}"
+                );
+                assert_eq!(
+                    a.jy[n].to_bits(),
+                    b.jy[n].to_bits(),
+                    "{what}: jy[{n}] at {v}"
+                );
+                assert_eq!(
+                    a.jz[n].to_bits(),
+                    b.jz[n].to_bits(),
+                    "{what}: jz[{n}] at {v}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn lane_quadrants_match_scalar_deposit_bitwise() {
-        use crate::lanes::LANES;
+        use crate::lanes::transpose8;
         use crate::rng::Rng;
         let g = Grid::periodic((4, 4, 4), (1.0, 1.0, 1.0), 0.1);
         let mut rng = Rng::seeded(11);
-        // Eight random streaks, two of which share a voxel so the scatter
-        // order matters; deposited via the scalar path and via lane-wide
+        // Eight random streaks over three voxels in the order A B C A B C
+        // A B, so every deposit revisits a voxel that another lane wrote
+        // in between; deposited via the scalar macro and via lane-wide
         // quadrant precompute + deposit_quadrants, compared bitwise.
         let mut q = [0.0f32; LANES];
         let mut m = [(0.0f32, 0.0f32, 0.0f32); LANES];
@@ -622,17 +709,17 @@ mod tests {
             scalar.deposit(vox[l], q[l], m[l], h[l]);
         }
 
-        let qv = F32x8(q);
-        let mx = F32x8(std::array::from_fn(|l| m[l].0));
-        let my = F32x8(std::array::from_fn(|l| m[l].1));
-        let mz = F32x8(std::array::from_fn(|l| m[l].2));
-        let hx = F32x8(std::array::from_fn(|l| h[l].0));
-        let hy = F32x8(std::array::from_fn(|l| h[l].1));
-        let hz = F32x8(std::array::from_fn(|l| h[l].2));
-        let v5 = qv * hx * hy * hz * F32x8::splat(1.0 / 3.0);
-        let jx = quadrants_lanes(qv * hx, my, mz, v5);
-        let jy = quadrants_lanes(qv * hy, mz, mx, v5);
-        let jz = quadrants_lanes(qv * hz, mx, my, v5);
+        let qv = Wide([F32x8(q)]);
+        let mx = Wide([F32x8(std::array::from_fn(|l| m[l].0))]);
+        let my = Wide([F32x8(std::array::from_fn(|l| m[l].1))]);
+        let mz = Wide([F32x8(std::array::from_fn(|l| m[l].2))]);
+        let hx = Wide([F32x8(std::array::from_fn(|l| h[l].0))]);
+        let hy = Wide([F32x8(std::array::from_fn(|l| h[l].1))]);
+        let hz = Wide([F32x8(std::array::from_fn(|l| h[l].2))]);
+        let v5 = qv * hx * hy * hz * Wide::splat(1.0 / 3.0);
+        let jx = quadrants_lanes(qv * hx, my, mz, v5).map(|w| w.0[0]);
+        let jy = quadrants_lanes(qv * hy, mz, mx, v5).map(|w| w.0[0]);
+        let jz = quadrants_lanes(qv * hz, mx, my, v5).map(|w| w.0[0]);
         let mut lanes = AccumulatorArray::new(&g);
         for (l, &v) in vox.iter().enumerate() {
             lanes.deposit_quadrants(
@@ -642,64 +729,38 @@ mod tests {
                 std::array::from_fn(|n| jz[n].0[l]),
             );
         }
-        assert_eq!(scalar.dirty_range(), lanes.dirty_range());
-        for (v, (a, b)) in scalar.data.iter().zip(lanes.data.iter()).enumerate() {
-            for n in 0..4 {
-                assert_eq!(a.jx[n].to_bits(), b.jx[n].to_bits(), "jx[{n}] at {v}");
-                assert_eq!(a.jy[n].to_bits(), b.jy[n].to_bits(), "jy[{n}] at {v}");
-                assert_eq!(a.jz[n].to_bits(), b.jz[n].to_bits(), "jz[{n}] at {v}");
-            }
-        }
+        assert_bitwise_eq(&scalar, &lanes, "deposit_quadrants");
 
-        // The pre-transposed deposit_lanes form (what the production lane
-        // scatter uses) must land on the same bits again.
+        // The production lane scatter: pre-transposed addends through
+        // deposit_lane, memory current after every lane. Once in the
+        // A B C order above (every lane reloads), once with the lanes
+        // regrouped A A A B B B C C (the open voxel's registers are
+        // selected), and once with the open voxel dropped after every lane
+        // as a spill would drop it.
         let zero = F32x8::splat(0.0);
-        let txy =
-            crate::lanes::transpose8([jx[0], jx[1], jx[2], jx[3], jy[0], jy[1], jy[2], jy[3]]);
-        let tz = crate::lanes::transpose8([jz[0], jz[1], jz[2], jz[3], zero, zero, zero, zero]);
-        let mut flat = AccumulatorArray::new(&g);
-        for l in 0..LANES {
-            flat.deposit_lanes(vox[l], txy[l], tz[l]);
-        }
-        assert_eq!(scalar.dirty_range(), flat.dirty_range());
-        for (a, b) in scalar.data.iter().zip(flat.data.iter()) {
-            for n in 0..4 {
-                assert_eq!(a.jx[n].to_bits(), b.jx[n].to_bits());
-                assert_eq!(a.jy[n].to_bits(), b.jy[n].to_bits());
-                assert_eq!(a.jz[n].to_bits(), b.jz[n].to_bits());
-            }
-        }
-
-        // Register-resident runs (the production lane scatter): group
-        // consecutive same-voxel lanes between one load_lanes and one
-        // store_lanes — identical add order, identical bits.
-        let mut runs = AccumulatorArray::new(&g);
-        let mut open: Option<(usize, F32x8, F32x8)> = None;
-        for l in 0..LANES {
-            match open.as_mut() {
-                Some((v, axy, az)) if *v == vox[l] => {
-                    *axy = *axy + txy[l];
-                    *az = *az + tz[l];
-                }
-                _ => {
-                    if let Some((v, axy, az)) = open.take() {
-                        runs.store_lanes(v, axy, az);
-                    }
-                    let (axy, az) = runs.load_lanes(vox[l]);
-                    open = Some((vox[l], axy + txy[l], az + tz[l]));
+        let txy = transpose8([jx[0], jx[1], jx[2], jx[3], jy[0], jy[1], jy[2], jy[3]]);
+        let tz = transpose8([jz[0], jz[1], jz[2], jz[3], zero, zero, zero, zero]);
+        for (what, order, forget) in [
+            ("deposit_lane, revisits", [0, 1, 2, 3, 4, 5, 6, 7], false),
+            ("deposit_lane, runs", [0, 3, 6, 1, 4, 7, 2, 5], false),
+            (
+                "deposit_lane, open voxel dropped",
+                [0, 3, 6, 1, 4, 7, 2, 5],
+                true,
+            ),
+        ] {
+            let mut want = AccumulatorArray::new(&g);
+            let mut got = AccumulatorArray::new(&g);
+            let mut open = OpenVoxel::NONE;
+            got.touch(g.voxel(1, 2, 2), g.voxel(3, 2, 2));
+            for l in order {
+                want.deposit(vox[l], q[l], m[l], h[l]);
+                got.deposit_lane(vox[l], &mut open, txy[l], tz[l]);
+                if forget {
+                    open = OpenVoxel::NONE;
                 }
             }
-        }
-        if let Some((v, axy, az)) = open.take() {
-            runs.store_lanes(v, axy, az);
-        }
-        assert_eq!(scalar.dirty_range(), runs.dirty_range());
-        for (a, b) in scalar.data.iter().zip(runs.data.iter()) {
-            for n in 0..4 {
-                assert_eq!(a.jx[n].to_bits(), b.jx[n].to_bits());
-                assert_eq!(a.jy[n].to_bits(), b.jy[n].to_bits());
-                assert_eq!(a.jz[n].to_bits(), b.jz[n].to_bits());
-            }
+            assert_bitwise_eq(&want, &got, what);
         }
     }
 

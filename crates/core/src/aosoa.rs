@@ -16,11 +16,11 @@
 //! scattered in lane index order; `crates/core/tests/kernel_oracle.rs`
 //! pins the contract differentially.
 
-use crate::accumulator::{quadrants_lanes, AccumulatorArray};
+use crate::accumulator::{quadrants_lanes, AccumulatorArray, OpenVoxel};
 use crate::cadence::PushTally;
 use crate::grid::Grid;
 use crate::interpolator::InterpolatorArray;
-use crate::lanes::{transpose8, F32x8, Mask8};
+use crate::lanes::{transpose8_wide, F32x8, Mask8, Wide};
 use crate::particle::{Mover, Particle};
 use crate::push::{
     move_p_local, push_one, retarget_and_delete, Exile, MoveOutcome, PushCoefficients, PushKernel,
@@ -339,13 +339,13 @@ impl AosoaStore {
 ///    lanes keep their pre-push positions for the mover (NaN fails the
 ///    compare, exactly like the scalar `if`).
 /// 4. **Scatter/spill-out**: the Villasenor–Buneman quadrant currents are
-///    precomputed lane-wide ([`quadrants_lanes`]), then scattered by a
-///    scalar loop **in lane index order**: stay lanes add their quadrant
-///    addends; crossers spill out to the scalar [`move_p_local`] mover
-///    right there. The spill-out is processed in-order rather than
-///    deferred because accumulator adds are order-sensitive f32 sums —
-///    lanes sharing a voxel (the common case after sorting) must deposit
-///    in the same order the scalar pipeline would.
+///    precomputed lane-wide ([`quadrants_lanes`]), then scattered **in
+///    lane index order**: stay lanes add their quadrant addends; crossers
+///    spill out to the scalar [`move_p_local`] mover right there. The
+///    spill-out is processed in-order rather than deferred because
+///    accumulator adds are order-sensitive f32 sums — lanes sharing a
+///    voxel (the common case after sorting) must deposit in the same
+///    order the scalar pipeline would.
 ///
 /// Padding lanes are parked on valid voxels so running the vector phases
 /// over them is safe; the scatter loop stops at `live`, so they deposit
@@ -365,15 +365,15 @@ fn advance_full_block(
     exiles: &mut Vec<Exile>,
 ) {
     let mut s = BlockPush::default();
-    compute_block(b, c, interp, &mut s);
+    compute_blocks([&mut *b], c, interp, [&mut s]);
     scatter_block(b, base_idx, live, &s, c.qsp, acc, g, absorbed, exiles);
 }
 
-/// Everything [`compute_block`] hands to [`scatter_block`]: the stay
-/// mask, the half displacements the movers need, and the quadrant
-/// addends already transposed lane-major.
+/// Everything [`compute_blocks`] hands to [`scatter_block`] for one
+/// block: the stay mask, the half displacements the movers need, and the
+/// quadrant addends already transposed lane-major.
 #[derive(Clone, Copy, Default)]
-struct BlockPush {
+pub struct BlockPush {
     stay: Mask8,
     hx: F32x8,
     hy: F32x8,
@@ -382,42 +382,80 @@ struct BlockPush {
     tz: [F32x8; LANES],
 }
 
+/// How many whole blocks one pass of [`compute_blocks`] advances in
+/// production. One block's compute is a single dependency chain (gather →
+/// sqrt → divide → rotate → sqrt → divide → quadrants) of ≈ 390
+/// instructions that takes ≈ 180 cycles — half the issue slots empty —
+/// and the reorder window cannot reach far enough into the next block's
+/// chain to fill them; two blocks advanced statement by statement put two
+/// independent chains side by side in the instruction stream. A constant
+/// picked by measurement (EXPERIMENTS.md E2; per block on the reference
+/// host, 32 vector registers: 85 ns at one, 61 at two, 64 at three, 84 at
+/// four, where the spills have eaten the overlap; two beats one by the
+/// same 1.4× compiled for 16 registers and on the portable lane body, so
+/// the constant does not depend on the target).
+const BLOCK_GROUP: usize = 2;
+
+/// Field `f` of each block as one [`Wide`].
+#[inline(always)]
+fn field<const K: usize>(b: &[&mut Block; K], f: impl Fn(&Block) -> [f32; LANES]) -> Wide<K> {
+    let mut out = Wide::splat(0.0);
+    for (wide, block) in out.0.iter_mut().zip(b) {
+        *wide = F32x8(f(block));
+    }
+    out
+}
+
+/// Block `k` of `w` into field `f` of block `k`.
+#[inline(always)]
+fn put<const K: usize>(
+    b: &mut [&mut Block; K],
+    w: Wide<K>,
+    f: impl Fn(&mut Block) -> &mut [f32; LANES],
+) {
+    for (block, lanes) in b.iter_mut().zip(&w.0) {
+        *f(block) = lanes.0;
+    }
+}
+
 /// Phases 1–3 of [`advance_full_block`] plus the lane-wide quadrant
-/// precompute: pure vector work against the block and the (read-only)
-/// interpolators — no accumulator access, so the computes of different
-/// blocks are independent. [`advance_range`] exploits that with deferred
-/// scatter: it computes up to [`SCATTER_BATCH`] consecutive blocks
-/// back-to-back (independent sqrt/div chains the ROB can overlap) before
-/// draining their queued [`BlockPush`]es through [`scatter_block`] in
-/// block order, which keeps every accumulator deposit in the exact
-/// particle-index order the serial kernel would use. The result is
-/// written straight into `out` — a slot of the caller's queue — so the
-/// 650-byte record is never copied.
-#[inline]
-fn compute_block(
-    b: &mut Block,
+/// precompute, for `K` blocks in lock step: pure vector work against the
+/// blocks and the (read-only) interpolators — no accumulator access, so
+/// the computes of different blocks are independent. Every statement
+/// below is a [`Wide`] operation, i.e. the single-block operation on
+/// block 0, then on block 1, …: `K` dependency chains share one
+/// instruction stream (see [`BLOCK_GROUP`]) and block `k`'s results are,
+/// bit for bit, those of `K = 1` on that block. [`advance_range`] queues
+/// the results — written straight into `out`, slots of its queue, so the
+/// 650-byte records are never copied — and drains them through
+/// [`scatter_block`] in block order, which keeps every accumulator
+/// deposit in the exact particle-index order the serial kernel would use.
+#[inline(always)]
+fn compute_blocks<const K: usize>(
+    mut b: [&mut Block; K],
     c: PushCoefficients,
     interp: &InterpolatorArray,
-    out: &mut BlockPush,
+    out: [&mut BlockPush; K],
 ) {
-    let one = F32x8::splat(1.0);
-    let third = F32x8::splat(1.0 / 3.0);
-    let two_fifteenths = F32x8::splat(2.0 / 15.0);
+    let one = Wide::<K>::splat(1.0);
+    let third = Wide::<K>::splat(1.0 / 3.0);
+    let two_fifteenths = Wide::<K>::splat(2.0 / 15.0);
 
     // Phases 1+2: transposed gather fused with E/cB interpolation (see
     // gather_ha_cb8 — fusing keeps the eighteen coefficient vectors from
     // staying live across the Boris rotation below).
-    let dx = F32x8(b.dx);
-    let dy = F32x8(b.dy);
-    let dz = F32x8(b.dz);
-    let ((hax, hay, haz), (cbx, cby, cbz)) = interp.gather_ha_cb8(&b.i, dx, dy, dz, c.qdt_2mc);
-    let qdt = F32x8::splat(c.qdt_2mc);
+    let dx = field(&b, |b| b.dx);
+    let dy = field(&b, |b| b.dy);
+    let dz = field(&b, |b| b.dz);
+    let voxels: [&[u32; LANES]; K] = std::array::from_fn(|k| &b[k].i);
+    let ((hax, hay, haz), (cbx, cby, cbz)) = interp.gather_ha_cb8(voxels, dx, dy, dz, c.qdt_2mc);
+    let qdt = Wide::splat(c.qdt_2mc);
 
     // Half E acceleration, then the Boris rotation with the VPIC
     // tan(θ/2)/θ correction polynomial.
-    let mut ux = F32x8(b.ux) + hax;
-    let mut uy = F32x8(b.uy) + hay;
-    let mut uz = F32x8(b.uz) + haz;
+    let mut ux = field(&b, |b| b.ux) + hax;
+    let mut uy = field(&b, |b| b.uy) + hay;
+    let mut uz = field(&b, |b| b.uz) + haz;
     let v0 = qdt / (one + (ux * ux + (uy * uy + uz * uz))).sqrt();
     let v1 = cbx * cbx + (cby * cby + cbz * cbz);
     let v2 = (v0 * v0) * v1;
@@ -436,15 +474,15 @@ fn compute_block(
     ux = ux + hax;
     uy = uy + hay;
     uz = uz + haz;
-    b.ux = ux.0;
-    b.uy = uy.0;
-    b.uz = uz.0;
+    put(&mut b, ux, |b| &mut b.ux);
+    put(&mut b, uy, |b| &mut b.uy);
+    put(&mut b, uz, |b| &mut b.uz);
 
     // Half displacement in voxel-offset units: h = (v/c)·(c·dt/Δ).
     let rg = one / (one + (ux * ux + (uy * uy + uz * uz))).sqrt();
-    let hx = ux * rg * F32x8::splat(c.cdt_dx);
-    let hy = uy * rg * F32x8::splat(c.cdt_dy);
-    let hz = uz * rg * F32x8::splat(c.cdt_dz);
+    let hx = ux * rg * Wide::splat(c.cdt_dx);
+    let hy = uy * rg * Wide::splat(c.cdt_dy);
+    let hz = uz * rg * Wide::splat(c.cdt_dz);
     let mx = dx + hx; // streak midpoint (if in bounds)
     let my = dy + hy;
     let mz = dz + hz;
@@ -455,14 +493,14 @@ fn compute_block(
     // Phase 3: stay mask + select write-back. Crosser lanes keep their
     // pre-push positions — move_p walks from there.
     let stay = nx.abs().le(one) & ny.abs().le(one) & nz.abs().le(one);
-    b.dx = F32x8::select(stay, nx, dx).0;
-    b.dy = F32x8::select(stay, ny, dy).0;
-    b.dz = F32x8::select(stay, nz, dz).0;
+    put(&mut b, Wide::select(stay, nx, dx), |b| &mut b.dx);
+    put(&mut b, Wide::select(stay, ny, dy), |b| &mut b.dy);
+    put(&mut b, Wide::select(stay, nz, dz), |b| &mut b.dz);
 
-    // Phase 4: quadrant currents lane-wide, then an in-order scalar
-    // scatter with spill-out. Crosser/padding lanes' addends are computed
-    // but never scattered.
-    let q = F32x8::splat(c.qsp) * F32x8(b.w);
+    // Phase 4: quadrant currents lane-wide, for the in-order scatter
+    // with spill-out. Crosser/padding lanes' addends are computed but
+    // never scattered.
+    let q = Wide::splat(c.qsp) * field(&b, |b| b.w);
     let v5 = q * hx * hy * hz * third;
     let jx = quadrants_lanes(q * hx, my, mz, v5);
     let jy = quadrants_lanes(q * hy, mz, mx, v5);
@@ -470,31 +508,35 @@ fn compute_block(
     // Shuffle-transpose quadrant-major → lane-major so each stay lane
     // deposits from two contiguous registers. The transpose only moves
     // bits; the per-entry `+=` and the lane scatter order are unchanged.
-    let txy = transpose8([jx[0], jx[1], jx[2], jx[3], jy[0], jy[1], jy[2], jy[3]]);
-    let zero = F32x8::splat(0.0);
-    let tz = transpose8([jz[0], jz[1], jz[2], jz[3], zero, zero, zero, zero]);
+    let txy = transpose8_wide([jx[0], jx[1], jx[2], jx[3], jy[0], jy[1], jy[2], jy[3]]);
+    let zero = Wide::splat(0.0);
+    let tz = transpose8_wide([jz[0], jz[1], jz[2], jz[3], zero, zero, zero, zero]);
 
-    *out = BlockPush {
-        stay,
-        hx,
-        hy,
-        hz,
-        txy,
-        tz,
-    };
+    for (k, out) in out.into_iter().enumerate() {
+        *out = BlockPush {
+            stay: stay.0[k],
+            hx: hx.0[k],
+            hy: hy.0[k],
+            hz: hz.0[k],
+            txy: txy.map(|row| row.0[k]),
+            tz: tz.map(|row| row.0[k]),
+        };
+    }
 }
 
 /// Phase 4 of [`advance_full_block`]: the in-order lane scatter with
-/// spill-out, fed by [`compute_block`]'s precomputed addends.
+/// spill-out, fed by [`compute_blocks`]' precomputed addends.
 ///
-/// Deposits use a register-resident accumulator run: consecutive stay
-/// lanes sharing a voxel add into registers and the sums are stored once
-/// per run, instead of a load-add-store round trip per lane (the
-/// store-to-load forwarding chain is what serializes same-voxel
-/// deposits). Every accumulator entry still receives the same addends in
-/// the same lane order, so the sums are bit-identical to the per-lane
-/// form. The run is flushed before any spill-out because move_p deposits
-/// into the same accumulator array.
+/// Each stay lane is one [`AccumulatorArray::deposit_lane`]: the entry is
+/// summed and stored at once, so the accumulator memory is current after
+/// every lane and a crosser's mover — which deposits into the same array
+/// — can run right where its lane comes up, with nothing to write back
+/// first; it only invalidates the register copy of the open voxel. Every
+/// accumulator entry receives the same addends in the same lane order as
+/// the per-particle form, so the sums are bit-identical to it. The loop
+/// has one data-dependent branch, stay or spill, and a block whose lanes
+/// all stay (half of them, at a 6 % crosser rate) skips that one too;
+/// whether consecutive lanes share a voxel is never branched on.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn scatter_block(
@@ -508,27 +550,24 @@ fn scatter_block(
     absorbed: &mut Vec<u32>,
     exiles: &mut Vec<Exile>,
 ) {
-    let mut open: Option<(usize, F32x8, F32x8)> = None;
+    debug_assert!((1..=LANES).contains(&live));
+    // The dirty range, once for the block: every live lane deposits into
+    // its voxel first, stay lane or crosser.
+    let (lo, hi) = b.i[..live]
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    acc.touch(lo as usize, hi as usize);
+    let mut open = OpenVoxel::NONE;
+    if live == LANES && s.stay == Mask8(0xFF) {
+        for l in 0..LANES {
+            acc.deposit_lane(b.i[l] as usize, &mut open, s.txy[l], s.tz[l]);
+        }
+        return;
+    }
     for l in 0..live {
         if s.stay.test(l) {
-            let voxel = b.i[l] as usize;
-            match open.as_mut() {
-                Some((v, axy, az)) if *v == voxel => {
-                    *axy = *axy + s.txy[l];
-                    *az = *az + s.tz[l];
-                }
-                _ => {
-                    if let Some((v, axy, az)) = open.take() {
-                        acc.store_lanes(v, axy, az);
-                    }
-                    let (axy, az) = acc.load_lanes(voxel);
-                    open = Some((voxel, axy + s.txy[l], az + s.tz[l]));
-                }
-            }
+            acc.deposit_lane(b.i[l] as usize, &mut open, s.txy[l], s.tz[l]);
         } else {
-            if let Some((v, axy, az)) = open.take() {
-                acc.store_lanes(v, axy, az);
-            }
             spill_lane(
                 b,
                 l,
@@ -540,10 +579,8 @@ fn scatter_block(
                 absorbed,
                 exiles,
             );
+            open = OpenVoxel::NONE;
         }
-    }
-    if let Some((v, axy, az)) = open.take() {
-        acc.store_lanes(v, axy, az);
     }
 }
 
@@ -587,16 +624,24 @@ fn spill_lane(
     b.set_lane(l, &p);
 }
 
-/// How many blocks' [`compute_block`] results are queued before one
-/// scatter pass drains them. The compute phase of a block is a ~190-cycle
-/// serial dependency chain (gather → sqrt → div → rotate); with immediate
-/// scatter the next block's chain cannot start until this block's
-/// accumulator writes retire. Computing a batch of independent chains
-/// back-to-back lets the out-of-order core overlap them; 8 blocks ≈ 64
-/// particles comfortably covers the chain depth while the queued
-/// [`BlockPush`]es (~5 KiB) stay L1-resident — a fixed array on
-/// [`advance_range`]'s stack.
+/// How many blocks' [`compute_blocks`] results are queued before one
+/// scatter pass drains them. A drain is a burst of dependent
+/// load-add-stores and rare, expensive spills; batching it keeps the
+/// compute groups back to back — a steady vector stream, the next
+/// group's gather loads issuing under the current one's arithmetic — and
+/// the scatter loop hot in the branch predictors. (It does not put eight
+/// compute chains in flight: the reorder window holds a little over one
+/// block's instructions, which is what [`BLOCK_GROUP`] is for.) 8 blocks
+/// ≈ 64 particles of queued [`BlockPush`]es (~5 KiB) stay L1-resident —
+/// a fixed array on [`advance_range`]'s stack.
 pub const SCATTER_BATCH: usize = 8;
+
+// Whole groups tile the queue. A pass takes a group while that many full
+// blocks are ahead in the pipeline's range and single blocks from then on
+// (the odd block before a boundary, the tail block with padding lanes),
+// so a group always finds an even number of slots taken: it never faces
+// a single free slot.
+const _: () = assert!(SCATTER_BATCH.is_multiple_of(BLOCK_GROUP));
 
 /// One computed-but-not-yet-scattered block in the deferred-scatter queue.
 #[derive(Clone, Copy, Default)]
@@ -632,17 +677,60 @@ unsafe fn drain_batch(
     }
 }
 
+/// Compute the `K` whole blocks starting at block `bi` into `slots` (the
+/// next `K` entries of the deferred-scatter queue) and tally them.
+///
+/// # Safety
+/// The caller must own every live lane of blocks `bi..bi + K` exclusively
+/// (same contract as [`advance_range`]), the blocks must exist, and no
+/// other reference to any of them may be live.
+unsafe fn compute_into_queue<const K: usize>(
+    blocks: BlockPtr,
+    bi: usize,
+    n_total: usize,
+    c: PushCoefficients,
+    interp: &InterpolatorArray,
+    slots: &mut [QueuedBlock; K],
+    tally: &mut PushTally,
+) {
+    // SAFETY: exclusive ownership of `K` distinct blocks per the
+    // function contract.
+    let b: [&mut Block; K] = std::array::from_fn(|k| unsafe { &mut *blocks.at(bi + k) });
+    for (k, slot) in slots.iter_mut().enumerate() {
+        let base = (bi + k) * LANES;
+        let live = (n_total - base).min(LANES);
+        tally.pushed += live as u64;
+        tally.lane_blocks += 1;
+        let v0 = b[k].i[0];
+        if b[k].i[1..live].iter().any(|&v| v != v0) {
+            tally.mixed_blocks += 1;
+        }
+        slot.bi = bi + k;
+        slot.base = base as u32;
+        slot.live = live;
+    }
+    compute_blocks(b, c, interp, slots.each_mut().map(|slot| &mut slot.push));
+    for slot in slots.iter() {
+        // Live lanes whose stay bit is clear.
+        let spills = (!slot.push.stay.0 & (0xFF >> (LANES - slot.live))).count_ones() as u64;
+        tally.lane_spills += spills;
+        tally.crossers += spills;
+    }
+}
+
 /// One pipeline's share of the production AoSoA advance: the particle
 /// index range `[start, end)`. With [`PushKernel::Lane`], blocks fully
 /// inside the range run the lane-wide kernel with deferred scatter:
-/// [`compute_block`] runs for up to [`SCATTER_BATCH`] consecutive blocks
-/// (pure vector work, no accumulator access), then the queued results
-/// scatter in block order. Lanes of blocks straddling a pipeline boundary
-/// run the scalar per-particle path (same arithmetic — lane math is
-/// element-wise, so results are bit-identical either way); the queue is
-/// drained first so accumulator deposits keep particle-index order.
-/// With [`PushKernel::Scalar`] every lane takes the scalar path — that is
-/// the oracle configuration the differential harness compares against.
+/// [`compute_blocks`] runs [`BLOCK_GROUP`] blocks at a time while that
+/// many full blocks are ahead in the range, one at a time after that (pure
+/// vector work, no accumulator access), until [`SCATTER_BATCH`] results are
+/// queued, then they scatter in block order. Lanes of blocks straddling a
+/// pipeline boundary run the scalar per-particle path (same arithmetic —
+/// lane math is element-wise, so results are bit-identical either way);
+/// the queue is drained first so accumulator deposits keep particle-index
+/// order. With [`PushKernel::Scalar`] every lane takes the scalar path —
+/// that is the oracle configuration the differential harness compares
+/// against.
 ///
 /// Also tallies the coherence telemetry of the range (crossers, spills,
 /// mixed blocks, straddled lanes) for the sort-cadence controller.
@@ -678,26 +766,29 @@ unsafe fn advance_range(
         let block_live_end = (block_start + LANES).min(n_total);
         if kernel == PushKernel::Lane && lane0 == 0 && end >= block_live_end {
             // Every live lane of this block belongs to this pipeline:
-            // safe to take the whole block mutably and run lane-parallel.
-            let live = block_live_end - block_start;
-            // SAFETY: exclusive ownership per the function contract.
-            let b = unsafe { &mut *blocks.at(bi) };
-            tally.pushed += live as u64;
-            tally.lane_blocks += 1;
-            let v0 = b.i[0];
-            if b.i[1..live].iter().any(|&v| v != v0) {
-                tally.mixed_blocks += 1;
+            // safe to take the whole block mutably and run lane-parallel
+            // — and so it is for each full block between here and `end`.
+            let full_ahead = (end - block_start) / LANES;
+            let width = if full_ahead >= BLOCK_GROUP {
+                BLOCK_GROUP
+            } else {
+                1
+            };
+            let slots = &mut batch[queued..];
+            // SAFETY: exclusive ownership per the function contract; no
+            // block reference is live.
+            unsafe {
+                if width == BLOCK_GROUP {
+                    let slots = slots.first_chunk_mut().expect("room for a group");
+                    compute_into_queue::<BLOCK_GROUP>(
+                        blocks, bi, n_total, c, interp, slots, &mut tally,
+                    );
+                } else {
+                    let slots = slots.first_chunk_mut().expect("room for a block");
+                    compute_into_queue::<1>(blocks, bi, n_total, c, interp, slots, &mut tally);
+                }
             }
-            let slot = &mut batch[queued];
-            slot.bi = bi;
-            slot.base = block_start as u32;
-            slot.live = live;
-            compute_block(b, c, interp, &mut slot.push);
-            // Live lanes whose stay bit is clear.
-            let spills = (!slot.push.stay.0 & (0xFF >> (LANES - live))).count_ones() as u64;
-            tally.lane_spills += spills;
-            tally.crossers += spills;
-            queued += 1;
+            queued += width;
             if queued == SCATTER_BATCH {
                 // SAFETY: no block reference is live; ownership as above.
                 unsafe {
@@ -713,7 +804,7 @@ unsafe fn advance_range(
                 };
                 queued = 0;
             }
-            idx = block_live_end;
+            idx = (block_start + width * LANES).min(n_total);
         } else {
             // Straddling block (or scalar-kernel run): touch only our
             // lanes, via raw pointer. Deposits must stay in particle-index
@@ -882,6 +973,61 @@ pub fn advance_p_aosoa(
         let mut p = store.get(e.idx as usize);
         p.w = 0.0;
         store.set(e.idx as usize, p);
+    }
+}
+
+/// The compute half of the lane kernel on its own ([`compute_blocks`]
+/// over every whole block of the store, `K` at a time, an odd last block
+/// alone), for the kernel benches and the pairing speed gate: `out[bi]`
+/// becomes block `bi`'s record, ready for [`lane_scatter`]. Particles
+/// are advanced as the push advances them — momenta kicked, stay lanes
+/// moved, crossers left for the mover — but nothing is deposited.
+pub fn lane_compute<const K: usize>(
+    store: &mut AosoaStore,
+    c: PushCoefficients,
+    interp: &InterpolatorArray,
+    out: &mut Vec<BlockPush>,
+) {
+    out.resize(store.blocks.len(), BlockPush::default());
+    let groups = store.blocks.chunks_exact_mut(K);
+    for (blocks, pushes) in groups.zip(out.chunks_exact_mut(K)) {
+        let blocks: &mut [Block; K] = blocks.try_into().expect("exact chunk");
+        let pushes: &mut [BlockPush; K] = pushes.try_into().expect("exact chunk");
+        compute_blocks(blocks.each_mut(), c, interp, pushes.each_mut());
+    }
+    let whole = store.blocks.len() / K * K;
+    for (b, push) in store.blocks[whole..].iter_mut().zip(&mut out[whole..]) {
+        compute_blocks([b], c, interp, [push]);
+    }
+}
+
+/// The scatter half of the lane kernel on its own: [`scatter_block`] of
+/// every block's record from [`lane_compute`], in block order. Closed
+/// domains only, like [`advance_p_aosoa`] — leavers are dropped.
+pub fn lane_scatter(
+    store: &mut AosoaStore,
+    pushes: &[BlockPush],
+    qsp: f32,
+    acc: &mut AccumulatorArray,
+    g: &Grid,
+) {
+    assert_eq!(pushes.len(), store.blocks.len());
+    let real = store.len;
+    let (mut absorbed, mut exiles) = (Vec::new(), Vec::new());
+    for (bi, (b, push)) in store.blocks.iter_mut().zip(pushes).enumerate() {
+        let base = bi * LANES;
+        let live = (real - base).min(LANES);
+        scatter_block(
+            b,
+            base as u32,
+            live,
+            push,
+            qsp,
+            acc,
+            g,
+            &mut absorbed,
+            &mut exiles,
+        );
     }
 }
 
@@ -1155,6 +1301,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A sorted thermal plasma with random fields in a closed box, big
+    /// enough that the interpolators do not sit in L1: what the compute
+    /// half of the lane kernel sees in a run.
+    fn kernel_workload() -> (Grid, InterpolatorArray, AosoaStore, PushCoefficients) {
+        let g = Grid::periodic((16, 16, 16), (0.25, 0.25, 0.25), 0.1);
+        let mut rng = Rng::seeded(77);
+        let mut f = FieldArray::new(&g);
+        for v in 0..g.n_voxels() {
+            f.ex[v] = rng.uniform_in(-0.1, 0.1) as f32;
+            f.ey[v] = rng.uniform_in(-0.1, 0.1) as f32;
+            f.cbz[v] = rng.uniform_in(-0.1, 0.1) as f32;
+        }
+        let mut ia = InterpolatorArray::new(&g);
+        ia.load(&f, &g);
+        let mut parts = loaded_plasma(&g, 8 * g.n_live(), 5);
+        let (mut scratch, mut counts) = (Vec::new(), Vec::new());
+        sort_with_workers(&mut parts, g.n_voxels(), &mut scratch, &mut counts, 1);
+        let c = PushCoefficients::new(-1.0, 1.0, &g);
+        (g, ia, AosoaStore::from_particles(&parts), c)
+    }
+
+    #[test]
+    fn lane_compute_and_scatter_halves_make_the_whole_push() {
+        // The bench entry points are the production halves: computing
+        // every block one or two at a time and scattering the records
+        // must land on the bits of the fused single-accumulator advance.
+        let (g, ia, store, c) = kernel_workload();
+        let mut whole = store.clone();
+        let mut acc_whole = AccumulatorArray::new(&g);
+        advance_p_aosoa(&mut whole, c, &ia, &mut acc_whole, &g);
+        for paired in [false, true] {
+            let mut halves = store.clone();
+            let mut pushes = Vec::new();
+            if paired {
+                lane_compute::<2>(&mut halves, c, &ia, &mut pushes);
+            } else {
+                lane_compute::<1>(&mut halves, c, &ia, &mut pushes);
+            }
+            let mut acc = AccumulatorArray::new(&g);
+            lane_scatter(&mut halves, &pushes, c.qsp, &mut acc, &g);
+            assert_eq!(
+                whole.to_particles(),
+                halves.to_particles(),
+                "paired {paired}"
+            );
+            for (x, y) in acc_whole.data.iter().zip(acc.data.iter()) {
+                assert_eq!((x.jx, x.jy, x.jz), (y.jx, y.jy, y.jz), "paired {paired}");
+            }
+        }
+    }
+
+    /// Relative speed gate for block pairing, both widths timed in one
+    /// process so host drift cancels: advancing two blocks per pass of
+    /// the compute body must take at most 1/1.15 of the time per block
+    /// that one block per pass takes. If this fails the two chains no
+    /// longer overlap — look for register spills in `compute_blocks::<2>`.
+    #[test]
+    #[ignore = "timing gate; run in release via scripts/ci.sh kernel"]
+    fn paired_compute_is_at_least_1_15x_single_per_block() {
+        use std::time::Instant;
+        let (_, ia, store, c) = kernel_workload();
+        let n_blocks = store.blocks.len() as f64;
+        let mut pushes = Vec::new();
+        let mut time = |compute: fn(
+            &mut AosoaStore,
+            PushCoefficients,
+            &InterpolatorArray,
+            &mut Vec<BlockPush>,
+        )| {
+            // Best of seven batches: a preempted batch cannot fail the gate.
+            (0..7)
+                .map(|_| {
+                    let mut s = store.clone();
+                    let t0 = Instant::now();
+                    for _ in 0..20 {
+                        compute(std::hint::black_box(&mut s), c, &ia, &mut pushes);
+                    }
+                    t0.elapsed().as_secs_f64() / (20.0 * n_blocks)
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let single = time(lane_compute::<1>);
+        let paired = time(lane_compute::<2>);
+        println!(
+            "compute per block: single {:.1} ns, paired {:.1} ns ({:.2}x); lanes: {}",
+            single * 1e9,
+            paired * 1e9,
+            single / paired,
+            crate::lanes::BACKEND
+        );
+        assert!(
+            single >= 1.15 * paired,
+            "paired compute is only {:.2}x single",
+            single / paired
+        );
     }
 
     #[test]

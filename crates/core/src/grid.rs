@@ -7,6 +7,13 @@
 //! contains them plus a cell-relative offset in `[-1, 1]³` (one voxel spans
 //! two offset units per axis), exactly as in VPIC: this keeps positions
 //! accurate in single precision regardless of the global domain size.
+//!
+//! The boundary topology is not stored: [`Grid::neighbor`] is `v ± stride`
+//! wherever a one-byte-per-voxel edge mask says the voxel is interior to
+//! that face, and reads `bc[face]` only on the domain's faces (a periodic
+//! face wraps along its row, the others return a sentinel). A crossing
+//! particle therefore touches one byte of grid state, not a 48-byte table
+//! row, and a `bc` changed after construction needs no rebuild.
 
 /// Particle boundary condition attached to one face of the domain.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -32,7 +39,7 @@ pub const FACE_HIGH_X: usize = 3;
 pub const FACE_HIGH_Y: usize = 4;
 pub const FACE_HIGH_Z: usize = 5;
 
-/// Sentinel neighbor ids stored in the per-voxel neighbor map.
+/// Sentinel neighbor ids [`Grid::neighbor`] returns in place of a voxel.
 pub const NEIGHBOR_REFLECT: i64 = -1;
 pub const NEIGHBOR_ABSORB: i64 = -2;
 
@@ -112,12 +119,18 @@ pub struct Grid {
     sx: usize,
     sy: usize,
     sz: usize,
-    /// Per-face particle boundary conditions.
+    /// Per-face particle boundary conditions. [`Grid::neighbor`] reads
+    /// them at every edge crossing, so a change takes effect at once.
     pub bc: [ParticleBc; 6],
-    /// Neighbor map: `neighbors[6*v + face]` is the voxel a particle enters
-    /// when it leaves live voxel `v` through `face`, or a sentinel.
-    neighbors: Vec<i64>,
+    /// One byte per voxel: bit `face` is set when the live voxel lies on
+    /// domain face `face`, [`EDGE_GHOST`] when the voxel is a ghost. It
+    /// is all [`Grid::neighbor`] needs besides `v ± stride` — geometry
+    /// only, so nothing depends on `bc` and nothing is ever rebuilt.
+    edge: Vec<u8>,
 }
+
+/// [`Grid::edge`] bit of a ghost voxel (bits 0–5 are the faces).
+const EDGE_GHOST: u8 = 1 << 6;
 
 impl Grid {
     /// Build a grid with the given live cell counts, cell sizes, time step
@@ -133,7 +146,22 @@ impl Grid {
             "grid needs at least one cell per axis"
         );
         assert!(dx > 0.0 && dy > 0.0 && dz > 0.0 && dt > 0.0);
-        let mut g = Grid {
+        let (sx, sy, sz) = (nx + 2, ny + 2, nz + 2);
+        let mut edge = vec![EDGE_GHOST; sx * sy * sz];
+        for k in 1..=nz {
+            for j in 1..=ny {
+                for i in 1..=nx {
+                    let (c, n) = ([i, j, k], [nx, ny, nz]);
+                    let mut bits = 0;
+                    for axis in 0..3 {
+                        bits |= u8::from(c[axis] == 1) << axis;
+                        bits |= u8::from(c[axis] == n[axis]) << (axis + 3);
+                    }
+                    edge[i + sx * (j + sy * k)] = bits;
+                }
+            }
+        }
+        Grid {
             nx,
             ny,
             nz,
@@ -146,14 +174,12 @@ impl Grid {
             x0: 0.0,
             y0: 0.0,
             z0: 0.0,
-            sx: nx + 2,
-            sy: ny + 2,
-            sz: nz + 2,
+            sx,
+            sy,
+            sz,
             bc,
-            neighbors: Vec::new(),
-        };
-        g.rebuild_neighbors();
-        g
+            edge,
+        }
     }
 
     /// Convenience constructor: fully periodic box.
@@ -248,10 +274,33 @@ impl Grid {
 
     /// Neighbor id for leaving live voxel `v` through `face` (see the
     /// sentinels [`NEIGHBOR_REFLECT`], [`NEIGHBOR_ABSORB`], [`neighbor_migrate`]).
+    ///
+    /// Away from the domain edge that is `v ± stride`; the edge mask says
+    /// when it is not, and only then is `bc[face]` consulted: a periodic
+    /// face wraps to the far side of the same row (`v ∓ (n−1)·stride`),
+    /// the others return their sentinel. Ghost voxels hold no particles
+    /// and absorb through every face.
     #[inline]
     pub fn neighbor(&self, v: usize, face: usize) -> i64 {
         debug_assert!(face < 6);
-        self.neighbors[6 * v + face]
+        let (axis, high) = (face % 3, face >= 3);
+        let stride = [1, self.sx, self.sx * self.sy][axis];
+        let edge = self.edge[v];
+        if edge & (EDGE_GHOST | 1 << face) == 0 {
+            return (if high { v + stride } else { v - stride }) as i64;
+        }
+        if edge & EDGE_GHOST != 0 {
+            return NEIGHBOR_ABSORB;
+        }
+        match self.bc[face] {
+            ParticleBc::Periodic => {
+                let span = ([self.nx, self.ny, self.nz][axis] - 1) * stride;
+                (if high { v - span } else { v + span }) as i64
+            }
+            ParticleBc::Reflect => NEIGHBOR_REFLECT,
+            ParticleBc::Absorb => NEIGHBOR_ABSORB,
+            ParticleBc::Migrate => neighbor_migrate(face),
+        }
     }
 
     /// Global x coordinate of a particle at offset `ox ∈ [-1,1]` within
@@ -316,59 +365,6 @@ impl Grid {
     #[inline]
     pub fn dv(&self) -> f32 {
         self.dx * self.dy * self.dz
-    }
-
-    /// Recompute the neighbor map; call after changing `bc`.
-    pub fn rebuild_neighbors(&mut self) {
-        let nv = self.n_voxels();
-        self.neighbors = vec![NEIGHBOR_ABSORB; 6 * nv];
-        for k in 1..=self.nz {
-            for j in 1..=self.ny {
-                for i in 1..=self.nx {
-                    let v = self.voxel(i, j, k);
-                    let coords = [i, j, k];
-                    let lims = [self.nx, self.ny, self.nz];
-                    for axis in 0..3 {
-                        // Low face.
-                        let face = axis;
-                        self.neighbors[6 * v + face] = if coords[axis] > 1 {
-                            let mut c = coords;
-                            c[axis] -= 1;
-                            self.voxel(c[0], c[1], c[2]) as i64
-                        } else {
-                            match self.bc[face] {
-                                ParticleBc::Periodic => {
-                                    let mut c = coords;
-                                    c[axis] = lims[axis];
-                                    self.voxel(c[0], c[1], c[2]) as i64
-                                }
-                                ParticleBc::Reflect => NEIGHBOR_REFLECT,
-                                ParticleBc::Absorb => NEIGHBOR_ABSORB,
-                                ParticleBc::Migrate => neighbor_migrate(face),
-                            }
-                        };
-                        // High face.
-                        let face = axis + 3;
-                        self.neighbors[6 * v + face] = if coords[axis] < lims[axis] {
-                            let mut c = coords;
-                            c[axis] += 1;
-                            self.voxel(c[0], c[1], c[2]) as i64
-                        } else {
-                            match self.bc[face] {
-                                ParticleBc::Periodic => {
-                                    let mut c = coords;
-                                    c[axis] = 1;
-                                    self.voxel(c[0], c[1], c[2]) as i64
-                                }
-                                ParticleBc::Reflect => NEIGHBOR_REFLECT,
-                                ParticleBc::Absorb => NEIGHBOR_ABSORB,
-                                ParticleBc::Migrate => neighbor_migrate(face),
-                            }
-                        };
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -459,6 +455,75 @@ mod tests {
         assert_eq!(g.neighbor(v, FACE_LOW_Z), neighbor_migrate(FACE_LOW_Z));
         assert_eq!(decode_migrate(g.neighbor(v, FACE_LOW_Z)), Some(FACE_LOW_Z));
         assert_eq!(decode_migrate(NEIGHBOR_REFLECT), None);
+    }
+
+    /// The per-voxel neighbor table `Grid` used to store (`6 × i64` per
+    /// voxel, rebuilt by hand after a `bc` change), kept as the oracle
+    /// for the arithmetic walk: `table[6*v + face]`.
+    fn neighbor_table(g: &Grid) -> Vec<i64> {
+        let mut table = vec![NEIGHBOR_ABSORB; 6 * g.n_voxels()];
+        let lims = [g.nx, g.ny, g.nz];
+        for k in 1..=g.nz {
+            for j in 1..=g.ny {
+                for i in 1..=g.nx {
+                    let v = g.voxel(i, j, k);
+                    let coords = [i, j, k];
+                    for axis in 0..3 {
+                        for (face, at_edge, inward, wrapped) in [
+                            (axis, coords[axis] == 1, coords[axis] - 1, lims[axis]),
+                            (axis + 3, coords[axis] == lims[axis], coords[axis] + 1, 1),
+                        ] {
+                            let mut c = coords;
+                            c[axis] = if at_edge { wrapped } else { inward };
+                            table[6 * v + face] = match g.bc[face] {
+                                _ if !at_edge => g.voxel(c[0], c[1], c[2]) as i64,
+                                ParticleBc::Periodic => g.voxel(c[0], c[1], c[2]) as i64,
+                                ParticleBc::Reflect => NEIGHBOR_REFLECT,
+                                ParticleBc::Absorb => NEIGHBOR_ABSORB,
+                                ParticleBc::Migrate => neighbor_migrate(face),
+                            };
+                        }
+                    }
+                }
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn neighbor_walk_matches_the_table() {
+        const BCS: [ParticleBc; 4] = [
+            ParticleBc::Periodic,
+            ParticleBc::Reflect,
+            ParticleBc::Absorb,
+            ParticleBc::Migrate,
+        ];
+        for shape in [
+            (1, 1, 1),
+            (1, 1, 5),
+            (291, 1, 1),
+            (2, 2, 2),
+            (4, 3, 2),
+            (8, 64, 64),
+        ] {
+            let mut g = Grid::periodic(shape, (1.0, 1.0, 1.0), 0.1);
+            // Every face takes each of the four conditions once; `bc` is
+            // changed on the built grid, with nothing to rebuild.
+            for shift in 0..BCS.len() {
+                g.bc = std::array::from_fn(|face| BCS[(face + shift) % BCS.len()]);
+                let table = neighbor_table(&g);
+                for v in 0..g.n_voxels() {
+                    for face in 0..6 {
+                        assert_eq!(
+                            g.neighbor(v, face),
+                            table[6 * v + face],
+                            "{shape:?} bc {:?} voxel {v} face {face}",
+                            g.bc
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -219,7 +219,6 @@ mod tests {
             ],
         );
         g.z0 = -8.0;
-        g.rebuild_neighbors();
         g
     }
 

@@ -11,7 +11,7 @@
 
 use crate::field::FieldArray;
 use crate::grid::Grid;
-use crate::lanes::{transpose8, F32x8, LANES};
+use crate::lanes::{transpose8_wide, F32x8, Wide, LANES};
 use rayon::prelude::*;
 
 /// Interpolation coefficients for one voxel (offsets in `[-1,1]`):
@@ -175,51 +175,58 @@ impl InterpolatorArray {
 
     /// Fused gather + field interpolation for the lane kernel: returns
     /// the half E kick `(hax, hay, haz)` and interpolated `(cbx, cby,
-    /// cbz)` for eight particles at voxel-relative offsets `(dx, dy,
-    /// dz)`. Each lane's voxel is read as its two coefficient rows
+    /// cbz)` for the eight particles of each of `K` blocks at
+    /// voxel-relative offsets `(dx, dy, dz)`; block `k`'s voxels are
+    /// `idx[k]`. Each lane's voxel is read as its two coefficient rows
     /// ([`Interpolator::rows`] — two 32-byte loads in the intrinsic lane
     /// body) plus the `cbz`/`dcbzdz` pair, and the rows are
     /// shuffle-transposed into per-coefficient vectors: pure data
-    /// movement, lane `l` sees exactly `data[idx[l]]`. The arithmetic is
-    /// the scalar push's interpolation expression tree verbatim,
-    /// evaluated element-wise — so every lane is bit-identical to
-    /// [`Interpolator::e_at`]/[`Interpolator::cb_at`] scaled the way
-    /// `push_one` scales them.
+    /// movement, lane `l` of block `k` sees exactly `data[idx[k][l]]`.
+    /// The arithmetic is the scalar push's interpolation expression tree
+    /// verbatim, evaluated element-wise — so every lane is bit-identical
+    /// to [`Interpolator::e_at`]/[`Interpolator::cb_at`] scaled the way
+    /// `push_one` scales them, whatever `K`.
     ///
     /// Fusing matters for register pressure, not semantics: the eighteen
-    /// coefficient vectors die here instead of staying live across the
-    /// whole Boris rotation, which is what keeps the caller's hot loop
-    /// out of spill traffic.
-    #[inline]
+    /// coefficient vectors of a block die here instead of staying live
+    /// across the whole Boris rotation, which is what keeps the caller's
+    /// hot loop out of spill traffic — which it can only do inlined into
+    /// that loop (a call would pass all six results through memory), so
+    /// inlining is not left to the size heuristics: with debug
+    /// assertions compiled in they declined, and the two-block pass lost
+    /// its whole gain.
+    #[inline(always)]
     #[allow(clippy::type_complexity)]
-    pub fn gather_ha_cb8(
+    pub fn gather_ha_cb8<const K: usize>(
         &self,
-        idx: &[u32; LANES],
-        dx: F32x8,
-        dy: F32x8,
-        dz: F32x8,
+        idx: [&[u32; LANES]; K],
+        dx: Wide<K>,
+        dy: Wide<K>,
+        dz: Wide<K>,
         qdt_2mc: f32,
-    ) -> ((F32x8, F32x8, F32x8), (F32x8, F32x8, F32x8)) {
-        let mut ra = [F32x8::splat(0.0); LANES];
-        let mut rb = [F32x8::splat(0.0); LANES];
-        let mut cbz0 = [0.0f32; LANES];
-        let mut dcbzdz = [0.0f32; LANES];
-        for l in 0..LANES {
-            let f = self.data[idx[l] as usize].rows();
-            ra[l] = F32x8::load(&f.ex_ey);
-            rb[l] = F32x8::load(&f.ez_cbx_cby);
-            cbz0[l] = f.cbz;
-            dcbzdz[l] = f.dcbzdz;
+    ) -> ((Wide<K>, Wide<K>, Wide<K>), (Wide<K>, Wide<K>, Wide<K>)) {
+        let mut ra = [Wide::<K>::splat(0.0); LANES];
+        let mut rb = [Wide::<K>::splat(0.0); LANES];
+        let mut cbz0 = Wide::<K>::splat(0.0);
+        let mut dcbzdz = Wide::<K>::splat(0.0);
+        for (k, voxels) in idx.iter().enumerate() {
+            for (l, &v) in voxels.iter().enumerate() {
+                let f = self.data[v as usize].rows();
+                ra[l].0[k] = F32x8::load(&f.ex_ey);
+                rb[l].0[k] = F32x8::load(&f.ez_cbx_cby);
+                cbz0.0[k].0[l] = f.cbz;
+                dcbzdz.0[k].0[l] = f.dcbzdz;
+            }
         }
-        let qdt = F32x8::splat(qdt_2mc);
-        let ta = transpose8(ra);
+        let qdt = Wide::splat(qdt_2mc);
+        let ta = transpose8_wide(ra);
         let hax = qdt * ((ta[0] + dy * ta[1]) + dz * (ta[2] + dy * ta[3]));
         let hay = qdt * ((ta[4] + dz * ta[5]) + dx * (ta[6] + dz * ta[7]));
-        let tb = transpose8(rb);
+        let tb = transpose8_wide(rb);
         let haz = qdt * ((tb[0] + dx * tb[1]) + dy * (tb[2] + dx * tb[3]));
         let cbx = tb[4] + dx * tb[5];
         let cby = tb[6] + dy * tb[7];
-        let cbz = F32x8(cbz0) + dz * F32x8(dcbzdz);
+        let cbz = cbz0 + dz * dcbzdz;
         ((hax, hay, haz), (cbx, cby, cbz))
     }
 
@@ -368,18 +375,37 @@ mod tests {
                 idx[5] = idx[1]; // lanes sharing a voxel, the sorted case
                 idx[6] = idx[1];
             }
-            let mut offset = || F32x8(std::array::from_fn(|_| rng.uniform_in(-1.0, 1.0) as f32));
+            // A second block rides along: block 0 of the pair must read
+            // what the single-block gather reads, and block 1 its own.
+            let idx1: [u32; LANES] = std::array::from_fn(|_| rng.index(nv) as u32);
+            let mut offset = || {
+                Wide::<2>(std::array::from_fn(|_| {
+                    F32x8(std::array::from_fn(|_| rng.uniform_in(-1.0, 1.0) as f32))
+                }))
+            };
             let (dx, dy, dz) = (offset(), offset(), offset());
             let qdt = rng.uniform_in(-0.5, 0.5) as f32;
-            let ((hax, hay, haz), (cbx, cby, cbz)) = ia.gather_ha_cb8(&idx, dx, dy, dz, qdt);
-            for (l, &v) in idx.iter().enumerate() {
-                let f = &ia.data[v as usize];
-                let (ex, ey, ez) = f.e_at(dx.0[l], dy.0[l], dz.0[l]);
-                let (bx, by, bz) = f.cb_at(dx.0[l], dy.0[l], dz.0[l]);
-                let got = [hax, hay, haz, cbx, cby, cbz].map(|v| v.0[l].to_bits());
-                let want = [qdt * ex, qdt * ey, qdt * ez, bx, by, bz].map(f32::to_bits);
-                assert_eq!(got, want, "round {round}, lane {l}, voxel {v}");
+            let pair = ia.gather_ha_cb8([&idx, &idx1], dx, dy, dz, qdt);
+            let first = |w: Wide<2>| Wide([w.0[0]]);
+            let single = ia.gather_ha_cb8([&idx], first(dx), first(dy), first(dz), qdt);
+            let ((hax, hay, haz), (cbx, cby, cbz)) = pair;
+            for (k, idx) in [idx, idx1].iter().enumerate() {
+                for (l, &v) in idx.iter().enumerate() {
+                    let f = &ia.data[v as usize];
+                    let at = |w: Wide<2>| w.0[k].0[l];
+                    let (ex, ey, ez) = f.e_at(at(dx), at(dy), at(dz));
+                    let (bx, by, bz) = f.cb_at(at(dx), at(dy), at(dz));
+                    let got = [hax, hay, haz, cbx, cby, cbz].map(|w| at(w).to_bits());
+                    let want = [qdt * ex, qdt * ey, qdt * ez, bx, by, bz].map(f32::to_bits);
+                    assert_eq!(got, want, "round {round}, block {k}, lane {l}, voxel {v}");
+                }
             }
+            let ((sax, say, saz), (sbx, sby, sbz)) = single;
+            assert_eq!(
+                [sax, say, saz, sbx, sby, sbz],
+                [hax, hay, haz, cbx, cby, cbz].map(first),
+                "round {round}: K = 1 differs from block 0 of K = 2"
+            );
         }
     }
 

@@ -1,6 +1,7 @@
 //! Vendored lane-math: the eight-lane `f32` vector ([`F32x8`]), the lane
-//! mask a compare produces ([`Mask8`]) and the 8×8 transpose the AoSoA
-//! push (`aosoa::compute_block`) is written in.
+//! mask a compare produces ([`Mask8`]), the 8×8 transpose, and the
+//! `K`-block groups of each ([`Wide`], [`WideMask`]) the AoSoA push
+//! (`aosoa::compute_blocks`) is written in.
 //!
 //! Every operation has exactly two bodies, chosen by `cfg` at compile
 //! time and reported by [`BACKEND`]:
@@ -148,6 +149,116 @@ lane_operator!(Div, div);
 #[inline(always)]
 pub fn transpose8(m: [F32x8; LANES]) -> [F32x8; LANES] {
     body::transpose8(m.map(|r| r.0)).map(F32x8)
+}
+
+/// One lane vector for each of `K` blocks, operated on block by block:
+/// every operation is the [`F32x8`] one applied to block 0, then block 1,
+/// … — so a kernel written once in `Wide<K>` advances `K` independent
+/// blocks statement by statement, and block `k` of any result has exactly
+/// the bits the single-block kernel would compute for it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[repr(transparent)]
+pub struct Wide<const K: usize>(pub [F32x8; K]);
+
+/// The compare result of a [`Wide`]: one [`Mask8`] per block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct WideMask<const K: usize>(pub [Mask8; K]);
+
+impl<const K: usize> Wide<K> {
+    /// All lanes of all blocks set to `v`.
+    #[inline(always)]
+    pub fn splat(v: f32) -> Self {
+        Wide([F32x8::splat(v); K])
+    }
+
+    /// `f` of each block, in block order. (A counted loop rather than
+    /// `array::from_fn`/`map`: those route the closure through library
+    /// adaptors that LLVM stops inlining once the closure is the size of
+    /// a transpose, and a call in the middle of the kernel spills every
+    /// live vector.)
+    #[inline(always)]
+    fn per_block(mut f: impl FnMut(usize) -> F32x8) -> Self {
+        let mut out = [F32x8::splat(0.0); K];
+        for (k, block) in out.iter_mut().enumerate() {
+            *block = f(k);
+        }
+        Wide(out)
+    }
+
+    /// [`F32x8::sqrt`] per block.
+    #[inline(always)]
+    pub fn sqrt(self) -> Self {
+        Self::per_block(|k| self.0[k].sqrt())
+    }
+
+    /// [`F32x8::abs`] per block.
+    #[inline(always)]
+    pub fn abs(self) -> Self {
+        Self::per_block(|k| self.0[k].abs())
+    }
+
+    /// [`F32x8::le`] per block.
+    #[inline(always)]
+    pub fn le(self, rhs: Self) -> WideMask<K> {
+        let mut out = [Mask8(0); K];
+        for (k, block) in out.iter_mut().enumerate() {
+            *block = self.0[k].le(rhs.0[k]);
+        }
+        WideMask(out)
+    }
+
+    /// [`F32x8::select`] per block.
+    #[inline(always)]
+    pub fn select(m: WideMask<K>, t: Self, f: Self) -> Self {
+        Self::per_block(|k| F32x8::select(m.0[k], t.0[k], f.0[k]))
+    }
+}
+
+impl<const K: usize> std::ops::BitAnd for WideMask<K> {
+    type Output = WideMask<K>;
+    #[inline(always)]
+    fn bitand(mut self, rhs: WideMask<K>) -> WideMask<K> {
+        for (block, r) in self.0.iter_mut().zip(&rhs.0) {
+            *block = *block & *r;
+        }
+        self
+    }
+}
+
+macro_rules! wide_operator {
+    ($trait:ident, $method:ident) => {
+        impl<const K: usize> std::ops::$trait for Wide<K> {
+            type Output = Wide<K>;
+            #[inline(always)]
+            fn $method(self, rhs: Wide<K>) -> Wide<K> {
+                Wide::per_block(|k| std::ops::$trait::$method(self.0[k], rhs.0[k]))
+            }
+        }
+    };
+}
+
+wide_operator!(Add, add);
+wide_operator!(Sub, sub);
+wide_operator!(Mul, mul);
+wide_operator!(Div, div);
+
+/// [`transpose8`] block by block: block `k` of output row `r` is row `r`
+/// of the transpose of the rows' blocks `k`.
+#[inline(always)]
+pub fn transpose8_wide<const K: usize>(m: [Wide<K>; LANES]) -> [Wide<K>; LANES] {
+    let mut out = [Wide::splat(0.0); LANES];
+    for k in 0..K {
+        let mut rows = [F32x8::splat(0.0); LANES];
+        for (row, wide) in rows.iter_mut().zip(&m) {
+            *row = wide.0[k];
+        }
+        let t = transpose8(rows);
+        for (wide, row) in out.iter_mut().zip(&t) {
+            wide.0[k] = *row;
+        }
+    }
+    out
 }
 
 /// The intrinsic body: each operation is one packed AVX instruction on
@@ -418,6 +529,30 @@ mod tests {
             for (l, col) in t.iter().enumerate() {
                 assert_eq!(col.0[r].to_bits(), row.0[l].to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn wide_operations_are_the_single_block_ones_block_by_block() {
+        let a = Wide([ramp(), F32x8([9.0, -8.0, 7.5, -6.25, 0.5, 0.0, -0.0, 3.0])]);
+        let b = Wide([
+            F32x8::splat(2.0),
+            F32x8([1.5, -2.0, 4.0, -0.5, 3.0, 7.0, -1.25, 0.125]),
+        ]);
+        let one = Wide::<2>::splat(1.0);
+        let m = a.abs().le(one) & b.le(a);
+        let rows: [Wide<2>; LANES] = std::array::from_fn(|r| if r % 2 == 0 { a } else { b });
+        let t = transpose8_wide(rows);
+        for k in 0..2 {
+            let (x, y) = (a.0[k], b.0[k]);
+            assert_eq!((a + b).0[k], x + y);
+            assert_eq!((a - b).0[k], x - y);
+            assert_eq!((a * b).0[k], x * y);
+            assert_eq!((a / b).0[k], x / y);
+            assert_eq!(a.abs().sqrt().0[k], x.abs().sqrt());
+            assert_eq!(m.0[k], x.abs().le(F32x8::splat(1.0)) & y.le(x));
+            assert_eq!(Wide::select(m, a, b).0[k], F32x8::select(m.0[k], x, y));
+            assert_eq!(t.map(|row| row.0[k]), transpose8(rows.map(|row| row.0[k])));
         }
     }
 

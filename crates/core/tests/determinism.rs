@@ -209,3 +209,33 @@ fn parallel_interpolator_load_matches_serial_bitwise() {
         }
     }
 }
+
+/// The coherence telemetry of the lane-kernel matrix, pinned to the counts
+/// the single-block kernel (one block per compute pass, run-tracking
+/// scatter) produced on it: grouping blocks in the compute pass must not
+/// change which lanes count as crossers or spills or which blocks as
+/// mixed, at any pipeline or thread count. (5 760 particles split into
+/// whole blocks at 1/2/4/8 pipelines, so no lane straddles here;
+/// `kernel_oracle.rs` checks the tallies of ragged partitions.)
+#[test]
+fn lane_kernel_push_tallies_match_the_single_block_kernel() {
+    let want = vpic_core::cadence::PushTally {
+        pushed: 57_600,
+        crossers: 4_733,
+        lane_blocks: 7_200,
+        lane_spills: 4_733,
+        mixed_blocks: 5_397,
+        straddle_lanes: 0,
+    };
+    for pipes in [1usize, 2, 4, 8] {
+        for threads in THREADS {
+            let sim = stepped(pipes, Layout::Aosoa, PushKernel::Lane, threads);
+            let got = sim.species[0].coherence().tally;
+            assert_eq!(got, want, "{pipes} pipes, {threads} threads");
+        }
+        // The scalar oracle sees the same crossers (and no lane blocks).
+        let oracle = stepped(pipes, Layout::Aos, PushKernel::Scalar, 1);
+        let t = oracle.species[0].coherence().tally;
+        assert_eq!((t.pushed, t.crossers), (want.pushed, want.crossers));
+    }
+}

@@ -18,9 +18,11 @@
 
 use proptest::prelude::*;
 use vpic_core::aosoa::SCATTER_BATCH;
+use vpic_core::cadence::PushTally;
+use vpic_core::push::advance_p_tallied;
 use vpic_core::{
-    advance_p_with, with_worker_threads, AccumulatorArray, Grid, Interpolator, InterpolatorArray,
-    Layout, Particle, ParticleBc, ParticleStore, PushCoefficients, PushKernel, LANES,
+    with_worker_threads, AccumulatorArray, Grid, Interpolator, InterpolatorArray, Layout, Particle,
+    ParticleBc, ParticleStore, PushCoefficients, PushKernel, LANES,
 };
 
 /// Everything one differential case needs.
@@ -36,13 +38,15 @@ struct RunResult {
     parts: Vec<Particle>,
     exiles: Vec<(u32, usize, [u32; 4])>, // idx, face, mover bits (dispx,dispy,dispz,idx)
     accs: Vec<AccumulatorArray>,
+    /// The step's coherence telemetry.
+    tally: PushTally,
 }
 
 fn run(case: &Case, layout: Layout, kernel: PushKernel, pipes: usize) -> RunResult {
     let mut store = ParticleStore::from_particles(case.parts.clone(), layout);
     let mut accs: Vec<AccumulatorArray> =
         (0..pipes).map(|_| AccumulatorArray::new(&case.g)).collect();
-    let exiles = advance_p_with(
+    let (exiles, tally) = advance_p_tallied(
         &mut store,
         case.coeffs,
         &case.interp,
@@ -68,6 +72,7 @@ fn run(case: &Case, layout: Layout, kernel: PushKernel, pipes: usize) -> RunResu
             })
             .collect(),
         accs,
+        tally,
     }
 }
 
@@ -483,6 +488,198 @@ fn deferred_scatter_queue_fills_exactly_and_holds_one() {
         let case = build_case(regime, (3, 3, 3), [0; 6], LANES, &mut rng);
         if let Err(msg) = check_case(&case, 1) {
             panic!("{regime:?}, one block: {msg}");
+        }
+    }
+}
+
+/// [`check_case`], plus the lane kernel's [`PushTally`] against what the
+/// index partition and the scalar oracle say it must be: every particle
+/// pushed once; the oracle's crossers; the blocks a pipeline owns whole
+/// (and, of those, the ones whose live lanes span voxels) counted as lane
+/// blocks, every other lane as a straddle lane; and a spill for every
+/// crosser when nothing straddles. However the compute pass groups the
+/// blocks, these cannot move.
+fn check_case_and_tally(case: &Case, pipes: usize) -> Result<(), String> {
+    check_case(case, pipes)?;
+    let n = case.parts.len();
+    let share = n.div_ceil(pipes).max(1);
+    let mut want = PushTally {
+        pushed: n as u64,
+        crossers: run(case, Layout::Aos, PushKernel::Scalar, pipes)
+            .tally
+            .crossers,
+        ..Default::default()
+    };
+    for pipe in 0..pipes {
+        let (start, end) = ((pipe * share).min(n), ((pipe + 1) * share).min(n));
+        for bi in start.div_ceil(LANES)..n.div_ceil(LANES) {
+            let live = &case.parts[bi * LANES..((bi + 1) * LANES).min(n)];
+            if bi * LANES + live.len() > end {
+                break;
+            }
+            want.lane_blocks += 1;
+            want.mixed_blocks += u64::from(live.iter().any(|p| p.i != live[0].i));
+            want.straddle_lanes += live.len() as u64;
+        }
+    }
+    want.straddle_lanes = n as u64 - want.straddle_lanes;
+    for threads in [1usize, 2, 4] {
+        let got = with_worker_threads(threads, || {
+            run(case, Layout::Aosoa, PushKernel::Lane, pipes).tally
+        });
+        if want.straddle_lanes == 0 {
+            want.lane_spills = want.crossers;
+        } else {
+            want.lane_spills = got.lane_spills;
+            if got.lane_spills > want.crossers {
+                return Err(format!("more spills than crossers: {got:?}"));
+            }
+        }
+        if got != want {
+            return Err(format!(
+                "tally @{pipes} pipes, {threads} threads: {got:?}, want {want:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The compute pass takes whole blocks two at a time and the odd one
+/// alone: every whole-block count from 1 to 17 (pairs only, a pair then
+/// a single, a full queue of pairs then a single, two queues and one),
+/// each with no tail, and with a ragged tail, which then follows a pair
+/// or a single with `live < 8`. Stay-heavy and all-cross lanes both.
+#[test]
+fn paired_and_single_compute_passes_alternate() {
+    for regime in [Regime::Thermal, Regime::AllCross] {
+        for blocks in 1..=2 * SCATTER_BATCH + 1 {
+            for tail in [0usize, 3] {
+                let mut rng = proptest::test_runner::TestRng::new(0x2B10 + blocks as u64);
+                let n = blocks * LANES + tail;
+                let case = build_case(regime, (3, 3, 3), [0; 6], n, &mut rng);
+                for pipes in [1usize, 2, 3, 8] {
+                    if let Err(msg) = check_case_and_tally(&case, pipes) {
+                        panic!("{regime:?}, {blocks} blocks + {tail}: {msg}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A pipeline boundary inside the *second* block of what would have been
+/// a pair: 3 pipelines over 4 whole blocks cut at particles 11 and 22, so
+/// pipeline 0 owns block 0 and three lanes of block 1 — block 0 must go
+/// through the compute pass alone and block 1's lanes scalar — and
+/// pipeline 1 owns no whole block at all. Then the same with the cut in
+/// the second block of the *second* pair (7 whole blocks, 2 pipelines).
+#[test]
+fn pipeline_boundary_inside_the_second_block_of_a_pair() {
+    for (blocks, pipes, cut) in [(4usize, 3usize, 11usize), (7, 2, 28)] {
+        let n = blocks * LANES;
+        assert_eq!(n.div_ceil(pipes), cut);
+        assert_eq!(cut / LANES % 2, 1, "the cut must fall in an odd block");
+        assert_ne!(cut % LANES, 0, "and inside it");
+        for regime in [Regime::Thermal, Regime::AllCross] {
+            let mut rng = proptest::test_runner::TestRng::new(0xC07);
+            let case = build_case(regime, (3, 3, 3), [0; 6], n, &mut rng);
+            if let Err(msg) = check_case_and_tally(&case, pipes) {
+                panic!("{regime:?}, {blocks} blocks at {pipes} pipes: {msg}");
+            }
+        }
+    }
+}
+
+/// A voxel by its `(i, j, k)` cell.
+type Ijk = (usize, usize, usize);
+
+/// Four whole blocks of slow particles at rest in the middle of their
+/// voxels (so every lane stays put unless a test says otherwise), voxels
+/// assigned by `voxel_of(particle index)`.
+fn resting_case(voxel_of: impl Fn(usize) -> Ijk) -> Case {
+    let mut rng = proptest::test_runner::TestRng::new(0xABA);
+    let mut case = build_case(Regime::Thermal, (4, 4, 4), [0; 6], 4 * LANES, &mut rng);
+    for (k, p) in case.parts.iter_mut().enumerate() {
+        let (i, j, kk) = voxel_of(k);
+        p.i = case.g.voxel(i, j, kk) as u32;
+        (p.dx, p.dy, p.dz) = (0.1, -0.2, 0.3);
+        (p.ux, p.uy, p.uz) = (0.01 * (k as f32 - 7.0), 0.02, -0.015);
+    }
+    case
+}
+
+/// The always-current scatter under every voxel pattern it special-cases
+/// nothing for: all lanes in one voxel (the open voxel's registers feed
+/// every lane), A-B-A inside a block and A…A B | A B…B across two (a
+/// revisited voxel must be reloaded after another was written), and a
+/// voxel per lane. Nothing crosses, so this is the all-stay fast path.
+#[test]
+fn voxel_revisits_within_and_across_blocks_match() {
+    let (a, b) = ((2, 2, 2), (3, 1, 4));
+    let across = move |k: usize| {
+        let k = k % (2 * LANES);
+        if k < LANES - 1 || k == LANES {
+            a
+        } else {
+            b
+        }
+    };
+    let patterns: [(&str, &dyn Fn(usize) -> Ijk); 4] = [
+        ("one voxel", &move |_| a),
+        ("A-B-A in a block", &move |k| if k % 2 == 0 { a } else { b }),
+        ("A-B-A across blocks", &across),
+        ("a voxel per lane", &|k| {
+            (1 + k % 4, 1 + k / 4 % 4, 1 + k / 16)
+        }),
+    ];
+    for (what, voxel_of) in patterns {
+        let case = resting_case(voxel_of);
+        let t = run(&case, Layout::Aosoa, PushKernel::Lane, 1).tally;
+        assert_eq!(t.crossers, 0, "{what}: the pattern is about stay lanes");
+        for pipes in [1usize, 2, 3, 8] {
+            if let Err(msg) = check_case_and_tally(&case, pipes) {
+                panic!("{what}: {msg}");
+            }
+        }
+    }
+}
+
+/// A crosser between two stay lanes of its own voxel: lanes 0–2 of a
+/// block share voxel A, lane 1 leaves through +x, and the first segment
+/// of its move deposits into A — after lane 0's deposit and before lane
+/// 2's, through the mover's own route into the accumulator. The scatter
+/// must have lane 0's sums in memory by then and must not reuse its
+/// register copy of A for lane 2.
+#[test]
+fn crosser_between_two_stay_lanes_of_its_voxel_matches() {
+    let mut case = resting_case(|_| (2, 3, 2));
+    for k in [1, LANES + 4] {
+        (case.parts[k].dx, case.parts[k].ux) = (0.99, 30.0);
+    }
+    let t = run(&case, Layout::Aosoa, PushKernel::Lane, 1).tally;
+    assert_eq!((t.crossers, t.lane_spills), (2, 2));
+    for pipes in [1usize, 2, 3, 8] {
+        if let Err(msg) = check_case_and_tally(&case, pipes) {
+            panic!("{msg}");
+        }
+    }
+}
+
+/// One NaN-poisoned lane in an otherwise healthy block: NaN fails the
+/// stay compare, so the lane spills and its NaN currents land in its
+/// voxel's accumulator, and the lanes after it keep adding to those
+/// entries — all of it exactly as the scalar kernel does it.
+#[test]
+fn nan_poisoned_lane_matches() {
+    for poisoned in [0usize, 3, LANES - 1, LANES + 2] {
+        let mut case = resting_case(|k| if k < LANES + 4 { (1, 1, 1) } else { (4, 2, 3) });
+        case.parts[poisoned].ux = f32::NAN;
+        let t = run(&case, Layout::Aosoa, PushKernel::Lane, 1).tally;
+        assert_eq!((t.crossers, t.lane_spills), (1, 1), "lane {poisoned}");
+        for pipes in [1usize, 2, 3, 8] {
+            if let Err(msg) = check_case_and_tally(&case, pipes) {
+                panic!("lane {poisoned}: {msg}");
+            }
         }
     }
 }

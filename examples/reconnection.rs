@@ -27,7 +27,6 @@ fn main() {
         ],
     );
     g.z0 = -(nz as f32) * dx / 2.0;
-    g.rebuild_neighbors();
     let mut sim = Simulation::new(g, 4);
 
     let sheet = HarrisSheet::gem_like(0.4, 0.0);

@@ -23,16 +23,18 @@
 #
 # Pass "kernel" (or set CI_KERNEL=1) to run the lane-kernel lane: the
 # differential-oracle harness (lane-wide push/gather vs the scalar AoS
-# oracle, including the deferred-scatter batch cases), the lane-math unit
-# suite (the intrinsic body proptested against the portable one), the
+# oracle, including the deferred-scatter batch and block-pairing seams),
+# the lane-math unit suite (the intrinsic body proptested against the
+# portable one), the
 # determinism matrix, the adaptive-sort-cadence determinism and
 # checkpoint round-trip suites, and the fault-injected SRS rollback matrix
 # (AoS oracle vs AoSoA at 1/2/4/8 pipelines) — all with debug assertions
 # on — then a bench smoke that asserts the lane kernel is at least as fast
 # as the scalar body it replaced and that the auto cadence is at least on
-# par with the historical fixed-25 default, and the relative ghost-sync
-# gate (run-based plane walk >= 4x the per-element reference on the
-# quasi-1D SRS grid); last, the lane-math, oracle
+# par with the historical fixed-25 default, and the two relative speed
+# gates (run-based ghost-plane walk >= 4x the per-element reference on
+# the quasi-1D SRS grid; two blocks per compute pass >= 1.15x one, per
+# block); last, the lane-math, oracle
 # and determinism suites again on the portable lane body
 # (`target-cpu=x86-64`).
 #
@@ -293,11 +295,19 @@ if [[ "${1:-}" == "kernel" || "${CI_KERNEL:-0}" == "1" ]]; then
     # process so host drift cancels: the run-based sync_b >= 4x the
     # per-element reference on the quasi-1D SRS grid (291x1x1).
     cargo test --release -p vpic-core --lib run_based_sync_b_is_at_least -- --ignored --nocapture
+    # The same for block pairing: the compute half of the lane kernel two
+    # blocks per pass against one block per pass, >= 1.15x per block —
+    # timed on the code as it ships (.cargo/config.toml's flags). With
+    # debug assertions compiled in, std's pointer-precondition checks
+    # sit on every row load of the gather and the body's register
+    # allocation is another one altogether: the ratio reads 0.8-1.0.
+    env -u RUSTFLAGS cargo test --release -p vpic-core --lib paired_compute_is_at_least -- --ignored --nocapture
     # The same suites on the portable lane body: a baseline x86-64 target
     # has no AVX2, so `lanes.rs` compiles its element-wise loops — the
     # only body other targets get, and the oracle the intrinsic body is
     # proptested against above. It must still be bit-identical to the
-    # scalar AoS oracle.
+    # scalar AoS oracle, through the same two-blocks-per-pass compute and
+    # the same branch-free scatter (no code path is chosen by the body).
     (
         export RUSTFLAGS="-C target-cpu=x86-64 -C debug-assertions=on"
         cargo test --release -p vpic-core --lib lanes
