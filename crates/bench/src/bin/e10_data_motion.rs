@@ -9,7 +9,7 @@
 
 use roadrunner_model::flops;
 use vpic_bench::datamotion::{dense_matmul, monte_carlo, nbody_allpairs, KernelReport};
-use vpic_bench::{parse_flag, print_table, time_it, uniform_plasma};
+use vpic_bench::{known_flags, parse_flag, print_table, time_it, uniform_plasma};
 use vpic_core::push::{advance_p, PushCoefficients};
 
 fn pic_report(full: bool) -> KernelReport {
@@ -45,6 +45,7 @@ fn pic_report(full: bool) -> KernelReport {
 }
 
 fn main() {
+    known_flags(&["full"]);
     let full = parse_flag("full");
     let mm = dense_matmul(if full { 512 } else { 256 });
     let nb = nbody_allpairs(if full { 4096 } else { 2048 });

@@ -7,10 +7,11 @@
 //! (`roadrunner-model::flops`).
 
 use roadrunner_model::flops;
-use vpic_bench::{parse_flag, print_table, time_it, uniform_plasma};
+use vpic_bench::{known_flags, parse_flag, print_table, time_it, uniform_plasma};
 use vpic_core::push::{advance_p, PushCoefficients};
 
 fn main() {
+    known_flags(&["full"]);
     let full = parse_flag("full");
     let n = if full { (32, 32, 32) } else { (16, 16, 16) };
     let ppcs: &[usize] = &[16, 64, 256];

@@ -8,11 +8,12 @@
 
 use nanompi::CartTopology;
 use roadrunner_model::{KernelRates, Machine, NodeLoad, PerfModel};
-use vpic_bench::{parse_flag, print_table};
+use vpic_bench::{known_flags, parse_flag, print_table};
 use vpic_core::{Momentum, ParticleBc, Species};
 use vpic_parallel::{DistributedSim, DomainSpec};
 
 fn main() {
+    known_flags(&["full"]);
     let full = parse_flag("full");
     let per_rank = if full { (16, 16, 16) } else { (12, 12, 12) };
     let ppc = if full { 64 } else { 32 };

@@ -16,7 +16,7 @@
 //! theory columns, so crash-proof overnight sweeps and this experiment
 //! share one report.
 
-use vpic_bench::{parse_flag, parse_opt, print_table};
+use vpic_bench::{known_flags, parse_flag, parse_opt, print_table};
 use vpic_core::units::LabFrame;
 use vpic_lpi::sweep::parse_curve_reflectivities;
 use vpic_lpi::{tang_reflectivity, LpiParams, LpiRun};
@@ -59,6 +59,7 @@ fn report_from_curve(path: &str, base: &LpiParams) {
 }
 
 fn main() {
+    known_flags(&["full", "from-curve"]);
     let full = parse_flag("full");
     let from_curve: String = parse_opt("from-curve", String::new());
     let a0s: &[f64] = if full {

@@ -7,11 +7,12 @@
 //! fraction beyond the plasma-wave phase velocity, and the bulk momentum
 //! spread — the classic signatures of a trapping-flattened distribution.
 
-use vpic_bench::{parse_flag, print_table};
+use vpic_bench::{known_flags, parse_flag, print_table};
 use vpic_diag::{momentum_histogram, momentum_spread, tail_fraction};
 use vpic_lpi::{LpiParams, LpiRun};
 
 fn main() {
+    known_flags(&["full"]);
     let full = parse_flag("full");
     let params = LpiParams {
         n_over_ncr: 0.1,

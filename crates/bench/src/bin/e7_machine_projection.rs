@@ -8,7 +8,7 @@
 //! a rate measured on this host just before printing.
 
 use roadrunner_model::{flops, KernelRates, Machine, NodeLoad, PerfModel};
-use vpic_bench::{parse_flag, print_table, time_it, uniform_plasma};
+use vpic_bench::{known_flags, parse_flag, print_table, time_it, uniform_plasma};
 use vpic_core::push::{advance_p, PushCoefficients};
 
 fn measure_host_rate(full: bool) -> f64 {
@@ -80,6 +80,7 @@ fn hierarchy_rows(model: &PerfModel, load: &NodeLoad) -> Vec<Vec<String>> {
 }
 
 fn main() {
+    known_flags(&["full"]);
     let full = parse_flag("full");
     let machine = Machine::roadrunner();
     let load = NodeLoad::paper_headline(&machine);

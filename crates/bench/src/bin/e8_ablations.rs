@@ -8,13 +8,14 @@
 //! 3. pipeline (accumulator) count — VPIC's write-conflict-free
 //!    parallelization of the scatter.
 
-use vpic_bench::{parse_flag, parse_opt, print_table, time_it, uniform_plasma};
+use vpic_bench::{known_flags, parse_flag, parse_opt, print_table, time_it, uniform_plasma};
 use vpic_core::cadence::SortPolicy;
 use vpic_core::push::{advance_p, PushCoefficients, PushKernel};
 use vpic_core::sort::locality_fraction;
 use vpic_core::store::{Layout, ParticleStore};
 
 fn main() {
+    known_flags(&["full", "json"]);
     let full = parse_flag("full");
     let n = if full { (24, 24, 24) } else { (16, 16, 16) };
     let ppc = if full { 128 } else { 64 };

@@ -8,7 +8,7 @@
 //! 5. ∇·B preservation;
 //! 6. light-wave dispersion on the Yee mesh.
 
-use vpic_bench::{parse_flag, print_table, uniform_plasma};
+use vpic_bench::{known_flags, parse_flag, print_table, uniform_plasma};
 use vpic_core::field_solver::{bcs_of, compute_div_b_err, sync_e, sync_j, sync_rho};
 use vpic_core::{load_two_stream, Grid, Rng, Simulation, Species};
 use vpic_diag::TimeSeries;
@@ -203,6 +203,7 @@ fn light_dispersion() -> (f64, f64) {
 }
 
 fn main() {
+    known_flags(&["full"]);
     let full = parse_flag("full");
     let (lw_m, lw_t) = langmuir(full);
     let (ts_m, ts_t) = two_stream(full);

@@ -1,8 +1,10 @@
 //! # vpic-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! SC'08 VPIC paper's evaluation (experiment index in `DESIGN.md`, paper
-//! vs. measured record in `EXPERIMENTS.md`). One binary per experiment:
+//! The paper-figure regenerators: one binary per table and figure of
+//! the SC'08 VPIC paper's evaluation (experiment index in `DESIGN.md`,
+//! paper vs. measured record in `EXPERIMENTS.md`). They print tables;
+//! the harness of record, and every perf gate, is `benchmark/` at the
+//! repo root (README "Measuring performance").
 //!
 //! | bin | reproduces |
 //! |-----|------------|
@@ -17,11 +19,11 @@
 //! | `e9_validation` | fidelity battery vs analytic theory |
 //! | `e10_data_motion` | bytes-per-flop vs LINPACK/N-body/Monte-Carlo |
 //!
-//! Every binary accepts `--full` for a larger (longer) configuration and
-//! prints self-contained tables to stdout.
+//! Every binary accepts `--full` for a larger (longer) configuration,
+//! prints self-contained tables to stdout, and exits 2 on a flag it does
+//! not read ([`known_flags`]) or a value it cannot parse ([`parse_opt`]).
 
 pub mod datamotion;
-pub mod stepjson;
 pub mod util;
 
-pub use util::{parse_flag, parse_opt, print_table, time_it, uniform_plasma};
+pub use util::{known_flags, parse_flag, parse_opt, print_table, time_it, uniform_plasma};

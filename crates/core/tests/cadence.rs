@@ -16,13 +16,31 @@ use vpic_core::{
 /// Thermal plasma with a seeded longitudinal E perturbation (same shape
 /// as the determinism suite) under a given sort policy.
 fn plasma(pipelines: usize, policy: SortPolicy, vth: f32) -> Simulation {
+    plasma_on((10, 9, 8), 8, pipelines, policy, vth)
+}
+
+/// [`plasma`] on an `n`-cell box at `ppc` particles per cell.
+fn plasma_on(
+    n: (usize, usize, usize),
+    ppc: usize,
+    pipelines: usize,
+    policy: SortPolicy,
+    vth: f32,
+) -> Simulation {
     let dx = 0.2f32;
     let dt = Grid::courant_dt(1.0, (dx, dx, dx), 0.8);
-    let g = Grid::periodic((10, 9, 8), (dx, dx, dx), dt);
+    let g = Grid::periodic(n, (dx, dx, dx), dt);
     let mut sim = Simulation::new(g, pipelines);
     let mut e = Species::new("e", -1.0, 1.0).with_sort_policy(policy);
     let mut rng = Rng::seeded(123);
-    load_uniform(&mut e, &sim.grid, &mut rng, 1.0, 8, Momentum::thermal(vth));
+    load_uniform(
+        &mut e,
+        &sim.grid,
+        &mut rng,
+        1.0,
+        ppc,
+        Momentum::thermal(vth),
+    );
     sim.add_species(e);
     let g = sim.grid.clone();
     let kx = 2.0 * std::f32::consts::PI / g.extent().0;
@@ -232,4 +250,116 @@ fn zero_crosser_runs_skip_redundant_sorts() {
         auto.step();
     }
     assert_eq!(auto.species[0].cadence().interval, MAX_AUTO_INTERVAL);
+}
+
+// Timing gates (`scripts/ci.sh kernel`, release, the shipping flags).
+// Both time the whole step of ONE simulation and toggle the variant
+// between batches: two live `Simulation`s stepped side by side read
+// A/A 1.35x for the second-created one on the reference host, a toggled
+// one reads 0.98-1.04.
+
+/// The 16^3 / ppc 64 thermal box `e2_step_breakdown` defaults to, on the
+/// production layout, warmed up past its first sorts.
+fn gate_plasma() -> Simulation {
+    let pipelines = vpic_core::worker_threads();
+    let mut sim = plasma_on((16, 16, 16), 64, pipelines, SortPolicy::default(), 0.05);
+    sim.set_layout(Layout::Aosoa);
+    for _ in 0..30 {
+        sim.step();
+    }
+    sim
+}
+
+/// Step `sim` in A-B-B-A rounds of `steps`-step batches, `set(sim, true)`
+/// selecting variant B before a B batch and `set(sim, false)` variant A.
+/// `after(sim, is_b)` sees the simulation after each batch. Returns the
+/// median over rounds of (seconds in A) / (seconds in B): how many times
+/// faster B steps. Order effects cancel inside a round, host drift
+/// between rounds, and one preempted batch cannot move the median.
+fn speed_of_b_over_a(
+    sim: &mut Simulation,
+    rounds: usize,
+    steps: usize,
+    set: impl Fn(&mut Simulation, bool),
+    mut after: impl FnMut(&Simulation, bool),
+) -> f64 {
+    let mut ratios: Vec<f64> = (0..rounds)
+        .map(|_| {
+            let mut secs = [0.0f64; 2];
+            for is_b in [false, true, true, false] {
+                set(sim, is_b);
+                let t0 = std::time::Instant::now();
+                for _ in 0..steps {
+                    sim.step();
+                }
+                secs[is_b as usize] += t0.elapsed().as_secs_f64();
+                after(sim, is_b);
+            }
+            secs[0] / secs[1]
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[rounds / 2]
+}
+
+/// The lane kernel must step at least as fast as the scalar body it is
+/// checked against, on the layout both run on (it measures 3-4x).
+#[test]
+#[ignore = "timing gate; run in release via scripts/ci.sh kernel"]
+fn lane_kernel_steps_at_least_as_fast_as_scalar_on_aosoa() {
+    let mut sim = gate_plasma();
+    let kernel = |sim: &mut Simulation, lane: bool| {
+        sim.set_kernel(if lane {
+            PushKernel::Lane
+        } else {
+            PushKernel::Scalar
+        })
+    };
+    let ratio = speed_of_b_over_a(&mut sim, 3, 20, kernel, |_, _| {});
+    println!(
+        "whole step, 16^3 ppc 64 aosoa: lane {ratio:.2}x scalar; lanes: {}",
+        vpic_core::lanes::BACKEND
+    );
+    assert!(ratio >= 1.0, "lane kernel steps at {ratio:.2}x scalar");
+}
+
+/// `auto` against the historical fixed-25 cadence. Measured on the PR 22
+/// kernel (2-core reference host, 16^3 / ppc 64 and 32^3 / ppc 8): auto
+/// steps at 0.88-0.98x fixed-25 in 100-300-step batches (0.95-1.00 in
+/// this test's own 100-step batches) — PR 19 and PR 22 halved the push and
+/// `C_MIX` was never re-fit, so the controller sorts about three times as
+/// often (10 against 3-4 sorts per 100 steps) as the cheaper spill path
+/// now warrants. The floor here is therefore 0.85: it catches a
+/// controller that gets worse, and the printed ratio is the measurement
+/// of record. ROADMAP item 4's re-fit restores the intended 0.97.
+#[test]
+#[ignore = "timing gate; run in release via scripts/ci.sh kernel"]
+fn auto_cadence_steps_at_least_0_85x_fixed_25() {
+    const ROUNDS: usize = 6;
+    const STEPS: usize = 100;
+    let mut sim = gate_plasma();
+    let policy = |sim: &mut Simulation, auto: bool| {
+        sim.species[0].set_sort_policy(if auto {
+            SortPolicy::Auto
+        } else {
+            SortPolicy::default()
+        })
+    };
+    let mut seen = sim.species[0].coherence().sorts;
+    let mut sorts = [0u64; 2];
+    let ratio = speed_of_b_over_a(&mut sim, ROUNDS, STEPS, policy, |sim, auto| {
+        let now = sim.species[0].coherence().sorts;
+        assert!(now > seen, "no sort fell due in a batch (auto: {auto})");
+        sorts[auto as usize] += now - seen;
+        seen = now;
+    });
+    // Each round holds two batches of either kind.
+    let per_batch = |n: u64| n as f64 / (2 * ROUNDS) as f64;
+    println!(
+        "whole step, 16^3 ppc 64 aosoa lane: auto {ratio:.3}x fixed-25 \
+         (sorts per {STEPS} steps: auto {:.1}, fixed-25 {:.1})",
+        per_batch(sorts[1]),
+        per_batch(sorts[0]),
+    );
+    assert!(ratio >= 0.85, "auto cadence steps at {ratio:.3}x fixed-25");
 }
