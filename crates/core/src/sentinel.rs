@@ -703,30 +703,12 @@ impl Sentinel {
         self.baseline.map(|(e0, n0)| (e0 + self.injected, n0))
     }
 
-    fn sample(&mut self, sim: &mut Simulation) -> HealthSample {
-        if self.cfg.max_div_e_rms > 0.0 {
-            sim.refresh_rho();
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let s = local_sample(
-            sim.step_count,
-            &sim.fields,
-            &sim.grid,
-            &sim.species,
-            &sim.accumulators,
-            &self.cfg,
-            &mut scratch,
-        );
-        self.scratch = scratch;
-        s
-    }
-
     /// Run one check-and-heal cycle. Returns the surviving verdict (the
     /// caller's cue to roll back or degrade); `None` means healthy or
     /// healed in place. Every sample — including post-heal re-checks —
     /// lands in the flight recorder.
     pub fn check(&mut self, sim: &mut Simulation) -> Option<HealthVerdict> {
-        let s = self.sample(sim);
+        let s = sim.health_sample(&self.cfg);
         let verdict = classify(&s, &self.cfg, self.classify_baseline());
         match verdict {
             None => {
@@ -743,7 +725,7 @@ impl Sentinel {
                 let passes = burst_passes(self.cfg.marder_passes, self.bursts);
                 self.bursts += 1;
                 let (before, after) = self.marder_burst(sim, v.kind, passes);
-                let s2 = self.sample(sim);
+                let s2 = sim.health_sample(&self.cfg);
                 let v2 = classify(&s2, &self.cfg, self.classify_baseline());
                 self.heals.push(HealEvent {
                     step: s.step,

@@ -27,13 +27,16 @@ use crate::accumulator::{AccumulatorArray, AccumulatorSet};
 use crate::collision::CollisionOperator;
 use crate::field::FieldArray;
 use crate::field_solver::{
-    advance_b, advance_e, bcs_of, clean_div_e, marder_pass_b, marder_pass_e, refresh_rho, sync_j,
+    advance_b, advance_e, bcs_of, clean_div_b, clean_div_e, marder_pass_b, marder_pass_e,
+    refresh_rho, sync_j,
 };
 use crate::grid::Grid;
 use crate::interpolator::InterpolatorArray;
 use crate::push::{advance_p_tallied, Exile, PushCoefficients, PushKernel};
 use crate::rng::Rng;
-use crate::sentinel::{HealthVerdict, Sentinel, SimConfig};
+use crate::sentinel::{
+    local_sample, HealthSample, HealthVerdict, Sentinel, SentinelConfig, SimConfig,
+};
 use crate::species::Species;
 use crate::sponge::Sponge;
 use crate::store::Layout;
@@ -545,6 +548,36 @@ impl Simulation {
         self.refresh_rho();
         for _ in 0..passes {
             clean_div_e(&mut self.fields, &self.grid, &mut self.scratch);
+        }
+    }
+
+    /// This domain's health sample ([`local_sample`]), with `rho`
+    /// refreshed first when the Gauss monitor is on — the serial twin of
+    /// `DistributedSim::local_health_sample`.
+    pub fn health_sample(&mut self, cfg: &SentinelConfig) -> HealthSample {
+        if cfg.max_div_e_rms > 0.0 {
+            self.refresh_rho();
+        }
+        local_sample(
+            self.step_count,
+            &self.fields,
+            &self.grid,
+            &self.species,
+            &self.accumulators,
+            cfg,
+            &mut self.scratch,
+        )
+    }
+
+    /// One healing burst: fresh `rho` plus `passes_e` Marder passes on `E`,
+    /// then `passes_b` on `B` — the serial twin of
+    /// `DistributedSim::marder_burst`.
+    pub fn marder_burst(&mut self, passes_e: u32, passes_b: u32) {
+        if passes_e > 0 {
+            self.solve_initial_e(passes_e as usize);
+        }
+        for _ in 0..passes_b {
+            clean_div_b(&mut self.fields, &self.grid, &mut self.scratch);
         }
     }
 

@@ -1,126 +1,91 @@
-//! Serial fault-tolerant campaign runtime for LPI runs: drives an
-//! [`LpiRun`] under the numerical-integrity sentinel with v2 restart
-//! dumps and the same log → Marder-burst → rollback → degrade escalation
-//! ladder as the distributed campaign runtime in `vpic-parallel`. The run
-//! executes on a one-rank nanompi world so seeded [`FaultPlan`] kills
-//! surface as the same typed [`CommError`] faults the multi-rank runtime
-//! handles, and seeded [`CorruptionPlan`] events model transient memory
-//! upsets the sentinel must catch.
-//!
-//! Rollback restores the full observable state — fields, particles,
-//! reflectivity probe, backscatter series — so a recovered campaign
-//! finishes **bit-identically** with a fault-free run of the same deck
-//! (corruption events are one-shot: the replay of a rolled-back step is
-//! clean). When the recovery budget is exhausted the campaign degrades
-//! gracefully: a partial v2 dump plus the flight recorder's last N health
-//! samples as JSON.
+//! Fault-tolerant LPI campaigns: an [`LpiRun`] on `vpic-parallel`'s one
+//! campaign ladder (log → Marder burst → rollback → degrade) as a one-rank
+//! world, so seeded [`FaultPlan`] kills surface as the typed `CommError`
+//! faults the multi-rank runtime handles. What is LPI-specific lives here:
+//! the run's [`CampaignSim`] impl — v2 dumps plus a sidecar with the
+//! reflectivity probe, backscatter series and lost-particle count, the
+//! diagnostics pipeline flushed at every dump and re-seeded at every
+//! restore — and the end-state report. Rollback restores the full
+//! observable state, so a recovered campaign finishes **bit-identically**
+//! with a fault-free run of the same deck.
 //!
 //! Gauss-law monitoring and Marder E-cleaning are forced off when the run
 //! uses the immobile neutralizing ion background (the default): `rho` then
 //! holds electron charge only, so `∇·E − ρ/ε0` is biased by the missing
 //! ion term and "cleaning" it would actively corrupt the fields.
 
-use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
+use std::ops::{Deref, DerefMut};
+use std::path::PathBuf;
 
 use nanompi::{run_with_faults, Comm, CommError, FaultPlan};
 use vpic_core::checkpoint::{
-    load_with_layout, read_section, save, write_bytes_atomic, write_section, CheckpointError,
-    PayloadReader, PayloadWriter,
+    load_with_layout, read_section, save, write_section, CheckpointError, PayloadReader,
+    PayloadWriter,
 };
 use vpic_core::crc32::fingerprint32;
-use vpic_core::sentinel::{
-    validate_cfl, CorruptionPlan, HealEvent, HealthVerdict, Sentinel, SentinelConfig,
-};
+use vpic_core::field::FieldArray;
+use vpic_core::grid::Grid;
+use vpic_core::sentinel::{HealthSample, SentinelConfig};
+use vpic_core::sim::Simulation;
 use vpic_diag::{DiagEngine, DiagStats, ReflectivityProbe, TimeSeries};
+use vpic_parallel::campaign::{
+    run_campaign_from, CampaignConfig, CampaignEnd, CampaignError, CampaignOutcome, CampaignSim,
+    Start,
+};
 
 use crate::setup::{LpiParams, LpiRun};
 
-/// Campaign runtime knobs for a serial LPI run.
+/// [`CampaignEnd`] under the name the LPI API has always used.
+pub type LpiCampaignEnd = CampaignEnd;
+
+/// Campaign knobs for an LPI run: the shared [`CampaignConfig`] (reached
+/// through `Deref`; the sentinel armed at a 10-step cadence with particle
+/// drift unmonitored — the sponge walls absorb particles) plus the seeded
+/// process faults of its one-rank world.
 #[derive(Clone, Debug)]
 pub struct LpiCampaignConfig {
-    /// Total steps to drive.
-    pub steps: u64,
-    /// Checkpoint cadence in steps (0 disables checkpoints — any fault
-    /// then degrades immediately).
-    pub checkpoint_interval: u64,
-    /// Where dumps, partial dumps and the flight recorder land.
-    pub checkpoint_dir: PathBuf,
-    /// Checkpoint generations kept (older ones are dropped).
-    pub keep_checkpoints: usize,
-    /// Recovery budget before degrading.
-    pub max_recoveries: u32,
-    /// Sentinel thresholds and cadence.
-    pub sentinel: SentinelConfig,
-    /// Seeded transient field corruption, if any.
-    pub corruption: Option<CorruptionPlan>,
+    pub campaign: CampaignConfig,
     /// Seeded process-fault injection (kills), if any.
     pub fault_plan: Option<FaultPlan>,
 }
 
 impl LpiCampaignConfig {
     pub fn new(steps: u64, checkpoint_interval: u64, dir: impl Into<PathBuf>) -> Self {
+        let mut campaign = CampaignConfig::new(steps, checkpoint_interval, dir);
+        campaign.sentinel = SentinelConfig::enabled();
         LpiCampaignConfig {
-            steps,
-            checkpoint_interval,
-            checkpoint_dir: dir.into(),
-            keep_checkpoints: 2,
-            max_recoveries: 3,
-            sentinel: SentinelConfig::enabled(),
-            corruption: None,
+            campaign,
             fault_plan: None,
         }
     }
 }
 
-/// How the campaign ended.
-#[derive(Clone, Debug)]
-pub enum LpiCampaignEnd {
-    /// Reached `steps`.
-    Completed,
-    /// Recovery budget exhausted: best-effort partial dump + flight
-    /// recorder JSON written.
-    Degraded {
-        at_step: u64,
-        partial_dump: PathBuf,
-        flight_recorder: PathBuf,
-    },
-    /// The checkpoint hook asked the campaign to stop after certifying
-    /// the checkpoint at `at_step` (state on disk is resumable from
-    /// exactly that step).
-    Halted { at_step: u64 },
+impl Deref for LpiCampaignConfig {
+    type Target = CampaignConfig;
+    fn deref(&self) -> &CampaignConfig {
+        &self.campaign
+    }
 }
 
-/// One recovery episode.
-#[derive(Clone, Debug)]
-pub struct LpiRecovery {
-    pub at_step: u64,
-    pub cause: String,
-    pub restored_step: u64,
+impl DerefMut for LpiCampaignConfig {
+    fn deref_mut(&mut self) -> &mut CampaignConfig {
+        &mut self.campaign
+    }
 }
 
-/// Everything a finished (or degraded) campaign reports.
-#[derive(Clone, Debug)]
+/// A finished (or degraded, or halted) LPI campaign: the shared outcome
+/// (reached through `Deref`) plus the end state's physics.
+#[derive(Debug)]
 pub struct LpiCampaignOutcome {
-    pub end: LpiCampaignEnd,
-    /// Steps executed by **this invocation** (a resumed campaign counts
-    /// only the steps it drove, not the restored prefix).
-    pub steps_run: u64,
-    /// Step the campaign was restored from when it resumed off disk.
-    pub resumed_from: Option<u64>,
-    pub recoveries: Vec<LpiRecovery>,
-    pub heals: Vec<HealEvent>,
+    pub campaign: CampaignOutcome,
     /// Measured reflectivity at the end state.
     pub reflectivity: f64,
     /// Total energy at the end state.
     pub energy: f64,
     pub n_particles: u64,
-    /// Avalanche fingerprint of the end state's v2 dump bytes: a
-    /// content-sensitive digest for bit-identity checks across
-    /// faulted/unfaulted runs. Deliberately NOT a plain CRC-32 — the
-    /// dump embeds per-section CRCs, whose residue property makes a
-    /// whole-file CRC depend on section lengths only (see
-    /// `vpic_core::crc32::fingerprint32`).
+    /// Avalanche fingerprint of the end state's v2 dump bytes, for
+    /// bit-identity checks (not a plain CRC-32, which the dump's embedded
+    /// section CRCs would blind: see `vpic_core::crc32::fingerprint32`).
     pub state_fingerprint: u32,
     /// Diagnostics-pipeline counters (published/consumed/dropped snapshots,
     /// max queue depth, publisher stall time). All-zero when `diag = off`.
@@ -131,64 +96,11 @@ pub struct LpiCampaignOutcome {
     pub diag_engine: Option<Box<DiagEngine>>,
 }
 
-/// Campaign failure (distinct from a degraded-but-finished run).
-#[derive(Debug)]
-pub enum LpiCampaignError {
-    /// The deck violates a setup invariant (CFL).
-    Config(HealthVerdict),
-    Io(std::io::Error),
-    Checkpoint(CheckpointError),
-    Comm(CommError),
-    /// The campaign thread panicked.
-    Panic(String),
-    /// The campaign world returned no rank result (a nanompi invariant
-    /// violation — one rank in, one result out).
-    NoRankResult,
-}
-
-impl std::fmt::Display for LpiCampaignError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LpiCampaignError::Config(v) => write!(f, "invalid setup: {v}"),
-            LpiCampaignError::Io(e) => write!(f, "io: {e}"),
-            LpiCampaignError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
-            LpiCampaignError::Comm(e) => write!(f, "comm: {e}"),
-            LpiCampaignError::Panic(m) => write!(f, "campaign thread panicked: {m}"),
-            LpiCampaignError::NoRankResult => {
-                write!(f, "campaign world returned no rank result")
-            }
-        }
+impl Deref for LpiCampaignOutcome {
+    type Target = CampaignOutcome;
+    fn deref(&self) -> &CampaignOutcome {
+        &self.campaign
     }
-}
-
-impl std::error::Error for LpiCampaignError {}
-
-impl From<std::io::Error> for LpiCampaignError {
-    fn from(e: std::io::Error) -> Self {
-        LpiCampaignError::Io(e)
-    }
-}
-
-impl From<CheckpointError> for LpiCampaignError {
-    fn from(e: CheckpointError) -> Self {
-        LpiCampaignError::Checkpoint(e)
-    }
-}
-
-/// The diagnostic state a v2 dump does not carry, snapshotted alongside
-/// each checkpoint generation so rollback restores the full observable
-/// state (in memory: the process survives serial faults).
-#[derive(Clone)]
-struct SidecarState {
-    probe: ReflectivityProbe,
-    series: TimeSeries,
-    lost: u64,
-}
-
-struct Generation {
-    step: u64,
-    bytes: Vec<u8>,
-    diag: SidecarState,
 }
 
 /// Build the run described by `params` and drive it to `cfg.steps` under
@@ -197,7 +109,7 @@ struct Generation {
 pub fn run_lpi_campaign(
     params: LpiParams,
     cfg: &LpiCampaignConfig,
-) -> Result<LpiCampaignOutcome, LpiCampaignError> {
+) -> Result<LpiCampaignOutcome, CampaignError> {
     run_lpi_campaign_with(params, cfg, false, &|_| true)
 }
 
@@ -205,52 +117,62 @@ pub fn run_lpi_campaign(
 /// orchestrators (the sweep service):
 ///
 /// * `resume` — before stepping, restore the newest loadable
-///   checkpoint + diagnostic sidecar pair from `cfg.checkpoint_dir`.
-///   Restored state is certified (health-checked before it was written),
-///   so a killed-and-restarted campaign replays only steps past its last
-///   checkpoint and finishes **bit-identically** with an uninterrupted
-///   run. With nothing usable on disk the campaign starts from step 0.
+///   checkpoint + diagnostic sidecar pair from `cfg.checkpoint_dir`
+///   ([`Start::Resume`]). Restored state is certified (health-checked
+///   before it was written), so a killed-and-restarted campaign replays
+///   only steps past its last checkpoint and finishes **bit-identically**
+///   with an uninterrupted run. With nothing usable on disk the campaign
+///   starts from step 0.
 /// * `on_checkpoint(step)` — called after each checkpoint generation is
 ///   durably on disk (sidecar first, dump rename last). Returning `false`
-///   stops the campaign with [`LpiCampaignEnd::Halted`]; orchestrators
-///   use this to certify progress and to model mid-campaign kills.
+///   stops the campaign with [`CampaignEnd::Halted`]; orchestrators use
+///   this to certify progress and to model mid-campaign kills.
 pub fn run_lpi_campaign_with(
     params: LpiParams,
     cfg: &LpiCampaignConfig,
     resume: bool,
     on_checkpoint: &(dyn Fn(u64) -> bool + Sync),
-) -> Result<LpiCampaignOutcome, LpiCampaignError> {
+) -> Result<LpiCampaignOutcome, CampaignError> {
     let (mut results, _traffic) = run_with_faults(1, cfg.fault_plan.clone(), |comm| {
-        let run = LpiRun::new(params);
-        drive(run, comm, cfg, resume, on_checkpoint)
+        let mut run = LpiRun::new(params);
+        let mut campaign = cfg.campaign.clone();
+        if run.ions.is_none() {
+            // Implicit neutralizing background: rho is electrons-only, so
+            // the Gauss residual is physically meaningless here (see the
+            // module docs).
+            campaign.sentinel.max_div_e_rms = 0.0;
+        }
+        // Progress artifacts land next to the checkpoints they describe.
+        run.diag_set_out_dir(campaign.checkpoint_dir.clone());
+        let start = if resume { Start::Resume } else { Start::Fresh };
+        let (run, outcome) = run_campaign_from(comm, run, &campaign, start, on_checkpoint)?;
+        finish(run, outcome)
     });
-    match results.pop() {
-        Some(Ok(r)) => r,
-        Some(Err(p)) => Err(LpiCampaignError::Panic(p.message)),
-        None => Err(LpiCampaignError::NoRankResult),
-    }
+    let result = results.pop().expect("a one-rank world returns one result");
+    result.unwrap_or_else(|p| Err(CampaignError::Launch(format!("panicked: {}", p.message))))
 }
 
-fn snapshot(run: &LpiRun) -> SidecarState {
-    SidecarState {
-        probe: run.probe.clone(),
-        series: run.backscatter_series.clone(),
-        lost: run.sim.lost_particles,
-    }
+fn finish(mut run: LpiRun, campaign: CampaignOutcome) -> Result<LpiCampaignOutcome, CampaignError> {
+    let mut bytes = Vec::new();
+    save(&run.sim, &mut bytes).map_err(CampaignError::Checkpoint)?;
+    let (diag_engine, diag) = run.diag_finish();
+    Ok(LpiCampaignOutcome {
+        campaign,
+        reflectivity: run.reflectivity(),
+        energy: run.sim.energies().total(),
+        n_particles: run.sim.n_particles() as u64,
+        state_fingerprint: fingerprint32(&bytes),
+        diag,
+        diag_engine,
+    })
 }
 
-fn dump_bytes(run: &LpiRun) -> Result<Vec<u8>, CheckpointError> {
-    let mut buf = Vec::new();
-    save(&run.sim, &mut buf)?;
-    Ok(buf)
-}
-
-fn checkpoint_path(dir: &Path, step: u64) -> PathBuf {
-    dir.join(format!("ckpt_{step:08}.vpic"))
-}
-
-fn sidecar_path(dir: &Path, step: u64) -> PathBuf {
-    dir.join(format!("ckpt_{step:08}.diag"))
+/// The diagnostic state a v2 dump does not carry, as decoded from its
+/// sidecar (the second half of [`LpiRun`]'s checkpoint snapshot).
+pub struct SidecarState {
+    probe: ReflectivityProbe,
+    series: TimeSeries,
+    lost: u64,
 }
 
 /// Magic for the diagnostic sidecar written next to each v2 dump: the
@@ -258,26 +180,27 @@ fn sidecar_path(dir: &Path, step: u64) -> PathBuf {
 /// series, lost-particle count), CRC-framed like every other artifact.
 const DIAG_MAGIC: &[u8; 8] = b"VPICDIA1";
 
-fn encode_sidecar(step: u64, diag: &SidecarState) -> Vec<u8> {
-    let (incident, reflected, samples) = diag.probe.raw_state();
+fn encode_sidecar(run: &LpiRun) -> Vec<u8> {
+    let series = &run.backscatter_series;
+    let (incident, reflected, samples) = run.probe.raw_state();
     let mut p = PayloadWriter::new();
-    p.u64(step);
-    p.u64(diag.probe.plane as u64);
+    p.u64(run.sim.step_count);
+    p.u64(run.probe.plane as u64);
     p.f64(incident);
     p.f64(reflected);
     p.u64(samples);
-    p.u64(diag.lost);
-    p.f64(diag.series.dt);
+    p.u64(run.sim.lost_particles);
+    p.f64(series.dt);
     // Windowed-retention state: the cap travels with the dump so a resumed
     // campaign keeps the same retention policy, and `discarded` keeps
     // `total_pushed()` (and the progress artifact's sample accounting)
     // exact across restore.
-    p.u64(diag.series.cap as u64);
-    p.u64(diag.series.discarded);
-    p.u64(diag.series.name.len() as u64);
-    p.bytes(diag.series.name.as_bytes());
-    p.u64(diag.series.samples.len() as u64);
-    for &v in &diag.series.samples {
+    p.u64(series.cap as u64);
+    p.u64(series.discarded);
+    p.u64(series.name.len() as u64);
+    p.bytes(series.name.as_bytes());
+    p.u64(series.samples.len() as u64);
+    for &v in &series.samples {
         p.f64(v);
     }
     let mut out = Vec::new();
@@ -327,347 +250,101 @@ fn decode_sidecar(bytes: &[u8]) -> Result<(u64, SidecarState), CheckpointError> 
     ))
 }
 
-/// Scan `cfg.checkpoint_dir` for the newest `(dump, sidecar)` pair whose
-/// steps agree and whose frames verify; restore it into `run`. Unusable
-/// generations are logged and skipped, oldest-last. Returns the restored
-/// step, or `None` when nothing on disk is usable (fresh start).
-fn restore_newest(
-    run: &mut LpiRun,
-    sponge: Option<vpic_core::sponge::Sponge>,
-    cfg: &LpiCampaignConfig,
-) -> Option<u64> {
-    let mut steps: Vec<u64> = std::fs::read_dir(&cfg.checkpoint_dir)
-        .ok()?
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name().into_string().ok()?;
-            let digits = name.strip_prefix("ckpt_")?.strip_suffix(".vpic")?;
-            digits.parse::<u64>().ok()
-        })
-        .collect();
-    steps.sort_unstable();
-    for step in steps.into_iter().rev() {
-        let restored = (|| -> Result<u64, String> {
-            let bytes = std::fs::read(checkpoint_path(&cfg.checkpoint_dir, step))
-                .map_err(|e| format!("dump unreadable: {e}"))?;
-            let raw = std::fs::read(sidecar_path(&cfg.checkpoint_dir, step))
-                .map_err(|e| format!("sidecar unreadable: {e}"))?;
-            let (side_step, diag) =
-                decode_sidecar(&raw).map_err(|e| format!("sidecar corrupt: {e}"))?;
-            if side_step != step {
-                return Err(format!("sidecar step {side_step} != dump step {step}"));
-            }
-            let mut sim = load_with_layout(
-                &mut bytes.as_slice(),
-                run.params.pipelines,
-                run.params.layout,
-            )
-            .map_err(|e| format!("dump corrupt: {e}"))?;
-            sim.sponge = sponge;
-            sim.lost_particles = diag.lost;
-            run.sim = sim;
-            run.probe = diag.probe;
-            run.backscatter_series = diag.series;
-            Ok(step)
-        })();
-        match restored {
-            Ok(step) => {
-                log_line(cfg, &format!("resume restored_step={step}"));
-                return Some(step);
-            }
-            Err(why) => log_line(cfg, &format!("resume candidate step={step} skipped: {why}")),
-        }
+/// The serial run as the campaign ladder's one rank: no collectives, v2
+/// dumps, and the diagnostics pipeline drained at every dump and re-seeded
+/// at every restore.
+impl CampaignSim for LpiRun {
+    type Snapshot = (Simulation, SidecarState);
+
+    fn step_count(&self) -> u64 {
+        self.sim.step_count
     }
-    None
-}
 
-fn drive(
-    mut run: LpiRun,
-    comm: &mut Comm,
-    cfg: &LpiCampaignConfig,
-    resume: bool,
-    on_checkpoint: &(dyn Fn(u64) -> bool + Sync),
-) -> Result<LpiCampaignOutcome, LpiCampaignError> {
-    std::fs::create_dir_all(&cfg.checkpoint_dir)?;
-    if let Err(v) = validate_cfl(&run.sim.grid) {
-        return Err(LpiCampaignError::Config(v));
+    fn advance(&mut self, _: &mut Comm) -> Result<(), CommError> {
+        self.step();
+        Ok(())
     }
-    let sponge = run.sim.sponge;
-    // Progress artifacts land next to the checkpoints they describe.
-    run.diag_set_out_dir(cfg.checkpoint_dir.clone());
-    let resumed_from = if resume {
-        let restored = restore_newest(&mut run, sponge, cfg);
-        if restored.is_some() {
-            // The engine (sync or async) must restart from the restored
-            // probe/series, not keep state from before the resume.
-            run.diag_reset();
-        }
-        restored
-    } else {
-        None
-    };
-    let mut scfg = cfg.sentinel;
-    if run.ions.is_none() {
-        // Implicit neutralizing background: rho is electrons-only, so the
-        // Gauss residual is physically meaningless here (see module docs).
-        scfg.max_div_e_rms = 0.0;
+
+    fn fields(&mut self) -> (&mut FieldArray, &Grid) {
+        (&mut self.sim.fields, &self.sim.grid)
     }
-    let mut sentinel = Sentinel::new(scfg);
-    sentinel.arm(&run.sim);
-    let mut corruption = cfg.corruption.clone();
-    let mut recoveries: Vec<LpiRecovery> = Vec::new();
-    let mut generations: VecDeque<Generation> = VecDeque::new();
-    let mut steps_run: u64 = 0;
 
-    loop {
-        let step = run.sim.step_count;
-        if step >= cfg.steps {
-            return finish(
-                run,
-                sentinel,
-                recoveries,
-                steps_run,
-                resumed_from,
-                LpiCampaignEnd::Completed,
-            );
-        }
-        let fault: Option<String> = (|| {
-            if let Err(e) = comm.tick(step) {
-                return Some(e.to_string());
-            }
-            if let Some(plan) = corruption.as_mut() {
-                let hits = plan.apply(step, comm.rank(), &mut run.sim.fields, &run.sim.grid);
-                if hits > 0 {
-                    log_line(cfg, &format!("step={step} injected_corruption={hits}"));
-                }
-            }
-            // Health before checkpoint: every generation on disk is
-            // certified clean, so rollback always restores healthy state.
-            if sentinel.due(step) {
-                if let Some(v) = sentinel.check(&mut run.sim) {
-                    return Some(format!("health: {v}"));
-                }
-            }
-            None
-        })();
-
-        if let Some(cause) = fault {
-            let attempt = recoveries.len() as u32 + 1;
-            if attempt > cfg.max_recoveries {
-                return degrade(
-                    run,
-                    sentinel,
-                    recoveries,
-                    steps_run,
-                    resumed_from,
-                    step,
-                    &cause,
-                    cfg,
-                );
-            }
-            if let Err(e) = comm.recover() {
-                log_line(cfg, &format!("step={step} recover_failed=\"{e}\""));
-                return degrade(
-                    run,
-                    sentinel,
-                    recoveries,
-                    steps_run,
-                    resumed_from,
-                    step,
-                    &cause,
-                    cfg,
-                );
-            }
-            match rollback(&mut run, &generations, sponge, cfg) {
-                Some(restored_step) => {
-                    log_line(
-                        cfg,
-                        &format!(
-                            "step={step} attempt={attempt} cause=\"{cause}\" \
-                             restored_step={restored_step}"
-                        ),
-                    );
-                    recoveries.push(LpiRecovery {
-                        at_step: step,
-                        cause,
-                        restored_step,
-                    });
-                    continue;
-                }
-                None => {
-                    return degrade(
-                        run,
-                        sentinel,
-                        recoveries,
-                        steps_run,
-                        resumed_from,
-                        step,
-                        &cause,
-                        cfg,
-                    )
-                }
-            }
-        }
-
-        if cfg.checkpoint_interval > 0 && step.is_multiple_of(cfg.checkpoint_interval) {
-            // Flush barrier: every snapshot published so far is consumed
-            // before the checkpoint is cut, so a rollback that replays
-            // steps past this point can re-seed the pipeline without
-            // double-counting samples already folded into artifacts.
-            run.diag_flush();
-            let bytes = dump_bytes(&run)?;
-            let diag = snapshot(&run);
-            // Sidecar first, dump rename last: a visible `.vpic` file
-            // implies its diagnostic sidecar is already durable, so a
-            // crash between the two writes never strands a dump that
-            // cannot be resumed.
-            write_bytes_atomic(
-                &sidecar_path(&cfg.checkpoint_dir, step),
-                &encode_sidecar(step, &diag),
-                None,
-            )?;
-            write_bytes_atomic(&checkpoint_path(&cfg.checkpoint_dir, step), &bytes, None)?;
-            generations.push_back(Generation { step, bytes, diag });
-            while generations.len() > cfg.keep_checkpoints.max(1) {
-                if let Some(old) = generations.pop_front() {
-                    let _ = std::fs::remove_file(checkpoint_path(&cfg.checkpoint_dir, old.step));
-                    let _ = std::fs::remove_file(sidecar_path(&cfg.checkpoint_dir, old.step));
-                }
-            }
-            if !on_checkpoint(step) {
-                return finish(
-                    run,
-                    sentinel,
-                    recoveries,
-                    steps_run,
-                    resumed_from,
-                    LpiCampaignEnd::Halted { at_step: step },
-                );
-            }
-        }
-
-        run.step();
-        steps_run += 1;
+    fn local_health(
+        &mut self,
+        _: &mut Comm,
+        cfg: &SentinelConfig,
+    ) -> Result<HealthSample, CommError> {
+        Ok(self.sim.health_sample(cfg))
     }
-}
 
-/// Restore the newest generation that still loads (CRC failures
-/// disqualify, loudly falling back to the previous one). Returns the
-/// restored step, or `None` when nothing on record is usable.
-fn rollback(
-    run: &mut LpiRun,
-    generations: &VecDeque<Generation>,
-    sponge: Option<vpic_core::sponge::Sponge>,
-    cfg: &LpiCampaignConfig,
-) -> Option<u64> {
-    // Drain in-flight snapshots from the faulted timeline before the
-    // restore, then reset the engine to the restored state below — the
-    // replayed steps will republish their snapshots deterministically.
-    run.diag_flush();
-    for gen in generations.iter().rev() {
-        match load_with_layout(
-            &mut gen.bytes.as_slice(),
-            run.params.pipelines,
-            run.params.layout,
-        ) {
-            Ok(mut sim) => {
-                // The v2 dump carries fields/particles/step/config; the
-                // sponge and diagnostics live outside it.
-                sim.sponge = sponge;
-                sim.lost_particles = gen.diag.lost;
-                run.sim = sim;
-                run.probe = gen.diag.probe.clone();
-                run.backscatter_series = gen.diag.series.clone();
-                run.diag_reset();
-                return Some(gen.step);
-            }
-            Err(e) => {
-                log_line(cfg, &format!("generation {} unusable: {e}", gen.step));
-            }
+    fn marder_burst(
+        &mut self,
+        _: &mut Comm,
+        passes_e: u32,
+        passes_b: u32,
+    ) -> Result<(), CommError> {
+        self.sim.marder_burst(passes_e, passes_b);
+        Ok(())
+    }
+
+    fn baseline(&self, _: &mut Comm) -> Result<(f64, f64), CommError> {
+        Ok((self.sim.energies().total(), self.sim.n_particles() as f64))
+    }
+
+    /// The v2 dump, cut behind a flush barrier: every snapshot published
+    /// so far is consumed first, so a rollback that replays steps past
+    /// this point can re-seed the pipeline without double-counting
+    /// samples already folded into artifacts.
+    fn dump(&mut self, _compress: bool) -> Result<Vec<u8>, CheckpointError> {
+        self.diag_flush();
+        let mut buf = Vec::new();
+        save(&self.sim, &mut buf)?;
+        Ok(buf)
+    }
+
+    fn sidecar(&self) -> Option<Vec<u8>> {
+        Some(encode_sidecar(self))
+    }
+
+    fn load(
+        &self,
+        mut dump: &[u8],
+        sidecar: Option<&[u8]>,
+    ) -> Result<Self::Snapshot, CheckpointError> {
+        let sidecar =
+            sidecar.ok_or_else(|| CheckpointError::Malformed("diag sidecar missing".into()))?;
+        let (side_step, diag) = decode_sidecar(sidecar)?;
+        let sim = load_with_layout(&mut dump, self.params.pipelines, self.params.layout)?;
+        if side_step != sim.step_count {
+            return Err(CheckpointError::Malformed(format!(
+                "sidecar step {side_step} != dump step {}",
+                sim.step_count
+            )));
         }
+        Ok((sim, diag))
     }
-    None
-}
 
-fn finish(
-    mut run: LpiRun,
-    sentinel: Sentinel,
-    recoveries: Vec<LpiRecovery>,
-    steps_run: u64,
-    resumed_from: Option<u64>,
-    end: LpiCampaignEnd,
-) -> Result<LpiCampaignOutcome, LpiCampaignError> {
-    let bytes = dump_bytes(&run)?;
-    let (diag_engine, diag) = run.diag_finish();
-    Ok(LpiCampaignOutcome {
-        end,
-        steps_run,
-        resumed_from,
-        recoveries,
-        heals: sentinel.heals,
-        reflectivity: run.reflectivity(),
-        energy: run.sim.energies().total(),
-        n_particles: run.sim.n_particles() as u64,
-        state_fingerprint: fingerprint32(&bytes),
-        diag,
-        diag_engine,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn degrade(
-    mut run: LpiRun,
-    sentinel: Sentinel,
-    recoveries: Vec<LpiRecovery>,
-    steps_run: u64,
-    resumed_from: Option<u64>,
-    at_step: u64,
-    cause: &str,
-    cfg: &LpiCampaignConfig,
-) -> Result<LpiCampaignOutcome, LpiCampaignError> {
-    // Graceful degrade still honours the flush barrier: the partial dump
-    // and flight recorder describe a state whose diagnostics are fully
-    // consumed, not racing an async worker.
-    run.diag_flush();
-    let partial = cfg.checkpoint_dir.join("partial.vpic");
-    if let Ok(bytes) = dump_bytes(&run) {
-        let _ = std::fs::write(&partial, bytes);
-    }
-    let flight = cfg.checkpoint_dir.join("flight.json");
-    let _ = sentinel.recorder.write_json(&flight);
-    log_line(
-        cfg,
-        &format!("step={at_step} cause=\"{cause}\" action=degraded"),
-    );
-    finish(
-        run,
-        sentinel,
-        recoveries,
-        steps_run,
-        resumed_from,
-        LpiCampaignEnd::Degraded {
-            at_step,
-            partial_dump: partial,
-            flight_recorder: flight,
-        },
-    )
-}
-
-fn log_line(cfg: &LpiCampaignConfig, line: &str) {
-    use std::io::Write;
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(cfg.checkpoint_dir.join("campaign.log"))
-    {
-        let _ = writeln!(f, "{line}");
+    fn restore(&mut self, (mut sim, diag): Self::Snapshot) {
+        // Drain in-flight snapshots from the abandoned timeline, then
+        // re-seed the engine from the restored state: the replayed steps
+        // republish their snapshots deterministically.
+        self.diag_flush();
+        // The v2 dump carries fields/particles/step/config; the sponge and
+        // diagnostics live outside it.
+        sim.sponge = self.sim.sponge;
+        sim.lost_particles = diag.lost;
+        self.sim = sim;
+        self.probe = diag.probe;
+        self.backscatter_series = diag.series;
+        self.diag_reset();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpic_core::sentinel::{CorruptionEvent, CorruptionMode};
+    use std::path::Path;
+    use vpic_core::sentinel::{CorruptionEvent, CorruptionMode, CorruptionPlan};
 
     fn small_params() -> LpiParams {
         LpiParams {

@@ -10,8 +10,9 @@
 //! * [`srs`] — SRS linear theory (matching, growth, Landau damping, gain);
 //! * [`three_wave`] — fluid coupled-mode baseline (no trapping physics);
 //! * [`setup`] — assembled [`setup::LpiRun`] with reflectivity probe;
-//! * [`campaign`] — fault-tolerant serial campaign runtime (sentinel,
-//!   checkpoints, rollback, graceful degradation).
+//! * [`campaign`] — the run on `vpic-parallel`'s fault-tolerant campaign
+//!   ladder as a one-rank world (sentinel, checkpoints, rollback, graceful
+//!   degradation).
 
 pub mod campaign;
 pub mod laser;
@@ -23,8 +24,7 @@ pub mod sweep;
 pub mod three_wave;
 
 pub use campaign::{
-    run_lpi_campaign, run_lpi_campaign_with, LpiCampaignConfig, LpiCampaignEnd, LpiCampaignError,
-    LpiCampaignOutcome, LpiRecovery,
+    run_lpi_campaign, run_lpi_campaign_with, LpiCampaignConfig, LpiCampaignEnd, LpiCampaignOutcome,
 };
 pub use laser::{LaserAntenna, Polarization};
 pub use profile::SlabProfile;

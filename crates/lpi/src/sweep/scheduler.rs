@@ -33,8 +33,9 @@ use std::time::Instant;
 use vpic_core::journal::{Journal, JournalError, ReplayReport};
 use vpic_core::queue::{JobEvent, JobQueue, JobState, QueueError, QueueStats, RetryPolicy};
 use vpic_core::sentinel::{CorruptionPlan, SentinelConfig};
+use vpic_parallel::campaign::{CampaignEnd, CampaignError};
 
-use crate::campaign::{run_lpi_campaign_with, LpiCampaignConfig, LpiCampaignEnd, LpiCampaignError};
+use crate::campaign::{run_lpi_campaign_with, LpiCampaignConfig};
 use crate::setup::LpiParams;
 
 use super::curve::{
@@ -174,7 +175,7 @@ pub enum SweepError {
     Io(std::io::Error),
     Journal(JournalError),
     Queue(QueueError),
-    Campaign(LpiCampaignError),
+    Campaign(CampaignError),
     /// A `Done` payload failed to decode or cross-check.
     MalformedResult {
         job: u64,
@@ -216,8 +217,8 @@ impl From<QueueError> for SweepError {
         SweepError::Queue(e)
     }
 }
-impl From<LpiCampaignError> for SweepError {
-    fn from(e: LpiCampaignError) -> Self {
+impl From<CampaignError> for SweepError {
+    fn from(e: CampaignError) -> Self {
         SweepError::Campaign(e)
     }
 }
@@ -588,13 +589,13 @@ impl SweepRunner {
             clock_ms += out.steps_run.max(1);
 
             match out.end {
-                LpiCampaignEnd::Halted { .. } => {
+                CampaignEnd::Halted { .. } => {
                     // The kill plan fired mid-campaign: die without
                     // journaling anything else, like a real SIGKILL.
                     outcome_end = SweepEnd::Killed;
                     break;
                 }
-                LpiCampaignEnd::Completed => {
+                CampaignEnd::Completed => {
                     let result = PointResult {
                         fingerprint: point.fingerprint(&self.cfg.base, self.cfg.steps),
                         reflectivity: out.reflectivity,
@@ -616,7 +617,7 @@ impl SweepRunner {
                         total: self.grid.len(),
                     });
                 }
-                LpiCampaignEnd::Degraded { at_step, .. } => {
+                CampaignEnd::Degraded { at_step, .. } => {
                     let cause = format!(
                         "campaign degraded at step {at_step} (attempt {attempt}); \
                          flight recorder in {}",

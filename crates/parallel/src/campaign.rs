@@ -2,60 +2,43 @@
 //!
 //! VPIC's trillion-particle Roadrunner campaigns outlived the machine's
 //! mean time between interrupts the unglamorous way — periodic restart
-//! dumps plus automatic resubmission. This module reproduces that loop
-//! in-process: [`run_campaign`] drives a [`DistributedSim`] for a fixed
-//! number of steps, writing a CRC-protected checkpoint generation on a
-//! [`CheckpointPolicy`] schedule and running the numerical-integrity
-//! sentinel (see `vpic_core::sentinel`) every `health_interval` steps:
-//! non-finite sweeps, the energy ledger, particle conservation, optional
-//! Gauss-law / `∇·B` residual monitors and momentum/position bounds, all
-//! summed into one global [`HealthSample`] by a *single* reduction and
-//! classified identically on every rank into a structured
-//! [`HealthVerdict`].
+//! dumps plus automatic resubmission. [`run_campaign_from`] is that loop,
+//! the only one in the repo: it drives any [`CampaignSim`] — a
+//! [`DistributedSim`] with its current drive ([`DrivenSim`]), or the
+//! serial LPI run as a one-rank world — to `cfg.steps`, writing a
+//! CRC-protected checkpoint generation per rank on a [`CheckpointPolicy`]
+//! schedule (fixed, or the Young/Daly optimum `τ_opt = √(2·δ·MTBI)` from
+//! the measured dump cost and step time, max-reduced across ranks on the
+//! confirmation collective) and running the numerical-integrity sentinel
+//! (`vpic_core::sentinel`) every `sentinel.health_interval` steps: every
+//! rank's [`HealthSample`] summed by *one* reduction and classified
+//! identically everywhere into a [`HealthVerdict`].
 //!
-//! The sentinel heals before it recovers: a repairable verdict (divergence
-//! residuals) first triggers an in-place Marder-cleaning burst with
-//! escalating pass counts (`marder_passes << burst`); only when the burst
-//! budget (`max_marder_bursts`) is exhausted does the campaign fall back
-//! to rollback, and only when the recovery budget is exhausted does it
-//! degrade — writing a partial dump *plus* a JSON flight recorder of the
-//! last N health samples. The health gate runs *before* the checkpoint
-//! dump at the same step, so every generation on disk is certified clean
-//! and rollback always restores healthy state.
+//! The ladder: log every sample in the flight recorder; heal a repairable
+//! verdict (divergence residuals) in place with Marder bursts of
+//! `marder_passes << burst` passes, up to `max_marder_bursts`; otherwise —
+//! or on a [`CommError`] from a dead or faulty peer — rendezvous through
+//! [`Comm::recover`], validate every generation on disk by loading it,
+//! agree on the newest one valid on every rank, restore it and replay;
+//! past `max_recoveries`, degrade to a partial dump plus the flight
+//! recorder as JSON ([`CampaignEnd::Degraded`]) instead of aborting. The
+//! health gate runs *before* the checkpoint dump at the same step, so
+//! every generation on disk is certified clean.
 //!
-//! When anything else goes wrong — a [`CommError`] from a dead or faulty
-//! peer, or an unrepairable health verdict — every rank rendezvouses through
-//! [`Comm::recover`], rediscovers its checkpoint generations *from disk*
-//! (rejecting any dump that fails its CRC), agrees with all other ranks on
-//! the newest generation present and valid everywhere, reloads it, and
-//! replays. Ranks that still hold the confirmed generation in memory
-//! restore from that cache without touching the filesystem. Recovery
-//! attempts are bounded: past `max_recoveries` the campaign degrades
-//! gracefully, writing a best-effort partial dump and returning
-//! [`CampaignEnd::Degraded`] instead of aborting the process.
-//!
-//! A rank the fault plan killed clears its fault at the rendezvous and
-//! rejoins the world from its own thread; a rank whose *process* died is
-//! replaced by a respawned one through [`rejoin_campaign`].
-//!
-//! The checkpoint cadence is either a fixed step count or
-//! [`CheckpointPolicy::Auto`]: the Young/Daly optimum
-//! `τ_opt = √(2·δ·MTBI)` resolved from the *measured* per-dump cost and
-//! step time (EWMA-smoothed, max-reduced across ranks on the checkpoint
-//! confirmation collective so every rank resolves the identical interval).
-//! Dumps can be delta+RLE compressed and write-throttled
-//! (`compress`, `write_throttle_bps`) to keep big particle counts inside
-//! the dump budget.
-//!
-//! Every recovery is recorded in the returned [`CampaignOutcome`] and
-//! appended to `recovery_r{rank}.log` in the checkpoint directory.
+//! The same restore-before-the-first-step path starts a campaign off disk
+//! ([`Start`]): a respawned process taking over a dead rank's seat, or a
+//! whole world relaunched after a kill. An `on_checkpoint` hook sees every
+//! certified generation and may end the campaign there
+//! ([`CampaignEnd::Halted`]) — how the sweep service heartbeats its jobs.
+//! Every recovery lands in the [`CampaignOutcome`] and in
+//! `recovery_r{rank}.log` next to the checkpoints.
 //!
 //! With one push pipeline per rank the replay is bit-exact: a campaign
 //! that lost a rank mid-flight ends in exactly the state of an
 //! uninterrupted run (asserted by `tests/recovery.rs`).
 
-use crate::dcheckpoint::{dump_rank_bytes, load_rank, load_rank_from_path};
-use crate::dsim::DistributedSim;
+use crate::dcheckpoint::{dump_rank_bytes, load_rank};
+use crate::dsim::{load_imbalance, DistributedSim};
 use nanompi::{Comm, CommError};
 use roadrunner_model::young_daly_interval_steps;
 use std::io::{self, Write};
@@ -113,32 +96,27 @@ impl CheckpointPolicy {
 /// Knobs for one fault-tolerant campaign.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
-    /// Run until `sim.step_count` reaches this.
+    /// Run until the step count reaches this.
     pub steps: u64,
     /// Checkpoint schedule (fixed interval or Young/Daly auto).
     pub checkpoint: CheckpointPolicy,
     /// Directory for checkpoint generations, recovery logs and partial
     /// dumps (created if absent; shared by all ranks).
     pub checkpoint_dir: PathBuf,
-    /// Checkpoint generations kept on disk per rank.
+    /// Checkpoint generations kept on disk per rank (at least one is
+    /// always kept).
     pub keep_checkpoints: usize,
     /// Rollback attempts before degrading to a partial dump.
     pub max_recoveries: u32,
-    /// Health-check every this many steps (0 disables).
-    pub health_interval: u64,
-    /// Health check fails if global energy exceeds this multiple of the
-    /// campaign-start energy.
-    pub max_energy_growth: f64,
     /// Override the communicator's op timeout for the whole campaign.
     pub op_timeout: Option<Duration>,
     /// Allow delta+RLE compression of dump sections.
     pub compress: bool,
     /// Pace checkpoint writes to at most this many bytes/second.
     pub write_throttle_bps: Option<u64>,
-    /// Sentinel thresholds beyond the legacy knobs above (divergence
-    /// monitors, momentum/position bounds, Marder burst budget, flight
-    /// recorder depth). Merged with `health_interval`/`max_energy_growth`
-    /// by [`CampaignConfig::effective_sentinel`].
+    /// Sentinel cadence and thresholds (divergence monitors, energy and
+    /// particle ledgers, momentum/position bounds, Marder burst budget,
+    /// flight recorder depth).
     pub sentinel: SentinelConfig,
     /// Seeded one-shot field corruption to inject (transient-SEU model;
     /// `None` = no injection). Fired events stay fired across rollback, so
@@ -147,6 +125,9 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
+    /// A campaign checkpointing every `checkpoint_interval` steps with the
+    /// sentinel on every step: energy growth bounded at 10×, particles
+    /// conserved exactly (a periodic world loses none).
     pub fn new(steps: u64, checkpoint_interval: u64, checkpoint_dir: impl Into<PathBuf>) -> Self {
         CampaignConfig {
             steps,
@@ -154,37 +135,20 @@ impl CampaignConfig {
             checkpoint_dir: checkpoint_dir.into(),
             keep_checkpoints: 2,
             max_recoveries: 3,
-            health_interval: 1,
-            max_energy_growth: 10.0,
             op_timeout: None,
             compress: true,
             write_throttle_bps: None,
-            sentinel: SentinelConfig::default(),
+            sentinel: SentinelConfig {
+                health_interval: 1,
+                max_particle_drift: 0.0,
+                ..SentinelConfig::default()
+            },
             corruption: None,
         }
     }
 
-    /// The sentinel thresholds in effect: the `sentinel` block with the
-    /// legacy `health_interval`/`max_energy_growth` knobs folded in. The
-    /// particle-drift bound defaults to *exact* conservation (the
-    /// campaign's historical contract) unless set explicitly.
-    pub fn effective_sentinel(&self) -> SentinelConfig {
-        let mut s = self.sentinel;
-        s.health_interval = self.health_interval;
-        s.max_energy_growth = self.max_energy_growth;
-        if s.max_particle_drift < 0.0 {
-            s.max_particle_drift = 0.0;
-        }
-        s
-    }
-
     pub fn with_max_recoveries(mut self, n: u32) -> Self {
         self.max_recoveries = n;
-        self
-    }
-
-    pub fn with_health_interval(mut self, n: u64) -> Self {
-        self.health_interval = n;
         self
     }
 
@@ -193,28 +157,17 @@ impl CampaignConfig {
         self
     }
 
-    pub fn with_checkpoint_policy(mut self, p: CheckpointPolicy) -> Self {
-        self.checkpoint = p;
-        self
-    }
-
-    pub fn with_compression(mut self, on: bool) -> Self {
-        self.compress = on;
-        self
-    }
-
-    pub fn with_write_throttle(mut self, bps: Option<u64>) -> Self {
-        self.write_throttle_bps = bps;
-        self
-    }
-
-    /// Set the sentinel thresholds, folding its cadence and energy bound
-    /// into the legacy knobs (a zero cadence keeps the current one).
-    pub fn with_sentinel(mut self, s: SentinelConfig) -> Self {
-        if s.health_interval > 0 {
-            self.health_interval = s.health_interval;
+    /// Set the sentinel thresholds. A zero cadence keeps the current one,
+    /// and a disabled particle-drift bound becomes exact conservation (the
+    /// distributed worlds are periodic); assign `sentinel` directly to
+    /// take a block verbatim.
+    pub fn with_sentinel(mut self, mut s: SentinelConfig) -> Self {
+        if s.health_interval == 0 {
+            s.health_interval = self.sentinel.health_interval;
         }
-        self.max_energy_growth = s.max_energy_growth;
+        if s.max_particle_drift < 0.0 {
+            s.max_particle_drift = 0.0;
+        }
         self.sentinel = s;
         self
     }
@@ -237,7 +190,7 @@ pub struct RecoveryEvent {
     /// Checkpoint step the world rolled back to.
     pub restored_step: u64,
     /// True when this rank's seat was taken over by a respawned process
-    /// ([`rejoin_campaign`]).
+    /// ([`Start::Rejoin`]).
     pub rejoined: bool,
 }
 
@@ -254,6 +207,10 @@ pub enum CampaignEnd {
         partial_dump: PathBuf,
         flight_recorder: PathBuf,
     },
+    /// The checkpoint hook asked the campaign to stop after certifying
+    /// the checkpoint at `at_step` (state on disk is resumable from
+    /// exactly that step).
+    Halted { at_step: u64 },
 }
 
 /// Result of one rank's campaign.
@@ -261,8 +218,11 @@ pub enum CampaignEnd {
 pub struct CampaignOutcome {
     pub rank: usize,
     pub end: CampaignEnd,
-    /// Total sim steps executed, including replayed ones.
+    /// Sim steps executed by this invocation, including replayed ones (a
+    /// resumed campaign does not count the restored prefix).
     pub steps_run: u64,
+    /// Step the campaign was restored from when it resumed off disk.
+    pub resumed_from: Option<u64>,
     pub recoveries: Vec<RecoveryEvent>,
     /// In-place Marder healing episodes (escalating bursts), in order.
     pub heals: Vec<HealEvent>,
@@ -316,10 +276,160 @@ impl std::fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// Why one iteration failed (recoverable causes).
+/// The per-rank operations the recovery ladder needs. Every method that
+/// takes the communicator must run its collectives identically on every
+/// rank: the ladder calls them in lockstep.
+pub trait CampaignSim {
+    /// A decoded checkpoint generation, checked but not yet installed.
+    type Snapshot;
+
+    /// Completed steps.
+    fn step_count(&self) -> u64;
+
+    /// Advance one step. On `Err` the state may be mid-step; the ladder
+    /// rolls it back.
+    fn advance(&mut self, comm: &mut Comm) -> Result<(), CommError>;
+
+    /// The fields seeded corruption hits, with their grid (also the grid
+    /// the CFL check reads).
+    fn fields(&mut self) -> (&mut FieldArray, &Grid);
+
+    /// This rank's share of a health sample; the ladder sums the shares
+    /// with one reduction.
+    fn local_health(
+        &mut self,
+        comm: &mut Comm,
+        cfg: &SentinelConfig,
+    ) -> Result<HealthSample, CommError>;
+
+    /// One healing burst: fresh `rho` plus `passes_e` Marder passes on `E`,
+    /// then `passes_b` on `B` (either may be zero).
+    fn marder_burst(
+        &mut self,
+        comm: &mut Comm,
+        passes_e: u32,
+        passes_b: u32,
+    ) -> Result<(), CommError>;
+
+    /// The world's `(total energy, particle count)`: the health ledger's
+    /// reference.
+    fn baseline(&self, comm: &mut Comm) -> Result<(f64, f64), CommError>;
+
+    /// This rank's checkpoint bytes (also the partial dump on degrade).
+    fn dump(&mut self, compress: bool) -> Result<Vec<u8>, CheckpointError>;
+
+    /// State the dump does not carry, written beside it (first, so a
+    /// visible dump implies a durable sidecar) and handed back to
+    /// [`CampaignSim::load`]. `None` writes nothing.
+    fn sidecar(&self) -> Option<Vec<u8>> {
+        None
+    }
+
+    /// Decode one generation, validating every byte; `self` is only the
+    /// template (decomposition, layout, pipelines).
+    fn load(&self, dump: &[u8], sidecar: Option<&[u8]>) -> Result<Self::Snapshot, CheckpointError>;
+
+    /// Replace this rank's state with a loaded generation.
+    fn restore(&mut self, snapshot: Self::Snapshot);
+}
+
+/// External current drive hook threaded through the campaign loop into
+/// [`DistributedSim::step_with`] every step (the laser antenna, in the LPI
+/// decks).
+pub trait CampaignDrive: Fn(&mut FieldArray, &Grid, u64) {}
+impl<F: Fn(&mut FieldArray, &Grid, u64)> CampaignDrive for F {}
+
+/// One rank of a distributed run and the current drive it steps with —
+/// including replayed steps after a rollback, so the drive history is
+/// identical on the recovery path.
+pub struct DrivenSim<D> {
+    pub sim: DistributedSim,
+    pub drive: D,
+}
+
+impl<D: CampaignDrive> CampaignSim for DrivenSim<D> {
+    type Snapshot = DistributedSim;
+
+    fn step_count(&self) -> u64 {
+        self.sim.step_count
+    }
+
+    fn advance(&mut self, comm: &mut Comm) -> Result<(), CommError> {
+        let drive = &self.drive;
+        self.sim.step_with(comm, |f, g, s| drive(f, g, s))
+    }
+
+    fn fields(&mut self) -> (&mut FieldArray, &Grid) {
+        (&mut self.sim.fields, &self.sim.grid)
+    }
+
+    fn local_health(
+        &mut self,
+        comm: &mut Comm,
+        cfg: &SentinelConfig,
+    ) -> Result<HealthSample, CommError> {
+        self.sim.local_health_sample(comm, cfg)
+    }
+
+    fn marder_burst(
+        &mut self,
+        comm: &mut Comm,
+        passes_e: u32,
+        passes_b: u32,
+    ) -> Result<(), CommError> {
+        self.sim.marder_burst(comm, passes_e, passes_b)
+    }
+
+    fn baseline(&self, comm: &mut Comm) -> Result<(f64, f64), CommError> {
+        let n0 = self.sim.global_particles(comm)?;
+        let (fe, fb, ke) = self.sim.global_energies(comm)?;
+        Ok((fe + fb + ke.iter().sum::<f64>(), n0 as f64))
+    }
+
+    fn dump(&mut self, compress: bool) -> Result<Vec<u8>, CheckpointError> {
+        dump_rank_bytes(&self.sim, compress)
+    }
+
+    fn load(&self, mut dump: &[u8], _: Option<&[u8]>) -> Result<DistributedSim, CheckpointError> {
+        let (spec, n_pipelines) = (self.sim.spec.clone(), self.sim.accumulators.arrays.len());
+        load_rank(spec, self.sim.rank, n_pipelines, &mut dump)
+    }
+
+    fn restore(&mut self, mut restored: DistributedSim) {
+        // Knobs that live outside the dump carry over (the sponge shapes
+        // the physics; the layout is a bit-exact performance choice).
+        restored.sponge = self.sim.sponge;
+        restored.set_layout(self.sim.layout());
+        self.sim = restored;
+    }
+}
+
+/// Where a campaign's first step comes from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Start {
+    /// The state handed in.
+    Fresh,
+    /// The newest generation on disk valid on every rank, restored before
+    /// the first step (a fresh start when there is none): a whole world
+    /// relaunched after a kill.
+    Resume,
+    /// A respawned process taking over a dead rank's seat (the handed-in
+    /// state is only a template): rendezvous with the survivors' recovery,
+    /// then restore like [`Start::Resume`], degrading when no generation is
+    /// valid everywhere. For bit-exact convergence with an uninterrupted
+    /// run use a `Fixed` checkpoint policy and `health_interval = 0`: a
+    /// rejoiner's measured-cost EWMAs and health baseline start empty.
+    Rejoin,
+}
+
+/// Why one iteration stopped short of its step.
 enum Fault {
+    /// Recoverable by rollback.
     Comm(CommError),
+    /// Healable in place or recoverable by rollback.
     Health(HealthVerdict),
+    /// Permanent (rollback cannot fix a dead disk).
+    Fatal(CampaignError),
 }
 
 impl std::fmt::Display for Fault {
@@ -327,6 +437,7 @@ impl std::fmt::Display for Fault {
         match self {
             Fault::Comm(e) => write!(f, "comm: {e}"),
             Fault::Health(v) => write!(f, "health: {v}"),
+            Fault::Fatal(e) => write!(f, "{e}"),
         }
     }
 }
@@ -337,8 +448,18 @@ impl From<CommError> for Fault {
     }
 }
 
+impl From<CampaignError> for Fault {
+    fn from(e: CampaignError) -> Self {
+        Fault::Fatal(e)
+    }
+}
+
 fn checkpoint_path(dir: &Path, step: u64, rank: usize) -> PathBuf {
     dir.join(format!("ckpt_{step:08}_r{rank:04}.vpic"))
+}
+
+fn sidecar_path(dump: &Path) -> PathBuf {
+    dump.with_extension("diag")
 }
 
 /// This rank's checkpoint generations on disk, sorted ascending by step
@@ -347,44 +468,28 @@ fn list_own_checkpoints(dir: &Path, rank: usize) -> io::Result<Vec<(u64, PathBuf
     let suffix = format!("_r{rank:04}.vpic");
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(rest) = name.strip_prefix("ckpt_") {
-            if let Some(step_str) = rest.strip_suffix(&suffix) {
-                if let Ok(step) = step_str.parse::<u64>() {
-                    out.push((step, entry.path()));
-                }
-            }
+        let path = entry?.path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let step = name
+            .strip_prefix("ckpt_")
+            .and_then(|r| r.strip_suffix(&suffix));
+        if let Some(Ok(step)) = step.map(str::parse::<u64>) {
+            out.push((step, path));
         }
     }
     out.sort_unstable_by_key(|(s, _)| *s);
     Ok(out)
 }
 
-/// Sum every rank's local health sample into the global one with a
-/// *single* reduction. Each rank then classifies the identical global
-/// sample, so the verdict is deterministic and needs no further traffic.
-fn global_sample(
-    comm: &mut Comm,
-    sim: &mut DistributedSim,
-    scfg: &SentinelConfig,
-) -> Result<HealthSample, CommError> {
-    let local = sim.local_health_sample(comm, scfg)?;
-    let summed = comm.allreduce_sum_vec(local.to_vec())?;
-    Ok(HealthSample::from_vec(local.step, &summed))
-}
-
-fn n_pipelines_of(sim: &DistributedSim) -> usize {
-    sim.accumulators.arrays.len()
-}
-
-/// Campaign-start health baselines `(energy, particles)` — two collectives,
-/// deterministic across ranks. Fails with a recoverable [`CommError`].
-fn world_baseline(comm: &mut Comm, sim: &DistributedSim) -> Result<(f64, u64), CommError> {
-    let n0 = sim.global_particles(comm)?;
-    let (fe, fb, ke) = sim.global_energies(comm)?;
-    Ok((fe + fb + ke.iter().sum::<f64>(), n0))
+/// Delete this rank's generations beyond the newest `keep` (never the
+/// newest one, whatever `keep` says), sidecars included.
+fn prune_generations(dir: &Path, rank: usize, keep: usize) -> io::Result<()> {
+    let own = list_own_checkpoints(dir, rank)?;
+    for (_, p) in &own[..own.len().saturating_sub(keep.max(1))] {
+        let _ = std::fs::remove_file(sidecar_path(p));
+        let _ = std::fs::remove_file(p);
+    }
+    Ok(())
 }
 
 fn append_log(dir: &Path, rank: usize, line: &str) {
@@ -410,15 +515,15 @@ fn ewma(old: f64, sample: f64) -> f64 {
 /// Per-rank campaign state.
 struct Runner {
     cfg: CampaignConfig,
-    rank: usize,
-    /// Campaign-start health baselines `(energy, particles)`, identical on
-    /// every rank. Computed inside the fault-handled loop at every step-0
-    /// pass (the pristine and restored-from-generation-0 states are
-    /// bit-identical), so a fault during the baseline collectives recovers
-    /// like any other instead of failing the campaign.
-    baseline: Option<(f64, u64)>,
-    recoveries: Vec<RecoveryEvent>,
-    steps_run: u64,
+    /// The outcome as it accrues (`end` and `effective_interval` are set
+    /// when the campaign finishes).
+    out: CampaignOutcome,
+    /// Health baselines `(energy, particles)`, identical on every rank.
+    /// Computed inside the fault-handled loop at every step-0 pass (the
+    /// pristine and restored-from-generation-0 states are bit-identical),
+    /// so a fault during the baseline collectives recovers like any other
+    /// instead of failing the campaign — and once more after a resume.
+    baseline: Option<(f64, f64)>,
     /// Effective checkpoint interval (updated at each confirmation for
     /// `Auto`, in lockstep across ranks).
     interval: u64,
@@ -426,13 +531,6 @@ struct Runner {
     ckpt_secs: f64,
     /// EWMA of the measured per-step wall time (seconds).
     step_secs: f64,
-    /// Newest *confirmed* checkpoint this rank still holds in memory:
-    /// `(step, serialized bytes)`. Lets survivors restore without disk
-    /// I/O; a rejoiner starts with no cache (the dead process's memory
-    /// is gone).
-    cache: Option<(u64, Vec<u8>)>,
-    /// Effective sentinel thresholds (legacy knobs folded in).
-    scfg: SentinelConfig,
     /// Ring of recent global health samples + verdicts; serialized to
     /// JSON next to the partial dump on degradation.
     recorder: FlightRecorder,
@@ -441,42 +539,80 @@ struct Runner {
     /// Consecutive Marder-burst escalation level (reset on a healthy
     /// check and on rollback).
     bursts: u32,
-    /// Completed healing episodes.
-    heals: Vec<HealEvent>,
-    /// Peak particle-count imbalance seen at the health cadence.
-    peak_imbalance: f64,
 }
 
-/// External current drive hook threaded through the campaign loop into
-/// [`DistributedSim::step_with`] every step (the laser antenna, in the LPI
-/// decks).
-pub trait CampaignDrive: Fn(&mut FieldArray, &Grid, u64) {}
-impl<F: Fn(&mut FieldArray, &Grid, u64)> CampaignDrive for F {}
-
 impl Runner {
-    /// Run one step of the campaign schedule: tick faults, maybe dump,
-    /// maybe health-check, advance the sim. `Ok(Err(fault))` is a
-    /// recoverable failure; `Err(_)` is permanent.
-    fn iterate(
+    fn new<S: CampaignSim>(
+        comm: &mut Comm,
+        sim: &mut S,
+        cfg: &CampaignConfig,
+    ) -> Result<Runner, CampaignError> {
+        std::fs::create_dir_all(&cfg.checkpoint_dir)?;
+        if let Some(t) = cfg.op_timeout {
+            comm.set_op_timeout(t);
+        }
+        // A CFL violation can only come from a bad deck; catching it here
+        // (identically on every rank — the grid is replicated config) beats
+        // watching the fields blow up at step 3.
+        validate_cfl(sim.fields().1).map_err(CampaignError::Config)?;
+        Ok(Runner {
+            out: CampaignOutcome {
+                rank: comm.rank(),
+                end: CampaignEnd::Completed,
+                steps_run: 0,
+                resumed_from: None,
+                recoveries: Vec::new(),
+                heals: Vec::new(),
+                peak_imbalance: 0.0,
+                effective_interval: 0,
+            },
+            baseline: None,
+            interval: cfg.checkpoint.resolve(0.0, 0.0),
+            ckpt_secs: 0.0,
+            step_secs: 0.0,
+            recorder: FlightRecorder::new(cfg.sentinel.recorder_len),
+            corruption: cfg.corruption.clone(),
+            bursts: 0,
+            cfg: cfg.clone(),
+        })
+    }
+
+    fn log(&self, line: &str) {
+        append_log(&self.cfg.checkpoint_dir, self.out.rank, line);
+    }
+
+    /// Sum every rank's local health sample into the global one with a
+    /// *single* reduction. Each rank then classifies the identical global
+    /// sample, so the verdict is deterministic and needs no further
+    /// traffic. Returns `(local particle count, global sample)`.
+    fn global_sample<S: CampaignSim>(
+        &self,
+        comm: &mut Comm,
+        sim: &mut S,
+    ) -> Result<(f64, HealthSample), CommError> {
+        let local = sim.local_health(comm, &self.cfg.sentinel)?;
+        let summed = comm.allreduce_sum_vec(local.to_vec())?;
+        Ok((local.particles, HealthSample::from_vec(local.step, &summed)))
+    }
+
+    /// Run one step of the campaign schedule: tick faults, maybe
+    /// health-check, maybe dump, advance the sim. `Ok(false)`: the
+    /// checkpoint hook halted the campaign before the step.
+    fn iterate<S: CampaignSim>(
         &mut self,
         comm: &mut Comm,
-        sim: &mut DistributedSim,
-        drive: &impl CampaignDrive,
-    ) -> Result<Result<(), Fault>, CampaignError> {
-        let step = sim.step_count;
-        if let Err(e) = comm.tick(step) {
-            return Ok(Err(e.into()));
-        }
+        sim: &mut S,
+        on_checkpoint: &dyn Fn(u64) -> bool,
+    ) -> Result<bool, Fault> {
+        let step = sim.step_count();
+        comm.tick(step)?;
         // Seeded one-shot corruption (transient-SEU model). Fired flags
         // survive rollback, so the replay of the same step is clean.
         if let Some(plan) = self.corruption.as_mut() {
-            let hits = plan.apply(step, self.rank, &mut sim.fields, &sim.grid);
+            let (fields, grid) = sim.fields();
+            let hits = plan.apply(step, self.out.rank, fields, grid);
             if hits > 0 {
-                append_log(
-                    &self.cfg.checkpoint_dir,
-                    self.rank,
-                    &format!("step={step} injected_corruption={hits}"),
-                );
+                self.log(&format!("step={step} injected_corruption={hits}"));
             }
         }
         // Health baselines are (re)computed on every step-0 pass so the
@@ -485,47 +621,34 @@ impl Runner {
         // The step-0 state is bit-identical either way, so the values are
         // too.
         if step == 0 {
-            match world_baseline(comm, sim) {
-                Ok(b) => self.baseline = Some(b),
-                Err(e) => return Ok(Err(e.into())),
-            }
+            self.baseline = Some(sim.baseline(comm)?);
         }
         // The health gate runs BEFORE the checkpoint dump at this step:
         // every generation on disk is certified clean, so rollback always
         // restores healthy state.
-        if self.scfg.health_interval > 0 && step.is_multiple_of(self.scfg.health_interval) {
-            let baseline = self.baseline.map(|(e0, n0)| (e0, n0 as f64));
-            match global_sample(comm, sim, &self.scfg) {
-                Ok(s) => {
-                    let verdict = classify(&s, &self.scfg, baseline);
-                    self.recorder.record(s, verdict);
-                    if let Some(v) = verdict {
-                        return Ok(Err(Fault::Health(v)));
-                    }
-                    self.bursts = 0;
-                }
-                Err(e) => return Ok(Err(e.into())),
+        let health_interval = self.cfg.sentinel.health_interval;
+        if health_interval > 0 && step.is_multiple_of(health_interval) {
+            let (local_particles, s) = self.global_sample(comm, sim)?;
+            let verdict = classify(&s, &self.cfg.sentinel, self.baseline);
+            self.recorder.record(s, verdict);
+            if let Some(v) = verdict {
+                return Err(Fault::Health(v));
             }
-            // Load-imbalance surfaces through the fault-handled path like
-            // every other collective — a transient CommError here rolls
-            // back instead of panicking mid-campaign.
-            match sim.load_imbalance(comm) {
-                Ok((ratio, _)) => self.peak_imbalance = self.peak_imbalance.max(ratio),
-                Err(e) => return Ok(Err(e.into())),
-            }
+            self.bursts = 0;
+            let (ratio, _) = load_imbalance(comm, local_particles as u64)?;
+            self.out.peak_imbalance = self.out.peak_imbalance.max(ratio);
         }
         if self.interval > 0 && step.is_multiple_of(self.interval) {
-            if let Err(f) = self.take_checkpoint(comm, sim)? {
-                return Ok(Err(f));
+            self.take_checkpoint(comm, sim)?;
+            if !on_checkpoint(step) {
+                return Ok(false);
             }
         }
         let t0 = Instant::now();
-        if let Err(e) = sim.step_with(comm, |f, g, s| drive(f, g, s)) {
-            return Ok(Err(e.into()));
-        }
+        sim.advance(comm)?;
         self.step_secs = ewma(self.step_secs, t0.elapsed().as_secs_f64());
-        self.steps_run += 1;
-        Ok(Ok(()))
+        self.out.steps_run += 1;
+        Ok(true)
     }
 
     /// One rung of the escalation ladder: a Marder burst sized
@@ -533,13 +656,13 @@ impl Runner {
     /// executes the identical sequence (the verdict that got us here is
     /// global), so the collectives stay in lockstep. Returns whether the
     /// re-check came back clean.
-    fn try_heal(
+    fn try_heal<S: CampaignSim>(
         &mut self,
         comm: &mut Comm,
-        sim: &mut DistributedSim,
+        sim: &mut S,
         v: HealthVerdict,
     ) -> Result<bool, CommError> {
-        let passes = burst_passes(self.scfg.marder_passes, self.bursts);
+        let passes = burst_passes(self.cfg.sentinel.marder_passes, self.bursts);
         self.bursts += 1;
         let (pe, pb) = match v.kind {
             AnomalyKind::GaussLawResidual => (passes, 0),
@@ -547,9 +670,8 @@ impl Runner {
             _ => (0, 0),
         };
         sim.marder_burst(comm, pe, pb)?;
-        let baseline = self.baseline.map(|(e0, n0)| (e0, n0 as f64));
-        let s = global_sample(comm, sim, &self.scfg)?;
-        let verdict = classify(&s, &self.scfg, baseline);
+        let (_, s) = self.global_sample(comm, sim)?;
+        let verdict = classify(&s, &self.cfg.sentinel, self.baseline);
         self.recorder.record(s, verdict);
         let rms_after = match v.kind {
             AnomalyKind::DivBResidual => s.div_b_rms(),
@@ -559,7 +681,7 @@ impl Runner {
         if healed {
             self.bursts = 0;
         }
-        self.heals.push(HealEvent {
+        self.out.heals.push(HealEvent {
             step: v.step,
             kind: v.kind,
             passes,
@@ -567,265 +689,206 @@ impl Runner {
             rms_after,
             healed,
         });
-        append_log(
-            &self.cfg.checkpoint_dir,
-            self.rank,
-            &format!(
-                "step={} burst={} kind={} passes={passes} rms={:.3e}->{:.3e} healed={}",
-                v.step,
-                self.bursts,
-                v.kind.as_str(),
-                v.metric,
-                rms_after,
-                healed
-            ),
-        );
+        self.log(&format!(
+            "step={} burst={} kind={} passes={passes} rms={:.3e}->{:.3e} healed={}",
+            v.step,
+            self.bursts,
+            v.kind.as_str(),
+            v.metric,
+            rms_after,
+            healed
+        ));
         Ok(healed)
     }
 
-    /// Write a checkpoint generation, confirm all ranks wrote theirs
-    /// (sharing measured dump/step costs for the auto interval), cache the
-    /// bytes, then prune old generations beyond `keep_checkpoints`. Write
-    /// failures are permanent (rollback cannot fix a dead disk);
+    /// Write a checkpoint generation (sidecar first, dump rename last),
+    /// confirm all ranks wrote theirs (sharing measured dump/step costs for
+    /// the auto interval), then prune old generations beyond
+    /// `keep_checkpoints`. Write failures are permanent;
     /// confirmation failures are recoverable comm faults.
-    fn take_checkpoint(
+    fn take_checkpoint<S: CampaignSim>(
         &mut self,
         comm: &mut Comm,
-        sim: &DistributedSim,
-    ) -> Result<Result<(), Fault>, CampaignError> {
-        let path = checkpoint_path(&self.cfg.checkpoint_dir, sim.step_count, self.rank);
+        sim: &mut S,
+    ) -> Result<(), Fault> {
+        let step = sim.step_count();
+        let path = checkpoint_path(&self.cfg.checkpoint_dir, step, self.out.rank);
+        let throttle = self.cfg.write_throttle_bps;
+        let write_err = |e: io::Error| CampaignError::Checkpoint(e.into());
         let t0 = Instant::now();
-        let bytes = dump_rank_bytes(sim, self.cfg.compress).map_err(CampaignError::Checkpoint)?;
-        write_bytes_atomic(&path, &bytes, self.cfg.write_throttle_bps)
-            .map_err(|e| CampaignError::Checkpoint(e.into()))?;
+        let dump = sim
+            .dump(self.cfg.compress)
+            .map_err(CampaignError::Checkpoint)?;
+        let sidecar = sim.sidecar();
+        if let Some(bytes) = &sidecar {
+            write_bytes_atomic(&sidecar_path(&path), bytes, throttle).map_err(write_err)?;
+        }
+        write_bytes_atomic(&path, &dump, throttle).map_err(write_err)?;
         self.ckpt_secs = ewma(self.ckpt_secs, t0.elapsed().as_secs_f64());
         // One collective confirms every rank wrote this generation *and*
         // carries the measured (dump cost, step time) so each rank
         // max-reduces to identical values — the auto interval then
         // resolves the same everywhere without extra traffic.
-        let gathered = match comm.allgather((
-            sim.step_count,
-            self.ckpt_secs.to_bits(),
-            self.step_secs.to_bits(),
-        )) {
-            Ok(g) => g,
-            Err(e) => return Ok(Err(e.into())),
-        };
-        if gathered.iter().any(|&(s, _, _)| s != sim.step_count) {
-            let steps: Vec<u64> = gathered.iter().map(|&(s, _, _)| s).collect();
-            let first_bad = steps
-                .iter()
-                .copied()
-                .find(|&s| s != sim.step_count)
-                .unwrap_or(0);
-            return Ok(Err(Fault::Health(HealthVerdict {
+        let gathered =
+            comm.allgather((step, self.ckpt_secs.to_bits(), self.step_secs.to_bits()))?;
+        if let Some(&(other, _, _)) = gathered.iter().find(|&&(s, _, _)| s != step) {
+            return Err(Fault::Health(HealthVerdict {
                 kind: AnomalyKind::Confirmation,
-                metric: first_bad as f64,
-                threshold: sim.step_count as f64,
-                step: sim.step_count,
-            })));
+                metric: other as f64,
+                threshold: step as f64,
+                step,
+            }));
         }
-        self.cache = Some((sim.step_count, bytes));
         if matches!(self.cfg.checkpoint, CheckpointPolicy::Auto { .. }) {
-            let delta = gathered
-                .iter()
-                .map(|&(_, d, _)| f64::from_bits(d))
-                .fold(0.0, f64::max);
-            let step_time = gathered
-                .iter()
-                .map(|&(_, _, t)| f64::from_bits(t))
-                .fold(0.0, f64::max);
-            self.interval = self.cfg.checkpoint.resolve(delta, step_time);
+            let max = |f: fn(&(u64, u64, u64)) -> u64| {
+                gathered
+                    .iter()
+                    .map(|g| f64::from_bits(f(g)))
+                    .fold(0.0, f64::max)
+            };
+            self.interval = self.cfg.checkpoint.resolve(max(|g| g.1), max(|g| g.2));
         }
         // All ranks confirmed: older generations beyond the keep window
         // are now garbage.
-        let own = list_own_checkpoints(&self.cfg.checkpoint_dir, self.rank)?;
-        if own.len() > self.cfg.keep_checkpoints {
-            for (_, p) in &own[..own.len() - self.cfg.keep_checkpoints] {
-                let _ = std::fs::remove_file(p);
-            }
-        }
-        Ok(Ok(()))
+        let (dir, keep) = (&self.cfg.checkpoint_dir, self.cfg.keep_checkpoints);
+        prune_generations(dir, self.out.rank, keep).map_err(CampaignError::Io)?;
+        Ok(())
     }
 
-    /// Rendezvous, rediscover checkpoints from disk, agree on the newest
-    /// generation valid on every rank, and reload it — from the in-memory
-    /// cache when it holds the chosen generation, from disk otherwise.
-    /// Returns the restored sim and its step.
-    fn rollback(
+    /// Agree with every rank on the newest generation valid everywhere and
+    /// restore it. Every on-disk generation is validated by fully loading
+    /// it: CRC failures (torn writes, bit rot) disqualify a generation
+    /// here, loudly. `Ok(None)`: no generation is valid on every rank; the
+    /// state is untouched.
+    fn restore_agreed<S: CampaignSim>(
         &mut self,
         comm: &mut Comm,
-        sim: &DistributedSim,
-    ) -> Result<(DistributedSim, u64), CampaignError> {
-        comm.recover().map_err(CampaignError::Comm)?;
-        let n_pipe = n_pipelines_of(sim);
-        // Validate every on-disk generation by fully loading it — CRC
-        // failures (torn writes, bit rot) disqualify a generation here,
-        // loudly.
-        let mut valid_steps = Vec::new();
-        for (step, path) in list_own_checkpoints(&self.cfg.checkpoint_dir, self.rank)? {
-            if load_rank_from_path(sim.spec.clone(), self.rank, n_pipe, &path).is_ok() {
-                valid_steps.push(step);
+        sim: &mut S,
+    ) -> Result<Option<u64>, CampaignError> {
+        let (dir, rank) = (&self.cfg.checkpoint_dir, self.out.rank);
+        let load = |sim: &S, path: &Path| {
+            let sidecar = std::fs::read(sidecar_path(path)).ok();
+            sim.load(&std::fs::read(path)?, sidecar.as_deref())
+        };
+        let mut valid = Vec::new();
+        for (step, path) in list_own_checkpoints(dir, rank)? {
+            match load(sim, &path) {
+                Ok(_) => valid.push(step),
+                Err(e) => self.log(&format!("generation {step} unusable: {e}")),
             }
         }
-        let all: Vec<Vec<u64>> = comm
-            .allgather(valid_steps.clone())
-            .map_err(CampaignError::Comm)?;
-        let chosen = valid_steps
-            .iter()
+        let all = comm.allgather(valid.clone()).map_err(CampaignError::Comm)?;
+        let Some(chosen) = valid
+            .into_iter()
             .rev()
             .find(|s| all.iter().all(|ranks| ranks.contains(s)))
-            .copied()
-            .ok_or(CampaignError::NoCommonCheckpoint)?;
-        let mut restored = match &self.cache {
-            Some((step, bytes)) if *step == chosen => {
-                load_rank(sim.spec.clone(), self.rank, n_pipe, &mut bytes.as_slice())
-                    .map_err(CampaignError::Checkpoint)?
-            }
-            _ => {
-                let path = checkpoint_path(&self.cfg.checkpoint_dir, chosen, self.rank);
-                load_rank_from_path(sim.spec.clone(), self.rank, n_pipe, &path)
-                    .map_err(CampaignError::Checkpoint)?
-            }
+        else {
+            return Ok(None);
         };
-        // Knobs that live outside the dump carry over from the template
-        // sim (the sponge shapes the physics; the layout is a bit-exact
-        // performance choice).
-        restored.sponge = sim.sponge;
-        restored.set_layout(sim.layout());
+        let snapshot =
+            load(sim, &checkpoint_path(dir, chosen, rank)).map_err(CampaignError::Checkpoint)?;
+        sim.restore(snapshot);
         // Everyone must resume from the same generation.
         let confirm = comm.allgather(chosen).map_err(CampaignError::Comm)?;
         if confirm.iter().any(|&s| s != chosen) {
             return Err(CampaignError::NoCommonCheckpoint);
         }
-        Ok((restored, chosen))
+        Ok(Some(chosen))
     }
 
-    /// Budget exhausted or the world is unreachable: write a best-effort
-    /// partial dump and finish as `Degraded`.
-    fn degrade(
-        self,
-        sim: DistributedSim,
-        at_step: u64,
-        attempt: u32,
-        cause: &str,
-    ) -> (DistributedSim, CampaignOutcome) {
-        let partial = self
-            .cfg
-            .checkpoint_dir
-            .join(format!("partial_r{:04}.vpic", self.rank));
-        if let Ok(bytes) = dump_rank_bytes(&sim, self.cfg.compress) {
-            let _ = write_bytes_atomic(&partial, &bytes, self.cfg.write_throttle_bps);
-        }
-        // The flight recorder is the post-mortem: the last N health
-        // samples (and verdicts) as structured JSON, best-effort.
-        let flight = self
-            .cfg
-            .checkpoint_dir
-            .join(format!("flight_r{:04}.json", self.rank));
-        let _ = self.recorder.write_json(&flight);
-        append_log(
-            &self.cfg.checkpoint_dir,
-            self.rank,
-            &format!("step={at_step} attempt={attempt} cause=\"{cause}\" action=degraded"),
-        );
-        let end = CampaignEnd::Degraded {
-            at_step,
-            partial_dump: partial,
-            flight_recorder: flight,
-        };
-        let outcome = self.finish(end);
-        (sim, outcome)
-    }
-
-    fn finish(self, end: CampaignEnd) -> CampaignOutcome {
-        CampaignOutcome {
-            rank: self.rank,
-            end,
-            steps_run: self.steps_run,
-            recoveries: self.recoveries,
-            heals: self.heals,
-            peak_imbalance: self.peak_imbalance,
-            effective_interval: self.interval,
-        }
-    }
-
-    /// Roll the world back to the newest generation valid on every rank
-    /// and record the episode. `Ok(Err(sim))` hands the unrestored sim
-    /// back: the rendezvous failed or no generation is valid everywhere —
-    /// the world is splitting up, and degrading (with a partial dump)
-    /// beats erroring out, since peers waiting on us will time out and
-    /// degrade the same way.
-    fn recover(
+    /// Rendezvous, roll the world back to the newest generation valid on
+    /// every rank and record the episode. `Ok(false)` leaves the state
+    /// unrestored: the rendezvous failed or no generation is valid
+    /// everywhere — the world is splitting up, and degrading (with a
+    /// partial dump) beats erroring out, since peers waiting on us will
+    /// time out and degrade the same way.
+    fn recover<S: CampaignSim>(
         &mut self,
         comm: &mut Comm,
-        sim: DistributedSim,
+        sim: &mut S,
         at_step: u64,
         attempt: u32,
         cause: &str,
         rejoined: bool,
-    ) -> Result<Result<DistributedSim, DistributedSim>, CampaignError> {
-        match self.rollback(comm, &sim) {
-            Ok((restored, restored_step)) => {
-                // A fresh (certified-clean) generation starts the burst
-                // budget over.
-                self.bursts = 0;
-                append_log(
-                    &self.cfg.checkpoint_dir,
-                    self.rank,
-                    &format!(
-                        "step={at_step} attempt={attempt} cause=\"{cause}\" \
-                         restored_step={restored_step}{}",
-                        if rejoined { " rejoined=1" } else { "" }
-                    ),
-                );
-                self.recoveries.push(RecoveryEvent {
-                    at_step,
-                    attempt,
-                    cause: cause.to_string(),
-                    restored_step,
-                    rejoined,
-                });
-                Ok(Ok(restored))
+    ) -> Result<bool, CampaignError> {
+        let restored = match comm.recover() {
+            Ok(_) => self.restore_agreed(comm, sim),
+            Err(e) => Err(CampaignError::Comm(e)),
+        };
+        let restored_step = match restored {
+            Ok(Some(step)) => step,
+            Ok(None) | Err(CampaignError::Comm(_)) | Err(CampaignError::NoCommonCheckpoint) => {
+                return Ok(false)
             }
-            Err(CampaignError::Comm(_)) | Err(CampaignError::NoCommonCheckpoint) => Ok(Err(sim)),
-            Err(e) => Err(e),
-        }
+            Err(e) => return Err(e),
+        };
+        // A fresh (certified-clean) generation starts the burst budget
+        // over.
+        self.bursts = 0;
+        self.log(&format!(
+            "step={at_step} attempt={attempt} cause=\"{cause}\" restored_step={restored_step}{}",
+            if rejoined { " rejoined=1" } else { "" }
+        ));
+        self.out.recoveries.push(RecoveryEvent {
+            at_step,
+            attempt,
+            cause: cause.to_string(),
+            restored_step,
+            rejoined,
+        });
+        Ok(true)
     }
 
-    /// Entry point of a respawned rank: rendezvous with the survivors,
-    /// restore the dead process's shard from the newest agreed checkpoint,
-    /// and drive the campaign to its end.
-    fn spare_main(
-        mut self,
-        comm: &mut Comm,
-        sim: DistributedSim,
+    /// Budget exhausted or the world is unreachable: write a best-effort
+    /// partial dump and finish as `Degraded`.
+    fn degrade<S: CampaignSim>(
+        self,
+        sim: &mut S,
         at_step: u64,
         attempt: u32,
         cause: &str,
-        drive: &impl CampaignDrive,
-    ) -> Result<(DistributedSim, CampaignOutcome), CampaignError> {
-        match self.recover(comm, sim, at_step, attempt, cause, true)? {
-            Ok(restored) => self.drive(comm, restored, drive),
-            Err(sim) => Ok(self.degrade(sim, at_step, attempt, cause)),
+    ) -> CampaignOutcome {
+        let (dir, rank) = (&self.cfg.checkpoint_dir, self.out.rank);
+        let partial = dir.join(format!("partial_r{rank:04}.vpic"));
+        if let Ok(bytes) = sim.dump(self.cfg.compress) {
+            let _ = write_bytes_atomic(&partial, &bytes, self.cfg.write_throttle_bps);
         }
+        // The flight recorder is the post-mortem: the last N health
+        // samples (and verdicts) as structured JSON, best-effort.
+        let flight = dir.join(format!("flight_r{rank:04}.json"));
+        let _ = self.recorder.write_json(&flight);
+        self.log(&format!(
+            "step={at_step} attempt={attempt} cause=\"{cause}\" action=degraded"
+        ));
+        self.finish(CampaignEnd::Degraded {
+            at_step,
+            partial_dump: partial,
+            flight_recorder: flight,
+        })
+    }
+
+    fn finish(mut self, end: CampaignEnd) -> CampaignOutcome {
+        self.out.end = end;
+        self.out.effective_interval = self.interval;
+        self.out
     }
 
     /// The campaign main loop.
-    fn drive(
+    fn run<S: CampaignSim>(
         mut self,
         comm: &mut Comm,
-        mut sim: DistributedSim,
-        drive: &impl CampaignDrive,
-    ) -> Result<(DistributedSim, CampaignOutcome), CampaignError> {
+        mut sim: S,
+        on_checkpoint: &dyn Fn(u64) -> bool,
+    ) -> Result<(S, CampaignOutcome), CampaignError> {
         loop {
-            if sim.step_count >= self.cfg.steps {
-                let outcome = self.finish(CampaignEnd::Completed);
-                return Ok((sim, outcome));
+            let step = sim.step_count();
+            if step >= self.cfg.steps {
+                return Ok((sim, self.finish(CampaignEnd::Completed)));
             }
-            let step = sim.step_count;
-            let mut fault = match self.iterate(comm, &mut sim, drive)? {
-                Ok(()) => continue,
+            let mut fault = match self.iterate(comm, &mut sim, on_checkpoint) {
+                Ok(true) => continue,
+                Ok(false) => return Ok((sim, self.finish(CampaignEnd::Halted { at_step: step }))),
+                Err(Fault::Fatal(e)) => return Err(e),
                 Err(f) => f,
             };
 
@@ -835,9 +898,8 @@ impl Runner {
             // geometrically per consecutive burst; once the budget is
             // spent — or the anomaly is structural (NaN, energy blow-up,
             // drift) — fall through to rollback.
-            if let Fault::Health(v) = &fault {
-                let v = *v;
-                if v.kind.repairable() && self.bursts < self.scfg.max_marder_bursts {
+            if let Fault::Health(v) = fault {
+                if v.kind.repairable() && self.bursts < self.cfg.sentinel.max_marder_bursts {
                     match self.try_heal(comm, &mut sim, v) {
                         // Healed or not, re-enter the loop: the next
                         // health gate re-samples, and an unhealed residual
@@ -850,23 +912,55 @@ impl Runner {
                 }
             }
 
-            let attempt = self.recoveries.len() as u32 + 1;
-            if attempt > self.cfg.max_recoveries {
-                return Ok(self.degrade(sim, step, attempt, &fault.to_string()));
-            }
+            let attempt = self.out.recoveries.len() as u32 + 1;
             let cause = fault.to_string();
-            sim = match self.recover(comm, sim, step, attempt, &cause, false)? {
-                Ok(restored) => restored,
-                Err(sim) => return Ok(self.degrade(sim, step, attempt, &cause)),
-            };
+            if attempt > self.cfg.max_recoveries
+                || !self.recover(comm, &mut sim, step, attempt, &cause, false)?
+            {
+                let outcome = self.degrade(&mut sim, step, attempt, &cause);
+                return Ok((sim, outcome));
+            }
         }
     }
 }
 
-/// Drive `sim` to `cfg.steps` with periodic checkpoints, health checks and
-/// automatic recovery; returns the final simulation state (the last good
-/// state, on degradation) alongside the outcome. See the module docs for
-/// the protocol.
+/// The one campaign driver: run `sim` to `cfg.steps` from `start` with
+/// periodic certified checkpoints, health checks and automatic recovery
+/// (see the module docs for the protocol). `on_checkpoint(step)` runs on
+/// every rank after each generation is durable and confirmed everywhere;
+/// returning `false` ends the campaign as [`CampaignEnd::Halted`] (it must
+/// answer the same on every rank). Returns the final state — the last
+/// good state, on degradation — alongside the outcome.
+pub fn run_campaign_from<S: CampaignSim>(
+    comm: &mut Comm,
+    mut sim: S,
+    cfg: &CampaignConfig,
+    start: Start,
+    on_checkpoint: &dyn Fn(u64) -> bool,
+) -> Result<(S, CampaignOutcome), CampaignError> {
+    let mut runner = Runner::new(comm, &mut sim, cfg)?;
+    match start {
+        Start::Fresh => {}
+        Start::Resume => {
+            runner.out.resumed_from = runner.restore_agreed(comm, &mut sim)?;
+            if let Some(step) = runner.out.resumed_from {
+                runner.log(&format!("resume restored_step={step}"));
+                runner.baseline = Some(sim.baseline(comm).map_err(CampaignError::Comm)?);
+            }
+        }
+        Start::Rejoin => {
+            const CAUSE: &str = "process respawn rejoin";
+            let at_step = sim.step_count();
+            if !runner.recover(comm, &mut sim, at_step, 1, CAUSE, true)? {
+                let outcome = runner.degrade(&mut sim, at_step, 1, CAUSE);
+                return Ok((sim, outcome));
+            }
+        }
+    }
+    runner.run(comm, sim, on_checkpoint)
+}
+
+/// [`run_campaign_with`] without an external drive.
 pub fn run_campaign(
     comm: &mut Comm,
     sim: DistributedSim,
@@ -875,73 +969,51 @@ pub fn run_campaign(
     run_campaign_with(comm, sim, cfg, |_, _, _| {})
 }
 
-/// [`run_campaign`] with an external current drive (e.g. a laser antenna)
-/// applied through [`DistributedSim::step_with`] on every step — including
-/// replayed steps after a rollback, so the drive history is identical on
-/// the recovery path.
+/// Drive a fresh distributed rank to `cfg.steps` with `drive` applied
+/// through [`DistributedSim::step_with`] on every step.
 pub fn run_campaign_with(
     comm: &mut Comm,
     sim: DistributedSim,
     cfg: &CampaignConfig,
     drive: impl CampaignDrive,
 ) -> Result<(DistributedSim, CampaignOutcome), CampaignError> {
-    let runner = prepare(comm, &sim, cfg)?;
-    runner.drive(comm, sim, &drive)
+    let (driven, outcome) =
+        run_campaign_from(comm, DrivenSim { sim, drive }, cfg, Start::Fresh, &|_| true)?;
+    Ok((driven.sim, outcome))
 }
 
-/// Entry point for a *respawned process* taking over a dead rank's seat in
-/// a running campaign (socket transport). `sim` is the rank's pristine
-/// deck-built shard, used only as a template: the runner immediately
-/// rendezvouses with the survivors ([`Comm::recover`]), restores the
-/// newest checkpoint generation valid on every rank from disk (a rejoiner
-/// has no in-memory cache), and drives the campaign to its end.
-///
-/// Caveats for bit-exact convergence with an uninterrupted run: use a
-/// `Fixed` checkpoint policy and `health_interval = 0` — a rejoiner's
-/// measured-cost EWMAs and health baseline start empty, so cadences that
-/// resolve from them would diverge from the survivors'.
-pub fn rejoin_campaign(
-    comm: &mut Comm,
-    sim: DistributedSim,
-    cfg: &CampaignConfig,
-    drive: impl CampaignDrive,
-) -> Result<(DistributedSim, CampaignOutcome), CampaignError> {
-    let runner = prepare(comm, &sim, cfg)?;
-    let at_step = sim.step_count;
-    runner.spare_main(comm, sim, at_step, 1, "process respawn rejoin", &drive)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn prepare(
-    comm: &mut Comm,
-    sim: &DistributedSim,
-    cfg: &CampaignConfig,
-) -> Result<Runner, CampaignError> {
-    std::fs::create_dir_all(&cfg.checkpoint_dir)?;
-    if let Some(t) = cfg.op_timeout {
-        comm.set_op_timeout(t);
+    #[test]
+    fn pruning_keeps_the_newest_generation_even_at_keep_zero() {
+        let dir = std::env::temp_dir().join(format!("vpic_prune_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for step in [0u64, 4, 8] {
+            let dump = checkpoint_path(&dir, step, 0);
+            std::fs::write(&dump, b"dump").unwrap();
+            std::fs::write(sidecar_path(&dump), b"sidecar").unwrap();
+        }
+        // Another rank's generation is not this rank's to prune.
+        std::fs::write(checkpoint_path(&dir, 0, 1), b"dump").unwrap();
+
+        prune_generations(&dir, 0, 2).unwrap();
+        let steps = |rank| -> Vec<u64> {
+            list_own_checkpoints(&dir, rank)
+                .unwrap()
+                .into_iter()
+                .map(|(s, _)| s)
+                .collect()
+        };
+        assert_eq!(steps(0), [4, 8]);
+        assert!(!sidecar_path(&checkpoint_path(&dir, 0, 0)).exists());
+
+        prune_generations(&dir, 0, 0).unwrap();
+        assert_eq!(steps(0), [8], "keep = 0 must still keep the newest");
+        assert!(sidecar_path(&checkpoint_path(&dir, 8, 0)).exists());
+        assert_eq!(steps(1), [0]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    // A CFL violation can only come from a bad deck; catching it here
-    // (identically on every rank — the grid is replicated config) beats
-    // watching the fields blow up at step 3.
-    if let Err(v) = validate_cfl(&sim.grid) {
-        return Err(CampaignError::Config(v));
-    }
-    let scfg = cfg.effective_sentinel();
-    Ok(Runner {
-        rank: sim.rank,
-        baseline: None,
-        recoveries: Vec::new(),
-        steps_run: 0,
-        interval: cfg.checkpoint.resolve(0.0, 0.0),
-        ckpt_secs: 0.0,
-        step_secs: 0.0,
-        cache: None,
-        recorder: FlightRecorder::new(scfg.recorder_len),
-        scfg,
-        corruption: cfg.corruption.clone(),
-        bursts: 0,
-        heals: Vec::new(),
-        peak_imbalance: 0.0,
-        cfg: cfg.clone(),
-    })
 }

@@ -372,19 +372,7 @@ impl DistributedSim {
     /// LPI runs watch this because blow-off plasma piles particles onto the
     /// ranks owning the slab while vacuum ranks idle.
     pub fn load_imbalance(&self, comm: &mut Comm) -> Result<(f64, usize), CommError> {
-        let counts = comm.allgather(self.n_particles() as u64)?;
-        let total: u64 = counts.iter().sum();
-        let mean = total as f64 / counts.len() as f64;
-        let (max_rank, &max) = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .expect("nonempty world");
-        Ok(if mean > 0.0 {
-            (max as f64 / mean, max_rank)
-        } else {
-            (1.0, max_rank)
-        })
+        load_imbalance(comm, self.n_particles() as u64)
     }
 
     /// Push-time imbalance across ranks: `max(t_push)/mean(t_push)` — the
@@ -398,6 +386,24 @@ impl DistributedSim {
             1.0
         })
     }
+}
+
+/// `(max/mean, max rank)` of one count per rank (1.0 for an all-zero
+/// world): [`DistributedSim::load_imbalance`] for any per-rank count.
+pub fn load_imbalance(comm: &mut Comm, local: u64) -> Result<(f64, usize), CommError> {
+    let counts = comm.allgather(local)?;
+    let total: u64 = counts.iter().sum();
+    let mean = total as f64 / counts.len() as f64;
+    let (max_rank, &max) = counts
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, &c)| c)
+        .expect("nonempty world");
+    Ok(if mean > 0.0 {
+        (max as f64 / mean, max_rank)
+    } else {
+        (1.0, max_rank)
+    })
 }
 
 #[cfg(test)]

@@ -13,11 +13,13 @@
 //!   rank, so charge conservation is exact across boundaries;
 //! * [`dsim::DistributedSim`] — the per-rank driver with phase timings,
 //!   global reductions and reproducible per-rank particle loading;
-//! * [`campaign`] — the fault-tolerant campaign runtime: periodic
-//!   CRC-protected (optionally compressed and write-throttled)
-//!   checkpoints on a fixed or Young/Daly-auto schedule, global health
-//!   checks, and automatic whole-world rollback recovery with bounded
-//!   retries and graceful degradation;
+//! * [`campaign`] — the fault-tolerant campaign runtime, one ladder for
+//!   every [`campaign::CampaignSim`] (a distributed rank here, the serial
+//!   LPI run in `vpic-lpi`): periodic CRC-protected (optionally
+//!   compressed and write-throttled) checkpoints on a fixed or
+//!   Young/Daly-auto schedule, global health checks, and automatic
+//!   whole-world rollback recovery with bounded retries and graceful
+//!   degradation;
 //! * [`sweepjob`] — distributed campaigns as WAL-journaled sweep jobs,
 //!   sharing the reflectivity-sweep service's job-queue state machine
 //!   (leases, retry/backoff, quarantine, exactly-once results).
@@ -31,8 +33,8 @@ pub mod migrate;
 pub mod sweepjob;
 
 pub use campaign::{
-    rejoin_campaign, run_campaign, run_campaign_with, CampaignConfig, CampaignDrive, CampaignEnd,
-    CampaignError, CampaignOutcome, CheckpointPolicy, RecoveryEvent,
+    run_campaign, run_campaign_from, run_campaign_with, CampaignConfig, CampaignDrive, CampaignEnd,
+    CampaignError, CampaignOutcome, CampaignSim, CheckpointPolicy, DrivenSim, RecoveryEvent, Start,
 };
 pub use dcheckpoint::{
     dump_rank_bytes, load_rank, load_rank_from_path, save_rank, save_rank_to_path, save_rank_with,

@@ -19,9 +19,11 @@
 //! sweep's poison jobs.
 //!
 //! Unlike the serial sweep, a distributed attempt holds its lease for
-//! the whole campaign (the multi-rank driver does not yet expose a
-//! per-checkpoint hook), so `lease_ms` must cover one full attempt;
-//! heartbeat `Progress` records can slot in once it does.
+//! the whole campaign, so `lease_ms` must cover one full attempt. The
+//! campaign driver's `on_checkpoint` hook
+//! ([`run_campaign_from`](crate::campaign::run_campaign_from)) is where
+//! per-checkpoint heartbeat `Progress` records would slot in; this
+//! adapter does not journal them.
 
 use std::path::Path;
 
@@ -296,6 +298,9 @@ impl JobJournal {
                      flight recorder {}",
                     flight_recorder.display()
                 ),
+                CampaignEnd::Halted { at_step } => {
+                    format!("campaign halted at step {at_step} (attempt {attempt})")
+                }
             },
             Err(e) => format!("campaign error (attempt {attempt}): {e}"),
         };
@@ -372,6 +377,7 @@ mod tests {
                 flight_recorder: PathBuf::from("/tmp/flight_r0000.json"),
             },
             steps_run: 3,
+            resumed_from: None,
             recoveries: Vec::new(),
             heals: Vec::new(),
             peak_imbalance: 1.0,

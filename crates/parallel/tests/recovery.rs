@@ -1,13 +1,18 @@
 //! End-to-end rollback-recovery: a campaign that loses a rank mid-flight
 //! must recover from checkpoints automatically and end in *exactly* the
 //! state of an uninterrupted run — and a campaign whose recovery budget is
-//! exhausted must degrade gracefully instead of aborting the process.
+//! exhausted must degrade gracefully instead of aborting the process; a
+//! world halted at a certified checkpoint resumes off disk to the same
+//! bits.
 
 use std::path::PathBuf;
 use std::time::Duration;
 use vpic_core::maxwellian::Momentum;
 use vpic_core::species::Species;
-use vpic_parallel::campaign::{run_campaign, CampaignConfig, CampaignEnd};
+use vpic_core::{FieldArray, Grid};
+use vpic_parallel::campaign::{
+    run_campaign, run_campaign_from, CampaignConfig, CampaignEnd, DrivenSim, Start,
+};
 use vpic_parallel::decomposition::DomainSpec;
 use vpic_parallel::dsim::DistributedSim;
 
@@ -36,21 +41,23 @@ fn build_sim(rank: usize) -> DistributedSim {
 /// Final state snapshot for exact comparison across runs.
 type Snapshot = (u64, Vec<vpic_core::Particle>, Vec<f32>, Vec<f32>);
 
-fn campaign_snapshot(
-    comm: &mut nanompi::Comm,
-    dir: &std::path::Path,
-) -> (Snapshot, vpic_parallel::campaign::CampaignOutcome) {
-    let cfg = CampaignConfig::new(STEPS, 4, dir)
-        .with_op_timeout(Duration::from_millis(500))
-        .with_health_interval(2);
-    let (sim, outcome) = run_campaign(comm, build_sim(comm.rank()), &cfg).unwrap();
-    let snap = (
+fn snapshot(sim: &DistributedSim) -> Snapshot {
+    (
         sim.step_count,
         sim.species[0].to_particles(),
         sim.fields.ex.clone(),
         sim.fields.ey.clone(),
-    );
-    (snap, outcome)
+    )
+}
+
+fn campaign_snapshot(
+    comm: &mut nanompi::Comm,
+    dir: &std::path::Path,
+) -> (Snapshot, vpic_parallel::campaign::CampaignOutcome) {
+    let mut cfg = CampaignConfig::new(STEPS, 4, dir).with_op_timeout(Duration::from_millis(500));
+    cfg.sentinel.health_interval = 2;
+    let (sim, outcome) = run_campaign(comm, build_sim(comm.rank()), &cfg).unwrap();
+    (snapshot(&sim), outcome)
 }
 
 #[test]
@@ -139,9 +146,65 @@ fn exhausted_recovery_budget_degrades_gracefully() {
                     "partial dump missing: {partial_dump:?}"
                 );
             }
-            CampaignEnd::Completed => panic!("campaign completed despite exhausted budget"),
+            other => panic!("campaign ended {other:?} despite exhausted budget"),
         }
         assert_eq!(outcome.recoveries.len(), 2, "wrong recovery count");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The resume/`Halted` path on more than one rank: a 2-rank world that
+/// the checkpoint hook halts at the certified step-8 generation, relaunched
+/// with `Start::Resume`, restores that generation on both ranks and
+/// finishes bit-identical to an uninterrupted run.
+#[test]
+fn halted_world_resumes_bit_identically() {
+    const WORLD: usize = 2;
+    let world = |dir: &std::path::Path, start: Start, halt_at: Option<u64>| {
+        let (results, _) = nanompi::run_expect(WORLD, |comm| {
+            let mut sim = DistributedSim::new(
+                DomainSpec::periodic((8, 4, 4), (0.25, 0.25, 0.25), 0.1, WORLD),
+                comm.rank(),
+                1,
+            );
+            let si = sim.add_species(Species::new("e", -1.0, 1.0));
+            sim.load_uniform(si, 7, 1.0, 8, Momentum::thermal(0.08));
+            let driven = DrivenSim {
+                sim,
+                drive: |_: &mut FieldArray, _: &Grid, _: u64| {},
+            };
+            let cfg = CampaignConfig::new(STEPS, 4, dir);
+            let hook = |step: u64| halt_at != Some(step);
+            let (driven, outcome) = run_campaign_from(comm, driven, &cfg, start, &hook).unwrap();
+            (snapshot(&driven.sim), outcome)
+        });
+        results
+    };
+
+    let clean_dir = temp_dir("resume_clean");
+    let clean = world(&clean_dir, Start::Fresh, None);
+
+    let dir = temp_dir("resume_halted");
+    for (_, o) in world(&dir, Start::Fresh, Some(8)) {
+        assert!(
+            matches!(o.end, CampaignEnd::Halted { at_step: 8 }),
+            "rank {}: {:?}",
+            o.rank,
+            o.end
+        );
+        assert_eq!(o.steps_run, 8);
+    }
+    let resumed = world(&dir, Start::Resume, None);
+    for (rank, (snap, o)) in resumed.iter().enumerate() {
+        assert!(matches!(o.end, CampaignEnd::Completed), "{:?}", o.end);
+        assert_eq!(o.resumed_from, Some(8), "rank {rank} did not resume");
+        assert_eq!(o.steps_run, STEPS - 8, "rank {rank} replayed the prefix");
+        assert!(o.recoveries.is_empty(), "a resume is not a recovery");
+        assert_eq!(
+            snap, &clean[rank].0,
+            "rank {rank}: resumed world diverged from the uninterrupted run"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,8 +15,10 @@
 #
 # Pass "sentinel" (or set CI_SENTINEL=1) to run the numerical-integrity
 # lane: the sentinel unit/property tests and the seeded heal/rollback/
-# degrade scenarios, built with debug assertions enabled so integer
-# overflow and debug invariants are checked too.
+# degrade scenarios of the one campaign ladder on both of its sims (the
+# distributed ranks and the one-rank LPI run), built with debug
+# assertions enabled so integer overflow and debug invariants are
+# checked too.
 #
 # Pass "layout" (or set CI_LAYOUT=1) to run the particle-storage lane:
 # AoS/AoSoA bit-identity across worker counts, cross-layout checkpoint
@@ -218,10 +220,13 @@ if [[ "${1:-}" == "sentinel" || "${CI_SENTINEL:-0}" == "1" ]]; then
     echo "==> sentinel lane (debug assertions on)"
     # Release speed with debug_assert!/overflow checks live, so the
     # monitors' own arithmetic is vetted while the seeded blow-up,
-    # in-place heal, rollback and degrade scenarios run.
+    # in-place heal, rollback and degrade scenarios run — through the
+    # distributed ranks, then the LPI run (kill, NaN, halt/resume,
+    # degrade) on the same ladder.
     export RUSTFLAGS="${RUSTFLAGS:-} -C debug-assertions=on"
     cargo test --release -p vpic-core sentinel
     cargo test --release --test sentinel_heal
+    cargo test --release -p vpic-lpi campaign
     cargo test --release --test srs_soak shrunk
 fi
 

@@ -37,7 +37,7 @@ use vpic::core::crc32::fingerprint32;
 use vpic::deck::{build, BuiltRun, Deck};
 use vpic::diag::{write_field_line_x, write_series, EnergyLogger};
 use vpic::parallel::campaign::{
-    rejoin_campaign, run_campaign_with, CampaignEnd, CampaignOutcome, CheckpointPolicy,
+    run_campaign_from, CampaignEnd, CampaignOutcome, CheckpointPolicy, DrivenSim, Start,
 };
 use vpic::parallel::{dump_rank_bytes, spec_fingerprint};
 
@@ -226,7 +226,7 @@ fn run_lpi_campaign_deck(
     setup: vpic::deck::LpiCampaignSetup,
     out_dir: &str,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    use vpic::lpi::{run_lpi_campaign, LpiCampaignEnd};
+    use vpic::lpi::run_lpi_campaign;
 
     let cfg = setup.config(Path::new(out_dir));
     println!(
@@ -235,7 +235,7 @@ fn run_lpi_campaign_deck(
         setup.params.a0,
         setup.params.n_over_ncr,
         cfg.steps,
-        cfg.checkpoint_interval,
+        setup.checkpoint_interval,
         cfg.checkpoint_dir.display(),
         cfg.sentinel.health_interval
     );
@@ -273,7 +273,7 @@ fn run_lpi_campaign_deck(
         );
     }
     match &out.end {
-        LpiCampaignEnd::Completed => println!(
+        CampaignEnd::Completed => println!(
             "completed: {} steps, {} recovery(ies), reflectivity {:.3e}, \
              {} particles, state fingerprint {:08x}",
             out.steps_run,
@@ -282,7 +282,7 @@ fn run_lpi_campaign_deck(
             out.n_particles,
             out.state_fingerprint
         ),
-        LpiCampaignEnd::Degraded {
+        CampaignEnd::Degraded {
             at_step,
             partial_dump,
             flight_recorder,
@@ -291,7 +291,7 @@ fn run_lpi_campaign_deck(
             partial_dump.display(),
             flight_recorder.display()
         ),
-        LpiCampaignEnd::Halted { at_step } => println!(
+        CampaignEnd::Halted { at_step } => println!(
             "halted by checkpoint hook at step {at_step}: resumable from {}",
             cfg.checkpoint_dir.display()
         ),
@@ -511,12 +511,10 @@ fn run_campaign_deck(
         let rank = comm.rank();
         let sim = setup_ref.build_rank(rank);
         let drive = setup_ref.drive_for(rank);
-        let (sim, outcome) = if rejoin {
-            rejoin_campaign(comm, sim, cfg_ref, drive)
-        } else {
-            run_campaign_with(comm, sim, cfg_ref, drive)
-        }
-        .map_err(|e| e.to_string())?;
+        let start = if rejoin { Start::Rejoin } else { Start::Fresh };
+        let (DrivenSim { sim, .. }, outcome) =
+            run_campaign_from(comm, DrivenSim { sim, drive }, cfg_ref, start, &|_| true)
+                .map_err(|e| e.to_string())?;
         // Degrade decisions are rendezvous-synchronized, so every rank
         // agrees on whether these trailing collectives run.
         let stats: RankStats = match outcome.end {
@@ -534,7 +532,7 @@ fn run_campaign_deck(
                 let (fe, fb, ke) = sim.global_energies(comm).map_err(|e| e.to_string())?;
                 Some((n, fe + fb + ke.iter().sum::<f64>(), world_fp))
             }
-            CampaignEnd::Degraded { .. } => None,
+            CampaignEnd::Degraded { .. } | CampaignEnd::Halted { .. } => None,
         };
         Ok::<_, String>((outcome, stats))
     };
@@ -620,6 +618,7 @@ fn report_world(
                         CampaignEnd::Completed => "completed".to_string(),
                         CampaignEnd::Degraded { at_step, .. } =>
                             format!("degraded at step {at_step}"),
+                        CampaignEnd::Halted { at_step } => format!("halted at step {at_step}"),
                     },
                     outcome.steps_run,
                     outcome.recoveries.len()
@@ -659,6 +658,7 @@ fn report_outcome(summary: &mut fs::File, outcome: &CampaignOutcome) -> std::io:
             );
             format!("degraded@{at_step}:{}", partial_dump.display())
         }
+        CampaignEnd::Halted { at_step } => format!("halted@{at_step}"),
     };
     writeln!(
         summary,

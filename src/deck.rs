@@ -43,8 +43,8 @@
 //! (`kill_rank`/`kill_step`, `drop_prob`, `fault_seed`) exercise the
 //! recovery path on purpose.
 //!
-//! A `kind = lpi` deck with a `[campaign]` section runs the serial
-//! fault-tolerant LPI campaign instead (`checkpoint_interval`,
+//! A `kind = lpi` deck with a `[campaign]` section runs the LPI run on
+//! the same campaign runtime as a one-rank world (`checkpoint_interval`,
 //! `keep_checkpoints`, `max_recoveries`, `kill_step`).
 //!
 //! A `kind = lpi` deck with a `[sweep]` section runs the crash-proof
@@ -214,7 +214,7 @@ pub enum BuiltRun {
     Lpi(Box<LpiRun>),
     /// A fault-tolerant multi-rank campaign.
     Campaign(Box<CampaignSetup>),
-    /// A fault-tolerant serial LPI campaign (`kind = lpi` + `[campaign]`).
+    /// A fault-tolerant one-rank LPI campaign (`kind = lpi` + `[campaign]`).
     LpiCampaign(Box<LpiCampaignSetup>),
     /// A crash-proof reflectivity sweep (`kind = lpi` + `[sweep]`).
     Sweep(Box<SweepSetup>),
@@ -243,8 +243,8 @@ pub fn build(deck: &Deck) -> Result<BuiltRun, DeckError> {
 /// armed defaults ([`SentinelConfig::enabled`]), plus the periodic
 /// Marder-cleaning cadence (`clean_div_e_interval` /
 /// `clean_div_b_interval`, 0 = never). Returns `None` when the section
-/// is absent (campaigns then fall back to the legacy `health_interval`
-/// behavior).
+/// is absent (a `kind = plasma` campaign then checks on its `[campaign]`
+/// `health_interval` with the campaign's default thresholds).
 fn parse_sentinel(deck: &Deck) -> Result<Option<SimConfig>, DeckError> {
     let Some(kv) = deck.section("sentinel") else {
         return Ok(None);
@@ -372,7 +372,8 @@ pub struct CampaignSetup {
     pub keep_checkpoints: usize,
     /// Recovery budget.
     pub max_recoveries: u32,
-    /// Health-check cadence in steps.
+    /// Health-check cadence in steps: the campaign's
+    /// `sentinel.health_interval` unless a `[sentinel]` section sets one.
     pub health_interval: u64,
     /// Per-operation communication timeout override, in milliseconds.
     pub op_timeout_ms: Option<u64>,
@@ -450,28 +451,26 @@ impl CampaignSetup {
             .dir
             .clone()
             .unwrap_or_else(|| fallback.join("checkpoints"));
-        let mut cfg = CampaignConfig::new(self.steps, 0, dir)
-            .with_checkpoint_policy(self.checkpoint)
-            .with_compression(self.compress)
-            .with_write_throttle(self.checkpoint_write_bps)
-            .with_max_recoveries(self.max_recoveries)
-            .with_health_interval(self.health_interval);
-        cfg.keep_checkpoints = self.keep_checkpoints;
-        if let Some(ms) = self.op_timeout_ms {
-            cfg = cfg.with_op_timeout(Duration::from_millis(ms));
+        let mut cfg = CampaignConfig {
+            checkpoint: self.checkpoint,
+            keep_checkpoints: self.keep_checkpoints,
+            max_recoveries: self.max_recoveries,
+            op_timeout: self.op_timeout_ms.map(Duration::from_millis),
+            compress: self.compress,
+            write_throttle_bps: self.checkpoint_write_bps,
+            corruption: self.corruption.clone(),
+            ..CampaignConfig::new(self.steps, 0, dir)
+        };
+        cfg.sentinel.health_interval = self.health_interval;
+        match self.sentinel {
+            Some(s) => cfg.with_sentinel(s.sentinel),
+            None => cfg,
         }
-        if let Some(s) = self.sentinel {
-            cfg = cfg.with_sentinel(s.sentinel);
-        }
-        if let Some(plan) = &self.corruption {
-            cfg = cfg.with_corruption(plan.clone());
-        }
-        cfg
     }
 }
 
 /// Everything a `kind = lpi` deck's `[campaign]` section describes: the
-/// LPI run parameters plus the serial campaign runtime knobs
+/// LPI run parameters plus the campaign runtime knobs
 /// (checkpoints, sentinel, seeded kills/corruption).
 #[derive(Clone, Debug)]
 pub struct LpiCampaignSetup {

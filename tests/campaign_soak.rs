@@ -39,10 +39,11 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 fn soak_config(dir: &std::path::Path) -> CampaignConfig {
-    CampaignConfig::new(STEPS, 3, dir)
+    let mut cfg = CampaignConfig::new(STEPS, 3, dir)
         .with_op_timeout(Duration::from_millis(150))
-        .with_health_interval(2)
-        .with_max_recoveries(5)
+        .with_max_recoveries(5);
+    cfg.sentinel.health_interval = 2;
+    cfg
 }
 
 /// Per-rank final state for exact comparison.

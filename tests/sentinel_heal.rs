@@ -118,9 +118,9 @@ fn seeded_divergence_is_healed_in_place() {
 }
 
 fn blowup_cfg(dir: &std::path::Path) -> CampaignConfig {
-    CampaignConfig::new(STEPS, 3, dir)
-        .with_health_interval(2)
-        .with_max_recoveries(3)
+    let mut cfg = CampaignConfig::new(STEPS, 3, dir).with_max_recoveries(3);
+    cfg.sentinel.health_interval = 2;
+    cfg
 }
 
 /// Transient huge-value upset at step 5 (between health gates): detected
@@ -188,7 +188,6 @@ fn blowup_rolls_back_and_completes_bit_identically() {
 fn exhausted_budget_degrades_with_flight_recorder() {
     let dir = temp_dir("degrade");
     let cfg = CampaignConfig::new(STEPS, 3, &dir)
-        .with_health_interval(1)
         .with_max_recoveries(0)
         .with_corruption(CorruptionPlan::new(5).with_event(CorruptionEvent {
             step: 2,
@@ -236,7 +235,6 @@ fn verdict_is_identical_across_ranks_and_worker_counts() {
     for ranks in [1usize, 2, 4] {
         let dir = temp_dir(&format!("det{ranks}"));
         let cfg = CampaignConfig::new(STEPS, 2, &dir)
-            .with_health_interval(1)
             .with_max_recoveries(3)
             .with_corruption(CorruptionPlan::new(7).with_event(CorruptionEvent {
                 step: 4,

@@ -191,10 +191,11 @@ fn build_sim(rank: usize) -> DistributedSim {
 }
 
 fn soak_config(dir: &Path) -> CampaignConfig {
-    CampaignConfig::new(STEPS, 3, dir)
+    let mut cfg = CampaignConfig::new(STEPS, 3, dir)
         .with_op_timeout(Duration::from_millis(500))
-        .with_health_interval(2)
-        .with_max_recoveries(5)
+        .with_max_recoveries(5);
+    cfg.sentinel.health_interval = 2;
+    cfg
 }
 
 fn splitmix64(state: &mut u64) -> u64 {

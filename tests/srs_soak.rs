@@ -1,4 +1,4 @@
-//! Seeded fault-soak for the serial LPI (SRS backscatter) campaign,
+//! Seeded fault-soak for the one-rank LPI (SRS backscatter) campaign,
 //! mirroring `tests/campaign_soak.rs` — closes the ROADMAP item "fault
 //! injection in the LPI pipeline's long SRS runs".
 //!
@@ -70,7 +70,7 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A reproducible random mix of the two fault kinds the serial campaign
+/// A reproducible random mix of the two fault kinds the LPI campaign
 /// supports: a rank kill and/or a seeded one-shot field upset.
 fn random_faults(seed: u64, cfg: &mut LpiCampaignConfig) {
     let mut s = seed.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(1);

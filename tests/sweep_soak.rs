@@ -316,7 +316,7 @@ fn poison_job_quarantines_after_exactly_n_attempts() {
 
     // The flight recorder the cause points at is actually on disk.
     assert!(
-        dir.join("job_000000").join("flight.json").exists(),
+        dir.join("job_000000").join("flight_r0000.json").exists(),
         "quarantined job must leave its flight recorder behind"
     );
 
