@@ -84,7 +84,8 @@ fn bench_push(c: &mut Criterion) {
 /// `scripts/ci.sh kernel` gates at 1.15x), and the in-order scatter of
 /// the queued records on freshly sorted blocks (`sorted`: one voxel per
 /// block, the register-carried case) and on blocks whose every lane sits
-/// in another voxel (`mixed`: a reload per lane).
+/// in another voxel (`mixed`: a reload per lane), and the scatter of blocks
+/// whose every lane crosses one face (`crossers`: the batched mover).
 fn bench_lane_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("lane_primitives");
     group.throughput(Throughput::Elements(LANES as u64));
@@ -156,6 +157,37 @@ fn bench_lane_primitives(c: &mut Criterion) {
             b.iter(|| lane_scatter(&mut store, &pushes, coeffs.qsp, &mut acc, &g))
         });
     }
+
+    // Every lane one step from the one face it crosses (zero fields keep
+    // the momenta as set): the scatter with all of it through the batched
+    // crosser mover, per particle, on a fresh copy of the blocks each time.
+    let crossing: Vec<_> = parts
+        .iter()
+        .enumerate()
+        .map(|(k, p)| {
+            let (face, s) = (k % 6, if k % 6 >= 3 { 1.0 } else { -1.0 });
+            let (mut d, mut u) = ([0.5 * p.dx, 0.5 * p.dy, 0.5 * p.dz], [0.02f32; 3]);
+            (d[face % 3], u[face % 3]) = (0.9 * s, 2.0 * s);
+            vpic_core::Particle {
+                dx: d[0],
+                dy: d[1],
+                dz: d[2],
+                ux: u[0],
+                uy: u[1],
+                uz: u[2],
+                ..*p
+            }
+        })
+        .collect();
+    let mut store = AosoaStore::from_particles(&crossing);
+    lane_compute::<2>(&mut store, coeffs, &InterpolatorArray::new(&g), &mut pushes);
+    group.bench_function("crossers", |b| {
+        b.iter_batched(
+            || store.clone(),
+            |mut s| lane_scatter(&mut s, &pushes, coeffs.qsp, &mut acc, &g),
+            criterion::BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 

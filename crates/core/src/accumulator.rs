@@ -25,7 +25,7 @@
 
 use crate::field::FieldArray;
 use crate::grid::Grid;
-use crate::lanes::{F32x8, Mask8, Wide, LANES};
+use crate::lanes::{transpose8_wide, F32x8, Mask8, Wide, LANES};
 use rayon::prelude::*;
 
 /// Voxels per parallel task in the range reduction (whole `Accumulator`
@@ -244,6 +244,25 @@ impl AccumulatorArray {
         };
     }
 
+    /// One crosser of the lane scatter that the batched mover finished: its
+    /// first segment into its own voxel `from`, its second into the face
+    /// neighbour `to`, each as one [`Self::deposit_lane`] of pre-transposed
+    /// addends ([`streak_addends`]) — the two [`Self::deposit`]s
+    /// `move_p_local` makes, in the same order. `from` lies in the range
+    /// the caller touched for the block; `to` is widened here.
+    #[inline(always)]
+    pub(crate) fn deposit_crossing(
+        &mut self,
+        (from, to): (usize, usize),
+        open: &mut OpenVoxel,
+        first: (F32x8, F32x8),
+        second: (F32x8, F32x8),
+    ) {
+        self.touch(to, to);
+        self.deposit_lane(from, open, first.0, first.1);
+        self.deposit_lane(to, open, second.0, second.1);
+    }
+
     /// Sum `other` into `self` (pipeline reduction); only `other`'s dirty
     /// range is walked.
     pub fn reduce_from(&mut self, other: &AccumulatorArray) {
@@ -412,6 +431,30 @@ pub(crate) fn quadrants_lanes<const K: usize>(
     w0 = w0 * lo; // qu(1-d1)(1-d2)
     w1 = w1 * lo; // qu(1+d1)(1-d2)
     [w0 + v5, w1 - v5, w2 - v5, w3 + v5]
+}
+
+/// [`AccumulatorArray::deposit`]'s addends for a streak of charge `q` with
+/// midpoint `m` and half displacement `h`, lane-wide for `K` blocks, then
+/// shuffle-transposed lane-major: row `l` of `jxy` holds lane `l`'s four
+/// `jx` quadrants then its four `jy`, row `l` of `jz` its four `jz` and
+/// zeros — the two registers [`AccumulatorArray::deposit_lane`] adds. The
+/// expression trees are `deposit`'s (`v5 = q·hx·hy·hz/3`, `qu = q·h_edge`),
+/// and the transposes only move bits.
+#[inline(always)]
+pub(crate) fn streak_addends<const K: usize>(
+    q: Wide<K>,
+    [mx, my, mz]: [Wide<K>; 3],
+    [hx, hy, hz]: [Wide<K>; 3],
+) -> ([Wide<K>; LANES], [Wide<K>; LANES]) {
+    let v5 = q * hx * hy * hz * Wide::splat(1.0 / 3.0);
+    let jx = quadrants_lanes(q * hx, my, mz, v5);
+    let jy = quadrants_lanes(q * hy, mz, mx, v5);
+    let jz = quadrants_lanes(q * hz, mx, my, v5);
+    let zero = Wide::splat(0.0);
+    (
+        transpose8_wide([jx[0], jx[1], jx[2], jx[3], jy[0], jy[1], jy[2], jy[3]]),
+        transpose8_wide([jz[0], jz[1], jz[2], jz[3], zero, zero, zero, zero]),
+    )
 }
 
 /// A pool of per-pipeline accumulator arrays (index 0 is the reduction

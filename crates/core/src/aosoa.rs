@@ -16,11 +16,11 @@
 //! scattered in lane index order; `crates/core/tests/kernel_oracle.rs`
 //! pins the contract differentially.
 
-use crate::accumulator::{quadrants_lanes, AccumulatorArray, OpenVoxel};
+use crate::accumulator::{streak_addends, AccumulatorArray, OpenVoxel};
 use crate::cadence::PushTally;
 use crate::grid::Grid;
 use crate::interpolator::InterpolatorArray;
-use crate::lanes::{transpose8_wide, F32x8, Mask8, Wide};
+use crate::lanes::{F32x8, Mask8, Wide};
 use crate::particle::{Mover, Particle};
 use crate::push::{
     move_p_local, push_one, retarget_and_delete, Exile, MoveOutcome, PushCoefficients, PushKernel,
@@ -338,39 +338,53 @@ impl AosoaStore {
 ///    `select` on the stay mask `|n| <= 1` per axis, so cell-crossing
 ///    lanes keep their pre-push positions for the mover (NaN fails the
 ///    compare, exactly like the scalar `if`).
-/// 4. **Scatter/spill-out**: the Villasenor–Buneman quadrant currents are
-///    precomputed lane-wide ([`quadrants_lanes`]), then scattered **in
-///    lane index order**: stay lanes add their quadrant addends; crossers
-///    spill out to the scalar [`move_p_local`] mover right there. The
-///    spill-out is processed in-order rather than deferred because
+/// 4. **Scatter**: the Villasenor–Buneman quadrant currents are
+///    precomputed lane-wide ([`streak_addends`]), then scattered **in
+///    lane index order** ([`scatter_run`]): stay lanes add their quadrant
+///    addends; crossers deposit their segments right there — moved by the
+///    batched mover ([`one_face_moves`]) or, at corners and boundaries,
+///    by the scalar [`move_p_local`]. Deposits stay in lane order because
 ///    accumulator adds are order-sensitive f32 sums — lanes sharing a
 ///    voxel (the common case after sorting) must deposit in the same
 ///    order the scalar pipeline would.
 ///
 /// Padding lanes are parked on valid voxels so running the vector phases
 /// over them is safe; the scatter loop stops at `live`, so they deposit
-/// nothing and never spill. Global particle index of lane `l` is
-/// `base_idx + l`; absorbed indices and exiles are appended for the
-/// caller (identical contract to `push::advance_block`).
+/// nothing and never cross. Global particle index of lane `l` is
+/// `base + l`; absorbed indices and exiles are appended for the caller
+/// (identical contract to `push::advance_block`).
 #[allow(clippy::too_many_arguments)]
 fn advance_full_block(
     b: &mut Block,
-    base_idx: u32,
-    live: usize,
+    base: usize,
+    n: usize,
     c: PushCoefficients,
     interp: &InterpolatorArray,
     acc: &mut AccumulatorArray,
     g: &Grid,
     absorbed: &mut Vec<u32>,
     exiles: &mut Vec<Exile>,
+    crossers: &mut Crossers,
 ) {
     let mut s = BlockPush::default();
     compute_blocks([&mut *b], c, interp, [&mut s]);
-    scatter_block(b, base_idx, live, &s, c.qsp, acc, g, absorbed, exiles);
+    let run = std::slice::from_mut(b);
+    scatter_run(
+        run,
+        &[s],
+        base,
+        n,
+        c.qsp,
+        acc,
+        g,
+        absorbed,
+        exiles,
+        crossers,
+    );
 }
 
-/// Everything [`compute_blocks`] hands to [`scatter_block`] for one
-/// block: the stay mask, the half displacements the movers need, and the
+/// Everything [`compute_blocks`] hands to [`scatter_run`] for one block:
+/// the stay mask, the half displacements the movers need, and the
 /// quadrant addends already transposed lane-major.
 #[derive(Clone, Copy, Default)]
 pub struct BlockPush {
@@ -427,8 +441,8 @@ fn put<const K: usize>(
 /// instruction stream (see [`BLOCK_GROUP`]) and block `k`'s results are,
 /// bit for bit, those of `K = 1` on that block. [`advance_range`] queues
 /// the results — written straight into `out`, slots of its queue, so the
-/// 650-byte records are never copied — and drains them through
-/// [`scatter_block`] in block order, which keeps every accumulator
+/// 612-byte records are never copied — and drains them through
+/// [`scatter_run`] in block order, which keeps every accumulator
 /// deposit in the exact particle-index order the serial kernel would use.
 #[inline(always)]
 fn compute_blocks<const K: usize>(
@@ -497,20 +511,11 @@ fn compute_blocks<const K: usize>(
     put(&mut b, Wide::select(stay, ny, dy), |b| &mut b.dy);
     put(&mut b, Wide::select(stay, nz, dz), |b| &mut b.dz);
 
-    // Phase 4: quadrant currents lane-wide, for the in-order scatter
-    // with spill-out. Crosser/padding lanes' addends are computed but
-    // never scattered.
+    // Phase 4: quadrant currents lane-wide, lane-major so each stay lane
+    // deposits from two contiguous registers, for the in-order scatter.
+    // Crosser/padding lanes' addends are computed but never scattered.
     let q = Wide::splat(c.qsp) * field(&b, |b| b.w);
-    let v5 = q * hx * hy * hz * third;
-    let jx = quadrants_lanes(q * hx, my, mz, v5);
-    let jy = quadrants_lanes(q * hy, mz, mx, v5);
-    let jz = quadrants_lanes(q * hz, mx, my, v5);
-    // Shuffle-transpose quadrant-major → lane-major so each stay lane
-    // deposits from two contiguous registers. The transpose only moves
-    // bits; the per-entry `+=` and the lane scatter order are unchanged.
-    let txy = transpose8_wide([jx[0], jx[1], jx[2], jx[3], jy[0], jy[1], jy[2], jy[3]]);
-    let zero = Wide::splat(0.0);
-    let tz = transpose8_wide([jz[0], jz[1], jz[2], jz[3], zero, zero, zero, zero]);
+    let (txy, tz) = streak_addends(q, [mx, my, mz], [hx, hy, hz]);
 
     for (k, out) in out.into_iter().enumerate() {
         *out = BlockPush {
@@ -524,79 +529,315 @@ fn compute_blocks<const K: usize>(
     }
 }
 
-/// Phase 4 of [`advance_full_block`]: the in-order lane scatter with
-/// spill-out, fed by [`compute_blocks`]' precomputed addends.
+/// Live lanes of the block whose lane 0 is particle `first` of `n`.
+#[inline(always)]
+fn live_lanes(first: usize, n: usize) -> usize {
+    (n - first).min(LANES)
+}
+
+/// The mask of the first `live` (≥ 1) lanes.
+#[inline(always)]
+fn live_mask(live: usize) -> Mask8 {
+    Mask8(0xFF >> (LANES - live))
+}
+
+/// Phase 4 of [`advance_full_block`] for a run of consecutive blocks —
+/// one drain of the deferred-scatter queue, the whole of a one-block
+/// advance: the in-order lane scatter, fed by [`compute_blocks`]'
+/// precomputed addends, with the run's crossers moved as a batch. `base`
+/// is the particle index of the first block's lane 0, `n` the store's
+/// particle count, `crossers` the caller's scratch, reused from run to
+/// run so that a drain pays for no zeroing. Returns how many lanes went
+/// to the scalar mover.
 ///
-/// Each stay lane is one [`AccumulatorArray::deposit_lane`]: the entry is
-/// summed and stored at once, so the accumulator memory is current after
-/// every lane and a crosser's mover — which deposits into the same array
-/// — can run right where its lane comes up, with nothing to write back
-/// first; it only invalidates the register copy of the open voxel. Every
-/// accumulator entry receives the same addends in the same lane order as
-/// the per-particle form, so the sums are bit-identical to it. The loop
-/// has one data-dependent branch, stay or spill, and a block whose lanes
-/// all stay (half of them, at a 6 % crosser rate) skips that one too;
-/// whether consecutive lanes share a voxel is never branched on.
+/// Before the walk, the run's crossers are listed and moved eight at a
+/// time by the batched mover ([`Crossers::batch`], [`one_face_moves`]),
+/// which touches no accumulator. Then the walk: each stay lane is one
+/// [`AccumulatorArray::deposit_lane`]: the entry is summed and stored at
+/// once, so the accumulator memory is current after every lane. A crosser
+/// the batched mover finished is two more of those, its first segment
+/// into its voxel and its second into the face neighbour
+/// ([`AccumulatorArray::deposit_crossing`]), then its new offsets and
+/// voxel are written back. Any other crosser — a corner, a reflect,
+/// absorb or migrate face — runs the scalar [`move_p_local`] right where
+/// its lane comes up ([`spill_lane`]), from the pre-push state crosser
+/// lanes keep, with nothing to write back first; it only invalidates the
+/// register copy of the open voxel. Every accumulator entry receives the
+/// same addends in the same lane order as the per-particle form, so the
+/// sums are bit-identical to it. The walk branches on stay or cross, and
+/// on whether the batched mover finished a crosser (almost always); a
+/// block whose lanes all stay (≈ 60 % of them at a 6 % crosser rate)
+/// skips both, and whether consecutive lanes share a voxel is never
+/// branched on.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn scatter_block(
-    b: &mut Block,
-    base_idx: u32,
-    live: usize,
-    s: &BlockPush,
+fn scatter_run(
+    blocks: &mut [Block],
+    pushes: &[BlockPush],
+    base: usize,
+    n: usize,
     qsp: f32,
     acc: &mut AccumulatorArray,
     g: &Grid,
     absorbed: &mut Vec<u32>,
     exiles: &mut Vec<Exile>,
-) {
-    debug_assert!((1..=LANES).contains(&live));
-    // The dirty range, once for the block: every live lane deposits into
-    // its voxel first, stay lane or crosser.
-    let (lo, hi) = b.i[..live]
-        .iter()
-        .fold((u32::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    acc.touch(lo as usize, hi as usize);
+    crossers: &mut Crossers,
+) -> u64 {
+    debug_assert!(blocks.len() == pushes.len() && blocks.len() <= SCATTER_BATCH);
+    crossers.batch(blocks, pushes, base, n, qsp, g);
+    let (mut met, mut spills) = (0, 0);
     let mut open = OpenVoxel::NONE;
-    if live == LANES && s.stay == Mask8(0xFF) {
-        for l in 0..LANES {
-            acc.deposit_lane(b.i[l] as usize, &mut open, s.txy[l], s.tz[l]);
+    for (k, (b, s)) in blocks.iter_mut().zip(pushes).enumerate() {
+        let first = base + k * LANES;
+        let live = live_lanes(first, n);
+        // The dirty range, once for the block: every live lane deposits
+        // into its voxel first, stay lane or crosser.
+        let (lo, hi) = b.i[..live]
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        acc.touch(lo as usize, hi as usize);
+        if live == LANES && s.stay == Mask8(0xFF) {
+            for l in 0..LANES {
+                acc.deposit_lane(b.i[l] as usize, &mut open, s.txy[l], s.tz[l]);
+            }
+            continue;
         }
-        return;
+        for l in 0..live {
+            if s.stay.test(l) {
+                acc.deposit_lane(b.i[l] as usize, &mut open, s.txy[l], s.tz[l]);
+                continue;
+            }
+            let (to, moves, c) = (crossers.to[met], &crossers.moves[met / LANES], met % LANES);
+            met += 1;
+            if to >= 0 {
+                let v = b.i[l] as usize;
+                let first_segment = (moves.txy[0][c], moves.tz[0][c]);
+                let second_segment = (moves.txy[1][c], moves.tz[1][c]);
+                let to = to as usize;
+                acc.deposit_crossing((v, to), &mut open, first_segment, second_segment);
+                b.dx[l] = moves.end[0].0[c];
+                b.dy[l] = moves.end[1].0[c];
+                b.dz[l] = moves.end[2].0[c];
+                b.i[l] = to as u32;
+            } else {
+                let disp = (s.hx.0[l], s.hy.0[l], s.hz.0[l]);
+                let idx = (first + l) as u32;
+                spill_lane(b, l, idx, disp, qsp, acc, g, absorbed, exiles);
+                open = OpenVoxel::NONE;
+                spills += 1;
+            }
+        }
     }
-    for l in 0..live {
-        if s.stay.test(l) {
-            acc.deposit_lane(b.i[l] as usize, &mut open, s.txy[l], s.tz[l]);
-        } else {
-            spill_lane(
-                b,
-                l,
-                base_idx,
-                (s.hx.0[l], s.hy.0[l], s.hz.0[l]),
-                qsp,
-                acc,
-                g,
-                absorbed,
-                exiles,
-            );
-            open = OpenVoxel::NONE;
+    debug_assert_eq!(met, crossers.n);
+    spills
+}
+
+/// The crossers of one scatter run in the order the walk meets them —
+/// crosser `k` is lane `k % LANES` of group `k / LANES` — and what the
+/// batched mover made of each group. A run is at most [`SCATTER_BATCH`]
+/// blocks, so it holds at most [`SCATTER_BATCH`] groups. The scratch
+/// lives as long as its caller's loop over runs, so a run pays for no
+/// zeroing: what a run reads, it wrote.
+struct Crossers {
+    n: usize,
+    /// Crosser `k`'s place in the run, `LANES · block + lane`.
+    at: [u8; SCATTER_BATCH * LANES],
+    /// Crosser `k`'s face neighbour where the batched mover finished its
+    /// move, else −1: the scalar mover's.
+    to: [i64; SCATTER_BATCH * LANES],
+    moves: [OneFaceMoves; SCATTER_BATCH],
+}
+
+impl Default for Crossers {
+    fn default() -> Self {
+        Crossers {
+            n: 0,
+            at: [0; SCATTER_BATCH * LANES],
+            to: [0; SCATTER_BATCH * LANES],
+            moves: [OneFaceMoves::default(); SCATTER_BATCH],
         }
     }
 }
 
-/// The crosser/boundary exit from the lane kernel: run one lane through
-/// the scalar `move_p` path. Outlined and marked cold so the ~6% of
-/// lanes that leave their voxel don't drag the segment-walk code and its
-/// register demand into the hot block loop — inlined, the move_p body
-/// roughly doubles the loop and costs hundreds of cycles per crosser in
-/// spill traffic and I-cache misses.
+impl Crossers {
+    /// List the live lanes of `blocks` whose stay bit is clear, in block
+    /// then lane order, and move them eight at a time. The listing is
+    /// branch-free: every lane stores its place at the current end, which
+    /// advances only past a crosser's. (A lane writes at most at the count
+    /// of lanes before it, so the list needs no slack.)
+    #[allow(clippy::too_many_arguments)]
+    fn batch(
+        &mut self,
+        blocks: &[Block],
+        pushes: &[BlockPush],
+        base: usize,
+        n: usize,
+        qsp: f32,
+        g: &Grid,
+    ) {
+        // A local count: `self.n` would be reloaded after every store.
+        let mut listed = 0;
+        for (k, s) in pushes.iter().enumerate() {
+            let crossing = !s.stay & live_mask(live_lanes(base + k * LANES, n));
+            for l in 0..LANES {
+                self.at[listed] = (LANES * k + l) as u8;
+                listed += crossing.test(l) as usize;
+            }
+        }
+        self.n = listed;
+        for (group, moves) in self.moves[..listed.div_ceil(LANES)].iter_mut().enumerate() {
+            let crossers = group * LANES..listed.min((group + 1) * LANES);
+            let (mut fields, mut voxels) = ([[0.0; LANES]; 7], [0; LANES]);
+            for (c, &at) in self.at[crossers.clone()].iter().enumerate() {
+                let (b, s, l) = (
+                    &blocks[at as usize / LANES],
+                    &pushes[at as usize / LANES],
+                    at as usize % LANES,
+                );
+                for (field, value) in fields.iter_mut().zip([
+                    b.dx[l], b.dy[l], b.dz[l], s.hx.0[l], s.hy.0[l], s.hz.0[l], b.w[l],
+                ]) {
+                    field[c] = value;
+                }
+                voxels[c] = b.i[l];
+            }
+            let [dx, dy, dz, hx, hy, hz, w] = fields.map(F32x8);
+            one_face_moves([dx, dy, dz], [hx, hy, hz], F32x8::splat(qsp) * w, moves);
+            for (c, (to, &v)) in self.to[crossers].iter_mut().zip(&voxels).enumerate() {
+                *to = if moves.done.test(c) {
+                    g.neighbor(v as usize, moves.face(c))
+                } else {
+                    -1
+                };
+            }
+        }
+    }
+}
+
+/// What [`one_face_moves`] hands the scatter for eight crossers.
+#[derive(Clone, Copy, Default)]
+struct OneFaceMoves {
+    /// Lanes whose move the batched mover computed — final, unless the
+    /// face neighbour turns out not to be an ordinary voxel.
+    done: Mask8,
+    /// Lanes that cross a y face, a z face (else an x face), and a high
+    /// face (else a low one).
+    on_y: Mask8,
+    on_z: Mask8,
+    high: Mask8,
+    /// Offsets in the face neighbour at the end of the move.
+    end: [F32x8; 3],
+    /// Deposit addends lane-major (as in [`BlockPush`]): `[0]` the segment
+    /// up to the face, `[1]` the segment in the neighbour.
+    txy: [[F32x8; LANES]; 2],
+    tz: [[F32x8; LANES]; 2],
+}
+
+impl OneFaceMoves {
+    /// The face lane `c` crosses (`grid::FACE_*` numbering).
+    #[inline(always)]
+    fn face(&self, c: usize) -> usize {
+        let bit = |m: Mask8| m.test(c) as usize;
+        bit(self.on_y) + 2 * bit(self.on_z) + 3 * bit(self.high)
+    }
+}
+
+/// The batched mover: what [`move_p_local`] computes for eight crossers at
+/// once — offsets `d`, half displacements `h`, charges `q` — for every
+/// lane whose streak crosses exactly one face. Segment 1 runs to the
+/// first face, chosen by the scalar loop's strict `<` in axis order from
+/// `frac = 2`; the particle is placed exactly on that face and re-enters
+/// the neighbour through the opposite one, at `−dir`; segment 2 spends
+/// the rest (`frac = 2 · 0.5 = 1`) and must reach no face (the scalar
+/// loop's axis 3). Every value is the scalar mover's IEEE expression tree
+/// element-wise, with no fusion, so a `done` lane carries the scalar
+/// mover's bits. The rest — no face reached (a NaN, or roundoff between
+/// the stay test and `t`), a second face (a corner), or a non-finite
+/// input, whose NaN payloads only the scalar mover's own instructions
+/// are guaranteed to reproduce — the scatter hands to the scalar mover,
+/// which starts from the untouched pre-push state. Outlined: it runs
+/// once per eight crossers, and inlined it would crowd the walk's
+/// registers.
+#[inline(never)]
+fn one_face_moves(d: [F32x8; 3], h: [F32x8; 3], q: F32x8, out: &mut OneFaceMoves) {
+    let zero = F32x8::splat(0.0);
+    let one = F32x8::splat(1.0);
+    let minus_one = F32x8::splat(-1.0);
+    let two = F32x8::splat(2.0);
+    // move_p_local's `dir` (+1 only where the displacement is > 0) and `t`
+    // (twice the fraction of the displacement that reaches the face
+    // ahead; 3.4e38 where the displacement is ±0, which NaN is not).
+    let up = |h: F32x8| h.gt(zero);
+    let t = |d: F32x8, h: F32x8| {
+        let dir = F32x8::select(up(h), one, minus_one);
+        F32x8::select(h.abs().le(zero), F32x8::splat(3.4e38), (dir - d) / h)
+    };
+
+    // Segment 1, to the first face: a later axis takes over only where it
+    // is strictly nearer, as the loop's reassignment does.
+    let (tx, ty, tz) = (t(d[0], h[0]), t(d[1], h[1]), t(d[2], h[2]));
+    let on_x = tx.lt(two);
+    let frac = F32x8::select(on_x, tx, two);
+    let on_y = ty.lt(frac);
+    let frac = F32x8::select(on_y, ty, frac);
+    let on_z = tz.lt(frac);
+    let frac = F32x8::select(on_z, tz, frac) * F32x8::splat(0.5);
+    let on = [on_x & !on_y & !on_z, on_y & !on_z, on_z];
+    let seg = [h[0] * frac, h[1] * frac, h[2] * frac];
+    let mid = [d[0] + seg[0], d[1] + seg[1], d[2] + seg[2]];
+    // Consume it; on the crossed axis the offset becomes `−dir`.
+    let enter = |a: usize| {
+        let behind = F32x8::select(up(h[a]), minus_one, one);
+        F32x8::select(on[a], behind, d[a] + (seg[a] + seg[a]))
+    };
+    let d2 = [enter(0), enter(1), enter(2)];
+    let h2 = [h[0] - seg[0], h[1] - seg[1], h[2] - seg[2]];
+
+    // Segment 2, inside the neighbour: no axis may have `t < 2`. Its
+    // `h2 · frac` is `h2 · 1`, which is `h2` bit for bit on the finite
+    // lanes that are `done`.
+    let corner = t(d2[0], h2[0]).lt(two) | t(d2[1], h2[1]).lt(two) | t(d2[2], h2[2]).lt(two);
+    let mid2 = [d2[0] + h2[0], d2[1] + h2[1], d2[2] + h2[2]];
+    let end = [
+        d2[0] + (h2[0] + h2[0]),
+        d2[1] + (h2[1] + h2[1]),
+        d2[2] + (h2[2] + h2[2]),
+    ];
+
+    // The sum of the inputs is finite only where each one is (a sum that
+    // overflows a finite input merely sends a lane to the scalar mover).
+    let sum = ((d[0] + d[1]) + (d[2] + h[0])) + ((h[1] + h[2]) + q);
+    let finite = sum.abs().le(F32x8::splat(f32::MAX));
+    let wide = |v: [F32x8; 3]| [Wide([v[0]]), Wide([v[1]]), Wide([v[2]])];
+    let (txy1, tz1) = streak_addends(Wide([q]), wide(mid), wide(seg));
+    let (txy2, tz2) = streak_addends(Wide([q]), wide(mid2), wide(h2));
+    out.done = (on[0] | on[1] | on[2]) & !corner & finite;
+    out.on_y = on[1];
+    out.on_z = on[2];
+    out.high = (on[0] & up(h[0])) | (on[1] & up(h[1])) | (on[2] & up(h[2]));
+    out.end = end;
+    for l in 0..LANES {
+        out.txy[0][l] = txy1[l].0[0];
+        out.txy[1][l] = txy2[l].0[0];
+        out.tz[0][l] = tz1[l].0[0];
+        out.tz[1][l] = tz2[l].0[0];
+    }
+}
+
+/// The corner/boundary exit from the lane kernel: run one crosser through
+/// the scalar `move_p` path from its pre-push state. Outlined and marked
+/// cold so the segment-walk code and its register demand stay out of the
+/// hot scatter loop — inlined, the move_p body roughly doubles the loop
+/// and costs hundreds of cycles per crosser in spill traffic and I-cache
+/// misses — and because since the batched mover took the one-face
+/// crossers, only corners and boundary faces come here.
 #[cold]
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn spill_lane(
     b: &mut Block,
     l: usize,
-    base_idx: u32,
+    idx: u32,
     disp: (f32, f32, f32),
     qsp: f32,
     acc: &mut AccumulatorArray,
@@ -604,7 +845,6 @@ fn spill_lane(
     absorbed: &mut Vec<u32>,
     exiles: &mut Vec<Exile>,
 ) {
-    let idx = base_idx + l as u32;
     let mut p = b.lane(l);
     let mut pm = Mover {
         dispx: disp.0,
@@ -626,15 +866,22 @@ fn spill_lane(
 
 /// How many blocks' [`compute_blocks`] results are queued before one
 /// scatter pass drains them. A drain is a burst of dependent
-/// load-add-stores and rare, expensive spills; batching it keeps the
-/// compute groups back to back — a steady vector stream, the next
-/// group's gather loads issuing under the current one's arithmetic — and
-/// the scatter loop hot in the branch predictors. (It does not put eight
-/// compute chains in flight: the reorder window holds a little over one
-/// block's instructions, which is what [`BLOCK_GROUP`] is for.) 8 blocks
-/// ≈ 64 particles of queued [`BlockPush`]es (~5 KiB) stay L1-resident —
-/// a fixed array on [`advance_range`]'s stack.
-pub const SCATTER_BATCH: usize = 8;
+/// load-add-stores plus one batched mover pass per eight crossers;
+/// batching it keeps the compute groups back to back — a steady vector
+/// stream, the next group's gather loads issuing under the current one's
+/// arithmetic — the scatter loop hot in the branch predictors, and the
+/// mover's groups full: the pass costs the same for one crosser as for
+/// eight, and 16 blocks hold ≈ 7.6 at a 6 % crossing rate. A constant
+/// picked by measurement (EXPERIMENTS.md E2: the push per particle at 8,
+/// 16 and 32 blocks — 16 is 4 % faster than 8, 32 no faster than 16 —
+/// and whole `uniform-push` runs, where 16 beat 8 in ten of ten
+/// alternating pairs).
+/// (It does not put many compute chains in flight: the reorder window
+/// holds a little over one block's instructions, which is what
+/// [`BLOCK_GROUP`] is for.) 16 blocks ≈ 128 particles of queued
+/// [`BlockPush`]es (~10 KiB) stay L1-resident — a fixed array on
+/// [`advance_range`]'s stack.
+pub const SCATTER_BATCH: usize = 16;
 
 // Whole groups tile the queue. A pass takes a group while that many full
 // blocks are ahead in the pipeline's range and single blocks from then on
@@ -642,39 +889,44 @@ pub const SCATTER_BATCH: usize = 8;
 // so a group always finds an even number of slots taken: it never faces
 // a single free slot.
 const _: () = assert!(SCATTER_BATCH.is_multiple_of(BLOCK_GROUP));
+// A crosser's place in a run, `LANES · block + lane`, fits a byte
+// ([`Crossers`]).
+const _: () = assert!(SCATTER_BATCH * LANES <= u8::MAX as usize + 1);
 
-/// One computed-but-not-yet-scattered block in the deferred-scatter queue.
-#[derive(Clone, Copy, Default)]
-struct QueuedBlock {
-    bi: usize,
-    base: u32,
-    live: usize,
-    push: BlockPush,
-}
-
-/// Drain the deferred-scatter queue in block order. Deposits and spills
-/// happen here, in exactly the order the unbatched kernel would produce
-/// them, which is what keeps the batching invisible to the bit-identity
-/// contract.
+/// Drain the deferred-scatter queue: [`scatter_run`] over the queued
+/// blocks, which are consecutive from block `first`. Deposits happen
+/// here, in exactly the order the unbatched kernel would produce them,
+/// which is what keeps the batching invisible to the bit-identity
+/// contract. Returns the lanes handed to the scalar mover.
 ///
 /// # Safety
-/// Caller must own every queued block exclusively (same contract as
-/// [`advance_range`]); no `&mut Block` to any of them may be live.
+/// Caller must own blocks `first..first + batch.len()` exclusively (same
+/// contract as [`advance_range`]), they must exist, and no other
+/// reference to any of them may be live.
 #[allow(clippy::too_many_arguments)]
 unsafe fn drain_batch(
-    batch: &[QueuedBlock],
+    batch: &[BlockPush],
     blocks: BlockPtr,
+    first: usize,
+    n_total: usize,
     qsp: f32,
     acc: &mut AccumulatorArray,
     g: &Grid,
     absorbed: &mut Vec<u32>,
     exiles: &mut Vec<Exile>,
-) {
-    for e in batch {
-        // SAFETY: exclusive ownership per the function contract.
-        let b = unsafe { &mut *blocks.at(e.bi) };
-        scatter_block(b, e.base, e.live, &e.push, qsp, acc, g, absorbed, exiles);
+    crossers: &mut Crossers,
+) -> u64 {
+    if batch.is_empty() {
+        return 0;
     }
+    debug_assert!(first + batch.len() <= blocks.n_blocks);
+    // SAFETY: exclusive ownership of the consecutive, existing blocks per
+    // the function contract.
+    let run = unsafe { std::slice::from_raw_parts_mut(blocks.at(first), batch.len()) };
+    let base = first * LANES;
+    scatter_run(
+        run, batch, base, n_total, qsp, acc, g, absorbed, exiles, crossers,
+    )
 }
 
 /// Compute the `K` whole blocks starting at block `bi` into `slots` (the
@@ -690,31 +942,24 @@ unsafe fn compute_into_queue<const K: usize>(
     n_total: usize,
     c: PushCoefficients,
     interp: &InterpolatorArray,
-    slots: &mut [QueuedBlock; K],
+    slots: &mut [BlockPush; K],
     tally: &mut PushTally,
 ) {
     // SAFETY: exclusive ownership of `K` distinct blocks per the
     // function contract.
     let b: [&mut Block; K] = std::array::from_fn(|k| unsafe { &mut *blocks.at(bi + k) });
-    for (k, slot) in slots.iter_mut().enumerate() {
-        let base = (bi + k) * LANES;
-        let live = (n_total - base).min(LANES);
+    let live: [usize; K] = std::array::from_fn(|k| live_lanes((bi + k) * LANES, n_total));
+    for (b, &live) in b.iter().zip(&live) {
         tally.pushed += live as u64;
         tally.lane_blocks += 1;
-        let v0 = b[k].i[0];
-        if b[k].i[1..live].iter().any(|&v| v != v0) {
+        if b.i[1..live].iter().any(|&v| v != b.i[0]) {
             tally.mixed_blocks += 1;
         }
-        slot.bi = bi + k;
-        slot.base = base as u32;
-        slot.live = live;
     }
-    compute_blocks(b, c, interp, slots.each_mut().map(|slot| &mut slot.push));
-    for slot in slots.iter() {
+    compute_blocks(b, c, interp, slots.each_mut());
+    for (s, &live) in slots.iter().zip(&live) {
         // Live lanes whose stay bit is clear.
-        let spills = (!slot.push.stay.0 & (0xFF >> (LANES - slot.live))).count_ones() as u64;
-        tally.lane_spills += spills;
-        tally.crossers += spills;
+        tally.crossers += (!s.stay & live_mask(live)).0.count_ones() as u64;
     }
 }
 
@@ -756,15 +1001,40 @@ unsafe fn advance_range(
     let mut absorbed: Vec<u32> = Vec::new();
     let mut exiles: Vec<Exile> = Vec::new();
     let mut tally = PushTally::default();
-    let mut batch = [QueuedBlock::default(); SCATTER_BATCH];
-    let mut queued = 0;
+    // The queue: results of the consecutive blocks `first..first + queued`.
+    let mut batch = [BlockPush::default(); SCATTER_BATCH];
+    let (mut first, mut queued) = (0, 0);
+    let mut crossers = Crossers::default();
     let mut idx = start;
     while idx < end {
         let bi = idx / LANES;
         let lane0 = idx - bi * LANES;
         let block_start = bi * LANES;
         let block_live_end = (block_start + LANES).min(n_total);
-        if kernel == PushKernel::Lane && lane0 == 0 && end >= block_live_end {
+        let whole = kernel == PushKernel::Lane && lane0 == 0 && end >= block_live_end;
+        if queued == SCATTER_BATCH || (queued > 0 && !whole) {
+            // A full queue drains; so does any queue before a straddling
+            // block's lanes push scalar, since deposits must stay in
+            // particle-index order.
+            // SAFETY: exclusive ownership per the function contract; no
+            // block reference is live.
+            tally.lane_spills += unsafe {
+                drain_batch(
+                    &batch[..queued],
+                    blocks,
+                    first,
+                    n_total,
+                    c.qsp,
+                    acc,
+                    g,
+                    &mut absorbed,
+                    &mut exiles,
+                    &mut crossers,
+                )
+            };
+            queued = 0;
+        }
+        if whole {
             // Every live lane of this block belongs to this pipeline:
             // safe to take the whole block mutably and run lane-parallel
             // — and so it is for each full block between here and `end`.
@@ -774,9 +1044,12 @@ unsafe fn advance_range(
             } else {
                 1
             };
+            if queued == 0 {
+                first = bi;
+            }
+            debug_assert_eq!(first + queued, bi, "queued blocks are consecutive");
             let slots = &mut batch[queued..];
-            // SAFETY: exclusive ownership per the function contract; no
-            // block reference is live.
+            // SAFETY: as above.
             unsafe {
                 if width == BLOCK_GROUP {
                     let slots = slots.first_chunk_mut().expect("room for a group");
@@ -789,39 +1062,10 @@ unsafe fn advance_range(
                 }
             }
             queued += width;
-            if queued == SCATTER_BATCH {
-                // SAFETY: no block reference is live; ownership as above.
-                unsafe {
-                    drain_batch(
-                        &batch[..queued],
-                        blocks,
-                        c.qsp,
-                        acc,
-                        g,
-                        &mut absorbed,
-                        &mut exiles,
-                    )
-                };
-                queued = 0;
-            }
             idx = (block_start + width * LANES).min(n_total);
         } else {
             // Straddling block (or scalar-kernel run): touch only our
-            // lanes, via raw pointer. Deposits must stay in particle-index
-            // order, so queued lane blocks scatter first.
-            // SAFETY: as above.
-            unsafe {
-                drain_batch(
-                    &batch[..queued],
-                    blocks,
-                    c.qsp,
-                    acc,
-                    g,
-                    &mut absorbed,
-                    &mut exiles,
-                )
-            };
-            queued = 0;
+            // lanes, via raw pointer.
             let hi = (end - block_start).min(LANES);
             let bp = unsafe { blocks.at(bi) };
             for l in lane0..hi {
@@ -852,15 +1096,18 @@ unsafe fn advance_range(
         }
     }
     // SAFETY: as above.
-    unsafe {
+    tally.lane_spills += unsafe {
         drain_batch(
             &batch[..queued],
             blocks,
+            first,
+            n_total,
             c.qsp,
             acc,
             g,
             &mut absorbed,
             &mut exiles,
+            &mut crossers,
         )
     };
     (absorbed, exiles, tally)
@@ -948,19 +1195,19 @@ pub fn advance_p_aosoa(
     let real = store.len;
     let mut absorbed: Vec<u32> = Vec::new();
     let mut exiles: Vec<Exile> = Vec::new();
+    let mut crossers = Crossers::default();
     for (bi, b) in store.blocks.iter_mut().enumerate() {
-        let base = bi * LANES;
-        let live = (real - base).min(LANES);
         advance_full_block(
             b,
-            base as u32,
-            live,
+            bi * LANES,
+            real,
             c,
             interp,
             acc,
             g,
             &mut absorbed,
             &mut exiles,
+            &mut crossers,
         );
     }
     // Closed-domain fallback: park leavers with zero weight.
@@ -1001,9 +1248,11 @@ pub fn lane_compute<const K: usize>(
     }
 }
 
-/// The scatter half of the lane kernel on its own: [`scatter_block`] of
-/// every block's record from [`lane_compute`], in block order. Closed
-/// domains only, like [`advance_p_aosoa`] — leavers are dropped.
+/// The scatter half of the lane kernel on its own: the records from
+/// [`lane_compute`] drained [`SCATTER_BATCH`] blocks at a time, in block
+/// order, as the production queue drains them ([`scatter_run`], crossers
+/// through the batched mover). Closed domains only, like
+/// [`advance_p_aosoa`] — leavers are dropped.
 pub fn lane_scatter(
     store: &mut AosoaStore,
     pushes: &[BlockPush],
@@ -1012,21 +1261,23 @@ pub fn lane_scatter(
     g: &Grid,
 ) {
     assert_eq!(pushes.len(), store.blocks.len());
-    let real = store.len;
+    let n = store.len;
     let (mut absorbed, mut exiles) = (Vec::new(), Vec::new());
-    for (bi, (b, push)) in store.blocks.iter_mut().zip(pushes).enumerate() {
-        let base = bi * LANES;
-        let live = (real - base).min(LANES);
-        scatter_block(
-            b,
-            base as u32,
-            live,
-            push,
+    let mut crossers = Crossers::default();
+    let runs = store.blocks.chunks_mut(SCATTER_BATCH);
+    for (r, (run, pushes)) in runs.zip(pushes.chunks(SCATTER_BATCH)).enumerate() {
+        let base = r * SCATTER_BATCH * LANES;
+        scatter_run(
+            run,
+            pushes,
+            base,
+            n,
             qsp,
             acc,
             g,
             &mut absorbed,
             &mut exiles,
+            &mut crossers,
         );
     }
 }
@@ -1397,6 +1648,118 @@ mod tests {
             single >= 1.15 * paired,
             "paired compute is only {:.2}x single",
             single / paired
+        );
+    }
+
+    /// A sorted plasma (8 per voxel) in a periodic 16³ box with zero
+    /// fields, every particle one step from the one face it crosses (a
+    /// random one of six): each lane of each block crosses, and none at a
+    /// corner or a boundary.
+    fn crossing_workload() -> (Grid, InterpolatorArray, AosoaStore, PushCoefficients) {
+        let g = Grid::periodic((16, 16, 16), (0.25, 0.25, 0.25), 0.1);
+        let mut rng = Rng::seeded(78);
+        let mut parts = loaded_plasma(&g, 8 * g.n_live(), 6);
+        for p in &mut parts {
+            let (mut d, mut u) = ([p.dx * 0.5, p.dy * 0.5, p.dz * 0.5], [0.02; 3]);
+            let face = rng.index(6);
+            let s = if face >= 3 { 1.0 } else { -1.0 };
+            (d[face % 3], u[face % 3]) = (0.9 * s, 2.0 * s);
+            [p.dx, p.dy, p.dz, p.ux, p.uy, p.uz] = [d[0], d[1], d[2], u[0], u[1], u[2]];
+        }
+        let (mut scratch, mut counts) = (Vec::new(), Vec::new());
+        sort_with_workers(&mut parts, g.n_voxels(), &mut scratch, &mut counts, 1);
+        let c = PushCoefficients::new(-1.0, 1.0, &g);
+        (
+            g.clone(),
+            InterpolatorArray::new(&g),
+            AosoaStore::from_particles(&parts),
+            c,
+        )
+    }
+
+    /// [`lane_scatter`] as it was before the batched mover: every crosser
+    /// through [`spill_lane`] at its lane position.
+    fn scatter_spilling_every_crosser(
+        store: &mut AosoaStore,
+        pushes: &[BlockPush],
+        qsp: f32,
+        acc: &mut AccumulatorArray,
+        g: &Grid,
+    ) {
+        let n = store.len;
+        let (mut absorbed, mut exiles) = (Vec::new(), Vec::new());
+        let mut open = OpenVoxel::NONE;
+        for (bi, (b, s)) in store.blocks.iter_mut().zip(pushes).enumerate() {
+            let live = live_lanes(bi * LANES, n);
+            for l in 0..live {
+                let v = b.i[l] as usize;
+                acc.touch(v, v);
+                if s.stay.test(l) {
+                    acc.deposit_lane(v, &mut open, s.txy[l], s.tz[l]);
+                } else {
+                    let disp = (s.hx.0[l], s.hy.0[l], s.hz.0[l]);
+                    let idx = (bi * LANES + l) as u32;
+                    spill_lane(b, l, idx, disp, qsp, acc, g, &mut absorbed, &mut exiles);
+                    open = OpenVoxel::NONE;
+                }
+            }
+        }
+    }
+
+    /// Relative speed gate for the batched crosser mover, both sides timed
+    /// in one process, A-B-B-A so host drift cancels: scattering an
+    /// all-crossing block set ([`crossing_workload`]) with the drains'
+    /// crossers moved as batches must take at most half the time of the
+    /// same scatter with every crosser handed to the scalar mover. If this
+    /// fails, look for `one_face_moves` being inlined into the walk, or for
+    /// lanes it should finish falling back.
+    #[test]
+    #[ignore = "timing gate; run in release via scripts/ci.sh kernel"]
+    fn batched_crossers_are_at_least_2x_the_scalar_mover() {
+        use std::time::Instant;
+        let (g, ia, mut store, c) = crossing_workload();
+        let mut pushes = Vec::new();
+        lane_compute::<2>(&mut store, c, &ia, &mut pushes);
+        let every_lane = pushes.iter().all(|s| s.stay == Mask8(0));
+        assert!(every_lane, "the workload must cross in every lane");
+        type Scatter = fn(&mut AosoaStore, &[BlockPush], f32, &mut AccumulatorArray, &Grid);
+        let scatter = |f: Scatter| {
+            let (mut s, mut acc) = (store.clone(), AccumulatorArray::new(&g));
+            let t0 = Instant::now();
+            f(std::hint::black_box(&mut s), &pushes, c.qsp, &mut acc, &g);
+            (t0.elapsed().as_secs_f64(), s, acc)
+        };
+        // Same bits both ways, and the batched mover takes every lane.
+        let (_, a, acc_a) = scatter(lane_scatter);
+        let (_, b, acc_b) = scatter(scatter_spilling_every_crosser);
+        assert_eq!(a.to_particles(), b.to_particles());
+        for (x, y) in acc_a.data.iter().zip(&acc_b.data) {
+            assert_eq!((x.jx, x.jy, x.jz), (y.jx, y.jy, y.jz));
+        }
+        // Best of five scatters per side, A-B-B-A, median over rounds.
+        let best = |f: Scatter| (0..5).map(|_| scatter(f).0).fold(f64::INFINITY, f64::min);
+        let mut ratios: Vec<f64> = (0..5)
+            .map(|_| {
+                let a1 = best(lane_scatter);
+                let b1 = best(scatter_spilling_every_crosser);
+                let b2 = best(scatter_spilling_every_crosser);
+                let a2 = best(lane_scatter);
+                (b1 + b2) / (a1 + a2)
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let per_crosser = |f: Scatter| best(f) / store.len() as f64 * 1e9;
+        println!(
+            "crosser scatter per particle: batched {:.1} ns, scalar mover {:.1} ns; \
+             ratios {ratios:.2?}; lanes: {}",
+            per_crosser(lane_scatter),
+            per_crosser(scatter_spilling_every_crosser),
+            crate::lanes::BACKEND
+        );
+        assert!(
+            ratios[2] >= 2.0,
+            "the batched crosser mover is only {:.2}x the scalar mover",
+            ratios[2]
         );
     }
 

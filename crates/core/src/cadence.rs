@@ -1,8 +1,8 @@
 //! Adaptive sort-cadence control for lane coherence.
 //!
-//! The 8-lane AoSoA push (PR 7) pays for itself only while blocks stay
-//! voxel-coherent: cell-crossers and mixed-voxel blocks fall to the
-//! `#[cold]` scalar spill path. How coherent blocks stay between sorts is
+//! The 8-lane AoSoA push pays for itself only while blocks stay
+//! voxel-coherent: cell-crossers need the mover and mixed-voxel blocks
+//! gather from eight voxels. How coherent blocks stay between sorts is
 //! workload-dependent — a cold thermal plasma drifts slowly, a laser-heated
 //! one scrambles in a few steps — so a fixed `sort_interval` is either
 //! wasted sorting or wasted spilling. This module closes the loop:
@@ -108,7 +108,10 @@ pub struct PushTally {
     pub crossers: u64,
     /// Fully-owned AoSoA blocks taken by the lane kernel.
     pub lane_blocks: u64,
-    /// Lanes spilled from the lane kernel to the scalar `move_p` path.
+    /// Crossers of lane-kernel blocks handed to the scalar `move_p` path —
+    /// the ones the batched one-face mover leaves (corners; reflect,
+    /// absorb and migrate faces; non-finite lanes). Telemetry only: no
+    /// decision reads it.
     pub lane_spills: u64,
     /// Lane-kernel blocks whose live lanes span more than one voxel.
     pub mixed_blocks: u64,

@@ -12,7 +12,10 @@
 //!
 //! [`save_to_path`] writes through a buffered writer to a temporary file
 //! and renames it into place, so a crash mid-dump never destroys the
-//! previous good checkpoint.
+//! previous good checkpoint. [`save`] streams the field and species
+//! sections: their payload bytes go to the writer as they are encoded,
+//! under a running CRC, so a dump never holds a second copy of the
+//! particles in memory.
 //!
 //! The module also provides *encoded* sections ([`write_section_encoded`] /
 //! [`read_section_encoded`]): the same CRC-framed shape, plus an encoding
@@ -123,6 +126,54 @@ pub fn write_section(w: &mut impl Write, payload: &[u8]) -> Result<(), Checkpoin
     w.write_all(&(payload.len() as u64).to_le_bytes())?;
     w.write_all(payload)?;
     w.write_all(&crc32(payload).to_le_bytes())?;
+    Ok(())
+}
+
+/// Forwards every write to `inner`, keeping the running CRC-32 and byte
+/// count of what went through.
+struct CrcWriter<W> {
+    inner: W,
+    crc: Crc32,
+    len: u64,
+}
+
+impl<W: Write> Write for CrcWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.crc.update(&buf[..n]);
+        self.len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// [`write_section`] of the `len` payload bytes that `fill` writes, which
+/// go to `w` as they come under a running CRC — the same file bytes as
+/// framing the materialised payload, without the payload ever existing
+/// whole in memory. A `fill` that writes other than `len` bytes is an
+/// error.
+fn write_section_streamed(
+    w: &mut impl Write,
+    len: u64,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(), CheckpointError> {
+    w.write_all(&len.to_le_bytes())?;
+    let mut counted = CrcWriter {
+        inner: &mut *w,
+        crc: Crc32::new(),
+        len: 0,
+    };
+    fill(&mut counted)?;
+    let (written, crc) = (counted.len, counted.crc.finish());
+    if written != len {
+        return Err(CheckpointError::Malformed(format!(
+            "section payload of {written} bytes declared as {len}"
+        )));
+    }
+    w.write_all(&crc.to_le_bytes())?;
     Ok(())
 }
 
@@ -471,15 +522,6 @@ impl PayloadWriter {
         self.buf.extend_from_slice(b);
     }
 
-    /// Length-prefixed bulk f32 slice.
-    pub fn f32_slice(&mut self, s: &[f32]) {
-        self.u64(s.len() as u64);
-        self.buf.reserve(4 * s.len());
-        for &v in s {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
@@ -584,15 +626,56 @@ fn bc_from(code: u32) -> Result<ParticleBc, CheckpointError> {
     })
 }
 
-/// Encode the ten field arrays as one section payload.
-pub fn encode_fields(f: &FieldArray) -> Vec<u8> {
-    let mut p = PayloadWriter::new();
-    for arr in [
+/// The ten field arrays in section order.
+fn field_arrays(f: &FieldArray) -> [&Vec<f32>; 10] {
+    [
         &f.ex, &f.ey, &f.ez, &f.cbx, &f.cby, &f.cbz, &f.jx, &f.jy, &f.jz, &f.rho,
-    ] {
-        p.f32_slice(arr);
+    ]
+}
+
+/// Write `records` of `N` words each, little-endian, 64 KiB at a time:
+/// the one buffer a streamed section goes through, so the running CRC
+/// sees large writes, and `w` too, whatever `w` is (a buffered file
+/// passes writes larger than its buffer straight through).
+fn write_records<const N: usize>(
+    w: &mut dyn Write,
+    records: impl IntoIterator<Item = [u32; N]>,
+) -> io::Result<()> {
+    let mut bytes = vec![0u8; 64 * 1024];
+    let mut at = 0;
+    for record in records {
+        if at + 4 * N > bytes.len() {
+            w.write_all(&bytes[..at])?;
+            at = 0;
+        }
+        for (to, v) in bytes[at..at + 4 * N].chunks_exact_mut(4).zip(record) {
+            to.copy_from_slice(&v.to_le_bytes());
+        }
+        at += 4 * N;
     }
-    p.finish()
+    w.write_all(&bytes[..at])
+}
+
+/// The bytes of [`encode_fields`], written to `w` as they are produced.
+fn encode_fields_into(f: &FieldArray, w: &mut dyn Write) -> io::Result<()> {
+    for arr in field_arrays(f) {
+        w.write_all(&(arr.len() as u64).to_le_bytes())?;
+        write_records(w, arr.iter().map(|v| [v.to_bits()]))?;
+    }
+    Ok(())
+}
+
+/// How many bytes [`encode_fields`] makes of `f`.
+fn fields_payload_len(f: &FieldArray) -> u64 {
+    field_arrays(f).iter().map(|a| 8 + 4 * a.len() as u64).sum()
+}
+
+/// Encode the ten field arrays as one section payload (each a `u64`
+/// length, then its values).
+pub fn encode_fields(f: &FieldArray) -> Vec<u8> {
+    let mut out = Vec::with_capacity(fields_payload_len(f) as usize);
+    encode_fields_into(f, &mut out).expect("writes to a Vec cannot fail");
+    out
 }
 
 /// Decode a fields section payload into `fields` (all arrays must have
@@ -620,61 +703,85 @@ pub fn decode_fields(
     r.done()
 }
 
-/// Encode a species list as one section payload.
+/// Encode a species list as one section payload: the species count, then
+/// per species its record ([`species_record`]) and its particles.
 pub fn encode_species(species: &[Species]) -> Vec<u8> {
-    let mut p = PayloadWriter::new();
-    p.u32(species.len() as u32);
+    let mut out = Vec::with_capacity(species_payload_len(species) as usize);
+    encode_species_into(species, &mut out).expect("writes to a Vec cannot fail");
+    out
+}
+
+/// The bytes of [`encode_species`], written to `w` as they are produced.
+fn encode_species_into(species: &[Species], w: &mut dyn Write) -> io::Result<()> {
+    w.write_all(&(species.len() as u32).to_le_bytes())?;
     for sp in species {
-        let name = sp.name.as_bytes();
-        p.u32(name.len() as u32);
-        p.bytes(name);
-        p.f32(sp.q);
-        p.f32(sp.m);
-        // Sort policy + cadence-controller state + the layout-independent
-        // coherence counters: the controller's decisions must replay
-        // bit-identically after a resume or rollback, so everything that
-        // feeds a decision rides the dump (the EWMA rate as raw f64 bits
-        // through `f64`). The lane-telemetry counters (lane blocks/spills,
-        // mixed blocks, straddled lanes) describe which kernel executed,
-        // not the physics — persisting them would make dump bytes differ
-        // across layouts, breaking the canonical-AoS fingerprint contract.
-        // They reset on restore.
-        match sp.sort_policy {
-            SortPolicy::Fixed(n) => {
-                p.u32(0);
-                p.u32(n);
-            }
-            SortPolicy::Auto => {
-                p.u32(1);
-                p.u32(0);
-            }
-        }
-        let cad = sp.cadence();
-        p.u32(cad.interval);
-        p.u32(cad.steps_since_sort);
-        p.u64(cad.crossers_since_sort);
-        p.u64(cad.len_at_sort);
-        p.u32(cad.coherent as u32 | (cad.measured as u32) << 1);
-        p.f64(cad.rate);
-        let co = sp.coherence();
-        p.u64(co.tally.pushed);
-        p.u64(co.tally.crossers);
-        p.u64(co.sorts);
-        p.u64(co.skipped_sorts);
+        w.write_all(&species_record(sp))?;
         // Always the canonical AoS byte stream, whatever the in-memory
         // layout — dumps are layout-independent by construction.
-        p.u64(sp.len() as u64);
-        for part in sp.iter() {
-            p.f32(part.dx);
-            p.f32(part.dy);
-            p.f32(part.dz);
-            p.u32(part.i);
-            p.f32(part.ux);
-            p.f32(part.uy);
-            p.f32(part.uz);
-            p.f32(part.w);
+        let records = sp.iter().map(|p| {
+            [
+                p.dx.to_bits(),
+                p.dy.to_bits(),
+                p.dz.to_bits(),
+                p.i,
+                p.ux.to_bits(),
+                p.uy.to_bits(),
+                p.uz.to_bits(),
+                p.w.to_bits(),
+            ]
+        });
+        write_records(w, records)?;
+    }
+    Ok(())
+}
+
+/// How many bytes [`encode_species`] makes of `species`.
+fn species_payload_len(species: &[Species]) -> u64 {
+    let each = |sp: &Species| species_record(sp).len() as u64 + 32 * sp.len() as u64;
+    4 + species.iter().map(each).sum::<u64>()
+}
+
+/// One species' record in the species section, up to and including its
+/// particle count.
+fn species_record(sp: &Species) -> Vec<u8> {
+    let mut p = PayloadWriter::new();
+    let name = sp.name.as_bytes();
+    p.u32(name.len() as u32);
+    p.bytes(name);
+    p.f32(sp.q);
+    p.f32(sp.m);
+    // Sort policy + cadence-controller state + the layout-independent
+    // coherence counters: the controller's decisions must replay
+    // bit-identically after a resume or rollback, so everything that
+    // feeds a decision rides the dump (the EWMA rate as raw f64 bits
+    // through `f64`). The lane-telemetry counters (lane blocks/spills,
+    // mixed blocks, straddled lanes) describe which kernel executed,
+    // not the physics — persisting them would make dump bytes differ
+    // across layouts, breaking the canonical-AoS fingerprint contract.
+    // They reset on restore.
+    match sp.sort_policy {
+        SortPolicy::Fixed(n) => {
+            p.u32(0);
+            p.u32(n);
+        }
+        SortPolicy::Auto => {
+            p.u32(1);
+            p.u32(0);
         }
     }
+    let cad = sp.cadence();
+    p.u32(cad.interval);
+    p.u32(cad.steps_since_sort);
+    p.u64(cad.crossers_since_sort);
+    p.u64(cad.len_at_sort);
+    p.u32(cad.coherent as u32 | (cad.measured as u32) << 1);
+    p.f64(cad.rate);
+    let co = sp.coherence();
+    p.u64(co.tally.pushed);
+    p.u64(co.tally.crossers);
+    p.u64(co.sorts);
+    p.u64(co.skipped_sorts);
+    p.u64(sp.len() as u64);
     p.finish()
 }
 
@@ -851,8 +958,15 @@ pub fn save(sim: &Simulation, w: &mut impl Write) -> Result<(), CheckpointError>
     }
     h.u64(sim.step_count);
     write_section(w, &h.finish())?;
-    write_section(w, &encode_fields(&sim.fields))?;
-    write_section(w, &encode_species(&sim.species))?;
+    // The two big payloads stream: neither exists whole in memory next to
+    // the state it copies.
+    let (fields, species) = (&sim.fields, &sim.species[..]);
+    write_section_streamed(w, fields_payload_len(fields), |s| {
+        encode_fields_into(fields, s)
+    })?;
+    write_section_streamed(w, species_payload_len(species), |s| {
+        encode_species_into(species, s)
+    })?;
     write_section(w, &encode_sim_config(&sim.config()))?;
     Ok(())
 }
@@ -1005,8 +1119,14 @@ mod tests {
     use crate::rng::Rng;
 
     fn make_sim() -> Simulation {
+        make_sim_in(Layout::default())
+    }
+
+    /// A small thermal plasma stepped three times in `layout`.
+    fn make_sim_in(layout: Layout) -> Simulation {
         let g = Grid::periodic((4, 4, 4), (0.25, 0.25, 0.25), 0.05);
         let mut sim = Simulation::new(g, 2);
+        sim.set_layout(layout);
         let mut e = Species::new("electron", -1.0, 1.0);
         let mut rng = Rng::seeded(17);
         load_uniform(
@@ -1069,9 +1189,9 @@ mod tests {
         // An AoSoA-resident run must write the exact same bytes as its AoS
         // twin (canonical AoS on disk), and any dump must restore into
         // either layout and continue bit-identically.
-        let sim_aos = make_sim();
-        let mut sim_soa = make_sim();
-        sim_soa.set_layout(Layout::Aosoa);
+        let sim_aos = make_sim_in(Layout::Aos);
+        let sim_soa = make_sim_in(Layout::Aosoa);
+        assert_eq!(sim_aos.species[0].layout(), Layout::Aos);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         save(&sim_aos, &mut a).unwrap();
         save(&sim_soa, &mut b).unwrap();
@@ -1291,6 +1411,92 @@ mod tests {
         let restored = load_from_path(&path, 1).unwrap();
         assert_eq!(restored.species[0].store(), sim.species[0].store());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `lens.len()` species of `lens[k]` random particles each, in
+    /// `layout`, with either sort policy and names of different lengths.
+    fn species_list(lens: &[usize], seed: u64, layout: Layout) -> Vec<Species> {
+        let mut rng = Rng::seeded(seed);
+        let mut f = |lo: f64, hi: f64| rng.uniform_in(lo, hi) as f32;
+        lens.iter()
+            .enumerate()
+            .map(|(k, &n)| {
+                let policy = [SortPolicy::Auto, SortPolicy::Fixed(k as u32)][k % 2];
+                let mut sp = Species::new("s".repeat(k + 1), -1.0, 1.0 + k as f32)
+                    .with_sort_policy(policy)
+                    .with_layout(layout);
+                for v in 0..n {
+                    sp.push(Particle {
+                        dx: f(-1.0, 1.0),
+                        dy: f(-1.0, 1.0),
+                        dz: f(-1.0, 1.0),
+                        i: (v * 7919 % 1000) as u32,
+                        ux: f(-3.0, 3.0),
+                        uy: f(-3.0, 3.0),
+                        uz: f(-3.0, 3.0),
+                        w: f(0.5, 2.0),
+                    });
+                }
+                sp
+            })
+            .collect()
+    }
+
+    /// A section framed the one-shot way: length, the whole payload, the
+    /// CRC-32 of the whole payload.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let len = (payload.len() as u64).to_le_bytes();
+        [&len[..], payload, &crc32(payload).to_le_bytes()].concat()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The streamed species and field sections are byte for byte the
+        /// materialised payloads framed whole: no species, empty and
+        /// ragged ones (lengths off the 8-lane blocks), either layout,
+        /// payloads from a few bytes to dozens of 4 KiB write buffers.
+        #[test]
+        fn streamed_sections_are_the_materialised_bytes(
+            lens in proptest::collection::vec(0usize..6000, 0usize..4),
+            tail in 0usize..crate::aosoa::LANES,
+            seed in 0u64..u64::MAX,
+            aosoa in 0u32..2,
+            cells in (1usize..12, 1usize..9, 1usize..7),
+        ) {
+            let layout = [Layout::Aos, Layout::Aosoa][aosoa as usize];
+            let mut lens = lens;
+            lens.push(tail);
+            let species = species_list(&lens, seed, layout);
+            let mut streamed = Vec::new();
+            write_section_streamed(&mut streamed, species_payload_len(&species), |s| {
+                encode_species_into(&species, s)
+            })
+            .unwrap();
+            proptest::prop_assert!(streamed == framed(&encode_species(&species)));
+
+            let g = Grid::periodic(cells, (0.25, 0.25, 0.25), 0.05);
+            let mut fields = FieldArray::new(&g);
+            let mut rng = Rng::seeded(seed ^ 1);
+            for (v, x) in fields.ex.iter_mut().enumerate() {
+                *x = rng.normal() as f32 * v as f32;
+            }
+            let mut streamed = Vec::new();
+            write_section_streamed(&mut streamed, fields_payload_len(&fields), |s| {
+                encode_fields_into(&fields, s)
+            })
+            .unwrap();
+            proptest::prop_assert!(streamed == framed(&encode_fields(&fields)));
+        }
+    }
+
+    #[test]
+    fn a_stream_that_misses_its_declared_length_is_an_error() {
+        for (len, wrote) in [(8u64, &b"1234567"[..]), (8, b"123456789")] {
+            let mut out = Vec::new();
+            let r = write_section_streamed(&mut out, len, |s| s.write_all(wrote));
+            assert!(matches!(r, Err(CheckpointError::Malformed(_))), "{r:?}");
+        }
     }
 
     #[test]

@@ -31,10 +31,11 @@
 //!   vector width (`vsqrtps`/`vdivps` included), so a packed instruction
 //!   returns the bits of its scalar form lane by lane;
 //! * `abs`, `select`, [`F32x8::load`] and [`transpose8`] only move bits;
-//! * `le` is the ordered compare (`_CMP_LE_OQ`): false on NaN, exactly
-//!   like the scalar `<=`, so NaN lanes fall off the branchless common
-//!   path into the scalar spill-out just as the scalar kernel's `if`
-//!   would.
+//! * `le`, `lt` and `gt` are ordered compares (`_CMP_{LE,LT,GT}_OQ`):
+//!   false on NaN, exactly like the scalar `<=`, `<` and `>`, so NaN
+//!   lanes fall off the branchless common path into the scalar spill-out
+//!   just as the scalar kernel's `if` would, and the batched crosser
+//!   mover picks the face the scalar mover's `<` picks.
 //!
 //! (One freedom IEEE leaves open: an operation on *two* NaNs returns one
 //! of the two payloads, and which one is the compiler's operand order.
@@ -77,6 +78,22 @@ impl std::ops::BitAnd for Mask8 {
     }
 }
 
+impl std::ops::BitOr for Mask8 {
+    type Output = Mask8;
+    #[inline(always)]
+    fn bitor(self, rhs: Mask8) -> Mask8 {
+        Mask8(self.0 | rhs.0)
+    }
+}
+
+impl std::ops::Not for Mask8 {
+    type Output = Mask8;
+    #[inline(always)]
+    fn not(self) -> Mask8 {
+        Mask8(!self.0)
+    }
+}
+
 /// Eight lanes of `f32`; element-wise ops, no fusion.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[repr(transparent)]
@@ -113,6 +130,18 @@ impl F32x8 {
     #[inline(always)]
     pub fn le(self, rhs: Self) -> Mask8 {
         Mask8(body::le(self.0, rhs.0))
+    }
+
+    /// Lane-wise `self < rhs` (false on NaN, like scalar `<`).
+    #[inline(always)]
+    pub fn lt(self, rhs: Self) -> Mask8 {
+        Mask8(body::lt(self.0, rhs.0))
+    }
+
+    /// Lane-wise `self > rhs` (false on NaN, like scalar `>`).
+    #[inline(always)]
+    pub fn gt(self, rhs: Self) -> Mask8 {
+        Mask8(body::gt(self.0, rhs.0))
     }
 
     /// Per-lane blend: lane `l` of the result is `t` where the mask is
@@ -326,11 +355,19 @@ mod avx2 {
         st(unsafe { _mm256_andnot_ps(_mm256_set1_ps(-0.0), ld(a)) })
     }
 
-    #[inline(always)]
-    pub fn le(a: V, b: V) -> u8 {
-        // SAFETY: see the module note.
-        unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(ld(a), ld(b))) as u8 }
+    macro_rules! compare {
+        ($name:ident, $predicate:ident) => {
+            #[inline(always)]
+            pub fn $name(a: V, b: V) -> u8 {
+                // SAFETY: see the module note.
+                unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<$predicate>(ld(a), ld(b))) as u8 }
+            }
+        };
     }
+
+    compare!(le, _CMP_LE_OQ);
+    compare!(lt, _CMP_LT_OQ);
+    compare!(gt, _CMP_GT_OQ);
 
     #[inline(always)]
     pub fn select(m: u8, t: V, f: V) -> V {
@@ -426,14 +463,22 @@ mod portable {
         a.map(f32::abs)
     }
 
-    #[inline(always)]
-    pub fn le(a: V, b: V) -> u8 {
-        let mut m = 0;
-        for l in 0..LANES {
-            m |= ((a[l] <= b[l]) as u8) << l;
-        }
-        m
+    macro_rules! compare {
+        ($name:ident, $op:tt) => {
+            #[inline(always)]
+            pub fn $name(a: V, b: V) -> u8 {
+                let mut m = 0;
+                for l in 0..LANES {
+                    m |= ((a[l] $op b[l]) as u8) << l;
+                }
+                m
+            }
+        };
     }
+
+    compare!(le, <=);
+    compare!(lt, <);
+    compare!(gt, >);
 
     #[inline(always)]
     pub fn select(m: u8, t: V, f: V) -> V {
@@ -597,6 +642,20 @@ mod tests {
         assert_eq!(nan.abs().le(one), Mask8(0), "NaN must fail <=");
         assert_eq!(one.le(nan), Mask8(0), "NaN must fail <=");
         assert_eq!(one.le(one), Mask8(0xFF));
+        for (a, b) in [(nan, one), (one, nan), (nan, nan)] {
+            assert_eq!(a.lt(b), Mask8(0), "NaN must fail <");
+            assert_eq!(a.gt(b), Mask8(0), "NaN must fail >");
+        }
+        assert_eq!((one.lt(one), one.gt(one)), (Mask8(0), Mask8(0)));
+        // Strict, signed-zero-blind, lane by lane like the scalar forms.
+        let r = ramp();
+        let zero = F32x8::splat(0.0);
+        for l in 0..LANES {
+            assert_eq!(r.lt(zero).test(l), r.0[l] < 0.0, "lane {l}");
+            assert_eq!(r.gt(zero).test(l), r.0[l] > 0.0, "lane {l}");
+        }
+        assert_eq!(!Mask8(0b1100_1010), Mask8(0b0011_0101));
+        assert_eq!(Mask8(0b1100_1010) | Mask8(0b1010_0110), Mask8(0b1110_1110));
         let m = Mask8(0b0101_0101);
         let picked = F32x8::select(m, nan, one);
         for l in 0..LANES {
@@ -712,6 +771,8 @@ mod differential {
         #[test]
         fn compare_and_select_are_bit_identical(a in lanes(), b in lanes(), m in 0u32..256) {
             prop_assert_eq!(avx2::le(a, b), portable::le(a, b));
+            prop_assert_eq!(avx2::lt(a, b), portable::lt(a, b));
+            prop_assert_eq!(avx2::gt(a, b), portable::gt(a, b));
             let m = m as u8;
             prop_assert_eq!(bits(avx2::select(m, a, b)), bits(portable::select(m, a, b)));
         }

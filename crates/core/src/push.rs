@@ -76,8 +76,9 @@ const MAX_SEGMENTS: usize = 16;
 pub enum PushKernel {
     /// Per-particle scalar arithmetic ([`push_one`]) — the pinned oracle.
     Scalar,
-    /// 8-lane-wide gather → Boris push → masked write-back with a scalar
-    /// spill-out for cell-crossers (the production hot path).
+    /// 8-lane-wide gather → Boris push → masked write-back, one-face
+    /// cell-crossers moved by a batched lane-wide mover and the rest by
+    /// the scalar one (the production hot path).
     #[default]
     Lane,
 }

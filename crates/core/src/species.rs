@@ -41,7 +41,7 @@ pub struct Species {
 }
 
 impl Species {
-    /// New empty species (AoS layout).
+    /// New empty species (in the default layout, [`Layout::Aosoa`]).
     pub fn new(name: impl Into<String>, q: f32, m: f32) -> Self {
         assert!(m > 0.0, "mass must be positive");
         let sort_policy = SortPolicy::default();
@@ -378,7 +378,8 @@ mod tests {
     #[test]
     fn layout_conversion_preserves_contents_and_diagnostics() {
         let g = Grid::periodic((4, 4, 4), (1.0, 1.0, 1.0), 0.1);
-        let mut s = Species::new("e", -1.0, 1.0);
+        let mut s = Species::new("e", -1.0, 1.0).with_layout(Layout::Aos);
+        assert_eq!(s.layout(), Layout::Aos);
         for k in 0..17u32 {
             s.push(Particle {
                 i: 21 + k,
@@ -395,7 +396,7 @@ mod tests {
         assert_eq!(s.kinetic_energy(&g).to_bits(), ke.to_bits());
         assert_eq!(s.momentum(&g)[0].to_bits(), mom[0].to_bits());
         // Sort works in the AoSoA layout too, same permutation.
-        let mut aos_twin = Species::new("e", -1.0, 1.0);
+        let mut aos_twin = Species::new("e", -1.0, 1.0).with_layout(Layout::Aos);
         aos_twin.extend(parts);
         aos_twin.sort(&g);
         s.sort(&g);

@@ -11,13 +11,15 @@ use crate::aosoa::AosoaStore;
 use crate::particle::Particle;
 
 /// Particle memory layout selector (the `layout = aos|aosoa` deck knob).
+/// The default is AoSoA, the layout the lane kernel runs on; AoS is the
+/// scalar oracle, bit-identical by contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Layout {
     /// Array-of-structures: one 32-byte `Particle` per element.
-    #[default]
     Aos,
     /// Array-of-structures-of-arrays: blocks of [`crate::aosoa::LANES`]
     /// particles with each field contiguous across the block.
+    #[default]
     Aosoa,
 }
 
@@ -55,9 +57,12 @@ pub enum ParticleStore {
     Aosoa(AosoaStore),
 }
 
+/// An empty store in the default layout, so a species built outside a
+/// simulation — a loader's, a restored dump's — is already in the layout
+/// the simulation will convert it to.
 impl Default for ParticleStore {
     fn default() -> Self {
-        ParticleStore::Aos(Vec::new())
+        ParticleStore::new(Layout::default())
     }
 }
 
@@ -271,7 +276,8 @@ mod tests {
         assert_eq!(Layout::parse(" AoSoA "), Some(Layout::Aosoa));
         assert_eq!(Layout::parse("simd"), None);
         assert_eq!(Layout::Aosoa.name(), "aosoa");
-        assert_eq!(Layout::default(), Layout::Aos);
+        assert_eq!(Layout::default(), Layout::Aosoa);
+        assert_eq!(ParticleStore::default().layout(), Layout::Aosoa);
     }
 
     #[test]

@@ -429,14 +429,15 @@ fn straddling_blocks_with_crossers_match() {
 }
 
 /// The deferred-scatter batch: more full blocks than one batch holds
-/// (the lane kernel queues `SCATTER_BATCH` = 8 blocks of precomputed
-/// scatter work before draining), with every lane crossing, so the queue fills and drains
-/// mid-range *and* drains a partial batch at range end — all of it
-/// bit-identical to the unbatched scalar oracle.
+/// (the lane kernel queues `SCATTER_BATCH` blocks of precomputed scatter
+/// work before draining), with every lane crossing, so the queue fills
+/// and drains mid-range *and* drains a partial batch at range end — all
+/// of it bit-identical to the unbatched scalar oracle.
 #[test]
 fn deferred_scatter_batch_all_cross_blocks_match() {
     let mut rng = proptest::test_runner::TestRng::new(0xDEF5);
-    let case = build_case(Regime::AllCross, (4, 4, 4), [0; 6], 12 * LANES, &mut rng);
+    let n = (SCATTER_BATCH + 4) * LANES;
+    let case = build_case(Regime::AllCross, (4, 4, 4), [0; 6], n, &mut rng);
     for pipes in [1usize, 2, 3, 8] {
         if let Err(msg) = check_case(&case, pipes) {
             panic!("{msg}");
@@ -492,17 +493,39 @@ fn deferred_scatter_queue_fills_exactly_and_holds_one() {
     }
 }
 
+/// Per particle of `case`, whether the lane kernel hands it to the scalar
+/// mover: each particle pushed alone, a one-lane block — which lanes spill
+/// depends on nothing but the lane's own state.
+fn spills_alone(case: &Case) -> Vec<bool> {
+    (0..case.parts.len())
+        .map(|k| {
+            let alone = Case {
+                g: case.g.clone(),
+                interp: case.interp.clone(),
+                parts: vec![case.parts[k]],
+                coeffs: case.coeffs,
+            };
+            run(&alone, Layout::Aosoa, PushKernel::Lane, 1)
+                .tally
+                .lane_spills
+                == 1
+        })
+        .collect()
+}
+
 /// [`check_case`], plus the lane kernel's [`PushTally`] against what the
 /// index partition and the scalar oracle say it must be: every particle
 /// pushed once; the oracle's crossers; the blocks a pipeline owns whole
 /// (and, of those, the ones whose live lanes span voxels) counted as lane
-/// blocks, every other lane as a straddle lane; and a spill for every
-/// crosser when nothing straddles. However the compute pass groups the
-/// blocks, these cannot move.
+/// blocks, every other lane as a straddle lane; and, among the lanes of
+/// those blocks, a spill for each one that spills when pushed alone.
+/// However the compute pass groups the blocks and the drains batch their
+/// crossers, these cannot move.
 fn check_case_and_tally(case: &Case, pipes: usize) -> Result<(), String> {
     check_case(case, pipes)?;
     let n = case.parts.len();
     let share = n.div_ceil(pipes).max(1);
+    let spills = spills_alone(case);
     let mut want = PushTally {
         pushed: n as u64,
         crossers: run(case, Layout::Aos, PushKernel::Scalar, pipes)
@@ -513,13 +536,15 @@ fn check_case_and_tally(case: &Case, pipes: usize) -> Result<(), String> {
     for pipe in 0..pipes {
         let (start, end) = ((pipe * share).min(n), ((pipe + 1) * share).min(n));
         for bi in start.div_ceil(LANES)..n.div_ceil(LANES) {
-            let live = &case.parts[bi * LANES..((bi + 1) * LANES).min(n)];
-            if bi * LANES + live.len() > end {
+            let lanes = bi * LANES..((bi + 1) * LANES).min(n);
+            if lanes.end > end {
                 break;
             }
+            let live = &case.parts[lanes.clone()];
             want.lane_blocks += 1;
             want.mixed_blocks += u64::from(live.iter().any(|p| p.i != live[0].i));
             want.straddle_lanes += live.len() as u64;
+            want.lane_spills += spills[lanes].iter().filter(|&&s| s).count() as u64;
         }
     }
     want.straddle_lanes = n as u64 - want.straddle_lanes;
@@ -527,14 +552,6 @@ fn check_case_and_tally(case: &Case, pipes: usize) -> Result<(), String> {
         let got = with_worker_threads(threads, || {
             run(case, Layout::Aosoa, PushKernel::Lane, pipes).tally
         });
-        if want.straddle_lanes == 0 {
-            want.lane_spills = want.crossers;
-        } else {
-            want.lane_spills = got.lane_spills;
-            if got.lane_spills > want.crossers {
-                return Err(format!("more spills than crossers: {got:?}"));
-            }
-        }
         if got != want {
             return Err(format!(
                 "tally @{pipes} pipes, {threads} threads: {got:?}, want {want:?}"
@@ -545,7 +562,7 @@ fn check_case_and_tally(case: &Case, pipes: usize) -> Result<(), String> {
 }
 
 /// The compute pass takes whole blocks two at a time and the odd one
-/// alone: every whole-block count from 1 to 17 (pairs only, a pair then
+/// alone: every whole-block count from 1 to 33 (pairs only, a pair then
 /// a single, a full queue of pairs then a single, two queues and one),
 /// each with no tail, and with a ragged tail, which then follows a pair
 /// or a single with `live < 8`. Stay-heavy and all-cross lanes both.
@@ -647,9 +664,9 @@ fn voxel_revisits_within_and_across_blocks_match() {
 /// A crosser between two stay lanes of its own voxel: lanes 0–2 of a
 /// block share voxel A, lane 1 leaves through +x, and the first segment
 /// of its move deposits into A — after lane 0's deposit and before lane
-/// 2's, through the mover's own route into the accumulator. The scatter
-/// must have lane 0's sums in memory by then and must not reuse its
-/// register copy of A for lane 2.
+/// 2's — and its second into A's neighbour. The batched mover finishes
+/// it, so the deposits go through the scatter's own registers: lane 2
+/// must see lane 1's sums for A, not lane 0's.
 #[test]
 fn crosser_between_two_stay_lanes_of_its_voxel_matches() {
     let mut case = resting_case(|_| (2, 3, 2));
@@ -657,10 +674,215 @@ fn crosser_between_two_stay_lanes_of_its_voxel_matches() {
         (case.parts[k].dx, case.parts[k].ux) = (0.99, 30.0);
     }
     let t = run(&case, Layout::Aosoa, PushKernel::Lane, 1).tally;
-    assert_eq!((t.crossers, t.lane_spills), (2, 2));
+    assert_eq!((t.crossers, t.lane_spills), (2, 0));
     for pipes in [1usize, 2, 3, 8] {
         if let Err(msg) = check_case_and_tally(&case, pipes) {
             panic!("{msg}");
+        }
+    }
+}
+
+/// A 4×4×4 box with zero fields — so every particle keeps its momentum
+/// and the test decides which faces it reaches — the given particle
+/// boundary conditions, and the particles `parts(grid)`.
+fn still_field_case(bc: [ParticleBc; 6], parts: impl Fn(&Grid) -> Vec<Particle>) -> Case {
+    let dx = 0.3f32;
+    let dt = Grid::courant_dt(1.0, (dx, dx, dx), 0.9);
+    let g = Grid::new((4, 4, 4), (dx, dx, dx), dt, bc);
+    Case {
+        interp: InterpolatorArray::new(&g),
+        parts: parts(&g),
+        coeffs: PushCoefficients::new(-1.0, 1.0, &g),
+        g,
+    }
+}
+
+/// A particle in voxel `ijk` that crosses the faces `faces` (0–2 the low
+/// x/y/z faces, 3–5 the high ones) and no other: close to each, fast
+/// toward it; slow and central across the rest. At this Courant number
+/// a step moves it ≈ 0.93 of a cell along a crossed axis.
+fn crosser(g: &Grid, (i, j, k): Ijk, faces: &[usize]) -> Particle {
+    let (mut d, mut u) = ([0.1, -0.2, 0.15], [0.01, -0.02, 0.015]);
+    for &face in faces {
+        let s = if face >= 3 { 1.0 } else { -1.0 };
+        (d[face % 3], u[face % 3]) = (0.9 * s, 2.0 * s);
+    }
+    Particle {
+        dx: d[0],
+        dy: d[1],
+        dz: d[2],
+        i: g.voxel(i, j, k) as u32,
+        ux: u[0],
+        uy: u[1],
+        uz: u[2],
+        w: 1.0,
+    }
+}
+
+/// [`check_case_and_tally`] at 1/2/3/8 pipelines, after checking the
+/// one-pipeline (crossers, lane spills) tally the test expects.
+fn check_crossers(case: &Case, what: &str, crossers: u64, spills: u64) {
+    let t = run(case, Layout::Aosoa, PushKernel::Lane, 1).tally;
+    assert_eq!((t.crossers, t.lane_spills), (crossers, spills), "{what}");
+    for pipes in [1usize, 2, 3, 8] {
+        if let Err(msg) = check_case_and_tally(case, pipes) {
+            panic!("{what}: {msg}");
+        }
+    }
+}
+
+/// The batched mover, face by face: every lane of every block crosses
+/// one face — each of the six from an inner voxel, and each of the six
+/// through the periodic wrap from a voxel on that side of the box — and
+/// none reaches the scalar mover. `SCATTER_BATCH + 4` such blocks fill a
+/// drain with as many groups of eight crossers, then leave a partial one.
+#[test]
+fn one_face_crossers_through_every_face_take_the_batched_mover() {
+    let case = still_field_case([ParticleBc::Periodic; 6], |g| {
+        (0..(SCATTER_BATCH + 4) * LANES)
+            .map(|k| {
+                let face = k % 6;
+                let edge = if face >= 3 { 4 } else { 1 };
+                let mut ijk = [2, 3, 2];
+                if k / 6 % 2 == 1 {
+                    ijk[face % 3] = edge;
+                }
+                crosser(g, (ijk[0], ijk[1], ijk[2]), &[face])
+            })
+            .collect()
+    });
+    let n = (SCATTER_BATCH + 4) * LANES;
+    check_crossers(&case, "one face", n as u64, 0);
+}
+
+/// Corners fall back: lanes crossing two or three faces (x+y, y+z, z+x,
+/// all three, from inner and edge voxels) go to the scalar mover, between
+/// one-face crossers and stay lanes of the same blocks.
+#[test]
+fn corner_crossers_fall_back_to_the_scalar_mover() {
+    let corners: [&[usize]; 4] = [&[3, 4], &[1, 5], &[2, 0], &[3, 1, 5]];
+    let case = still_field_case([ParticleBc::Periodic; 6], |g| {
+        (0..4 * LANES)
+            .map(|k| match k % 4 {
+                0 => crosser(g, (2, 2, 3), corners[k / 4 % 4]),
+                1 => crosser(g, (4, 1, 4), corners[(k / 4 + 1) % 4]),
+                2 => crosser(g, (2, 2, 3), &[k % 6]),
+                _ => crosser(g, (3, 2, 2), &[]),
+            })
+            .collect()
+    });
+    check_crossers(&case, "corners", 3 * LANES as u64, 2 * LANES as u64);
+}
+
+/// Crossers beside the boundaries the batched mover leaves alone: the
+/// low x/y/z faces reflect, absorb and migrate. Lanes crossing those
+/// faces spill; lanes in the same boundary voxels crossing an inner or
+/// periodic face do not.
+#[test]
+fn crossers_beside_reflect_absorb_and_migrate_faces() {
+    use ParticleBc::{Absorb, Migrate, Periodic, Reflect};
+    let case = still_field_case(
+        [Reflect, Absorb, Migrate, Periodic, Periodic, Periodic],
+        |g| {
+            let low = [(1, 2, 3), (3, 1, 2), (2, 3, 1)];
+            (0..4 * LANES)
+                .map(|k| {
+                    let axis = k % 3;
+                    match k / 3 % 3 {
+                        0 => crosser(g, low[axis], &[axis]),
+                        1 => crosser(g, low[axis], &[axis + 3]),
+                        _ => crosser(g, (2, 2, 2), &[(k + axis) % 6]),
+                    }
+                })
+                .collect()
+        },
+    );
+    let oracle = run(&case, Layout::Aos, PushKernel::Scalar, 1);
+    assert!(
+        oracle.parts.len() < case.parts.len() && !oracle.exiles.is_empty(),
+        "the absorb and migrate faces must be reached"
+    );
+    let boundary = (0..4 * LANES).filter(|k| k / 3 % 3 == 0).count() as u64;
+    check_crossers(&case, "boundaries", 4 * LANES as u64, boundary);
+}
+
+/// A zero displacement on one or two axes (`t = 3.4e38` there, from +0
+/// and from −0 momenta) beside a crossing one.
+#[test]
+fn crossers_with_a_zero_displacement_axis() {
+    let case = still_field_case([ParticleBc::Periodic; 6], |g| {
+        (0..2 * LANES)
+            .map(|k| {
+                let mut p = crosser(g, (2, 3, 2), &[k % 6]);
+                let still = [(k + 1) % 3, (k + 2) % 3];
+                let zero = if k % 2 == 0 { 0.0 } else { -0.0 };
+                for &a in &still[..1 + k / LANES] {
+                    match a {
+                        0 => p.ux = zero,
+                        1 => p.uy = zero,
+                        _ => p.uz = zero,
+                    }
+                }
+                p
+            })
+            .collect()
+    });
+    check_crossers(&case, "zero displacement", 2 * LANES as u64, 0);
+}
+
+/// Lanes landing exactly on `|n| = 1`: a lane whose new offset is exactly
+/// ±1 on one axis stays (the stay test is `<=`), and a crosser whose
+/// offset on another axis would end exactly on ±1 meets the segment-2
+/// test `t < 2` at its rounding edge — either way, the batched mover and
+/// the fallback must land where the scalar mover does.
+#[test]
+fn lanes_landing_exactly_on_the_face() {
+    // With zero fields the momentum is unchanged and `h` is the push's
+    // own expression; `d` is nudged by ulps until `(d + h) + h` is ±1.
+    let g0 = still_field_case([ParticleBc::Periodic; 6], |_| Vec::new());
+    let on_face = |u: [f32; 3], axis: usize, side: f32| {
+        let rg = 1.0 / (1.0 + (u[0] * u[0] + (u[1] * u[1] + u[2] * u[2]))).sqrt();
+        let cdt = [g0.coeffs.cdt_dx, g0.coeffs.cdt_dy, g0.coeffs.cdt_dz][axis];
+        let h = u[axis] * rg * cdt;
+        let d0 = side - (h + h);
+        (-8i32..=8)
+            .map(|k| f32::from_bits((d0.to_bits() as i32 + k) as u32))
+            .find(|&d| (d + h) + h == side)
+            .expect("an offset that lands exactly on the face")
+    };
+    let case = still_field_case([ParticleBc::Periodic; 6], |g| {
+        (0..3 * LANES)
+            .map(|k| {
+                let (axis, side) = (k % 3, if k % 2 == 0 { 1.0 } else { -1.0 });
+                let mut p = if k < LANES {
+                    crosser(g, (2, 2, 2), &[])
+                } else {
+                    crosser(g, (2, 2, 2), &[(axis + 1) % 3 + 3 * (k / LANES - 1)])
+                };
+                let mut u = [p.ux, p.uy, p.uz];
+                u[axis] = 0.3 * side + 0.01 * k as f32 * side;
+                (p.ux, p.uy, p.uz) = (u[0], u[1], u[2]);
+                let d = on_face(u, axis, side);
+                match axis {
+                    0 => p.dx = d,
+                    1 => p.dy = d,
+                    _ => p.dz = d,
+                }
+                p
+            })
+            .collect()
+    });
+    let oracle = run(&case, Layout::Aos, PushKernel::Scalar, 1);
+    let exact = oracle.parts[..LANES]
+        .iter()
+        .filter(|p| [p.dx, p.dy, p.dz].iter().any(|d| d.abs() == 1.0))
+        .count();
+    assert_eq!(exact, LANES, "the stay lanes must end exactly on a face");
+    let t = run(&case, Layout::Aosoa, PushKernel::Lane, 1).tally;
+    assert_eq!(t.crossers, 2 * LANES as u64);
+    for pipes in [1usize, 2, 3, 8] {
+        if let Err(msg) = check_case_and_tally(&case, pipes) {
+            panic!("exactly on the face: {msg}");
         }
     }
 }
@@ -681,6 +903,29 @@ fn nan_poisoned_lane_matches() {
                 panic!("lane {poisoned}: {msg}");
             }
         }
+    }
+}
+
+/// A one-face crosser whose geometry is finite but whose weight is NaN
+/// (or infinite): its currents are non-finite, so the batched mover hands
+/// it to the scalar one, whose own instructions decide the NaN payloads
+/// its voxels' entries end up with.
+#[test]
+fn crosser_with_a_non_finite_weight_falls_back() {
+    for w in [f32::NAN, f32::INFINITY] {
+        let case = still_field_case([ParticleBc::Periodic; 6], |g| {
+            (0..2 * LANES)
+                .map(|k| {
+                    let mut p = crosser(g, (2, 3, 2), &[k % 6]);
+                    if k % 5 == 2 {
+                        p.w = w;
+                    }
+                    p
+                })
+                .collect()
+        });
+        let poisoned = case.parts.iter().filter(|p| !p.w.is_finite()).count() as u64;
+        check_crossers(&case, &format!("weight {w}"), 2 * LANES as u64, poisoned);
     }
 }
 

@@ -27,16 +27,17 @@
 #
 # Pass "kernel" (or set CI_KERNEL=1) to run the lane-kernel lane: the
 # differential-oracle harness (lane-wide push/gather vs the scalar AoS
-# oracle, including the deferred-scatter batch and block-pairing seams),
-# the lane-math unit suite (the intrinsic body proptested against the
-# portable one), the
-# determinism matrix, the adaptive-sort-cadence determinism and
-# checkpoint round-trip suites, and the fault-injected SRS rollback matrix
-# (AoS oracle vs AoSoA at 1/2/4/8 pipelines) — all with debug assertions
-# on — then the in-process relative speed gates, each timing both sides
-# in one process (run-based ghost-plane walk >= 4x the per-element
-# reference on the quasi-1D SRS grid; and, built with the shipping flags:
-# two blocks per compute pass >= 1.15x one, per block; the whole step on
+# oracle, including the deferred-scatter batch, block-pairing and
+# batched-crosser seams), the lane-math unit suite (the intrinsic body
+# proptested against the portable one), the determinism matrix, the
+# adaptive-sort-cadence determinism and checkpoint round-trip suites,
+# and the fault-injected SRS rollback matrix (AoS oracle vs AoSoA at
+# 1/2/4/8 pipelines) — all with debug assertions on — then the
+# in-process relative speed gates, each timing both sides in one
+# process (run-based ghost-plane walk >= 4x the per-element reference
+# on the quasi-1D SRS grid; and, built with the shipping flags: two
+# blocks per compute pass >= 1.15x one, per block; the batched crosser
+# mover >= 2x the scalar mover on all-crossing blocks; the whole step on
 # the lane kernel >= the scalar body; `auto` cadence >= 0.85x fixed-25,
 # one simulation with the variant toggled between batches); last, the
 # lane-math, oracle and determinism suites again on the portable lane
@@ -282,6 +283,11 @@ if [[ "${1:-}" == "kernel" || "${CI_KERNEL:-0}" == "1" ]]; then
     # sit on every row load of the gather and the body's register
     # allocation is another one altogether: the ratio reads 0.8-1.0.
     env -u RUSTFLAGS cargo test --release -p vpic-core --lib paired_compute_is_at_least -- --ignored --nocapture
+    # And for the batched crosser mover: scattering an all-crossing block
+    # set with each drain's crossers moved as a batch >= 2x the same
+    # scatter with every crosser through the scalar mover (A-B-B-A, one
+    # process, same flags).
+    env -u RUSTFLAGS cargo test --release -p vpic-core --lib batched_crossers_are_at_least -- --ignored --nocapture
     # The whole-step gates, same flags for the same reason: lane kernel >=
     # scalar body on AoSoA, and `auto` cadence >= 0.85x fixed-25 with a
     # sort falling due in every batch. One simulation each, the variant

@@ -652,7 +652,7 @@ fn parse_transport(deck: &Deck) -> Result<TransportKind, DeckError> {
     }
 }
 
-/// Global `layout = aos|aosoa` knob (default aos).
+/// Global `layout = aos|aosoa` knob (default aosoa).
 fn parse_layout(deck: &Deck) -> Result<Layout, DeckError> {
     match deck.globals.get("layout") {
         None => Ok(Layout::default()),
@@ -1501,17 +1501,27 @@ corrupt_count = 4
         assert_eq!(sim.layout(), Layout::Aosoa);
         assert!(sim.species.iter().all(|sp| sp.layout() == Layout::Aosoa));
 
-        // Default stays AoS; campaign and LPI decks honour the knob too.
+        // The default is AoSoA; `layout = aos` selects the oracle layout,
+        // and campaign and LPI decks honour the knob too.
         let text = "kind = plasma\n[grid]\ncells = 2 2 2\n[species.e]\nppc = 1";
         let BuiltRun::Plasma(sim) = build(&Deck::parse(text).unwrap()).unwrap() else {
             panic!("wrong kind")
         };
-        assert_eq!(sim.layout(), Layout::Aos);
-        let text = "kind = lpi\nlayout = aosoa\n[laser]\na0 = 0.01";
-        let BuiltRun::Lpi(run) = build(&Deck::parse(text).unwrap()).unwrap() else {
+        assert_eq!(sim.layout(), Layout::Aosoa);
+        let text = "kind = plasma\nlayout = aos\n[grid]\ncells = 2 2 2\n[species.e]\nppc = 1";
+        let BuiltRun::Plasma(sim) = build(&Deck::parse(text).unwrap()).unwrap() else {
             panic!("wrong kind")
         };
-        assert_eq!(run.sim.layout(), Layout::Aosoa);
+        assert!(sim.species.iter().all(|sp| sp.layout() == Layout::Aos));
+        for (text, want) in [
+            ("kind = lpi\n[laser]\na0 = 0.01", Layout::Aosoa),
+            ("kind = lpi\nlayout = aos\n[laser]\na0 = 0.01", Layout::Aos),
+        ] {
+            let BuiltRun::Lpi(run) = build(&Deck::parse(text).unwrap()).unwrap() else {
+                panic!("wrong kind")
+            };
+            assert_eq!(run.sim.layout(), want);
+        }
 
         let bad = "kind = plasma\nlayout = soa\n[grid]\ncells = 2 2 2\n[species.e]\nppc = 1";
         assert!(build(&Deck::parse(bad).unwrap()).is_err());

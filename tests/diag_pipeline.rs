@@ -105,7 +105,7 @@ fn campaign_cfg(dir: &std::path::Path, steps: u64, interval: u64) -> LpiCampaign
 /// double-counting across the replayed window.
 #[test]
 fn killed_async_campaign_replays_without_double_counting() {
-    let probe = LpiRun::new(short_params(DiagMode::Sync, Layout::default(), 1));
+    let probe = LpiRun::new(short_params(DiagMode::Sync, Layout::Aos, 1));
     let measure_after = probe.measure_after;
     drop(probe);
     let steps = measure_after + 120;
@@ -120,7 +120,7 @@ fn killed_async_campaign_replays_without_double_counting() {
     let dir_sync = std::env::temp_dir().join("diag_pipe_camp_sync");
     let _ = std::fs::remove_dir_all(&dir_sync);
     let clean = run_lpi_campaign(
-        short_params(DiagMode::Sync, Layout::default(), 1),
+        short_params(DiagMode::Sync, Layout::Aos, 1),
         &campaign_cfg(&dir_sync, steps, interval),
     )
     .unwrap();
@@ -130,8 +130,7 @@ fn killed_async_campaign_replays_without_double_counting() {
     let _ = std::fs::remove_dir_all(&dir_async);
     let mut cfg = campaign_cfg(&dir_async, steps, interval);
     cfg.fault_plan = Some(FaultPlan::new(11).kill(0, kill_at));
-    let faulted =
-        run_lpi_campaign(short_params(DiagMode::Async, Layout::default(), 1), &cfg).unwrap();
+    let faulted = run_lpi_campaign(short_params(DiagMode::Async, Layout::Aos, 1), &cfg).unwrap();
     assert!(matches!(faulted.end, LpiCampaignEnd::Completed));
     assert_eq!(faulted.recoveries.len(), 1, "{:?}", faulted.recoveries);
     assert_eq!(faulted.recoveries[0].restored_step, restore);
