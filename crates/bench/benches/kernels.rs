@@ -11,7 +11,7 @@ use vpic_core::push::{advance_p_serial, advance_p_tallied, PushCoefficients, Pus
 use vpic_core::sort::sort_by_voxel;
 use vpic_core::{
     grid::ParticleBc, load_uniform, AccumulatorArray, FieldArray, Grid, InterpolatorArray,
-    Momentum, ParticleStore, Rng, Simulation, Species,
+    Momentum, Rng, Simulation, Species,
 };
 
 fn plasma(n: (usize, usize, usize), ppc: usize) -> Simulation {
@@ -65,7 +65,7 @@ fn bench_push(c: &mut Criterion) {
         });
         // The path that ships: one pipeline of the production advance,
         // deferred-scatter queue and tallies included.
-        let mut store = ParticleStore::Aosoa(AosoaStore::from_particles(&parts));
+        let mut store = AosoaStore::from_particles(&parts);
         let mut accs = [AccumulatorArray::new(&g)];
         group.bench_with_input(BenchmarkId::new("aosoa_pipelined", ppc), &ppc, |b, _| {
             b.iter(|| {
@@ -323,19 +323,6 @@ fn bench_hydro_and_loaders(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_layout_conversion(c: &mut Criterion) {
-    let mut group = c.benchmark_group("layout");
-    let sim = plasma((12, 12, 12), 32);
-    let parts = sim.species[0].to_particles();
-    group.throughput(Throughput::Elements(parts.len() as u64));
-    group.bench_function("aos_to_aosoa", |b| {
-        b.iter(|| AosoaStore::from_particles(&parts))
-    });
-    let store = AosoaStore::from_particles(&parts);
-    group.bench_function("aosoa_to_aos", |b| b.iter(|| store.to_particles()));
-    group.finish();
-}
-
 /// The halo path's pieces at the size `halo-socket` moves them: one
 /// ghost-inclusive 66×66 plane of `f32` (17 kB), and the two-component
 /// message `exchange_e` sends.
@@ -400,7 +387,6 @@ criterion_group!(
     bench_sort,
     bench_full_step,
     bench_collisions,
-    bench_hydro_and_loaders,
-    bench_layout_conversion
+    bench_hydro_and_loaders
 );
 criterion_main!(benches);

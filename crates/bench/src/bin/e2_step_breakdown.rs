@@ -5,10 +5,9 @@
 //! the sustained-vs-inner-loop flop-rate ratio on this host, and the
 //! realized sort cadence with the lane-coherence telemetry (spill rate,
 //! mixed-block fraction) of the timed window. `--nx/--ny/--nz`, `--ppc`,
-//! `--steps`, `--pipelines`, `--layout aos|aosoa`, `--kernel scalar|lane`
-//! and `--sort auto|N` size the run; `--sentinel` arms the
-//! numerical-integrity sentinel at its default 10-step cadence so its
-//! sweeps show up in the same table. This is a table printer: the
+//! `--steps`, `--pipelines`, `--kernel scalar|lane` and `--sort auto|N`
+//! size the run; `--sentinel` arms the numerical-integrity sentinel at
+//! its default 10-step cadence so its sweeps show up in the same table. This is a table printer: the
 //! numbers of record and every perf gate come from `benchmark/`
 //! (README "Measuring performance").
 
@@ -16,7 +15,6 @@ use roadrunner_model::flops;
 use vpic_bench::{known_flags, parse_flag, parse_opt, print_table, uniform_plasma};
 use vpic_core::cadence::{CoherenceCounters, SortPolicy};
 use vpic_core::push::PushKernel;
-use vpic_core::store::Layout;
 
 /// Counter delta over the timed window (`end` and `start` are lifetime
 /// totals snapshotted around the measured steps).
@@ -41,7 +39,6 @@ fn main() {
         "ppc",
         "steps",
         "pipelines",
-        "layout",
         "kernel",
         "sort",
         "sentinel",
@@ -57,26 +54,10 @@ fn main() {
     let steps = parse_opt("steps", if full { 60 } else { 25 });
     let pipelines = parse_opt("pipelines", vpic_core::worker_threads());
     let sentinel = parse_flag("sentinel");
-    let layout_str = parse_opt::<String>("layout", "aos".into());
-    let Some(layout) = Layout::parse(&layout_str) else {
-        eprintln!("--layout must be aos or aosoa, got {layout_str}");
-        std::process::exit(2);
-    };
     let kernel_str = parse_opt::<String>("kernel", "lane".into());
-    let kernel = match kernel_str.as_str() {
-        "scalar" => PushKernel::Scalar,
-        "lane" => PushKernel::Lane,
-        _ => {
-            eprintln!("--kernel must be scalar or lane, got {kernel_str}");
-            std::process::exit(2);
-        }
-    };
-    // The AoS path ignores the kernel knob and always runs the scalar
-    // body; print what actually executed.
-    let kernel_name = if layout == Layout::Aos {
-        "scalar"
-    } else {
-        kernel_str.as_str()
+    let Some(kernel) = PushKernel::parse(&kernel_str) else {
+        eprintln!("--kernel must be scalar or lane, got {kernel_str}");
+        std::process::exit(2);
     };
     let sort_str = parse_opt::<String>("sort", "25".into());
     let Some(sort_policy) = SortPolicy::parse(&sort_str) else {
@@ -86,7 +67,6 @@ fn main() {
     let cadence_name = sort_policy.name();
 
     let mut sim = uniform_plasma(n, ppc, pipelines, 7);
-    sim.set_layout(layout);
     sim.set_kernel(kernel);
     sim.species[0].set_sort_policy(sort_policy);
     if sentinel {
@@ -122,8 +102,8 @@ fn main() {
     print_table(
         &format!(
             "E2: step breakdown, grid {n:?}, ppc {ppc}, {steps} steps, \
-             {pipelines} pipelines, {} rayon threads, {layout} layout, \
-             {kernel_name} kernel ({} lanes), {cadence_name} cadence{}",
+             {pipelines} pipelines, {} rayon threads, \
+             {kernel} kernel ({} lanes), {cadence_name} cadence{}",
             vpic_core::worker_threads(),
             vpic_core::lanes::BACKEND,
             if sentinel { ", sentinel armed" } else { "" }
@@ -171,13 +151,11 @@ fn main() {
     );
     println!(
         "\nwhole-step throughput: {:.4e} particles/s ({} particles, {} pipelines, {} threads, \
-         {} layout, {} kernel)",
+         {kernel} kernel)",
         t.particle_steps as f64 / total,
         sim.n_particles(),
         pipelines,
-        vpic_core::worker_threads(),
-        layout,
-        kernel_name
+        vpic_core::worker_threads()
     );
     print_table(
         &format!("E2: sort cadence & lane coherence over the timed window ({cadence_name})"),

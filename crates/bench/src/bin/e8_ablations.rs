@@ -10,9 +10,9 @@
 
 use vpic_bench::{known_flags, parse_flag, parse_opt, print_table, time_it, uniform_plasma};
 use vpic_core::cadence::SortPolicy;
-use vpic_core::push::{advance_p, PushCoefficients, PushKernel};
+use vpic_core::push::{advance_p, advance_p_aos, PushCoefficients, PushKernel};
 use vpic_core::sort::locality_fraction;
-use vpic_core::store::{Layout, ParticleStore};
+use vpic_core::{AccumulatorArray, AosoaStore};
 
 fn main() {
     known_flags(&["full", "json"]);
@@ -22,9 +22,9 @@ fn main() {
     let reps = if full { 25 } else { 10 };
 
     // --- (1) Layout: AoS vs AoSoA ------------------------------------
-    // Both layouts run the *production* advance_p through the unified
-    // ParticleStore — the same code path sim.step() takes — so the row
-    // difference is purely the storage layout.
+    // The AoS oracle push over a plain particle vector against the
+    // production AoSoA push sim.step() takes, both one pipeline of the
+    // same index partition and deposit order.
     let mut sim = uniform_plasma(n, ppc, 1, 21);
     for _ in 0..2 {
         sim.step();
@@ -35,26 +35,25 @@ fn main() {
     let coeffs = PushCoefficients::new(-1.0, 1.0, &g);
     let n_particles = sim.n_particles();
 
-    let base = sim.species[0].to_particles();
-    let mut acc = vpic_core::AccumulatorArray::new(&g);
-    let mut rate_of = |layout: Layout| {
-        let mut store = ParticleStore::from_particles(base.clone(), layout);
+    let mut parts = sim.species[0].to_particles();
+    let mut store = AosoaStore::from_particles(&parts);
+    let mut acc = AccumulatorArray::new(&g);
+    // Advances per second over `reps` calls of `push`.
+    let mut rate_of = |push: &mut dyn FnMut(&mut [AccumulatorArray])| {
         let (t, _) = time_it(|| {
             for _ in 0..reps {
                 acc.clear();
-                advance_p(
-                    &mut store,
-                    coeffs,
-                    &sim.interp,
-                    std::slice::from_mut(&mut acc),
-                    &g,
-                );
+                push(std::slice::from_mut(&mut acc));
             }
         });
         n_particles as f64 * reps as f64 / t
     };
-    let r_aos = rate_of(Layout::Aos);
-    let r_soa = rate_of(Layout::Aosoa);
+    let r_aos = rate_of(&mut |accs| {
+        advance_p_aos(&mut parts, coeffs, &sim.interp, accs, &g);
+    });
+    let r_soa = rate_of(&mut |accs| {
+        advance_p(&mut store, coeffs, &sim.interp, accs, &g);
+    });
     print_table(
         &format!("E8.1: particle layout ({} particles, sorted)", n_particles),
         &["layout", "advances/s", "relative"],
@@ -88,7 +87,6 @@ fn main() {
                 PushKernel::Lane => "lane",
             };
             let mut sim = uniform_plasma(n, ppc, 1, 22);
-            sim.set_layout(Layout::Aosoa);
             sim.set_kernel(kernel);
             sim.species[0].set_sort_policy(policy);
             // Scramble particle order thoroughly before measuring.
@@ -136,8 +134,7 @@ fn main() {
         }
     }
     print_table(
-        "E8.2: sort cadence x kernel (aosoa layout; locality = fraction of neighbors in \
-         adjacent voxels)",
+        "E8.2: sort cadence x kernel (locality = fraction of neighbors in adjacent voxels)",
         &[
             "cadence",
             "kernel",

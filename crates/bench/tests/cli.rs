@@ -14,7 +14,7 @@ fn e2(args: &[&str]) -> Output {
 /// `TOTAL` row is a finite positive time and whose shares add up.
 #[test]
 fn small_run_prints_a_phase_table_that_adds_up() {
-    let flags = "--nx 8 --ppc 4 --steps 2 --layout aosoa --kernel lane --sort auto";
+    let flags = "--nx 8 --ppc 4 --steps 2 --kernel lane --sort auto";
     let out = e2(&flags.split(' ').collect::<Vec<_>>());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(out.status.success(), "{stdout}");
@@ -43,12 +43,14 @@ fn small_run_prints_a_phase_table_that_adds_up() {
     );
 }
 
-/// The record/gate/diag flags this binary used to take are usage errors
-/// now, as is a value that does not parse: a stale script must not run
-/// the default bench and exit 0.
+/// The record/gate/diag/layout flags this binary used to take are usage
+/// errors now, as is a value that does not parse: a stale script must not
+/// run the default bench and exit 0.
 #[test]
 fn removed_flags_and_bad_values_exit_2() {
-    let mut stale = vec!["--json".to_string(), "--validate".to_string()];
+    let mut stale = ["--json", "--validate", "--layout"]
+        .map(String::from)
+        .to_vec();
     stale.extend(["speedup", "auto", "diag"].map(|gate| format!("--assert-{gate}")));
     for stale in &stale {
         let out = e2(&[stale, "f.json"]);

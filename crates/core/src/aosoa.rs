@@ -5,16 +5,18 @@
 //! lane arithmetic: one packed instruction per operation in
 //! [`crate::lanes`]' intrinsic body.
 //!
-//! This is a full production backend of
-//! [`ParticleStore`](crate::store::ParticleStore): element access, mover
-//! emission for rank-boundary exiles, absorption, the blocked counting
-//! sort, and Rayon pipeline parallelism — all bit-identical to the AoS
-//! path. The inner loop runs lane-wide ([`PushKernel::Lane`], built on
-//! [`crate::lanes`]) yet stays bit-identical to the scalar oracle because
-//! every lane executes the scalar kernel's exact IEEE expression tree
-//! element-wise (no reassociation, no fused multiply-adds) and current is
-//! scattered in lane index order; `crates/core/tests/kernel_oracle.rs`
-//! pins the contract differentially.
+//! This is the one particle store — every [`Species`](crate::Species)
+//! owns an [`AosoaStore`]: element access, mover emission for
+//! rank-boundary exiles, absorption, the blocked counting sort, and Rayon
+//! pipeline parallelism — all bit-identical to the AoS oracle the tests
+//! compare against ([`crate::push::advance_p_aos`],
+//! [`crate::sort::sort_by_voxel_with`]). The inner loop runs lane-wide
+//! ([`PushKernel::Lane`], built on [`crate::lanes`]) yet stays
+//! bit-identical to the scalar oracle because every lane executes the
+//! scalar kernel's exact IEEE expression tree element-wise (no
+//! reassociation, no fused multiply-adds) and current is scattered in
+//! lane index order; `crates/core/tests/kernel_oracle.rs` pins the
+//! contract differentially.
 
 use crate::accumulator::{streak_addends, AccumulatorArray, OpenVoxel};
 use crate::cadence::PushTally;
@@ -168,11 +170,26 @@ impl BlockPtr {
     }
 }
 
+/// The one particle layout; exists only for `benchmark/` until ROADMAP item 1's follow-up.
+#[derive(Clone, Copy, Debug, Default)]
+pub enum Layout {
+    #[default]
+    Aosoa,
+}
+
 /// AoSoA particle store.
 #[derive(Clone, Debug, Default)]
 pub struct AosoaStore {
     pub blocks: Vec<Block>,
     len: usize,
+}
+
+/// Equality is *logical*: the same particle sequence, padding lanes
+/// ignored.
+impl PartialEq for AosoaStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
 }
 
 impl AosoaStore {
@@ -306,6 +323,11 @@ impl AosoaStore {
             b.uz[l] = 0.0;
             b.w[l] = 0.0;
         }
+    }
+
+    /// Iterate particles by value in index order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Particle> + '_ {
+        (0..self.len).map(|i| self.get(i))
     }
 
     /// Convert back to AoS.
@@ -1113,34 +1135,15 @@ unsafe fn advance_range(
     (absorbed, exiles, tally)
 }
 
-/// Production AoSoA particle advance: the exact pipeline contract of
-/// [`crate::push::advance_p`] — same index partition (`block =
+/// The production particle advance behind [`crate::push::advance_p`]:
+/// the exact pipeline contract of the AoS oracle
+/// [`crate::push::advance_p_aos`] — same index partition (`block =
 /// n.div_ceil(n_pipes).max(1)` over *particle* indices, not blocks), same
-/// per-pipeline deposit order, same absorbed/exile bookkeeping — so AoS
-/// and AoSoA runs are bit-identical for any fixed pipeline count.
-pub fn advance_p_aosoa_pipelined(
-    store: &mut AosoaStore,
-    coeffs: PushCoefficients,
-    interp: &InterpolatorArray,
-    accumulators: &mut [AccumulatorArray],
-    g: &Grid,
-) -> Vec<Exile> {
-    advance_p_aosoa_pipelined_with(
-        store,
-        coeffs,
-        interp,
-        accumulators,
-        g,
-        PushKernel::default(),
-    )
-    .0
-}
-
-/// [`advance_p_aosoa_pipelined`] with an explicit kernel choice (the
-/// differential-oracle harness pins `Lane` against `Scalar` through this
-/// entry point) that also returns the range tallies summed in pipeline
-/// order — integer adds, so the totals are worker-count-independent.
-pub fn advance_p_aosoa_pipelined_with(
+/// per-pipeline deposit order, same absorbed/exile bookkeeping — so the
+/// two are bit-identical for any fixed pipeline count, with either
+/// kernel. Also returns the range tallies summed in pipeline order —
+/// integer adds, so the totals are worker-count-independent.
+pub(crate) fn advance_p_aosoa_pipelined_with(
     store: &mut AosoaStore,
     coeffs: PushCoefficients,
     interp: &InterpolatorArray,
@@ -1182,9 +1185,10 @@ pub fn advance_p_aosoa_pipelined_with(
 }
 
 /// Single-accumulator AoSoA advance for closed (periodic/reflect) domains
-/// — the E8 layout-ablation kernel. Absorbed or exiting particles are
-/// parked in place with zero weight instead of being removed/migrated;
-/// use [`advance_p_aosoa_pipelined`] for the production contract.
+/// — the unit tests' and kernel benches' single block walk. Absorbed or
+/// exiting particles are parked in place with zero weight instead of
+/// being removed/migrated; use [`crate::push::advance_p`] for the
+/// production contract.
 pub fn advance_p_aosoa(
     store: &mut AosoaStore,
     c: PushCoefficients,
@@ -1402,10 +1406,84 @@ mod tests {
     use super::*;
     use crate::field::FieldArray;
     use crate::field_solver::{bcs_of, sync_b, sync_e};
-    use crate::push::{advance_p, advance_p_serial};
+    use crate::push::{advance_p, advance_p_aos, advance_p_serial};
     use crate::rng::Rng;
     use crate::sort::sort_with_workers;
-    use crate::store::ParticleStore;
+
+    fn random_particles(n: usize, seed: u64) -> Vec<Particle> {
+        let mut rng = Rng::seeded(seed);
+        (0..n)
+            .map(|k| Particle {
+                dx: rng.uniform_in(-1.0, 1.0) as f32,
+                dy: rng.uniform_in(-1.0, 1.0) as f32,
+                dz: rng.uniform_in(-1.0, 1.0) as f32,
+                i: k as u32,
+                ux: rng.normal() as f32,
+                uy: rng.normal() as f32,
+                uz: rng.normal() as f32,
+                w: 1.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn element_ops_match_vec_semantics() {
+        let parts = random_particles(21, 7);
+        let mut st = AosoaStore::from_particles(&parts);
+        assert_eq!(st.len(), 21);
+        assert_eq!(st.to_particles(), parts);
+        assert_eq!(st.iter().len(), 21);
+        assert_eq!(st.iter().collect::<Vec<_>>(), parts);
+        for (k, p) in parts.iter().enumerate() {
+            assert_eq!(st.get(k), *p);
+            assert_eq!(st.voxel(k), p.i);
+        }
+        let extra = Particle {
+            i: 999,
+            w: 2.0,
+            ..Default::default()
+        };
+        st.push(extra);
+        assert_eq!(st.len(), 22);
+        assert_eq!(st.get(21), extra);
+        let mut changed = parts[3];
+        changed.ux = -5.0;
+        st.set(3, changed);
+        assert_eq!(st.get(3), changed);
+        // swap_remove mirrors Vec::swap_remove semantics.
+        let removed = st.swap_remove(0);
+        assert_eq!(removed.i, parts[0].i);
+        assert_eq!(st.get(0), extra);
+        assert_eq!(st.len(), 21);
+    }
+
+    #[test]
+    fn swap_remove_sequences_match_vec_semantics() {
+        let parts = random_particles(19, 3);
+        let mut vec_ref = parts.clone();
+        let mut soa = AosoaStore::from_particles(&parts);
+        for i in [5usize, 0, 10, 3, 3, 0] {
+            assert_eq!(vec_ref.swap_remove(i), soa.swap_remove(i));
+            assert_eq!(soa.to_particles(), vec_ref);
+        }
+    }
+
+    #[test]
+    fn equality_is_logical_and_ignores_padding_lanes() {
+        let parts = random_particles(13, 5);
+        let a = AosoaStore::from_particles(&parts);
+        // Same sequence, different padding: built by pushes and a removal.
+        let mut b = AosoaStore::default();
+        for p in parts.iter().chain([&parts[0]]) {
+            b.push(*p);
+        }
+        b.swap_remove(13);
+        assert_ne!(a.blocks.last().unwrap().i, b.blocks.last().unwrap().i);
+        assert_eq!(a, b);
+        b.set(12, Particle::default());
+        assert_ne!(a, b);
+        assert_ne!(a, AosoaStore::from_particles(&parts[..12]));
+    }
 
     #[test]
     fn roundtrip_preserves_particles() {
@@ -1526,21 +1604,17 @@ mod tests {
         for (n, n_pipes) in [(101usize, 3usize), (257, 4), (64, 1), (30, 7)] {
             let parts = loaded_plasma(&g, n, 40 + n as u64);
 
-            let mut aos = ParticleStore::Aos(parts.clone());
+            let mut aos = parts.clone();
             let mut acc_a: Vec<AccumulatorArray> =
                 (0..n_pipes).map(|_| AccumulatorArray::new(&g)).collect();
-            let ex_a = advance_p(&mut aos, c, &ia, &mut acc_a, &g);
+            let (ex_a, _) = advance_p_aos(&mut aos, c, &ia, &mut acc_a, &g);
 
-            let mut soa = ParticleStore::Aosoa(AosoaStore::from_particles(&parts));
+            let mut soa = AosoaStore::from_particles(&parts);
             let mut acc_s: Vec<AccumulatorArray> =
                 (0..n_pipes).map(|_| AccumulatorArray::new(&g)).collect();
             let ex_s = advance_p(&mut soa, c, &ia, &mut acc_s, &g);
 
-            assert_eq!(
-                aos.to_particles(),
-                soa.to_particles(),
-                "n={n} pipes={n_pipes}"
-            );
+            assert_eq!(aos, soa.to_particles(), "n={n} pipes={n_pipes}");
             assert_eq!(ex_a.len(), ex_s.len());
             for (pipe, (x, y)) in acc_a.iter().zip(acc_s.iter()).enumerate() {
                 for (vx, vy) in x.data.iter().zip(y.data.iter()) {

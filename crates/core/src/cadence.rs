@@ -24,7 +24,7 @@
 //! ## Determinism contract
 //!
 //! Every input to a cadence decision is bitwise-deterministic: crosser
-//! counts are exact integers identical across layouts, kernels and worker
+//! counts are exact integers identical across the oracle, kernels and worker
 //! counts (a particle either enters `move_p` or it does not), and the model
 //! constants are compile-time fixed. Wall-clock time never feeds a
 //! decision. The f64 solver arithmetic is a fixed expression tree, so every
@@ -239,7 +239,7 @@ impl CoherenceCounters {
 /// ```
 ///
 /// A fixed f64 expression tree over exact integer inputs: every pipeline
-/// count, layout and kernel computes the same interval. A zero measured
+/// count and kernel computes the same interval. A zero measured
 /// rate maps to [`MAX_AUTO_INTERVAL`], not "never", so the controller keeps
 /// sampling after a quiet phase.
 pub fn auto_sort_interval(n_particles: u64, n_voxels: u64, rate: f64) -> u32 {

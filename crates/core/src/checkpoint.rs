@@ -33,7 +33,6 @@ use crate::particle::Particle;
 use crate::sentinel::{SentinelConfig, SimConfig};
 use crate::sim::Simulation;
 use crate::species::Species;
-use crate::store::Layout;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -716,8 +715,8 @@ fn encode_species_into(species: &[Species], w: &mut dyn Write) -> io::Result<()>
     w.write_all(&(species.len() as u32).to_le_bytes())?;
     for sp in species {
         w.write_all(&species_record(sp))?;
-        // Always the canonical AoS byte stream, whatever the in-memory
-        // layout — dumps are layout-independent by construction.
+        // Always the canonical AoS byte stream: flat particle records,
+        // whatever the blocks in memory look like.
         let records = sp.iter().map(|p| {
             [
                 p.dx.to_bits(),
@@ -750,14 +749,14 @@ fn species_record(sp: &Species) -> Vec<u8> {
     p.bytes(name);
     p.f32(sp.q);
     p.f32(sp.m);
-    // Sort policy + cadence-controller state + the layout-independent
+    // Sort policy + cadence-controller state + the kernel-independent
     // coherence counters: the controller's decisions must replay
     // bit-identically after a resume or rollback, so everything that
     // feeds a decision rides the dump (the EWMA rate as raw f64 bits
     // through `f64`). The lane-telemetry counters (lane blocks/spills,
     // mixed blocks, straddled lanes) describe which kernel executed,
     // not the physics — persisting them would make dump bytes differ
-    // across layouts, breaking the canonical-AoS fingerprint contract.
+    // across kernels, breaking the canonical-AoS fingerprint contract.
     // They reset on restore.
     match sp.sort_policy {
         SortPolicy::Fixed(n) => {
@@ -1043,20 +1042,6 @@ pub fn load(r: &mut impl Read, n_pipelines: usize) -> Result<Simulation, Checkpo
     Ok(sim)
 }
 
-/// [`load`], then convert every species to `layout`. The dump format is
-/// canonical AoS regardless of the writer's layout, so any checkpoint
-/// restores into either backend (and the restart is bit-identical either
-/// way, since conversion is a lossless copy).
-pub fn load_with_layout(
-    r: &mut impl Read,
-    n_pipelines: usize,
-    layout: Layout,
-) -> Result<Simulation, CheckpointError> {
-    let mut sim = load(r, n_pipelines)?;
-    sim.set_layout(layout);
-    Ok(sim)
-}
-
 /// Chunk size for throttled writes: small enough that pacing sleeps are
 /// fine-grained, large enough to amortise syscall cost.
 const THROTTLE_CHUNK: usize = 64 * 1024;
@@ -1118,15 +1103,10 @@ mod tests {
     use crate::maxwellian::{load_uniform, Momentum};
     use crate::rng::Rng;
 
+    /// A small thermal plasma stepped three times.
     fn make_sim() -> Simulation {
-        make_sim_in(Layout::default())
-    }
-
-    /// A small thermal plasma stepped three times in `layout`.
-    fn make_sim_in(layout: Layout) -> Simulation {
         let g = Grid::periodic((4, 4, 4), (0.25, 0.25, 0.25), 0.05);
         let mut sim = Simulation::new(g, 2);
-        sim.set_layout(layout);
         let mut e = Species::new("electron", -1.0, 1.0);
         let mut rng = Rng::seeded(17);
         load_uniform(
@@ -1182,32 +1162,6 @@ mod tests {
         }
         assert_eq!(sim.species[0].store(), restored.species[0].store());
         assert_eq!(sim.fields.ex, restored.fields.ex);
-    }
-
-    #[test]
-    fn dump_bytes_are_layout_independent_and_restore_into_either_layout() {
-        // An AoSoA-resident run must write the exact same bytes as its AoS
-        // twin (canonical AoS on disk), and any dump must restore into
-        // either layout and continue bit-identically.
-        let sim_aos = make_sim_in(Layout::Aos);
-        let sim_soa = make_sim_in(Layout::Aosoa);
-        assert_eq!(sim_aos.species[0].layout(), Layout::Aos);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        save(&sim_aos, &mut a).unwrap();
-        save(&sim_soa, &mut b).unwrap();
-        assert_eq!(a, b, "dump bytes depend on the in-memory layout");
-
-        let mut into_aos = load_with_layout(&mut a.as_slice(), 1, Layout::Aos).unwrap();
-        let mut into_soa = load_with_layout(&mut a.as_slice(), 1, Layout::Aosoa).unwrap();
-        assert_eq!(into_aos.species[0].layout(), Layout::Aos);
-        assert_eq!(into_soa.species[0].layout(), Layout::Aosoa);
-        for _ in 0..3 {
-            into_aos.step();
-            into_soa.step();
-        }
-        assert_eq!(into_aos.species[0].store(), into_soa.species[0].store());
-        assert_eq!(into_aos.fields.ex, into_soa.fields.ex);
-        assert_eq!(into_aos.fields.cbz, into_soa.fields.cbz);
     }
 
     #[test]
@@ -1413,18 +1367,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `lens.len()` species of `lens[k]` random particles each, in
-    /// `layout`, with either sort policy and names of different lengths.
-    fn species_list(lens: &[usize], seed: u64, layout: Layout) -> Vec<Species> {
+    /// `lens.len()` species of `lens[k]` random particles each, with
+    /// either sort policy and names of different lengths.
+    fn species_list(lens: &[usize], seed: u64) -> Vec<Species> {
         let mut rng = Rng::seeded(seed);
         let mut f = |lo: f64, hi: f64| rng.uniform_in(lo, hi) as f32;
         lens.iter()
             .enumerate()
             .map(|(k, &n)| {
                 let policy = [SortPolicy::Auto, SortPolicy::Fixed(k as u32)][k % 2];
-                let mut sp = Species::new("s".repeat(k + 1), -1.0, 1.0 + k as f32)
-                    .with_sort_policy(policy)
-                    .with_layout(layout);
+                let mut sp =
+                    Species::new("s".repeat(k + 1), -1.0, 1.0 + k as f32).with_sort_policy(policy);
                 for v in 0..n {
                     sp.push(Particle {
                         dx: f(-1.0, 1.0),
@@ -1454,20 +1407,17 @@ mod tests {
 
         /// The streamed species and field sections are byte for byte the
         /// materialised payloads framed whole: no species, empty and
-        /// ragged ones (lengths off the 8-lane blocks), either layout,
-        /// payloads from a few bytes to dozens of 4 KiB write buffers.
+        /// ragged ones (lengths off the 8-lane blocks), payloads from a few bytes to dozens of 4 KiB write buffers.
         #[test]
         fn streamed_sections_are_the_materialised_bytes(
             lens in proptest::collection::vec(0usize..6000, 0usize..4),
             tail in 0usize..crate::aosoa::LANES,
             seed in 0u64..u64::MAX,
-            aosoa in 0u32..2,
             cells in (1usize..12, 1usize..9, 1usize..7),
         ) {
-            let layout = [Layout::Aos, Layout::Aosoa][aosoa as usize];
             let mut lens = lens;
             lens.push(tail);
-            let species = species_list(&lens, seed, layout);
+            let species = species_list(&lens, seed);
             let mut streamed = Vec::new();
             write_section_streamed(&mut streamed, species_payload_len(&species), |s| {
                 encode_species_into(&species, s)

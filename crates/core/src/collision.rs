@@ -15,10 +15,10 @@
 //! scattering event conserves momentum and energy *exactly* (to float
 //! roundoff) — the property the tests pin down.
 
+use crate::aosoa::AosoaStore;
 use crate::grid::Grid;
 use crate::rng::Rng;
 use crate::species::Species;
-use crate::store::ParticleStore;
 
 /// Intra-species TA77 collision operator.
 #[derive(Clone, Copy, Debug)]
@@ -94,7 +94,7 @@ impl CollisionOperator {
     /// valid for the thermal plasmas the benchmark targets).
     fn scatter_pair(
         &self,
-        parts: &mut ParticleStore,
+        parts: &mut AosoaStore,
         a: usize,
         b: usize,
         density: f64,

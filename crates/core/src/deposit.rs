@@ -11,7 +11,7 @@ use crate::particle::Particle;
 
 /// Accumulate `q_sp · w` of each particle onto the nodes of `f.rho`
 /// (adds; callers clear and `sync_rho` as needed). Takes particles by
-/// value so both storage layouts deposit through the same code
+/// value so species and plain slices deposit through the same code
 /// (`sp.iter()` for a species, `parts.iter().copied()` for a slice).
 pub fn deposit_rho(
     f: &mut FieldArray,

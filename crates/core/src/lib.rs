@@ -62,16 +62,12 @@ pub mod sim;
 pub mod sort;
 pub mod species;
 pub mod sponge;
-pub mod store;
 pub mod threads;
 pub mod tracer;
 pub mod units;
 
 pub use accumulator::{Accumulator, AccumulatorArray, AccumulatorSet};
-pub use aosoa::{
-    advance_p_aosoa, advance_p_aosoa_pipelined, advance_p_aosoa_pipelined_with, sort_aosoa_with,
-    AosoaStore, Block, LANES,
-};
+pub use aosoa::{advance_p_aosoa, sort_aosoa_with, AosoaStore, Block, Layout, LANES};
 pub use cadence::{
     auto_sort_interval, CadenceState, CoherenceCounters, PushTally, SortPolicy,
     DEFAULT_SORT_INTERVAL, MAX_AUTO_INTERVAL, MIN_AUTO_INTERVAL,
@@ -92,7 +88,7 @@ pub use lanes::{transpose8, F32x8, Mask8};
 pub use maxwellian::{load_profile, load_two_stream, load_uniform, Momentum};
 pub use particle::{Mover, Particle};
 pub use push::{
-    advance_p, advance_p_serial, advance_p_tallied, advance_p_with, move_p_local, Exile,
+    advance_p, advance_p_aos, advance_p_serial, advance_p_tallied, move_p_local, Exile,
     MoveOutcome, PushCoefficients, PushKernel,
 };
 pub use queue::{Job, JobEvent, JobQueue, JobState, QueueError, QueueStats, RetryPolicy};
@@ -105,7 +101,6 @@ pub use sim::{EnergySnapshot, Simulation, StepTimings};
 pub use sort::{sort_by_voxel, sort_by_voxel_with};
 pub use species::Species;
 pub use sponge::Sponge;
-pub use store::{Layout, ParticleStore, StoreIter};
 pub use threads::{with_worker_threads, worker_threads};
 pub use tracer::{add_tracer, tracer_species, TrackPoint, TrajectoryRecorder};
 pub use units::LabFrame;

@@ -7,11 +7,11 @@
 //! same figure of merit.
 
 use crate::accumulator::AccumulatorArray;
+use crate::aosoa::{advance_p_aosoa_pipelined_with, AosoaStore};
 use crate::cadence::PushTally;
 use crate::grid::{decode_migrate, Grid, NEIGHBOR_ABSORB, NEIGHBOR_REFLECT};
 use crate::interpolator::InterpolatorArray;
 use crate::particle::{Mover, Particle};
-use crate::store::ParticleStore;
 use rayon::prelude::*;
 
 /// Where a particle ended up after `move_p` exhausted its displacement or
@@ -68,10 +68,9 @@ impl PushCoefficients {
 /// exists only to turn a (physically impossible) runaway into a clean stop.
 const MAX_SEGMENTS: usize = 16;
 
-/// Which body runs the AoSoA inner loop. Both kernels are bit-identical
-/// by contract (the `kernel_oracle` and `determinism` suites pin it), so
-/// the choice is purely a performance/diagnosis knob. The AoS layout has
-/// only the scalar body; it ignores this knob.
+/// Which body runs the inner loop. Both kernels are bit-identical by
+/// contract (the `kernel_oracle` and `determinism` suites pin it), so the
+/// choice is the oracle seam of the tests and benches, not a deck option.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PushKernel {
     /// Per-particle scalar arithmetic ([`push_one`]) — the pinned oracle.
@@ -115,17 +114,17 @@ impl std::fmt::Display for PushKernel {
 /// `accumulators` must contain at least one array; the particle sequence
 /// is cut into `accumulators.len()` contiguous index blocks processed in
 /// parallel, one pipeline (and private accumulator) per block — VPIC's
-/// pipeline scheme. Dispatches on the store's layout; both backends use
-/// the identical index partition and per-pipeline deposit order, so AoS
-/// and AoSoA runs are bit-identical for any fixed pipeline count.
+/// pipeline scheme. The index partition and per-pipeline deposit order
+/// are those of the AoS oracle [`advance_p_aos`], so the two are
+/// bit-identical for any fixed pipeline count.
 pub fn advance_p(
-    store: &mut ParticleStore,
+    store: &mut AosoaStore,
     coeffs: PushCoefficients,
     interp: &InterpolatorArray,
     accumulators: &mut [AccumulatorArray],
     g: &Grid,
 ) -> Vec<Exile> {
-    advance_p_with(
+    advance_p_tallied(
         store,
         coeffs,
         interp,
@@ -133,45 +132,29 @@ pub fn advance_p(
         g,
         PushKernel::default(),
     )
+    .0
 }
 
-/// [`advance_p`] with an explicit kernel choice for the AoSoA backend
-/// ([`PushKernel::Scalar`] forces every lane through [`push_one`], which
-/// is what the differential-oracle harness compares against).
-pub fn advance_p_with(
-    store: &mut ParticleStore,
-    coeffs: PushCoefficients,
-    interp: &InterpolatorArray,
-    accumulators: &mut [AccumulatorArray],
-    g: &Grid,
-    kernel: PushKernel,
-) -> Vec<Exile> {
-    advance_p_tallied(store, coeffs, interp, accumulators, g, kernel).0
-}
-
-/// [`advance_p_with`] that also returns the coherence telemetry of the
-/// step: per-pipeline [`PushTally`]s summed in pipeline order (plain
-/// integer adds, so the totals are identical at any worker count). The
-/// tally feeds the sort-cadence controller; callers that don't care use
-/// [`advance_p_with`] and drop it.
+/// [`advance_p`] with an explicit kernel choice ([`PushKernel::Scalar`]
+/// forces every lane through [`push_one`]) that also returns the
+/// coherence telemetry of the step: per-pipeline [`PushTally`]s summed in
+/// pipeline order (plain integer adds, so the totals are identical at any
+/// worker count). The tally feeds the sort-cadence controller.
 pub fn advance_p_tallied(
-    store: &mut ParticleStore,
+    store: &mut AosoaStore,
     coeffs: PushCoefficients,
     interp: &InterpolatorArray,
     accumulators: &mut [AccumulatorArray],
     g: &Grid,
     kernel: PushKernel,
 ) -> (Vec<Exile>, PushTally) {
-    match store {
-        ParticleStore::Aos(particles) => advance_p_aos(particles, coeffs, interp, accumulators, g),
-        ParticleStore::Aosoa(s) => {
-            crate::aosoa::advance_p_aosoa_pipelined_with(s, coeffs, interp, accumulators, g, kernel)
-        }
-    }
+    advance_p_aosoa_pipelined_with(store, coeffs, interp, accumulators, g, kernel)
 }
 
-/// AoS backend of [`advance_p`].
-fn advance_p_aos(
+/// The AoS oracle of [`advance_p_tallied`]: [`push_one`] over a plain
+/// particle vector, cut into the same pipelines. Only the tests and E8's
+/// layout ablation run it.
+pub fn advance_p_aos(
     particles: &mut Vec<Particle>,
     coeffs: PushCoefficients,
     interp: &InterpolatorArray,
@@ -215,13 +198,13 @@ fn delete_absorbed(particles: &mut Vec<Particle>, absorbed: Vec<u32>, exiles: &m
     });
 }
 
-/// Layout-agnostic absorbed-particle deletion: swap-remove every index in
-/// `absorbed` (via the caller's `swap_remove`, which must mirror
-/// `Vec::swap_remove` on a sequence initially `len` long) and retarget
-/// exiles whose particle was moved by a swap. An index map built once
-/// keeps this O(absorbed + exiles) instead of rescanning the exile list
-/// per removal. Both storage backends run this exact algorithm, so the
-/// post-deletion particle order is identical across layouts.
+/// Absorbed-particle deletion: swap-remove every index in `absorbed` (via
+/// the caller's `swap_remove`, which must mirror `Vec::swap_remove` on a
+/// sequence initially `len` long) and retarget exiles whose particle was
+/// moved by a swap. An index map built once keeps this O(absorbed +
+/// exiles) instead of rescanning the exile list per removal. The AoSoA
+/// push and its AoS oracle both run this exact algorithm, so their
+/// post-deletion particle order is identical.
 pub(crate) fn retarget_and_delete(
     len: usize,
     mut absorbed: Vec<u32>,
@@ -253,8 +236,8 @@ pub(crate) fn retarget_and_delete(
     }
 }
 
-/// Sequential single-pipeline variant (used by tests and the layout
-/// ablation baseline).
+/// Sequential single-pipeline variant of the AoS oracle (tests and
+/// benches).
 pub fn advance_p_serial(
     particles: &mut Vec<Particle>,
     coeffs: PushCoefficients,
@@ -274,8 +257,8 @@ pub fn advance_p_serial(
 pub(crate) enum PushedFate {
     /// Still resident in the local domain. `crossed` is true when the
     /// particle entered `move_p` (left its voxel this step) — the signal
-    /// the sort-cadence controller counts, identical across layouts and
-    /// kernels because both branch on the same in-bounds test.
+    /// the sort-cadence controller counts, identical across the oracle
+    /// and both kernels because all branch on the same in-bounds test.
     Stayed { crossed: bool },
     /// Hit an absorbing boundary; caller must delete it. (Necessarily a
     /// crosser: absorption happens on a face.)
@@ -286,10 +269,10 @@ pub(crate) enum PushedFate {
 
 /// Push a single particle (global index `idx`): Boris kick/rotate,
 /// displacement, current deposition, and cell-crossing handling. This is
-/// the one copy of the scalar per-particle arithmetic — the AoS pipeline
-/// loops it over chunks and the AoSoA backend calls it for lanes of
-/// blocks straddling a pipeline boundary, which is what keeps the two
-/// layouts bit-identical.
+/// the one copy of the scalar per-particle arithmetic — the AoS oracle
+/// loops it over chunks and the AoSoA push calls it for lanes of blocks
+/// straddling a pipeline boundary (and for every lane under
+/// [`PushKernel::Scalar`]), which is what keeps the two bit-identical.
 #[inline(always)]
 pub(crate) fn push_one(
     p: &mut Particle,
@@ -772,14 +755,11 @@ mod tests {
         let c = PushCoefficients::new(-1.0, 1.0, &g);
         advance_p_serial(&mut serial, c, &ia, &mut acc_s, &g);
 
-        let mut par = ParticleStore::Aos(parts.clone());
+        let mut par = parts.clone();
         let mut accs: Vec<AccumulatorArray> = (0..4).map(|_| AccumulatorArray::new(&g)).collect();
-        advance_p(&mut par, c, &ia, &mut accs, &g);
+        advance_p_aos(&mut par, c, &ia, &mut accs, &g);
 
-        assert_eq!(serial.len(), par.len());
-        for (a, b) in serial.iter().zip(par.iter()) {
-            assert_eq!(*a, b);
-        }
+        assert_eq!(serial, par);
         // Reduced accumulators must match too.
         let mut total = AccumulatorArray::new(&g);
         for a in &accs {

@@ -24,6 +24,7 @@
 //! sustained whole-step (0.374 Pflop/s) performance.
 
 use crate::accumulator::{AccumulatorArray, AccumulatorSet};
+use crate::aosoa::Layout;
 use crate::collision::CollisionOperator;
 use crate::field::FieldArray;
 use crate::field_solver::{
@@ -39,7 +40,6 @@ use crate::sentinel::{
 };
 use crate::species::Species;
 use crate::sponge::Sponge;
-use crate::store::Layout;
 use std::convert::Infallible;
 use std::time::Instant;
 
@@ -371,11 +371,8 @@ pub struct Simulation {
     /// repairable anomalies are Marder-healed in place. Inspect
     /// [`Simulation::sentinel_verdict`] after stepping.
     pub sentinel: Option<Sentinel>,
-    /// Particle storage layout applied to every species (the `layout`
-    /// deck knob); species added later are converted on entry.
-    layout: Layout,
-    /// Which AoSoA push body runs (bit-identical either way; see
-    /// [`PushKernel`]). Ignored by the AoS layout.
+    /// Which push body runs (bit-identical either way; see
+    /// [`PushKernel`]).
     kernel: PushKernel,
     collision_rng: Rng,
     scratch: Vec<f32>,
@@ -402,39 +399,26 @@ impl Simulation {
             timings: StepTimings::default(),
             collisions: Vec::new(),
             sentinel: None,
-            layout: Layout::default(),
             kernel: PushKernel::default(),
             collision_rng: Rng::seeded(0xC0111D0),
             scratch: Vec::new(),
         }
     }
 
-    /// The particle storage layout in use.
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
-    /// The AoSoA push kernel in use.
+    /// The push kernel in use.
     pub fn kernel(&self) -> PushKernel {
         self.kernel
     }
 
-    /// Select the AoSoA push kernel. Both kernels are bit-identical (the
+    /// Select the push kernel. Both kernels are bit-identical (the
     /// determinism and kernel-oracle suites pin it), so this can be
     /// switched at any point of a run without changing the trajectory.
     pub fn set_kernel(&mut self, kernel: PushKernel) {
         self.kernel = kernel;
     }
 
-    /// Switch every species (present and future) to `layout`. Lossless;
-    /// AoS and AoSoA runs are bit-identical, so this can be called at any
-    /// point of a run — including right after a checkpoint restore.
-    pub fn set_layout(&mut self, layout: Layout) {
-        self.layout = layout;
-        for sp in &mut self.species {
-            sp.set_layout(layout);
-        }
-    }
+    /// A no-op; exists only for `benchmark/` until ROADMAP item 1's follow-up.
+    pub fn set_layout(&mut self, _: Layout) {}
 
     /// The checkpoint-portable run configuration (cleaning cadence +
     /// sentinel thresholds).
@@ -467,10 +451,8 @@ impl Simulation {
         self.collisions.push((si, op));
     }
 
-    /// Add a species (converted to the simulation's layout); returns its
-    /// index.
-    pub fn add_species(&mut self, mut sp: Species) -> usize {
-        sp.set_layout(self.layout);
+    /// Add a species; returns its index.
+    pub fn add_species(&mut self, sp: Species) -> usize {
         self.species.push(sp);
         self.species.len() - 1
     }

@@ -1,4 +1,5 @@
-//! Voxel-order particle sorting.
+//! Voxel-order particle sorting over a plain particle vector: the AoS
+//! oracle the AoSoA sort (`aosoa::sort_aosoa_with`) is tested against.
 //!
 //! VPIC counting-sorts each species by voxel index every few dozen steps so
 //! the gather of interpolator data and the scatter into accumulators walk
@@ -20,7 +21,7 @@ use rayon::prelude::*;
 
 /// Minimum particles per sort worker; below this the fan-out overhead
 /// outweighs the work and fewer (or one) workers are used. Shared with the
-/// AoSoA sort so both layouts pick identical worker counts.
+/// AoSoA sort so it and this oracle pick identical worker counts.
 pub(crate) const MIN_SORT_CHUNK: usize = 16 * 1024;
 
 /// Raw output cursor for the scatter phase: the scratch buffer, shared by

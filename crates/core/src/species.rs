@@ -1,17 +1,11 @@
-//! A particle species: charge, mass and its macroparticle storage.
-//!
-//! Storage goes through [`ParticleStore`] — AoS or AoSoA — and is private
-//! so every consumer works against the layout-agnostic API; the layout is
-//! a runtime knob (`layout = aos|aosoa` in decks) and both backends are
-//! bit-identical.
+//! A particle species: charge, mass and its macroparticle storage, an
+//! [`AosoaStore`] of 8-lane blocks (the layout the lane kernel runs on).
 
-use crate::aosoa::{sort_aosoa_with, Block};
+use crate::aosoa::{sort_aosoa_with, AosoaStore, Block};
 use crate::cadence::{CadenceState, CoherenceCounters, PushTally, SortPolicy};
 use crate::grid::Grid;
 use crate::particle::Particle;
 use crate::push::Exile;
-use crate::sort::sort_by_voxel_with;
-use crate::store::{Layout, ParticleStore, StoreIter};
 
 /// One kinetic species (e.g. electrons, helium ions).
 #[derive(Clone, Debug)]
@@ -31,17 +25,16 @@ pub struct Species {
     /// Lifetime coherence telemetry (crossers, spills, mixed blocks,
     /// sorts performed/skipped).
     counters: CoherenceCounters,
-    /// Macroparticles, in either layout.
-    store: ParticleStore,
-    scratch: Vec<Particle>,
+    /// Macroparticles.
+    store: AosoaStore,
+    /// Persistent sort scratch and histogram, so steady-state sorting
+    /// allocates nothing (see [`sort_aosoa_with`]).
     scratch_blocks: Vec<Block>,
-    /// Persistent sort histogram, so steady-state sorting allocates
-    /// nothing (see [`sort_by_voxel_with`]).
     sort_counts: Vec<u32>,
 }
 
 impl Species {
-    /// New empty species (in the default layout, [`Layout::Aosoa`]).
+    /// New empty species.
     pub fn new(name: impl Into<String>, q: f32, m: f32) -> Self {
         assert!(m > 0.0, "mass must be positive");
         let sort_policy = SortPolicy::default();
@@ -52,8 +45,7 @@ impl Species {
             sort_policy,
             cadence: CadenceState::new(sort_policy),
             counters: CoherenceCounters::default(),
-            store: ParticleStore::default(),
-            scratch: Vec::new(),
+            store: AosoaStore::default(),
             scratch_blocks: Vec::new(),
             sort_counts: Vec::new(),
         }
@@ -131,32 +123,15 @@ impl Species {
         }
     }
 
-    /// Builder-style layout override (converts existing particles).
-    pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.set_layout(layout);
-        self
-    }
-
-    /// The storage layout in use.
-    pub fn layout(&self) -> Layout {
-        self.store.layout()
-    }
-
-    /// Convert the particle storage to `layout` in place (lossless; a
-    /// no-op when already there).
-    pub fn set_layout(&mut self, layout: Layout) {
-        self.store.convert(layout);
-    }
-
     /// The underlying store (for the pushers and checkpoint layer).
     #[inline]
-    pub fn store(&self) -> &ParticleStore {
+    pub fn store(&self) -> &AosoaStore {
         &self.store
     }
 
     /// Mutable access to the underlying store.
     #[inline]
-    pub fn store_mut(&mut self) -> &mut ParticleStore {
+    pub fn store_mut(&mut self) -> &mut AosoaStore {
         &mut self.store
     }
 
@@ -180,7 +155,9 @@ impl Species {
 
     /// Append every particle of `it`.
     pub fn extend(&mut self, it: impl IntoIterator<Item = Particle>) {
-        self.store.extend(it);
+        for p in it {
+            self.store.push(p);
+        }
     }
 
     /// Copy out particle `i`.
@@ -212,13 +189,13 @@ impl Species {
         exiles.len() as u64
     }
 
-    /// Drop every particle (keeps capacity and layout).
+    /// Drop every particle (keeps capacity).
     pub fn clear_particles(&mut self) {
         self.store.clear();
     }
 
     /// Iterate particles by value in index order.
-    pub fn iter(&self) -> StoreIter<'_> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Particle> + '_ {
         self.store.iter()
     }
 
@@ -227,37 +204,24 @@ impl Species {
         self.store.to_particles()
     }
 
-    /// Replace the particle contents (keeps the current layout).
+    /// Replace the particle contents.
     pub fn set_particles(&mut self, parts: Vec<Particle>) {
-        let layout = self.store.layout();
-        self.store = ParticleStore::from_particles(parts, layout);
+        self.store = AosoaStore::from_particles(&parts);
     }
 
     /// Counting-sort the particles by voxel (Rayon-parallel; scratch and
-    /// histogram buffers persist across calls). Both layouts produce the
-    /// identical stable permutation. Closes the cadence controller's
+    /// histogram buffers persist across calls) — the stable permutation
+    /// of the AoS oracle sort. Closes the cadence controller's
     /// measurement window (every caller — cadence, collisions, tests —
     /// re-establishes coherence the same way, so the controller's view of
     /// the store stays truthful).
     pub fn sort(&mut self, g: &Grid) {
-        match &mut self.store {
-            ParticleStore::Aos(parts) => {
-                sort_by_voxel_with(
-                    parts,
-                    g.n_voxels(),
-                    &mut self.scratch,
-                    &mut self.sort_counts,
-                );
-            }
-            ParticleStore::Aosoa(s) => {
-                sort_aosoa_with(
-                    s,
-                    g.n_voxels(),
-                    &mut self.scratch_blocks,
-                    &mut self.sort_counts,
-                );
-            }
-        }
+        sort_aosoa_with(
+            &mut self.store,
+            g.n_voxels(),
+            &mut self.scratch_blocks,
+            &mut self.sort_counts,
+        );
         self.counters.sorts += 1;
         self.cadence.on_sorted(
             self.sort_policy,
@@ -373,35 +337,5 @@ mod tests {
         assert!(sorted.windows(2).all(|w| w[0].i <= w[1].i));
         assert_eq!(s.len(), 5);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn layout_conversion_preserves_contents_and_diagnostics() {
-        let g = Grid::periodic((4, 4, 4), (1.0, 1.0, 1.0), 0.1);
-        let mut s = Species::new("e", -1.0, 1.0).with_layout(Layout::Aos);
-        assert_eq!(s.layout(), Layout::Aos);
-        for k in 0..17u32 {
-            s.push(Particle {
-                i: 21 + k,
-                ux: 0.1 * k as f32,
-                w: 1.0,
-                ..Default::default()
-            });
-        }
-        let parts = s.to_particles();
-        let (ke, mom) = (s.kinetic_energy(&g), s.momentum(&g));
-        s.set_layout(Layout::Aosoa);
-        assert_eq!(s.layout(), Layout::Aosoa);
-        assert_eq!(s.to_particles(), parts);
-        assert_eq!(s.kinetic_energy(&g).to_bits(), ke.to_bits());
-        assert_eq!(s.momentum(&g)[0].to_bits(), mom[0].to_bits());
-        // Sort works in the AoSoA layout too, same permutation.
-        let mut aos_twin = Species::new("e", -1.0, 1.0).with_layout(Layout::Aos);
-        aos_twin.extend(parts);
-        aos_twin.sort(&g);
-        s.sort(&g);
-        assert_eq!(s.to_particles(), aos_twin.to_particles());
-        s.set_layout(Layout::Aos);
-        assert_eq!(s.layout(), Layout::Aos);
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! The controller's decisions feed only on bitwise-deterministic inputs
 //! (exact crosser counts, compile-time model constants), so the cadence a
-//! species settles on must be identical across worker counts, layouts and
+//! species settles on must be identical across worker counts and
 //! kernels — and must ride checkpoints so resume replays the same
 //! decisions. These tests pin that contract end to end through the real
 //! step loop, alongside the convergence and zero-crosser-skip behaviors.
 
 use vpic_core::checkpoint::{load, save};
 use vpic_core::{
-    load_uniform, with_worker_threads, Grid, Layout, Momentum, PushKernel, Rng, Simulation,
-    SortPolicy, Species, MAX_AUTO_INTERVAL,
+    load_uniform, with_worker_threads, Grid, Momentum, PushKernel, Rng, Simulation, SortPolicy,
+    Species, MAX_AUTO_INTERVAL,
 };
 
 /// Thermal plasma with a seeded longitudinal E perturbation (same shape
@@ -73,22 +73,17 @@ fn cadence_bits(sim: &Simulation) -> CadenceBits {
 }
 
 /// Auto cadence is the same sequence of decisions at every pipeline
-/// count, worker-thread count, layout and kernel: after N steps the
+/// count, worker-thread count and kernel: after N steps the
 /// controller state (interval, EWMA rate bits, window position) and the
 /// sort/skip counts are identical, and the runs themselves stay
 /// bit-identical.
 #[test]
-fn auto_cadence_is_identical_across_pipelines_layouts_and_kernels() {
+fn auto_cadence_is_identical_across_pipelines_and_kernels() {
     let mut reference: Option<(CadenceBits, u64, u64, u64)> = None;
     for pipes in [1usize, 2, 4, 8] {
         for threads in [1usize, 2, 4] {
-            for (layout, kernel) in [
-                (Layout::Aos, PushKernel::Scalar),
-                (Layout::Aosoa, PushKernel::Scalar),
-                (Layout::Aosoa, PushKernel::Lane),
-            ] {
+            for kernel in [PushKernel::Scalar, PushKernel::Lane] {
                 let mut sim = plasma(pipes, SortPolicy::Auto, 0.08);
-                sim.set_layout(layout);
                 sim.set_kernel(kernel);
                 with_worker_threads(threads, || {
                     for _ in 0..40 {
@@ -106,8 +101,7 @@ fn auto_cadence_is_identical_across_pipelines_layouts_and_kernels() {
                     None => reference = Some(got),
                     Some(want) => assert_eq!(
                         &got, want,
-                        "cadence diverged at {pipes} pipes, {threads} threads, {layout} layout, \
-                         {kernel:?} kernel"
+                        "cadence diverged at {pipes} pipes, {threads} threads, {kernel} kernel"
                     ),
                 }
             }
@@ -126,9 +120,7 @@ fn auto_cadence_is_identical_across_pipelines_layouts_and_kernels() {
 #[test]
 fn auto_cadence_rides_checkpoint_roundtrip() {
     let mut straight = plasma(2, SortPolicy::Auto, 0.08);
-    straight.set_layout(Layout::Aosoa);
     let mut first = plasma(2, SortPolicy::Auto, 0.08);
-    first.set_layout(Layout::Aosoa);
     for _ in 0..30 {
         straight.step();
         first.step();
@@ -169,7 +161,6 @@ fn auto_cadence_rides_checkpoint_roundtrip() {
 fn checkpoint_bytes_are_identical_at_every_thread_count() {
     let dump_at = |threads: usize| {
         let mut sim = plasma(4, SortPolicy::Auto, 0.08);
-        sim.set_layout(Layout::Aosoa);
         with_worker_threads(threads, || {
             for _ in 0..30 {
                 sim.step();
@@ -194,7 +185,6 @@ fn checkpoint_bytes_are_identical_at_every_thread_count() {
 #[test]
 fn auto_cadence_converges_on_steady_thermal_deck() {
     let mut sim = plasma(1, SortPolicy::Auto, 0.08);
-    sim.set_layout(Layout::Aosoa);
     let mut intervals = Vec::new();
     let mut last_sorts = 0;
     for _ in 0..400 {
@@ -232,7 +222,6 @@ fn auto_cadence_converges_on_steady_thermal_deck() {
 fn zero_crosser_runs_skip_redundant_sorts() {
     let mut sim = plasma(2, SortPolicy::Fixed(5), 0.0);
     sim.fields.ex.iter_mut().for_each(|v| *v = 0.0);
-    sim.set_layout(Layout::Aosoa);
     for _ in 0..31 {
         sim.step();
     }
@@ -258,12 +247,11 @@ fn zero_crosser_runs_skip_redundant_sorts() {
 // A/A 1.35x for the second-created one on the reference host, a toggled
 // one reads 0.98-1.04.
 
-/// The 16^3 / ppc 64 thermal box `e2_step_breakdown` defaults to, on the
-/// production layout, warmed up past its first sorts.
+/// The 16^3 / ppc 64 thermal box `e2_step_breakdown` defaults to, warmed
+/// up past its first sorts.
 fn gate_plasma() -> Simulation {
     let pipelines = vpic_core::worker_threads();
     let mut sim = plasma_on((16, 16, 16), 64, pipelines, SortPolicy::default(), 0.05);
-    sim.set_layout(Layout::Aosoa);
     for _ in 0..30 {
         sim.step();
     }
@@ -303,7 +291,7 @@ fn speed_of_b_over_a(
 }
 
 /// The lane kernel must step at least as fast as the scalar body it is
-/// checked against, on the layout both run on (it measures 3-4x).
+/// checked against (it measures 3-4x).
 #[test]
 #[ignore = "timing gate; run in release via scripts/ci.sh kernel"]
 fn lane_kernel_steps_at_least_as_fast_as_scalar_on_aosoa() {

@@ -15,8 +15,8 @@ use vpic_core::field_solver::{
     advance_b, advance_b_serial, advance_e, advance_e_serial, bcs_of, sync_b, sync_e,
 };
 use vpic_core::{
-    load_uniform, with_worker_threads, FieldArray, Grid, InterpolatorArray, Layout, Momentum,
-    PushKernel, Rng, Simulation, Species,
+    load_uniform, with_worker_threads, FieldArray, Grid, InterpolatorArray, Momentum, PushKernel,
+    Rng, Simulation, Species,
 };
 
 /// Worker-thread widths every matrix runs at; 1 is the reference.
@@ -69,11 +69,10 @@ fn assert_fields_bitwise_eq(a: &FieldArray, b: &FieldArray) {
 /// [`plasma`] in the given variant, stepped ten times on `threads` worker
 /// threads. Ten steps with `sort_interval = 4` exercise push, voxel sort
 /// and current deposit.
-fn stepped(pipelines: usize, layout: Layout, kernel: PushKernel, threads: usize) -> Simulation {
+fn stepped(pipelines: usize, kernel: PushKernel, threads: usize) -> Simulation {
     let mut sim = plasma(pipelines);
-    sim.set_layout(layout);
     sim.set_kernel(kernel);
-    assert_eq!((sim.layout(), sim.kernel()), (layout, kernel));
+    assert_eq!(sim.kernel(), kernel);
     with_worker_threads(threads, || {
         for _ in 0..10 {
             sim.step();
@@ -94,57 +93,34 @@ fn assert_same_run(a: &Simulation, b: &Simulation, what: &str) {
 
 #[test]
 fn identically_seeded_runs_are_bitwise_identical() {
-    let a = stepped(4, Layout::Aos, PushKernel::Lane, 1);
+    let a = stepped(4, PushKernel::Lane, 1);
     for threads in THREADS {
-        let b = stepped(4, Layout::Aos, PushKernel::Lane, threads);
+        let b = stepped(4, PushKernel::Lane, threads);
         assert_same_run(&a, &b, &format!("{threads} threads"));
     }
 }
 
-/// AoS vs AoSoA is the *same run*, bit for bit, at every worker count:
-/// both layouts execute identical scalar arithmetic per particle, the
-/// pipeline partition is over particle indices (never rounded to lane
-/// blocks), and the AoSoA counting sort reuses the AoS histogram/prefix
-/// formula — so layout is purely a memory transform. `refresh_rho` pins
-/// the charge-deposit path on top.
+/// The lane-kernel matrix: the scalar body (the oracle: `push_one` on
+/// every lane, the AoS oracle's arithmetic) and the lane kernel must be
+/// the *same run* bit for bit at 1/2/4/8 pipelines and 1/2/4 threads. With
+/// `sort_interval = 4` the lane kernel sees freshly sorted single-voxel
+/// blocks, drifted mixed-voxel blocks, cell-crossing spill-outs and the
+/// straddling-block scalar path — every regime the production hot path
+/// has. `refresh_rho` pins the charge-deposit path on top.
 #[test]
-fn aos_and_aosoa_runs_are_bitwise_identical_at_every_worker_count() {
+fn lane_kernel_matrix_is_bitwise_identical_across_kernels_and_pipelines() {
     for pipes in [1usize, 2, 4, 8] {
-        // AoS on one thread: the reference for this pipeline count.
-        let mut a = stepped(pipes, Layout::Aos, PushKernel::Scalar, 1);
-        a.refresh_rho();
+        let mut oracle = stepped(pipes, PushKernel::Scalar, 1);
+        oracle.refresh_rho();
         for threads in THREADS {
-            let what = format!("{pipes} pipes, {threads} threads");
-            let mut b = stepped(pipes, Layout::Aosoa, PushKernel::Scalar, threads);
-            assert_same_run(&a, &b, &what);
-            b.refresh_rho();
-            for (v, (p, q)) in a.fields.rho.iter().zip(b.fields.rho.iter()).enumerate() {
-                assert_eq!(p.to_bits(), q.to_bits(), "rho[{v}] with {what}");
-            }
-        }
-    }
-}
-
-/// The lane-kernel matrix: AoS-scalar (the oracle), AoSoA-scalar and
-/// AoSoA-lane must be the *same run* bit for bit at 1/2/4/8 pipelines and
-/// 1/2/4 threads. With `sort_interval = 4` the lane kernel sees freshly
-/// sorted single-voxel blocks, drifted mixed-voxel blocks, cell-crossing
-/// spill-outs and the straddling-block scalar path — every regime the
-/// production hot path has.
-#[test]
-fn lane_kernel_matrix_is_bitwise_identical_across_layouts_and_pipelines() {
-    for pipes in [1usize, 2, 4, 8] {
-        // AoS ignores the kernel knob and always runs the scalar body.
-        let oracle = stepped(pipes, Layout::Aos, PushKernel::Scalar, 1);
-        for threads in THREADS {
-            for (layout, kernel, which) in [
-                (Layout::Aos, PushKernel::Scalar, "aos"),
-                (Layout::Aosoa, PushKernel::Scalar, "aosoa-scalar"),
-                (Layout::Aosoa, PushKernel::Lane, "aosoa-lane"),
-            ] {
-                let sim = stepped(pipes, layout, kernel, threads);
-                let what = format!("{which} @{pipes} pipes, {threads} threads");
+            for kernel in [PushKernel::Scalar, PushKernel::Lane] {
+                let mut sim = stepped(pipes, kernel, threads);
+                let what = format!("{kernel} @{pipes} pipes, {threads} threads");
                 assert_same_run(&oracle, &sim, &what);
+                sim.refresh_rho();
+                for (v, (p, q)) in oracle.fields.rho.iter().zip(&sim.fields.rho).enumerate() {
+                    assert_eq!(p.to_bits(), q.to_bits(), "rho[{v}] with {what}");
+                }
             }
         }
     }
@@ -232,12 +208,12 @@ fn lane_kernel_push_tallies_match_the_single_block_kernel() {
     };
     for pipes in [1usize, 2, 4, 8] {
         for threads in THREADS {
-            let sim = stepped(pipes, Layout::Aosoa, PushKernel::Lane, threads);
+            let sim = stepped(pipes, PushKernel::Lane, threads);
             let got = sim.species[0].coherence().tally;
             assert_eq!(got, want, "{pipes} pipes, {threads} threads");
         }
         // The scalar oracle sees the same crossers (and no lane blocks).
-        let oracle = stepped(pipes, Layout::Aos, PushKernel::Scalar, 1);
+        let oracle = stepped(pipes, PushKernel::Scalar, 1);
         let t = oracle.species[0].coherence().tally;
         assert_eq!((t.pushed, t.crossers), (want.pushed, want.crossers));
     }

@@ -1,8 +1,8 @@
 //! Differential-oracle harness for the lane-wide push kernel.
 //!
-//! The scalar AoS path (`advance_p_with` + [`PushKernel::Scalar`]) is the
-//! *pinned oracle*: every other configuration — the AoSoA layout with the
-//! scalar kernel, and the production 8-lane kernel — must reproduce its
+//! The AoS push (`advance_p_aos`: `push_one` over a plain particle
+//! vector) is the *pinned oracle*: the AoSoA store under both kernels —
+//! the scalar body and the production 8-lane one — must reproduce its
 //! results **bit for bit**: particle states, survivor order after
 //! absorption, exile records (including mover bits), and every
 //! per-pipeline accumulator entry. Proptest-generated states round-trip
@@ -19,10 +19,10 @@
 use proptest::prelude::*;
 use vpic_core::aosoa::SCATTER_BATCH;
 use vpic_core::cadence::PushTally;
-use vpic_core::push::advance_p_tallied;
+use vpic_core::push::{advance_p_aos, advance_p_tallied};
 use vpic_core::{
-    with_worker_threads, AccumulatorArray, Grid, Interpolator, InterpolatorArray, Layout, Particle,
-    ParticleBc, ParticleStore, PushCoefficients, PushKernel, LANES,
+    with_worker_threads, AccumulatorArray, AosoaStore, Exile, Grid, Interpolator,
+    InterpolatorArray, Particle, ParticleBc, PushCoefficients, PushKernel, LANES,
 };
 
 /// Everything one differential case needs.
@@ -42,10 +42,14 @@ struct RunResult {
     tally: PushTally,
 }
 
-fn run(case: &Case, layout: Layout, kernel: PushKernel, pipes: usize) -> RunResult {
-    let mut store = ParticleStore::from_particles(case.parts.clone(), layout);
-    let mut accs: Vec<AccumulatorArray> =
-        (0..pipes).map(|_| AccumulatorArray::new(&case.g)).collect();
+fn accumulators(case: &Case, pipes: usize) -> Vec<AccumulatorArray> {
+    (0..pipes).map(|_| AccumulatorArray::new(&case.g)).collect()
+}
+
+/// The AoSoA push of `case` under `kernel` at `pipes` pipelines.
+fn run(case: &Case, kernel: PushKernel, pipes: usize) -> RunResult {
+    let mut store = AosoaStore::from_particles(&case.parts);
+    let mut accs = accumulators(case, pipes);
     let (exiles, tally) = advance_p_tallied(
         &mut store,
         case.coeffs,
@@ -54,8 +58,25 @@ fn run(case: &Case, layout: Layout, kernel: PushKernel, pipes: usize) -> RunResu
         &case.g,
         kernel,
     );
+    result(store.to_particles(), &exiles, accs, tally)
+}
+
+/// The AoS oracle's push of `case` at `pipes` pipelines.
+fn run_oracle(case: &Case, pipes: usize) -> RunResult {
+    let mut parts = case.parts.clone();
+    let mut accs = accumulators(case, pipes);
+    let (exiles, tally) = advance_p_aos(&mut parts, case.coeffs, &case.interp, &mut accs, &case.g);
+    result(parts, &exiles, accs, tally)
+}
+
+fn result(
+    parts: Vec<Particle>,
+    exiles: &[Exile],
+    accs: Vec<AccumulatorArray>,
+    tally: PushTally,
+) -> RunResult {
     RunResult {
-        parts: store.to_particles(),
+        parts,
         exiles: exiles
             .iter()
             .map(|e| {
@@ -175,13 +196,13 @@ fn diff(oracle: &RunResult, got: &RunResult, label: &str) -> Result<(), String> 
 /// pipelines on 1, 2 and 4 worker threads and check bit-identity; `Err`
 /// carries the first-divergent-lane report.
 fn check_case(case: &Case, pipes: usize) -> Result<(), String> {
-    let oracle = with_worker_threads(1, || run(case, Layout::Aos, PushKernel::Scalar, pipes));
+    let oracle = with_worker_threads(1, || run_oracle(case, pipes));
     for threads in [1usize, 2, 4] {
         let (aos, scalar, lane) = with_worker_threads(threads, || {
             (
-                run(case, Layout::Aos, PushKernel::Scalar, pipes),
-                run(case, Layout::Aosoa, PushKernel::Scalar, pipes),
-                run(case, Layout::Aosoa, PushKernel::Lane, pipes),
+                run_oracle(case, pipes),
+                run(case, PushKernel::Scalar, pipes),
+                run(case, PushKernel::Lane, pipes),
             )
         });
         let at = format!("@{pipes} pipes, {threads} threads");
@@ -404,7 +425,7 @@ fn one_block_mixed_boundary_exits() {
         &mut rng,
     );
     // The case must actually exercise the boundary paths, not pass vacuously.
-    let oracle = run(&case, Layout::Aos, PushKernel::Scalar, 1);
+    let oracle = run_oracle(&case, 1);
     assert!(
         oracle.parts.len() < LANES || !oracle.exiles.is_empty(),
         "expected at least one absorption or exile"
@@ -505,10 +526,7 @@ fn spills_alone(case: &Case) -> Vec<bool> {
                 parts: vec![case.parts[k]],
                 coeffs: case.coeffs,
             };
-            run(&alone, Layout::Aosoa, PushKernel::Lane, 1)
-                .tally
-                .lane_spills
-                == 1
+            run(&alone, PushKernel::Lane, 1).tally.lane_spills == 1
         })
         .collect()
 }
@@ -528,9 +546,7 @@ fn check_case_and_tally(case: &Case, pipes: usize) -> Result<(), String> {
     let spills = spills_alone(case);
     let mut want = PushTally {
         pushed: n as u64,
-        crossers: run(case, Layout::Aos, PushKernel::Scalar, pipes)
-            .tally
-            .crossers,
+        crossers: run_oracle(case, pipes).tally.crossers,
         ..Default::default()
     };
     for pipe in 0..pipes {
@@ -549,9 +565,7 @@ fn check_case_and_tally(case: &Case, pipes: usize) -> Result<(), String> {
     }
     want.straddle_lanes = n as u64 - want.straddle_lanes;
     for threads in [1usize, 2, 4] {
-        let got = with_worker_threads(threads, || {
-            run(case, Layout::Aosoa, PushKernel::Lane, pipes).tally
-        });
+        let got = with_worker_threads(threads, || run(case, PushKernel::Lane, pipes).tally);
         if got != want {
             return Err(format!(
                 "tally @{pipes} pipes, {threads} threads: {got:?}, want {want:?}"
@@ -651,7 +665,7 @@ fn voxel_revisits_within_and_across_blocks_match() {
     ];
     for (what, voxel_of) in patterns {
         let case = resting_case(voxel_of);
-        let t = run(&case, Layout::Aosoa, PushKernel::Lane, 1).tally;
+        let t = run(&case, PushKernel::Lane, 1).tally;
         assert_eq!(t.crossers, 0, "{what}: the pattern is about stay lanes");
         for pipes in [1usize, 2, 3, 8] {
             if let Err(msg) = check_case_and_tally(&case, pipes) {
@@ -673,7 +687,7 @@ fn crosser_between_two_stay_lanes_of_its_voxel_matches() {
     for k in [1, LANES + 4] {
         (case.parts[k].dx, case.parts[k].ux) = (0.99, 30.0);
     }
-    let t = run(&case, Layout::Aosoa, PushKernel::Lane, 1).tally;
+    let t = run(&case, PushKernel::Lane, 1).tally;
     assert_eq!((t.crossers, t.lane_spills), (2, 0));
     for pipes in [1usize, 2, 3, 8] {
         if let Err(msg) = check_case_and_tally(&case, pipes) {
@@ -722,7 +736,7 @@ fn crosser(g: &Grid, (i, j, k): Ijk, faces: &[usize]) -> Particle {
 /// [`check_case_and_tally`] at 1/2/3/8 pipelines, after checking the
 /// one-pipeline (crossers, lane spills) tally the test expects.
 fn check_crossers(case: &Case, what: &str, crossers: u64, spills: u64) {
-    let t = run(case, Layout::Aosoa, PushKernel::Lane, 1).tally;
+    let t = run(case, PushKernel::Lane, 1).tally;
     assert_eq!((t.crossers, t.lane_spills), (crossers, spills), "{what}");
     for pipes in [1usize, 2, 3, 8] {
         if let Err(msg) = check_case_and_tally(case, pipes) {
@@ -797,7 +811,7 @@ fn crossers_beside_reflect_absorb_and_migrate_faces() {
                 .collect()
         },
     );
-    let oracle = run(&case, Layout::Aos, PushKernel::Scalar, 1);
+    let oracle = run_oracle(&case, 1);
     assert!(
         oracle.parts.len() < case.parts.len() && !oracle.exiles.is_empty(),
         "the absorb and migrate faces must be reached"
@@ -872,13 +886,13 @@ fn lanes_landing_exactly_on_the_face() {
             })
             .collect()
     });
-    let oracle = run(&case, Layout::Aos, PushKernel::Scalar, 1);
+    let oracle = run_oracle(&case, 1);
     let exact = oracle.parts[..LANES]
         .iter()
         .filter(|p| [p.dx, p.dy, p.dz].iter().any(|d| d.abs() == 1.0))
         .count();
     assert_eq!(exact, LANES, "the stay lanes must end exactly on a face");
-    let t = run(&case, Layout::Aosoa, PushKernel::Lane, 1).tally;
+    let t = run(&case, PushKernel::Lane, 1).tally;
     assert_eq!(t.crossers, 2 * LANES as u64);
     for pipes in [1usize, 2, 3, 8] {
         if let Err(msg) = check_case_and_tally(&case, pipes) {
@@ -896,7 +910,7 @@ fn nan_poisoned_lane_matches() {
     for poisoned in [0usize, 3, LANES - 1, LANES + 2] {
         let mut case = resting_case(|k| if k < LANES + 4 { (1, 1, 1) } else { (4, 2, 3) });
         case.parts[poisoned].ux = f32::NAN;
-        let t = run(&case, Layout::Aosoa, PushKernel::Lane, 1).tally;
+        let t = run(&case, PushKernel::Lane, 1).tally;
         assert_eq!((t.crossers, t.lane_spills), (1, 1), "lane {poisoned}");
         for pipes in [1usize, 2, 3, 8] {
             if let Err(msg) = check_case_and_tally(&case, pipes) {
@@ -952,8 +966,8 @@ fn tail_block_single_live_crossing_lane() {
 fn divergence_report_prints_one_lane_state() {
     let mut rng = proptest::test_runner::TestRng::new(3);
     let case = build_case(Regime::Thermal, (2, 2, 2), [0; 6], 9, &mut rng);
-    let oracle = run(&case, Layout::Aos, PushKernel::Scalar, 1);
-    let mut forged = run(&case, Layout::Aos, PushKernel::Scalar, 1);
+    let oracle = run_oracle(&case, 1);
+    let mut forged = run_oracle(&case, 1);
     forged.parts[3].ux = f32::from_bits(forged.parts[3].ux.to_bits() ^ 1);
     let msg = diff(&oracle, &forged, "forged").unwrap_err();
     assert!(

@@ -19,8 +19,7 @@ use std::path::PathBuf;
 
 use nanompi::{run_with_faults, Comm, CommError, FaultPlan};
 use vpic_core::checkpoint::{
-    load_with_layout, read_section, save, write_section, CheckpointError, PayloadReader,
-    PayloadWriter,
+    load, read_section, save, write_section, CheckpointError, PayloadReader, PayloadWriter,
 };
 use vpic_core::crc32::fingerprint32;
 use vpic_core::field::FieldArray;
@@ -314,7 +313,7 @@ impl CampaignSim for LpiRun {
         let sidecar =
             sidecar.ok_or_else(|| CheckpointError::Malformed("diag sidecar missing".into()))?;
         let (side_step, diag) = decode_sidecar(sidecar)?;
-        let sim = load_with_layout(&mut dump, self.params.pipelines, self.params.layout)?;
+        let sim = load(&mut dump, self.params.pipelines)?;
         if side_step != sim.step_count {
             return Err(CheckpointError::Malformed(format!(
                 "sidecar step {side_step} != dump step {}",

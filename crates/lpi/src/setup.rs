@@ -6,6 +6,7 @@
 use crate::laser::{LaserAntenna, Polarization};
 use crate::profile::SlabProfile;
 use crate::srs::{srs_match, SrsMatch};
+use vpic_core::aosoa::Layout;
 use vpic_core::cadence::SortPolicy;
 use vpic_core::grid::{Grid, ParticleBc};
 use vpic_core::maxwellian::{load_profile, Momentum};
@@ -13,7 +14,6 @@ use vpic_core::rng::Rng;
 use vpic_core::sim::Simulation;
 use vpic_core::species::Species;
 use vpic_core::sponge::Sponge;
-use vpic_core::store::Layout;
 use vpic_diag::{
     DiagConfig, DiagEngine, DiagSink, DiagSnapshot, DiagStats, EngineState, ReflectivityProbe,
 };
@@ -59,7 +59,7 @@ pub struct LpiParams {
     pub ion_mass: Option<f32>,
     /// Ion-to-electron temperature ratio (used only with mobile ions).
     pub ti_over_te: f32,
-    /// Particle storage layout (`layout = aos|aosoa` deck knob).
+    /// Ignored; exists only for `benchmark/` until ROADMAP item 1's follow-up.
     pub layout: Layout,
     /// Sort cadence (`sort_interval = auto|<n>` deck knob), applied to
     /// every species. Cadence decisions feed only on deterministic
@@ -152,7 +152,6 @@ impl LpiRun {
         ];
         let g = Grid::new((nx, 1, 1), (dx, dx, dx), dt, bc);
         let mut sim = Simulation::new(g, params.pipelines);
-        sim.set_layout(params.layout);
         sim.sponge = Some(Sponge::symmetric(params.sponge_cells, 0.15));
 
         // Electrons; ions are an immobile neutralizing background with the

@@ -326,7 +326,7 @@ pub trait CampaignSim {
     }
 
     /// Decode one generation, validating every byte; `self` is only the
-    /// template (decomposition, layout, pipelines).
+    /// template (decomposition, pipelines).
     fn load(&self, dump: &[u8], sidecar: Option<&[u8]>) -> Result<Self::Snapshot, CheckpointError>;
 
     /// Replace this rank's state with a loaded generation.
@@ -396,10 +396,8 @@ impl<D: CampaignDrive> CampaignSim for DrivenSim<D> {
     }
 
     fn restore(&mut self, mut restored: DistributedSim) {
-        // Knobs that live outside the dump carry over (the sponge shapes
-        // the physics; the layout is a bit-exact performance choice).
+        // The sponge lives outside the dump and shapes the physics.
         restored.sponge = self.sim.sponge;
-        restored.set_layout(self.sim.layout());
         self.sim = restored;
     }
 }

@@ -7,6 +7,7 @@ use crate::migrate::migrate_species;
 use nanompi::{Comm, CommError};
 use std::time::Instant;
 use vpic_core::accumulator::{AccumulatorArray, AccumulatorSet};
+use vpic_core::aosoa::Layout;
 use vpic_core::field::FieldArray;
 use vpic_core::field_solver::{bcs_of, marder_pass_b, marder_pass_e, refresh_rho, sync_b, sync_e};
 use vpic_core::grid::Grid;
@@ -18,7 +19,6 @@ use vpic_core::sentinel::{self, HealthSample, SentinelConfig, SimConfig};
 use vpic_core::sim::{advance, Domain, Halo, StepTimings};
 use vpic_core::species::Species;
 use vpic_core::sponge::Sponge;
-use vpic_core::store::Layout;
 use vpic_core::Particle;
 
 /// One rank's [`Halo`]: exiles migrate to the neighbouring ranks, ghost
@@ -95,12 +95,10 @@ pub struct DistributedSim {
     /// Open-boundary damping layers evaluated in *global* x coordinates
     /// (the deck's sponge spans the full domain, not each rank's slab).
     /// Every rank must hold the same value. Not checkpointed — the runner
-    /// re-seats it after a rollback, like the layout.
+    /// re-seats it after a rollback.
     pub sponge: Option<Sponge>,
-    /// Particle storage layout applied to every species on this rank.
-    layout: Layout,
-    /// Which AoSoA push body runs on this rank (bit-identical either
-    /// way, so ranks may even disagree without diverging).
+    /// Which push body runs on this rank (bit-identical either way, so
+    /// ranks may even disagree without diverging).
     kernel: PushKernel,
 }
 
@@ -127,40 +125,26 @@ impl DistributedSim {
             config: SimConfig::default(),
             sponge: None,
             scratch: Vec::new(),
-            layout: Layout::default(),
             kernel: PushKernel::default(),
         }
     }
 
-    /// Particle storage layout used by every species on this rank.
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
+    /// A no-op; exists only for `benchmark/` until ROADMAP item 1's follow-up.
+    pub fn set_layout(&mut self, _: Layout) {}
 
-    /// Switch every species (and future additions) to `layout`. Purely a
-    /// storage transform — physics and dump bytes are unaffected, so ranks
-    /// may even disagree (they shouldn't, but nothing breaks).
-    pub fn set_layout(&mut self, layout: Layout) {
-        self.layout = layout;
-        for sp in &mut self.species {
-            sp.set_layout(layout);
-        }
-    }
-
-    /// The AoSoA push kernel in use on this rank.
+    /// The push kernel in use on this rank.
     pub fn kernel(&self) -> PushKernel {
         self.kernel
     }
 
-    /// Select the AoSoA push kernel (see [`PushKernel`]; bit-identical
+    /// Select the push kernel (see [`PushKernel`]; bit-identical
     /// choices, so this is purely a performance/diagnosis knob).
     pub fn set_kernel(&mut self, kernel: PushKernel) {
         self.kernel = kernel;
     }
 
     /// Add a species; returns its index.
-    pub fn add_species(&mut self, mut sp: Species) -> usize {
-        sp.set_layout(self.layout);
+    pub fn add_species(&mut self, sp: Species) -> usize {
         self.species.push(sp);
         self.species.len() - 1
     }
@@ -557,49 +541,6 @@ mod tests {
         );
         for from in 0..2 {
             assert_eq!(traffic.messages[from][1 - from], 8 * STEPS);
-        }
-    }
-
-    /// An exile crossing a rank boundary must land bit-identically
-    /// whichever storage layout holds it: the mover hand-off, the migrant
-    /// bytes on the wire and the receiver-side move continuation are all
-    /// layout-independent, so a 2-rank AoSoA run retraces the AoS run
-    /// exactly — particles, fields and per-rank migration counts.
-    #[test]
-    fn migration_is_bitwise_identical_across_layouts() {
-        let run = |layout: Layout| {
-            let (results, _) = run_expect(2, move |comm| {
-                let spec = DomainSpec::periodic((8, 4, 2), (0.25, 0.25, 0.25), 0.1, 2);
-                let mut sim = DistributedSim::new(spec, comm.rank(), 1);
-                sim.set_layout(layout);
-                assert_eq!(sim.layout(), layout);
-                let si = sim.add_species(Species::new("e", -1.0, 1.0));
-                sim.load_uniform(si, 42, 1.0, 8, Momentum::thermal(0.08));
-                for _ in 0..20 {
-                    sim.step(comm).unwrap();
-                }
-                (
-                    sim.species[0].to_particles(),
-                    sim.fields.ex.clone(),
-                    sim.fields.cbz.clone(),
-                    sim.migrated,
-                )
-            });
-            results
-        };
-        let aos = run(Layout::Aos);
-        let aosoa = run(Layout::Aosoa);
-        let migrated: u64 = aos.iter().map(|r| r.3).sum();
-        assert!(migrated > 0, "no exile ever crossed a rank boundary");
-        for (rank, (a, b)) in aos.iter().zip(aosoa.iter()).enumerate() {
-            assert_eq!(a.3, b.3, "rank {rank}: migration counts differ");
-            assert_eq!(a.0, b.0, "rank {rank}: particles differ");
-            for (v, (x, y)) in a.1.iter().zip(b.1.iter()).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "rank {rank} ex[{v}]");
-            }
-            for (v, (x, y)) in a.2.iter().zip(b.2.iter()).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "rank {rank} cbz[{v}]");
-            }
         }
     }
 

@@ -20,19 +20,15 @@
 # assertions enabled so integer overflow and debug invariants are
 # checked too.
 #
-# Pass "layout" (or set CI_LAYOUT=1) to run the particle-storage lane:
-# AoS/AoSoA bit-identity across worker counts, cross-layout checkpoint
-# restore, exile migration, the `layout = aosoa` deck knob, and the
-# sentinel rollback campaign pinned to AoSoA storage.
-#
 # Pass "kernel" (or set CI_KERNEL=1) to run the lane-kernel lane: the
 # differential-oracle harness (lane-wide push/gather vs the scalar AoS
 # oracle, including the deferred-scatter batch, block-pairing and
-# batched-crosser seams), the lane-math unit suite (the intrinsic body
-# proptested against the portable one), the determinism matrix, the
-# adaptive-sort-cadence determinism and checkpoint round-trip suites,
-# and the fault-injected SRS rollback matrix (AoS oracle vs AoSoA at
-# 1/2/4/8 pipelines) — all with debug assertions on — then the
+# batched-crosser seams), the AoSoA store's unit suite, the lane-math
+# unit suite (the intrinsic body proptested against the portable one),
+# the determinism matrix, the adaptive-sort-cadence determinism and
+# checkpoint round-trip suites, and the fault-injected SRS rollback
+# matrix (lane campaign vs a plain scalar-kernel run at 1/2/4/8
+# pipelines) — all with debug assertions on — then the
 # in-process relative speed gates, each timing both sides in one
 # process (run-based ghost-plane walk >= 4x the per-element reference
 # on the quasi-1D SRS grid; and, built with the shipping flags: two
@@ -58,7 +54,7 @@
 #
 # Pass "diag" (or set CI_DIAG=1) to run the diagnostics-pipeline lane:
 # the bounded-queue/engine unit and property suites, the [diag] deck
-# knobs, the sync-vs-async artifact bit-identity matrix (layout x
+# knobs, the sync-vs-async artifact bit-identity matrix (kernel x
 # 1/2/4/8 pipelines) with the kill-mid-measurement campaign replay,
 # and the publication gate: on a real async LPI run at 245 762 particles
 # snapshot publication is <= 3% of the step, with no stall and no drop.
@@ -208,7 +204,7 @@ if [[ "${1:-}" == "diag" || "${CI_DIAG:-0}" == "1" ]]; then
     # The `diag = off|sync|async` global and the [diag] section knobs.
     cargo test --release -p vpic --lib diag
     # The contract tests: sync-vs-async artifact bit-identity across
-    # layout x pipeline count, and a seeded kill mid-measurement
+    # kernel x pipeline count, and a seeded kill mid-measurement
     # whose rollback replay must not double-count a single sample.
     cargo test --release --test diag_pipeline
     # Publication gate: a share of one real `LpiRun`'s own step timings
@@ -231,22 +227,6 @@ if [[ "${1:-}" == "sentinel" || "${CI_SENTINEL:-0}" == "1" ]]; then
     cargo test --release --test srs_soak shrunk
 fi
 
-if [[ "${1:-}" == "layout" || "${CI_LAYOUT:-0}" == "1" ]]; then
-    echo "==> layout lane (AoSoA storage through the production path)"
-    # Bit-identity of the two layouts at every worker count, plus the
-    # store/AoSoA unit suites (counting sort, exile emission, round-trip).
-    cargo test --release -p vpic-core --test determinism
-    cargo test --release -p vpic-core --lib store
-    cargo test --release -p vpic-core --lib aosoa
-    # Cross-layout exile migration at a rank boundary, checkpoint restore
-    # into the other layout, and the `layout = aosoa` deck knob end to end.
-    cargo test --release -p vpic-parallel --lib migration_is_bitwise_identical_across_layouts
-    cargo test --release -p vpic --lib layout
-    # Sentinel heal/rollback on a `layout = aosoa` campaign must land on
-    # the same bits as the AoS run — checkpoints are canonical AoS bytes.
-    cargo test --release --test srs_soak aosoa_campaign_recovers
-fi
-
 if [[ "${1:-}" == "kernel" || "${CI_KERNEL:-0}" == "1" ]]; then
     echo "==> kernel lane (lane-wide push + gather vs the scalar oracle)"
     # Debug assertions live while the differential oracle runs. Setting
@@ -258,19 +238,22 @@ if [[ "${1:-}" == "kernel" || "${CI_KERNEL:-0}" == "1" ]]; then
     # all-absorbed, denormal, one-live-tail) round-trip bit-identically
     # through the lane kernel against the pinned scalar AoS oracle.
     cargo test --release -p vpic-core --test kernel_oracle
-    # Lane-math unit suite and the layout x kernel x pipeline-count
-    # determinism matrix.
+    # The AoSoA store (element ops against Vec semantics, the blocked
+    # counting sort against the AoS sort, padding invariants), the
+    # lane-math unit suite and the kernel x pipeline-count determinism
+    # matrix.
+    cargo test --release -p vpic-core --lib aosoa
     cargo test --release -p vpic-core --lib lanes
     cargo test --release -p vpic-core --test determinism lane_kernel
     # Adaptive sort cadence: the controller's unit suite, then the
-    # integration contract — identical decisions across pipelines /
-    # layouts / kernels, checkpoint round-trip, convergence, and the
+    # integration contract — identical decisions across pipelines and
+    # kernels, checkpoint round-trip, convergence, and the
     # zero-crosser sort skip.
     cargo test --release -p vpic-core --lib cadence
     cargo test --release -p vpic-core --test cadence
     # The fault-injected SRS rollback matrix: a NaN upset mid-campaign
-    # must recover onto the same bits on the AoS oracle and the AoSoA
-    # lane kernel at every pipeline count.
+    # must recover onto the bits of a plain scalar-kernel run at every
+    # pipeline count.
     cargo test --release --test srs_soak srs_layout_matrix
     # Relative speed gate for the ghost surface, both walks timed in one
     # process so host drift cancels: the run-based sync_b >= 4x the

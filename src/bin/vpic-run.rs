@@ -139,13 +139,12 @@ fn run(deck_path: &str, out_dir: &str, cli: &Cli) -> Result<(), Box<dyn std::err
     match built {
         BuiltRun::Plasma(mut sim) => {
             println!(
-                "plasma run: {} cells, {} particles, {} steps, {} pipelines, {} rayon threads, {} layout",
+                "plasma run: {} cells, {} particles, {} steps, {} pipelines, {} rayon threads",
                 sim.grid.n_live(),
                 sim.n_particles(),
                 steps,
                 sim.accumulators.n_pipelines(),
-                vpic::core::worker_threads(),
-                sim.layout()
+                vpic::core::worker_threads()
             );
             let names: Vec<String> = sim.species.iter().map(|s| s.name.clone()).collect();
             let mut elog = EnergyLogger::new(
@@ -172,14 +171,13 @@ fn run(deck_path: &str, out_dir: &str, cli: &Cli) -> Result<(), Box<dyn std::err
         }
         BuiltRun::Lpi(mut run) => {
             println!(
-                "LPI run: a0 = {}, n/ncr = {}, {} particles, {} steps, {} pipelines, {} rayon threads, {} layout, {} diag",
+                "LPI run: a0 = {}, n/ncr = {}, {} particles, {} steps, {} pipelines, {} rayon threads, {} diag",
                 run.params.a0,
                 run.params.n_over_ncr,
                 run.sim.n_particles(),
                 steps,
                 run.sim.accumulators.n_pipelines(),
                 vpic::core::worker_threads(),
-                run.sim.layout(),
                 run.params.diag.mode.as_str()
             );
             // Streaming artifacts (progress.json) land next to the TSVs.

@@ -77,8 +77,8 @@ use vpic_core::sentinel::{
     CorruptionEvent, CorruptionMode, CorruptionPlan, SentinelConfig, SimConfig,
 };
 use vpic_core::{
-    load_juttner, load_two_stream, load_uniform, FieldArray, Grid, Layout, Momentum, ParticleBc,
-    Rng, Simulation, SortPolicy, Species, Sponge,
+    load_juttner, load_two_stream, load_uniform, FieldArray, Grid, Momentum, ParticleBc, Rng,
+    Simulation, SortPolicy, Species, Sponge,
 };
 use vpic_diag::{Backpressure, DiagConfig, DiagMode};
 use vpic_lpi::{
@@ -204,6 +204,60 @@ fn get_usize(kv: &BTreeMap<String, String>, key: &str, default: usize) -> Result
             .parse()
             .map_err(|_| err(format!("bad integer for {key}: {v}"))),
     }
+}
+
+/// The count at `path` (`pipelines`, `laser.ppc`, `species.<name>.ppc`)
+/// in `kv`, the keys of its section: at least 1.
+fn get_count(
+    kv: &BTreeMap<String, String>,
+    path: &str,
+    default: usize,
+) -> Result<usize, DeckError> {
+    let key = path.rsplit('.').next().unwrap_or(path);
+    match get_usize(kv, key, default)? {
+        0 => Err(err(format!("{path} must be at least 1"))),
+        n => Ok(n),
+    }
+}
+
+/// `m` if it is a usable mass (positive, so not NaN); else an error
+/// naming `path`.
+fn positive_mass(m: f32, path: &str) -> Result<f32, DeckError> {
+    if m > 0.0 {
+        Ok(m)
+    } else {
+        Err(err(format!("{path} must be positive, got {m}")))
+    }
+}
+
+/// What [`parse_grid`] reads: the section, `cells`, `dx` and `dt`.
+type GridKeys<'a> = (&'a BTreeMap<String, String>, [usize; 3], f32, f32);
+
+/// The `[grid]` section with its `cells` (three counts, each at least 1),
+/// `dx` and the `courant`-limited `dt`.
+fn parse_grid(deck: &Deck) -> Result<GridKeys<'_>, DeckError> {
+    let gkv = deck
+        .section("grid")
+        .ok_or_else(|| err("missing [grid] section"))?;
+    let cells_str = gkv.get("cells").ok_or_else(|| err("grid.cells required"))?;
+    let cells: Vec<usize> = cells_str
+        .split_whitespace()
+        .map(|t| {
+            t.parse()
+                .map_err(|_| err(format!("bad cells: {cells_str}")))
+        })
+        .collect::<Result<_, _>>()?;
+    let cells: [usize; 3] = cells
+        .try_into()
+        .map_err(|_| err("grid.cells wants three integers"))?;
+    if cells.contains(&0) {
+        return Err(err(format!(
+            "grid.cells must be at least 1 per axis, got {cells_str}"
+        )));
+    }
+    let dx = req_f32(gkv, "dx", 0.25)?;
+    let courant = req_f32(gkv, "courant", 0.9)?;
+    Ok((gkv, cells, dx, Grid::courant_dt(1.0, (dx, dx, dx), courant)))
 }
 
 /// What a deck builds.
@@ -352,8 +406,6 @@ pub struct CampaignSetup {
     pub seed: u64,
     /// Pipelines per rank (keep at 1 for bit-exact rollback replay).
     pub pipelines: usize,
-    /// Particle storage layout on every rank.
-    pub layout: Layout,
     /// Sort cadence on every rank's species. Cadence decisions feed only
     /// on deterministic counters, so `auto` keeps rollback replay exact.
     pub sort: SortPolicy,
@@ -399,7 +451,6 @@ impl CampaignSetup {
     /// must reconstruct state from checkpoints, not from this builder).
     pub fn build_rank(&self, rank: usize) -> DistributedSim {
         let mut sim = DistributedSim::new(self.spec.clone(), rank, self.pipelines);
-        sim.set_layout(self.layout);
         for sp in &self.species {
             let si = sim.add_species(
                 Species::new(&sp.name, sp.charge, sp.mass).with_sort_policy(self.sort),
@@ -652,16 +703,6 @@ fn parse_transport(deck: &Deck) -> Result<TransportKind, DeckError> {
     }
 }
 
-/// Global `layout = aos|aosoa` knob (default aosoa).
-fn parse_layout(deck: &Deck) -> Result<Layout, DeckError> {
-    match deck.globals.get("layout") {
-        None => Ok(Layout::default()),
-        Some(v) => {
-            Layout::parse(v).ok_or_else(|| err(format!("layout must be aos or aosoa, got {v}")))
-        }
-    }
-}
-
 /// Global `sort_interval = auto|<n>` knob selecting the per-species sort
 /// cadence (default the historical fixed 25; `0` disables sorting;
 /// `auto` arms the coherence-driven controller). Accepts both
@@ -718,28 +759,12 @@ fn get_u64(kv: &BTreeMap<String, String>, key: &str, default: u64) -> Result<u64
 }
 
 fn build_campaign(deck: &Deck) -> Result<CampaignSetup, DeckError> {
-    let gkv = deck
-        .section("grid")
-        .ok_or_else(|| err("missing [grid] section"))?;
-    let cells_str = gkv.get("cells").ok_or_else(|| err("grid.cells required"))?;
-    let cells: Vec<usize> = cells_str
-        .split_whitespace()
-        .map(|t| {
-            t.parse()
-                .map_err(|_| err(format!("bad cells: {cells_str}")))
-        })
-        .collect::<Result<_, _>>()?;
-    if cells.len() != 3 {
-        return Err(err("grid.cells wants three integers"));
-    }
+    let (gkv, cells, dx, dt) = parse_grid(deck)?;
     if let Some(b) = gkv.get("boundary") {
         if b != "periodic" {
             return Err(err("campaign runs support only boundary = periodic"));
         }
     }
-    let dx = req_f32(gkv, "dx", 0.25)?;
-    let courant = req_f32(gkv, "courant", 0.9)?;
-    let dt = Grid::courant_dt(1.0, (dx, dx, dx), courant);
 
     let ckv = deck.section("campaign").expect("caller checked");
     let ranks = get_usize(ckv, "ranks", 4)?;
@@ -770,9 +795,9 @@ fn build_campaign(deck: &Deck) -> Result<CampaignSetup, DeckError> {
         species.push(CampaignSpecies {
             name: name.to_string(),
             charge: req_f32(kv, "charge", -1.0)?,
-            mass: req_f32(kv, "mass", 1.0)?,
+            mass: positive_mass(req_f32(kv, "mass", 1.0)?, &format!("species.{name}.mass"))?,
             density: req_f32(kv, "density", 1.0)?,
-            ppc: get_usize(kv, "ppc", 32)?,
+            ppc: get_count(kv, &format!("species.{name}.ppc"), 32)?,
             vth: req_f32(kv, "vth", 0.05)?,
             drift: req_f32(kv, "drift", 0.0)?,
         });
@@ -912,8 +937,7 @@ fn build_campaign(deck: &Deck) -> Result<CampaignSetup, DeckError> {
         spec,
         species,
         seed: deck.seed(),
-        pipelines: get_usize(&deck.globals, "pipelines", 1)?,
-        layout: parse_layout(deck)?,
+        pipelines: get_count(&deck.globals, "pipelines", 1)?,
         sort: parse_sort_policy(deck)?,
         steps,
         checkpoint,
@@ -940,23 +964,7 @@ fn build_campaign(deck: &Deck) -> Result<CampaignSetup, DeckError> {
 }
 
 fn build_plasma(deck: &Deck) -> Result<Simulation, DeckError> {
-    let gkv = deck
-        .section("grid")
-        .ok_or_else(|| err("missing [grid] section"))?;
-    let cells_str = gkv.get("cells").ok_or_else(|| err("grid.cells required"))?;
-    let cells: Vec<usize> = cells_str
-        .split_whitespace()
-        .map(|t| {
-            t.parse()
-                .map_err(|_| err(format!("bad cells: {cells_str}")))
-        })
-        .collect::<Result<_, _>>()?;
-    if cells.len() != 3 {
-        return Err(err("grid.cells wants three integers"));
-    }
-    let dx = req_f32(gkv, "dx", 0.25)?;
-    let courant = req_f32(gkv, "courant", 0.9)?;
-    let dt = Grid::courant_dt(1.0, (dx, dx, dx), courant);
+    let (gkv, cells, dx, dt) = parse_grid(deck)?;
     let bc = match gkv
         .get("boundary")
         .map(String::as_str)
@@ -974,9 +982,8 @@ fn build_plasma(deck: &Deck) -> Result<Simulation, DeckError> {
         other => return Err(err(format!("unknown boundary: {other}"))),
     };
     let grid = Grid::new((cells[0], cells[1], cells[2]), (dx, dx, dx), dt, bc);
-    let pipelines = get_usize(&deck.globals, "pipelines", 1)?;
+    let pipelines = get_count(&deck.globals, "pipelines", 1)?;
     let mut sim = Simulation::new(grid, pipelines);
-    sim.set_layout(parse_layout(deck)?);
     let sort = parse_sort_policy(deck)?;
 
     let species = deck.sections_with_prefix("species");
@@ -986,9 +993,9 @@ fn build_plasma(deck: &Deck) -> Result<Simulation, DeckError> {
     let mut rng = Rng::seeded(deck.seed());
     for (name, kv) in species {
         let q = req_f32(kv, "charge", -1.0)?;
-        let m = req_f32(kv, "mass", 1.0)?;
+        let m = positive_mass(req_f32(kv, "mass", 1.0)?, &format!("species.{name}.mass"))?;
         let n0 = req_f32(kv, "density", 1.0)?;
-        let ppc = get_usize(kv, "ppc", 32)?;
+        let ppc = get_count(kv, &format!("species.{name}.ppc"), 32)?;
         let vth = req_f32(kv, "vth", 0.05)?;
         let mut sp = Species::new(name, q, m).with_sort_policy(sort);
         match kv.get("loader").map(String::as_str).unwrap_or("thermal") {
@@ -1031,17 +1038,19 @@ fn build_lpi(deck: &Deck) -> Result<LpiRun, DeckError> {
         vacuum: req_f32(kv, "vacuum", defaults.vacuum)?,
         ramp: req_f32(kv, "ramp", defaults.ramp)?,
         flat: req_f32(kv, "flat", defaults.flat)?,
-        ppc: get_usize(kv, "ppc", defaults.ppc)?,
+        ppc: get_count(kv, "laser.ppc", defaults.ppc)?,
         sponge_cells: get_usize(kv, "sponge_cells", defaults.sponge_cells)?,
         seed: deck.seed(),
-        pipelines: get_usize(&deck.globals, "pipelines", defaults.pipelines)?,
+        pipelines: get_count(&deck.globals, "pipelines", defaults.pipelines)?,
         ramp_periods: req_f32(kv, "ramp_periods", defaults.ramp_periods)?,
         seed_frac: req_f32(kv, "seed_frac", defaults.seed_frac as f32)? as f64,
-        ion_mass: get_f32(kv, "ion_mass")?,
+        ion_mass: get_f32(kv, "ion_mass")?
+            .map(|m| positive_mass(m, "laser.ion_mass"))
+            .transpose()?,
         ti_over_te: req_f32(kv, "ti_over_te", defaults.ti_over_te)?,
-        layout: parse_layout(deck)?,
         sort: parse_sort_policy(deck)?,
         diag: parse_diag(deck)?,
+        ..defaults
     };
     Ok(LpiRun::new(params))
 }
@@ -1492,39 +1501,40 @@ corrupt_count = 4
         assert_eq!(s.sentinel.health_interval, 50);
     }
 
+    /// `layout` is no longer a key: a deck that still says `layout = aos`
+    /// builds the one layout there is and steps, like any unknown global.
     #[test]
-    fn layout_knob_selects_aosoa_and_rejects_junk() {
-        let text = "kind = plasma\nlayout = aosoa\n[grid]\ncells = 4 2 2\n[species.e]\nppc = 8";
-        let BuiltRun::Plasma(sim) = build(&Deck::parse(text).unwrap()).unwrap() else {
+    fn layout_key_is_ignored_and_the_deck_steps() {
+        let text = "kind = plasma\nlayout = aos\n[grid]\ncells = 4 2 2\n[species.e]\nppc = 8";
+        let BuiltRun::Plasma(mut sim) = build(&Deck::parse(text).unwrap()).unwrap() else {
             panic!("wrong kind")
         };
-        assert_eq!(sim.layout(), Layout::Aosoa);
-        assert!(sim.species.iter().all(|sp| sp.layout() == Layout::Aosoa));
+        sim.step();
+        assert_eq!((sim.step_count, sim.n_particles()), (1, 4 * 2 * 2 * 8));
+    }
 
-        // The default is AoSoA; `layout = aos` selects the oracle layout,
-        // and campaign and LPI decks honour the knob too.
-        let text = "kind = plasma\n[grid]\ncells = 2 2 2\n[species.e]\nppc = 1";
-        let BuiltRun::Plasma(sim) = build(&Deck::parse(text).unwrap()).unwrap() else {
-            panic!("wrong kind")
+    /// Degenerate sizes are deck errors naming their key, not panics deep
+    /// in the grid, loader, accumulator or species constructors.
+    #[test]
+    fn degenerate_sizes_and_masses_are_deck_errors() {
+        let plasma = |globals: &str, grid: &str, species: &str| {
+            format!("kind = plasma\n{globals}\n[grid]\ncells = {grid}\n[species.e]\n{species}")
         };
-        assert_eq!(sim.layout(), Layout::Aosoa);
-        let text = "kind = plasma\nlayout = aos\n[grid]\ncells = 2 2 2\n[species.e]\nppc = 1";
-        let BuiltRun::Plasma(sim) = build(&Deck::parse(text).unwrap()).unwrap() else {
-            panic!("wrong kind")
-        };
-        assert!(sim.species.iter().all(|sp| sp.layout() == Layout::Aos));
-        for (text, want) in [
-            ("kind = lpi\n[laser]\na0 = 0.01", Layout::Aosoa),
-            ("kind = lpi\nlayout = aos\n[laser]\na0 = 0.01", Layout::Aos),
+        for (text, key) in [
+            (plasma("", "0 2 2", "ppc = 2"), "grid.cells"),
+            (plasma("", "2 2 2", "ppc = 0"), "species.e.ppc"),
+            (
+                "kind = lpi\n[laser]\na0 = 0.01\nppc = 0".into(),
+                "laser.ppc",
+            ),
+            (plasma("pipelines = 0", "2 2 2", "ppc = 2"), "pipelines"),
+            (plasma("", "2 2 2", "ppc = 2\nmass = 0"), "species.e.mass"),
         ] {
-            let BuiltRun::Lpi(run) = build(&Deck::parse(text).unwrap()).unwrap() else {
-                panic!("wrong kind")
-            };
-            assert_eq!(run.sim.layout(), want);
+            match build(&Deck::parse(&text).unwrap()) {
+                Err(e) => assert!(e.to_string().contains(key), "{key}: {e}"),
+                Ok(_) => panic!("accepted: {text}"),
+            }
         }
-
-        let bad = "kind = plasma\nlayout = soa\n[grid]\ncells = 2 2 2\n[species.e]\nppc = 1";
-        assert!(build(&Deck::parse(bad).unwrap()).is_err());
     }
 
     #[test]
@@ -1623,33 +1633,6 @@ corrupt_count = 4
         ] {
             assert!(build(&Deck::parse(bad).unwrap()).is_err(), "{bad}");
         }
-    }
-
-    /// Deck → dump → restore into the *other* layout: the dump bytes are
-    /// canonical AoS, so an AoSoA-built run restores into an AoS sim (and
-    /// vice versa) and both retrace the same trajectory bit for bit.
-    #[test]
-    fn deck_dump_restores_into_the_other_layout_bit_identically() {
-        let text =
-            "kind = plasma\nlayout = aosoa\nseed = 5\n[grid]\ncells = 6 4 2\n[species.e]\nppc = 8";
-        let BuiltRun::Plasma(mut sim) = build(&Deck::parse(text).unwrap()).unwrap() else {
-            panic!("wrong kind")
-        };
-        for _ in 0..3 {
-            sim.step();
-        }
-        let mut dump = Vec::new();
-        vpic_core::checkpoint::save(&sim, &mut dump).unwrap();
-        let mut other =
-            vpic_core::checkpoint::load_with_layout(&mut dump.as_slice(), 1, Layout::Aos).unwrap();
-        assert_eq!(other.layout(), Layout::Aos);
-        for _ in 0..5 {
-            sim.step();
-            other.step();
-        }
-        assert_eq!(sim.species[0].store(), other.species[0].store());
-        assert_eq!(sim.fields.ex, other.fields.ex);
-        assert_eq!(sim.fields.cbz, other.fields.cbz);
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! Diagnostics pipeline contract tests: the async (worker-thread) sink
 //! must produce science artifacts byte-identical to the sync oracle at
-//! every pipeline count and on both particle layouts, and
+//! every pipeline count and under both push kernels, and
 //! a kill + rollback mid-campaign must never double-count a sample.
 //! Last, the timing gate of `scripts/ci.sh diag`: what publication costs
 //! the step.
 
 use vpic::core::cadence::SortPolicy;
-use vpic::core::store::Layout;
+use vpic::core::PushKernel;
 use vpic::diag::{DiagConfig, DiagMode};
 use vpic::lpi::{run_lpi_campaign, LpiCampaignConfig, LpiCampaignEnd, LpiParams, LpiRun};
 use vpic::nanompi::FaultPlan;
 
 /// A short-transit SRS slab: small sponges and vacuum gaps keep
 /// `measure_after` low so CI-sized runs collect a real sample window.
-fn short_params(mode: DiagMode, layout: Layout, pipelines: usize) -> LpiParams {
+fn short_params(mode: DiagMode, pipelines: usize) -> LpiParams {
     LpiParams {
         flat: 2.0,
         ramp: 1.0,
@@ -23,7 +23,6 @@ fn short_params(mode: DiagMode, layout: Layout, pipelines: usize) -> LpiParams {
         seed_frac: 0.2,
         sponge_cells: 8,
         ramp_periods: 1.0,
-        layout,
         pipelines,
         diag: DiagConfig {
             mode,
@@ -41,10 +40,11 @@ fn short_params(mode: DiagMode, layout: Layout, pipelines: usize) -> LpiParams {
 /// spectrum and the spectrogram.
 fn diag_artifacts(
     mode: DiagMode,
-    layout: Layout,
+    kernel: PushKernel,
     pipelines: usize,
 ) -> (String, Vec<(u64, u64)>, Vec<u64>) {
-    let mut run = LpiRun::new(short_params(mode, layout, pipelines));
+    let mut run = LpiRun::new(short_params(mode, pipelines));
+    run.sim.set_kernel(kernel);
     let steps = run.measure_after + 160;
     run.run(steps);
     let (engine, stats) = run.diag_finish();
@@ -72,17 +72,17 @@ fn diag_artifacts(
     (progress, spectrum, sg)
 }
 
-/// The tentpole contract: at every (layout, pipelines) point — the AoS
-/// oracle and the AoSoA production store — the async pipeline's artifacts
-/// carry exactly the bits the sync oracle produces: offloading the spectra
-/// must not change a single ULP.
+/// The tentpole contract: at every (kernel, pipelines) point — the
+/// scalar oracle body and the production lane kernel — the async
+/// pipeline's artifacts carry exactly the bits the sync oracle produces:
+/// offloading the spectra must not change a single ULP.
 #[test]
 fn async_matches_sync_across_layout_and_pipelines() {
-    for layout in [Layout::Aos, Layout::Aosoa] {
+    for kernel in [PushKernel::Scalar, PushKernel::Lane] {
         for pipelines in [1usize, 2, 4, 8] {
-            let tag = format!("{layout:?}/p{pipelines}");
-            let sync = diag_artifacts(DiagMode::Sync, layout, pipelines);
-            let asy = diag_artifacts(DiagMode::Async, layout, pipelines);
+            let tag = format!("{kernel}/p{pipelines}");
+            let sync = diag_artifacts(DiagMode::Sync, kernel, pipelines);
+            let asy = diag_artifacts(DiagMode::Async, kernel, pipelines);
             assert_eq!(sync.0, asy.0, "{tag}: progress.json diverged");
             assert_eq!(sync.1, asy.1, "{tag}: spectrum bits diverged");
             assert_eq!(sync.2, asy.2, "{tag}: spectrogram bits diverged");
@@ -105,7 +105,7 @@ fn campaign_cfg(dir: &std::path::Path, steps: u64, interval: u64) -> LpiCampaign
 /// double-counting across the replayed window.
 #[test]
 fn killed_async_campaign_replays_without_double_counting() {
-    let probe = LpiRun::new(short_params(DiagMode::Sync, Layout::Aos, 1));
+    let probe = LpiRun::new(short_params(DiagMode::Sync, 1));
     let measure_after = probe.measure_after;
     drop(probe);
     let steps = measure_after + 120;
@@ -120,7 +120,7 @@ fn killed_async_campaign_replays_without_double_counting() {
     let dir_sync = std::env::temp_dir().join("diag_pipe_camp_sync");
     let _ = std::fs::remove_dir_all(&dir_sync);
     let clean = run_lpi_campaign(
-        short_params(DiagMode::Sync, Layout::Aos, 1),
+        short_params(DiagMode::Sync, 1),
         &campaign_cfg(&dir_sync, steps, interval),
     )
     .unwrap();
@@ -130,7 +130,7 @@ fn killed_async_campaign_replays_without_double_counting() {
     let _ = std::fs::remove_dir_all(&dir_async);
     let mut cfg = campaign_cfg(&dir_async, steps, interval);
     cfg.fault_plan = Some(FaultPlan::new(11).kill(0, kill_at));
-    let faulted = run_lpi_campaign(short_params(DiagMode::Async, Layout::Aos, 1), &cfg).unwrap();
+    let faulted = run_lpi_campaign(short_params(DiagMode::Async, 1), &cfg).unwrap();
     assert!(matches!(faulted.end, LpiCampaignEnd::Completed));
     assert_eq!(faulted.recoveries.len(), 1, "{:?}", faulted.recoveries);
     assert_eq!(faulted.recoveries[0].restored_step, restore);
@@ -188,7 +188,6 @@ fn async_publication_is_at_most_3_percent_of_the_step() {
         seed_frac: 0.1,
         seed: 1,
         pipelines: 2,
-        layout: Layout::Aosoa,
         sort: SortPolicy::Auto,
         diag: DiagConfig {
             mode: DiagMode::Async,

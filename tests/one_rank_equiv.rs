@@ -4,9 +4,7 @@
 
 use vpic::core::cadence::SortPolicy;
 use vpic::core::checkpoint::{encode_fields, encode_species};
-use vpic::core::{
-    load_uniform, Grid, Layout, Momentum, ParticleBc, Rng, Simulation, Species, Sponge,
-};
+use vpic::core::{load_uniform, Grid, Momentum, ParticleBc, Rng, Simulation, Species, Sponge};
 use vpic::nanompi::{run_expect, CartTopology};
 use vpic::parallel::{DistributedSim, DomainSpec};
 
@@ -23,13 +21,11 @@ fn electrons() -> Species {
 /// particles.
 fn assert_equivalent(
     spec: DomainSpec,
-    layout: Layout,
     sponge: Option<Sponge>,
     clean_interval: usize,
     steps: usize,
 ) {
     let mut serial = Simulation::new(spec.local_grid(0), PIPELINES);
-    serial.set_layout(layout);
     serial.sponge = sponge;
     serial.clean_div_e_interval = clean_interval;
     serial.clean_div_b_interval = clean_interval;
@@ -51,7 +47,6 @@ fn assert_equivalent(
 
     let (mut ranks, _) = run_expect(1, move |comm| {
         let mut sim = DistributedSim::new(spec.clone(), 0, PIPELINES);
-        sim.set_layout(layout);
         sim.sponge = sponge;
         sim.config.clean_div_e_interval = clean_interval;
         sim.config.clean_div_b_interval = clean_interval;
@@ -63,28 +58,17 @@ fn assert_equivalent(
         (encode_fields(&sim.fields), encode_species(&sim.species))
     });
     let (fields, species) = ranks.remove(0);
-    assert!(
-        encode_fields(&serial.fields) == fields,
-        "{layout:?}: fields differ"
-    );
+    assert!(encode_fields(&serial.fields) == fields, "fields differ");
     assert!(
         encode_species(&serial.species) == species,
-        "{layout:?}: particles differ"
+        "particles differ"
     );
 }
 
 #[test]
 fn periodic_box_with_marder_cleaning_is_byte_equal() {
     let dt = Grid::courant_dt(1.0, CELL, 0.9);
-    for layout in [Layout::Aos, Layout::Aosoa] {
-        assert_equivalent(
-            DomainSpec::periodic(CELLS, CELL, dt, 1),
-            layout,
-            None,
-            5,
-            30,
-        );
-    }
+    assert_equivalent(DomainSpec::periodic(CELLS, CELL, dt, 1), None, 5, 30);
 }
 
 #[test]
@@ -102,5 +86,5 @@ fn absorbing_walls_with_sponge_are_byte_equal() {
         origin: (0.0, 0.0, 0.0),
     };
     let sponge = Some(Sponge::symmetric(6, 0.15));
-    assert_equivalent(spec, Layout::Aosoa, sponge, 0, 30);
+    assert_equivalent(spec, sponge, 0, 30);
 }

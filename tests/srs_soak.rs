@@ -16,8 +16,10 @@
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+use vpic::core::crc32::fingerprint32;
 use vpic::core::sentinel::{CorruptionEvent, CorruptionMode, CorruptionPlan};
-use vpic::lpi::{run_lpi_campaign, LpiCampaignConfig, LpiCampaignEnd, LpiParams};
+use vpic::core::{checkpoint, PushKernel};
+use vpic::lpi::{run_lpi_campaign, LpiCampaignConfig, LpiCampaignEnd, LpiParams, LpiRun};
 
 const STEPS: u64 = 100;
 const SOAK_PLANS: u64 = 16;
@@ -59,6 +61,24 @@ fn digest(out: &vpic::lpi::LpiCampaignOutcome) -> Digest {
         out.energy.to_bits(),
         out.reflectivity.to_bits(),
         out.n_particles,
+    )
+}
+
+/// The digest a fault-free run of `params` lands on after `steps` steps
+/// on the scalar oracle body ([`PushKernel::Scalar`]: the AoS oracle's
+/// per-particle arithmetic on every lane), stepped plainly, with no
+/// campaign around it.
+fn scalar_oracle_digest(params: LpiParams, steps: u64) -> Digest {
+    let mut run = LpiRun::new(params);
+    run.sim.set_kernel(PushKernel::Scalar);
+    run.run(steps);
+    let mut dump = Vec::new();
+    checkpoint::save(&run.sim, &mut dump).unwrap();
+    (
+        fingerprint32(&dump),
+        run.sim.energies().total().to_bits(),
+        run.reflectivity().to_bits(),
+        run.sim.n_particles() as u64,
     )
 }
 
@@ -159,56 +179,46 @@ fn seeded_srs_fault_soak_recovers_or_degrades_gracefully() {
     );
 }
 
-/// Heal/rollback recovery is layout-independent: the same seeded NaN
-/// upset, thrown at one campaign running AoS storage and one pinned to
-/// `layout = aosoa`, must trigger the same sentinel verdict and rollback
-/// in both, and both must finish with identical state fingerprint, energy and
-/// reflectivity bits — checkpoints are canonical AoS bytes, so recovery
-/// cannot tell the layouts apart.
+/// Heal/rollback recovery on the production store lands on the AoS
+/// oracle's arithmetic: a seeded NaN upset thrown at a campaign (the lane
+/// kernel) trips the sentinel verdict and a rollback, and the campaign
+/// still finishes with the state fingerprint, energy and reflectivity bits
+/// of a plain fault-free run on the scalar oracle body — checkpoints are
+/// canonical AoS bytes, and the kernel is not part of them.
 #[test]
 fn aosoa_campaign_recovers_bit_identically_to_aos() {
-    let faulted_cfg = |dir: &Path| {
-        let mut cfg = soak_cfg(dir);
-        cfg.corruption = Some(CorruptionPlan::new(7).with_event(CorruptionEvent {
-            step: 30,
-            rank: Some(0),
-            mode: CorruptionMode::Nan,
-            count: 4,
-        }));
-        cfg
-    };
-    let mut digests = Vec::new();
-    for layout in [vpic::core::Layout::Aos, vpic::core::Layout::Aosoa] {
-        let dir = temp_dir(&format!("layout_{layout}"));
-        let params = LpiParams {
-            layout,
-            ..small_params()
-        };
-        let out = run_lpi_campaign(params, &faulted_cfg(&dir)).unwrap();
-        assert!(
-            matches!(out.end, LpiCampaignEnd::Completed),
-            "{layout}: {:?}",
-            out.end
-        );
-        assert!(
-            !out.recoveries.is_empty(),
-            "{layout}: NaN upset never exercised recovery"
-        );
-        digests.push(digest(&out));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    assert_eq!(
-        digests[0], digests[1],
-        "heal/rollback recovery diverged between AoS and AoSoA"
+    let dir = temp_dir("oracle");
+    let mut cfg = soak_cfg(&dir);
+    cfg.corruption = Some(CorruptionPlan::new(7).with_event(CorruptionEvent {
+        step: 30,
+        rank: Some(0),
+        mode: CorruptionMode::Nan,
+        count: 4,
+    }));
+    let out = run_lpi_campaign(small_params(), &cfg).unwrap();
+    assert!(
+        matches!(out.end, LpiCampaignEnd::Completed),
+        "{:?}",
+        out.end
     );
+    assert!(
+        !out.recoveries.is_empty(),
+        "NaN upset never exercised recovery"
+    );
+    assert_eq!(
+        digest(&out),
+        scalar_oracle_digest(small_params(), STEPS),
+        "heal/rollback recovery diverged from the scalar oracle"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Layout × pipelines matrix on the shrunk SRS deck: at every pipeline
-/// count the production AoSoA store (lane kernel) must retrace the AoS
-/// oracle bit for bit through a *fault-injected* campaign — the seeded
-/// NaN upset trips the sentinel, the campaign rolls back to the last
-/// checkpoint and replays, and the replayed trajectory still lands on the
-/// oracle's exact digest. This pins the kernel contract through the
+/// Kernel × pipelines matrix on the shrunk SRS deck: at every pipeline
+/// count the production lane kernel must retrace the scalar oracle body
+/// bit for bit through a *fault-injected* campaign — the seeded NaN upset
+/// trips the sentinel, the campaign rolls back to the last checkpoint and
+/// replays, and the replayed trajectory still lands on the digest of a
+/// plain scalar-kernel run. This pins the kernel contract through the
 /// recovery path, not just the clean step loop. The matrix runs under the
 /// `auto` sort cadence, so the adaptive controller's decisions are covered
 /// by the same rollback-replay bit-identity contract.
@@ -229,32 +239,28 @@ fn srs_layout_matrix_recovers_bit_identically_at_every_pipeline_count() {
         cfg
     };
     for pipelines in [1usize, 2, 4, 8] {
-        let mut digests = Vec::new();
-        for layout in [vpic::core::Layout::Aos, vpic::core::Layout::Aosoa] {
-            let dir = temp_dir(&format!("lmatrix_{pipelines}_{layout}"));
-            let params = LpiParams {
-                layout,
-                pipelines,
-                sort: vpic::core::SortPolicy::Auto,
-                ..small_params()
-            };
-            let out = run_lpi_campaign(params, &cfg_for(&dir)).unwrap();
-            assert!(
-                matches!(out.end, LpiCampaignEnd::Completed),
-                "{layout} @{pipelines} pipes: {:?}",
-                out.end
-            );
-            assert!(
-                !out.recoveries.is_empty(),
-                "{layout} @{pipelines} pipes: NaN upset never exercised rollback"
-            );
-            digests.push(digest(&out));
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        assert_eq!(
-            digests[0], digests[1],
-            "AoSoA diverged from the AoS oracle at {pipelines} pipelines"
+        let dir = temp_dir(&format!("kmatrix_{pipelines}"));
+        let params = LpiParams {
+            pipelines,
+            sort: vpic::core::SortPolicy::Auto,
+            ..small_params()
+        };
+        let out = run_lpi_campaign(params, &cfg_for(&dir)).unwrap();
+        assert!(
+            matches!(out.end, LpiCampaignEnd::Completed),
+            "@{pipelines} pipes: {:?}",
+            out.end
         );
+        assert!(
+            !out.recoveries.is_empty(),
+            "@{pipelines} pipes: NaN upset never exercised rollback"
+        );
+        assert_eq!(
+            digest(&out),
+            scalar_oracle_digest(params, steps),
+            "the lane kernel diverged from the scalar oracle at {pipelines} pipelines"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -3,7 +3,7 @@
 //! lanes a rank ends up with, its state is the same bits.
 
 use vpic::core::crc32::fingerprint32;
-use vpic::core::{with_worker_threads, worker_threads, Layout, Momentum, Species};
+use vpic::core::{with_worker_threads, worker_threads, Momentum, Species};
 use vpic::parallel::dcheckpoint::dump_rank_bytes;
 use vpic::parallel::{DistributedSim, DomainSpec};
 
@@ -16,7 +16,6 @@ fn two_rank_world(budget: usize) -> Vec<(usize, u32)> {
             let lanes = worker_threads();
             let spec = DomainSpec::periodic((16, 8, 8), (0.25, 0.25, 0.25), 0.1, 2);
             let mut sim = DistributedSim::new(spec, comm.rank(), 2);
-            sim.set_layout(Layout::Aosoa);
             let si = sim.add_species(Species::new("e", -1.0, 1.0));
             sim.load_uniform(si, 77, 1.0, 8, Momentum::thermal(0.1));
             for _ in 0..20 {
