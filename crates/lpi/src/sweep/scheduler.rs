@@ -6,36 +6,47 @@
 //! the grid spec (defining any jobs the journal does not know — this is
 //! also what makes a salvaged torn-tail journal safe), releases leases
 //! orphaned by a previous incarnation's death **without charging an
-//! attempt**, and then drains the queue serially: lease → start → run
-//! the campaign → done/failed. Every transition is journaled *before*
-//! it is acted on.
+//! attempt**, and then drains the queue in *batches*. Every transition
+//! is journaled *before* it is acted on.
+//!
+//! A batch is up to `rayon::current_num_threads()` ready jobs, leased
+//! and started (both records journaled) before any physics runs. Its
+//! points then run as the parts of one parallel region of the
+//! persistent pool; a region opened inside a part runs inline, so each
+//! point steps on exactly one lane, and a batch of one (an odd tail, a
+//! retry) keeps the whole width for its own regions. Outcomes are folded
+//! in job-id order once the whole batch has returned: the `Progress`
+//! mirror, the step ledger, the `Done`/`Failed`/`Quarantined` records,
+//! the progress events. A job's physics does not depend on which lane
+//! ran it or beside whom, so the curve is byte-identical at any width.
 //!
 //! Campaign checkpoints double as heartbeats: the campaign's
 //! checkpoint hook appends a `Progress` record (certified step + lease
 //! extension) each time a checkpoint generation becomes durable. A
 //! killed incarnation therefore leaves behind exactly the information
-//! the next one needs to resume the in-flight job from its last
-//! certified checkpoint — the job's physics is never re-run from
-//! scratch, and the finished curve is bit-identical with an unkilled
-//! sweep's because checkpointed replay is bit-exact.
+//! the next one needs to resume its in-flight jobs from their last
+//! checkpoints — no job's physics is re-run from scratch, and the
+//! finished curve is bit-identical with an unkilled sweep's because
+//! checkpointed replay is bit-exact.
 //!
 //! Time is logical (milliseconds, 1 step ≙ 1 ms): lease deadlines and
 //! retry backoff never read the wall clock, so scheduling decisions
-//! replay deterministically. Wall time appears only in the
-//! service-level bench record.
+//! replay deterministically. A batch advances the clock by its longest
+//! attempt, as its points run side by side. Wall time appears only in
+//! the service-level bench record.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use rayon::prelude::*;
 use vpic_core::journal::{Journal, JournalError, ReplayReport};
 use vpic_core::queue::{JobEvent, JobQueue, JobState, QueueError, QueueStats, RetryPolicy};
 use vpic_core::sentinel::{CorruptionPlan, SentinelConfig};
 use vpic_parallel::campaign::{CampaignEnd, CampaignError};
 
-use crate::campaign::{run_lpi_campaign_with, LpiCampaignConfig};
+use crate::campaign::{run_lpi_campaign_with, LpiCampaignConfig, LpiCampaignOutcome};
 use crate::setup::LpiParams;
 
 use super::curve::{
@@ -63,7 +74,10 @@ pub struct SweepKillPlan {
     /// Die at the Nth checkpoint certification (1-based, counted
     /// across jobs) of this incarnation; the certification's `Progress`
     /// record is journaled before death, like a SIGKILL landing right
-    /// after an fsync.
+    /// after an fsync, and is the incarnation's last WAL write. The
+    /// other points of its batch stop at their next checkpoint without
+    /// journaling it; whatever they ran past their newest checkpoint
+    /// dies with the incarnation (see [`SweepOutcome::steps_by_job`]).
     pub after_certifications: Option<u64>,
     /// Die right after journaling the `Leased` record for this job id
     /// (before `Started`): exercises orphaned-lease release from the
@@ -163,7 +177,10 @@ pub struct SweepOutcome {
     pub orphans_released: Vec<u64>,
     /// Simulation steps executed per job by *this incarnation* — the
     /// step-accounting ledger chaos tests audit to prove no physics was
-    /// re-run past a certified checkpoint.
+    /// re-run past a checkpoint. A killed incarnation books each point
+    /// of its last batch only up to the newest checkpoint it wrote,
+    /// which is where the next incarnation resumes it: a point that
+    /// outran the kill to its end lost that tail with the incarnation.
     pub steps_by_job: BTreeMap<u64, u64>,
     /// Attempts launched by this incarnation.
     pub attempts_launched: u64,
@@ -257,6 +274,51 @@ pub enum SweepProgress {
     Quarantined { job: u64, cause: String },
 }
 
+/// The incarnation's WAL and the kill plan's state. A certification
+/// counts and fires under the same lock as its append, so concurrent
+/// points agree on which record is the Nth, and none journals after it.
+struct Wal {
+    journal: Journal,
+    certifications: u64,
+    killed: bool,
+}
+
+/// A job of the current batch, leased and started.
+#[derive(Clone, Copy)]
+struct Lease {
+    id: u64,
+    attempt: u32,
+}
+
+/// What the points of one batch share while they run.
+struct Batch<'a> {
+    wal: &'a Mutex<Wal>,
+    /// The progressive curve: a queue snapshot taken when the batch
+    /// started, each running point's entry updated by its own hook, and
+    /// the artifact written under this lock (it has one temp path).
+    partial: Mutex<Vec<PartialPoint>>,
+    /// Logical clock at the batch's start.
+    clock_ms: u64,
+}
+
+/// What a point's checkpoint hook recorded during one attempt.
+#[derive(Default)]
+struct Heartbeat {
+    /// Newest checkpoint the campaign wrote, journaled or not.
+    last_checkpoint: Option<u64>,
+    /// Newest journaled `Progress`: `(certified_step, deadline_ms)`.
+    last_progress: Option<(u64, u64)>,
+    /// A failed append: it halted the attempt and fails the sweep.
+    error: Option<JournalError>,
+}
+
+/// One attempt's result, handed to the fold.
+struct AttemptRun {
+    lease: Lease,
+    out: Result<LpiCampaignOutcome, CampaignError>,
+    beat: Heartbeat,
+}
+
 /// The orchestrator. Construct once per incarnation and call
 /// [`SweepRunner::run`].
 pub struct SweepRunner {
@@ -276,8 +338,8 @@ impl SweepRunner {
 
     /// Snapshot the queue into progressive-curve points (grid order).
     /// Jobs that are leased/running/backing-off all read as `Pending`
-    /// here; the checkpoint hook overlays the live `Running` status for
-    /// the one job this serial incarnation is actually driving.
+    /// here; each running point's checkpoint hook sets its own entry of
+    /// the batch's copy to `Running`.
     fn partial_points(&self, queue: &JobQueue) -> Vec<PartialPoint> {
         self.grid
             .points()
@@ -313,6 +375,79 @@ impl SweepRunner {
             points,
         };
         let _ = write_json_atomic(&self.cfg.sweep_dir.join(PARTIAL_NAME), &curve.to_json());
+    }
+
+    /// Run one leased attempt of a batch: build its campaign and drive it
+    /// with the checkpoint hook as heartbeat and kill switch. Journals
+    /// only `Progress` records; everything else waits for the fold.
+    fn run_attempt(&self, batch: &Batch, lease: Lease) -> AttemptRun {
+        let Lease { id, attempt } = lease;
+        // `resume` is unconditionally on: attempt 1 simply finds an empty
+        // directory.
+        let point = self.grid.point(id).expect("job id within grid");
+        let mut ccfg = LpiCampaignConfig::new(
+            self.cfg.steps,
+            self.cfg.checkpoint_interval,
+            self.job_dir(id),
+        );
+        ccfg.max_recoveries = self.cfg.campaign_max_recoveries;
+        ccfg.sentinel = self.cfg.sentinel;
+        ccfg.corruption = self.cfg.corruption(id, attempt);
+
+        // Journal a `Progress` record per certified checkpoint; halt on a
+        // journal error (surfaced by the fold) or once any point of the
+        // batch has fired the kill plan. The provisional reflectivity of
+        // the progressive curve comes from the campaign's streaming
+        // `progress.json` when its diagnostics pipeline is on; `null`
+        // otherwise.
+        let beat = Mutex::new(Heartbeat::default());
+        let progress_path = self.job_dir(id).join("progress.json");
+        let hook = |step: u64| -> bool {
+            let mut beat = beat.lock().expect("heartbeat lock");
+            beat.last_checkpoint = Some(step);
+            let deadline_ms = batch.clock_ms + step + self.cfg.lease_ms;
+            let go_on = {
+                let mut wal = batch.wal.lock().expect("journal lock poisoned");
+                if wal.killed {
+                    return false;
+                }
+                let ev = JobEvent::Progress {
+                    id,
+                    certified_step: step,
+                    deadline_ms,
+                };
+                if let Err(e) = wal.journal.append(&ev.encode()) {
+                    beat.error = Some(e);
+                    return false;
+                }
+                beat.last_progress = Some((step, deadline_ms));
+                wal.certifications += 1;
+                // Die at the k-th certification (1-based), with its
+                // Progress record already durable — a SIGKILL right
+                // after an fsync.
+                wal.killed = self.cfg.kill.after_certifications == Some(wal.certifications);
+                !wal.killed
+            };
+            let reflectivity = std::fs::read_to_string(&progress_path)
+                .ok()
+                .and_then(|s| vpic_diag::parse_progress(&s))
+                .map(|(_, r)| r);
+            let mut points = batch.partial.lock().expect("partial curve lock");
+            if let Some(p) = points.iter_mut().find(|p| p.point.job_id == id) {
+                p.status = PartialStatus::Running {
+                    certified_step: step,
+                    reflectivity,
+                };
+            }
+            self.write_partial(points.clone());
+            go_on
+        };
+        let out = run_lpi_campaign_with(point.params(&self.cfg.base), &ccfg, true, &hook);
+        AttemptRun {
+            lease,
+            out,
+            beat: beat.into_inner().expect("heartbeat lock"),
+        }
     }
 
     /// Charge one failed attempt, following the queue's canonical retry
@@ -399,11 +534,15 @@ impl SweepRunner {
         if let Some(defect) = replay_defect {
             return Err(defect);
         }
-        let journal = Mutex::new(journal);
+        let wal = Mutex::new(Wal {
+            journal,
+            certifications: 0,
+            killed: false,
+        });
         let append = |ev: &JobEvent| -> Result<(), SweepError> {
-            journal
-                .lock()
+            wal.lock()
                 .expect("journal lock poisoned")
+                .journal
                 .append(&ev.encode())
                 .map_err(SweepError::from)
         };
@@ -443,23 +582,24 @@ impl SweepRunner {
             queue.apply(&ev)?;
         }
 
+        // The logical clock (1 step ≙ 1 ms). A batch advances it by its
+        // longest attempt: its points run side by side.
         let mut clock_ms: u64 = queue.jobs().map(|j| j.ready_at_ms).max().unwrap_or(0);
-        let certifications = AtomicU64::new(0);
         let mut steps_by_job: BTreeMap<u64, u64> = BTreeMap::new();
         let mut attempts_launched = 0u64;
-
-        // Kill before a specific job's Started record?
         let mut outcome_end = SweepEnd::Completed;
+        let width = rayon::current_num_threads();
 
         // First progressive artifact: the reconciled queue as found on
         // disk, before this incarnation runs any physics.
         self.write_partial(self.partial_points(&queue));
 
-        while !queue.is_settled() {
+        'drain: while !queue.is_settled() {
             // Wedged-worker defense: any lease past its deadline is a
-            // charged failure. (With in-process serial workers this only
-            // fires on clock jumps, but the queue is also the state
-            // machine for future out-of-process workers.)
+            // charged failure. (Every lease of an in-process batch is
+            // settled before the next pass, so this only fires on clock
+            // jumps, but the queue is also the state machine for future
+            // out-of-process workers.)
             for id in queue.expired_leases(clock_ms) {
                 let job = queue.job(id).expect("expired lease of defined job");
                 let attempt = job.attempts + 1;
@@ -467,7 +607,39 @@ impl SweepRunner {
                 self.fail_attempt(&append, &mut queue, progress, id, attempt, clock_ms, cause)?;
             }
 
-            let Some(id) = queue.next_ready(clock_ms) else {
+            // Lease and start up to `width` ready jobs, lowest id first.
+            let mut batch: Vec<Lease> = Vec::with_capacity(width);
+            while batch.len() < width {
+                let Some(id) = queue.next_ready(clock_ms) else {
+                    break;
+                };
+                let attempt = queue.job(id).expect("ready job is defined").attempts + 1;
+                let lease = JobEvent::Leased {
+                    id,
+                    attempt,
+                    deadline_ms: clock_ms + self.cfg.lease_ms,
+                };
+                append(&lease)?;
+                queue.apply(&lease)?;
+                if self.cfg.kill.before_job == Some(id) {
+                    outcome_end = SweepEnd::Killed;
+                    break 'drain;
+                }
+                let started = JobEvent::Started { id, attempt };
+                append(&started)?;
+                queue.apply(&started)?;
+                attempts_launched += 1;
+                let point = self.grid.point(id).expect("job id within grid");
+                progress(&SweepProgress::Started {
+                    job: id,
+                    attempt,
+                    a0: point.a0,
+                    n_over_ncr: point.n_over_ncr,
+                    vth: point.vth,
+                });
+                batch.push(Lease { id, attempt });
+            }
+            if batch.is_empty() {
                 // Everything is gated by retry backoff: jump the clock.
                 match queue.next_ready_at() {
                     Some(at) if at > clock_ms => {
@@ -476,155 +648,96 @@ impl SweepRunner {
                     }
                     _ => break,
                 }
-            };
-            let job = queue.job(id).expect("ready job is defined");
-            let attempt = job.attempts + 1;
+            }
 
-            let lease = JobEvent::Leased {
-                id,
-                attempt,
-                deadline_ms: clock_ms + self.cfg.lease_ms,
+            // The batch is one region of the pool: one part per point.
+            let shared = Batch {
+                wal: &wal,
+                partial: Mutex::new(self.partial_points(&queue)),
+                clock_ms,
             };
-            append(&lease)?;
-            queue.apply(&lease)?;
-            if self.cfg.kill.before_job == Some(id) {
+            let runs: Vec<AttemptRun> = batch
+                .par_iter()
+                .map(|&lease| self.run_attempt(&shared, lease))
+                .collect();
+            let longest = runs
+                .iter()
+                .filter_map(|r| r.out.as_ref().ok())
+                .map(|o| o.steps_run)
+                .max()
+                .unwrap_or(0);
+            clock_ms += longest.max(1);
+            let killed = wal.lock().expect("journal lock poisoned").killed;
+
+            // Fold in job-id order.
+            for AttemptRun { lease, out, beat } in runs {
+                let Lease { id, attempt } = lease;
+                let out = out?;
+                if let Some(e) = beat.error {
+                    return Err(SweepError::Journal(e));
+                }
+                // Mirror the hook's journaled Progress records into the
+                // live queue (the hooks cannot borrow it).
+                if let Some((step, deadline_ms)) = beat.last_progress {
+                    queue.apply(&JobEvent::Progress {
+                        id,
+                        certified_step: step,
+                        deadline_ms,
+                    })?;
+                }
+                if killed {
+                    // Die without journaling anything else, like a real
+                    // SIGKILL; the next incarnation resumes this point
+                    // from its newest checkpoint.
+                    let kept = beat
+                        .last_checkpoint
+                        .map_or(0, |s| s.saturating_sub(out.resumed_from.unwrap_or(0)));
+                    *steps_by_job.entry(id).or_insert(0) += kept;
+                    continue;
+                }
+                *steps_by_job.entry(id).or_insert(0) += out.steps_run;
+                match out.end {
+                    CampaignEnd::Halted { .. } => {
+                        unreachable!("only a journal error or a fired kill halts a point")
+                    }
+                    CampaignEnd::Completed => {
+                        let point = self.grid.point(id).expect("job id within grid");
+                        let result = PointResult {
+                            fingerprint: point.fingerprint(&self.cfg.base, self.cfg.steps),
+                            reflectivity: out.reflectivity,
+                            energy: out.energy,
+                            n_particles: out.n_particles,
+                            state_fingerprint: out.state_fingerprint,
+                        };
+                        let ev = JobEvent::Done {
+                            id,
+                            result: result.encode(),
+                        };
+                        append(&ev)?;
+                        queue.apply(&ev)?;
+                        progress(&SweepProgress::Done {
+                            job: id,
+                            attempt,
+                            reflectivity: out.reflectivity,
+                            done: queue.stats().done,
+                            total: self.grid.len(),
+                        });
+                    }
+                    CampaignEnd::Degraded { at_step, .. } => {
+                        let cause = format!(
+                            "campaign degraded at step {at_step} (attempt {attempt}); \
+                             flight recorder in {}",
+                            self.job_dir(id).display()
+                        );
+                        self.fail_attempt(
+                            &append, &mut queue, progress, id, attempt, clock_ms, cause,
+                        )?;
+                    }
+                }
+            }
+            if killed {
                 outcome_end = SweepEnd::Killed;
                 break;
-            }
-            let started = JobEvent::Started { id, attempt };
-            append(&started)?;
-            queue.apply(&started)?;
-            attempts_launched += 1;
-
-            // Build this attempt's campaign. `resume` is uncondition-
-            // ally on: attempt 1 simply finds an empty directory.
-            let point = self.grid.point(id).expect("job id within grid");
-            let params = point.params(&self.cfg.base);
-            progress(&SweepProgress::Started {
-                job: id,
-                attempt,
-                a0: point.a0,
-                n_over_ncr: point.n_over_ncr,
-                vth: point.vth,
-            });
-            let mut ccfg = LpiCampaignConfig::new(
-                self.cfg.steps,
-                self.cfg.checkpoint_interval,
-                self.job_dir(id),
-            );
-            ccfg.max_recoveries = self.cfg.campaign_max_recoveries;
-            ccfg.sentinel = self.cfg.sentinel;
-            ccfg.corruption = self.cfg.corruption(id, attempt);
-
-            // Checkpoint hook = heartbeat + kill switch. Journal a
-            // `Progress` record per certified checkpoint; ask the
-            // campaign to halt when the seeded kill fires. Journal
-            // errors inside the hook also halt (and surface below).
-            let hook_error: Mutex<Option<JournalError>> = Mutex::new(None);
-            let last_progress: Mutex<Option<(u64, u64)>> = Mutex::new(None);
-            let base_clock = clock_ms;
-            let lease_ms = self.cfg.lease_ms;
-            let kill_after = self.cfg.kill.after_certifications;
-            // Progressive-curve scaffolding for the hook: a snapshot of
-            // the queue taken now (the hook cannot borrow `queue`), with
-            // the running job's entry overlaid per certification. The
-            // provisional reflectivity comes from the campaign's
-            // streaming `progress.json` when its diagnostics pipeline is
-            // on; `null` otherwise.
-            let partial_base = self.partial_points(&queue);
-            let progress_path = self.job_dir(id).join("progress.json");
-            let hook = |step: u64| -> bool {
-                let mut pts = partial_base.clone();
-                if let Some(p) = pts.iter_mut().find(|p| p.point.job_id == id) {
-                    p.attempts = attempt - 1;
-                    p.status = PartialStatus::Running {
-                        certified_step: step,
-                        reflectivity: std::fs::read_to_string(&progress_path)
-                            .ok()
-                            .and_then(|s| vpic_diag::parse_progress(&s))
-                            .map(|(_, r)| r),
-                    };
-                }
-                self.write_partial(pts);
-                let deadline_ms = base_clock + step + lease_ms;
-                let ev = JobEvent::Progress {
-                    id,
-                    certified_step: step,
-                    deadline_ms,
-                };
-                if let Err(e) = journal
-                    .lock()
-                    .expect("journal lock poisoned")
-                    .append(&ev.encode())
-                {
-                    *hook_error.lock().expect("hook error lock") = Some(e);
-                    return false;
-                }
-                *last_progress.lock().expect("progress lock") = Some((step, deadline_ms));
-                let n = certifications.fetch_add(1, Ordering::SeqCst) + 1;
-                match kill_after {
-                    // Die at the k-th certification (1-based), with its
-                    // Progress record already durable — a SIGKILL right
-                    // after an fsync.
-                    Some(k) => n < k,
-                    None => true,
-                }
-            };
-
-            let out = run_lpi_campaign_with(params, &ccfg, true, &hook)?;
-            if let Some(e) = hook_error.into_inner().expect("hook error lock") {
-                return Err(SweepError::Journal(e));
-            }
-            // Mirror the hook's journaled Progress records into the
-            // live queue (the hook bypasses `queue.apply` because the
-            // queue is mutably borrowed out here).
-            if let Some((step, deadline_ms)) = last_progress.into_inner().expect("progress lock") {
-                queue.apply(&JobEvent::Progress {
-                    id,
-                    certified_step: step,
-                    deadline_ms,
-                })?;
-            }
-            *steps_by_job.entry(id).or_insert(0) += out.steps_run;
-            clock_ms += out.steps_run.max(1);
-
-            match out.end {
-                CampaignEnd::Halted { .. } => {
-                    // The kill plan fired mid-campaign: die without
-                    // journaling anything else, like a real SIGKILL.
-                    outcome_end = SweepEnd::Killed;
-                    break;
-                }
-                CampaignEnd::Completed => {
-                    let result = PointResult {
-                        fingerprint: point.fingerprint(&self.cfg.base, self.cfg.steps),
-                        reflectivity: out.reflectivity,
-                        energy: out.energy,
-                        n_particles: out.n_particles,
-                        state_fingerprint: out.state_fingerprint,
-                    };
-                    let ev = JobEvent::Done {
-                        id,
-                        result: result.encode(),
-                    };
-                    append(&ev)?;
-                    queue.apply(&ev)?;
-                    progress(&SweepProgress::Done {
-                        job: id,
-                        attempt,
-                        reflectivity: out.reflectivity,
-                        done: queue.stats().done,
-                        total: self.grid.len(),
-                    });
-                }
-                CampaignEnd::Degraded { at_step, .. } => {
-                    let cause = format!(
-                        "campaign degraded at step {at_step} (attempt {attempt}); \
-                         flight recorder in {}",
-                        self.job_dir(id).display()
-                    );
-                    self.fail_attempt(&append, &mut queue, progress, id, attempt, clock_ms, cause)?;
-                }
             }
             // Every settled transition refreshes the progressive curve,
             // so observers see `done`/`quarantined` points accrete as
@@ -823,6 +936,54 @@ mod tests {
         assert!(partial.contains("\"points_done\": 1"), "{partial}");
         assert!(partial.contains("\"status\": \"done\""), "{partial}");
         assert!(partial.contains("\"reflectivity_bits\""), "{partial}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two points at once share one progressive artifact. A reader
+    /// polling it throughout finds a whole file every time (one writer at
+    /// a time, rename into place), and neither point's hook flips the
+    /// other back to `pending`: the sweep dies at the batch's last
+    /// certification (2 points × 4 checkpoints), and the artifact that
+    /// hook wrote shows both points running.
+    #[test]
+    fn concurrent_points_share_one_progressive_curve() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let dir = tmp("partial_concurrent");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut grid = SweepGrid::single(&small_base());
+        grid.a0 = vec![0.01, 0.02];
+        let mut cfg = test_cfg(&dir);
+        cfg.kill.after_certifications = Some(8);
+
+        let path = dir.join(PARTIAL_NAME);
+        let parses = |text: &str| {
+            text.starts_with('{')
+                && text.ends_with('}')
+                && text.contains(crate::sweep::PARTIAL_CURVE_SCHEMA)
+                && text.contains("\"points_total\": 2,")
+                && text.matches("{\"job\": ").count() == 2
+        };
+        let finished = AtomicBool::new(false);
+        let (out, reads) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut reads = 0usize;
+                while !finished.load(Ordering::Acquire) {
+                    if let Ok(text) = std::fs::read_to_string(&path) {
+                        assert!(parses(&text), "torn progressive artifact:\n{text}");
+                        reads += 1;
+                    }
+                }
+                reads
+            });
+            let out = vpic_core::with_worker_threads(2, || SweepRunner::new(grid, cfg).run());
+            finished.store(true, Ordering::Release);
+            (out.unwrap(), reader.join().unwrap())
+        });
+        assert_eq!(out.end, SweepEnd::Killed);
+        assert!(reads > 0, "the reader never saw the artifact");
+        let last = std::fs::read_to_string(&path).unwrap();
+        assert!(parses(&last), "{last}");
+        assert_eq!(last.matches("\"status\": \"running\"").count(), 2, "{last}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

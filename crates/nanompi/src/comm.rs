@@ -38,6 +38,7 @@
 use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -243,8 +244,15 @@ pub(crate) fn on_rank_lanes<R: Send>(lanes: usize, f: impl FnOnce() -> R + Send)
 }
 
 /// [`run`] with an optional fault-injection plan threaded through every
-/// rank's communicator. Each rank runs on [`lanes_per_rank`] worker-thread
-/// lanes.
+/// rank's communicator. Each rank of a wider world gets a thread of its own
+/// and [`lanes_per_rank`] worker-thread lanes.
+///
+/// A 1-rank world runs `f` on the calling thread instead, at the caller's
+/// width: it has nobody to share the budget with, and a thread of its own
+/// would cost a fresh malloc arena and, when the caller is itself one part
+/// of a parallel region (the sweep runs its points that way), re-open a
+/// wide region the nested-region rule would otherwise run inline. A panic
+/// in `f` is still reported as `RankPanic { rank: 0 }`.
 pub fn run_with_faults<R, F>(
     n: usize,
     plan: Option<FaultPlan>,
@@ -268,6 +276,21 @@ where
     // senders[from] gets its `to`-th element in outer-loop order, so
     // senders[from][to] is already correct.
     let shared = Arc::new(Shared::new(n, senders));
+
+    if n == 1 {
+        let transport = LocalTransport {
+            rank: 0,
+            shared: Arc::clone(&shared),
+            receivers: receivers.pop().expect("one receiver set"),
+        };
+        let mut comm = Comm::from_transport(Box::new(transport), plan);
+        let result =
+            panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm))).map_err(|payload| RankPanic {
+                rank: 0,
+                message: panic_message(payload.as_ref()),
+            });
+        return (vec![result], report_from_shared(&shared));
+    }
 
     let mut receiver_slots: Vec<Option<Vec<Receiver<Packet>>>> =
         receivers.into_iter().map(Some).collect();
@@ -1078,6 +1101,31 @@ mod tests {
     }
 
     #[test]
+    fn single_rank_world_runs_on_the_caller_at_its_width() {
+        let me = std::thread::current().id();
+        for width in [1usize, 2, 3] {
+            let (results, _) = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap()
+                .install(|| {
+                    run_expect(1, |_| {
+                        (std::thread::current().id(), rayon::current_num_threads())
+                    })
+                });
+            assert_eq!(results, vec![(me, width)]);
+        }
+    }
+
+    #[test]
+    fn single_rank_panic_is_a_rank_panic() {
+        let (results, _) = run(1, |_| -> u32 { panic!("injected single-rank panic") });
+        let p = results[0].as_ref().expect_err("the rank panicked");
+        assert_eq!(p.rank, 0);
+        assert!(p.message.contains("injected single-rank panic"));
+    }
+
+    #[test]
     fn dead_peer_is_a_timeout_not_a_hang() {
         let started = Instant::now();
         let (results, _) = run(2, |c| {
@@ -1357,6 +1405,21 @@ mod fault_tests {
         });
         assert!(results[0].as_ref().unwrap());
         assert!(results[1].as_ref().unwrap());
+    }
+
+    #[test]
+    fn single_rank_kill_surfaces_as_killed() {
+        let plan = FaultPlan::new(1).kill(0, 2);
+        let (results, _) = run_with_faults(1, Some(plan), |c| {
+            (0..5u64).find_map(|step| c.tick(step).err())
+        });
+        assert!(
+            matches!(
+                results[0].as_ref().unwrap(),
+                Some(CommError::Killed { rank: 0, step: 2 })
+            ),
+            "{results:?}"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Distributed campaigns as sweep jobs.
 //!
-//! The LPI sweep service (`vpic-lpi`'s `sweep` module) drives serial
+//! The LPI sweep service (`vpic-lpi`'s `sweep` module) drives one-rank
 //! campaigns through a WAL-backed job queue. Multi-rank campaigns are
 //! the other worker type that service will eventually schedule, and
 //! they must speak the *same* state machine: `Defined → Leased →
@@ -15,10 +15,10 @@
 //! record carrying a fixed-width [`JobResult`] payload; a degraded one
 //! (recovery budget exhausted) is a charged failure that retries with
 //! the caller's [`RetryPolicy`] until quarantine — with the flight
-//! recorder's path in the recorded cause, exactly like the serial
+//! recorder's path in the recorded cause, exactly like the LPI
 //! sweep's poison jobs.
 //!
-//! Unlike the serial sweep, a distributed attempt holds its lease for
+//! Unlike the LPI sweep, a distributed attempt holds its lease for
 //! the whole campaign, so `lease_ms` must cover one full attempt. The
 //! campaign driver's `on_checkpoint` hook
 //! ([`run_campaign_from`](crate::campaign::run_campaign_from)) is where

@@ -40,10 +40,12 @@
 # body (`target-cpu=x86-64`).
 #
 # Pass "sweep" (or set CI_SWEEP=1) to run the reflectivity-sweep-service
-# lane: the WAL corruption matrix, the job-queue state machine, the
-# scheduler/grid/curve suites, the distributed sweep-job adapter, the
-# shrunk kill/resume and quarantine tests, and a [sweep] deck end to end
-# through vpic-run with e5 consuming the curve artifact.
+# lane: the WAL corruption matrix, the job-queue state machine, then at
+# RAYON_NUM_THREADS=1 and 2 (one point at a time, two) the
+# scheduler/grid/curve suites, the distributed sweep-job adapter and the
+# shrunk concurrent, kill/resume and quarantine tests; last, a 3-point
+# [sweep] deck end to end through vpic-run at both widths, the two
+# curves byte-compared, with e5 consuming the curve artifact.
 #
 # Pass "transport" (or set CI_TRANSPORT=1) to run the socket-transport
 # lane: the nanompi and vpic-parallel suites (wire/socket/bootstrap,
@@ -118,7 +120,11 @@ if [[ "${1:-}" == "soak" || "${CI_SOAK:-0}" == "1" ]]; then
     echo "==> fault-soak lane (release, ignored tests)"
     cargo test --release --test campaign_soak -- --ignored --nocapture
     cargo test --release --test srs_soak -- --ignored --nocapture
-    cargo test --release --test sweep_soak -- --ignored --nocapture
+    # The sweep soak runs its plans at one and at two points at a time
+    # inside the test; the pool's default width varies around them.
+    for threads in 1 2; do
+        RAYON_NUM_THREADS=$threads cargo test --release --test sweep_soak -- --ignored --nocapture
+    done
 fi
 
 if [[ "${1:-}" == "sweep" || "${CI_SWEEP:-0}" == "1" ]]; then
@@ -129,12 +135,18 @@ if [[ "${1:-}" == "sweep" || "${CI_SWEEP:-0}" == "1" ]]; then
     cargo test --release -p vpic-core --lib journal
     cargo test --release -p vpic-core --lib queue
     # Orchestrator: grid/scheduler/curve suites, the distributed
-    # sweep-job adapter, and the shrunk kill/resume + quarantine tests.
-    cargo test --release -p vpic-lpi sweep
-    cargo test --release -p vpic-parallel --lib sweepjob
-    cargo test --release --test sweep_soak
+    # sweep-job adapter, and the shrunk concurrent-vs-serial,
+    # kill/resume and quarantine tests — with the pool 1 and 2 threads
+    # wide, i.e. one point at a time and two.
+    for threads in 1 2; do
+        echo "--> RAYON_NUM_THREADS=$threads"
+        RAYON_NUM_THREADS=$threads cargo test --release -p vpic-lpi sweep
+        RAYON_NUM_THREADS=$threads cargo test --release -p vpic-parallel --lib sweepjob
+        RAYON_NUM_THREADS=$threads cargo test --release --test sweep_soak
+    done
     # End to end: a shrunk [sweep] deck through vpic-run (kill-safe
-    # service path), then the e5 harness consuming the curve artifact.
+    # service path) at both widths, the two curves byte-compared, then
+    # the e5 harness consuming the curve artifact.
     cargo build --release -p vpic -p vpic-bench
     deck=target/ci_sweep.deck
     cat > "$deck" <<'EOF'
@@ -146,16 +158,20 @@ a0 = 0.01
 flat = 4
 ppc = 4
 [sweep]
-a0 = 0.01, 0.02
+a0 = 0.01, 0.02, 0.03
 checkpoint_interval = 10
 [sentinel]
 health_interval = 10
 max_energy_growth = 100
 EOF
-    rm -rf target/ci_sweep_out
-    ./target/release/vpic-run "$deck" target/ci_sweep_out
+    for threads in 1 2; do
+        rm -rf "target/ci_sweep_out$threads"
+        RAYON_NUM_THREADS=$threads ./target/release/vpic-run "$deck" "target/ci_sweep_out$threads"
+    done
+    cmp target/ci_sweep_out1/sweep/reflectivity_curve.json \
+        target/ci_sweep_out2/sweep/reflectivity_curve.json
     ./target/release/e5_reflectivity \
-        --from-curve target/ci_sweep_out/sweep/reflectivity_curve.json
+        --from-curve target/ci_sweep_out2/sweep/reflectivity_curve.json
 fi
 
 if [[ "${1:-}" == "transport" || "${CI_TRANSPORT:-0}" == "1" ]]; then
