@@ -91,7 +91,9 @@ pub use push::{
     advance_p, advance_p_aos, advance_p_serial, advance_p_tallied, move_p_local, Exile,
     MoveOutcome, PushCoefficients, PushKernel,
 };
-pub use queue::{Job, JobEvent, JobQueue, JobState, QueueError, QueueStats, RetryPolicy};
+pub use queue::{
+    Job, JobEvent, JobLog, JobLogError, JobQueue, JobState, QueueError, QueueStats, RetryPolicy,
+};
 pub use rng::Rng;
 pub use sentinel::{
     classify, validate_cfl, AnomalyKind, CorruptionEvent, CorruptionMode, CorruptionPlan,

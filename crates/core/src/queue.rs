@@ -2,11 +2,12 @@
 //!
 //! A job walks `Pending → Leased → Running → Done | Failed |
 //! Quarantined`. Every transition is a [`JobEvent`] with a compact
-//! little-endian encoding; the orchestrator appends the event to its
-//! write-ahead journal (`crate::journal`) *before* acting on it, and a
-//! restarted orchestrator rebuilds this queue by replaying the journal
-//! through [`JobQueue::apply`]. The queue itself is pure state — no I/O,
-//! no wall clock — so replays are deterministic and testable.
+//! little-endian encoding. [`JobQueue`] is pure state — no I/O, no wall
+//! clock — so replays are deterministic and testable. [`JobLog`] pairs
+//! it with a write-ahead journal (`crate::journal`) and is the only
+//! writer of job events: it validates an event against the queue,
+//! journals it, and a restarted orchestrator rebuilds the queue by
+//! replaying the journal through [`JobQueue::apply`].
 //!
 //! Timing (lease deadlines, retry backoff) uses a caller-supplied
 //! logical clock in milliseconds. Retry backoff is exponential with
@@ -15,16 +16,20 @@
 //!
 //! Two kinds of lease loss are deliberately distinct:
 //!
-//! * [`JobQueue::reclaim_expired`] — a live orchestrator notices a
+//! * [`JobQueue::expired_leases`] — a live orchestrator notices a
 //!   heartbeat deadline passed. The worker is presumed wedged; the job
-//!   *failed an attempt* and retries with backoff (or quarantines).
-//! * [`JobQueue::release_orphaned`] — a restarted orchestrator knows
-//!   its in-process workers died with it. Leases are released without
+//!   *failed an attempt* ([`JobLog::charge_failure`]) and retries with
+//!   backoff (or quarantines).
+//! * [`JobLog::release_orphans`] — a restarted orchestrator knows its
+//!   in-process workers died with it. Leases are released without
 //!   charging an attempt, and the job resumes from its last certified
 //!   checkpoint step (the `Progress` heartbeats double as step
 //!   accounting).
 
 use std::collections::BTreeMap;
+use std::path::Path;
+
+use crate::journal::{Journal, JournalError, ReplayReport};
 
 /// Retry/backoff policy for failed jobs.
 #[derive(Debug, Clone)]
@@ -108,7 +113,7 @@ impl JobState {
 }
 
 /// One job's replayed state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Stable identity (grid index for sweep jobs).
     pub id: u64,
@@ -409,7 +414,7 @@ pub struct QueueStats {
 }
 
 /// Replayable in-memory job queue.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobQueue {
     jobs: BTreeMap<u64, Job>,
 }
@@ -600,25 +605,6 @@ impl JobQueue {
             .collect()
     }
 
-    /// Release every lease without charging an attempt: a *restarted*
-    /// orchestrator's in-process workers died with the old process, so
-    /// leased/running jobs return to `Pending` and resume from their
-    /// certified checkpoint. Returns the released ids.
-    pub fn release_orphaned(&mut self) -> Vec<u64> {
-        let mut released = Vec::new();
-        for job in self.jobs.values_mut() {
-            if matches!(
-                job.state,
-                JobState::Leased { .. } | JobState::Running { .. }
-            ) {
-                job.state = JobState::Pending;
-                job.ready_at_ms = 0;
-                released.push(job.id);
-            }
-        }
-        released
-    }
-
     /// True when no job can make further progress (everything is done
     /// or quarantined).
     pub fn is_settled(&self) -> bool {
@@ -642,6 +628,151 @@ impl JobQueue {
             s.total_failures += j.attempts as u64;
         }
         s
+    }
+}
+
+/// Typed [`JobLog`] failure.
+#[derive(Debug)]
+pub enum JobLogError {
+    /// The journal could not be read or appended to.
+    Journal(JournalError),
+    /// A replayed record failed to decode or apply, or a live event was
+    /// rejected by the queue (and not journaled).
+    Queue(QueueError),
+    /// An earlier append failed, so the WAL's tail is unknown: this
+    /// handle records nothing more. Reopen the log to go on.
+    Closed,
+}
+
+impl std::fmt::Display for JobLogError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobLogError::Journal(e) => write!(f, "job log: {e}"),
+            JobLogError::Queue(e) => write!(f, "job log: {e}"),
+            JobLogError::Closed => write!(f, "job log closed by an earlier failed append"),
+        }
+    }
+}
+
+impl std::error::Error for JobLogError {}
+
+impl From<JournalError> for JobLogError {
+    fn from(e: JournalError) -> Self {
+        JobLogError::Journal(e)
+    }
+}
+
+impl From<QueueError> for JobLogError {
+    fn from(e: QueueError) -> Self {
+        JobLogError::Queue(e)
+    }
+}
+
+/// A write-ahead journal and the [`JobQueue`] replayed from it: the one
+/// writer of [`JobEvent`]s. An event is applied to the queue first and
+/// journaled only if the queue accepts it, so a rejected event never
+/// reaches the disk and every WAL this writes replays.
+pub struct JobLog {
+    journal: Journal,
+    queue: JobQueue,
+    replay: ReplayReport,
+    /// An append failed; see [`JobLogError::Closed`].
+    closed: bool,
+}
+
+impl JobLog {
+    /// Open (or create) the WAL at `path` and replay it. A record that
+    /// fails to decode or apply is a typed error, never a silently
+    /// dropped transition: the journal layer has already checked every
+    /// frame's CRC, so a bad event means a software bug or a foreign
+    /// journal.
+    pub fn open(path: &Path) -> Result<JobLog, JobLogError> {
+        let mut queue = JobQueue::new();
+        let mut defect = None;
+        let (journal, replay) = Journal::open(path, |payload| {
+            if defect.is_none() {
+                if let Err(e) = JobEvent::decode(payload).and_then(|ev| queue.apply(&ev)) {
+                    defect = Some(e);
+                }
+            }
+        })?;
+        if let Some(e) = defect {
+            return Err(e.into());
+        }
+        Ok(JobLog {
+            journal,
+            queue,
+            replay,
+            closed: false,
+        })
+    }
+
+    /// The queue as of the last recorded event.
+    pub fn queue(&self) -> &JobQueue {
+        &self.queue
+    }
+
+    /// What replay found at open.
+    pub fn replay(&self) -> &ReplayReport {
+        &self.replay
+    }
+
+    /// Apply `event` and, if the queue accepts it, journal it durably.
+    /// A failed append closes the handle: the queue is then ahead of
+    /// (or beside) a WAL whose tail is unknown.
+    pub fn record(&mut self, event: &JobEvent) -> Result<(), JobLogError> {
+        if self.closed {
+            return Err(JobLogError::Closed);
+        }
+        self.queue.apply(event)?;
+        self.journal.append(&event.encode()).map_err(|e| {
+            self.closed = true;
+            JobLogError::Journal(e)
+        })
+    }
+
+    /// Release every lease a dead predecessor left behind, uncharged,
+    /// with one `Released` record each (the predecessor could not
+    /// journal its own death, and without the record the next replay
+    /// would see an illegal re-lease). Certified steps survive, so the
+    /// released jobs resume rather than restart. Returns their ids.
+    pub fn release_orphans(&mut self) -> Result<Vec<u64>, JobLogError> {
+        let orphans: Vec<u64> = self
+            .queue
+            .jobs()
+            .filter(|j| matches!(j.state, JobState::Leased { .. } | JobState::Running { .. }))
+            .map(|j| j.id)
+            .collect();
+        for &id in &orphans {
+            self.record(&JobEvent::Released { id })?;
+        }
+        Ok(orphans)
+    }
+
+    /// Charge failed attempt `attempt` of job `id`: a `Failed` record
+    /// gated until `ready_at_ms` for every failure, then, at
+    /// `max_attempts`, the terminal `Quarantined` marker on top, so a
+    /// quarantined job counts exactly `max_attempts` charged attempts.
+    /// Returns whether the job was quarantined.
+    pub fn charge_failure(
+        &mut self,
+        id: u64,
+        attempt: u32,
+        ready_at_ms: u64,
+        cause: String,
+        max_attempts: u32,
+    ) -> Result<bool, JobLogError> {
+        let quarantine = attempt >= max_attempts;
+        self.record(&JobEvent::Failed {
+            id,
+            attempt,
+            ready_at_ms,
+            cause: cause.clone(),
+        })?;
+        if quarantine {
+            self.record(&JobEvent::Quarantined { id, cause })?;
+        }
+        Ok(quarantine)
     }
 }
 
@@ -888,23 +1019,14 @@ mod tests {
         // by the Failed event the orchestrator writes).
         assert_eq!(q.expired_leases(899), Vec::<u64>::new());
         assert_eq!(q.expired_leases(901), vec![2]);
-        // Crash path: restart releases without charging.
-        let released = q.clone().release_orphaned();
-        assert_eq!(released, vec![2]);
-        let mut q2 = q.clone();
-        q2.release_orphaned();
-        let job = q2.job(2).unwrap();
-        assert_eq!(job.state, JobState::Pending);
-        assert_eq!(job.attempts, 0);
-        assert_eq!(job.certified_step, 50, "resume point must survive restart");
-        // The journaled form of the same release: `Released` replays to
-        // the identical state, and a re-lease is then legal again.
+        // Crash path: `Released` returns the job to `Pending` uncharged
+        // with its resume point, and a re-lease is then legal again.
         let mut q3 = q.clone();
         q3.apply(&JobEvent::Released { id: 2 }).unwrap();
         let job = q3.job(2).unwrap();
         assert_eq!(job.state, JobState::Pending);
         assert_eq!(job.attempts, 0);
-        assert_eq!(job.certified_step, 50);
+        assert_eq!(job.certified_step, 50, "resume point must survive restart");
         q3.apply(&JobEvent::Leased {
             id: 2,
             attempt: 1,
@@ -922,5 +1044,195 @@ mod tests {
             q4.apply(&JobEvent::Released { id: 9 }),
             Err(QueueError::IllegalTransition { .. })
         ));
+    }
+
+    /// A fresh WAL path for one test.
+    fn wal(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("vpic_joblog_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}.wal"));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn define(id: u64, fingerprint: u64) -> JobEvent {
+        JobEvent::Defined { id, fingerprint }
+    }
+
+    fn lease(id: u64, attempt: u32) -> [JobEvent; 2] {
+        [
+            JobEvent::Leased {
+                id,
+                attempt,
+                deadline_ms: 1_000,
+            },
+            JobEvent::Started { id, attempt },
+        ]
+    }
+
+    #[test]
+    fn job_log_replays_every_event_kind_to_an_equal_queue() {
+        let path = wal("every_kind");
+        let mut log = JobLog::open(&path).unwrap();
+        let mut events = vec![define(0, 10), define(1, 11), define(2, 12), define(0, 10)];
+        events.extend(lease(0, 1));
+        events.push(JobEvent::Progress {
+            id: 0,
+            certified_step: 20,
+            deadline_ms: 1_020,
+        });
+        events.push(JobEvent::Done {
+            id: 0,
+            result: vec![7, 8],
+        });
+        events.extend(lease(1, 1));
+        events.push(JobEvent::Failed {
+            id: 1,
+            attempt: 1,
+            ready_at_ms: 300,
+            cause: "degraded".into(),
+        });
+        events.push(JobEvent::Quarantined {
+            id: 1,
+            cause: "poison".into(),
+        });
+        events.extend(lease(2, 1));
+        events.push(JobEvent::Released { id: 2 });
+        for ev in &events {
+            log.record(ev).unwrap();
+        }
+        let live = log.queue().clone();
+        drop(log);
+
+        let back = JobLog::open(&path).unwrap();
+        assert_eq!(back.replay().records, events.len());
+        assert_eq!(back.queue(), &live);
+        let states: Vec<_> = live.jobs().map(|j| j.state.clone()).collect();
+        assert_eq!(
+            states,
+            [JobState::Done, JobState::Quarantined, JobState::Pending]
+        );
+    }
+
+    #[test]
+    fn rejected_events_leave_the_wal_bytes_unchanged() {
+        let path = wal("rejected");
+        let mut log = JobLog::open(&path).unwrap();
+        log.record(&define(4, 1)).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        assert!(matches!(
+            log.record(&JobEvent::Started { id: 4, attempt: 1 }),
+            Err(JobLogError::Queue(QueueError::IllegalTransition { .. }))
+        ));
+        assert!(matches!(
+            log.record(&define(4, 2)),
+            Err(JobLogError::Queue(QueueError::FingerprintMismatch { .. }))
+        ));
+        assert!(matches!(
+            log.record(&JobEvent::Released { id: 5 }),
+            Err(JobLogError::Queue(QueueError::UnknownJob(5)))
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        // The handle stays usable after a rejection.
+        log.record(&define(5, 1)).unwrap();
+        drop(log);
+        assert_eq!(JobLog::open(&path).unwrap().queue().len(), 2);
+    }
+
+    #[test]
+    fn failed_append_closes_the_handle() {
+        let path = wal("closed");
+        let mut log = JobLog::open(&path).unwrap();
+        log.record(&define(0, 1)).unwrap();
+        for ev in lease(0, 1) {
+            log.record(&ev).unwrap();
+        }
+        // A payload over the journal's record cap fails the append after
+        // the queue accepted the event.
+        let huge = JobEvent::Done {
+            id: 0,
+            result: vec![0; crate::journal::MAX_RECORD as usize],
+        };
+        assert!(matches!(
+            log.record(&huge),
+            Err(JobLogError::Journal(JournalError::RecordTooLarge { .. }))
+        ));
+        assert!(matches!(
+            log.record(&define(1, 1)),
+            Err(JobLogError::Closed)
+        ));
+        drop(log);
+        let log = JobLog::open(&path).unwrap();
+        assert_eq!(log.replay().records, 3);
+        assert!(matches!(
+            log.queue().job(0).unwrap().state,
+            JobState::Running { .. }
+        ));
+    }
+
+    #[test]
+    fn charge_failure_quarantines_at_exactly_max_attempts() {
+        let path = wal("charge");
+        let mut log = JobLog::open(&path).unwrap();
+        log.record(&define(6, 1)).unwrap();
+        for attempt in 1..=3 {
+            for ev in lease(6, attempt) {
+                log.record(&ev).unwrap();
+            }
+            let quarantined = log
+                .charge_failure(
+                    6,
+                    attempt,
+                    100 * attempt as u64,
+                    format!("boom {attempt}"),
+                    3,
+                )
+                .unwrap();
+            assert_eq!(quarantined, attempt == 3, "attempt {attempt}");
+            let job = log.queue().job(6).unwrap();
+            assert_eq!(job.attempts, attempt);
+            assert_eq!(job.last_cause.as_deref(), Some(&*format!("boom {attempt}")));
+        }
+        assert_eq!(log.queue().job(6).unwrap().state, JobState::Quarantined);
+        assert_eq!(log.queue().stats().total_failures, 3);
+        let live = log.queue().clone();
+        drop(log);
+        assert_eq!(JobLog::open(&path).unwrap().queue(), &live);
+    }
+
+    #[test]
+    fn release_orphans_keeps_certified_step() {
+        let path = wal("orphans");
+        let mut log = JobLog::open(&path).unwrap();
+        for id in 0..3 {
+            log.record(&define(id, id)).unwrap();
+        }
+        // Job 0 is running past a checkpoint, job 1 is only leased, job
+        // 2 was never touched.
+        for ev in lease(0, 1) {
+            log.record(&ev).unwrap();
+        }
+        log.record(&JobEvent::Progress {
+            id: 0,
+            certified_step: 50,
+            deadline_ms: 2_000,
+        })
+        .unwrap();
+        log.record(&lease(1, 1)[0]).unwrap();
+        drop(log);
+
+        let mut log = JobLog::open(&path).unwrap();
+        assert_eq!(log.release_orphans().unwrap(), vec![0, 1]);
+        let job = log.queue().job(0).unwrap();
+        assert_eq!(job.state, JobState::Pending);
+        assert_eq!(job.attempts, 0);
+        assert_eq!(job.certified_step, 50, "resume point must survive restart");
+        assert_eq!(log.queue().next_ready(0), Some(0));
+        let live = log.queue().clone();
+        drop(log);
+        // The releases are journaled: a third open replays them legally.
+        let mut log = JobLog::open(&path).unwrap();
+        assert_eq!(log.queue(), &live);
+        assert_eq!(log.release_orphans().unwrap(), Vec::<u64>::new());
     }
 }

@@ -1,13 +1,14 @@
 //! The WAL-backed sweep orchestrator.
 //!
 //! One [`SweepRunner::run`] call is one orchestrator *incarnation*: it
-//! opens (or creates) `sweep.wal` in the sweep directory, replays it
-//! through the [`JobQueue`] state machine, reconciles the queue against
-//! the grid spec (defining any jobs the journal does not know — this is
-//! also what makes a salvaged torn-tail journal safe), releases leases
-//! orphaned by a previous incarnation's death **without charging an
-//! attempt**, and then drains the queue in *batches*. Every transition
-//! is journaled *before* it is acted on.
+//! opens (or creates) `sweep.wal` in the sweep directory as a [`JobLog`]
+//! (which replays it into the [`JobQueue`] state machine), reconciles
+//! the queue against the grid spec (defining any jobs the journal does
+//! not know — this is also what makes a salvaged torn-tail journal
+//! safe), releases leases orphaned by a previous incarnation's death
+//! **without charging an attempt**, and then drains the queue in
+//! *batches*. Every transition goes through the log, which journals it
+//! *before* it is acted on.
 //!
 //! A batch is up to `rayon::current_num_threads()` ready jobs, leased
 //! and started (both records journaled) before any physics runs. Its
@@ -15,9 +16,8 @@
 //! persistent pool; a region opened inside a part runs inline, so each
 //! point steps on exactly one lane, and a batch of one (an odd tail, a
 //! retry) keeps the whole width for its own regions. Outcomes are folded
-//! in job-id order once the whole batch has returned: the `Progress`
-//! mirror, the step ledger, the `Done`/`Failed`/`Quarantined` records,
-//! the progress events. A job's physics does not depend on which lane
+//! in job-id order once the whole batch has returned: the step ledger,
+//! the `Done`/`Failed`/`Quarantined` records, the progress events. A job's physics does not depend on which lane
 //! ran it or beside whom, so the curve is byte-identical at any width.
 //!
 //! Campaign checkpoints double as heartbeats: the campaign's
@@ -41,8 +41,10 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use rayon::prelude::*;
-use vpic_core::journal::{Journal, JournalError, ReplayReport};
-use vpic_core::queue::{JobEvent, JobQueue, JobState, QueueError, QueueStats, RetryPolicy};
+use vpic_core::journal::ReplayReport;
+use vpic_core::queue::{
+    JobEvent, JobLog, JobLogError, JobQueue, JobState, QueueStats, RetryPolicy,
+};
 use vpic_core::sentinel::{CorruptionPlan, SentinelConfig};
 use vpic_parallel::campaign::{CampaignEnd, CampaignError};
 
@@ -190,8 +192,7 @@ pub struct SweepOutcome {
 #[derive(Debug)]
 pub enum SweepError {
     Io(std::io::Error),
-    Journal(JournalError),
-    Queue(QueueError),
+    Log(JobLogError),
     Campaign(CampaignError),
     /// A `Done` payload failed to decode or cross-check.
     MalformedResult {
@@ -206,8 +207,7 @@ impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SweepError::Io(e) => write!(f, "sweep io: {e}"),
-            SweepError::Journal(e) => write!(f, "sweep journal: {e}"),
-            SweepError::Queue(e) => write!(f, "sweep queue: {e}"),
+            SweepError::Log(e) => write!(f, "sweep {e}"),
             SweepError::Campaign(e) => write!(f, "sweep campaign: {e}"),
             SweepError::MalformedResult { job, reason } => {
                 write!(f, "job {job}: malformed result payload: {reason}")
@@ -224,14 +224,9 @@ impl From<std::io::Error> for SweepError {
         SweepError::Io(e)
     }
 }
-impl From<JournalError> for SweepError {
-    fn from(e: JournalError) -> Self {
-        SweepError::Journal(e)
-    }
-}
-impl From<QueueError> for SweepError {
-    fn from(e: QueueError) -> Self {
-        SweepError::Queue(e)
+impl From<JobLogError> for SweepError {
+    fn from(e: JobLogError) -> Self {
+        SweepError::Log(e)
     }
 }
 impl From<CampaignError> for SweepError {
@@ -274,13 +269,15 @@ pub enum SweepProgress {
     Quarantined { job: u64, cause: String },
 }
 
-/// The incarnation's WAL and the kill plan's state. A certification
-/// counts and fires under the same lock as its append, so concurrent
-/// points agree on which record is the Nth, and none journals after it.
+/// The incarnation's job log and the kill plan's state. A certification
+/// is recorded, counted and fires under one lock, so concurrent points
+/// agree on which record is the Nth, and none journals after it.
 struct Wal {
-    journal: Journal,
+    log: JobLog,
     certifications: u64,
     killed: bool,
+    /// A failed `Progress` record: it halts the batch and fails the sweep.
+    error: Option<JobLogError>,
 }
 
 /// A job of the current batch, leased and started.
@@ -301,22 +298,12 @@ struct Batch<'a> {
     clock_ms: u64,
 }
 
-/// What a point's checkpoint hook recorded during one attempt.
-#[derive(Default)]
-struct Heartbeat {
-    /// Newest checkpoint the campaign wrote, journaled or not.
-    last_checkpoint: Option<u64>,
-    /// Newest journaled `Progress`: `(certified_step, deadline_ms)`.
-    last_progress: Option<(u64, u64)>,
-    /// A failed append: it halted the attempt and fails the sweep.
-    error: Option<JournalError>,
-}
-
 /// One attempt's result, handed to the fold.
 struct AttemptRun {
     lease: Lease,
     out: Result<LpiCampaignOutcome, CampaignError>,
-    beat: Heartbeat,
+    /// Newest checkpoint the campaign wrote, journaled or not.
+    last_checkpoint: Option<u64>,
 }
 
 /// The orchestrator. Construct once per incarnation and call
@@ -378,8 +365,8 @@ impl SweepRunner {
     }
 
     /// Run one leased attempt of a batch: build its campaign and drive it
-    /// with the checkpoint hook as heartbeat and kill switch. Journals
-    /// only `Progress` records; everything else waits for the fold.
+    /// with the checkpoint hook as heartbeat and kill switch. Records
+    /// only `Progress`; everything else waits for the fold.
     fn run_attempt(&self, batch: &Batch, lease: Lease) -> AttemptRun {
         let Lease { id, attempt } = lease;
         // `resume` is unconditionally on: attempt 1 simply finds an empty
@@ -394,33 +381,30 @@ impl SweepRunner {
         ccfg.sentinel = self.cfg.sentinel;
         ccfg.corruption = self.cfg.corruption(id, attempt);
 
-        // Journal a `Progress` record per certified checkpoint; halt on a
-        // journal error (surfaced by the fold) or once any point of the
-        // batch has fired the kill plan. The provisional reflectivity of
-        // the progressive curve comes from the campaign's streaming
+        // Record a `Progress` per certified checkpoint; halt on a log
+        // error (surfaced after the batch) or once any point of the batch
+        // has fired the kill plan. The provisional reflectivity of the
+        // progressive curve comes from the campaign's streaming
         // `progress.json` when its diagnostics pipeline is on; `null`
         // otherwise.
-        let beat = Mutex::new(Heartbeat::default());
+        let last_checkpoint = Mutex::new(None);
         let progress_path = self.job_dir(id).join("progress.json");
         let hook = |step: u64| -> bool {
-            let mut beat = beat.lock().expect("heartbeat lock");
-            beat.last_checkpoint = Some(step);
-            let deadline_ms = batch.clock_ms + step + self.cfg.lease_ms;
+            *last_checkpoint.lock().expect("checkpoint lock") = Some(step);
             let go_on = {
                 let mut wal = batch.wal.lock().expect("journal lock poisoned");
-                if wal.killed {
+                if wal.killed || wal.error.is_some() {
                     return false;
                 }
                 let ev = JobEvent::Progress {
                     id,
                     certified_step: step,
-                    deadline_ms,
+                    deadline_ms: batch.clock_ms + step + self.cfg.lease_ms,
                 };
-                if let Err(e) = wal.journal.append(&ev.encode()) {
-                    beat.error = Some(e);
+                if let Err(e) = wal.log.record(&ev) {
+                    wal.error = Some(e);
                     return false;
                 }
-                beat.last_progress = Some((step, deadline_ms));
                 wal.certifications += 1;
                 // Die at the k-th certification (1-based), with its
                 // Progress record already durable — a SIGKILL right
@@ -446,42 +430,24 @@ impl SweepRunner {
         AttemptRun {
             lease,
             out,
-            beat: beat.into_inner().expect("heartbeat lock"),
+            last_checkpoint: last_checkpoint.into_inner().expect("checkpoint lock"),
         }
     }
 
-    /// Charge one failed attempt, following the queue's canonical retry
-    /// protocol: a `Failed` record (with its backoff gate) for *every*
-    /// failure, then — out of attempts — the terminal `Quarantined`
-    /// marker, so `attempts`/`total_failures` count exactly N charged
-    /// attempts when a poison job lands in quarantine.
-    #[allow(clippy::too_many_arguments)]
+    /// Charge one failed attempt (see [`JobLog::charge_failure`]) and
+    /// report it.
     fn fail_attempt(
         &self,
-        append: &dyn Fn(&JobEvent) -> Result<(), SweepError>,
-        queue: &mut JobQueue,
+        log: &mut JobLog,
         progress: &(dyn Fn(&SweepProgress) + Sync),
-        id: u64,
-        attempt: u32,
+        lease: Lease,
         clock_ms: u64,
         cause: String,
     ) -> Result<(), SweepError> {
+        let Lease { id, attempt } = lease;
         let ready_at_ms = clock_ms + self.cfg.retry.backoff_ms(id, attempt);
-        let ev = JobEvent::Failed {
-            id,
-            attempt,
-            ready_at_ms,
-            cause: cause.clone(),
-        };
-        append(&ev)?;
-        queue.apply(&ev)?;
-        if attempt >= self.cfg.retry.max_attempts {
-            let ev = JobEvent::Quarantined {
-                id,
-                cause: cause.clone(),
-            };
-            append(&ev)?;
-            queue.apply(&ev)?;
+        let max_attempts = self.cfg.retry.max_attempts;
+        if log.charge_failure(id, attempt, ready_at_ms, cause.clone(), max_attempts)? {
             progress(&SweepProgress::Quarantined { job: id, cause });
         } else {
             progress(&SweepProgress::Failed {
@@ -512,79 +478,31 @@ impl SweepRunner {
         std::fs::create_dir_all(&self.cfg.sweep_dir)?;
         let wal_path = self.cfg.sweep_dir.join(WAL_NAME);
 
-        // Replay. Records that fail to decode or apply are a typed
-        // error: the WAL is CRC-clean (the journal layer verified it),
-        // so a bad event means a software bug or a foreign journal, and
-        // silently dropping a job transition could re-run or lose work.
-        let mut queue = JobQueue::new();
-        let mut replay_defect: Option<SweepError> = None;
-        let (journal, replay) = Journal::open(&wal_path, |payload| {
-            if replay_defect.is_some() {
-                return;
-            }
-            match JobEvent::decode(payload) {
-                Ok(ev) => {
-                    if let Err(e) = queue.apply(&ev) {
-                        replay_defect = Some(SweepError::Queue(e));
-                    }
-                }
-                Err(e) => replay_defect = Some(SweepError::Queue(e)),
-            }
-        })?;
-        if let Some(defect) = replay_defect {
-            return Err(defect);
-        }
-        let wal = Mutex::new(Wal {
-            journal,
-            certifications: 0,
-            killed: false,
-        });
-        let append = |ev: &JobEvent| -> Result<(), SweepError> {
-            wal.lock()
-                .expect("journal lock poisoned")
-                .journal
-                .append(&ev.encode())
-                .map_err(SweepError::from)
-        };
-
-        // Reconcile against the spec: (re)define every grid point. The
-        // queue validates fingerprints, so a journal from a different
-        // sweep is rejected here instead of silently misapplied, and a
-        // torn-tail salvage that dropped a `Defined` record is healed.
-        // Jobs the journal already knows are journaled again anyway
-        // (`Defined` is idempotent): the WAL grows by one record per
-        // job per restart, a price worth paying for reconciliation
-        // that needs no out-of-band spec file.
+        // Replay (a record that fails to decode or apply is a typed
+        // error), then reconcile against the spec: (re)define every grid
+        // point. The queue validates fingerprints, so a journal from a
+        // different sweep is rejected here instead of silently
+        // misapplied, and a torn-tail salvage that dropped a `Defined`
+        // record is healed. Jobs the journal already knows are journaled
+        // again anyway (`Defined` is idempotent): the WAL grows by one
+        // record per job per restart, a price worth paying for
+        // reconciliation that needs no out-of-band spec file.
+        let mut log = JobLog::open(&wal_path)?;
         for point in self.grid.points() {
-            let ev = JobEvent::Defined {
+            log.record(&JobEvent::Defined {
                 id: point.job_id,
                 fingerprint: point.fingerprint(&self.cfg.base, self.cfg.steps),
-            };
-            queue.apply(&ev)?;
-            append(&ev)?;
+            })?;
         }
 
         // A previous incarnation's in-process workers died with it:
-        // release their leases without charging attempts, and journal
-        // each release (the dead incarnation could not journal its own
-        // death; without the `Released` record the next replay would
-        // see an illegal `Leased`-from-`Running` transition). The
-        // certified step survives, so released jobs resume, not
-        // restart.
-        let orphans_released: Vec<u64> = queue
-            .jobs()
-            .filter(|j| matches!(j.state, JobState::Leased { .. } | JobState::Running { .. }))
-            .map(|j| j.id)
-            .collect();
-        for &id in &orphans_released {
-            let ev = JobEvent::Released { id };
-            append(&ev)?;
-            queue.apply(&ev)?;
-        }
+        // release their leases without charging attempts. The certified
+        // step survives, so released jobs resume, not restart.
+        let orphans_released = log.release_orphans()?;
 
         // The logical clock (1 step ≙ 1 ms). A batch advances it by its
         // longest attempt: its points run side by side.
-        let mut clock_ms: u64 = queue.jobs().map(|j| j.ready_at_ms).max().unwrap_or(0);
+        let mut clock_ms: u64 = log.queue().jobs().map(|j| j.ready_at_ms).max().unwrap_or(0);
         let mut steps_by_job: BTreeMap<u64, u64> = BTreeMap::new();
         let mut attempts_launched = 0u64;
         let mut outcome_end = SweepEnd::Completed;
@@ -592,42 +510,53 @@ impl SweepRunner {
 
         // First progressive artifact: the reconciled queue as found on
         // disk, before this incarnation runs any physics.
-        self.write_partial(self.partial_points(&queue));
+        self.write_partial(self.partial_points(log.queue()));
 
-        'drain: while !queue.is_settled() {
+        // Between batches the drain owns the lock outright (`get_mut`);
+        // during one, the points' checkpoint hooks share it.
+        let mut wal = Mutex::new(Wal {
+            log,
+            certifications: 0,
+            killed: false,
+            error: None,
+        });
+        'drain: loop {
+            let log = &mut wal.get_mut().expect("journal lock poisoned").log;
+            if log.queue().is_settled() {
+                break;
+            }
             // Wedged-worker defense: any lease past its deadline is a
             // charged failure. (Every lease of an in-process batch is
             // settled before the next pass, so this only fires on clock
             // jumps, but the queue is also the state machine for future
             // out-of-process workers.)
-            for id in queue.expired_leases(clock_ms) {
-                let job = queue.job(id).expect("expired lease of defined job");
-                let attempt = job.attempts + 1;
+            for id in log.queue().expired_leases(clock_ms) {
+                let job = log.queue().job(id).expect("expired lease of defined job");
+                let lease = Lease {
+                    id,
+                    attempt: job.attempts + 1,
+                };
                 let cause = "lease expired: worker presumed wedged".to_string();
-                self.fail_attempt(&append, &mut queue, progress, id, attempt, clock_ms, cause)?;
+                self.fail_attempt(log, progress, lease, clock_ms, cause)?;
             }
 
             // Lease and start up to `width` ready jobs, lowest id first.
             let mut batch: Vec<Lease> = Vec::with_capacity(width);
             while batch.len() < width {
-                let Some(id) = queue.next_ready(clock_ms) else {
+                let Some(id) = log.queue().next_ready(clock_ms) else {
                     break;
                 };
-                let attempt = queue.job(id).expect("ready job is defined").attempts + 1;
-                let lease = JobEvent::Leased {
+                let attempt = log.queue().job(id).expect("ready job is defined").attempts + 1;
+                log.record(&JobEvent::Leased {
                     id,
                     attempt,
                     deadline_ms: clock_ms + self.cfg.lease_ms,
-                };
-                append(&lease)?;
-                queue.apply(&lease)?;
+                })?;
                 if self.cfg.kill.before_job == Some(id) {
                     outcome_end = SweepEnd::Killed;
                     break 'drain;
                 }
-                let started = JobEvent::Started { id, attempt };
-                append(&started)?;
-                queue.apply(&started)?;
+                log.record(&JobEvent::Started { id, attempt })?;
                 attempts_launched += 1;
                 let point = self.grid.point(id).expect("job id within grid");
                 progress(&SweepProgress::Started {
@@ -641,7 +570,7 @@ impl SweepRunner {
             }
             if batch.is_empty() {
                 // Everything is gated by retry backoff: jump the clock.
-                match queue.next_ready_at() {
+                match log.queue().next_ready_at() {
                     Some(at) if at > clock_ms => {
                         clock_ms = at;
                         continue;
@@ -651,9 +580,10 @@ impl SweepRunner {
             }
 
             // The batch is one region of the pool: one part per point.
+            let partial = Mutex::new(self.partial_points(log.queue()));
             let shared = Batch {
                 wal: &wal,
-                partial: Mutex::new(self.partial_points(&queue)),
+                partial,
                 clock_ms,
             };
             let runs: Vec<AttemptRun> = batch
@@ -667,29 +597,22 @@ impl SweepRunner {
                 .max()
                 .unwrap_or(0);
             clock_ms += longest.max(1);
-            let killed = wal.lock().expect("journal lock poisoned").killed;
+            let Wal {
+                log, killed, error, ..
+            } = wal.get_mut().expect("journal lock poisoned");
+            if let Some(e) = error.take() {
+                return Err(e.into());
+            }
 
             // Fold in job-id order.
-            for AttemptRun { lease, out, beat } in runs {
-                let Lease { id, attempt } = lease;
-                let out = out?;
-                if let Some(e) = beat.error {
-                    return Err(SweepError::Journal(e));
-                }
-                // Mirror the hook's journaled Progress records into the
-                // live queue (the hooks cannot borrow it).
-                if let Some((step, deadline_ms)) = beat.last_progress {
-                    queue.apply(&JobEvent::Progress {
-                        id,
-                        certified_step: step,
-                        deadline_ms,
-                    })?;
-                }
-                if killed {
+            for run in runs {
+                let Lease { id, attempt } = run.lease;
+                let out = run.out?;
+                if *killed {
                     // Die without journaling anything else, like a real
                     // SIGKILL; the next incarnation resumes this point
                     // from its newest checkpoint.
-                    let kept = beat
+                    let kept = run
                         .last_checkpoint
                         .map_or(0, |s| s.saturating_sub(out.resumed_from.unwrap_or(0)));
                     *steps_by_job.entry(id).or_insert(0) += kept;
@@ -698,7 +621,7 @@ impl SweepRunner {
                 *steps_by_job.entry(id).or_insert(0) += out.steps_run;
                 match out.end {
                     CampaignEnd::Halted { .. } => {
-                        unreachable!("only a journal error or a fired kill halts a point")
+                        unreachable!("only a log error or a fired kill halts a point")
                     }
                     CampaignEnd::Completed => {
                         let point = self.grid.point(id).expect("job id within grid");
@@ -709,17 +632,15 @@ impl SweepRunner {
                             n_particles: out.n_particles,
                             state_fingerprint: out.state_fingerprint,
                         };
-                        let ev = JobEvent::Done {
+                        log.record(&JobEvent::Done {
                             id,
                             result: result.encode(),
-                        };
-                        append(&ev)?;
-                        queue.apply(&ev)?;
+                        })?;
                         progress(&SweepProgress::Done {
                             job: id,
                             attempt,
                             reflectivity: out.reflectivity,
-                            done: queue.stats().done,
+                            done: log.queue().stats().done,
                             total: self.grid.len(),
                         });
                     }
@@ -729,33 +650,33 @@ impl SweepRunner {
                              flight recorder in {}",
                             self.job_dir(id).display()
                         );
-                        self.fail_attempt(
-                            &append, &mut queue, progress, id, attempt, clock_ms, cause,
-                        )?;
+                        self.fail_attempt(log, progress, run.lease, clock_ms, cause)?;
                     }
                 }
             }
-            if killed {
+            if *killed {
                 outcome_end = SweepEnd::Killed;
                 break;
             }
             // Every settled transition refreshes the progressive curve,
             // so observers see `done`/`quarantined` points accrete as
             // the queue drains.
-            self.write_partial(self.partial_points(&queue));
+            self.write_partial(self.partial_points(log.queue()));
         }
 
+        let log = wal.into_inner().expect("journal lock poisoned").log;
+        let queue = log.queue();
         let stats = queue.stats();
         let settled = queue.is_settled() && outcome_end == SweepEnd::Completed;
         let (curve, curve_path) = if settled {
-            let curve = self.aggregate(&queue)?;
+            let curve = self.aggregate(queue)?;
             let path = self.cfg.sweep_dir.join(CURVE_NAME);
             write_json_atomic(&path, &curve.to_json())?;
             let steps_executed: u64 = steps_by_job.values().sum();
             let bench = SweepBench::from_stats(
                 &stats,
                 self.grid.len(),
-                u64::from(replay.records > 0),
+                u64::from(log.replay().records > 0),
                 steps_executed,
                 wall_start.elapsed().as_secs_f64(),
                 stats.done,
@@ -771,7 +692,7 @@ impl SweepRunner {
             stats,
             curve,
             curve_path,
-            replay,
+            replay: log.replay().clone(),
             orphans_released,
             steps_by_job,
             attempts_launched,
@@ -831,6 +752,7 @@ impl SweepRunner {
 mod tests {
     use super::*;
     use std::path::Path;
+    use vpic_core::queue::QueueError;
 
     fn small_base() -> LpiParams {
         LpiParams {
@@ -1016,7 +938,7 @@ mod tests {
         assert!(
             matches!(
                 err,
-                SweepError::Queue(QueueError::FingerprintMismatch { .. })
+                SweepError::Log(JobLogError::Queue(QueueError::FingerprintMismatch { .. }))
             ),
             "got {err:?}"
         );

@@ -21,8 +21,9 @@
 //!   whole-world rollback recovery with bounded retries and graceful
 //!   degradation;
 //! * [`sweepjob`] — distributed campaigns as WAL-journaled sweep jobs,
-//!   sharing the reflectivity-sweep service's job-queue state machine
-//!   (leases, retry/backoff, quarantine, exactly-once results).
+//!   sharing the reflectivity-sweep service's job log
+//!   (`vpic_core::queue::JobLog`: leases, retry/backoff, quarantine,
+//!   exactly-once results).
 
 pub mod campaign;
 pub mod dcheckpoint;
@@ -44,4 +45,4 @@ pub use decomposition::DomainSpec;
 pub use dsim::DistributedSim;
 pub use exchange::GhostExchanger;
 pub use migrate::{migrate_species, transform_to_receiver, Migrant};
-pub use sweepjob::{launch_world, JobJournal, JobResult, JobVerdict, SweepJobError};
+pub use sweepjob::{JobJournal, JobResult, JobVerdict};

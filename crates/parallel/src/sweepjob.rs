@@ -4,19 +4,21 @@
 //! campaigns through a WAL-backed job queue. Multi-rank campaigns are
 //! the other worker type that service will eventually schedule, and
 //! they must speak the *same* state machine: `Defined → Leased →
-//! Running → Done | Failed | Quarantined`, every transition journaled
-//! before it is acted on, orphaned leases released uncharged, results
-//! folded exactly once from `Done` records.
+//! Running → Done | Failed | Quarantined`, every transition validated
+//! and journaled before it is acted on, orphaned leases released
+//! uncharged, results folded exactly once from `Done` records.
 //!
-//! [`JobJournal`] is that adapter: it owns one `vpic_core::journal`
-//! WAL plus the replayed [`JobQueue`], and [`JobJournal::run_campaign_job`]
-//! wraps one [`run_campaign`](crate::campaign::run_campaign) attempt in
-//! the full journaled lifecycle. A completed campaign lands as a `Done`
-//! record carrying a fixed-width [`JobResult`] payload; a degraded one
-//! (recovery budget exhausted) is a charged failure that retries with
-//! the caller's [`RetryPolicy`] until quarantine — with the flight
-//! recorder's path in the recorded cause, exactly like the LPI
-//! sweep's poison jobs.
+//! They do so by sharing its journal: [`JobJournal`] is a
+//! [`JobLog`] (the one writer of job events, in `vpic_core::queue`)
+//! plus [`JobJournal::run_campaign_job`], which wraps one campaign
+//! attempt in the journaled lifecycle. The caller launches the world
+//! (typically `nanompi::run` around
+//! [`run_campaign`](crate::campaign::run_campaign)). A completed
+//! campaign lands as a `Done` record carrying a fixed-width
+//! [`JobResult`] payload; a degraded one (recovery budget exhausted) is
+//! a charged failure that retries with the caller's [`RetryPolicy`]
+//! until quarantine — with the flight recorder's path in the recorded
+//! cause, exactly like the LPI sweep's poison jobs.
 //!
 //! Unlike the LPI sweep, a distributed attempt holds its lease for
 //! the whole campaign, so `lease_ms` must cover one full attempt. The
@@ -25,58 +27,12 @@
 //! per-checkpoint heartbeat `Progress` records would slot in; this
 //! adapter does not journal them.
 
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 
-use nanompi::{SocketAddrSpec, TransportKind};
-use vpic_core::journal::{Journal, JournalError, ReplayReport};
-use vpic_core::queue::{JobEvent, JobQueue, JobState, QueueError, RetryPolicy};
+use vpic_core::queue::{JobEvent, JobLog, JobLogError, QueueError, RetryPolicy};
 
-use crate::campaign::{run_campaign, CampaignConfig, CampaignEnd, CampaignError, CampaignOutcome};
-use crate::dsim::DistributedSim;
-
-/// Launch one `ranks`-wide campaign world over `transport` and distill it
-/// to rank 0's outcome — exactly the closure shape
-/// [`JobJournal::run_campaign_job`] wants for its `drive` argument. This
-/// is how the sweep scheduler honours the `transport = local|socket` deck
-/// global: a `Local` world runs over in-process channels, a `Socket`
-/// world runs the full wire path (framing, handshakes, heartbeats) over
-/// Unix-domain sockets rendezvousing in `sock_dir`.
-pub fn launch_world<F>(
-    transport: TransportKind,
-    ranks: usize,
-    sock_dir: &Path,
-    cfg: &CampaignConfig,
-    build: F,
-) -> Result<CampaignOutcome, CampaignError>
-where
-    F: Fn(usize) -> DistributedSim + Sync,
-{
-    let worker =
-        |comm: &mut nanompi::Comm| run_campaign(comm, build(comm.rank()), cfg).map(|(_, out)| out);
-    let results = match transport {
-        TransportKind::Local => nanompi::run(ranks, worker).0,
-        TransportKind::Socket => {
-            std::fs::create_dir_all(sock_dir)?;
-            nanompi::run_socket_world(ranks, SocketAddrSpec::unix(sock_dir), None, worker).0
-        }
-    };
-    // Rank 0 reports for the world (campaign ends are collective), but a
-    // panic anywhere is a launch failure, not an outcome.
-    let mut first = None;
-    for (rank, r) in results.into_iter().enumerate() {
-        match r {
-            Err(p) => {
-                return Err(CampaignError::Launch(format!(
-                    "rank {rank} panicked: {}",
-                    p.message
-                )))
-            }
-            Ok(out) if rank == 0 => first = Some(out),
-            Ok(_) => {}
-        }
-    }
-    first.expect("world has at least one rank")
-}
+use crate::campaign::{CampaignEnd, CampaignError, CampaignOutcome};
 
 /// Fixed-width `Done` payload for a distributed campaign job.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -126,121 +82,42 @@ pub enum JobVerdict {
     Quarantined { attempt: u32 },
 }
 
-/// Typed adapter failure (journal or state-machine, not physics).
-#[derive(Debug)]
-pub enum SweepJobError {
-    Journal(JournalError),
-    Queue(QueueError),
-    /// The job is not in a state this call is legal from.
-    NotReady {
-        id: u64,
-        state: &'static str,
-    },
-}
+/// A [`JobLog`] whose jobs are distributed campaigns: the durable half
+/// of a sweep worker. The log's own surface (`queue`, `replay`,
+/// `record`, `release_orphans`) is reached through `Deref`.
+pub struct JobJournal(JobLog);
 
-impl std::fmt::Display for SweepJobError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SweepJobError::Journal(e) => write!(f, "sweep job journal: {e}"),
-            SweepJobError::Queue(e) => write!(f, "sweep job queue: {e}"),
-            SweepJobError::NotReady { id, state } => {
-                write!(f, "job {id} is {state}, not ready to run")
-            }
-        }
+impl Deref for JobJournal {
+    type Target = JobLog;
+    fn deref(&self) -> &JobLog {
+        &self.0
     }
 }
 
-impl std::error::Error for SweepJobError {}
-
-impl From<JournalError> for SweepJobError {
-    fn from(e: JournalError) -> Self {
-        SweepJobError::Journal(e)
+impl DerefMut for JobJournal {
+    fn deref_mut(&mut self) -> &mut JobLog {
+        &mut self.0
     }
-}
-
-impl From<QueueError> for SweepJobError {
-    fn from(e: QueueError) -> Self {
-        SweepJobError::Queue(e)
-    }
-}
-
-/// One WAL plus its replayed queue: the durable half of a sweep worker
-/// that runs distributed campaigns.
-pub struct JobJournal {
-    journal: Journal,
-    queue: JobQueue,
-    replay: ReplayReport,
 }
 
 impl JobJournal {
-    /// Open (or create) the WAL at `path` and replay it. A record that
-    /// fails to decode or apply is a typed error — never a silently
-    /// dropped transition.
-    pub fn open(path: &Path) -> Result<JobJournal, SweepJobError> {
-        let mut queue = JobQueue::new();
-        let mut defect: Option<SweepJobError> = None;
-        let (journal, replay) = Journal::open(path, |payload| {
-            if defect.is_some() {
-                return;
-            }
-            match JobEvent::decode(payload) {
-                Ok(ev) => {
-                    if let Err(e) = queue.apply(&ev) {
-                        defect = Some(SweepJobError::Queue(e));
-                    }
-                }
-                Err(e) => defect = Some(SweepJobError::Queue(e)),
-            }
-        })?;
-        if let Some(d) = defect {
-            return Err(d);
-        }
-        Ok(JobJournal {
-            journal,
-            queue,
-            replay,
-        })
-    }
-
-    pub fn queue(&self) -> &JobQueue {
-        &self.queue
-    }
-
-    pub fn replay(&self) -> &ReplayReport {
-        &self.replay
-    }
-
-    /// Journal-then-apply: the WAL always leads the in-memory state.
-    fn record(&mut self, ev: &JobEvent) -> Result<(), SweepJobError> {
-        self.journal.append(&ev.encode())?;
-        self.queue.apply(ev)?;
-        Ok(())
+    /// Open (or create) the WAL at `path` and replay it.
+    pub fn open(path: &Path) -> Result<JobJournal, JobLogError> {
+        JobLog::open(path).map(JobJournal)
     }
 
     /// Define (or re-validate) a job. Idempotent; a fingerprint clash
-    /// with the journaled spec is the queue's typed error.
-    pub fn define(&mut self, id: u64, fingerprint: u64) -> Result<(), SweepJobError> {
+    /// with the journaled spec is the queue's typed error, and is not
+    /// journaled.
+    pub fn define(&mut self, id: u64, fingerprint: u64) -> Result<(), JobLogError> {
         self.record(&JobEvent::Defined { id, fingerprint })
-    }
-
-    /// Release every lease a dead predecessor left behind, uncharged,
-    /// journaling each release so later replays stay legal.
-    pub fn release_orphans(&mut self) -> Result<Vec<u64>, SweepJobError> {
-        let orphans: Vec<u64> = self
-            .queue
-            .jobs()
-            .filter(|j| matches!(j.state, JobState::Leased { .. } | JobState::Running { .. }))
-            .map(|j| j.id)
-            .collect();
-        for &id in &orphans {
-            self.record(&JobEvent::Released { id })?;
-        }
-        Ok(orphans)
     }
 
     /// Run one journaled attempt at job `id`: `Leased` and `Started`
     /// are durable before `drive` executes the campaign, and exactly
-    /// one of `Done` / `Failed` / `Quarantined` is durable after.
+    /// one of `Done` / `Failed` / `Quarantined` is durable after. A job
+    /// that is undefined, running or settled is the queue's typed error
+    /// before anything is journaled.
     ///
     /// `drive` is the world launch (typically `nanompi::run` around
     /// [`run_campaign`](crate::campaign::run_campaign)) distilled to
@@ -254,20 +131,9 @@ impl JobJournal {
         lease_ms: u64,
         retry: &RetryPolicy,
         drive: impl FnOnce() -> Result<CampaignOutcome, CampaignError>,
-    ) -> Result<JobVerdict, SweepJobError> {
-        let state = match self.queue.job(id) {
-            None => {
-                return Err(SweepJobError::NotReady {
-                    id,
-                    state: "undefined",
-                })
-            }
-            Some(j) => j.state.name(),
-        };
-        if state != "pending" && state != "failed" {
-            return Err(SweepJobError::NotReady { id, state });
-        }
-        let attempt = self.queue.job(id).expect("job checked above").attempts + 1;
+    ) -> Result<JobVerdict, JobLogError> {
+        let job = self.queue().job(id).ok_or(QueueError::UnknownJob(id))?;
+        let attempt = job.attempts + 1;
         self.record(&JobEvent::Leased {
             id,
             attempt,
@@ -304,25 +170,17 @@ impl JobJournal {
             },
             Err(e) => format!("campaign error (attempt {attempt}): {e}"),
         };
-        // The queue's canonical retry protocol: every failure is a
-        // charged `Failed` record; quarantine is a terminal marker on
-        // top of the last one.
         let ready_at_ms = clock_ms + retry.backoff_ms(id, attempt);
-        self.record(&JobEvent::Failed {
-            id,
-            attempt,
-            ready_at_ms,
-            cause: failure.clone(),
-        })?;
-        if attempt >= retry.max_attempts {
-            self.record(&JobEvent::Quarantined { id, cause: failure })?;
-            Ok(JobVerdict::Quarantined { attempt })
-        } else {
-            Ok(JobVerdict::Retry {
-                attempt,
-                ready_at_ms,
-            })
-        }
+        Ok(
+            if self.charge_failure(id, attempt, ready_at_ms, failure, retry.max_attempts)? {
+                JobVerdict::Quarantined { attempt }
+            } else {
+                JobVerdict::Retry {
+                    attempt,
+                    ready_at_ms,
+                }
+            },
+        )
     }
 }
 
@@ -334,6 +192,7 @@ mod tests {
     use crate::dsim::DistributedSim;
     use std::path::PathBuf;
     use vpic_core::maxwellian::Momentum;
+    use vpic_core::queue::JobState;
     use vpic_core::species::Species;
 
     const RANKS: usize = 2;
@@ -417,31 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn socket_world_job_round_trips_through_the_wal() {
-        let dir = tmp("socket_job");
-        let wal = dir.join("jobs.wal");
-        let mut jj = JobJournal::open(&wal).unwrap();
-        jj.define(11, 0x50C4).unwrap();
-        let verdict = jj
-            .run_campaign_job(11, 0, 60_000, &RetryPolicy::default(), || {
-                let cfg = CampaignConfig::new(STEPS, 4, dir.join("ckpt"));
-                launch_world(
-                    TransportKind::Socket,
-                    RANKS,
-                    &dir.join("sock"),
-                    &cfg,
-                    build_sim,
-                )
-            })
-            .unwrap();
-        let JobVerdict::Done(result) = verdict else {
-            panic!("expected Done, got {verdict:?}")
-        };
-        assert_eq!(result.steps_run, STEPS);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn degraded_campaign_retries_with_backoff_then_quarantines() {
         let dir = tmp("degrade");
         let wal = dir.join("jobs.wal");
@@ -471,6 +305,17 @@ mod tests {
             .run_campaign_job(0, ready_at_ms, 1_000, &retry, || Ok(degraded_outcome()))
             .unwrap();
         assert_eq!(v2, JobVerdict::Quarantined { attempt: 2 });
+        // A settled job is the queue's typed error: nothing runs and
+        // nothing is journaled.
+        let before = std::fs::read(&wal).unwrap();
+        let again = jj.run_campaign_job(0, ready_at_ms, 1_000, &retry, || {
+            panic!("a quarantined job must not launch")
+        });
+        assert!(matches!(
+            again,
+            Err(JobLogError::Queue(QueueError::IllegalTransition { .. }))
+        ));
+        assert_eq!(std::fs::read(&wal).unwrap(), before);
 
         let jj2 = JobJournal::open(&wal).unwrap();
         let job = jj2.queue().job(0).unwrap();
@@ -511,5 +356,31 @@ mod tests {
         // And a third incarnation replays the Released record legally.
         let jj3 = JobJournal::open(&wal).unwrap();
         assert_eq!(jj3.queue().job(3).unwrap().state, JobState::Pending);
+    }
+
+    /// Regression: a conflicting `define` used to be journaled before the
+    /// queue rejected it, so every later open of the WAL failed replay.
+    #[test]
+    fn conflicting_define_is_rejected_without_touching_the_wal() {
+        let dir = tmp("conflict");
+        let wal = dir.join("jobs.wal");
+        JobJournal::open(&wal).unwrap().define(0, 0xA).unwrap();
+        let before = std::fs::read(&wal).unwrap();
+
+        let mut jj = JobJournal::open(&wal).unwrap();
+        assert!(matches!(
+            jj.define(0, 0xB),
+            Err(JobLogError::Queue(QueueError::FingerprintMismatch {
+                id: 0,
+                expected: 0xA,
+                got: 0xB
+            }))
+        ));
+        drop(jj);
+        assert_eq!(std::fs::read(&wal).unwrap(), before, "WAL bytes changed");
+
+        let mut jj = JobJournal::open(&wal).expect("the WAL must still replay");
+        jj.define(0, 0xA).unwrap();
+        assert_eq!(jj.queue().job(0).unwrap().fingerprint, 0xA);
     }
 }

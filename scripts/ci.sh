@@ -40,10 +40,11 @@
 # body (`target-cpu=x86-64`).
 #
 # Pass "sweep" (or set CI_SWEEP=1) to run the reflectivity-sweep-service
-# lane: the WAL corruption matrix, the job-queue state machine, then at
-# RAYON_NUM_THREADS=1 and 2 (one point at a time, two) the
-# scheduler/grid/curve suites, the distributed sweep-job adapter and the
-# shrunk concurrent, kill/resume and quarantine tests; last, a 3-point
+# lane: the WAL corruption matrix, the job-queue state machine and the
+# job log (its one writer), then at RAYON_NUM_THREADS=1 and 2 (one
+# point at a time, two) the scheduler/grid/curve suites, the
+# distributed sweep-job adapter and the shrunk concurrent, kill/resume
+# and quarantine tests; last, a 3-point
 # [sweep] deck end to end through vpic-run at both widths, the two
 # curves byte-compared, with e5 consuming the curve artifact.
 #
@@ -130,7 +131,12 @@ fi
 if [[ "${1:-}" == "sweep" || "${CI_SWEEP:-0}" == "1" ]]; then
     echo "==> sweep lane (crash-proof reflectivity-sweep service)"
     # WAL hardening: truncation/bit-flip/torn-tail matrix plus the
-    # journal and job-queue unit suites.
+    # journal and job-queue unit suites. `--lib queue` also selects the
+    # JobLog tests: job_log_replays_every_event_kind_to_an_equal_queue,
+    # rejected_events_leave_the_wal_bytes_unchanged,
+    # failed_append_closes_the_handle,
+    # charge_failure_quarantines_at_exactly_max_attempts,
+    # release_orphans_keeps_certified_step.
     cargo test --release -p vpic-core --test journal_corruption
     cargo test --release -p vpic-core --lib journal
     cargo test --release -p vpic-core --lib queue
@@ -183,8 +189,7 @@ if [[ "${1:-}" == "transport" || "${CI_TRANSPORT:-0}" == "1" ]]; then
     # adoption, fault injection (incl. the duplicated-final-message
     # regression); the coalesced ghost exchange vs the per-component
     # reference on a 2x2x2 world over both transports, mis-sized plane
-    # messages, the per-step message count, Migrant batches, the
-    # socket-mode sweep-job launcher.
+    # messages, the per-step message count, Migrant batches.
     cargo test --release -p nanompi -p vpic-parallel
     # Checkpoint/WAL framing shares the CRC kernel.
     cargo test --release -p vpic-core --lib crc32

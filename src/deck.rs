@@ -607,8 +607,6 @@ pub struct SweepSetup {
     /// Restrict the corruption to one attempt (1-based); `None` poisons
     /// every attempt of `corrupt_job` until it quarantines.
     pub corrupt_attempt: Option<u32>,
-    /// Which substrate sweep workers run over (`transport` deck global).
-    pub transport: TransportKind,
 }
 
 impl SweepSetup {
@@ -673,7 +671,6 @@ fn build_sweep(deck: &Deck) -> Result<SweepSetup, DeckError> {
         corruption: parse_corruption(deck)?,
         corrupt_job: fkv.map_or(Ok(0), |kv| get_u64(kv, "job", 0))?,
         corrupt_attempt,
-        transport: parse_transport(deck)?,
     })
 }
 
@@ -694,7 +691,7 @@ fn get_f64_list(kv: &BTreeMap<String, String>, key: &str) -> Result<Option<Vec<f
 }
 
 /// Global `transport = local|socket` knob (default local): which
-/// substrate a campaign or sweep world runs over.
+/// substrate a campaign world runs over.
 fn parse_transport(deck: &Deck) -> Result<TransportKind, DeckError> {
     match deck.globals.get("transport") {
         None => Ok(TransportKind::default()),
@@ -1329,13 +1326,6 @@ kill_step = 6
 
         let junk = format!("transport = carrier_pigeon\n{CAMPAIGN_DECK}");
         assert!(build(&Deck::parse(&junk).unwrap()).is_err());
-
-        // The sweep setup honours the same global.
-        let sweep = "kind = lpi\ntransport = socket\n[laser]\na0 = 0.01\n[sweep]\na0 = 0.01, 0.02";
-        let BuiltRun::Sweep(setup) = build(&Deck::parse(sweep).unwrap()).unwrap() else {
-            panic!("wrong kind")
-        };
-        assert_eq!(setup.transport, TransportKind::Socket);
     }
 
     #[test]
