@@ -191,18 +191,34 @@ fn bench_lane_primitives(c: &mut Criterion) {
     group.finish();
 }
 
+/// The field advance and interpolator load at two shapes: a 32³ periodic
+/// cube (long rows) and `halo-socket`'s 8×64×64 x-split slab, whose
+/// 8-voxel rows are one lane chunk each and whose x ghosts are exchanged.
 fn bench_field_solver(c: &mut Criterion) {
+    use ParticleBc::{Migrate, Periodic};
     let mut group = c.benchmark_group("field_solver");
-    let n = (32usize, 32usize, 32usize);
     let dx = 0.25f32;
     let dt = Grid::courant_dt(1.0, (dx, dx, dx), 0.9);
-    let g = Grid::periodic(n, (dx, dx, dx), dt);
-    let mut f = FieldArray::new(&g);
-    group.throughput(Throughput::Elements(g.n_live() as u64));
-    group.bench_function("advance_b_half", |b| b.iter(|| advance_b(&mut f, &g, 0.5)));
-    group.bench_function("advance_e", |b| b.iter(|| advance_e(&mut f, &g)));
-    let mut ia = InterpolatorArray::new(&g);
-    group.bench_function("interpolator_load", |b| b.iter(|| ia.load(&f, &g)));
+    let shapes = [
+        ("32x32x32", (32, 32, 32), Periodic),
+        ("8x64x64", (8, 64, 64), Migrate),
+    ];
+    for (name, n, bx) in shapes {
+        let bc = [bx, Periodic, Periodic, bx, Periodic, Periodic];
+        let g = Grid::new(n, (dx, dx, dx), dt, bc);
+        let mut f = FieldArray::new(&g);
+        group.throughput(Throughput::Elements(g.n_live() as u64));
+        group.bench_function(BenchmarkId::new("advance_b_half", name), |b| {
+            b.iter(|| advance_b(&mut f, &g, 0.5))
+        });
+        group.bench_function(BenchmarkId::new("advance_e", name), |b| {
+            b.iter(|| advance_e(&mut f, &g))
+        });
+        let mut ia = InterpolatorArray::new(&g);
+        group.bench_function(BenchmarkId::new("interpolator_load", name), |b| {
+            b.iter(|| ia.load(&f, &g))
+        });
+    }
     group.finish();
 }
 

@@ -109,15 +109,12 @@ fn main() {
             if sentinel { ", sentinel armed" } else { "" }
         ),
         &["phase", "seconds", "share"],
-        &[
-            row("particle push + deposit (inner loop)", t.push),
-            row("interpolator load", t.interpolate),
-            row("current reduce/unload/sync", t.current),
-            row("field solve (B/E/B)", t.field),
-            row("particle sort", t.sort),
-            row("other (sponge/cleaning/hooks)", t.other),
-            row("TOTAL", total),
-        ],
+        // One row per term of `total()`, so the shares add up to 100 %.
+        &t.phases()
+            .iter()
+            .map(|&(name, secs)| row(name, secs))
+            .chain([row("TOTAL", total)])
+            .collect::<Vec<_>>(),
     );
     let particle_flops = t.particle_steps as f64 * flops::particle::TOTAL as f64;
     let voxel_flops = t.voxel_steps as f64 * flops::voxel::TOTAL as f64;

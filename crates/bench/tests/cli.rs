@@ -11,7 +11,8 @@ fn e2(args: &[&str]) -> Output {
 }
 
 /// A small production-variant run exits 0 and prints a phase table whose
-/// `TOTAL` row is a finite positive time and whose shares add up.
+/// `TOTAL` row is a finite positive time, whose rows are exactly the terms
+/// `StepTimings::total()` sums, and whose shares add up.
 #[test]
 fn small_run_prints_a_phase_table_that_adds_up() {
     let flags = "--nx 8 --ppc 4 --steps 2 --kernel lane --sort auto";
@@ -20,23 +21,32 @@ fn small_run_prints_a_phase_table_that_adds_up() {
     assert!(out.status.success(), "{stdout}");
 
     // Rows of the first table: "<phase name>  <seconds>  <share>%".
-    let rows: Vec<(f64, f64)> = stdout
+    let rows: Vec<(String, f64, f64)> = stdout
         .lines()
         .skip_while(|l| !l.starts_with("=== E2: step breakdown"))
         .skip(3)
         .map_while(|l| {
             let mut cells = l.split_whitespace().rev();
             let share = cells.next()?.strip_suffix('%')?.parse().ok()?;
-            Some((cells.next()?.parse().ok()?, share))
+            let secs = cells.next()?.parse().ok()?;
+            let name = cells.rev().collect::<Vec<_>>().join(" ");
+            Some((name, secs, share))
         })
         .collect();
-    assert!(stdout.contains("TOTAL"), "{stdout}");
-    let (&(total, total_share), phases) = rows.split_last().expect("a TOTAL row");
-    assert!(phases.len() >= 5, "{stdout}");
+    let (total_row, phases) = rows.split_last().expect("a TOTAL row");
+    let &(ref total_name, total, total_share) = total_row;
+    assert_eq!(total_name, "TOTAL", "{stdout}");
     assert!(total.is_finite() && total > 0.0, "TOTAL {total}");
     assert_eq!(total_share, 100.0);
+    // A phase `total()` sums but the table leaves out would make the
+    // shares fall short of 100 % by its share.
+    let printed: Vec<&str> = phases.iter().map(|(name, _, _)| name.as_str()).collect();
+    let terms = vpic_core::StepTimings::default()
+        .phases()
+        .map(|(name, _)| name);
+    assert_eq!(printed, terms, "{stdout}");
     // Each share is printed to one decimal.
-    let sum: f64 = phases.iter().map(|&(_, share)| share).sum();
+    let sum: f64 = phases.iter().map(|&(_, _, share)| share).sum();
     assert!(
         (sum - 100.0).abs() <= 0.05 * phases.len() as f64 + 1e-9,
         "{sum}"

@@ -1,99 +1,14 @@
-//! IEEE CRC-32 (the polynomial used by zip/gzip/Ethernet), table-driven,
-//! dependency-free. Checkpoint sections are checksummed with this so a
-//! truncated or bit-flipped restart dump is detected at load time instead
-//! of silently seeding a corrupt resumed run.
+//! IEEE CRC-32 (the polynomial used by zip/gzip/Ethernet) and a content
+//! fingerprint. Checkpoint sections and journal frames are checksummed
+//! with the CRC so a truncated or bit-flipped restart dump is detected at
+//! load time instead of silently seeding a corrupt resumed run.
 //!
-//! The kernel is slicing-by-8 (eight bytes per step through eight tables),
-//! the same one `nanompi::wire::crc32` frames socket messages with; the
-//! two crates share no code by design, and both are pinned against a
-//! byte-wise reference in their tests.
+//! The CRC is the workspace's one kernel (the `crc32` crate: carry-less
+//! multiply folding where the target has PCLMULQDQ, slicing-by-8
+//! elsewhere), the same one `nanompi::wire::crc32` frames socket messages
+//! with; its own tests pin both bodies against a byte-wise reference.
 
-const POLY: u32 = 0xEDB8_8320;
-
-/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][i]` is the
-/// CRC of byte `i` followed by `k` zero bytes.
-const fn build_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ POLY
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        t[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-static TABLES: [[u32; 256]; 8] = build_tables();
-
-/// Streaming CRC-32 state.
-#[derive(Clone, Debug)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    pub fn update(&mut self, bytes: &[u8]) {
-        let t = &TABLES;
-        let mut crc = self.state;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
-        }
-        for &b in chunks.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
-        }
-        self.state = crc;
-    }
-
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-/// One-shot CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
+pub use ::crc32::{crc32, Crc32};
 
 /// Content fingerprint for buffers that *embed their own CRC-32s*.
 ///
@@ -132,73 +47,6 @@ fn mix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn known_vectors() {
-        // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    /// Bit-at-a-time reference, independent of every table.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in bytes {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ POLY
-                } else {
-                    crc >> 1
-                };
-            }
-        }
-        !crc
-    }
-
-    #[test]
-    fn slicing_kernel_matches_bytewise_at_every_length_and_offset() {
-        let data: Vec<u8> = (0..308u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
-        for offset in 0..8 {
-            for len in 0..=300 {
-                let slice = &data[offset..offset + len];
-                assert_eq!(
-                    crc32(slice),
-                    crc32_bytewise(slice),
-                    "offset {offset}, len {len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_matches_one_shot() {
-        // Chunk sizes below, at and across the kernel's 8-byte stride: the
-        // register carries over exactly wherever an update ends.
-        let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        for size in [1, 7, 8, 37] {
-            let mut c = Crc32::new();
-            for chunk in data.chunks(size) {
-                c.update(chunk);
-            }
-            assert_eq!(c.finish(), crc32(&data), "chunk size {size}");
-        }
-        assert_eq!(crc32(&data), crc32_bytewise(&data));
-    }
-
-    #[test]
-    fn single_bit_flip_changes_crc() {
-        let mut data = vec![0x5Au8; 1024];
-        let base = crc32(&data);
-        data[513] ^= 0x04;
-        assert_ne!(crc32(&data), base);
-    }
 
     /// A buffer shaped `payload ++ le32(crc32(payload))` drives the CRC
     /// register to a constant residue, so two such buffers of equal length

@@ -17,6 +17,7 @@
 use crate::deposit::deposit_rho;
 use crate::field::FieldArray;
 use crate::grid::Grid;
+use crate::lanes::{F32x8, Row, LANES};
 use crate::sim::{Halo, Isolated};
 use crate::species::Species;
 use rayon::prelude::*;
@@ -45,20 +46,25 @@ pub type FieldBcs = [FieldBc; 6];
 ///
 /// The Yee update is parallelized over z-slabs: slab `k` writes only its
 /// own `cB` entries and reads `E` at `v`, `v+1`, `v+dj`, `v+dk` (shared,
-/// immutable during the update), so slabs are independent and the result
-/// is bitwise identical to [`advance_b_serial`] for any worker count. The
-/// ghost sync stays serial: per component it moves a few planes, each
-/// walked as the contiguous runs [`Grid::plane_runs`] describes — a z
-/// plane is one `memcpy`, a y plane one per z-slab, and only an x plane
-/// is element-strided — so it costs what its bytes cost, which on a thin
-/// grid (where the ghost surface outweighs the volume) is what keeps it
-/// below the update itself.
+/// immutable during the update), so slabs are independent. Each row is
+/// walked eight voxels at a time as [`F32x8`] lanes, then its `nx % 8`
+/// tail one voxel at a time, both through `curl_e_step`: every voxel
+/// gets the serial expression tree with the same unfused IEEE
+/// operations, so the result is bitwise identical to [`advance_b_serial`]
+/// for any worker count and row length. (Left to LLVM, rows as short as
+/// `halo-socket`'s 8 voxels stayed scalar.) The ghost sync stays serial:
+/// per component it moves a few planes, each walked as the contiguous
+/// runs [`Grid::plane_runs`] describes — a z plane is one `memcpy`, a y
+/// plane one per z-slab, and only an x plane is element-strided — so it
+/// costs what its bytes cost, which on a thin grid (where the ghost
+/// surface outweighs the volume) is what keeps it below the update
+/// itself.
 pub fn advance_b(f: &mut FieldArray, g: &Grid, frac: f32) {
-    let (cdtx, cdty, cdtz) = (
+    let cdt = [
         g.cvac * frac * g.dt / g.dx,
         g.cvac * frac * g.dt / g.dy,
         g.cvac * frac * g.dt / g.dz,
-    );
+    ];
     let (sx, sy, _) = g.strides();
     let (dj, dk) = (sx, sx * sy);
     let FieldArray {
@@ -71,8 +77,9 @@ pub fn advance_b(f: &mut FieldArray, g: &Grid, frac: f32) {
         ..
     } = *f;
     // Slices and scalars go into the slab closure by value (see
-    // `InterpolatorArray::load`): that is what lets the row loop vectorize.
-    let (ex, ey, ez) = (&ex[..], &ey[..], &ez[..]);
+    // `InterpolatorArray::load`), so the row loops reload nothing after
+    // a store.
+    let e = [&ex[..], &ey[..], &ez[..]];
     cbx.par_chunks_mut(dk)
         .zip(cby.par_chunks_mut(dk))
         .zip(cbz.par_chunks_mut(dk))
@@ -82,18 +89,42 @@ pub fn advance_b(f: &mut FieldArray, g: &Grid, frac: f32) {
         .for_each(move |(k, ((bx, by), bz))| {
             for j in 1..=g.ny {
                 let row = g.voxel(1, j, k);
-                for v in row..row + g.nx {
-                    let l = v - k * dk;
-                    // cbx -= cΔt[(∂y ez) − (∂z ey)]
-                    bx[l] -= cdty * (ez[v + dj] - ez[v]) - cdtz * (ey[v + dk] - ey[v]);
-                    // cby -= cΔt[(∂z ex) − (∂x ez)]
-                    by[l] -= cdtz * (ex[v + dk] - ex[v]) - cdtx * (ez[v + 1] - ez[v]);
-                    // cbz -= cΔt[(∂x ey) − (∂y ex)]
-                    bz[l] -= cdtx * (ey[v + 1] - ey[v]) - cdty * (ex[v + dj] - ex[v]);
+                let end = row + g.nx;
+                let mut v = row;
+                while v + LANES <= end {
+                    let b = [&mut *bx, &mut *by, &mut *bz];
+                    curl_e_step::<F32x8>(e, b, cdt, (dj, dk), v, v - k * dk);
+                    v += LANES;
+                }
+                for v in v..end {
+                    let b = [&mut *bx, &mut *by, &mut *bz];
+                    curl_e_step::<f32>(e, b, cdt, (dj, dk), v, v - k * dk);
                 }
             }
         });
     sync_b(f, g, bcs_of(g));
+}
+
+/// `cB -= cΔt ∇×E` for the voxel(s) of `T` at `v` (`l` in the slab `b`
+/// holds): [`advance_b_serial`]'s expression tree, element-wise.
+#[inline(always)]
+fn curl_e_step<T: Row>(
+    [ex, ey, ez]: [&[f32]; 3],
+    [bx, by, bz]: [&mut [f32]; 3],
+    cdt: [f32; 3],
+    (dj, dk): (usize, usize),
+    v: usize,
+    l: usize,
+) {
+    let [cdtx, cdty, cdtz] = cdt.map(T::splat);
+    let at = T::load_at;
+    let (exv, eyv, ezv) = (at(ex, v), at(ey, v), at(ez, v));
+    // cbx -= cΔt[(∂y ez) − (∂z ey)]
+    (at(bx, l) - (cdty * (at(ez, v + dj) - ezv) - cdtz * (at(ey, v + dk) - eyv))).store_at(bx, l);
+    // cby -= cΔt[(∂z ex) − (∂x ez)]
+    (at(by, l) - (cdtz * (at(ex, v + dk) - exv) - cdtx * (at(ez, v + 1) - ezv))).store_at(by, l);
+    // cbz -= cΔt[(∂x ey) − (∂y ex)]
+    (at(bz, l) - (cdtx * (at(ey, v + 1) - eyv) - cdty * (at(ex, v + dj) - exv))).store_at(bz, l);
 }
 
 /// Serial reference for [`advance_b`].
@@ -120,16 +151,17 @@ pub fn advance_b_serial(f: &mut FieldArray, g: &Grid, frac: f32) {
 
 /// Advance `E` by a full `dt` using the currents in `f.jx/jy/jz`.
 ///
-/// Parallelized over z-slabs like [`advance_b`]: slab `k` writes its own
-/// `E` entries and reads `cB` at `v`, `v-1`, `v-dj`, `v-dk` plus `J` at
-/// `v`, so slabs are independent and results match [`advance_e_serial`]
+/// Parallelized over z-slabs and walked in [`F32x8`] row chunks plus a
+/// one-voxel tail, like [`advance_b`]: slab `k` writes its own `E`
+/// entries and reads `cB` at `v`, `v-1`, `v-dj`, `v-dk` plus `J` at `v`,
+/// so slabs are independent and results match [`advance_e_serial`]
 /// bitwise.
 pub fn advance_e(f: &mut FieldArray, g: &Grid) {
-    let (cdtx, cdty, cdtz) = (
+    let cdt = [
         g.cvac * g.dt / g.dx,
         g.cvac * g.dt / g.dy,
         g.cvac * g.dt / g.dz,
-    );
+    ];
     let dt_eps = g.dt / g.eps0;
     let (sx, sy, _) = g.strides();
     let (dj, dk) = (sx, sx * sy);
@@ -146,8 +178,8 @@ pub fn advance_e(f: &mut FieldArray, g: &Grid) {
         ..
     } = *f;
     // By value, as in `advance_b`.
-    let (cbx, cby, cbz) = (&cbx[..], &cby[..], &cbz[..]);
-    let (jx, jy, jz) = (&jx[..], &jy[..], &jz[..]);
+    let b = [&cbx[..], &cby[..], &cbz[..]];
+    let cur = [&jx[..], &jy[..], &jz[..]];
     ex.par_chunks_mut(dk)
         .zip(ey.par_chunks_mut(dk))
         .zip(ez.par_chunks_mut(dk))
@@ -157,21 +189,49 @@ pub fn advance_e(f: &mut FieldArray, g: &Grid) {
         .for_each(move |(k, ((exk, eyk), ezk))| {
             for j in 1..=g.ny {
                 let row = g.voxel(1, j, k);
-                for v in row..row + g.nx {
-                    let l = v - k * dk;
-                    exk[l] += cdty * (cbz[v] - cbz[v - dj])
-                        - cdtz * (cby[v] - cby[v - dk])
-                        - dt_eps * jx[v];
-                    eyk[l] += cdtz * (cbx[v] - cbx[v - dk])
-                        - cdtx * (cbz[v] - cbz[v - 1])
-                        - dt_eps * jy[v];
-                    ezk[l] += cdtx * (cby[v] - cby[v - 1])
-                        - cdty * (cbx[v] - cbx[v - dj])
-                        - dt_eps * jz[v];
+                let end = row + g.nx;
+                let mut v = row;
+                while v + LANES <= end {
+                    let e = [&mut *exk, &mut *eyk, &mut *ezk];
+                    curl_b_step::<F32x8>(b, cur, e, cdt, dt_eps, (dj, dk), v, v - k * dk);
+                    v += LANES;
+                }
+                for v in v..end {
+                    let e = [&mut *exk, &mut *eyk, &mut *ezk];
+                    curl_b_step::<f32>(b, cur, e, cdt, dt_eps, (dj, dk), v, v - k * dk);
                 }
             }
         });
     sync_e(f, g, bcs_of(g));
+}
+
+/// `E += cΔt ∇×cB − Δt/ε0 J` for the voxel(s) of `T` at `v` (`l` in the
+/// slab `e` holds): [`advance_e_serial`]'s expression tree, element-wise.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn curl_b_step<T: Row>(
+    [cbx, cby, cbz]: [&[f32]; 3],
+    [jx, jy, jz]: [&[f32]; 3],
+    [ex, ey, ez]: [&mut [f32]; 3],
+    cdt: [f32; 3],
+    dt_eps: f32,
+    (dj, dk): (usize, usize),
+    v: usize,
+    l: usize,
+) {
+    let [cdtx, cdty, cdtz] = cdt.map(T::splat);
+    let dt_eps = T::splat(dt_eps);
+    let at = T::load_at;
+    let (bxv, byv, bzv) = (at(cbx, v), at(cby, v), at(cbz, v));
+    (at(ex, l)
+        + (cdty * (bzv - at(cbz, v - dj)) - cdtz * (byv - at(cby, v - dk)) - dt_eps * at(jx, v)))
+    .store_at(ex, l);
+    (at(ey, l)
+        + (cdtz * (bxv - at(cbx, v - dk)) - cdtx * (bzv - at(cbz, v - 1)) - dt_eps * at(jy, v)))
+    .store_at(ey, l);
+    (at(ez, l)
+        + (cdtx * (byv - at(cby, v - 1)) - cdty * (bxv - at(cbx, v - dj)) - dt_eps * at(jz, v)))
+    .store_at(ez, l);
 }
 
 /// Serial reference for [`advance_e`].
@@ -772,46 +832,63 @@ mod tests {
         }
     }
 
-    /// The quasi-1D SRS grid: the slab-parallel updates against their
-    /// serial references where the array is almost all ghost.
+    /// `halo-socket`'s rank grid: `Exchange` x faces (ghosts left to the
+    /// distributed layer), periodic y and z.
+    fn exchange_x_grid(n: (usize, usize, usize)) -> Grid {
+        use ParticleBc::{Migrate, Periodic};
+        let dt = Grid::courant_dt(1.0, (0.25, 0.25, 0.25), 0.9);
+        let bc = [Migrate, Periodic, Periodic, Migrate, Periodic, Periodic];
+        Grid::new(n, (0.25, 0.25, 0.25), dt, bc)
+    }
+
+    /// The slab-parallel row-chunked updates against their serial
+    /// references on the thin grids the benchmark runs: the quasi-1D SRS
+    /// grid, where the array is almost all ghost, and `halo-socket`'s
+    /// 8-voxel rows between `Exchange` x faces (one exact chunk a row),
+    /// plus a 13-voxel row (chunk and tail).
     #[test]
     fn thin_grid_advance_matches_serial() {
-        let g = pec_x_grid((291, 1, 1));
-        let mut f = FieldArray::new(&g);
-        let fill = |arr: &mut Vec<f32>, phase: f32| {
-            for (v, x) in arr.iter_mut().enumerate() {
-                *x = (0.37 * v as f32 + phase).sin();
-            }
-        };
-        fill(&mut f.ex, 0.1);
-        fill(&mut f.ey, 0.2);
-        fill(&mut f.ez, 0.3);
-        fill(&mut f.cbx, 0.4);
-        fill(&mut f.cby, 0.5);
-        fill(&mut f.cbz, 0.6);
-        fill(&mut f.jx, 0.7);
-        fill(&mut f.jy, 0.8);
-        fill(&mut f.jz, 0.9);
-        let mut want = f.clone();
-        let start = bits(&f.cby);
-        for _ in 0..3 {
-            advance_b(&mut f, &g, 0.5);
-            advance_e(&mut f, &g);
-            advance_b(&mut f, &g, 0.5);
-            advance_b_serial(&mut want, &g, 0.5);
-            advance_e_serial(&mut want, &g);
-            advance_b_serial(&mut want, &g, 0.5);
-        }
-        assert_ne!(bits(&f.cby), start, "the update moved nothing");
-        for (name, a, b) in [
-            ("ex", &f.ex, &want.ex),
-            ("ey", &f.ey, &want.ey),
-            ("ez", &f.ez, &want.ez),
-            ("cbx", &f.cbx, &want.cbx),
-            ("cby", &f.cby, &want.cby),
-            ("cbz", &f.cbz, &want.cbz),
+        for g in [
+            pec_x_grid((291, 1, 1)),
+            exchange_x_grid((8, 64, 64)),
+            exchange_x_grid((13, 3, 2)),
         ] {
-            assert_eq!(bits(a), bits(b), "{name}");
+            let mut f = FieldArray::new(&g);
+            let fill = |arr: &mut Vec<f32>, phase: f32| {
+                for (v, x) in arr.iter_mut().enumerate() {
+                    *x = (0.37 * v as f32 + phase).sin();
+                }
+            };
+            fill(&mut f.ex, 0.1);
+            fill(&mut f.ey, 0.2);
+            fill(&mut f.ez, 0.3);
+            fill(&mut f.cbx, 0.4);
+            fill(&mut f.cby, 0.5);
+            fill(&mut f.cbz, 0.6);
+            fill(&mut f.jx, 0.7);
+            fill(&mut f.jy, 0.8);
+            fill(&mut f.jz, 0.9);
+            let mut want = f.clone();
+            let start = bits(&f.cby);
+            for _ in 0..3 {
+                advance_b(&mut f, &g, 0.5);
+                advance_e(&mut f, &g);
+                advance_b(&mut f, &g, 0.5);
+                advance_b_serial(&mut want, &g, 0.5);
+                advance_e_serial(&mut want, &g);
+                advance_b_serial(&mut want, &g, 0.5);
+            }
+            assert_ne!(bits(&f.cby), start, "the update moved nothing");
+            for (name, a, b) in [
+                ("ex", &f.ex, &want.ex),
+                ("ey", &f.ey, &want.ey),
+                ("ez", &f.ez, &want.ez),
+                ("cbx", &f.cbx, &want.cbx),
+                ("cby", &f.cby, &want.cby),
+                ("cbz", &f.cbz, &want.cbz),
+            ] {
+                assert_eq!(bits(a), bits(b), "{name} on {:?}", (g.nx, g.ny, g.nz));
+            }
         }
     }
 

@@ -11,7 +11,7 @@
 
 use crate::field::FieldArray;
 use crate::grid::Grid;
-use crate::lanes::{transpose8_wide, F32x8, Wide, LANES};
+use crate::lanes::{transpose8, transpose8_wide, F32x8, Row, Wide, LANES};
 use rayon::prelude::*;
 
 /// Interpolation coefficients for one voxel (offsets in `[-1,1]`):
@@ -74,6 +74,15 @@ impl Interpolator {
         unsafe { &*(self as *const Interpolator as *const InterpolatorRows) }
     }
 
+    /// [`Self::rows`], writable: how `InterpolatorArray::load` stores a
+    /// transposed row.
+    #[inline(always)]
+    fn rows_mut(&mut self) -> &mut InterpolatorRows {
+        // SAFETY: as in `rows`; the result borrows `self` mutably, and
+        // any bits written through it are valid `f32`s of `self`.
+        unsafe { &mut *(self as *mut Interpolator as *mut InterpolatorRows) }
+    }
+
     /// Evaluate `E` at voxel-relative offsets.
     #[inline]
     pub fn e_at(&self, dx: f32, dy: f32, dz: f32) -> (f32, f32, f32) {
@@ -115,20 +124,30 @@ impl InterpolatorArray {
     ///
     /// Parallelized over z-slabs: voxel `(i,j,k)` only writes its own
     /// entry and reads field values at `v`, `v+1`, `v+dj`, `v+dk` (shared,
-    /// immutable), so slabs are independent and the result is bitwise
-    /// identical to [`Self::load_serial`] for any worker count.
+    /// immutable), so slabs are independent. Each row is walked eight
+    /// voxels at a time: the eighteen coefficients come out of
+    /// `coefficients` as [`F32x8`] lanes (lane `l` is voxel `v + l`), and
+    /// two [`transpose8`]s turn the first sixteen into each voxel's two
+    /// [`InterpolatorRows`] rows. The row's `nx % 8` tail runs the same
+    /// `coefficients` one `f32` voxel at a time. Every voxel gets the
+    /// serial expression tree, so the result is bitwise identical to
+    /// [`Self::load_serial`] for any worker count and row length.
     pub fn load(&mut self, f: &FieldArray, g: &Grid) {
         let (sx, sy, _) = g.strides();
         let (dj, dk) = (sx, sx * sy);
-        const Q: f32 = 0.25;
-        const H: f32 = 0.5;
         // Slices, moved into the slab closure: with the array bounds and
         // strides held by value the slab loops have nothing to reload
         // after each store (a closure that crosses a thread boundary keeps
         // its by-reference captures in memory the optimizer must assume
         // those stores can reach).
-        let (ex, ey, ez) = (&f.ex[..], &f.ey[..], &f.ez[..]);
-        let (cbx, cby, cbz) = (&f.cbx[..], &f.cby[..], &f.cbz[..]);
+        let fs = [
+            &f.ex[..],
+            &f.ey[..],
+            &f.ez[..],
+            &f.cbx[..],
+            &f.cby[..],
+            &f.cbz[..],
+        ];
         self.data
             .par_chunks_mut(dk)
             .enumerate()
@@ -136,38 +155,30 @@ impl InterpolatorArray {
             .take(g.nz)
             .for_each(move |(k, slab)| {
                 for j in 1..=g.ny {
-                    for i in 1..=g.nx {
-                        let v = g.voxel(i, j, k);
-                        let ip = &mut slab[v - k * dk];
-
-                        // Ex on the 4 x-edges of the voxel: (j,k), (j+1,k), (k+1), (j+1,k+1).
-                        let (w0, w1, w2, w3) = (ex[v], ex[v + dj], ex[v + dk], ex[v + dj + dk]);
-                        ip.ex = Q * (w0 + w1 + w2 + w3);
-                        ip.dexdy = Q * ((w1 + w3) - (w0 + w2));
-                        ip.dexdz = Q * ((w2 + w3) - (w0 + w1));
-                        ip.d2exdydz = Q * ((w0 + w3) - (w1 + w2));
-
-                        // Ey on the 4 y-edges: (k,i), (k+1,i), (i+1), (k+1,i+1).
-                        let (w0, w1, w2, w3) = (ey[v], ey[v + dk], ey[v + 1], ey[v + dk + 1]);
-                        ip.ey = Q * (w0 + w1 + w2 + w3);
-                        ip.deydz = Q * ((w1 + w3) - (w0 + w2));
-                        ip.deydx = Q * ((w2 + w3) - (w0 + w1));
-                        ip.d2eydzdx = Q * ((w0 + w3) - (w1 + w2));
-
-                        // Ez on the 4 z-edges: (i,j), (i+1,j), (j+1), (i+1,j+1).
-                        let (w0, w1, w2, w3) = (ez[v], ez[v + 1], ez[v + dj], ez[v + 1 + dj]);
-                        ip.ez = Q * (w0 + w1 + w2 + w3);
-                        ip.dezdx = Q * ((w1 + w3) - (w0 + w2));
-                        ip.dezdy = Q * ((w2 + w3) - (w0 + w1));
-                        ip.d2ezdxdy = Q * ((w0 + w3) - (w1 + w2));
-
-                        // cB linear along its own normal.
-                        ip.cbx = H * (cbx[v] + cbx[v + 1]);
-                        ip.dcbxdx = H * (cbx[v + 1] - cbx[v]);
-                        ip.cby = H * (cby[v] + cby[v + dj]);
-                        ip.dcbydy = H * (cby[v + dj] - cby[v]);
-                        ip.cbz = H * (cbz[v] + cbz[v + dk]);
-                        ip.dcbzdz = H * (cbz[v + dk] - cbz[v]);
+                    let row = g.voxel(1, j, k);
+                    let end = row + g.nx;
+                    let mut v = row;
+                    while v + LANES <= end {
+                        let c = coefficients::<F32x8>(fs, v, (dj, dk));
+                        let ta = transpose8(std::array::from_fn(|r| c[r]));
+                        let tb = transpose8(std::array::from_fn(|r| c[LANES + r]));
+                        let l0 = v - k * dk;
+                        for (l, ip) in slab[l0..l0 + LANES].iter_mut().enumerate() {
+                            let r = ip.rows_mut();
+                            r.ex_ey = ta[l].0;
+                            r.ez_cbx_cby = tb[l].0;
+                            r.cbz = c[16].0[l];
+                            r.dcbzdz = c[17].0[l];
+                        }
+                        v += LANES;
+                    }
+                    for v in v..end {
+                        let c = coefficients::<f32>(fs, v, (dj, dk));
+                        let r = slab[v - k * dk].rows_mut();
+                        r.ex_ey = std::array::from_fn(|i| c[i]);
+                        r.ez_cbx_cby = std::array::from_fn(|i| c[LANES + i]);
+                        r.cbz = c[16];
+                        r.dcbzdz = c[17];
                     }
                 }
             });
@@ -274,6 +285,45 @@ impl InterpolatorArray {
             }
         }
     }
+}
+
+/// The eighteen coefficients, in [`Interpolator`] field order, of the
+/// voxel(s) of `T` at `v` from the fields `[ex, ey, ez, cbx, cby, cbz]`:
+/// [`InterpolatorArray::load_serial`]'s expression tree, element-wise.
+#[inline(always)]
+fn coefficients<T: Row>(fs: [&[f32]; 6], v: usize, (dj, dk): (usize, usize)) -> [T; 18] {
+    let [ex, ey, ez, cbx, cby, cbz] = fs;
+    let at = T::load_at;
+    let (q, h) = (T::splat(0.25), T::splat(0.5));
+    // Mean, the two first differences and the cross difference of the
+    // four edges around the voxel.
+    let edges = |w0: T, w1: T, w2: T, w3: T| {
+        [
+            q * (w0 + w1 + w2 + w3),
+            q * ((w1 + w3) - (w0 + w2)),
+            q * ((w2 + w3) - (w0 + w1)),
+            q * ((w0 + w3) - (w1 + w2)),
+        ]
+    };
+    // Ex on the 4 x-edges of the voxel: (j,k), (j+1,k), (k+1), (j+1,k+1).
+    let [e0, e1, e2, e3] = edges(
+        at(ex, v),
+        at(ex, v + dj),
+        at(ex, v + dk),
+        at(ex, v + dj + dk),
+    );
+    // Ey on the 4 y-edges: (k,i), (k+1,i), (i+1), (k+1,i+1).
+    let [e4, e5, e6, e7] = edges(at(ey, v), at(ey, v + dk), at(ey, v + 1), at(ey, v + dk + 1));
+    // Ez on the 4 z-edges: (i,j), (i+1,j), (j+1), (i+1,j+1).
+    let [e8, e9, e10, e11] = edges(at(ez, v), at(ez, v + 1), at(ez, v + dj), at(ez, v + 1 + dj));
+    // cB linear along its own normal.
+    let face = |w0: T, w1: T| [h * (w0 + w1), h * (w1 - w0)];
+    let [b0, b1] = face(at(cbx, v), at(cbx, v + 1));
+    let [b2, b3] = face(at(cby, v), at(cby, v + dj));
+    let [b4, b5] = face(at(cbz, v), at(cbz, v + dk));
+    [
+        e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, b0, b1, b2, b3, b4, b5,
+    ]
 }
 
 #[cfg(test)]

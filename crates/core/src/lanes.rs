@@ -170,6 +170,57 @@ lane_operator!(Sub, sub);
 lane_operator!(Mul, mul);
 lane_operator!(Div, div);
 
+/// What a row kernel (`field_solver::advance_b`/`advance_e`,
+/// `InterpolatorArray::load`) is written over once: eight neighbouring
+/// voxels of a row as one [`F32x8`], or one voxel as an `f32` for the
+/// row's `nx % 8` tail. Either way each voxel gets the same expression
+/// tree with the same IEEE operations, so a row's bits do not depend on
+/// where its chunks end.
+pub(crate) trait Row:
+    Copy + std::ops::Add<Output = Self> + std::ops::Sub<Output = Self> + std::ops::Mul<Output = Self>
+{
+    /// `v` in every lane.
+    fn splat(v: f32) -> Self;
+    /// The voxel(s) from `a[at]` (panics past the end of `a`).
+    fn load_at(a: &[f32], at: usize) -> Self;
+    /// Write the voxel(s) to `a[at..]` (bits pass through).
+    fn store_at(self, a: &mut [f32], at: usize);
+}
+
+impl Row for F32x8 {
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        F32x8::splat(v)
+    }
+
+    #[inline(always)]
+    fn load_at(a: &[f32], at: usize) -> Self {
+        F32x8::load(a[at..at + LANES].try_into().expect("a slice of eight"))
+    }
+
+    #[inline(always)]
+    fn store_at(self, a: &mut [f32], at: usize) {
+        a[at..at + LANES].copy_from_slice(&self.0);
+    }
+}
+
+impl Row for f32 {
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        v
+    }
+
+    #[inline(always)]
+    fn load_at(a: &[f32], at: usize) -> Self {
+        a[at]
+    }
+
+    #[inline(always)]
+    fn store_at(self, a: &mut [f32], at: usize) {
+        a[at] = self;
+    }
+}
+
 /// 8×8 transpose: lane `l` of output row `r` is lane `r` of input row
 /// `l`. Pure data movement — no arithmetic, every bit passes through — so
 /// gather/scatter paths built on it cannot perturb the kernel's

@@ -77,17 +77,25 @@ pub struct StepTimings {
 }
 
 impl StepTimings {
+    /// Every term of [`Self::total`], named, in summation order: a table
+    /// printed from these rows adds up to the total.
+    pub fn phases(&self) -> [(&'static str, f64); 9] {
+        [
+            ("interpolator load", self.interpolate),
+            ("particle push + deposit (inner loop)", self.push),
+            ("exile settle / migration", self.migrate),
+            ("current reduce/unload/sync", self.current),
+            ("field solve (B/E/B)", self.field),
+            ("ghost exchange", self.exchange),
+            ("particle sort", self.sort),
+            ("other (sponge/cleaning/hooks)", self.other),
+            ("diagnostics", self.diag),
+        ]
+    }
+
     /// Total accounted wall time.
     pub fn total(&self) -> f64 {
-        self.interpolate
-            + self.push
-            + self.migrate
-            + self.current
-            + self.field
-            + self.exchange
-            + self.sort
-            + self.other
-            + self.diag
+        self.phases().iter().map(|&(_, secs)| secs).sum()
     }
 
     /// Fraction of time in the particle inner loop.

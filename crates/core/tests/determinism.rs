@@ -15,8 +15,8 @@ use vpic_core::field_solver::{
     advance_b, advance_b_serial, advance_e, advance_e_serial, bcs_of, sync_b, sync_e,
 };
 use vpic_core::{
-    load_uniform, with_worker_threads, FieldArray, Grid, InterpolatorArray, Momentum, PushKernel,
-    Rng, Simulation, Species,
+    load_uniform, with_worker_threads, FieldArray, Grid, Interpolator, InterpolatorArray, Momentum,
+    PushKernel, Rng, Simulation, Species,
 };
 
 /// Worker-thread widths every matrix runs at; 1 is the reference.
@@ -151,37 +151,77 @@ fn random_fields(g: &Grid, seed: u64) -> FieldArray {
     f
 }
 
+/// Row lengths the row kernels are checked at: all-tail rows (1–7),
+/// exact 8-voxel chunks (8, 16, 24) and chunks plus a tail (9–15, 17).
+fn row_lengths() -> impl Iterator<Item = usize> {
+    (1..=17).chain([24])
+}
+
 #[test]
 fn parallel_field_advance_matches_serial_bitwise() {
-    let g = Grid::periodic((9, 6, 7), (0.3, 0.3, 0.3), 0.05);
-    let start = random_fields(&g, 77);
-    let mut fb_ser = start.clone();
-    advance_b_serial(&mut fb_ser, &g, 0.5);
-    let mut fe_ser = start.clone();
-    advance_e_serial(&mut fe_ser, &g);
-    for threads in THREADS {
-        let mut fb_par = start.clone();
-        let mut fe_par = start.clone();
-        with_worker_threads(threads, || {
-            advance_b(&mut fb_par, &g, 0.5);
-            advance_e(&mut fe_par, &g);
-        });
-        assert_fields_bitwise_eq(&fb_par, &fb_ser);
-        assert_fields_bitwise_eq(&fe_par, &fe_ser);
+    for nx in row_lengths() {
+        let g = Grid::periodic((nx, 6, 7), (0.3, 0.3, 0.3), 0.05);
+        let start = random_fields(&g, 77 + nx as u64);
+        let mut fb_ser = start.clone();
+        advance_b_serial(&mut fb_ser, &g, 0.5);
+        let mut fe_ser = start.clone();
+        advance_e_serial(&mut fe_ser, &g);
+        for threads in THREADS {
+            let mut fb_par = start.clone();
+            let mut fe_par = start.clone();
+            with_worker_threads(threads, || {
+                advance_b(&mut fb_par, &g, 0.5);
+                advance_e(&mut fe_par, &g);
+            });
+            assert_fields_bitwise_eq(&fb_par, &fb_ser);
+            assert_fields_bitwise_eq(&fe_par, &fe_ser);
+        }
     }
+}
+
+/// All eighteen coefficients as bits: `f32`'s `==` would let `-0.0`
+/// equal `0.0` and fail on equal NaNs.
+fn coefficient_bits(ip: &Interpolator) -> [u32; 18] {
+    [
+        ip.ex,
+        ip.dexdy,
+        ip.dexdz,
+        ip.d2exdydz,
+        ip.ey,
+        ip.deydz,
+        ip.deydx,
+        ip.d2eydzdx,
+        ip.ez,
+        ip.dezdx,
+        ip.dezdy,
+        ip.d2ezdxdy,
+        ip.cbx,
+        ip.dcbxdx,
+        ip.cby,
+        ip.dcbydy,
+        ip.cbz,
+        ip.dcbzdz,
+    ]
+    .map(f32::to_bits)
 }
 
 #[test]
 fn parallel_interpolator_load_matches_serial_bitwise() {
-    let g = Grid::periodic((8, 7, 6), (0.25, 0.25, 0.25), 0.04);
-    let f = random_fields(&g, 31);
-    let mut ser = InterpolatorArray::new(&g);
-    ser.load_serial(&f, &g);
-    for threads in THREADS {
-        let mut par = InterpolatorArray::new(&g);
-        with_worker_threads(threads, || par.load(&f, &g));
-        for (v, (a, b)) in par.data.iter().zip(ser.data.iter()).enumerate() {
-            assert_eq!(a, b, "interpolator {v} differs at {threads} threads");
+    for nx in row_lengths() {
+        let g = Grid::periodic((nx, 7, 6), (0.25, 0.25, 0.25), 0.04);
+        let f = random_fields(&g, 31 + nx as u64);
+        let mut ser = InterpolatorArray::new(&g);
+        ser.load_serial(&f, &g);
+        for threads in THREADS {
+            let mut par = InterpolatorArray::new(&g);
+            with_worker_threads(threads, || par.load(&f, &g));
+            for (v, (a, b)) in par.data.iter().zip(ser.data.iter()).enumerate() {
+                assert_eq!(
+                    coefficient_bits(a),
+                    coefficient_bits(b),
+                    "nx {nx}: interpolator {v} differs at {threads} threads"
+                );
+            }
         }
     }
 }

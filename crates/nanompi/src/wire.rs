@@ -7,10 +7,10 @@
 //! distributed run over sockets lands on the same bits as the in-process
 //! run — the whole bitwise-determinism story depends on this.
 //!
-//! Also home to the vendored integrity/jitter primitives the socket layer
-//! reuses (nanompi deliberately has zero dependencies): the same CRC-32
-//! polynomial as `vpic_core::journal`'s WAL framing and the same splitmix64
-//! jitter discipline as `vpic_core::queue`'s retry backoff.
+//! Also home to the integrity/jitter primitives the socket layer uses: the
+//! workspace's one CRC-32 (the dependency-free `crc32` crate, which also
+//! frames `vpic_core::journal`'s WAL) and the same splitmix64 jitter
+//! discipline as `vpic_core::queue`'s retry backoff.
 
 use std::time::Duration;
 
@@ -273,67 +273,13 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// CRC-32 (IEEE, reflected — the `crc32fast`-compatible polynomial the
-/// checkpoint/journal framing uses) over `bytes`.
-///
-/// Slicing-by-8: eight bytes per step through eight 256-entry tables, so
-/// the loop-carried dependency is one table-lookup round per 8 bytes
-/// instead of per byte. Every frame is checksummed once by its sender and
-/// once by the receiving reader thread, which made the byte-wise loop a
-/// visible slice of each halo exchange. `vpic_core::crc32` carries the
-/// same kernel (nanompi stays dependency-free).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static T: [[u32; 256]; 8] = crc32_tables();
-    let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = T[7][(lo & 0xff) as usize]
-            ^ T[6][((lo >> 8) & 0xff) as usize]
-            ^ T[5][((lo >> 16) & 0xff) as usize]
-            ^ T[4][(lo >> 24) as usize]
-            ^ T[3][(hi & 0xff) as usize]
-            ^ T[2][((hi >> 8) & 0xff) as usize]
-            ^ T[1][((hi >> 16) & 0xff) as usize]
-            ^ T[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ T[0][((crc ^ b as u32) & 0xff) as usize];
-    }
-    !crc
-}
-
-/// `T[0]` is the classic byte-at-a-time table; `T[k][i]` is the CRC of
-/// byte `i` followed by `k` zero bytes.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
+/// checkpoint/journal framing uses) over `bytes`. Every frame is
+/// checksummed once by its sender and once by the receiving reader
+/// thread; this is the workspace's one CRC kernel (the `crc32` crate,
+/// also re-exported as `vpic_core::crc32`), carry-less-multiply folding
+/// where the target has PCLMULQDQ, so a 52 kB plane costs a few
+/// microseconds a pass.
+pub use ::crc32::crc32;
 
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -479,93 +425,6 @@ mod tests {
             assert_eq!(Vec::<f32>::wire_get(&mut WireReader::new(&buf)), None);
             assert_eq!(Vec::<u64>::wire_get(&mut WireReader::new(&buf)), None);
         }
-    }
-
-    /// Bit-at-a-time reference, independent of every table.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in bytes {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    0xEDB8_8320 ^ (crc >> 1)
-                } else {
-                    crc >> 1
-                };
-            }
-        }
-        !crc
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    #[test]
-    fn slicing_crc_matches_bytewise_at_every_length_and_offset() {
-        let mut s = 0x5EED_u64;
-        let data: Vec<u8> = (0..308).map(|_| splitmix64(&mut s) as u8).collect();
-        for offset in 0..8 {
-            for len in 0..=300 {
-                let slice = &data[offset..offset + len];
-                assert_eq!(
-                    crc32(slice),
-                    crc32_bytewise(slice),
-                    "offset {offset}, len {len}"
-                );
-            }
-        }
-    }
-
-    /// The relative speed gate of `scripts/ci.sh transport`: both kernels
-    /// timed in one process on the same 64 kB, so host drift cancels.
-    #[test]
-    #[ignore = "timing gate; run in release by scripts/ci.sh transport"]
-    fn slicing_crc_is_at_least_twice_the_table_loop() {
-        // The parent's kernel: one table lookup per byte.
-        fn table_loop(bytes: &[u8]) -> u32 {
-            static TABLE: [u32; 256] = crc32_tables()[0];
-            let mut crc = !0u32;
-            for &b in bytes {
-                crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
-            }
-            !crc
-        }
-        let mut s = 7u64;
-        let data: Vec<u8> = (0..64 * 1024).map(|_| splitmix64(&mut s) as u8).collect();
-        assert_eq!(crc32(&data), table_loop(&data));
-        let best_of = |f: &dyn Fn(&[u8]) -> u32| {
-            (0..15)
-                .map(|_| {
-                    let t = std::time::Instant::now();
-                    for _ in 0..16 {
-                        std::hint::black_box(f(std::hint::black_box(&data)));
-                    }
-                    t.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        let slow = best_of(&table_loop);
-        let fast = best_of(&crc32);
-        let mb_s = |t: f64| 16.0 * data.len() as f64 / t / 1e6;
-        println!(
-            "crc32 on 64 kB: table loop {:.0} MB/s, slicing-by-8 {:.0} MB/s ({:.2}x)",
-            mb_s(slow),
-            mb_s(fast),
-            slow / fast
-        );
-        assert!(
-            slow / fast >= 2.0,
-            "slicing-by-8 only {:.2}x the table loop",
-            slow / fast
-        );
     }
 
     #[test]

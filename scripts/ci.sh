@@ -37,7 +37,8 @@
 # the lane kernel >= the scalar body; `auto` cadence >= 0.85x fixed-25,
 # one simulation with the variant toggled between batches); last, the
 # lane-math, oracle and determinism suites again on the portable lane
-# body (`target-cpu=x86-64`).
+# body (`target-cpu=x86-64`), with the CRC suites on its slicing-by-8
+# body.
 #
 # Pass "sweep" (or set CI_SWEEP=1) to run the reflectivity-sweep-service
 # lane: the WAL corruption matrix, the job-queue state machine and the
@@ -182,20 +183,24 @@ fi
 
 if [[ "${1:-}" == "transport" || "${CI_TRANSPORT:-0}" == "1" ]]; then
     echo "==> transport lane (socket worlds, kill -9 recovery)"
-    # The whole of nanompi and vpic-parallel: wire codecs (bulk hooks,
-    # slicing-by-8 CRC vs the byte-wise reference at every length and
-    # offset), framing, bootstrap mismatches (version / world size /
+    # The whole of nanompi and vpic-parallel: wire codecs (bulk hooks),
+    # framing, bootstrap mismatches (version / world size /
     # fingerprint / silent peer), heartbeat failure detection, respawn
     # adoption, fault injection (incl. the duplicated-final-message
     # regression); the coalesced ghost exchange vs the per-component
     # reference on a 2x2x2 world over both transports, mis-sized plane
     # messages, the per-step message count, Migrant batches.
     cargo test --release -p nanompi -p vpic-parallel
-    # Checkpoint/WAL framing shares the CRC kernel.
+    # The one CRC kernel every frame, dump and journal record uses: the
+    # folded (PCLMULQDQ) body against slicing-by-8 at every length
+    # 0..=512 x offset 0..16 and on 1 MB, slicing-by-8 against the
+    # byte-wise reference, streaming splits; then the checkpoint-side
+    # fingerprint.
+    cargo test --release -p crc32
     cargo test --release -p vpic-core --lib crc32
-    # Relative speed gate, both kernels timed in one process so host
-    # drift cancels: slicing CRC >= 2x the table loop on 64 kB.
-    cargo test --release -p nanompi --lib slicing_crc_is_at_least -- --ignored --nocapture
+    # Relative speed gate, both bodies timed in one process so host
+    # drift cancels: folded CRC >= 4x slicing-by-8 on 64 kB.
+    cargo test --release -p crc32 --lib folded_crc_is_at_least -- --ignored --nocapture
     # The transport/laser/sponge deck globals.
     cargo test --release -p vpic --lib transport_global
     cargo test --release -p vpic --lib campaign_laser_and_sponge
@@ -306,6 +311,10 @@ if [[ "${1:-}" == "kernel" || "${CI_KERNEL:-0}" == "1" ]]; then
     (
         export RUSTFLAGS="-C target-cpu=x86-64 -C debug-assertions=on"
         cargo test --release -p vpic-core --lib lanes
+        # Baseline x86-64 has no PCLMULQDQ either: the CRC suites on the
+        # slicing-by-8 body alone.
+        cargo test --release -p crc32
+        cargo test --release -p vpic-core --lib crc32
         cargo test --release -p vpic-core --test kernel_oracle
         cargo test --release -p vpic-core --test determinism
     )
