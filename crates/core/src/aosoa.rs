@@ -1286,42 +1286,87 @@ pub fn lane_scatter(
     }
 }
 
-/// Blocked counting sort by voxel with a caller-held scratch/histogram,
-/// mirroring [`crate::sort::sort_by_voxel_with`]: same worker-count rule,
-/// same per-worker histograms over contiguous *particle index* chunks,
-/// same serial `(voxel, worker)` prefix-sum — so the output permutation is
-/// exactly the stable serial counting sort, bitwise independent of the
-/// worker count and identical to the AoS sort's.
-pub fn sort_aosoa_with(
-    store: &mut AosoaStore,
-    n_voxels: usize,
-    scratch: &mut Vec<Block>,
-    counts: &mut Vec<u32>,
-) {
-    let n = store.len;
-    let workers = worker_threads().min(n.div_ceil(MIN_SORT_CHUNK)).max(1);
-    sort_aosoa_with_workers(store, n_voxels, scratch, counts, workers);
+/// Lanes in one window of the sort's in-place pass: 4 MiB of blocks, so a
+/// worker's window buffer stays a small share of a large store while the
+/// slots of particles one cell from their bucket mostly still fall inside
+/// the window they were read in.
+pub const SORT_WINDOW: usize = 1 << 17;
+
+/// A lane the in-place pass could not place while walking its window: the
+/// particle and its output slot, stored once every window is written back.
+#[derive(Clone, Copy, Debug)]
+struct FarLane {
+    slot: u32,
+    p: Particle,
 }
 
-/// Worker-count-explicit body of the AoSoA sort (tests drive this to pin
-/// the permutation against the AoS reference for any worker count).
+/// The AoSoA sort's reused buffers: the per-worker histograms, one window
+/// buffer per worker and one far list per worker. They keep their
+/// capacity between sorts, so steady-state sorting allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct SortBuffers {
+    counts: Vec<u32>,
+    window: Vec<Block>,
+    far: Vec<Vec<FarLane>>,
+}
+
+impl SortBuffers {
+    /// Heap bytes the buffers hold between sorts (capacities).
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.counts.capacity() * size_of::<u32>()
+            + self.window.capacity() * size_of::<Block>()
+            + self.far.capacity() * size_of::<Vec<FarLane>>()
+            + self
+                .far
+                .iter()
+                .map(|f| f.capacity() * size_of::<FarLane>())
+                .sum::<usize>()
+    }
+}
+
+/// Blocked counting sort by voxel with caller-held buffers, mirroring
+/// [`crate::sort::sort_by_voxel_with`]: same worker-count rule, same
+/// per-worker histograms over contiguous *particle index* ranges, same
+/// serial `(voxel, worker)` prefix-sum — so the output permutation is
+/// exactly the stable serial counting sort, bitwise independent of the
+/// worker count and identical to the AoS sort's. The particles are
+/// rearranged in place through windows of [`SORT_WINDOW`] lanes; no second
+/// copy of the store is held.
+pub fn sort_aosoa_with(store: &mut AosoaStore, n_voxels: usize, buf: &mut SortBuffers) {
+    let n = store.len;
+    let workers = worker_threads().min(n.div_ceil(MIN_SORT_CHUNK)).max(1);
+    sort_aosoa_with_workers(store, n_voxels, buf, workers, SORT_WINDOW);
+}
+
+/// Worker-count- and window-explicit body of the AoSoA sort (tests drive
+/// this to pin the permutation against the AoS reference for any worker
+/// count, and through many windows and the far lists on small stores).
+/// `window` is a positive multiple of [`LANES`].
 pub(crate) fn sort_aosoa_with_workers(
     store: &mut AosoaStore,
     n_voxels: usize,
-    scratch: &mut Vec<Block>,
-    counts: &mut Vec<u32>,
+    buf: &mut SortBuffers,
     workers: usize,
+    window: usize,
 ) {
+    assert!(
+        window >= LANES && window.is_multiple_of(LANES),
+        "sort window {window} is not a positive multiple of {LANES} lanes"
+    );
     let n = store.len;
     if n <= 1 {
         return;
     }
     let workers = workers.clamp(1, n);
-    let chunk = n.div_ceil(workers);
+    // Whole blocks per worker, so each worker owns the blocks it rewrites.
+    // The stable permutation does not depend on where the ranges split.
+    let chunk = n.div_ceil(workers).next_multiple_of(LANES);
+    let range = move |w: usize| (w * chunk).min(n)..((w + 1) * chunk).min(n);
 
     // Phase 1: per-worker histograms over index ranges (worker w owns
-    // particles [w·chunk, (w+1)·chunk) — the same split par_chunks gives
-    // the AoS sort).
+    // particles `range(w)`).
+    let counts = &mut buf.counts;
     counts.clear();
     counts.resize(workers * n_voxels, 0);
     {
@@ -1330,9 +1375,7 @@ pub(crate) fn sort_aosoa_with_workers(
             .par_chunks_mut(n_voxels)
             .enumerate()
             .for_each(move |(w, hist)| {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                for i in lo..hi {
+                for i in range(w) {
                     hist[blocks[i / LANES].i[i % LANES] as usize] += 1;
                 }
             });
@@ -1350,54 +1393,91 @@ pub(crate) fn sort_aosoa_with_workers(
         }
     }
 
-    // Phase 3: scatter into scratch blocks. Worker w writes exactly the
-    // lanes its prefix-sum slots reserve — together every live lane — and
-    // `park_tail` rewrites the tail's padding lanes, so whatever an
-    // earlier sort left in `scratch` is overwritten and only grown blocks
-    // need initializing.
-    scratch.resize(n.div_ceil(LANES), Block::default());
-    let out = BlockPtr::new(scratch);
+    // Phase 3: the in-place pass. Worker w walks its own blocks in windows
+    // of `window` lanes. A lane whose slot lies in the window being walked
+    // goes into the worker's window buffer, copied back over the window
+    // once all of it has been read. A lane whose slot lies in one of the
+    // worker's windows already copied back goes straight there: that slot
+    // is a hole reserved for it alone. Every other lane goes, with its
+    // slot, onto the worker's far list. Every slot of [0, n) gets its
+    // lane from exactly one of the three. A window copy may first put a
+    // stale lane where a direct store or a far lane lands later, so
+    // nothing a window buffer held from an earlier window or sort
+    // survives (`park_tail` rewrites the tail's padding lanes).
     let starts = if cfg!(debug_assertions) {
         counts.clone()
     } else {
         Vec::new()
     };
     let starts = &starts[..];
-    {
-        let blocks = &store.blocks[..];
-        counts
-            .par_chunks_mut(n_voxels)
-            .enumerate()
-            .for_each(move |(w, offsets)| {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                for i in lo..hi {
-                    let p = blocks[i / LANES].lane(i % LANES);
+    let window_blocks = move |w: usize| range(w).len().min(window).div_ceil(LANES);
+    buf.window
+        .resize((0..workers).map(window_blocks).sum(), Block::default());
+    buf.far.resize_with(workers, Vec::new);
+    let mut own_blocks = &mut store.blocks[..];
+    let mut windows = &mut buf.window[..];
+    let mut parts = Vec::with_capacity(workers);
+    for (w, far) in buf.far.iter_mut().enumerate() {
+        let own;
+        let win;
+        (own, own_blocks) = own_blocks.split_at_mut(range(w).len().div_ceil(LANES));
+        (win, windows) = windows.split_at_mut(window_blocks(w));
+        far.clear();
+        parts.push((own, win, far));
+    }
+    counts
+        .par_chunks_mut(n_voxels)
+        .zip(parts.par_iter_mut())
+        .enumerate()
+        .for_each(move |(w, (offsets, (own, win, far)))| {
+            let (lo, hi) = (range(w).start, range(w).end);
+            let mut a = lo;
+            while a < hi {
+                let b = (a + window).min(hi);
+                for i in a..b {
+                    // `lo` and `a` are multiples of LANES, so lane
+                    // `i % LANES` of a block is lane `i % LANES` of the
+                    // slices' blocks too.
+                    let p = own[(i - lo) / LANES].lane(i % LANES);
                     let v = p.i as usize;
-                    let slot = &mut offsets[v];
-                    let t = *slot as usize;
+                    let t = offsets[v] as usize;
                     debug_assert!(
                         t < reserved_end(starts, n_voxels, workers, n, w, v),
                         "worker {w} overran its slots for voxel {v}"
                     );
-                    // SAFETY: `t` walks the half-open range reserved for
-                    // this (worker, voxel) pair by the exclusive
-                    // prefix-sum. Those ranges partition [0, n): worker
-                    // `w` advances only its own row of `counts`, once per
-                    // particle of its own index range — as often as its
-                    // histogram counted — so `t < n`, block `t / LANES`
-                    // is in bounds of `scratch`, and no other worker
-                    // writes lane `t`. Two workers may write different
-                    // lanes of one block at once; `lane_store` projects
-                    // through the raw pointer to the one lane and never
-                    // forms a reference to the block. `store.blocks` is
-                    // only read.
-                    unsafe { lane_store(out.at(t / LANES), t % LANES, &p) };
-                    *slot += 1;
+                    offsets[v] += 1;
+                    if (a..b).contains(&t) {
+                        win[(t - a) / LANES].set_lane(t % LANES, &p);
+                    } else if (lo..a).contains(&t) {
+                        own[(t - lo) / LANES].set_lane(t % LANES, &p);
+                    } else {
+                        far.push(FarLane { slot: t as u32, p });
+                    }
                 }
-            });
-    }
-    std::mem::swap(&mut store.blocks, scratch);
+                let (b0, b1) = ((a - lo) / LANES, (b - lo).div_ceil(LANES));
+                own[b0..b1].clone_from_slice(&win[..b1 - b0]);
+                a = b;
+            }
+        });
+
+    // Phase 4: store the far lanes, each list on its own worker.
+    let out = BlockPtr::new(&mut store.blocks);
+    buf.far.par_iter().for_each(move |far| {
+        for f in far {
+            let t = f.slot as usize;
+            // SAFETY: `t` walked the half-open range the exclusive
+            // prefix-sum reserved for one (worker, voxel) pair (checked
+            // against `reserved_end` in debug builds). Those ranges
+            // partition [0, n) and each slot was handed out once, so
+            // `t < n`, block `t / LANES` is in bounds, and no other far
+            // lane of any list names lane `t`. The walk has ended, so
+            // nothing else reads or writes the store. Two workers may
+            // write different lanes of one block at once; `lane_store`
+            // projects through the raw pointer to the one lane and never
+            // forms a reference to the block.
+            unsafe { lane_store(out.at(t / LANES), t % LANES, &f.p) };
+        }
+    });
     store.park_tail();
 }
 
@@ -1856,9 +1936,9 @@ mod tests {
         for threads in [1usize, 2, 4] {
             for workers in [1usize, 2, 3, 5, 8] {
                 let mut store = AosoaStore::from_particles(&parts);
-                let (mut scratch, mut counts) = (Vec::new(), Vec::new());
+                let mut buf = SortBuffers::default();
                 crate::threads::with_worker_threads(threads, || {
-                    sort_aosoa_with_workers(&mut store, nv, &mut scratch, &mut counts, workers)
+                    sort_aosoa_with_workers(&mut store, nv, &mut buf, workers, SORT_WINDOW)
                 });
                 assert_eq!(
                     store.to_particles(),
@@ -1870,15 +1950,156 @@ mod tests {
         }
     }
 
+    /// Sort `parts` through the windowed in-place pass at 1, 2 and 3
+    /// workers and windows of one block up to [`SORT_WINDOW`], on 1, 2
+    /// and 4 real threads, and require the AoS oracle's permutation at the
+    /// same worker count (itself pinned to the serial reference) with the
+    /// tail's padding lanes parked. Returns the most far lanes any run
+    /// kept, so a caller can tell the far path was taken.
+    fn windowed_sort_equals_the_aos_oracle(case: &str, parts: &[Particle], nv: usize) -> usize {
+        let reference = crate::sort::reference_sort(parts, nv);
+        let mut most_far = 0;
+        for workers in [1usize, 2, 3] {
+            let mut want = parts.to_vec();
+            let (mut s, mut c) = (Vec::new(), Vec::new());
+            sort_with_workers(&mut want, nv, &mut s, &mut c, workers);
+            assert_eq!(want, reference, "{case}: AoS oracle, workers = {workers}");
+            for window in [LANES, 3 * LANES, 64, SORT_WINDOW] {
+                for threads in [1usize, 2, 4] {
+                    let mut store = AosoaStore::from_particles(parts);
+                    let mut buf = SortBuffers::default();
+                    crate::threads::with_worker_threads(threads, || {
+                        sort_aosoa_with_workers(&mut store, nv, &mut buf, workers, window)
+                    });
+                    let at =
+                        format!("{case}: workers {workers}, window {window}, threads {threads}");
+                    assert_eq!(store.to_particles(), want, "{at}");
+                    assert_eq!(store.blocks.len(), parts.len().div_ceil(LANES), "{at}");
+                    let tail = store.blocks.last().unwrap();
+                    let live = parts.len() % LANES;
+                    for l in (live..LANES).filter(|_| live != 0) {
+                        assert_eq!(tail.w[l], 0.0, "{at}: padding lane {l} has weight");
+                        assert_eq!(tail.i[l], tail.i[0], "{at}: padding lane {l} unparked");
+                    }
+                    most_far = most_far.max(buf.far.iter().map(Vec::len).sum());
+                }
+            }
+        }
+        most_far
+    }
+
+    /// `n` particles tagged by index (`w`), voxel chosen by `voxel(k)`.
+    fn tagged(n: usize, mut voxel: impl FnMut(usize) -> u32) -> Vec<Particle> {
+        (0..n)
+            .map(|k| Particle {
+                i: voxel(k),
+                w: 1.0 + k as f32,
+                ux: k as f32 * 0.5,
+                ..Default::default()
+            })
+            .collect()
+    }
+
     #[test]
-    fn stale_scratch_never_leaks_into_a_shorter_or_longer_sort() {
-        // The scratch keeps the previous sort's blocks; a shrinking and
-        // then a growing population must each land on the reference
-        // permutation of their own particles, padding lanes parked.
+    fn windowed_sort_of_a_reversed_store_matches_the_aos_oracle() {
+        // Strictly decreasing voxels: no lane's slot is near its source,
+        // so at every window shorter than the store each lane is far or
+        // goes back into a window already written.
+        let (n, nv) = (1000, 1000);
+        let parts = tagged(n, |k| (nv - 1 - k) as u32);
+        let far = windowed_sort_equals_the_aos_oracle("reversed", &parts, nv);
+        assert!(far >= n / 2, "reversed store kept only {far} far lanes");
+    }
+
+    #[test]
+    fn windowed_sort_of_a_single_voxel_store_matches_the_aos_oracle() {
+        // One bucket: the stable sort is the identity, every slot its own
+        // source, and nothing is far.
+        let parts = tagged(517, |_| 7);
+        let far = windowed_sort_equals_the_aos_oracle("single voxel", &parts, 12);
+        assert_eq!(far, 0);
+    }
+
+    #[test]
+    fn windowed_sort_of_a_ragged_store_matches_the_aos_oracle() {
+        // n % 8 != 0 at several sizes, one of them a single partial block.
+        for n in [2usize, 5, 13, 203, 1001] {
+            let mut rng = Rng::seeded(n as u64);
+            let parts = tagged(n, |_| rng.index(37) as u32);
+            windowed_sort_equals_the_aos_oracle(&format!("ragged n = {n}"), &parts, 37);
+        }
+    }
+
+    #[test]
+    fn windowed_sort_of_a_store_smaller_than_one_window_matches_the_aos_oracle() {
+        let mut rng = Rng::seeded(41);
+        let parts = tagged(60, |_| rng.index(9) as u32);
+        let mut store = AosoaStore::from_particles(&parts);
+        let mut buf = SortBuffers::default();
+        sort_aosoa_with_workers(&mut store, 9, &mut buf, 1, 64);
+        // One window holds the whole store: the buffer is the store's size
+        // in blocks and nothing is far.
+        assert_eq!(buf.window.len(), parts.len().div_ceil(LANES));
+        assert_eq!(buf.far.iter().map(Vec::len).sum::<usize>(), 0);
+        windowed_sort_equals_the_aos_oracle("under one window", &parts, 9);
+    }
+
+    #[test]
+    fn windowed_sort_of_a_store_spanning_many_windows_matches_the_aos_oracle() {
+        // A sorted store whose particles then moved up to one voxel either
+        // way — the disorder a run hands the sort — spanning ≥ 3 windows of
+        // 64 lanes per worker, and a fully random one.
+        let (n, nv) = (2000, 250);
+        let mut rng = Rng::seeded(43);
+        let near = tagged(n, |k| {
+            let v = (k * nv / n) as i64 + rng.index(3) as i64 - 1;
+            v.clamp(0, nv as i64 - 1) as u32
+        });
+        assert!(n / 3 >= 3 * 64);
+        windowed_sort_equals_the_aos_oracle("one voxel of disorder", &near, nv);
+        let random = tagged(n, |_| rng.index(nv) as u32);
+        let far = windowed_sort_equals_the_aos_oracle("random", &random, nv);
+        assert!(far > 0);
+    }
+
+    #[test]
+    fn windowed_sort_after_holes_and_tail_arrivals_matches_the_aos_oracle() {
+        // A sorted store after the push's own edits: `swap_remove` holes
+        // filled from the tail, then arrivals appended at the tail.
+        let nv = 120;
+        let sorted = crate::sort::reference_sort(&tagged(900, |k| (k * 7 % nv) as u32), nv);
+        let mut store = AosoaStore::from_particles(&sorted);
+        let mut rng = Rng::seeded(47);
+        for _ in 0..60 {
+            store.swap_remove(rng.index(store.len()));
+        }
+        for k in 0..45 {
+            store.push(Particle {
+                i: rng.index(nv) as u32,
+                w: 5000.0 + k as f32,
+                ..Default::default()
+            });
+        }
+        assert_ne!(store.len() % LANES, 0);
+        let far =
+            windowed_sort_equals_the_aos_oracle("holes and arrivals", &store.to_particles(), nv);
+        assert!(far > 0);
+    }
+
+    #[test]
+    fn stale_sort_buffers_never_leak_into_a_shorter_or_longer_sort() {
+        // The window buffers keep the previous sort's blocks and the far
+        // lists their capacity; a shrinking, a growing and a
+        // worker-count-changing population must each land on the
+        // reference permutation of their own particles, padding lanes
+        // parked, with no far lane of an earlier sort stored again.
         let mut rng = Rng::seeded(33);
         let nv = 40;
-        let (mut scratch, mut counts) = (Vec::new(), Vec::new());
-        for (round, n) in [3001usize, 17, 3011].into_iter().enumerate() {
+        let mut buf = SortBuffers::default();
+        for (round, (n, workers)) in [(3001usize, 3usize), (17, 3), (3011, 2), (2203, 3), (64, 1)]
+            .into_iter()
+            .enumerate()
+        {
             let parts: Vec<Particle> = (0..n)
                 .map(|k| Particle {
                     i: rng.index(nv) as u32,
@@ -1888,12 +2109,13 @@ mod tests {
                 })
                 .collect();
             let mut store = AosoaStore::from_particles(&parts);
-            sort_aosoa_with_workers(&mut store, nv, &mut scratch, &mut counts, 3);
+            sort_aosoa_with_workers(&mut store, nv, &mut buf, workers, 64);
             let want = crate::sort::reference_sort(&parts, nv);
             assert_eq!(store.to_particles(), want, "round {round}");
             assert_eq!(store.blocks.len(), n.div_ceil(LANES));
+            assert_eq!(buf.far.len(), workers, "round {round}: far lists");
             let tail = store.blocks.last().unwrap();
-            for l in n % LANES..LANES {
+            for l in (n % LANES..LANES).filter(|_| n % LANES != 0) {
                 assert_eq!(tail.w[l], 0.0, "round {round}: padding lane {l} has weight");
                 assert_eq!(tail.ux[l], 0.0, "round {round}: padding lane {l} moves");
                 assert_eq!(
@@ -1922,8 +2144,7 @@ mod tests {
         }
         store.swap_remove(4);
         store.swap_remove(0);
-        let (mut scratch, mut counts) = (Vec::new(), Vec::new());
-        sort_aosoa_with(&mut store, nv, &mut scratch, &mut counts);
+        sort_aosoa_with(&mut store, nv, &mut SortBuffers::default());
         assert_eq!(store.len(), 11);
         let live = store.len() % LANES;
         let tail = store.blocks.last().unwrap();

@@ -67,7 +67,9 @@ pub mod tracer;
 pub mod units;
 
 pub use accumulator::{Accumulator, AccumulatorArray, AccumulatorSet};
-pub use aosoa::{advance_p_aosoa, sort_aosoa_with, AosoaStore, Block, Layout, LANES};
+pub use aosoa::{
+    advance_p_aosoa, sort_aosoa_with, AosoaStore, Block, Layout, SortBuffers, LANES, SORT_WINDOW,
+};
 pub use cadence::{
     auto_sort_interval, CadenceState, CoherenceCounters, PushTally, SortPolicy,
     DEFAULT_SORT_INTERVAL, MAX_AUTO_INTERVAL, MIN_AUTO_INTERVAL,

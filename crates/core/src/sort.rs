@@ -14,6 +14,9 @@
 //! output slots. Same-voxel particles land in `(worker, within-chunk)`
 //! order, i.e. original order — the output permutation is exactly the
 //! stable serial counting sort, bitwise independent of the worker count.
+//! The AoSoA sort shares the first two phases and replaces the scatter
+//! into a second full-size buffer with an in-place pass through bounded
+//! windows; this oracle keeps the plain scatter.
 
 use crate::particle::Particle;
 use crate::threads::worker_threads;

@@ -1,7 +1,7 @@
 //! A particle species: charge, mass and its macroparticle storage, an
 //! [`AosoaStore`] of 8-lane blocks (the layout the lane kernel runs on).
 
-use crate::aosoa::{sort_aosoa_with, AosoaStore, Block};
+use crate::aosoa::{sort_aosoa_with, AosoaStore, SortBuffers};
 use crate::cadence::{CadenceState, CoherenceCounters, PushTally, SortPolicy};
 use crate::grid::Grid;
 use crate::particle::Particle;
@@ -27,10 +27,9 @@ pub struct Species {
     counters: CoherenceCounters,
     /// Macroparticles.
     store: AosoaStore,
-    /// Persistent sort scratch and histogram, so steady-state sorting
-    /// allocates nothing (see [`sort_aosoa_with`]).
-    scratch_blocks: Vec<Block>,
-    sort_counts: Vec<u32>,
+    /// Persistent sort histograms, window buffers and far lists, so
+    /// steady-state sorting allocates nothing (see [`sort_aosoa_with`]).
+    sort_buffers: SortBuffers,
 }
 
 impl Species {
@@ -46,8 +45,7 @@ impl Species {
             cadence: CadenceState::new(sort_policy),
             counters: CoherenceCounters::default(),
             store: AosoaStore::default(),
-            scratch_blocks: Vec::new(),
-            sort_counts: Vec::new(),
+            sort_buffers: SortBuffers::default(),
         }
     }
 
@@ -209,25 +207,31 @@ impl Species {
         self.store = AosoaStore::from_particles(&parts);
     }
 
-    /// Counting-sort the particles by voxel (Rayon-parallel; scratch and
-    /// histogram buffers persist across calls) — the stable permutation
-    /// of the AoS oracle sort. Closes the cadence controller's
-    /// measurement window (every caller — cadence, collisions, tests —
-    /// re-establishes coherence the same way, so the controller's view of
-    /// the store stays truthful).
+    /// Counting-sort the particles by voxel, in place (Rayon-parallel) —
+    /// the stable permutation of the AoS oracle sort. Each worker walks
+    /// its own blocks in windows of [`crate::SORT_WINDOW`] lanes through a
+    /// window buffer; lanes bound outside their window wait on a far list
+    /// until every window is written back. Those buffers and the
+    /// histograms persist across calls: about `min(SORT_WINDOW, n /
+    /// workers)` lanes per worker plus the far lanes, never a second copy
+    /// of a large store ([`Species::sort_buffer_bytes`]). Closes the
+    /// cadence controller's measurement window (every caller — cadence,
+    /// collisions, tests — re-establishes coherence the same way, so the
+    /// controller's view of the store stays truthful).
     pub fn sort(&mut self, g: &Grid) {
-        sort_aosoa_with(
-            &mut self.store,
-            g.n_voxels(),
-            &mut self.scratch_blocks,
-            &mut self.sort_counts,
-        );
+        sort_aosoa_with(&mut self.store, g.n_voxels(), &mut self.sort_buffers);
         self.counters.sorts += 1;
         self.cadence.on_sorted(
             self.sort_policy,
             self.store.len() as u64,
             g.n_voxels() as u64,
         );
+    }
+
+    /// Heap bytes the sort keeps between calls: histograms, window
+    /// buffers and far lists (capacities).
+    pub fn sort_buffer_bytes(&self) -> usize {
+        self.sort_buffers.bytes()
     }
 
     /// Total kinetic energy `Σ w·m·c²·(γ−1)` in double precision.
