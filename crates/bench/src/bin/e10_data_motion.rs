@@ -6,8 +6,9 @@
 //!
 //! Runs each technique's reference kernel on this host and tabulates
 //! achieved flop rates next to the algorithmic bytes-per-flop, then prints
-//! the PIC run's resident bytes per particle (particle store plus what the
-//! sort keeps between calls) next to the paper's 32.
+//! the PIC run's resident bytes per particle (particle store, what the sort
+//! keeps between calls, and the accumulator planes the push deposited
+//! into) next to the paper's 32.
 
 use roadrunner_model::flops;
 use vpic_bench::datamotion::{dense_matmul, monte_carlo, nbody_allpairs, KernelReport};
@@ -15,11 +16,13 @@ use vpic_bench::{known_flags, parse_flag, print_table, time_it, uniform_plasma};
 use vpic_core::push::{advance_p, PushCoefficients};
 use vpic_core::{Block, SORT_WINDOW};
 
-/// Resident bytes per particle of a species: its store's blocks and its
-/// retained sort buffers.
+/// Resident bytes per particle of the run's one species: its store's
+/// blocks, its retained sort buffers, and the dirty accumulator planes of
+/// every pipeline after a push.
 struct Resident {
     store: f64,
     sort: f64,
+    accum: f64,
 }
 
 fn pic_report(full: bool) -> (KernelReport, Resident) {
@@ -50,6 +53,7 @@ fn pic_report(full: bool) -> (KernelReport, Resident) {
     let resident = Resident {
         store: (sp.store().blocks.len() * std::mem::size_of::<Block>()) as f64 / np as f64,
         sort: sp.sort_buffer_bytes() as f64 / np as f64,
+        accum: sim.accumulators.dirty_bytes() as f64 / np as f64,
     };
     let report = KernelReport {
         name: "PIC particle advance (this code)",
@@ -94,13 +98,16 @@ fn main() {
     println!("orders of magnitude more data motion than the compute-dense techniques —");
     println!("the reason 0.374 Pflop/s sustained in a PIC code was remarkable in 2008.");
     println!(
-        "\nResident bytes per particle: {:.1} store + {:.1} sort buffers = {:.1} B (paper: 32 B)",
+        "\nResident bytes per particle: {:.1} store + {:.1} sort buffers + {:.1} accumulators \
+         = {:.1} B (paper: 32 B)",
         resident.store,
         resident.sort,
-        resident.store + resident.sort
+        resident.accum,
+        resident.store + resident.sort + resident.accum
     );
     println!(
         "(the sort keeps a window of up to {SORT_WINDOW} particles per worker plus the lanes \
-         it could not place in their window: a large store approaches 32 B, a small one 64)"
+         it could not place in their window: a large store approaches 32 B, a small one 64;\n\
+         the accumulators count the z-planes each pipeline deposited into, 48 B a voxel)"
     );
 }

@@ -15,22 +15,22 @@
 //! in `[-1,1]` coordinates; the four quadrant weights sum to 4, so the
 //! unload scale for x-edges is `1/(4·dt·dy·dz)` (and cyclic).
 //!
-//! Each array tracks the half-open voxel range its deposits touched since
-//! the last [`AccumulatorArray::clear`]. Because the push hands each
-//! pipeline one contiguous block of voxel-sorted particles, a pipeline
-//! dirties only ~`1/n_pipelines` of the grid — so range-aware clears and
-//! reductions cost about one full array regardless of the pipeline count,
-//! where the naive versions cost `n_pipelines` arrays of memory traffic
-//! every step.
+//! Each array marks the z-planes its deposits reached since the last
+//! [`AccumulatorArray::clear`]. The push hands each pipeline one
+//! contiguous run of voxel-sorted particles, so a pipeline deposits into
+//! about `1/n_pipelines` of the planes, plus the few it shares with its
+//! neighbours and those its wrapped crossers reach. The arrays are
+//! allocated as zeroed memory, so a plane no deposit reaches is never
+//! written: clears, the pipeline fold and the non-finite sweep walk the
+//! live rows of dirty planes only, and the unload reads each plane from
+//! the one pipeline that owns it. A plane — not a voxel range — is the unit
+//! because a single periodic wrap-around deposit would stretch a range
+//! over the whole grid.
 
 use crate::field::FieldArray;
 use crate::grid::Grid;
 use crate::lanes::{transpose8_wide, F32x8, Mask8, Wide, LANES};
 use rayon::prelude::*;
-
-/// Voxels per parallel task in the range reduction (whole `Accumulator`
-/// entries, so chunk boundaries never split a voxel's 12 floats).
-const REDUCE_CHUNK: usize = 8192;
 
 /// Twelve-entry current accumulator for one voxel.
 #[repr(C)]
@@ -112,44 +112,147 @@ impl OpenVoxel {
 #[derive(Clone, Debug)]
 pub struct AccumulatorArray {
     pub data: Vec<Accumulator>,
-    /// First voxel touched since the last clear (`usize::MAX` when clean).
-    dirty_lo: usize,
-    /// One past the last voxel touched since the last clear.
-    dirty_hi: usize,
+    /// Voxels per z-plane (`sx·sy`).
+    plane: usize,
+    /// `⌈2^64 / plane⌉`: a voxel's plane is the high half of one multiply
+    /// ([`Self::plane_of`]), with no division on the scatter walk.
+    recip: u64,
+    /// Per z-plane: deposited into since the last clear.
+    dirty: Vec<bool>,
+    /// A plane's live rows `j ∈ 1..=ny` as entry offsets in the plane.
+    /// Particles sit in live voxels, so every deposit lands in these rows;
+    /// clears, the fold and the non-finite sweep walk only them, which on
+    /// a quasi-1D grid is a third of the plane.
+    rows: std::ops::Range<usize>,
+}
+
+/// `n` zeroed accumulators, allocated as zeroed memory: `vec!` of an
+/// all-zero `[f32; 12]` asks the allocator for it (a fresh mapping for a
+/// large array), so a page no deposit reaches is never written — where
+/// `vec![Accumulator::default(); n]` writes every entry and so keeps the
+/// whole array resident.
+fn zeroed(n: usize) -> Vec<Accumulator> {
+    const _: () = {
+        assert!(std::mem::size_of::<Accumulator>() == std::mem::size_of::<[f32; 12]>());
+        assert!(std::mem::align_of::<Accumulator>() == std::mem::align_of::<[f32; 12]>());
+    };
+    let mut raw = std::mem::ManuallyDrop::new(vec![[0.0f32; 12]; n]);
+    let (ptr, len, cap) = (raw.as_mut_ptr(), raw.len(), raw.capacity());
+    // SAFETY: the allocation came from the global allocator as `cap`
+    // `[f32; 12]`s, whose size and alignment `Accumulator` shares (checked
+    // above), so it is `cap` `Accumulator`s with the same layout; its
+    // `len` entries are initialized to zero bits, which are twelve `0.0`s
+    // of a `#[repr(C)]` struct of twelve `f32`s; `raw` is never dropped,
+    // so the returned `Vec` is the allocation's only owner.
+    unsafe { Vec::from_raw_parts(ptr as *mut Accumulator, len, cap) }
 }
 
 impl AccumulatorArray {
     /// Zeroed array sized for `grid`.
     pub fn new(grid: &Grid) -> Self {
+        let (sx, sy, sz) = grid.strides();
+        let plane = sx * sy;
+        // `plane_of` is exact for voxel indices and divisors below 2^32
+        // (a plane is at least 3×3 voxels, so `recip` fits 64 bits).
+        assert!(plane >= 2 && grid.n_voxels() <= u32::MAX as usize);
         AccumulatorArray {
-            data: vec![Accumulator::default(); grid.n_voxels()],
-            dirty_lo: usize::MAX,
-            dirty_hi: 0,
+            data: zeroed(grid.n_voxels()),
+            plane,
+            recip: u64::MAX / plane as u64 + 1,
+            dirty: vec![false; sz],
+            rows: sx..sx * (grid.ny + 1),
         }
     }
 
-    /// Half-open voxel range deposited into since the last clear. All
-    /// entries outside it are zero (every mutation funnels through
-    /// [`Self::deposit`] / [`Self::reduce_from`], which widen it, or
-    /// through [`Self::deposit_lane`], whose caller does).
-    #[inline]
-    pub fn dirty_range(&self) -> std::ops::Range<usize> {
-        if self.dirty_lo >= self.dirty_hi {
-            0..0
+    /// The z-plane of `voxel`: `voxel / plane` as a high multiply by the
+    /// rounded-up reciprocal, which is exact for 32-bit operands.
+    #[inline(always)]
+    fn plane_of(&self, voxel: usize) -> usize {
+        ((voxel as u128 * self.recip as u128) >> 64) as usize
+    }
+
+    /// Number of z-planes, ghost planes included.
+    pub fn n_planes(&self) -> usize {
+        self.dirty.len()
+    }
+
+    /// The z-planes deposited into since the last clear, ascending. All
+    /// entries of the other planes are zero (every deposit marks its
+    /// voxel's plane: [`Self::deposit`], [`Self::deposit_quadrants`],
+    /// [`Self::deposit_crossing`] and [`Self::reduce_from`] mark it
+    /// themselves, [`Self::deposit_lane`]'s caller marks it first).
+    pub fn dirty_planes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.dirty
+            .iter()
+            .enumerate()
+            .filter(|(_, &d)| d)
+            .map(|(k, _)| k)
+    }
+
+    /// Bytes of the dirty planes: what the deposits since the last clear
+    /// made resident.
+    pub fn dirty_bytes(&self) -> usize {
+        self.dirty_planes().count() * self.plane * std::mem::size_of::<Accumulator>()
+    }
+
+    /// The entries of z-plane `k`.
+    fn plane_slice(&self, k: usize) -> &[Accumulator] {
+        &self.data[k * self.plane..(k + 1) * self.plane]
+    }
+
+    /// The voxels of z-plane `k`'s live rows.
+    fn live_rows(&self, k: usize) -> std::ops::Range<usize> {
+        k * self.plane + self.rows.start..k * self.plane + self.rows.end
+    }
+
+    /// The entries of the dirty planes' live rows, in voxel order: every
+    /// entry a deposit since the last clear can have reached.
+    pub fn dirty_entries(&self) -> impl Iterator<Item = &Accumulator> + '_ {
+        self.dirty_planes()
+            .flat_map(|k| &self.data[self.live_rows(k)])
+    }
+
+    /// Mark `voxel`'s plane dirty.
+    #[inline(always)]
+    pub(crate) fn mark(&mut self, voxel: usize) {
+        let k = self.plane_of(voxel);
+        self.dirty[k] = true;
+    }
+
+    /// Mark the planes of a block's voxels `voxels`, whose least and
+    /// greatest are `lo` and `hi`: the planes of those two when they are
+    /// at most one plane apart, else (a block spanning more than two
+    /// planes, such as one holding a wrapped crosser) each voxel's.
+    #[inline(always)]
+    pub(crate) fn mark_block(&mut self, lo: usize, hi: usize, voxels: &[u32]) {
+        let (klo, khi) = (self.plane_of(lo), self.plane_of(hi));
+        if khi - klo <= 1 {
+            self.dirty[klo] = true;
+            self.dirty[khi] = true;
         } else {
-            self.dirty_lo..self.dirty_hi
+            for &v in voxels {
+                self.mark(v as usize);
+            }
         }
     }
 
-    /// Reset all touched entries to zero (cost scales with the dirty
-    /// range, not the grid).
+    /// Whether `voxel` lies in a live row of a plane marked dirty (the
+    /// deposit paths' debug assertion).
+    #[inline(always)]
+    fn is_marked(&self, voxel: usize) -> bool {
+        let k = self.plane_of(voxel);
+        self.dirty[k] && self.rows.contains(&(voxel - k * self.plane))
+    }
+
+    /// Reset the dirty planes' live rows to zero (cost scales with the
+    /// planes deposited into, not the grid).
     pub fn clear(&mut self) {
-        let r = self.dirty_range();
-        self.data[r]
-            .iter_mut()
-            .for_each(|a| *a = Accumulator::default());
-        self.dirty_lo = usize::MAX;
-        self.dirty_hi = 0;
+        for k in 0..self.dirty.len() {
+            if std::mem::take(&mut self.dirty[k]) {
+                let rows = self.live_rows(k);
+                self.data[rows].fill(Accumulator::default());
+            }
+        }
     }
 
     /// Accumulate the current of one straight-line particle streak that
@@ -167,18 +270,12 @@ impl AccumulatorArray {
         (hx, hy, hz): (f32, f32, f32),
     ) {
         let v5 = q * hx * hy * hz * (1.0 / 3.0);
-        self.touch(voxel, voxel);
+        self.mark(voxel);
+        debug_assert!(self.is_marked(voxel), "deposit outside a live row: {voxel}");
         let a = &mut self.data[voxel];
         accumulate_quadrants(&mut a.jx, q * hx, my, mz, v5);
         accumulate_quadrants(&mut a.jy, q * hy, mz, mx, v5);
         accumulate_quadrants(&mut a.jz, q * hz, mx, my, v5);
-    }
-
-    /// Widen the dirty range to cover voxels `lo..=hi`.
-    #[inline]
-    pub(crate) fn touch(&mut self, lo: usize, hi: usize) {
-        self.dirty_lo = self.dirty_lo.min(lo);
-        self.dirty_hi = self.dirty_hi.max(hi + 1);
     }
 
     /// Accumulate four precomputed quadrant contributions per edge
@@ -189,7 +286,8 @@ impl AccumulatorArray {
     /// feeds this with bit-identical addends lands on bit-identical sums.
     #[inline]
     pub fn deposit_quadrants(&mut self, voxel: usize, jx: [f32; 4], jy: [f32; 4], jz: [f32; 4]) {
-        self.touch(voxel, voxel);
+        self.mark(voxel);
+        debug_assert!(self.is_marked(voxel), "deposit outside a live row: {voxel}");
         let a = &mut self.data[voxel];
         for n in 0..4 {
             a.jx[n] += jx[n];
@@ -202,8 +300,9 @@ impl AccumulatorArray {
     /// [`Self::deposit_quadrants`] with the addends pre-transposed into
     /// per-particle registers (`jxy` holds the four `jx` quadrants in
     /// lanes 0–3 and the four `jy` quadrants in lanes 4–7; `jz` the four
-    /// `jz` quadrants in lanes 0–3, zeros above), *without* widening the
-    /// dirty range — the caller [`Self::touch`]es a block's voxels once.
+    /// `jz` quadrants in lanes 0–3, zeros above), *without* marking the
+    /// voxel's plane — the caller marks a block's planes once
+    /// ([`Self::mark_block`]).
     ///
     /// Every entry receives exactly one `+=` of the identical addend and
     /// the sum is stored at once, so memory is current after every lane
@@ -223,6 +322,7 @@ impl AccumulatorArray {
         jxy: F32x8,
         jz: F32x8,
     ) {
+        debug_assert!(self.is_marked(voxel), "deposit into unmarked voxel {voxel}");
         let slot = &mut self.data[voxel];
         let same = voxel == open.voxel;
         let from: &Accumulator = if same { &ZERO } else { slot };
@@ -248,8 +348,8 @@ impl AccumulatorArray {
     /// first segment into its own voxel `from`, its second into the face
     /// neighbour `to`, each as one [`Self::deposit_lane`] of pre-transposed
     /// addends ([`streak_addends`]) — the two [`Self::deposit`]s
-    /// `move_p_local` makes, in the same order. `from` lies in the range
-    /// the caller touched for the block; `to` is widened here.
+    /// `move_p_local` makes, in the same order. `from` lies in the planes
+    /// the caller marked for the block; `to`'s plane is marked here.
     #[inline(always)]
     pub(crate) fn deposit_crossing(
         &mut self,
@@ -258,92 +358,26 @@ impl AccumulatorArray {
         first: (F32x8, F32x8),
         second: (F32x8, F32x8),
     ) {
-        self.touch(to, to);
+        self.mark(to);
         self.deposit_lane(from, open, first.0, first.1);
         self.deposit_lane(to, open, second.0, second.1);
     }
 
-    /// Sum `other` into `self` (pipeline reduction); only `other`'s dirty
-    /// range is walked.
+    /// Sum `other` into `self` (pipeline reduction); only the live rows
+    /// of `other`'s dirty planes are walked.
     pub fn reduce_from(&mut self, other: &AccumulatorArray) {
         assert_eq!(self.data.len(), other.data.len());
-        let r = other.dirty_range();
-        if r.is_empty() {
-            return;
+        for k in other.dirty_planes() {
+            self.dirty[k] = true;
+            let rows = self.live_rows(k);
+            add_into(&mut self.data[rows.clone()], &other.data[rows]);
         }
-        self.dirty_lo = self.dirty_lo.min(r.start);
-        self.dirty_hi = self.dirty_hi.max(r.end);
-        for (a, b) in self.data[r.clone()].iter_mut().zip(other.data[r].iter()) {
-            for n in 0..4 {
-                a.jx[n] += b.jx[n];
-                a.jy[n] += b.jy[n];
-                a.jz[n] += b.jz[n];
-            }
-        }
-    }
-
-    /// Scatter the accumulated charge fluxes into the Yee current density,
-    /// one Rayon task per z-slab: the task does the `jx`, `jy` and `jz`
-    /// rows of each `j` back to back, so the accumulator rows it reads are
-    /// streamed once, not once per component. Each `f.jx[v]` (resp.
-    /// `jy`/`jz`) is written by exactly one task with the same 4-term sum
-    /// as [`Self::unload`], so the result is bitwise identical to the
-    /// serial unload for any worker count.
-    pub fn unload_parallel(&self, f: &mut FieldArray, g: &Grid) {
-        let (sx, sy, _) = g.strides();
-        let (dj, dk) = (sx, sx * sy);
-        let cx = 0.25 / (g.dt * g.dy * g.dz);
-        let cy = 0.25 / (g.dt * g.dz * g.dx);
-        let cz = 0.25 / (g.dt * g.dx * g.dy);
-        // The slab closure takes the source slice, the extents and the
-        // scale factors by value (see `InterpolatorArray::load` for why),
-        // and walks rows: voxel (i, j, k) is `i + dj·j + dk·k`.
-        let a = &self.data[..];
-        let (nx, ny, nz) = (g.nx, g.ny, g.nz);
-        f.jx.par_chunks_mut(dk)
-            .zip(f.jy.par_chunks_mut(dk))
-            .zip(f.jz.par_chunks_mut(dk))
-            .enumerate()
-            .skip(1)
-            .take(nz + 1)
-            .for_each(move |(k, ((jx, jy), jz))| {
-                for j in 1..=ny + 1 {
-                    let row = dj * j + dk * k;
-                    // jx on x-edges: i ∈ 1..=nx, j ∈ 1..=ny+1, k ∈ 1..=nz+1.
-                    for v in row + 1..=row + nx {
-                        jx[v - k * dk] += cx
-                            * (a[v].jx[0]
-                                + a[v - dj].jx[1]
-                                + a[v - dk].jx[2]
-                                + a[v - dj - dk].jx[3]);
-                    }
-                    // jy on y-edges: i ∈ 1..=nx+1, j ∈ 1..=ny, k ∈ 1..=nz+1.
-                    if j <= ny {
-                        for v in row + 1..=row + nx + 1 {
-                            jy[v - k * dk] += cy
-                                * (a[v].jy[0]
-                                    + a[v - dk].jy[1]
-                                    + a[v - 1].jy[2]
-                                    + a[v - dk - 1].jy[3]);
-                        }
-                    }
-                    // jz on z-edges: i ∈ 1..=nx+1, j ∈ 1..=ny+1, k ∈ 1..=nz.
-                    if k <= nz {
-                        for v in row + 1..=row + nx + 1 {
-                            jz[v - k * dk] += cz
-                                * (a[v].jz[0]
-                                    + a[v - 1].jz[1]
-                                    + a[v - dj].jz[2]
-                                    + a[v - 1 - dj].jz[3]);
-                        }
-                    }
-                }
-            });
     }
 
     /// Scatter the accumulated charge fluxes into the Yee current density
     /// (adds to `f.jx/jy/jz`; clear them first if they should start at 0).
-    /// Serial reference for [`Self::unload_parallel`].
+    /// Serial reference for the unload of
+    /// [`AccumulatorSet::reduce_and_unload`].
     pub fn unload(&self, f: &mut FieldArray, g: &Grid) {
         let (sx, sy, _) = g.strides();
         let (dj, dk) = (sx, sx * sy);
@@ -384,6 +418,68 @@ impl AccumulatorArray {
             }
         }
     }
+}
+
+/// `a += b`, entry by entry.
+fn add_into(a: &mut [Accumulator], b: &[Accumulator]) {
+    for (a, b) in a.iter_mut().zip(b) {
+        for n in 0..4 {
+            a.jx[n] += b.jx[n];
+            a.jy[n] += b.jy[n];
+            a.jz[n] += b.jz[n];
+        }
+    }
+}
+
+/// Scatter the accumulated charge fluxes into the Yee current density,
+/// reading z-plane `k` of the accumulators from `planes[k]`, one Rayon
+/// task per z-slab: the task does the `jx`, `jy` and `jz` rows of each `j`
+/// back to back, so the accumulator rows it reads are streamed once, not
+/// once per component. Each `f.jx[v]` (resp. `jy`/`jz`) is written by
+/// exactly one task with the same 4-term sum as
+/// [`AccumulatorArray::unload`], so with every plane taken from one array
+/// the result is bitwise identical to the serial unload of that array for
+/// any worker count.
+fn unload_planes(planes: &[&[Accumulator]], f: &mut FieldArray, g: &Grid) {
+    let (sx, sy, _) = g.strides();
+    let (dj, dk) = (sx, sx * sy);
+    let cx = 0.25 / (g.dt * g.dy * g.dz);
+    let cy = 0.25 / (g.dt * g.dz * g.dx);
+    let cz = 0.25 / (g.dt * g.dx * g.dy);
+    // The slab closure takes the plane table, the extents and the scale
+    // factors by value (see `InterpolatorArray::load` for why), and walks
+    // rows: voxel (i, j, k) is entry `i + dj·j` of plane `k`, and the
+    // stencil's `v - dk` is the same entry of plane `k - 1`.
+    let (nx, ny, nz) = (g.nx, g.ny, g.nz);
+    f.jx.par_chunks_mut(dk)
+        .zip(f.jy.par_chunks_mut(dk))
+        .zip(f.jz.par_chunks_mut(dk))
+        .enumerate()
+        .skip(1)
+        .take(nz + 1)
+        .for_each(move |(k, ((jx, jy), jz))| {
+            let (a, b) = (planes[k], planes[k - 1]);
+            for j in 1..=ny + 1 {
+                let row = dj * j;
+                // jx on x-edges: i ∈ 1..=nx, j ∈ 1..=ny+1, k ∈ 1..=nz+1.
+                for v in row + 1..=row + nx {
+                    jx[v] += cx * (a[v].jx[0] + a[v - dj].jx[1] + b[v].jx[2] + b[v - dj].jx[3]);
+                }
+                // jy on y-edges: i ∈ 1..=nx+1, j ∈ 1..=ny, k ∈ 1..=nz+1.
+                if j <= ny {
+                    for v in row + 1..=row + nx + 1 {
+                        jy[v] += cy * (a[v].jy[0] + b[v].jy[1] + a[v - 1].jy[2] + b[v - 1].jy[3]);
+                    }
+                }
+                // jz on z-edges: i ∈ 1..=nx+1, j ∈ 1..=ny+1, k ∈ 1..=nz.
+                if k <= nz {
+                    for v in row + 1..=row + nx + 1 {
+                        jz[v] += cz
+                            * (a[v].jz[0] + a[v - 1].jz[1] + a[v - dj].jz[2] + a[v - 1 - dj].jz[3]);
+                    }
+                }
+            }
+        });
 }
 
 /// Villasenor–Buneman quadrant accumulation (VPIC's `ACCUMULATE_J` macro):
@@ -457,8 +553,8 @@ pub(crate) fn streak_addends<const K: usize>(
     )
 }
 
-/// A pool of per-pipeline accumulator arrays (index 0 is the reduction
-/// target).
+/// A pool of per-pipeline accumulator arrays (index 0 is the serial
+/// reduction's target).
 #[derive(Debug)]
 pub struct AccumulatorSet {
     pub arrays: Vec<AccumulatorArray>,
@@ -480,8 +576,13 @@ impl AccumulatorSet {
         self.arrays.len()
     }
 
+    /// Bytes of every pipeline's dirty planes ([`AccumulatorArray::dirty_bytes`]).
+    pub fn dirty_bytes(&self) -> usize {
+        self.arrays.iter().map(AccumulatorArray::dirty_bytes).sum()
+    }
+
     /// Clear every pipeline array (one Rayon task per array; each clear
-    /// only walks that array's dirty range).
+    /// only walks the live rows of that array's dirty planes).
     pub fn clear(&mut self) {
         self.arrays.par_iter_mut().for_each(AccumulatorArray::clear);
     }
@@ -499,58 +600,51 @@ impl AccumulatorSet {
         first
     }
 
-    /// Reduce all pipelines into array 0 and scatter the result into
-    /// `f.jx/jy/jz`, both phases Rayon-parallel.
+    /// Sum the pipelines and scatter the result into `f.jx/jy/jz`, both
+    /// phases Rayon-parallel, with the same `J` bits as the serial
+    /// [`Self::reduce`] + [`AccumulatorArray::unload`].
     ///
-    /// The reduction fans out over fixed voxel chunks; within each chunk
-    /// the pipelines are added in index order, so every voxel sums its
-    /// twelve entries in pipeline order no matter which worker ran the
-    /// chunk or how many workers exist — results are bitwise identical to
-    /// the serial [`Self::reduce`] + [`AccumulatorArray::unload`] path.
-    /// Only dirty voxel ranges are walked, so the whole call costs about
-    /// one array of memory traffic regardless of the pipeline count.
+    /// Each z-plane is read from its *owner*, the first pipeline that
+    /// deposited into it; a plane no pipeline deposited into is read from
+    /// pipeline 0, where it is all zeros and was never written. Only
+    /// planes dirty in two or more pipelines are folded, one task per
+    /// plane: the later pipelines' live rows are added into the owner's
+    /// in index order, so every entry sums in pipeline order whichever
+    /// worker ran its plane. That is the serial reduction's order minus
+    /// the leading `+ 0.0` of the pipelines before the owner, which can
+    /// only turn a `-0.0` entry into `+0.0`; the unload's sums into the
+    /// cleared `J` erase that sign. So no pipeline's plane is written
+    /// outside the planes it deposited into.
     pub fn reduce_and_unload(&mut self, f: &mut FieldArray, g: &Grid) {
-        let (first, rest) = self
-            .arrays
-            .split_first_mut()
-            .expect("at least one pipeline");
-        if !rest.is_empty() {
-            // Union of the helper pipelines' dirty ranges: the only voxels
-            // where array 0 needs updating.
-            let touched = rest.iter().map(AccumulatorArray::dirty_range);
-            let lo = touched
-                .clone()
-                .filter(|r| !r.is_empty())
-                .map(|r| r.start)
-                .min()
-                .unwrap_or(0);
-            let hi = touched.map(|r| r.end).max().unwrap_or(0);
-            if lo < hi {
-                let rest: &[AccumulatorArray] = rest;
-                first.data[lo..hi]
-                    .par_chunks_mut(REDUCE_CHUNK)
-                    .enumerate()
-                    .for_each(move |(ci, chunk)| {
-                        let base = lo + ci * REDUCE_CHUNK;
-                        for r in rest {
-                            let rr = r.dirty_range();
-                            let (s, e) = (rr.start.max(base), rr.end.min(base + chunk.len()));
-                            let from = &r.data[..];
-                            for v in s..e {
-                                let (a, b) = (&mut chunk[v - base], &from[v]);
-                                for n in 0..4 {
-                                    a.jx[n] += b.jx[n];
-                                    a.jy[n] += b.jy[n];
-                                    a.jz[n] += b.jz[n];
-                                }
-                            }
-                        }
-                    });
-                first.dirty_lo = first.dirty_lo.min(lo);
-                first.dirty_hi = first.dirty_hi.max(hi);
+        let (n_planes, plane) = (self.arrays[0].n_planes(), self.arrays[0].plane);
+        let rows = self.arrays[0].rows.clone();
+        // Per plane, the live rows of that plane of every pipeline that
+        // deposited into it, in pipeline order: the first is the owner's.
+        let mut shared: Vec<Vec<&mut [Accumulator]>> = (0..n_planes).map(|_| Vec::new()).collect();
+        for a in &mut self.arrays {
+            for ((p, list), &dirty) in a.data.chunks_mut(plane).zip(&mut shared).zip(&a.dirty) {
+                if dirty {
+                    list.push(&mut p[rows.clone()]);
+                }
             }
         }
-        self.arrays[0].unload_parallel(f, g);
+        shared.retain(|list| list.len() >= 2);
+        shared.par_iter_mut().for_each(|list| {
+            let (owner, rest) = list.split_first_mut().expect("a shared plane");
+            for r in rest {
+                add_into(owner, r);
+            }
+        });
+        let planes: Vec<&[Accumulator]> = (0..n_planes)
+            .map(|k| {
+                self.arrays
+                    .iter()
+                    .find(|a| a.dirty[k])
+                    .unwrap_or(&self.arrays[0])
+                    .plane_slice(k)
+            })
+            .collect();
+        unload_planes(&planes, f, g);
     }
 }
 
@@ -621,45 +715,113 @@ mod tests {
     }
 
     #[test]
-    fn dirty_range_tracks_deposits_and_clear() {
+    fn dirty_planes_track_deposits_and_clear() {
         let g = Grid::periodic((4, 4, 4), (1.0, 1.0, 1.0), 0.1);
         let mut acc = AccumulatorArray::new(&g);
-        assert!(acc.dirty_range().is_empty());
-        let (va, vb) = (g.voxel(1, 1, 1), g.voxel(3, 2, 2));
+        assert_eq!(acc.dirty_planes().count(), 0);
+        let (va, vb) = (g.voxel(1, 1, 1), g.voxel(3, 2, 3));
         acc.deposit(vb, 1.0, (0.0, 0.0, 0.0), (0.1, 0.0, 0.0));
         acc.deposit(va, 1.0, (0.0, 0.0, 0.0), (0.1, 0.0, 0.0));
-        assert_eq!(acc.dirty_range(), va..vb + 1);
+        assert_eq!(acc.dirty_planes().collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(acc.dirty_bytes(), 2 * 6 * 6 * 48);
         acc.clear();
-        assert!(acc.dirty_range().is_empty());
+        assert_eq!(acc.dirty_planes().count(), 0);
         assert!(acc
             .data
             .iter()
             .all(|a| a.jx == [0.0; 4] && a.jy == [0.0; 4] && a.jz == [0.0; 4]));
-        // Deposits after a clear start a fresh range.
+        // Deposits after a clear start afresh.
         acc.deposit(vb, 1.0, (0.0, 0.0, 0.0), (0.0, 0.1, 0.0));
-        assert_eq!(acc.dirty_range(), vb..vb + 1);
+        assert_eq!(acc.dirty_planes().collect::<Vec<_>>(), [3]);
+    }
+
+    #[test]
+    fn block_marks_cover_its_planes_and_no_others() {
+        let g = Grid::periodic((4, 4, 6), (1.0, 1.0, 1.0), 0.1);
+        let marked = |voxels: &[usize]| {
+            let mut acc = AccumulatorArray::new(&g);
+            let lanes: Vec<u32> = voxels.iter().map(|&v| v as u32).collect();
+            let (lo, hi) = (voxels.iter().min().unwrap(), voxels.iter().max().unwrap());
+            acc.mark_block(*lo, *hi, &lanes);
+            acc.dirty_planes().collect::<Vec<_>>()
+        };
+        // One plane; two adjacent ones; a wrapped crosser's block, whose
+        // lanes span planes 1 and 6 and nothing between.
+        assert_eq!(marked(&[g.voxel(1, 1, 2), g.voxel(4, 4, 2)]), [2]);
+        assert_eq!(marked(&[g.voxel(4, 4, 2), g.voxel(1, 1, 3)]), [2, 3]);
+        assert_eq!(
+            marked(&[g.voxel(2, 2, 1), g.voxel(3, 2, 1), g.voxel(2, 2, 6)]),
+            [1, 6]
+        );
+    }
+
+    #[test]
+    fn plane_of_is_exact_division() {
+        for shape in [(4, 4, 4), (291, 1, 1), (1, 7, 1), (64, 64, 64)] {
+            let g = Grid::periodic(shape, (1.0, 1.0, 1.0), 0.1);
+            let acc = AccumulatorArray::new(&g);
+            for v in 0..g.n_voxels() {
+                assert_eq!(acc.plane_of(v), v / acc.plane, "{shape:?}: voxel {v}");
+            }
+        }
+        // Divisors and dividends up to the 32-bit limit `new` asserts,
+        // around every multiple the samples reach.
+        let mut acc = AccumulatorArray::new(&Grid::periodic((1, 1, 1), (1.0, 1.0, 1.0), 0.1));
+        for d in [9usize, 4356, 65_536, 1_000_003, 196_605, (1 << 31) + 1] {
+            acc.plane = d;
+            acc.recip = u64::MAX / d as u64 + 1;
+            for q in (0..=u32::MAX as usize / d).step_by((u32::MAX as usize / d / 4096).max(1)) {
+                for v in [q * d, (q * d).saturating_sub(1), q * d + d - 1] {
+                    if v <= u32::MAX as usize {
+                        assert_eq!(acc.plane_of(v), v / d, "voxel {v} / {d}");
+                    }
+                }
+            }
+            assert_eq!(acc.plane_of(u32::MAX as usize), u32::MAX as usize / d);
+        }
     }
 
     #[test]
     fn reduce_and_unload_matches_serial_path() {
         // The last two shapes are the thin ones the LPI decks run, where
         // the fused slab task's `jy`/`jz` row guards do most of the work.
-        for shape in [(6, 5, 4), (291, 1, 1), (1, 7, 1)] {
-            reduce_and_unload_matches_serial_on(shape);
+        for shape in [(6, 5, 4), (291, 1, 1), (1, 7, 1), (5, 4, 9)] {
+            for banded in [false, true] {
+                reduce_and_unload_matches_serial_on(shape, banded);
+            }
         }
     }
 
-    fn reduce_and_unload_matches_serial_on((nx, ny, nz): (usize, usize, usize)) {
+    /// Four pipelines deposit random streaks: anywhere, or (`banded`)
+    /// each into its own band of z-planes as voxel-sorted pipelines do,
+    /// plus a wrapped crosser's far plane and a charge of `-0.0`, whose
+    /// entries are signed zeros the serial fold turns into `+0.0`. The
+    /// folded and unloaded `J` must equal the serial reduce + unload's bit
+    /// for bit; what the fold leaves in the arrays is not compared, since
+    /// it reads each plane from its owner instead of pipeline 0.
+    fn reduce_and_unload_matches_serial_on((nx, ny, nz): (usize, usize, usize), banded: bool) {
         use crate::rng::Rng;
         let g = Grid::periodic((nx, ny, nz), (0.5, 0.5, 0.5), 0.05);
         let mut rng = Rng::seeded(42);
         let mut set = AccumulatorSet::new(&g, 4);
         for (pipe, arr) in set.arrays.iter_mut().enumerate() {
-            for _ in 0..50 + 30 * pipe {
-                let v = g.voxel(1 + rng.index(nx), 1 + rng.index(ny), 1 + rng.index(nz));
+            for n in 0..50 + 30 * pipe {
+                let k = if !banded {
+                    1 + rng.index(nz)
+                } else if n == 0 {
+                    nz - pipe * nz / 4
+                } else {
+                    1 + (pipe * nz + rng.index(nz)) / 4
+                };
+                let v = g.voxel(1 + rng.index(nx), 1 + rng.index(ny), k);
+                let q = if n == 1 {
+                    -0.0
+                } else {
+                    rng.uniform_in(-1.0, 1.0) as f32
+                };
                 arr.deposit(
                     v,
-                    rng.uniform_in(-1.0, 1.0) as f32,
+                    q,
                     (
                         rng.uniform_in(-0.9, 0.9) as f32,
                         rng.uniform_in(-0.9, 0.9) as f32,
@@ -673,31 +835,39 @@ mod tests {
                 );
             }
         }
-        let mut serial_set = AccumulatorSet {
-            arrays: set.arrays.clone(),
-        };
+        let mut serial = set.arrays[0].clone();
+        for r in &set.arrays[1..] {
+            serial.reduce_from(r);
+        }
         let mut f_par = FieldArray::new(&g);
         let mut f_ser = FieldArray::new(&g);
-        set.reduce_and_unload(&mut f_par, &g);
-        let reduced = serial_set.reduce();
-        reduced.unload(&mut f_ser, &g);
-        // Bitwise: reduction order and unload arithmetic are identical.
-        assert!(f_par.jx.iter().zip(f_ser.jx.iter()).all(|(a, b)| a == b));
-        assert!(f_par.jy.iter().zip(f_ser.jy.iter()).all(|(a, b)| a == b));
-        assert!(f_par.jz.iter().zip(f_ser.jz.iter()).all(|(a, b)| a == b));
-        for (a, b) in set.arrays[0]
-            .data
-            .iter()
-            .zip(serial_set.arrays[0].data.iter())
-        {
-            assert_eq!(a.jx, b.jx);
-            assert_eq!(a.jy, b.jy);
-            assert_eq!(a.jz, b.jz);
+        for threads in [1, 2, 4] {
+            let mut set = AccumulatorSet {
+                arrays: set.arrays.clone(),
+            };
+            f_par.clear_currents();
+            crate::with_worker_threads(threads, || set.reduce_and_unload(&mut f_par, &g));
+            f_ser.clear_currents();
+            serial.unload(&mut f_ser, &g);
+            for (what, par, ser) in [
+                ("jx", &f_par.jx, &f_ser.jx),
+                ("jy", &f_par.jy, &f_ser.jy),
+                ("jz", &f_par.jz, &f_ser.jz),
+            ] {
+                for (v, (a, b)) in par.iter().zip(ser).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{:?} banded {banded}, {threads} threads: {what} at {v}",
+                        (nx, ny, nz)
+                    );
+                }
+            }
         }
     }
 
     fn assert_bitwise_eq(want: &AccumulatorArray, got: &AccumulatorArray, what: &str) {
-        assert_eq!(want.dirty_range(), got.dirty_range(), "{what}");
+        assert!(want.dirty_planes().eq(got.dirty_planes()), "{what}");
         for (v, (a, b)) in want.data.iter().zip(got.data.iter()).enumerate() {
             for n in 0..4 {
                 assert_eq!(
@@ -795,7 +965,7 @@ mod tests {
             let mut want = AccumulatorArray::new(&g);
             let mut got = AccumulatorArray::new(&g);
             let mut open = OpenVoxel::NONE;
-            got.touch(g.voxel(1, 2, 2), g.voxel(3, 2, 2));
+            got.mark(g.voxel(1, 2, 2));
             for l in order {
                 want.deposit(vox[l], q[l], m[l], h[l]);
                 got.deposit_lane(vox[l], &mut open, txy[l], tz[l]);

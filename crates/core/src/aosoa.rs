@@ -612,12 +612,13 @@ fn scatter_run(
     for (k, (b, s)) in blocks.iter_mut().zip(pushes).enumerate() {
         let first = base + k * LANES;
         let live = live_lanes(first, n);
-        // The dirty range, once for the block: every live lane deposits
+        // The dirty planes, once for the block: every live lane deposits
         // into its voxel first, stay lane or crosser.
-        let (lo, hi) = b.i[..live]
+        let lanes = &b.i[..live];
+        let (lo, hi) = lanes
             .iter()
             .fold((u32::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-        acc.touch(lo as usize, hi as usize);
+        acc.mark_block(lo as usize, hi as usize, lanes);
         if live == LANES && s.stay == Mask8(0xFF) {
             for l in 0..LANES {
                 acc.deposit_lane(b.i[l] as usize, &mut open, s.txy[l], s.tz[l]);
@@ -1847,7 +1848,7 @@ mod tests {
             let live = live_lanes(bi * LANES, n);
             for l in 0..live {
                 let v = b.i[l] as usize;
-                acc.touch(v, v);
+                acc.mark(v);
                 if s.stay.test(l) {
                     acc.deposit_lane(v, &mut open, s.txy[l], s.tz[l]);
                 } else {

@@ -416,11 +416,13 @@ pub fn count_nonfinite_particles(species: &[Species]) -> u64 {
 }
 
 /// Count non-finite entries in the per-pipeline current accumulators
-/// (dirty ranges only — cleared ranges are zero by construction).
+/// (dirty planes only — the others are zero by construction). After the
+/// reduction, an entry a helper pipeline deposited outside the planes it
+/// shares with another is counted in that helper's array alone.
 pub fn count_nonfinite_accums(acc: &AccumulatorSet) -> u64 {
     let mut n = 0u64;
     for arr in &acc.arrays {
-        for a in &arr.data[arr.dirty_range()] {
+        for a in arr.dirty_entries() {
             for v in a.jx.iter().chain(&a.jy).chain(&a.jz) {
                 if !v.is_finite() {
                     n += 1;
@@ -1151,6 +1153,33 @@ mod tests {
         assert!(!v.kind.repairable());
         assert_eq!(sentinel.tripped().map(|v| v.kind), Some(v.kind));
         assert!(sentinel.heals.is_empty(), "no heal for non-finite fields");
+    }
+
+    /// A NaN deposited by pipeline 1 alone, on a plane pipeline 0 never
+    /// touches, is not folded into array 0 by the reduction: it stays in
+    /// pipeline 1's array, and is still counted there and flagged.
+    #[test]
+    fn helper_pipeline_nan_outside_shared_planes_is_flagged() {
+        let mut sim = neutral_plasma(2);
+        let mut sentinel = Sentinel::new(SentinelConfig {
+            health_interval: 1,
+            ..Default::default()
+        });
+        sentinel.arm(&sim);
+        let g = sim.grid.clone();
+        let streak = ((0.0, 0.0, 0.0), (0.1, 0.0, 0.0));
+        let acc = &mut sim.accumulators;
+        acc.arrays[0].deposit(g.voxel(2, 2, 2), 1.0, streak.0, streak.1);
+        acc.arrays[1].deposit(g.voxel(3, 3, 6), f32::NAN, streak.0, streak.1);
+        acc.reduce_and_unload(&mut FieldArray::new(&g), &g);
+        let finite = |a: &crate::accumulator::Accumulator| {
+            a.jx.iter().chain(&a.jy).chain(&a.jz).all(|v| v.is_finite())
+        };
+        assert!(acc.arrays[0].data.iter().all(finite));
+        assert_eq!(count_nonfinite_accums(acc), 12);
+        let v = sentinel.check(&mut sim).expect("must trip");
+        assert_eq!(v.kind, AnomalyKind::NonFiniteAccumulators);
+        assert_eq!(v.metric, 12.0);
     }
 
     #[test]

@@ -67,9 +67,11 @@
 # CI_THREADS=1) covers real worker threads: the vendored rayon's own
 # tests, then the determinism / kernel-oracle / cadence suites and the
 # AoS and AoSoA sort unit tests (the windowed in-place sort against the
-# AoS oracle on worst-case stores) and the sort-buffer footprint guard
-# under RAYON_NUM_THREADS=1, 2 and 4 with debug assertions on (the
-# scatter-slot and chunk-bounds asserts are live)
+# AoS oracle on worst-case stores), the sort-buffer and accumulator
+# footprint guards under RAYON_NUM_THREADS=1, 2 and 4 with debug
+# assertions on (the scatter-slot and chunk-bounds asserts are live, and
+# every deposit asserts that its voxel lies in a live row of a z-plane
+# marked dirty)
 # — each suite additionally runs its own 1/2/4-thread axis through
 # `install`, so every (pool width x scoped width) pair is exercised. A
 # ThreadSanitizer pass over the shim tests and determinism.rs runs only
@@ -104,6 +106,7 @@ if [[ -z "${1:-}" || "${1:-}" == "threads" || "${CI_THREADS:-0}" == "1" ]]; then
             cargo test --release -p vpic-core --test cadence
             cargo test --release -p vpic-core --lib sort
             cargo test --release -p vpic-core --test sort_footprint
+            cargo test --release -p vpic-core --test accum_footprint
         done
     )
     if cargo +nightly --version >/dev/null 2>&1 &&
