@@ -30,6 +30,7 @@
 use crate::field::FieldArray;
 use crate::grid::Grid;
 use crate::lanes::{transpose8_wide, F32x8, Mask8, Wide, LANES};
+use crate::zeroed::{zeroed, F32Record};
 use rayon::prelude::*;
 
 /// Twelve-entry current accumulator for one voxel.
@@ -126,25 +127,9 @@ pub struct AccumulatorArray {
     rows: std::ops::Range<usize>,
 }
 
-/// `n` zeroed accumulators, allocated as zeroed memory: `vec!` of an
-/// all-zero `[f32; 12]` asks the allocator for it (a fresh mapping for a
-/// large array), so a page no deposit reaches is never written — where
-/// `vec![Accumulator::default(); n]` writes every entry and so keeps the
-/// whole array resident.
-fn zeroed(n: usize) -> Vec<Accumulator> {
-    const _: () = {
-        assert!(std::mem::size_of::<Accumulator>() == std::mem::size_of::<[f32; 12]>());
-        assert!(std::mem::align_of::<Accumulator>() == std::mem::align_of::<[f32; 12]>());
-    };
-    let mut raw = std::mem::ManuallyDrop::new(vec![[0.0f32; 12]; n]);
-    let (ptr, len, cap) = (raw.as_mut_ptr(), raw.len(), raw.capacity());
-    // SAFETY: the allocation came from the global allocator as `cap`
-    // `[f32; 12]`s, whose size and alignment `Accumulator` shares (checked
-    // above), so it is `cap` `Accumulator`s with the same layout; its
-    // `len` entries are initialized to zero bits, which are twelve `0.0`s
-    // of a `#[repr(C)]` struct of twelve `f32`s; `raw` is never dropped,
-    // so the returned `Vec` is the allocation's only owner.
-    unsafe { Vec::from_raw_parts(ptr as *mut Accumulator, len, cap) }
+// SAFETY: `#[repr(C)]`, three `[f32; 4]` fields and nothing else.
+unsafe impl F32Record for Accumulator {
+    const F32S: usize = 12;
 }
 
 impl AccumulatorArray {

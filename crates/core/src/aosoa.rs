@@ -31,6 +31,8 @@ use crate::push::{
 use crate::sort::{reserved_end, MIN_SORT_CHUNK};
 use crate::threads::worker_threads;
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 pub use crate::lanes::LANES;
 
@@ -118,7 +120,9 @@ unsafe fn lane_load(b: *const Block, l: usize) -> Particle {
 /// Overwrite lane `l` of the block behind `b`.
 ///
 /// # Safety
-/// Same contract as [`lane_load`], plus exclusive ownership of lane `l`.
+/// Same contract as [`lane_load`], plus exclusive ownership of lane `l`;
+/// the block may also be uninitialized memory (a reserved slot), since
+/// this only writes plain `f32`/`u32` places and reads or drops nothing.
 #[inline]
 unsafe fn lane_store(b: *mut Block, l: usize, p: &Particle) {
     unsafe {
@@ -167,6 +171,62 @@ impl BlockPtr {
     unsafe fn at(self, bi: usize) -> *mut Block {
         debug_assert!(bi < self.n_blocks, "block {bi} of {}", self.n_blocks);
         unsafe { self.base.add(bi) }
+    }
+}
+
+/// Blocks one part of [`AosoaStore::extend_par`]'s region writes.
+pub(crate) const EXTEND_PART_BLOCKS: usize = 32;
+
+/// Where a producer of [`AosoaStore::extend_par`] puts its particles:
+/// lane by lane, in order, straight into a part's reserved blocks.
+pub(crate) struct LaneSink<'a> {
+    slots: &'a mut [MaybeUninit<Block>],
+    /// Particles put so far.
+    put: usize,
+}
+
+impl<'a> LaneSink<'a> {
+    fn new(slots: &'a mut [MaybeUninit<Block>]) -> Self {
+        LaneSink { slots, put: 0 }
+    }
+
+    /// Write the next particle.
+    #[inline]
+    pub(crate) fn put(&mut self, p: Particle) {
+        let b = self.slots[self.put / LANES].as_mut_ptr();
+        // SAFETY: `b` points at a block slot this sink borrows
+        // exclusively; `lane_store` only writes plain `f32`/`u32` places
+        // (no read, no drop), which is sound on uninitialized memory.
+        unsafe { lane_store(b, self.put % LANES, &p) };
+        self.put += 1;
+    }
+
+    /// Check that exactly `n` particles were put and park the padding
+    /// lanes of a trailing partial block as [`AosoaStore::push`] does:
+    /// zero weight, zero offsets and momenta, on lane 0's voxel.
+    fn finish(self, n: usize) {
+        assert!(
+            self.put == n && n.div_ceil(LANES) == self.slots.len(),
+            "producer put {} particles for {n} lanes in {} blocks",
+            self.put,
+            self.slots.len()
+        );
+        let l0 = n % LANES;
+        if l0 != 0 {
+            let b = self.slots[n / LANES].as_mut_ptr();
+            // SAFETY: as in `put`; lane 0 of this block was put (n % LANES
+            // > 0 lanes of it were), so reading its voxel reads initialized
+            // memory.
+            unsafe {
+                let park = Particle {
+                    i: (*b).i[0],
+                    ..Particle::default()
+                };
+                for l in l0..LANES {
+                    lane_store(b, l, &park);
+                }
+            }
+        }
     }
 }
 
@@ -269,6 +329,70 @@ impl AosoaStore {
         }
         self.blocks.last_mut().unwrap().set_lane(l, &p);
         self.len += 1;
+    }
+
+    /// Append `n` particles made by `fill` over the worker pool, with the
+    /// bytes of `n` [`Self::push`]es of the same particles at any worker
+    /// count. `fill(range, sink)` must [`LaneSink::put`] particles
+    /// `range` (numbered from 0, the first one appended) in order; it is
+    /// called once per part, on any thread. A tail block left partial by
+    /// earlier appends is topped up lane by lane through `push`; the rest
+    /// is written straight into reserved capacity as whole blocks,
+    /// [`EXTEND_PART_BLOCKS`] to a part of one pool region, and a
+    /// trailing partial block is parked as `push` parks it. `side` runs as
+    /// the region's first part, so serial work can overlap the writes (the
+    /// particle loader draws its next chunk there).
+    pub(crate) fn extend_par<F, S>(&mut self, n: usize, fill: F, side: S)
+    where
+        F: Fn(Range<usize>, &mut LaneSink<'_>) + Sync,
+        S: FnOnce() + Send,
+    {
+        let top = ((LANES - self.len % LANES) % LANES).min(n);
+        if top > 0 {
+            let mut one = [MaybeUninit::<Block>::uninit()];
+            let mut sink = LaneSink::new(&mut one);
+            fill(0..top, &mut sink);
+            sink.finish(top);
+            // SAFETY: `finish` checked that every lane of the block was
+            // put or parked, so all of its plain-data fields are written.
+            let b = unsafe { one[0].assume_init_ref() };
+            for l in 0..top {
+                self.push(b.lane(l));
+            }
+        }
+        let rest = n - top;
+        let nb = rest.div_ceil(LANES);
+        self.blocks.reserve(nb);
+        let old = self.blocks.len();
+        enum Part<'a, S> {
+            Side(Option<S>),
+            Blocks {
+                first: usize,
+                slots: &'a mut [MaybeUninit<Block>],
+            },
+        }
+        let mut parts = Vec::with_capacity(1 + nb.div_ceil(EXTEND_PART_BLOCKS));
+        parts.push(Part::Side(Some(side)));
+        let slots = &mut self.blocks.spare_capacity_mut()[..nb];
+        for (c, slots) in slots.chunks_mut(EXTEND_PART_BLOCKS).enumerate() {
+            let first = top + c * EXTEND_PART_BLOCKS * LANES;
+            parts.push(Part::Blocks { first, slots });
+        }
+        parts.par_iter_mut().for_each(|part| match part {
+            Part::Side(side) => side.take().expect("the side part runs once")(),
+            Part::Blocks { first, slots } => {
+                let end = (*first + slots.len() * LANES).min(n);
+                let mut sink = LaneSink::new(slots);
+                fill(*first..end, &mut sink);
+                sink.finish(end - *first);
+            }
+        });
+        // SAFETY: the region returned (a panicking part would have been
+        // re-raised above), so every `Blocks` part ran `finish`, which
+        // checked that each lane of its slots was put or parked; the parts
+        // cover the `nb` reserved slots after `old` exactly.
+        unsafe { self.blocks.set_len(old + nb) };
+        self.len += rest;
     }
 
     /// Remove particle `i` by swapping in the last one; returns it.

@@ -35,6 +35,7 @@ use crate::sim::Simulation;
 use crate::species::Species;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const MAGIC: &[u8; 8] = b"VPICRS02";
 const VERSION: u32 = 2;
@@ -573,6 +574,11 @@ impl<'a> PayloadReader<'a> {
         self.take(n)
     }
 
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Length-prefixed bulk f32 slice whose length must equal `expect`.
     pub fn f32_vec(&mut self, expect: usize) -> Result<Vec<f32>, CheckpointError> {
         let n = self.u64()? as usize;
@@ -850,42 +856,70 @@ pub fn decode_species(payload: &[u8], n_voxels: usize) -> Result<Vec<Species>, C
             sorts: r.u64()?,
             skipped_sorts: r.u64()?,
         };
-        let count = r.u64()? as usize;
+        let count = r.u64()?;
         let mut sp = Species::new(name, q, m).with_sort_policy(policy);
-        // Do not trust the header for a big up-front reservation: a
-        // corrupted count should fail on decode, not on allocation.
-        sp.store_mut().reserve(count.min(1 << 20));
-        for _ in 0..count {
-            let dx = r.f32()?;
-            let dy = r.f32()?;
-            let dz = r.f32()?;
-            let i = r.u32()?;
-            let ux = r.f32()?;
-            let uy = r.f32()?;
-            let uz = r.f32()?;
-            let w = r.f32()?;
-            if i as usize >= n_voxels {
-                return Err(CheckpointError::Malformed(format!(
-                    "particle voxel {i} out of range (< {n_voxels})"
-                )));
-            }
-            sp.push(Particle {
-                dx,
-                dy,
-                dz,
-                i,
-                ux,
-                uy,
-                uz,
-                w,
-            });
-        }
+        decode_particles(&mut r, count, n_voxels, &mut sp)?;
         sp.set_cadence(cad);
         sp.set_coherence(counters);
         out.push(sp);
     }
     r.done()?;
     Ok(out)
+}
+
+/// Decode `count` 32-byte particle records into `sp`, whole blocks over
+/// the pool ([`AosoaStore::extend_par`](crate::AosoaStore::extend_par)).
+/// The errors are a serial read's: the lowest-index particle whose voxel
+/// is not below `n_voxels` is `Malformed`, else a record cut short is
+/// `Truncated`. A corrupted count costs no more than the payload holds.
+fn decode_particles(
+    r: &mut PayloadReader<'_>,
+    count: u64,
+    n_voxels: usize,
+    sp: &mut Species,
+) -> Result<(), CheckpointError> {
+    const RECORD: usize = 32;
+    let whole = (r.remaining() / RECORD).min(count.try_into().unwrap_or(usize::MAX));
+    let records = r.bytes(whole * RECORD)?;
+    let first_bad = AtomicUsize::new(usize::MAX);
+    sp.store_mut().extend_par(
+        whole,
+        |range, sink| {
+            let word = |at: usize| {
+                u32::from_le_bytes(records[at..at + 4].try_into().expect("a 4-byte slice"))
+            };
+            for n in range {
+                let at = n * RECORD;
+                let f = |k: usize| f32::from_bits(word(at + 4 * k));
+                let i = word(at + 12);
+                if i as usize >= n_voxels {
+                    first_bad.fetch_min(n, Ordering::Relaxed);
+                }
+                sink.put(Particle {
+                    dx: f(0),
+                    dy: f(1),
+                    dz: f(2),
+                    i,
+                    ux: f(4),
+                    uy: f(5),
+                    uz: f(6),
+                    w: f(7),
+                });
+            }
+        },
+        || {},
+    );
+    let bad = first_bad.into_inner();
+    if bad != usize::MAX {
+        return Err(CheckpointError::Malformed(format!(
+            "particle voxel {} out of range (< {n_voxels})",
+            sp.store().voxel(bad)
+        )));
+    }
+    if (whole as u64) < count {
+        return Err(CheckpointError::Truncated { section: r.section });
+    }
+    Ok(())
 }
 
 /// Encode the portable run configuration (cleaning cadence + sentinel
@@ -1162,6 +1196,53 @@ mod tests {
         }
         assert_eq!(sim.species[0].store(), restored.species[0].store());
         assert_eq!(sim.fields.ex, restored.fields.ex);
+    }
+
+    /// The pooled particle decode returns a serial read's store bytes and
+    /// errors: the lowest bad voxel wins over a later one and over a cut
+    /// record, at any worker count.
+    #[test]
+    fn species_decode_is_a_serial_read_at_any_width() {
+        let mut sp = Species::new("e", -1.0, 1.0);
+        for n in 0..2_501u32 {
+            sp.push(Particle {
+                dx: n as f32 * 1e-4,
+                i: n % 64,
+                uz: -(n as f32),
+                w: 0.5,
+                ..Particle::default()
+            });
+        }
+        let payload = encode_species(std::slice::from_ref(&sp));
+        let at = |n: usize| payload.len() - 32 * (sp.len() - n);
+        let mut bad = payload.clone();
+        for (n, voxel) in [(2_100, 900u32), (1_500, 700)] {
+            bad[at(n) + 12..at(n) + 16].copy_from_slice(&voxel.to_le_bytes());
+        }
+        let cut_bad = &bad[..at(2_300) + 20];
+        let cut = &payload[..at(2_300) + 20];
+        for threads in [1, 2, 4] {
+            crate::with_worker_threads(threads, || {
+                let got = decode_species(&payload, 64).unwrap();
+                assert_eq!(
+                    format!("{:?}", got[0].store().blocks),
+                    format!("{:?}", sp.store().blocks),
+                    "{threads} threads"
+                );
+                for bytes in [&bad[..], cut_bad] {
+                    match decode_species(bytes, 64) {
+                        Err(CheckpointError::Malformed(m)) => {
+                            assert_eq!(m, "particle voxel 700 out of range (< 64)")
+                        }
+                        other => panic!("{threads} threads: {:?}", other.map(|_| ())),
+                    }
+                }
+                assert!(matches!(
+                    decode_species(cut, 64),
+                    Err(CheckpointError::Truncated { section: "species" })
+                ));
+            });
+        }
     }
 
     #[test]

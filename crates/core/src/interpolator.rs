@@ -12,6 +12,7 @@
 use crate::field::FieldArray;
 use crate::grid::Grid;
 use crate::lanes::{transpose8, transpose8_wide, F32x8, Row, Wide, LANES};
+use crate::zeroed::{zeroed, F32Record};
 use rayon::prelude::*;
 
 /// Interpolation coefficients for one voxel (offsets in `[-1,1]`):
@@ -55,6 +56,11 @@ pub(crate) struct InterpolatorRows {
     pub ez_cbx_cby: [f32; LANES],
     pub cbz: f32,
     pub dcbzdz: f32,
+}
+
+// SAFETY: `#[repr(C)]`, eighteen `f32` fields and nothing else.
+unsafe impl F32Record for Interpolator {
+    const F32S: usize = 18;
 }
 
 const _: () = {
@@ -111,10 +117,12 @@ pub struct InterpolatorArray {
 }
 
 impl InterpolatorArray {
-    /// Zeroed array sized for `grid`.
+    /// Zeroed array sized for `grid`, allocated as zeroed pages: the
+    /// first [`Self::load`] writes every live record, and ghost records
+    /// nobody writes stay unmapped.
     pub fn new(grid: &Grid) -> Self {
         InterpolatorArray {
-            data: vec![Interpolator::default(); grid.n_voxels()],
+            data: zeroed(grid.n_voxels()),
         }
     }
 

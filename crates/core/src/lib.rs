@@ -65,6 +65,7 @@ pub mod sponge;
 pub mod threads;
 pub mod tracer;
 pub mod units;
+mod zeroed;
 
 pub use accumulator::{Accumulator, AccumulatorArray, AccumulatorSet};
 pub use aosoa::{
@@ -87,7 +88,9 @@ pub use interpolator::{Interpolator, InterpolatorArray};
 pub use journal::{Journal, JournalError, ReplayReport};
 pub use juttner::{load_juttner, sample_juttner, sample_juttner_u};
 pub use lanes::{transpose8, F32x8, Mask8};
-pub use maxwellian::{load_profile, load_two_stream, load_uniform, Momentum};
+pub use maxwellian::{
+    load_profile, load_profile_serial, load_two_stream, load_uniform, Momentum, LOAD_CHUNK,
+};
 pub use particle::{Mover, Particle};
 pub use push::{
     advance_p, advance_p_aos, advance_p_serial, advance_p_tallied, move_p_local, Exile,

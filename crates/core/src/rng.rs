@@ -50,17 +50,31 @@ impl Rng {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
+        let (c, s) = box_muller(self.normal_pair_uniforms());
+        self.spare_normal = Some(s);
+        c
+    }
+
+    /// The two uniforms behind one Box–Muller pair, drawn exactly as
+    /// [`Self::normal`] draws them (a `u1` at or below `MIN_POSITIVE` is
+    /// redrawn), for callers that defer the transform ([`box_muller`]).
+    pub(crate) fn normal_pair_uniforms(&mut self) -> [f64; 2] {
         loop {
             let u1 = self.uniform();
-            if u1 <= f64::MIN_POSITIVE {
-                continue;
+            if u1 > f64::MIN_POSITIVE {
+                return [u1, self.uniform()];
             }
-            let u2 = self.uniform();
-            let r = (-2.0 * u1.ln()).sqrt();
-            let (s, c) = (2.0 * std::f64::consts::PI * u2).sin_cos();
-            self.spare_normal = Some(r * s);
-            return r * c;
         }
+    }
+
+    /// Take the cached second normal of the last pair, if any.
+    pub(crate) fn take_spare_normal(&mut self) -> Option<f64> {
+        self.spare_normal.take()
+    }
+
+    /// Cache `z` as the normal the next [`Self::normal`] returns.
+    pub(crate) fn set_spare_normal(&mut self, z: Option<f64>) {
+        self.spare_normal = z;
     }
 
     /// Uniform integer in `0..n`.
@@ -68,6 +82,16 @@ impl Rng {
     pub fn index(&mut self, n: usize) -> usize {
         self.inner.random_range(0..n)
     }
+}
+
+/// Box–Muller: the two standard normals `(r cos θ, r sin θ)` made from
+/// one pair of [`Rng::normal_pair_uniforms`], `r = √(−2 ln u1)` and
+/// `θ = 2π u2`; [`Rng::normal`] returns the first and caches the second.
+#[inline]
+pub(crate) fn box_muller([u1, u2]: [f64; 2]) -> (f64, f64) {
+    let r = (-2.0 * u1.ln()).sqrt();
+    let (s, c) = (2.0 * std::f64::consts::PI * u2).sin_cos();
+    (r * c, r * s)
 }
 
 #[cfg(test)]

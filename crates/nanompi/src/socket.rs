@@ -6,8 +6,9 @@
 //! Every rank binds one listening endpoint (`{dir}/rank{r}.sock` or
 //! `127.0.0.1:base_port+r`) and dials every peer, so each ordered pair has
 //! a directional stream: the initiator's stream carries its sends (and its
-//! heartbeats); the acceptor spawns a reader thread per accepted stream
-//! that feeds a persistent per-peer inbox channel. Because the inbox
+//! heartbeats); the acceptor, blocked in `accept` until the transport's
+//! drop wakes it with a dial of its own endpoint, spawns a reader thread
+//! per accepted stream that feeds a persistent per-peer inbox channel. Because the inbox
 //! sender is retained across connections, a *re*connect (after a transient
 //! error or a process respawn) transparently resumes delivery to the same
 //! receiver.
@@ -294,13 +295,6 @@ enum Listener {
 }
 
 impl Listener {
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Listener::Unix(l) => l.set_nonblocking(nb),
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-        }
-    }
-
     fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
@@ -600,12 +594,6 @@ impl SocketTransport {
             counters: Arc::new(Counters::new(n)),
         });
 
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| BootstrapError::Bind {
-                addr: addrs[boot.rank].to_string(),
-                detail: e.to_string(),
-            })?;
         {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || accept_loop(listener, inner));
@@ -662,7 +650,7 @@ impl SocketTransport {
                         }
                         std::thread::sleep(wire::backoff(
                             attempt,
-                            Duration::from_millis(10),
+                            Duration::from_millis(1),
                             Duration::from_millis(200),
                             seed ^ to as u64,
                         ));
@@ -752,7 +740,7 @@ impl SocketTransport {
                     Err(_) => {
                         std::thread::sleep(wire::backoff(
                             attempt,
-                            Duration::from_millis(5),
+                            Duration::from_millis(1),
                             Duration::from_millis(50),
                             seed,
                         ));
@@ -776,6 +764,13 @@ impl SocketTransport {
 impl Drop for SocketTransport {
     fn drop(&mut self) {
         self.inner.stop.store(true, Ordering::Relaxed);
+        // The accept thread blocks in `accept`: dial our own endpoint so
+        // it wakes, sees `stop` and closes the listener. A failed dial
+        // means the listener is already gone.
+        let _ = match &self.addrs[self.inner.me] {
+            Addr::Unix(path) => UnixStream::connect(path).map(drop),
+            Addr::Tcp(addr) => TcpStream::connect_timeout(addr, Duration::from_secs(1)).map(drop),
+        };
     }
 }
 
@@ -849,21 +844,17 @@ impl Transport for SocketTransport {
     }
 }
 
+/// Block in `accept` and hand each stream to a reader thread, until the
+/// transport's drop sets `stop` and wakes the accept with a self-dial.
 fn accept_loop(listener: Listener, inner: Arc<Inner>) {
-    while !inner.stop.load(Ordering::Relaxed) {
+    loop {
         match listener.accept() {
+            Ok(_) if inner.stop.load(Ordering::Relaxed) => break,
             Ok(stream) => {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || reader_loop(stream, inner));
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
     }
@@ -872,10 +863,9 @@ fn accept_loop(listener: Listener, inner: Arc<Inner>) {
 /// Serve one accepted stream: handshake, then pump DATA frames into the
 /// sender's inbox until EOF, breakage, or shutdown.
 fn reader_loop(mut stream: Stream, inner: Arc<Inner>) {
-    if stream.set_nonblocking_off().is_err()
-        || stream
-            .set_read_timeout(Some(Duration::from_millis(100)))
-            .is_err()
+    if stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .is_err()
         || stream
             .set_write_timeout(Some(Duration::from_secs(1)))
             .is_err()
@@ -935,15 +925,6 @@ fn reader_loop(mut stream: Stream, inner: Arc<Inner>) {
             }
             Ok(None) => return, // shutdown
             Err(_) => return,   // EOF or breakage: dialer reconnects
-        }
-    }
-}
-
-impl Stream {
-    fn set_nonblocking_off(&self) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_nonblocking(false),
-            Stream::Tcp(s) => s.set_nonblocking(false),
         }
     }
 }

@@ -106,6 +106,7 @@ if [[ -z "${1:-}" || "${1:-}" == "threads" || "${CI_THREADS:-0}" == "1" ]]; then
             cargo test --release -p vpic-core --test cadence
             cargo test --release -p vpic-core --lib sort
             cargo test --release -p vpic-core --test sort_footprint
+            cargo test --release -p vpic-core --test load_identity
             cargo test --release -p vpic-core --test accum_footprint
         done
     )
