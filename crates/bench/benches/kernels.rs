@@ -302,35 +302,9 @@ fn bench_full_step(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_collisions(c: &mut Criterion) {
-    use vpic_core::collision::CollisionOperator;
-    let mut group = c.benchmark_group("collisions");
-    let mut sim = plasma((8, 8, 8), 64);
-    sim.species[0].sort(&sim.grid);
-    let g = sim.grid.clone();
-    let op = CollisionOperator::new(1e-4, 1);
-    let mut rng = Rng::seeded(11);
-    group.throughput(Throughput::Elements(sim.n_particles() as u64));
-    group.bench_function("ta77_apply", |b| {
-        b.iter(|| op.apply(&mut sim.species[0], &g, &mut rng))
-    });
-    group.finish();
-}
-
-fn bench_hydro_and_loaders(c: &mut Criterion) {
-    use vpic_core::hydro::HydroArray;
+fn bench_loaders(c: &mut Criterion) {
     use vpic_core::juttner::sample_juttner;
-    let mut group = c.benchmark_group("moments_and_loaders");
-    let sim = plasma((12, 12, 12), 32);
-    let g = sim.grid.clone();
-    group.throughput(Throughput::Elements(sim.n_particles() as u64));
-    group.bench_function("hydro_accumulate", |b| {
-        b.iter(|| {
-            let mut h = HydroArray::new(&g);
-            h.accumulate(&sim.species[0], &g);
-            h
-        })
-    });
+    let mut group = c.benchmark_group("loaders");
     let mut rng = Rng::seeded(5);
     group.throughput(Throughput::Elements(1));
     group.bench_function("juttner_sample", |b| {
@@ -402,7 +376,6 @@ criterion_group!(
     bench_field_solver,
     bench_sort,
     bench_full_step,
-    bench_collisions,
-    bench_hydro_and_loaders
+    bench_loaders
 );
 criterion_main!(benches);

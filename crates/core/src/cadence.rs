@@ -60,7 +60,7 @@ const RATE_ALPHA: f64 = 0.5;
 /// When a species should be counting-sorted back into voxel order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SortPolicy {
-    /// Sort every `n` steps; `0` disables sorting entirely (tracers).
+    /// Sort every `n` steps; `0` disables sorting entirely.
     Fixed(u32),
     /// Auto-tune the interval from measured coherence telemetry.
     Auto,
@@ -267,8 +267,7 @@ pub struct CadenceState {
     /// Crossers counted since the last real sort.
     pub crossers_since_sort: u64,
     /// Species length when coherence was last established; any change
-    /// (migrant appends, injection, absorption swap-removes) dirties the
-    /// voxel order.
+    /// (migrant appends, absorption swap-removes) dirties the voxel order.
     pub len_at_sort: u64,
     /// True only while the store is provably in voxel order: a sort
     /// happened, and zero crossers / no length change since.
@@ -297,19 +296,13 @@ impl CadenceState {
     }
 
     /// Account one step's push telemetry. `len_after` is the species
-    /// length after the push (and any migrate/inject that followed).
+    /// length after the push (and any migration that followed).
     pub fn note_push(&mut self, crossers: u64, len_after: u64) {
         self.steps_since_sort = self.steps_since_sort.saturating_add(1);
         self.crossers_since_sort += crossers;
         if crossers > 0 || len_after != self.len_at_sort {
             self.coherent = false;
         }
-    }
-
-    /// Something outside the push mutated the store (direct voxel edits);
-    /// drop the coherence proof.
-    pub fn invalidate(&mut self) {
-        self.coherent = false;
     }
 
     /// Whether the cadence calls for a sort at `step`. Never fires on

@@ -1177,25 +1177,55 @@ mod tests {
     #[test]
     fn restart_continues_identically() {
         // A restored run must produce bit-identical physics to the
-        // uninterrupted one (single pipeline for deterministic reduction).
-        let g = Grid::periodic((4, 4, 4), (0.25, 0.25, 0.25), 0.05);
-        let mut sim = Simulation::new(g, 1);
-        let mut e = Species::new("e", -1.0, 1.0);
-        let mut rng = Rng::seeded(23);
-        load_uniform(&mut e, &sim.grid, &mut rng, 1.0, 8, Momentum::thermal(0.05));
-        sim.add_species(e);
-        for _ in 0..2 {
-            sim.step();
+        // uninterrupted one. Inputs: (pipelines, clean ∇·E every, clean
+        // ∇·B every, sort policy, sorts performed). The second one
+        // Marder-cleans E at steps 4 and 6, B at 3 and 6, and sorts at
+        // step 3, all after the restart at step 2, so the dumped
+        // `SimConfig` and cadence state must carry them.
+        for (pipelines, clean_e, clean_b, sort, sorts) in [
+            (1, 0, 0, SortPolicy::default(), 0),
+            (2, 2, 3, SortPolicy::Fixed(3), 1),
+        ] {
+            let g = Grid::periodic((4, 4, 4), (0.25, 0.25, 0.25), 0.05);
+            let mut sim = Simulation::new(g, pipelines);
+            sim.clean_div_e_interval = clean_e;
+            sim.clean_div_b_interval = clean_b;
+            let mut e = Species::new("e", -1.0, 1.0).with_sort_policy(sort);
+            let mut rng = Rng::seeded(23);
+            load_uniform(&mut e, &sim.grid, &mut rng, 1.0, 8, Momentum::thermal(0.05));
+            sim.add_species(e);
+            for _ in 0..2 {
+                sim.step();
+            }
+            let mut buf = Vec::new();
+            save(&sim, &mut buf).unwrap();
+            let mut restored = load(&mut buf.as_slice(), pipelines).unwrap();
+            for _ in 0..4 {
+                sim.step();
+                restored.step();
+            }
+            let case = format!("pipelines {pipelines}, clean {clean_e}/{clean_b}");
+            assert_eq!(
+                sim.species[0].store(),
+                restored.species[0].store(),
+                "{case}"
+            );
+            assert_eq!(restored.species[0].coherence().sorts, sorts, "{case}");
+            let (a, b) = (&sim.fields, &restored.fields);
+            for (name, x, y) in [
+                ("ex", &a.ex, &b.ex),
+                ("ey", &a.ey, &b.ey),
+                ("ez", &a.ez, &b.ez),
+                ("cbx", &a.cbx, &b.cbx),
+                ("cby", &a.cby, &b.cby),
+                ("cbz", &a.cbz, &b.cbz),
+                ("jx", &a.jx, &b.jx),
+                ("jy", &a.jy, &b.jy),
+                ("jz", &a.jz, &b.jz),
+            ] {
+                assert_eq!(x, y, "{name}, {case}");
+            }
         }
-        let mut buf = Vec::new();
-        save(&sim, &mut buf).unwrap();
-        let mut restored = load(&mut buf.as_slice(), 1).unwrap();
-        for _ in 0..3 {
-            sim.step();
-            restored.step();
-        }
-        assert_eq!(sim.species[0].store(), restored.species[0].store());
-        assert_eq!(sim.fields.ex, restored.fields.ex);
     }
 
     /// The pooled particle decode returns a serial read's store bytes and

@@ -322,35 +322,6 @@ impl Grid {
         self.z0 + ((k as f32 - 1.0) + 0.5 * (oz + 1.0)) * self.dz
     }
 
-    /// Find the live voxel and offset containing global position `x` along
-    /// the x axis. Positions exactly on the high edge land in the last cell.
-    pub fn locate_x(&self, x: f32) -> (usize, f32) {
-        Self::locate(x, self.x0, self.dx, self.nx)
-    }
-
-    /// See [`Grid::locate_x`].
-    pub fn locate_y(&self, y: f32) -> (usize, f32) {
-        Self::locate(y, self.y0, self.dy, self.ny)
-    }
-
-    /// See [`Grid::locate_x`].
-    pub fn locate_z(&self, z: f32) -> (usize, f32) {
-        Self::locate(z, self.z0, self.dz, self.nz)
-    }
-
-    fn locate(x: f32, x0: f32, dx: f32, n: usize) -> (usize, f32) {
-        let r = (x - x0) / dx;
-        let mut cell = r.floor() as isize;
-        if cell < 0 {
-            cell = 0;
-        }
-        if cell >= n as isize {
-            cell = n as isize - 1;
-        }
-        let off = 2.0 * (r - cell as f32) - 1.0;
-        ((cell + 1) as usize, off.clamp(-1.0, 1.0))
-    }
-
     /// Physical extents of the live region.
     #[inline]
     pub fn extent(&self) -> (f32, f32, f32) {
@@ -523,18 +494,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn locate_inverts_particle_position() {
-        let mut g = grid();
-        g.x0 = -2.0;
-        for &(x, want_i) in &[(-1.99_f32, 1_usize), (-1.01, 1), (-0.5, 2), (1.999, 4)] {
-            let (i, off) = g.locate_x(x);
-            assert_eq!(i, want_i, "x = {x}");
-            let back = g.particle_x(i, off);
-            assert!((back - x).abs() < 1e-5, "x = {x}, back = {back}");
         }
     }
 

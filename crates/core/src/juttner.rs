@@ -93,21 +93,6 @@ pub fn load_juttner(
     }
 }
 
-/// Rough mean of `γ` for a Maxwell–Jüttner distribution (the exact value
-/// is `⟨γ⟩ = 3θ + K₁(1/θ)/K₂(1/θ)`): asymptotics `1 + 3θ/2` for `θ ≪ 1`
-/// and `3θ` for `θ ≫ 1`, bridged crudely in between. For diagnostics only;
-/// the sampler itself is exact.
-pub fn mean_gamma_estimate(theta: f64) -> f64 {
-    if theta < 0.05 {
-        1.0 + 1.5 * theta
-    } else if theta > 5.0 {
-        3.0 * theta
-    } else {
-        // Crude bridge; fine for diagnostics.
-        (1.0 + 1.5 * theta).max(3.0 * theta)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

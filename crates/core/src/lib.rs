@@ -39,15 +39,11 @@ pub mod accumulator;
 pub mod aosoa;
 pub mod cadence;
 pub mod checkpoint;
-pub mod collision;
 pub mod crc32;
 pub mod deposit;
 pub mod field;
 pub mod field_solver;
 pub mod grid;
-pub mod harris;
-pub mod hydro;
-pub mod inject;
 pub mod interpolator;
 pub mod journal;
 pub mod juttner;
@@ -63,7 +59,6 @@ pub mod sort;
 pub mod species;
 pub mod sponge;
 pub mod threads;
-pub mod tracer;
 pub mod units;
 mod zeroed;
 
@@ -76,14 +71,10 @@ pub use cadence::{
     DEFAULT_SORT_INTERVAL, MAX_AUTO_INTERVAL, MIN_AUTO_INTERVAL,
 };
 pub use checkpoint::CheckpointError;
-pub use collision::CollisionOperator;
 pub use crc32::{crc32, Crc32};
 pub use field::FieldArray;
 pub use field_solver::FieldBc;
 pub use grid::{Grid, ParticleBc};
-pub use harris::HarrisSheet;
-pub use hydro::{hydro_moments, HydroArray};
-pub use inject::ThermalInjector;
 pub use interpolator::{Interpolator, InterpolatorArray};
 pub use journal::{Journal, JournalError, ReplayReport};
 pub use juttner::{load_juttner, sample_juttner, sample_juttner_u};
@@ -109,5 +100,4 @@ pub use sort::{sort_by_voxel, sort_by_voxel_with};
 pub use species::Species;
 pub use sponge::Sponge;
 pub use threads::{with_worker_threads, worker_threads};
-pub use tracer::{add_tracer, tracer_species, TrackPoint, TrajectoryRecorder};
 pub use units::LabFrame;

@@ -25,7 +25,6 @@
 
 use crate::accumulator::{AccumulatorArray, AccumulatorSet};
 use crate::aosoa::Layout;
-use crate::collision::CollisionOperator;
 use crate::field::FieldArray;
 use crate::field_solver::{
     advance_b, advance_e, bcs_of, clean_div_b, clean_div_e, marder_pass_b, marder_pass_e,
@@ -34,7 +33,6 @@ use crate::field_solver::{
 use crate::grid::Grid;
 use crate::interpolator::InterpolatorArray;
 use crate::push::{advance_p_tallied, Exile, PushCoefficients, PushKernel};
-use crate::rng::Rng;
 use crate::sentinel::{
     local_sample, HealthSample, HealthVerdict, Sentinel, SentinelConfig, SimConfig,
 };
@@ -61,7 +59,7 @@ pub struct StepTimings {
     pub exchange: f64,
     /// Particle sorting.
     pub sort: f64,
-    /// Collisions, drive hooks, sponge, divergence cleaning, sentinel.
+    /// Drive hooks, sponge, divergence cleaning, sentinel.
     pub other: f64,
     /// Diagnostics observation: probe sampling + snapshot publication
     /// (the async pipeline's residual on-hot-path cost; the FFT/artifact
@@ -219,8 +217,6 @@ pub struct Domain<'a> {
     pub step_count: &'a mut u64,
     pub timings: &'a mut StepTimings,
     pub kernel: PushKernel,
-    /// Binary-collision operators and their random stream.
-    pub collisions: Option<(&'a [(usize, CollisionOperator)], &'a mut Rng)>,
     /// Damping layers, with this domain's x offset in cells and the
     /// global domain's length in cells (see [`Sponge::apply_at`]).
     pub sponge: Option<(Sponge, usize, usize)>,
@@ -293,18 +289,6 @@ pub fn advance<H: Halo>(
         t.migrate += lap(&mut clock);
     }
 
-    // Binary collisions (TA77), on voxel-sorted particles.
-    if let Some((ops, rng)) = d.collisions {
-        for (si, op) in ops {
-            if d.step_count.is_multiple_of(op.interval as u64) {
-                let sp = &mut d.species[*si];
-                sp.sort(g);
-                op.apply(sp, g, rng);
-            }
-        }
-        t.other += lap(&mut clock);
-    }
-
     // 4. Currents to the grid (range-parallel reduce + slab-parallel
     // unload; see `AccumulatorSet::reduce_and_unload`).
     f.clear_currents();
@@ -371,9 +355,8 @@ pub struct Simulation {
     pub lost_particles: u64,
     /// Phase timings.
     pub timings: StepTimings,
-    /// Binary-collision operators: `(species index, operator)`; applied
-    /// every `operator.interval` steps on voxel-sorted particles.
-    pub collisions: Vec<(usize, CollisionOperator)>,
+    /// Always empty; exists only for `benchmark/` until ROADMAP item 1's follow-up.
+    pub collisions: [Infallible; 0],
     /// Optional numerical-integrity sentinel; when present, its checks
     /// run at the end of each step on its `health_interval` cadence and
     /// repairable anomalies are Marder-healed in place. Inspect
@@ -382,7 +365,6 @@ pub struct Simulation {
     /// Which push body runs (bit-identical either way; see
     /// [`PushKernel`]).
     kernel: PushKernel,
-    collision_rng: Rng,
     scratch: Vec<f32>,
 }
 
@@ -405,10 +387,9 @@ impl Simulation {
             step_count: 0,
             lost_particles: 0,
             timings: StepTimings::default(),
-            collisions: Vec::new(),
+            collisions: [],
             sentinel: None,
             kernel: PushKernel::default(),
-            collision_rng: Rng::seeded(0xC0111D0),
             scratch: Vec::new(),
         }
     }
@@ -451,12 +432,6 @@ impl Simulation {
     /// armed and tripped (healthy and healed-in-place states are `None`).
     pub fn sentinel_verdict(&self) -> Option<HealthVerdict> {
         self.sentinel.as_ref().and_then(|s| s.tripped().copied())
-    }
-
-    /// Enable TA77 binary collisions for species `si`.
-    pub fn add_collisions(&mut self, si: usize, op: CollisionOperator) {
-        assert!(si < self.species.len(), "species {si} does not exist");
-        self.collisions.push((si, op));
     }
 
     /// Add a species; returns its index.
@@ -504,7 +479,6 @@ impl Simulation {
             step_count: &mut self.step_count,
             timings: &mut self.timings,
             kernel: self.kernel,
-            collisions: Some((&self.collisions, &mut self.collision_rng)),
             sponge: self.sponge.map(|s| (s, 0, self.grid.nx)),
             clean_div_e_interval: self.clean_div_e_interval,
             clean_div_b_interval: self.clean_div_b_interval,

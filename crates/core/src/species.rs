@@ -49,8 +49,7 @@ impl Species {
         }
     }
 
-    /// Builder-style fixed sort interval override (`0` = never sort —
-    /// tracer species use that).
+    /// Builder-style fixed sort interval override (`0` = never sort).
     pub fn with_sort_interval(mut self, interval: usize) -> Self {
         self.set_sort_policy(SortPolicy::Fixed(interval as u32));
         self
@@ -185,11 +184,6 @@ impl Species {
             self.swap_remove(idx as usize);
         }
         exiles.len() as u64
-    }
-
-    /// Drop every particle (keeps capacity).
-    pub fn clear_particles(&mut self) {
-        self.store.clear();
     }
 
     /// Iterate particles by value in index order.

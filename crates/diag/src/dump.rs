@@ -1,6 +1,6 @@
 //! Text dumps for post-processing: VPIC writes an `energies` file (one
 //! row per sampled step: field and per-species kinetic energies) and
-//! periodic field/hydro dumps that LPI papers turn into figures. These
+//! periodic field dumps that LPI papers turn into figures. These
 //! writers produce plain TSV any plotting tool ingests.
 
 use std::io::{self, Write};

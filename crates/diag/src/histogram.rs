@@ -2,7 +2,6 @@
 //! paper's particle-trapping claim: trapped electrons show up as a
 //! flattened plateau / hot tail near the plasma-wave phase velocity.
 
-use vpic_core::particle::Particle;
 use vpic_core::species::Species;
 
 /// A fixed-bin weighted 1D histogram.
@@ -78,17 +77,6 @@ pub fn momentum_histogram(sp: &Species, axis: usize, lo: f64, hi: f64, bins: usi
     h
 }
 
-/// Kinetic-energy histogram `w·(γ−1)` per particle.
-pub fn energy_histogram(sp: &Species, hi: f64, bins: usize) -> Histogram {
-    let mut h = Histogram::new(0.0, hi, bins);
-    for p in sp.iter() {
-        let u2 = (p.ux as f64).powi(2) + (p.uy as f64).powi(2) + (p.uz as f64).powi(2);
-        let ke = u2 / (1.0 + (1.0 + u2).sqrt());
-        h.add(ke, p.w as f64);
-    }
-    h
-}
-
 /// A simple trapping metric: the fraction of species weight with
 /// `u_axis > threshold` — the hot tail pulled out of the bulk by a
 /// trapping plasma wave. Compare before/after saturation.
@@ -126,24 +114,10 @@ pub fn momentum_spread(sp: &Species, axis: usize) -> f64 {
     (s2 / w - mean * mean).max(0.0).sqrt()
 }
 
-/// Convenience: histogram directly from a particle slice.
-pub fn particles_histogram(
-    parts: &[Particle],
-    axis: usize,
-    lo: f64,
-    hi: f64,
-    bins: usize,
-) -> Histogram {
-    let mut h = Histogram::new(lo, hi, bins);
-    for p in parts {
-        h.add(p.momentum(axis) as f64, p.w as f64);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpic_core::particle::Particle;
 
     #[test]
     fn binning_and_edges() {
@@ -202,16 +176,5 @@ mod tests {
         let spread = momentum_spread(&sp, 0);
         // Mean 0.1, var = 0.1·(1−0.1)·1² = 0.09.
         assert!((spread - 0.3).abs() < 1e-9, "spread {spread}");
-    }
-
-    #[test]
-    fn energy_histogram_of_cold_beam() {
-        let sp = beam(0.1, 10);
-        let h = energy_histogram(&sp, 0.1, 100);
-        // (γ−1) = u²/(1+γ) ≈ 0.004994 for u = 0.1.
-        let ke = 0.01f64 / (1.0 + 1.01f64.sqrt());
-        let bin = (ke / h.width()) as usize;
-        assert!(h.counts[bin] > 0.0, "bin {bin}: {:?}", &h.counts[..10]);
-        assert_eq!(h.total(), 20.0);
     }
 }

@@ -7,9 +7,8 @@
 //!   and growth-rate extraction;
 //! * [`poynting`] — Poynting flux and forward/backward wave decomposition
 //!   (the laser reflectivity probe of the paper's parameter study);
-//! * [`histogram`] — weighted momentum/energy distributions and trapping
+//! * [`histogram`] — weighted momentum distributions and trapping
 //!   metrics (hot-tail fraction, momentum spread);
-//! * [`spectra`] — spatial field lines and k-spectra;
 //! * [`recorder`] — scalar time series with ω and growth-rate fits;
 //! * [`pipeline`] — the off-hot-path snapshot pipeline: a bounded-queue
 //!   worker consuming deterministic [`DiagSnapshot`]s, with the sync
@@ -21,19 +20,15 @@ pub mod histogram;
 pub mod pipeline;
 pub mod poynting;
 pub mod recorder;
-pub mod spectra;
 pub mod spectrogram;
 
 pub use dump::{write_field_line_x, write_series, EnergyLogger};
 pub use fft::{dominant_frequency, fft_inplace, growth_rate, power_spectrum};
-pub use histogram::{
-    energy_histogram, momentum_histogram, momentum_spread, tail_fraction, Histogram,
-};
+pub use histogram::{momentum_histogram, momentum_spread, tail_fraction, Histogram};
 pub use pipeline::{
     backscatter_spectrum_of, parse_progress, spectrum_peak, Backpressure, DiagConfig, DiagEngine,
     DiagMode, DiagPipeline, DiagSink, DiagSnapshot, DiagStats, EngineState,
 };
 pub use poynting::{poynting_x, wave_split_x, ReflectivityProbe};
 pub use recorder::TimeSeries;
-pub use spectra::{dominant_k_x, k_spectrum_x, line_x, line_x_mean, Component};
 pub use spectrogram::Spectrogram;

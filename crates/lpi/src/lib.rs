@@ -17,7 +17,6 @@
 pub mod campaign;
 pub mod laser;
 pub mod profile;
-pub mod sbs;
 pub mod setup;
 pub mod srs;
 pub mod sweep;
@@ -28,7 +27,6 @@ pub use campaign::{
 };
 pub use laser::{LaserAntenna, Polarization};
 pub use profile::SlabProfile;
-pub use sbs::{sbs_match, SbsMatch};
 pub use setup::{LpiParams, LpiRun};
 pub use srs::{srs_match, SrsMatch};
 pub use sweep::{

@@ -87,12 +87,6 @@ pub struct SweepKillPlan {
     pub before_job: Option<u64>,
 }
 
-impl SweepKillPlan {
-    pub fn is_armed(&self) -> bool {
-        self.after_certifications.is_some() || self.before_job.is_some()
-    }
-}
-
 /// Everything a sweep needs beyond the grid itself.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {

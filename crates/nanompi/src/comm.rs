@@ -161,15 +161,6 @@ impl TrafficReport {
             .unwrap_or(0)
     }
 
-    /// Average bytes per rank per message-bearing neighbor pair.
-    pub fn mean_bytes_per_rank(&self) -> f64 {
-        if self.n_ranks == 0 {
-            0.0
-        } else {
-            self.total_bytes as f64 / self.n_ranks as f64
-        }
-    }
-
     /// The `k` heaviest tags by byte volume.
     pub fn top_tags(&self, k: usize) -> &[TagTraffic] {
         &self.by_tag[..self.by_tag.len().min(k)]

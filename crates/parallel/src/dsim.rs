@@ -5,7 +5,6 @@ use crate::decomposition::DomainSpec;
 use crate::exchange::GhostExchanger;
 use crate::migrate::migrate_species;
 use nanompi::{Comm, CommError};
-use std::time::Instant;
 use vpic_core::accumulator::{AccumulatorArray, AccumulatorSet};
 use vpic_core::aosoa::Layout;
 use vpic_core::field::FieldArray;
@@ -174,24 +173,6 @@ impl DistributedSim {
         self.step_with(comm, |_, _, _| {})
     }
 
-    /// One step with a drive hook plus a diagnostics observer: the
-    /// observer runs after the step completes on this rank's fields and
-    /// is charged to `timings.diag` — the distributed analog of
-    /// `Simulation::step_with_observed`, so per-rank probe publication
-    /// stays out of every physics phase's budget.
-    pub fn step_observed(
-        &mut self,
-        comm: &mut Comm,
-        drive: impl FnOnce(&mut FieldArray, &Grid, u64),
-        observe: impl FnOnce(&FieldArray, &Grid, &[Species], u64),
-    ) -> Result<(), CommError> {
-        self.step_with(comm, drive)?;
-        let t0 = Instant::now();
-        observe(&self.fields, &self.grid, &self.species, self.step_count);
-        self.timings.diag += t0.elapsed().as_secs_f64();
-        Ok(())
-    }
-
     /// One step with an external current drive hook: [`advance`] with this
     /// rank's neighbours as the halo.
     ///
@@ -215,7 +196,6 @@ impl DistributedSim {
             step_count: &mut self.step_count,
             timings: &mut self.timings,
             kernel: self.kernel,
-            collisions: None,
             sponge: self.sponge.map(|s| (s, x_off, global_nx)),
             clean_div_e_interval: self.config.clean_div_e_interval,
             clean_div_b_interval: self.config.clean_div_b_interval,
