@@ -6,10 +6,8 @@
 //! realized sort cadence with the lane-coherence telemetry (spill rate,
 //! mixed-block fraction) of the timed window. `--nx/--ny/--nz`, `--ppc`,
 //! `--steps`, `--pipelines`, `--kernel scalar|lane` and `--sort auto|N`
-//! size the run; `--sentinel` arms the numerical-integrity sentinel at
-//! its default 10-step cadence so its sweeps show up in the same table. This is a table printer: the
-//! numbers of record and every perf gate come from `benchmark/`
-//! (README "Measuring performance").
+//! size the run. This is a table printer: the numbers of record and every
+//! perf gate come from `benchmark/` (README "Measuring performance").
 
 use roadrunner_model::flops;
 use vpic_bench::{known_flags, parse_flag, parse_opt, print_table, uniform_plasma};
@@ -41,7 +39,6 @@ fn main() {
         "pipelines",
         "kernel",
         "sort",
-        "sentinel",
         "full",
     ]);
     let full = parse_flag("full");
@@ -53,7 +50,6 @@ fn main() {
     let ppc = parse_opt("ppc", if full { 128 } else { 64 });
     let steps = parse_opt("steps", if full { 60 } else { 25 });
     let pipelines = parse_opt("pipelines", vpic_core::worker_threads());
-    let sentinel = parse_flag("sentinel");
     let kernel_str = parse_opt::<String>("kernel", "lane".into());
     let Some(kernel) = PushKernel::parse(&kernel_str) else {
         eprintln!("--kernel must be scalar or lane, got {kernel_str}");
@@ -69,15 +65,6 @@ fn main() {
     let mut sim = uniform_plasma(n, ppc, pipelines, 7);
     sim.set_kernel(kernel);
     sim.species[0].set_sort_policy(sort_policy);
-    if sentinel {
-        // Arm the numerical-integrity sentinel at its default 10-step
-        // cadence; its sweeps land in the "other" phase so the overhead
-        // of health monitoring shows up in the same breakdown.
-        sim.set_config(&vpic_core::sentinel::SimConfig {
-            sentinel: vpic_core::sentinel::SentinelConfig::enabled(),
-            ..Default::default()
-        });
-    }
 
     for _ in 0..3 {
         sim.step(); // warm-up, excluded from the report
@@ -103,10 +90,9 @@ fn main() {
         &format!(
             "E2: step breakdown, grid {n:?}, ppc {ppc}, {steps} steps, \
              {pipelines} pipelines, {} rayon threads, \
-             {kernel} kernel ({} lanes), {cadence_name} cadence{}",
+             {kernel} kernel ({} lanes), {cadence_name} cadence",
             vpic_core::worker_threads(),
             vpic_core::lanes::BACKEND,
-            if sentinel { ", sentinel armed" } else { "" }
         ),
         &["phase", "seconds", "share"],
         // One row per term of `total()`, so the shares add up to 100 %.

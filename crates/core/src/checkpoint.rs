@@ -1000,7 +1000,14 @@ pub fn save(sim: &Simulation, w: &mut impl Write) -> Result<(), CheckpointError>
     write_section_streamed(w, species_payload_len(species), |s| {
         encode_species_into(species, s)
     })?;
-    write_section(w, &encode_sim_config(&sim.config()))?;
+    // The config section keeps its layout: the cleaning cadence plus a
+    // disabled sentinel, which the serial driver never runs.
+    let config = SimConfig {
+        clean_div_e_interval: sim.clean_div_e_interval,
+        clean_div_b_interval: sim.clean_div_b_interval,
+        sentinel: SentinelConfig::default(),
+    };
+    write_section(w, &encode_sim_config(&config))?;
     Ok(())
 }
 
@@ -1072,7 +1079,8 @@ pub fn load(r: &mut impl Read, n_pipelines: usize) -> Result<Simulation, Checkpo
     }
     let config_payload = read_section(r, "config")?;
     let config = decode_sim_config(&config_payload)?;
-    sim.set_config(&config);
+    sim.clean_div_e_interval = config.clean_div_e_interval;
+    sim.clean_div_b_interval = config.clean_div_b_interval;
     Ok(sim)
 }
 

@@ -93,7 +93,7 @@ pub use queue::{
 pub use rng::Rng;
 pub use sentinel::{
     classify, validate_cfl, AnomalyKind, CorruptionEvent, CorruptionMode, CorruptionPlan,
-    FlightRecorder, HealEvent, HealthSample, HealthVerdict, Sentinel, SentinelConfig, SimConfig,
+    FlightRecorder, HealEvent, HealthSample, HealthVerdict, SentinelConfig, SimConfig,
 };
 pub use sim::{EnergySnapshot, Simulation, StepTimings};
 pub use sort::{sort_by_voxel, sort_by_voxel_with};

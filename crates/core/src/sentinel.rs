@@ -14,8 +14,7 @@
 //!   explicitly represented — decks using an implicit neutralizing
 //!   background, like the LPI decks, must leave these monitors off);
 //! * an **energy ledger**: total field + kinetic energy against the
-//!   campaign-start baseline plus any externally injected (laser,
-//!   boundary) budget;
+//!   campaign-start baseline;
 //! * **per-particle momentum and position-bound checks**;
 //! * **CFL validation** at setup ([`validate_cfl`]).
 //!
@@ -25,12 +24,15 @@
 //! identical global sample — the determinism contract the campaign
 //! runtime relies on (see `vpic-parallel::campaign`).
 //!
-//! When the classifier trips, the escalation ladder runs:
+//! This module holds the pieces; the one check-and-heal ladder that uses
+//! them is the campaign runner's (`vpic-parallel::campaign`), on any
+//! number of ranks, a serial LPI run included. When the classifier trips
+//! it escalates:
 //!
 //! 1. **log** — every sample lands in the [`FlightRecorder`] ring;
 //! 2. **Marder burst** — repairable anomalies (divergence residuals) get
-//!    a cleaning burst whose pass count doubles with each consecutive
-//!    escalation, up to `max_marder_bursts`;
+//!    a cleaning burst whose pass count ([`burst_passes`]) doubles with
+//!    each consecutive escalation, up to `max_marder_bursts`;
 //! 3. **rollback** — unrepairable or unhealed anomalies surface as a
 //!    structured [`HealthVerdict`] for the campaign runtime to roll back;
 //! 4. **degradation** — when recovery is exhausted the flight recorder
@@ -42,7 +44,7 @@
 
 use crate::accumulator::AccumulatorSet;
 use crate::field::FieldArray;
-use crate::field_solver::{clean_div_b, clean_div_e, compute_div_b_err, compute_div_e_err};
+use crate::field_solver::{compute_div_b_err, compute_div_e_err};
 use crate::grid::Grid;
 use crate::sim::Simulation;
 use crate::species::Species;
@@ -57,8 +59,8 @@ use std::path::Path;
 pub struct SentinelConfig {
     /// Check every this many steps (0 disables).
     pub health_interval: u64,
-    /// Flag when total energy exceeds this multiple of the baseline plus
-    /// injected budget (0 disables).
+    /// Flag when total energy exceeds this multiple of the campaign-start
+    /// baseline (0 disables).
     pub max_energy_growth: f64,
     /// Flag when the Gauss-law residual RMS `∇·E − ρ/ε0` exceeds this
     /// (0 disables). Only valid when all charge species are explicit.
@@ -107,16 +109,12 @@ impl SentinelConfig {
             ..Default::default()
         }
     }
-
-    /// True when any check would ever run.
-    pub fn active(&self) -> bool {
-        self.health_interval > 0
-    }
 }
 
 /// Run configuration that must survive a checkpoint/restore round-trip:
-/// the divergence-cleaning cadence and the sentinel thresholds. Carried
-/// by both the serial (v2) and distributed (v3) dump formats.
+/// the divergence-cleaning cadence and the sentinel thresholds. The
+/// distributed (v3) dump carries all of it; the serial (v2) dump writes
+/// the same section with a disabled sentinel and restores the cadence.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SimConfig {
     /// Marder-clean `∇·E` every this many steps (0 = never).
@@ -306,8 +304,8 @@ impl std::fmt::Display for HealthVerdict {
 }
 
 /// Classify a (global) health sample against the thresholds. `baseline`
-/// is the `(budgeted energy, particle count)` reference — `None` until
-/// the first healthy sample arms it, which skips the ledger checks.
+/// is the `(energy, particle count)` reference the campaign runner takes
+/// at step 0; `None` skips the ledger checks.
 /// Ordered most-severe-first so the verdict is the worst anomaly; the
 /// repairable divergence residuals deliberately come last.
 pub fn classify(
@@ -557,16 +555,6 @@ impl FlightRecorder {
         self.samples.is_empty()
     }
 
-    /// Latest recorded sample.
-    pub fn last(&self) -> Option<&(HealthSample, Option<HealthVerdict>)> {
-        self.samples.back()
-    }
-
-    /// Iterate oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &(HealthSample, Option<HealthVerdict>)> {
-        self.samples.iter()
-    }
-
     /// Serialize as a single JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 * self.samples.len() + 64);
@@ -630,153 +618,18 @@ pub fn burst_passes(base: u32, burst: u32) -> u32 {
     base.max(1).saturating_mul(1u32 << burst.min(16))
 }
 
-/// The serial sentinel driver: owns the thresholds, flight recorder,
-/// baseline ledger and escalation state, and runs the check-and-heal
-/// ladder against a [`Simulation`]. Distributed worlds reuse the pieces
-/// ([`local_sample`], [`classify`], [`FlightRecorder`]) from the
-/// campaign runtime instead, where healing must be collective.
-#[derive(Clone, Debug)]
-pub struct Sentinel {
-    pub cfg: SentinelConfig,
-    pub recorder: FlightRecorder,
-    /// Healing episodes so far.
-    pub heals: Vec<HealEvent>,
-    /// `(energy, particles)` reference, armed on the first healthy
-    /// sample (or explicitly via [`Sentinel::arm`]).
-    baseline: Option<(f64, f64)>,
-    /// Externally injected energy budget added to the baseline (lasers,
-    /// boundary drives).
-    injected: f64,
-    /// Consecutive healing bursts without an intervening healthy check.
-    bursts: u32,
-    /// Verdict of the most recent check (None = healthy or healed).
-    last_verdict: Option<HealthVerdict>,
-    scratch: Vec<f32>,
-}
+/// Uninhabited: the serial in-step sentinel is gone, so
+/// `Simulation::sentinel` is always `None`. Exists only for `benchmark/`
+/// until ROADMAP item 1's follow-up.
+pub enum Sentinel {}
 
 impl Sentinel {
-    pub fn new(cfg: SentinelConfig) -> Self {
-        Sentinel {
-            cfg,
-            recorder: FlightRecorder::new(cfg.recorder_len),
-            heals: Vec::new(),
-            baseline: None,
-            injected: 0.0,
-            bursts: 0,
-            last_verdict: None,
-            scratch: Vec::new(),
-        }
+    pub fn due(&self, _step: u64) -> bool {
+        match *self {}
     }
 
-    /// True when a check is scheduled for `step`.
-    pub fn due(&self, step: u64) -> bool {
-        self.cfg.health_interval > 0 && step.is_multiple_of(self.cfg.health_interval)
-    }
-
-    /// Explicitly set the energy/particle baseline from the current
-    /// state (otherwise the first healthy sample arms it).
-    pub fn arm(&mut self, sim: &Simulation) {
-        let e = sim.energies().total();
-        self.baseline = Some((e, sim.n_particles() as f64));
-    }
-
-    /// Account externally injected energy (laser antennas, boundary
-    /// drives) into the ledger budget.
-    pub fn note_injected_energy(&mut self, de: f64) {
-        if de.is_finite() && de > 0.0 {
-            self.injected += de;
-        }
-    }
-
-    /// The `(energy, particles)` baseline, if armed.
-    pub fn baseline(&self) -> Option<(f64, f64)> {
-        self.baseline
-    }
-
-    /// Verdict of the most recent check (`None` = healthy or healed in
-    /// place).
-    pub fn tripped(&self) -> Option<&HealthVerdict> {
-        self.last_verdict.as_ref()
-    }
-
-    /// Budgeted baseline for the classifier: energy plus injected
-    /// budget.
-    fn classify_baseline(&self) -> Option<(f64, f64)> {
-        self.baseline.map(|(e0, n0)| (e0 + self.injected, n0))
-    }
-
-    /// Run one check-and-heal cycle. Returns the surviving verdict (the
-    /// caller's cue to roll back or degrade); `None` means healthy or
-    /// healed in place. Every sample — including post-heal re-checks —
-    /// lands in the flight recorder.
-    pub fn check(&mut self, sim: &mut Simulation) -> Option<HealthVerdict> {
-        let s = sim.health_sample(&self.cfg);
-        let verdict = classify(&s, &self.cfg, self.classify_baseline());
-        match verdict {
-            None => {
-                if self.baseline.is_none() {
-                    self.baseline = Some((s.energy, s.particles));
-                }
-                self.bursts = 0;
-                self.recorder.record(s, None);
-                self.last_verdict = None;
-                None
-            }
-            Some(v) if v.kind.repairable() && self.bursts < self.cfg.max_marder_bursts => {
-                self.recorder.record(s, Some(v));
-                let passes = burst_passes(self.cfg.marder_passes, self.bursts);
-                self.bursts += 1;
-                let (before, after) = self.marder_burst(sim, v.kind, passes);
-                let s2 = sim.health_sample(&self.cfg);
-                let v2 = classify(&s2, &self.cfg, self.classify_baseline());
-                self.heals.push(HealEvent {
-                    step: s.step,
-                    kind: v.kind,
-                    passes,
-                    rms_before: before,
-                    rms_after: after,
-                    healed: v2.is_none(),
-                });
-                self.recorder.record(s2, v2);
-                self.last_verdict = v2;
-                v2
-            }
-            Some(v) => {
-                self.recorder.record(s, Some(v));
-                self.last_verdict = Some(v);
-                Some(v)
-            }
-        }
-    }
-
-    /// Apply a Marder cleaning burst for a repairable anomaly; returns
-    /// the residual RMS (before first pass, after last pass).
-    fn marder_burst(&mut self, sim: &mut Simulation, kind: AnomalyKind, passes: u32) -> (f64, f64) {
-        let mut before = f64::NAN;
-        let mut after = f64::NAN;
-        match kind {
-            AnomalyKind::GaussLawResidual => {
-                sim.refresh_rho();
-                for p in 0..passes {
-                    let rms = clean_div_e(&mut sim.fields, &sim.grid, &mut self.scratch);
-                    if p == 0 {
-                        before = rms;
-                    }
-                }
-                after = compute_div_e_err(&sim.fields, &sim.grid, &mut self.scratch);
-            }
-            AnomalyKind::DivBResidual => {
-                for p in 0..passes {
-                    let rms = clean_div_b(&mut sim.fields, &sim.grid, &mut self.scratch);
-                    if p == 0 {
-                        before = rms;
-                    }
-                }
-                after = compute_div_b_err(&sim.fields, &sim.grid, &mut self.scratch);
-            }
-            _ => {}
-        }
-        (before, after)
+    pub fn check(&mut self, _sim: &mut Simulation) {
+        match *self {}
     }
 }
 
@@ -886,40 +739,6 @@ impl CorruptionPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::field_solver::{bcs_of, sync_e};
-    use crate::maxwellian::{load_uniform, Momentum};
-    use crate::rng::Rng;
-
-    fn neutral_plasma(pipelines: usize) -> Simulation {
-        let dx = 0.2f32;
-        let dt = Grid::courant_dt(1.0, (dx, dx, dx), 0.7);
-        let g = Grid::periodic((8, 8, 8), (dx, dx, dx), dt);
-        let mut sim = Simulation::new(g, pipelines);
-        // Ions loaded from the same stream land on the same positions as
-        // the electrons, so rho is exactly zero node-by-node and the
-        // Gauss monitor sees pure numerical residual.
-        let mut e = Species::new("e", -1.0, 1.0);
-        load_uniform(
-            &mut e,
-            &sim.grid,
-            &mut Rng::seeded(7),
-            1.0,
-            8,
-            Momentum::thermal(0.02),
-        );
-        let mut i = Species::new("i", 1.0, 1836.0);
-        load_uniform(
-            &mut i,
-            &sim.grid,
-            &mut Rng::seeded(7),
-            1.0,
-            8,
-            Momentum::thermal(0.02),
-        );
-        sim.add_species(e);
-        sim.add_species(i);
-        sim
-    }
 
     #[test]
     fn sample_vector_roundtrip() {
@@ -1098,77 +917,14 @@ mod tests {
         assert_eq!(c.apply(0, 2, &mut fa, &g), 1);
     }
 
-    #[test]
-    fn sentinel_detects_and_heals_seeded_divergence() {
-        let mut sim = neutral_plasma(1);
-        let mut sentinel = Sentinel::new(SentinelConfig {
-            health_interval: 1,
-            max_div_e_rms: 0.05,
-            marder_passes: 16,
-            max_marder_bursts: 4,
-            ..Default::default()
-        });
-        sentinel.arm(&sim);
-        // Healthy at rest.
-        assert_eq!(sentinel.check(&mut sim), None);
-        assert!(sentinel.tripped().is_none());
-        // Seed a divergence error: a lone E spike violates Gauss's law.
-        let g = sim.grid.clone();
-        let v = g.voxel(4, 4, 4);
-        sim.fields.ex[v] += 2.0;
-        sync_e(&mut sim.fields, &g, bcs_of(&g));
-        let verdict = sentinel.check(&mut sim);
-        // Either healed in one burst (None) or needs another; drive the
-        // ladder until it settles (Marder relaxation is diffusive, so a
-        // spiky error needs several escalating bursts).
-        let mut verdict = verdict;
-        let mut rounds = 0;
-        while verdict.is_some() && rounds < 4 {
-            verdict = sentinel.check(&mut sim);
-            rounds += 1;
-        }
-        assert_eq!(verdict, None, "Marder ladder failed to heal");
-        assert!(!sentinel.heals.is_empty());
-        let h = &sentinel.heals[0];
-        assert_eq!(h.kind, AnomalyKind::GaussLawResidual);
-        assert!(h.rms_after < h.rms_before, "{h:?}");
-        // Escalation doubled the pass count on consecutive bursts.
-        if sentinel.heals.len() > 1 {
-            assert!(sentinel.heals[1].passes >= 2 * sentinel.heals[0].passes);
-        }
-        assert!(sentinel.recorder.len() >= 2);
-    }
-
-    #[test]
-    fn sentinel_flags_nan_as_unrepairable() {
-        let mut sim = neutral_plasma(1);
-        let mut sentinel = Sentinel::new(SentinelConfig {
-            health_interval: 1,
-            ..Default::default()
-        });
-        sentinel.arm(&sim);
-        sim.fields.ey[100] = f32::NAN;
-        let v = sentinel.check(&mut sim).expect("must trip");
-        assert_eq!(v.kind, AnomalyKind::NonFiniteFields);
-        assert!(!v.kind.repairable());
-        assert_eq!(sentinel.tripped().map(|v| v.kind), Some(v.kind));
-        assert!(sentinel.heals.is_empty(), "no heal for non-finite fields");
-    }
-
     /// A NaN deposited by pipeline 1 alone, on a plane pipeline 0 never
     /// touches, is not folded into array 0 by the reduction: it stays in
-    /// pipeline 1's array, and is still counted there and flagged.
+    /// pipeline 1's array, and the health sample still counts it there.
     #[test]
-    fn helper_pipeline_nan_outside_shared_planes_is_flagged() {
-        let mut sim = neutral_plasma(2);
-        let mut sentinel = Sentinel::new(SentinelConfig {
-            health_interval: 1,
-            ..Default::default()
-        });
-        sentinel.arm(&sim);
-        let g = sim.grid.clone();
+    fn sentinel_sample_flags_helper_pipeline_nan_outside_shared_planes() {
+        let g = Grid::periodic((8, 8, 8), (0.2, 0.2, 0.2), 0.01);
+        let mut acc = AccumulatorSet::new(&g, 2);
         let streak = ((0.0, 0.0, 0.0), (0.1, 0.0, 0.0));
-        let acc = &mut sim.accumulators;
         acc.arrays[0].deposit(g.voxel(2, 2, 2), 1.0, streak.0, streak.1);
         acc.arrays[1].deposit(g.voxel(3, 3, 6), f32::NAN, streak.0, streak.1);
         acc.reduce_and_unload(&mut FieldArray::new(&g), &g);
@@ -1176,8 +932,18 @@ mod tests {
             a.jx.iter().chain(&a.jy).chain(&a.jz).all(|v| v.is_finite())
         };
         assert!(acc.arrays[0].data.iter().all(finite));
-        assert_eq!(count_nonfinite_accums(acc), 12);
-        let v = sentinel.check(&mut sim).expect("must trip");
+        let cfg = SentinelConfig::enabled();
+        let s = local_sample(
+            0,
+            &FieldArray::new(&g),
+            &g,
+            &[],
+            &acc,
+            &cfg,
+            &mut Vec::new(),
+        );
+        assert_eq!(s.nonfinite_accums, 12.0);
+        let v = classify(&s, &cfg, None).expect("must trip");
         assert_eq!(v.kind, AnomalyKind::NonFiniteAccumulators);
         assert_eq!(v.metric, 12.0);
     }

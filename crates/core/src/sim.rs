@@ -33,9 +33,7 @@ use crate::field_solver::{
 use crate::grid::Grid;
 use crate::interpolator::InterpolatorArray;
 use crate::push::{advance_p_tallied, Exile, PushCoefficients, PushKernel};
-use crate::sentinel::{
-    local_sample, HealthSample, HealthVerdict, Sentinel, SentinelConfig, SimConfig,
-};
+use crate::sentinel::{local_sample, HealthSample, Sentinel, SentinelConfig};
 use crate::species::Species;
 use crate::sponge::Sponge;
 use std::convert::Infallible;
@@ -59,7 +57,7 @@ pub struct StepTimings {
     pub exchange: f64,
     /// Particle sorting.
     pub sort: f64,
-    /// Drive hooks, sponge, divergence cleaning, sentinel.
+    /// Drive hooks, sponge, divergence cleaning.
     pub other: f64,
     /// Diagnostics observation: probe sampling + snapshot publication
     /// (the async pipeline's residual on-hot-path cost; the FFT/artifact
@@ -357,10 +355,8 @@ pub struct Simulation {
     pub timings: StepTimings,
     /// Always empty; exists only for `benchmark/` until ROADMAP item 1's follow-up.
     pub collisions: [Infallible; 0],
-    /// Optional numerical-integrity sentinel; when present, its checks
-    /// run at the end of each step on its `health_interval` cadence and
-    /// repairable anomalies are Marder-healed in place. Inspect
-    /// [`Simulation::sentinel_verdict`] after stepping.
+    /// Always `None`; exists only for `benchmark/` until ROADMAP item 1's
+    /// follow-up. Health checks run in the campaign runner's ladder.
     pub sentinel: Option<Sentinel>,
     /// Which push body runs (bit-identical either way; see
     /// [`PushKernel`]).
@@ -408,31 +404,6 @@ impl Simulation {
 
     /// A no-op; exists only for `benchmark/` until ROADMAP item 1's follow-up.
     pub fn set_layout(&mut self, _: Layout) {}
-
-    /// The checkpoint-portable run configuration (cleaning cadence +
-    /// sentinel thresholds).
-    pub fn config(&self) -> SimConfig {
-        SimConfig {
-            clean_div_e_interval: self.clean_div_e_interval,
-            clean_div_b_interval: self.clean_div_b_interval,
-            sentinel: self.sentinel.as_ref().map(|s| s.cfg).unwrap_or_default(),
-        }
-    }
-
-    /// Apply a restored [`SimConfig`]: sets the cleaning cadence and
-    /// (re)creates the sentinel when its cadence is non-zero. A freshly
-    /// created sentinel re-arms its baseline on the first healthy check.
-    pub fn set_config(&mut self, c: &SimConfig) {
-        self.clean_div_e_interval = c.clean_div_e_interval;
-        self.clean_div_b_interval = c.clean_div_b_interval;
-        self.sentinel = c.sentinel.active().then(|| Sentinel::new(c.sentinel));
-    }
-
-    /// Verdict of the most recent sentinel check, if the sentinel is
-    /// armed and tripped (healthy and healed-in-place states are `None`).
-    pub fn sentinel_verdict(&self) -> Option<HealthVerdict> {
-        self.sentinel.as_ref().and_then(|s| s.tripped().copied())
-    }
 
     /// Add a species; returns its index.
     pub fn add_species(&mut self, sp: Species) -> usize {
@@ -487,17 +458,6 @@ impl Simulation {
         // through one is lost.
         let Ok(lost) = advance(domain, &mut Isolated, drive);
         self.lost_particles += lost;
-
-        // Sentinel check-and-heal on its own cadence (take/put so the
-        // sentinel can borrow the whole simulation mutably).
-        if let Some(mut sentinel) = self.sentinel.take() {
-            let t0 = Instant::now();
-            if sentinel.due(self.step_count) {
-                sentinel.check(self);
-            }
-            self.sentinel = Some(sentinel);
-            self.timings.other += t0.elapsed().as_secs_f64();
-        }
     }
 
     /// Recompute the diagnostic charge density from the particles.
@@ -516,8 +476,8 @@ impl Simulation {
     }
 
     /// This domain's health sample ([`local_sample`]), with `rho`
-    /// refreshed first when the Gauss monitor is on — the serial twin of
-    /// `DistributedSim::local_health_sample`.
+    /// refreshed first when the Gauss monitor is on — what
+    /// `DistributedSim::local_health_sample` computes on one rank.
     pub fn health_sample(&mut self, cfg: &SentinelConfig) -> HealthSample {
         if cfg.max_div_e_rms > 0.0 {
             self.refresh_rho();
@@ -534,8 +494,8 @@ impl Simulation {
     }
 
     /// One healing burst: fresh `rho` plus `passes_e` Marder passes on `E`,
-    /// then `passes_b` on `B` — the serial twin of
-    /// `DistributedSim::marder_burst`.
+    /// then `passes_b` on `B` — `DistributedSim::marder_burst` with no
+    /// neighbours.
     pub fn marder_burst(&mut self, passes_e: u32, passes_b: u32) {
         if passes_e > 0 {
             self.solve_initial_e(passes_e as usize);

@@ -62,11 +62,6 @@ impl LabFrame {
         consts::C / self.omega_pe()
     }
 
-    /// The code's unit of time `1/ωpe` (s).
-    pub fn time_unit(&self) -> f64 {
-        1.0 / self.omega_pe()
-    }
-
     /// Convert a temperature in eV into the code's thermal velocity
     /// `vth/c = √(kT/mₑc²)` (non-relativistic thermal momentum spread).
     pub fn vth_of_ev(&self, t_ev: f64) -> f64 {
@@ -85,20 +80,9 @@ impl LabFrame {
         1.37e18 * a0 * a0 / (lambda_um * lambda_um)
     }
 
-    /// `a0` of a laser intensity (W/cm²).
-    pub fn a0_of_intensity(&self, i_wcm2: f64) -> f64 {
-        let lambda_um = self.lambda0 * 1e6;
-        (i_wcm2 * lambda_um * lambda_um / 1.37e18).sqrt()
-    }
-
     /// Convert a length in code units (`c/ωpe`) to microns.
     pub fn microns_of(&self, code_length: f64) -> f64 {
         code_length * self.skin_depth() * 1e6
-    }
-
-    /// Convert a duration in code units (`1/ωpe`) to picoseconds.
-    pub fn ps_of(&self, code_time: f64) -> f64 {
-        code_time * self.time_unit() * 1e12
     }
 }
 
@@ -140,7 +124,6 @@ mod tests {
         // a0 = 0.03 at 351 nm → ~1e16 W/cm².
         let i = f.intensity_of_a0(0.03);
         assert!((1e15..2e16).contains(&i), "I = {i:.3e}");
-        assert!((f.a0_of_intensity(i) - 0.03).abs() < 1e-12);
         // Quadratic in a0.
         assert!((f.intensity_of_a0(0.06) / i - 4.0).abs() < 1e-9);
     }
@@ -151,8 +134,5 @@ mod tests {
         // Skin depth at 0.1 n_cr of 351 nm light: c/ωpe = λ0·√(n_cr/n)/(2π).
         let want_um = 0.351 * 10f64.sqrt() / (2.0 * std::f64::consts::PI);
         assert!((f.microns_of(1.0) - want_um).abs() / want_um < 1e-9);
-        // A 1000/ωpe run is sub-picosecond at these densities.
-        let ps = f.ps_of(1000.0);
-        assert!((0.05..5.0).contains(&ps), "t = {ps} ps");
     }
 }

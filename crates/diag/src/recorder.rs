@@ -67,16 +67,6 @@ impl TimeSeries {
         self.samples.is_empty()
     }
 
-    /// Mean over the last `n` samples (or all, if fewer).
-    pub fn tail_mean(&self, n: usize) -> f64 {
-        let tail = &self.samples[self.samples.len().saturating_sub(n)..];
-        if tail.is_empty() {
-            0.0
-        } else {
-            tail.iter().sum::<f64>() / tail.len() as f64
-        }
-    }
-
     /// Min and max over the whole series.
     pub fn min_max(&self) -> (f64, f64) {
         self.samples
@@ -103,14 +93,6 @@ impl TimeSeries {
         }
         growth_rate(&self.samples[a..b]) / self.dt
     }
-
-    /// Relative drift `(last − first)/first` (conservation metric).
-    pub fn relative_drift(&self) -> f64 {
-        match (self.samples.first(), self.samples.last()) {
-            (Some(&a), Some(&b)) if a != 0.0 => (b - a) / a,
-            _ => 0.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,22 +100,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn means_and_drift() {
+    fn length_and_range() {
         let mut ts = TimeSeries::new("x", 0.1);
         for i in 0..10 {
             ts.push(i as f64);
         }
         assert_eq!(ts.len(), 10);
         assert!(!ts.is_empty());
-        assert!((ts.tail_mean(4) - 7.5).abs() < 1e-12);
-        assert!((ts.tail_mean(100) - 4.5).abs() < 1e-12);
         assert_eq!(ts.min_max(), (0.0, 9.0));
-        // First sample is zero → drift is defined as 0.
-        assert_eq!(ts.relative_drift(), 0.0);
-        let mut ts2 = TimeSeries::new("y", 1.0);
-        ts2.push(2.0);
-        ts2.push(3.0);
-        assert!((ts2.relative_drift() - 0.5).abs() < 1e-12);
     }
 
     #[test]

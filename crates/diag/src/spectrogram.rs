@@ -51,26 +51,11 @@ impl Spectrogram {
         }
     }
 
-    /// Number of time frames.
-    pub fn n_frames(&self) -> usize {
-        self.power.len()
-    }
-
     /// Frequency of the strongest nonzero bin in frame `f`.
     pub fn peak_omega(&self, f: usize) -> f64 {
         let frame = &self.power[f];
         let best = (1..frame.len()).max_by(|&a, &b| frame[a].partial_cmp(&frame[b]).unwrap());
         best.map(|b| self.omegas[b]).unwrap_or(0.0)
-    }
-
-    /// Total in-band power of frame `f` within `[w_lo, w_hi]`.
-    pub fn band_power(&self, f: usize, w_lo: f64, w_hi: f64) -> f64 {
-        self.omegas
-            .iter()
-            .zip(&self.power[f])
-            .filter(|(w, _)| **w >= w_lo && **w <= w_hi)
-            .map(|(_, p)| p)
-            .sum()
     }
 }
 
@@ -94,16 +79,11 @@ mod tests {
             })
             .collect();
         let sg = Spectrogram::compute(&samples, dt, 256, 128);
-        assert!(sg.n_frames() > 10);
+        assert!(sg.power.len() > 10);
         let early = sg.peak_omega(0);
-        let late = sg.peak_omega(sg.n_frames() - 1);
+        let late = sg.peak_omega(sg.power.len() - 1);
         assert!((early - 2.0).abs() < 0.3, "early peak {early}");
         assert!((late - 6.0).abs() < 0.3, "late peak {late}");
-        // Band power switches bands across the jump.
-        let f0 = 0;
-        let f1 = sg.n_frames() - 1;
-        assert!(sg.band_power(f0, 1.5, 2.5) > 10.0 * sg.band_power(f0, 5.5, 6.5));
-        assert!(sg.band_power(f1, 5.5, 6.5) > 10.0 * sg.band_power(f1, 1.5, 2.5));
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl SlabProfile {
     pub fn x_exit(&self) -> f32 {
         self.x_enter + self.ramp_up + self.flat + self.ramp_down
     }
-
-    /// Center of the flat top.
-    pub fn x_center(&self) -> f32 {
-        self.x_enter + self.ramp_up + 0.5 * self.flat
-    }
 }
 
 #[cfg(test)]
@@ -63,7 +58,6 @@ mod tests {
         assert!((p.density(37.5) - 0.5).abs() < 1e-6);
         assert_eq!(p.density(40.1), 0.0);
         assert_eq!(p.x_exit(), 40.0);
-        assert_eq!(p.x_center(), 25.0);
     }
 
     #[test]

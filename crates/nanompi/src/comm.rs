@@ -744,14 +744,6 @@ impl Comm {
         Ok(out)
     }
 
-    /// Max of an `f64` across all ranks.
-    pub fn allreduce_max(&mut self, v: f64) -> Result<f64, CommError> {
-        Ok(self
-            .allgather(v)?
-            .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max))
-    }
-
     /// Sum a `u64` across all ranks.
     pub fn allreduce_sum_u64(&mut self, v: u64) -> Result<u64, CommError> {
         Ok(self.allgather(v)?.into_iter().sum())
@@ -1031,14 +1023,12 @@ mod tests {
             let gathered = c.allgather(c.rank() as u64 * 10).unwrap();
             assert_eq!(gathered, vec![0, 10, 20, 30]);
             let s = c.allreduce_sum(c.rank() as f64).unwrap();
-            let m = c.allreduce_max(c.rank() as f64).unwrap();
             let v = c.allreduce_sum_vec(vec![1.0, c.rank() as f64]).unwrap();
             let u = c.allreduce_sum_u64(1).unwrap();
-            (s, m, v, u)
+            (s, v, u)
         });
-        for (s, m, v, u) in results {
+        for (s, v, u) in results {
             assert_eq!(s, 6.0);
-            assert_eq!(m, 3.0);
             assert_eq!(v, vec![4.0, 6.0]);
             assert_eq!(u, 4);
         }

@@ -1,10 +1,10 @@
 //! Multi-process socket transport: ranks are OS processes, packets are
-//! CRC-framed byte messages on Unix-domain or TCP-loopback streams.
+//! CRC-framed byte messages on Unix-domain streams.
 //!
 //! ## Topology
 //!
-//! Every rank binds one listening endpoint (`{dir}/rank{r}.sock` or
-//! `127.0.0.1:base_port+r`) and dials every peer, so each ordered pair has
+//! Every rank binds one listening endpoint (`{dir}/rank{r}.sock`) and
+//! dials every peer, so each ordered pair has
 //! a directional stream: the initiator's stream carries its sends (and its
 //! heartbeats); the acceptor, blocked in `accept` until the transport's
 //! drop wakes it with a dial of its own endpoint, spawns a reader thread
@@ -57,7 +57,6 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -99,46 +98,20 @@ const FRAME_ROOM: FrameRoom = FrameRoom {
     tail: 4,
 };
 
-/// Where each rank of a socket world listens.
+/// Where each rank of a socket world listens: Unix-domain sockets
+/// `{dir}/rank{r}.sock`.
 #[derive(Clone, Debug)]
-pub enum SocketAddrSpec {
-    /// Unix-domain sockets `{dir}/rank{r}.sock`.
-    Unix { dir: PathBuf },
-    /// TCP loopback `127.0.0.1:{base_port + r}`.
-    Tcp { base_port: u16 },
+pub struct SocketAddrSpec {
+    dir: PathBuf,
 }
 
 impl SocketAddrSpec {
     pub fn unix(dir: impl Into<PathBuf>) -> Self {
-        SocketAddrSpec::Unix { dir: dir.into() }
+        SocketAddrSpec { dir: dir.into() }
     }
 
-    pub fn tcp(base_port: u16) -> Self {
-        SocketAddrSpec::Tcp { base_port }
-    }
-
-    fn addr_of(&self, rank: usize) -> Addr {
-        match self {
-            SocketAddrSpec::Unix { dir } => Addr::Unix(dir.join(format!("rank{rank}.sock"))),
-            SocketAddrSpec::Tcp { base_port } => {
-                Addr::Tcp(SocketAddr::from(([127, 0, 0, 1], base_port + rank as u16)))
-            }
-        }
-    }
-}
-
-#[derive(Clone, Debug)]
-enum Addr {
-    Unix(PathBuf),
-    Tcp(SocketAddr),
-}
-
-impl std::fmt::Display for Addr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Addr::Unix(p) => write!(f, "{}", p.display()),
-            Addr::Tcp(a) => write!(f, "{a}"),
-        }
+    fn addr_of(&self, rank: usize) -> PathBuf {
+        self.dir.join(format!("rank{rank}.sock"))
     }
 }
 
@@ -243,70 +216,10 @@ impl std::fmt::Display for BootstrapError {
 
 impl std::error::Error for BootstrapError {}
 
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Stream {
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_read_timeout(t),
-            Stream::Tcp(s) => s.set_read_timeout(t),
-        }
-    }
-
-    fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_write_timeout(t),
-            Stream::Tcp(s) => s.set_write_timeout(t),
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-enum Listener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn accept(&self) -> io::Result<Stream> {
-        match self {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-        }
-    }
-}
-
 /// `[u32 len][payload][u32 crc32(payload)]`, the WAL journal's framing.
 /// Handshakes and heartbeats come through here; DATA frames are built in
 /// place by [`frame_data`].
-fn write_frame(w: &mut Stream, payload: &[u8]) -> io::Result<()> {
+fn write_frame(w: &mut UnixStream, payload: &[u8]) -> io::Result<()> {
     let mut frame = Vec::with_capacity(8 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(payload);
@@ -321,7 +234,7 @@ fn write_frame(w: &mut Stream, payload: &[u8]) -> io::Result<()> {
 /// *partial* read keeps waiting: giving up mid-frame would desync the
 /// framing). A `deadline` in the past surfaces as `TimedOut`.
 fn read_full(
-    s: &mut Stream,
+    s: &mut UnixStream,
     buf: &mut [u8],
     stop: &AtomicBool,
     deadline: Option<Instant>,
@@ -356,7 +269,7 @@ fn read_full(
 /// connection. `deadline` bounds the whole frame (used for handshakes;
 /// steady-state readers pass `None` and rely on stop/EOF).
 fn read_frame(
-    s: &mut Stream,
+    s: &mut UnixStream,
     stop: &AtomicBool,
     deadline: Option<Instant>,
 ) -> io::Result<Option<Vec<u8>>> {
@@ -539,9 +452,9 @@ impl Inner {
 pub struct SocketTransport {
     inner: Arc<Inner>,
     /// Outgoing stream per peer; `None` until dialed (or after an error).
-    conns: Vec<Arc<Mutex<Option<Stream>>>>,
+    conns: Vec<Arc<Mutex<Option<UnixStream>>>>,
     receivers: Vec<Receiver<Packet>>,
-    addrs: Vec<Addr>,
+    addrs: Vec<PathBuf>,
     handshake_timeout: Duration,
     failure_window: Duration,
 }
@@ -556,20 +469,15 @@ impl SocketTransport {
         assert!(boot.world >= 1, "need at least one rank");
         assert!(boot.rank < boot.world, "rank {} out of range", boot.rank);
         let n = boot.world;
-        let addrs: Vec<Addr> = (0..n).map(|r| boot.spec.addr_of(r)).collect();
+        let addrs: Vec<PathBuf> = (0..n).map(|r| boot.spec.addr_of(r)).collect();
 
-        let listener = match &addrs[boot.rank] {
-            Addr::Unix(path) => {
-                if let Some(dir) = path.parent() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-                let _ = std::fs::remove_file(path); // stale seat from a killed process
-                UnixListener::bind(path).map(Listener::Unix)
-            }
-            Addr::Tcp(addr) => TcpListener::bind(addr).map(Listener::Tcp),
+        let path = &addrs[boot.rank];
+        if let Some(dir) = path.parent() {
+            let _ = std::fs::create_dir_all(dir);
         }
-        .map_err(|e| BootstrapError::Bind {
-            addr: addrs[boot.rank].to_string(),
+        let _ = std::fs::remove_file(path); // stale seat from a killed process
+        let listener = UnixListener::bind(path).map_err(|e| BootstrapError::Bind {
+            addr: path.display().to_string(),
             detail: e.to_string(),
         })?;
 
@@ -599,7 +507,7 @@ impl SocketTransport {
             std::thread::spawn(move || accept_loop(listener, inner));
         }
 
-        let conns: Vec<Arc<Mutex<Option<Stream>>>> =
+        let conns: Vec<Arc<Mutex<Option<UnixStream>>>> =
             (0..n).map(|_| Arc::new(Mutex::new(None))).collect();
         {
             let inner = Arc::clone(&inner);
@@ -664,18 +572,12 @@ impl SocketTransport {
 
     /// One connection + handshake attempt to `to`. The dialer validates
     /// the acceptor's HELLO_ACK: version, world size, then fingerprint.
-    fn dial(&self, to: usize) -> Result<Stream, BootstrapError> {
+    fn dial(&self, to: usize) -> Result<UnixStream, BootstrapError> {
         let connect_err = |e: &dyn std::fmt::Display| BootstrapError::Connect {
             peer: to,
             detail: e.to_string(),
         };
-        let mut stream = match &self.addrs[to] {
-            Addr::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-            Addr::Tcp(addr) => {
-                TcpStream::connect_timeout(addr, self.handshake_timeout).map(Stream::Tcp)
-            }
-        }
-        .map_err(|e| connect_err(&e))?;
+        let mut stream = UnixStream::connect(&self.addrs[to]).map_err(|e| connect_err(&e))?;
         stream
             .set_read_timeout(Some(self.handshake_timeout))
             .and_then(|_| stream.set_write_timeout(Some(self.handshake_timeout)))
@@ -767,10 +669,7 @@ impl Drop for SocketTransport {
         // The accept thread blocks in `accept`: dial our own endpoint so
         // it wakes, sees `stop` and closes the listener. A failed dial
         // means the listener is already gone.
-        let _ = match &self.addrs[self.inner.me] {
-            Addr::Unix(path) => UnixStream::connect(path).map(drop),
-            Addr::Tcp(addr) => TcpStream::connect_timeout(addr, Duration::from_secs(1)).map(drop),
-        };
+        let _ = UnixStream::connect(&self.addrs[self.inner.me]);
     }
 }
 
@@ -846,11 +745,11 @@ impl Transport for SocketTransport {
 
 /// Block in `accept` and hand each stream to a reader thread, until the
 /// transport's drop sets `stop` and wakes the accept with a self-dial.
-fn accept_loop(listener: Listener, inner: Arc<Inner>) {
+fn accept_loop(listener: UnixListener, inner: Arc<Inner>) {
     loop {
         match listener.accept() {
             Ok(_) if inner.stop.load(Ordering::Relaxed) => break,
-            Ok(stream) => {
+            Ok((stream, _)) => {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || reader_loop(stream, inner));
             }
@@ -862,7 +761,7 @@ fn accept_loop(listener: Listener, inner: Arc<Inner>) {
 
 /// Serve one accepted stream: handshake, then pump DATA frames into the
 /// sender's inbox until EOF, breakage, or shutdown.
-fn reader_loop(mut stream: Stream, inner: Arc<Inner>) {
+fn reader_loop(mut stream: UnixStream, inner: Arc<Inner>) {
     if stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .is_err()
@@ -929,7 +828,11 @@ fn reader_loop(mut stream: Stream, inner: Arc<Inner>) {
     }
 }
 
-fn heartbeat_loop(inner: Arc<Inner>, conns: Vec<Arc<Mutex<Option<Stream>>>>, interval: Duration) {
+fn heartbeat_loop(
+    inner: Arc<Inner>,
+    conns: Vec<Arc<Mutex<Option<UnixStream>>>>,
+    interval: Duration,
+) {
     let mut frame = Vec::with_capacity(13);
     while !inner.stop.load(Ordering::Relaxed) {
         std::thread::sleep(interval);
@@ -1116,17 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_loopback_world_works() {
-        let (results, _) = run_socket_world(2, SocketAddrSpec::tcp(47613), None, |c| {
-            let peer = 1 - c.rank();
-            c.send(peer, 1, c.rank() as u32 + 10).unwrap();
-            c.recv::<u32>(peer, 1).unwrap()
-        });
-        let got: Vec<u32> = results.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(got, vec![11, 10]);
-    }
-
-    #[test]
     fn typed_payloads_and_type_mismatch_over_sockets() {
         let dir = test_dir("typed");
         let (results, _) = run_socket_world(2, SocketAddrSpec::unix(&dir), None, |c| {
@@ -1274,8 +1166,7 @@ mod tests {
     fn forged_acceptor(path: PathBuf, ack: Hello) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
             let listener = UnixListener::bind(&path).unwrap();
-            if let Ok((s, _)) = listener.accept() {
-                let mut s = Stream::Unix(s);
+            if let Ok((mut s, _)) = listener.accept() {
                 let _ = s.set_read_timeout(Some(Duration::from_secs(2)));
                 let stop = AtomicBool::new(false);
                 let _ = read_frame(&mut s, &stop, Some(Instant::now() + Duration::from_secs(2)));

@@ -10,8 +10,8 @@
 //!   (no serialization), and a closed channel means the peer thread is
 //!   gone forever.
 //! * [`SocketTransport`](crate::socket::SocketTransport): ranks are OS
-//!   processes, packets are CRC-framed byte messages on Unix-domain or
-//!   TCP streams, and a dead peer may *come back* (a respawned process
+//!   processes, packets are CRC-framed byte messages on Unix-domain
+//!   streams, and a dead peer may *come back* (a respawned process
 //!   re-binds the rank's endpoint), which changes how the recovery
 //!   rendezvous treats send failures.
 
@@ -33,7 +33,7 @@ pub enum TransportKind {
     #[default]
     Local,
     /// Real sockets: ranks are threads or processes, payloads move as
-    /// CRC-framed bytes over Unix-domain or TCP streams.
+    /// CRC-framed bytes over Unix-domain streams.
     Socket,
 }
 

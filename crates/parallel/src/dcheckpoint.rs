@@ -16,7 +16,7 @@
 
 use crate::decomposition::DomainSpec;
 use crate::dsim::DistributedSim;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::Path;
 use vpic_core::checkpoint::{
     decode_fields, decode_sim_config, decode_species, encode_fields, encode_sim_config,
@@ -27,43 +27,28 @@ use vpic_core::checkpoint::{
 const MAGIC: &[u8; 8] = b"VPICRD03";
 const VERSION: u32 = 3;
 
-/// Serialize one rank's state with compression enabled. The `spec` is
-/// *not* written (the restart must be constructed with the same
-/// [`DomainSpec`]); a fingerprint of it is stored and checked so
-/// mismatched restarts fail loudly.
-pub fn save_rank(sim: &DistributedSim, w: &mut impl Write) -> Result<(), CheckpointError> {
-    save_rank_with(sim, w, true)
-}
-
-/// Serialize one rank's state, choosing whether the field and species
-/// sections may be delta+RLE compressed (`compress = false` forces raw
-/// encoding; either way the load path is identical).
-pub fn save_rank_with(
-    sim: &DistributedSim,
-    w: &mut impl Write,
-    compress: bool,
-) -> Result<(), CheckpointError> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
+/// Serialize one rank's state to an in-memory buffer, for callers that
+/// cache the newest validated dump or throttle the disk write separately
+/// (see [`write_bytes_atomic`]). `compress` lets the field and species
+/// sections be delta+RLE compressed (`false` forces raw encoding; either
+/// way the load path is identical). The `spec` is *not* written (the
+/// restart must be constructed with the same [`DomainSpec`]); a
+/// fingerprint of it is stored and checked so mismatched restarts fail
+/// loudly.
+pub fn dump_rank_bytes(sim: &DistributedSim, compress: bool) -> Result<Vec<u8>, CheckpointError> {
+    let mut w = Vec::new();
+    w.extend_from_slice(MAGIC);
+    w.extend_from_slice(&VERSION.to_le_bytes());
     let mut h = PayloadWriter::new();
     h.u32(sim.rank as u32);
     h.u64(spec_fingerprint(&sim.spec));
     h.u64(sim.step_count);
     h.u64(sim.migrated);
-    write_section(w, &h.finish())?;
-    write_section_encoded(w, &encode_fields(&sim.fields), compress)?;
-    write_section_encoded(w, &encode_species(&sim.species), compress)?;
-    write_section(w, &encode_sim_config(&sim.config))?;
-    Ok(())
-}
-
-/// Serialize one rank's state to an in-memory buffer, for callers that
-/// cache the newest validated dump or throttle the disk write separately
-/// (see [`write_bytes_atomic`]).
-pub fn dump_rank_bytes(sim: &DistributedSim, compress: bool) -> Result<Vec<u8>, CheckpointError> {
-    let mut buf = Vec::new();
-    save_rank_with(sim, &mut buf, compress)?;
-    Ok(buf)
+    write_section(&mut w, &h.finish())?;
+    write_section_encoded(&mut w, &encode_fields(&sim.fields), compress)?;
+    write_section_encoded(&mut w, &encode_species(&sim.species), compress)?;
+    write_section(&mut w, &encode_sim_config(&sim.config))?;
+    Ok(w)
 }
 
 /// Restore one rank from a dump made with the same `spec` and rank id.
@@ -189,9 +174,7 @@ mod tests {
             for _ in 0..4 {
                 sim.step(comm).unwrap();
             }
-            let mut dump = Vec::new();
-            save_rank(&sim, &mut dump).unwrap();
-            dump
+            dump_rank_bytes(&sim, true).unwrap()
         });
         results
     }
@@ -207,8 +190,7 @@ mod tests {
             for _ in 0..4 {
                 sim.step(comm).unwrap();
             }
-            let mut dump = Vec::new();
-            save_rank(&sim, &mut dump).unwrap();
+            let dump = dump_rank_bytes(&sim, true).unwrap();
             let mut restored = load_rank(spec(), comm.rank(), 1, &mut dump.as_slice()).unwrap();
             assert_eq!(restored.step_count, sim.step_count);
             for _ in 0..4 {
@@ -233,8 +215,7 @@ mod tests {
         let (results, _) = nanompi::run_expect(2, |comm| {
             let mut sim = DistributedSim::new(spec(), comm.rank(), 1);
             sim.add_species(Species::new("e", -1.0, 1.0));
-            let mut dump = Vec::new();
-            save_rank(&sim, &mut dump).unwrap();
+            let dump = dump_rank_bytes(&sim, true).unwrap();
             let wrong_rank = load_rank(spec(), 1 - comm.rank(), 1, &mut dump.as_slice());
             let mut other = spec();
             other.global_cells = (16, 4, 4);
@@ -271,8 +252,7 @@ mod tests {
                 let si = sim.add_species(Species::new("e", -1.0, 1.0));
                 sim.load_uniform(si, seed, 1.0, 8, Momentum::thermal(0.08));
                 sim.step(comm).unwrap();
-                let mut dump = Vec::new();
-                save_rank(&sim, &mut dump).unwrap();
+                let dump = dump_rank_bytes(&sim, true).unwrap();
                 let restored = load_rank(spec(), comm.rank(), 1, &mut dump.as_slice()).unwrap();
                 assert_eq!(restored.step_count, sim.step_count);
                 assert_eq!(restored.migrated, sim.migrated);

@@ -38,8 +38,7 @@ pub use campaign::{
     CampaignError, CampaignOutcome, CampaignSim, CheckpointPolicy, DrivenSim, RecoveryEvent, Start,
 };
 pub use dcheckpoint::{
-    dump_rank_bytes, load_rank, load_rank_from_path, save_rank, save_rank_to_path, save_rank_with,
-    spec_fingerprint,
+    dump_rank_bytes, load_rank, load_rank_from_path, save_rank_to_path, spec_fingerprint,
 };
 pub use decomposition::DomainSpec;
 pub use dsim::DistributedSim;
