@@ -312,6 +312,24 @@ impl CadenceState {
         step > 0 && self.interval > 0 && self.steps_since_sort >= self.interval
     }
 
+    /// This step's sort vote, cast before the step's push is noted: what
+    /// [`sort_due`](Self::sort_due) will return on the next step once
+    /// [`note_push`](Self::note_push) has run.
+    pub fn due_after_push(&self) -> bool {
+        self.interval > 0 && self.steps_since_sort.saturating_add(1) >= self.interval
+    }
+
+    /// Another rank voted its copy of this species due: bring this
+    /// rank's sort forward to the same next step by lowering the interval
+    /// to the steps that will have passed by then. Only the phase moves —
+    /// that sort re-solves the interval. A no-op when this rank is due
+    /// already or sorting is off (`Fixed(0)`).
+    pub fn join_sort(&mut self) {
+        if self.interval > 0 && !self.due_after_push() {
+            self.interval = self.steps_since_sort + 1;
+        }
+    }
+
     /// A real sort just ran: close the measurement window, fold the window
     /// rate into the EWMA, re-solve the interval under `policy`, and mark
     /// the store coherent.
@@ -442,6 +460,47 @@ mod tests {
             assert!(!st.sort_due(step));
             st.note_push(50, 100);
         }
+    }
+
+    #[test]
+    fn vote_predicts_the_next_steps_sort_due() {
+        for policy in [SortPolicy::Fixed(3), SortPolicy::Fixed(0), SortPolicy::Auto] {
+            let mut st = CadenceState::new(policy);
+            for step in 0..60u64 {
+                if st.sort_due(step) {
+                    st.on_sorted(policy, 100, 64);
+                }
+                let vote = st.due_after_push();
+                st.note_push(5, 100);
+                assert_eq!(vote, st.sort_due(step + 1), "{policy} at step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn joining_a_sort_moves_only_the_phase() {
+        let policy = SortPolicy::Auto;
+        let mut st = CadenceState::new(policy);
+        for _ in 0..3 {
+            st.note_push(5, 100);
+        }
+        assert!(!st.due_after_push());
+        st.join_sort();
+        assert_eq!(st.interval, 4);
+        assert!(st.due_after_push());
+        st.note_push(5, 100);
+        assert!(st.sort_due(4));
+        // The sort re-solves the interval from the measured rate.
+        st.on_sorted(policy, 100, 64);
+        assert_eq!(st.interval, auto_sort_interval(100, 64, st.rate));
+
+        // Already due, or never sorting: nothing moves.
+        let mut due = CadenceState::new(SortPolicy::Fixed(1));
+        due.join_sort();
+        assert_eq!(due.interval, 1);
+        let mut off = CadenceState::new(SortPolicy::Fixed(0));
+        off.join_sort();
+        assert_eq!(off.interval, 0);
     }
 
     #[test]

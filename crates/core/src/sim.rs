@@ -123,7 +123,9 @@ pub trait Halo {
     /// Take species `si`'s exiles — particles whose move left the domain
     /// through a `Migrate` face — out of `sp`, and bring in whatever the
     /// neighbours send, finishing inbound moves into `acc`. Returns how
-    /// many particles left.
+    /// many particles left. A rank halo also folds the ranks' sort votes
+    /// into `sp`'s cadence here ([`Species::join_sort`]), before the
+    /// step's push is noted.
     fn settle(
         &mut self,
         si: usize,
@@ -251,9 +253,11 @@ pub fn advance<H: Halo>(
     // 1. Occasional sort, under the per-species cadence controller (fixed
     // interval or auto-tuned from coherence telemetry). The controller
     // skips the counting sort when the store is provably still in voxel
-    // order, and never fires on step 0. Sorting is domain-local and the
-    // controller's inputs are bit-deterministic, so ranks need no
-    // collective to stay in lockstep with their own particles.
+    // order, and never fires on step 0. Sorting is domain-local, but on a
+    // rank world every rank sorts on the same steps: the previous step's
+    // `settle` folded the ranks' sort votes into each cadence, on the
+    // collective migration makes anyway, so no rank waits out another's
+    // sort at its next receive. The votes are bit-deterministic.
     for sp in d.species.iter_mut() {
         if sp.sort_due(*d.step_count) {
             sp.sort_on_cadence(g);

@@ -103,6 +103,14 @@ impl Species {
         self.cadence.sort_due(step)
     }
 
+    /// Another rank's copy of this species votes to sort on the next step
+    /// ([`CadenceState::due_after_push`]): sort then too
+    /// ([`CadenceState::join_sort`]). Call before
+    /// [`note_push_tally`](Self::note_push_tally).
+    pub fn join_sort(&mut self) {
+        self.cadence.join_sort();
+    }
+
     /// Run the cadence-due sort, skipping the counting sort entirely when
     /// the store is provably still in voxel order (a sort happened, and
     /// zero crossers / no length change since — a stable counting sort of

@@ -342,8 +342,16 @@ impl CampaignSim for LpiRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
+    use std::path::{Path, PathBuf};
     use vpic_core::sentinel::{CorruptionEvent, CorruptionMode, CorruptionPlan};
+
+    /// A fresh scratch directory, scoped by process id so concurrent test
+    /// runs on one host do not share it.
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
     fn small_params() -> LpiParams {
         LpiParams {
@@ -366,8 +374,7 @@ mod tests {
 
     #[test]
     fn clean_campaign_completes() {
-        let dir = std::env::temp_dir().join("lpi_campaign_clean");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("lpi_campaign_clean");
         let out = run_lpi_campaign(small_params(), &test_cfg(&dir, 60)).unwrap();
         assert!(matches!(out.end, LpiCampaignEnd::Completed));
         assert_eq!(out.steps_run, 60);
@@ -378,12 +385,10 @@ mod tests {
 
     #[test]
     fn killed_campaign_recovers_bit_identically() {
-        let dir = std::env::temp_dir().join("lpi_campaign_kill");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("lpi_campaign_kill");
         let clean = run_lpi_campaign(small_params(), &test_cfg(&dir, 60)).unwrap();
 
-        let dir2 = std::env::temp_dir().join("lpi_campaign_kill2");
-        let _ = std::fs::remove_dir_all(&dir2);
+        let dir2 = temp_dir("lpi_campaign_kill2");
         let mut cfg = test_cfg(&dir2, 60);
         cfg.fault_plan = Some(FaultPlan::new(7).kill(0, 35));
         let faulted = run_lpi_campaign(small_params(), &cfg).unwrap();
@@ -400,12 +405,10 @@ mod tests {
 
     #[test]
     fn nan_corruption_rolls_back_and_completes_bit_identically() {
-        let dir = std::env::temp_dir().join("lpi_campaign_nan");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("lpi_campaign_nan");
         let clean = run_lpi_campaign(small_params(), &test_cfg(&dir, 60)).unwrap();
 
-        let dir2 = std::env::temp_dir().join("lpi_campaign_nan2");
-        let _ = std::fs::remove_dir_all(&dir2);
+        let dir2 = temp_dir("lpi_campaign_nan2");
         let mut cfg = test_cfg(&dir2, 60);
         cfg.corruption = Some(CorruptionPlan::new(42).with_event(CorruptionEvent {
             step: 33,
@@ -425,12 +428,10 @@ mod tests {
 
     #[test]
     fn halted_campaign_resumes_bit_identically() {
-        let dir = std::env::temp_dir().join("lpi_campaign_halt_ref");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("lpi_campaign_halt_ref");
         let clean = run_lpi_campaign(small_params(), &test_cfg(&dir, 60)).unwrap();
 
-        let dir2 = std::env::temp_dir().join("lpi_campaign_halt");
-        let _ = std::fs::remove_dir_all(&dir2);
+        let dir2 = temp_dir("lpi_campaign_halt");
         let cfg = test_cfg(&dir2, 60);
         // Model a crash: stop dead once the step-40 checkpoint is durable.
         let halted = run_lpi_campaign_with(small_params(), &cfg, false, &|step| step < 40).unwrap();
@@ -452,8 +453,7 @@ mod tests {
 
     #[test]
     fn unrecoverable_campaign_degrades_with_flight_recorder() {
-        let dir = std::env::temp_dir().join("lpi_campaign_degrade");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("lpi_campaign_degrade");
         let mut cfg = test_cfg(&dir, 60);
         cfg.max_recoveries = 0;
         cfg.corruption = Some(CorruptionPlan::new(3).with_event(CorruptionEvent {

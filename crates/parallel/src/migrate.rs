@@ -6,8 +6,12 @@
 //! grids share the same dims), ships it, and the receiver *continues the
 //! same move* with `move_p_local`, depositing the remaining current
 //! segments locally — so charge conservation holds exactly across domain
-//! boundaries. Multi-hop moves (corner crossings) are handled by repeated
-//! rounds terminated with a global reduction.
+//! boundaries. A move that crosses several decomposed axes (an edge or
+//! corner crossing) hops once per axis, one round each. A CFL-respecting
+//! move crosses each axis at most once, so every rank runs exactly one
+//! round per decomposed axis — none when no rank has an exile — and the
+//! only collective is the opening gather of pending counts, which also
+//! carries each rank's sort vote (see [`migrate_species`]).
 
 use nanompi::{Comm, CommError, Wire, WireReader};
 use vpic_core::accumulator::AccumulatorArray;
@@ -130,11 +134,27 @@ pub fn transform_to_receiver(p: &mut Particle, face: usize, g: &Grid) {
     p.i = g.voxel(c[0], c[1], c[2]) as u32;
 }
 
-/// Ship this species' exiles, receive inbound migrants, continue their
-/// moves (depositing into `acc`), and iterate until no rank has traffic.
+/// Ship this species' exiles, receive inbound migrants and continue their
+/// moves (depositing into `acc`), one round per decomposed axis.
 /// Returns the number of particles this rank sent (all rounds).
 ///
-/// `tag_base` must differ per species within one step.
+/// The step's one collective gathers every rank's `(pending exiles, sort
+/// vote)`: the vote is [`CadenceState::due_after_push`] of this species,
+/// and when any rank votes due every rank sorts it on the next step
+/// ([`Species::join_sort`]), so no rank waits out another's sort at
+/// the next receive. Under `Fixed(n)` the votes always agree.
+///
+/// `neighbors` must come from one Cartesian decomposition, so every rank
+/// counts the same decomposed axes. `tag_base` must differ per species
+/// within one step.
+///
+/// # Panics
+///
+/// When a migrant is still in flight after the last round: its move
+/// crossed one axis' domain faces twice, which a step within the CFL
+/// bound (under one cell per step on every axis) cannot do.
+///
+/// [`CadenceState::due_after_push`]: vpic_core::cadence::CadenceState::due_after_push
 #[allow(clippy::too_many_arguments)]
 pub fn migrate_species(
     comm: &mut Comm,
@@ -156,13 +176,21 @@ pub fn migrate_species(
     }
     sp.remove_exiles(&exiles);
 
+    let pending = exiles.len() as u64;
+    let votes = comm.allgather((pending, sp.cadence().due_after_push()))?;
+    if votes.iter().any(|&(_, due)| due) {
+        sp.join_sort();
+    }
+    if votes.iter().all(|&(n, _)| n == 0) {
+        return Ok(0);
+    }
+
+    let rounds = (0..3)
+        .filter(|&axis| neighbors[axis].is_some() || neighbors[axis + 3].is_some())
+        .count();
     let mut sent_total = 0u64;
-    loop {
-        let pending: u64 = outgoing.iter().map(|v| v.len() as u64).sum();
-        if comm.allreduce_sum_u64(pending)? == 0 {
-            break;
-        }
-        sent_total += pending;
+    for _ in 0..rounds {
+        sent_total += outgoing.iter().map(|v| v.len() as u64).sum::<u64>();
         // Send (empty vectors too, so receives always match).
         for face in 0..6 {
             if let Some(nb) = neighbors[face] {
@@ -191,6 +219,13 @@ pub fn migrate_species(
             }
         }
     }
+    let stranded: usize = outgoing.iter().map(Vec::len).sum();
+    assert!(
+        stranded == 0,
+        "{stranded} migrant(s) still in flight after {rounds} round(s), one per decomposed \
+         axis: a move crossed one axis' domain faces twice, which a step within the CFL \
+         bound (under one cell per step on every axis) cannot"
+    );
     Ok(sent_total)
 }
 
@@ -378,12 +413,12 @@ mod tests {
         assert_eq!(results[1].1, 0);
     }
 
-    #[test]
-    fn multi_hop_migration_terminates() {
-        use nanompi::run_expect;
-        // 4 ranks in a periodic x-ring; a very fast particle with a huge
-        // remaining displacement hops through several domains in one step.
-        use nanompi::CartTopology;
+    /// 4 ranks in a periodic x-ring of 4-cell domains; rank 0 ships one
+    /// fast particle through +x with a remaining half-displacement of
+    /// `dispx` (2·dispx offsets = dispx cells). Each rank's population
+    /// afterwards.
+    fn ring_of_four(dispx: f32) -> Vec<usize> {
+        use nanompi::{run_expect, CartTopology};
         let topo = CartTopology::new([4, 1, 1], [true, false, false]);
         let (results, _) = run_expect(4, |comm| {
             let g = migrate_grid();
@@ -405,14 +440,11 @@ mod tests {
                     w: 1.0,
                     ..Default::default()
                 });
-                // Remaining half-displacement of 3.0 offset units = 6 full
-                // offsets = 3 cells: it should stop 3 cells into rank 1's
-                // 4-cell domain (still needing a rank-1→1 hop only).
                 vec![Exile {
                     idx: 0,
                     face: 3,
                     mover: Mover {
-                        dispx: 3.0,
+                        dispx,
                         dispy: 0.0,
                         dispz: 0.0,
                         idx: 0,
@@ -424,9 +456,135 @@ mod tests {
             migrate_species(comm, &neighbors, &g, -1.0, &mut sp, &mut acc, exiles, 0).unwrap();
             sp.len()
         });
-        // Exactly one rank holds the particle afterwards: 3 cells past the
-        // rank-0/1 boundary lands inside rank 1's 4-cell domain.
+        results
+    }
+
+    #[test]
+    fn fast_migrant_lands_in_one_round() {
+        // 3 cells past the rank-0/1 boundary stops inside rank 1's domain,
+        // so the one round of the one decomposed axis settles it.
+        let results = ring_of_four(3.0);
         assert_eq!(results.iter().sum::<usize>(), 1);
         assert_eq!(results[1], 1);
+    }
+
+    /// A move across more than a whole domain breaks the CFL bound: the
+    /// migrant would need a second round on the x axis, and the guard
+    /// refuses to drop it silently.
+    #[test]
+    #[should_panic(expected = "CFL")]
+    fn migrant_pending_after_the_last_round_trips_the_guard() {
+        // 6 cells: through rank 1's 4-cell domain and out of it again.
+        ring_of_four(6.0);
+    }
+
+    /// A 2x2x1 world: a corner crosser leaves rank 0 through +x, crosses
+    /// +y inside its x-neighbour's domain and lands on the diagonal rank —
+    /// one round per decomposed axis, two in all. The particle, its weight
+    /// and the current it deposits along the way match one undivided grid.
+    #[test]
+    fn corner_crosser_reaches_the_diagonal_rank_in_two_rounds() {
+        use nanompi::{run_expect, CartTopology};
+        let migrate_xy = [
+            ParticleBc::Migrate,
+            ParticleBc::Migrate,
+            ParticleBc::Periodic,
+            ParticleBc::Migrate,
+            ParticleBc::Migrate,
+            ParticleBc::Periodic,
+        ];
+        let topo = CartTopology::new([2, 2, 1], [true, true, false]);
+        let x_nb = topo.neighbor(0, 0, 1).unwrap();
+        let diagonal = topo.neighbor(x_nb, 1, 1).unwrap();
+        let mover = Mover {
+            dispx: 0.1,
+            dispy: 0.1,
+            dispz: 0.0,
+            idx: 0,
+        };
+        let current = |acc: &AccumulatorArray| {
+            acc.data.iter().fold([0.0f64; 3], |s, a| {
+                let sum = |q: [f32; 4]| q.iter().map(|&v| v as f64).sum::<f64>();
+                [s[0] + sum(a.jx), s[1] + sum(a.jy), s[2] + sum(a.jz)]
+            })
+        };
+        let (results, traffic) = run_expect(4, |comm| {
+            let g = Grid::new((4, 4, 2), (1.0, 1.0, 1.0), 0.1, migrate_xy);
+            let r = comm.rank();
+            let neighbors = [
+                topo.neighbor(r, 0, -1),
+                topo.neighbor(r, 1, -1),
+                None,
+                topo.neighbor(r, 0, 1),
+                topo.neighbor(r, 1, 1),
+                None,
+            ];
+            let mut sp = Species::new("e", -1.0, 1.0);
+            let mut acc = AccumulatorArray::new(&g);
+            let exiles = if r == 0 {
+                // On the +x face of the corner voxel, 0.1 offsets below +y.
+                sp.push(Particle {
+                    i: g.voxel(4, 4, 1) as u32,
+                    dx: 1.0,
+                    dy: 0.9,
+                    w: 1.0,
+                    ..Default::default()
+                });
+                vec![Exile {
+                    idx: 0,
+                    face: 3,
+                    mover,
+                }]
+            } else {
+                Vec::new()
+            };
+            let sent =
+                migrate_species(comm, &neighbors, &g, -1.0, &mut sp, &mut acc, exiles, 0).unwrap();
+            let w: f32 = sp.iter().map(|p| p.w).sum();
+            (sp.len(), sent, w, current(&acc))
+        });
+        for (r, &(len, sent, w, _)) in results.iter().enumerate() {
+            assert_eq!(len, usize::from(r == diagonal), "rank {r} population");
+            assert_eq!(sent, u64::from(r == 0 || r == x_nb), "rank {r} sent");
+            assert_eq!(w, if r == diagonal { 1.0 } else { 0.0 });
+        }
+        // Two rounds of four faces on each of four ranks; the opening
+        // gather is a collective and not counted.
+        assert_eq!(traffic.total_messages, 2 * 4 * 4);
+
+        // The same move on one grid of the whole 8x8x2 box, from where
+        // the x-neighbour takes it up.
+        let whole = Grid::new((8, 8, 2), (1.0, 1.0, 1.0), 0.1, [ParticleBc::Periodic; 6]);
+        let mut p = Particle {
+            i: whole.voxel(5, 4, 1) as u32,
+            dx: -1.0,
+            dy: 0.9,
+            w: 1.0,
+            ..Default::default()
+        };
+        let mut acc = AccumulatorArray::new(&whole);
+        let mut m = mover;
+        assert_eq!(
+            move_p_local(&mut p, &mut m, &mut acc, &whole, -1.0),
+            MoveOutcome::Done
+        );
+        assert_eq!(p.i, whole.voxel(5, 5, 1) as u32);
+        let want = current(&acc);
+        let mut got = [0.0f64; 3];
+        for (_, _, _, j) in &results {
+            for (g, v) in got.iter_mut().zip(j) {
+                *g += v;
+            }
+        }
+        assert!(
+            want[0] != 0.0 && want[1] != 0.0,
+            "the move deposits current"
+        );
+        for axis in 0..3 {
+            assert!(
+                (got[axis] - want[axis]).abs() <= 1e-6 * want[axis].abs().max(1.0),
+                "axis {axis}: {got:?} vs {want:?}"
+            );
+        }
     }
 }

@@ -51,10 +51,11 @@
 #
 # Pass "transport" (or set CI_TRANSPORT=1) to run the socket-transport
 # lane: the nanompi and vpic-parallel suites (wire/socket/bootstrap,
-# coalesced halo exchange), the relative CRC speed gate, the
-# local-vs-socket determinism matrix on the shipped SRS deck, the
-# multi-process kill -9/rejoin recovery test, and the 16-plan socket
-# fault soak.
+# coalesced halo exchange, migration rounds), the distributed
+# consistency suite (sort votes over both transports), the relative
+# CRC speed gate, the local-vs-socket determinism matrix on the shipped
+# SRS deck, the multi-process kill -9/rejoin recovery test, and the
+# 16-plan socket fault soak.
 #
 # Pass "diag" (or set CI_DIAG=1) to run the diagnostics-pipeline lane:
 # the bounded-queue/engine unit and property suites, the [diag] deck
@@ -196,8 +197,14 @@ if [[ "${1:-}" == "transport" || "${CI_TRANSPORT:-0}" == "1" ]]; then
     # adoption, fault injection (incl. the duplicated-final-message
     # regression); the coalesced ghost exchange vs the per-component
     # reference on a 2x2x2 world over both transports, mis-sized plane
-    # messages, the per-step message count, Migrant batches.
+    # messages, the per-step message count, Migrant batches, migration's
+    # round bound (2x2x1 corner crossers in two rounds, the CFL guard).
     cargo test --release -p nanompi -p vpic-parallel
+    # The sort vote on migration's gather: a 2-rank `auto` world sorts on
+    # the same steps on every rank, with equal per-rank fingerprints over
+    # the local and the socket transport; a dump taken on a lowered
+    # interval resumes bit-identically; `Fixed(n)` intervals never move.
+    cargo test --release --test distributed_consistency
     # The one CRC kernel every frame, dump and journal record uses: the
     # folded (PCLMULQDQ) body against slicing-by-8 at every length
     # 0..=512 x offset 0..16 and on 1 MB, slicing-by-8 against the

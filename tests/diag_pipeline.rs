@@ -5,11 +5,20 @@
 //! Last, the timing gate of `scripts/ci.sh diag`: what publication costs
 //! the step.
 
+use std::path::PathBuf;
 use vpic::core::cadence::SortPolicy;
 use vpic::core::PushKernel;
 use vpic::diag::{DiagConfig, DiagMode};
 use vpic::lpi::{run_lpi_campaign, LpiCampaignConfig, LpiCampaignEnd, LpiParams, LpiRun};
 use vpic::nanompi::FaultPlan;
+
+/// A fresh scratch directory, scoped by process id so concurrent test
+/// runs on one host do not share it.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 /// A short-transit SRS slab: small sponges and vacuum gaps keep
 /// `measure_after` low so CI-sized runs collect a real sample window.
@@ -117,8 +126,7 @@ fn killed_async_campaign_replays_without_double_counting() {
     let restore = (kill_at / interval) * interval;
     assert!(restore > measure_after && restore < kill_at);
 
-    let dir_sync = std::env::temp_dir().join("diag_pipe_camp_sync");
-    let _ = std::fs::remove_dir_all(&dir_sync);
+    let dir_sync = temp_dir("diag_pipe_camp_sync");
     let clean = run_lpi_campaign(
         short_params(DiagMode::Sync, 1),
         &campaign_cfg(&dir_sync, steps, interval),
@@ -126,8 +134,7 @@ fn killed_async_campaign_replays_without_double_counting() {
     .unwrap();
     assert!(matches!(clean.end, LpiCampaignEnd::Completed));
 
-    let dir_async = std::env::temp_dir().join("diag_pipe_camp_async");
-    let _ = std::fs::remove_dir_all(&dir_async);
+    let dir_async = temp_dir("diag_pipe_camp_async");
     let mut cfg = campaign_cfg(&dir_async, steps, interval);
     cfg.fault_plan = Some(FaultPlan::new(11).kill(0, kill_at));
     let faulted = run_lpi_campaign(short_params(DiagMode::Async, 1), &cfg).unwrap();
@@ -196,8 +203,7 @@ fn async_publication_is_at_most_3_percent_of_the_step() {
         ..Default::default()
     });
     // The worker streams real artifacts, as under `vpic-run`.
-    let dir = std::env::temp_dir().join("diag_pipe_gate");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = temp_dir("diag_pipe_gate");
     std::fs::create_dir_all(&dir).unwrap();
     run.diag_set_out_dir(dir.clone());
     // Nothing is published before the measurement gate opens.
