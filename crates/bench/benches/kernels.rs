@@ -4,11 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nanompi::{run_socket, SocketAddrSpec, SocketBoot, Wire, WireReader};
-use vpic_core::aosoa::{advance_p_aosoa, lane_compute, lane_scatter, AosoaStore};
+use vpic_core::aosoa::{lane_compute, lane_scatter, sort_aosoa_with, AosoaStore, SortBuffers};
 use vpic_core::field_solver::{advance_b, advance_e, bcs_of, sync_b, sync_e, sync_j};
 use vpic_core::lanes::{self, transpose8, F32x8, Wide, LANES};
-use vpic_core::push::{advance_p_serial, advance_p_tallied, PushCoefficients, PushKernel};
-use vpic_core::sort::sort_by_voxel;
+use vpic_core::push::{advance_p_aos, advance_p_tallied, PushCoefficients, PushKernel};
 use vpic_core::{
     grid::ParticleBc, load_uniform, AccumulatorArray, FieldArray, Grid, InterpolatorArray,
     Momentum, Rng, Simulation, Species,
@@ -46,27 +45,20 @@ fn bench_push(c: &mut Criterion) {
         let g = sim.grid.clone();
         let coeffs = PushCoefficients::new(-1.0, 1.0, &g);
         let interp = sim.interp.clone();
-        let mut acc = AccumulatorArray::new(&g);
+        let mut accs = [AccumulatorArray::new(&g)];
         let n = sim.n_particles();
         group.throughput(Throughput::Elements(n as u64));
+        // The serial reference, one pipeline.
         let mut parts = sim.species[0].to_particles();
         group.bench_with_input(BenchmarkId::new("aos", ppc), &ppc, |b, _| {
             b.iter(|| {
-                acc.clear();
-                advance_p_serial(&mut parts, coeffs, &interp, &mut acc, &g);
-            })
-        });
-        let mut store = AosoaStore::from_particles(&parts);
-        group.bench_with_input(BenchmarkId::new("aosoa", ppc), &ppc, |b, _| {
-            b.iter(|| {
-                acc.clear();
-                advance_p_aosoa(&mut store, coeffs, &interp, &mut acc, &g);
+                accs[0].clear();
+                advance_p_aos(&mut parts, coeffs, &interp, &mut accs, &g)
             })
         });
         // The path that ships: one pipeline of the production advance,
         // deferred-scatter queue and tallies included.
         let mut store = AosoaStore::from_particles(&parts);
-        let mut accs = [AccumulatorArray::new(&g)];
         group.bench_with_input(BenchmarkId::new("aosoa_pipelined", ppc), &ppc, |b, _| {
             b.iter(|| {
                 accs[0].clear();
@@ -266,6 +258,8 @@ fn bench_ghost_sync(c: &mut Criterion) {
     group.finish();
 }
 
+/// The sort that ships: the in-place AoSoA sort of a shuffled store, its
+/// buffers held across iterations as a `Species` holds them.
 fn bench_sort(c: &mut Criterion) {
     let mut group = c.benchmark_group("sort");
     let sim = plasma((16, 16, 16), 32);
@@ -276,16 +270,16 @@ fn bench_sort(c: &mut Criterion) {
         for i in (1..v.len()).rev() {
             v.swap(i, rng.index(i + 1));
         }
-        v
+        AosoaStore::from_particles(&v)
     };
+    let mut buf = SortBuffers::default();
     group.throughput(Throughput::Elements(shuffled.len() as u64));
     group.bench_function("counting_sort", |b| {
         b.iter_batched(
             || shuffled.clone(),
-            |mut v| {
-                let mut scratch = Vec::new();
-                sort_by_voxel(&mut v, nv, &mut scratch);
-                v
+            |mut store| {
+                sort_aosoa_with(&mut store, nv, &mut buf);
+                store
             },
             criterion::BatchSize::LargeInput,
         )

@@ -22,7 +22,7 @@ fn main() {
     let reps = if full { 25 } else { 10 };
 
     // --- (1) Layout: AoS vs AoSoA ------------------------------------
-    // The AoS oracle push over a plain particle vector against the
+    // The serial AoS reference push over a plain particle vector against the
     // production AoSoA push sim.step() takes, both one pipeline of the
     // same index partition and deposit order.
     let mut sim = uniform_plasma(n, ppc, 1, 21);

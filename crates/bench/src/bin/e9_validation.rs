@@ -94,7 +94,7 @@ fn energy_drift(full: bool) -> f64 {
 
 fn continuity_residual() -> f64 {
     use vpic_core::deposit::deposit_rho;
-    use vpic_core::push::{advance_p_serial, PushCoefficients};
+    use vpic_core::push::{advance_p_aos, PushCoefficients};
     use vpic_core::{AccumulatorArray, FieldArray};
     let g = Grid::periodic((8, 8, 8), (0.4, 0.4, 0.4), 0.3);
     let mut rng = Rng::seeded(10);
@@ -113,8 +113,8 @@ fn continuity_residual() -> f64 {
     }
     let before = parts.clone();
     let ia = vpic_core::InterpolatorArray::new(&g);
-    let mut acc = AccumulatorArray::new(&g);
-    advance_p_serial(
+    let mut acc = [AccumulatorArray::new(&g)];
+    advance_p_aos(
         &mut parts,
         PushCoefficients::new(-1.0, 1.0, &g),
         &ia,
@@ -122,7 +122,7 @@ fn continuity_residual() -> f64 {
         &g,
     );
     let mut f = FieldArray::new(&g);
-    acc.unload(&mut f, &g);
+    acc[0].unload(&mut f, &g);
     sync_j(&mut f, &g, bcs_of(&g));
     let mut rho_b = FieldArray::new(&g);
     deposit_rho(&mut rho_b, &g, before.iter().copied(), -1.0);

@@ -164,8 +164,8 @@ impl AccumulatorArray {
     /// The z-planes deposited into since the last clear, ascending. All
     /// entries of the other planes are zero (every deposit marks its
     /// voxel's plane: [`Self::deposit`], [`Self::deposit_quadrants`],
-    /// [`Self::deposit_crossing`] and [`Self::reduce_from`] mark it
-    /// themselves, [`Self::deposit_lane`]'s caller marks it first).
+    /// `deposit_crossing` and [`Self::reduce_from`] mark it
+    /// themselves, `deposit_lane`'s caller marks it first).
     pub fn dirty_planes(&self) -> impl Iterator<Item = usize> + '_ {
         self.dirty
             .iter()
@@ -266,7 +266,7 @@ impl AccumulatorArray {
     /// Accumulate four precomputed quadrant contributions per edge
     /// direction into `voxel` — the scatter half of [`Self::deposit`]
     /// when the quadrant arithmetic was done lane-wide up front (see
-    /// [`quadrants_lanes`]). Each entry is added with a single `+=`, the
+    /// `quadrants_lanes`). Each entry is added with a single `+=`, the
     /// same final operation `deposit` performs, so a lane kernel that
     /// feeds this with bit-identical addends lands on bit-identical sums.
     #[inline]

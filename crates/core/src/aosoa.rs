@@ -8,9 +8,10 @@
 //! This is the one particle store — every [`Species`](crate::Species)
 //! owns an [`AosoaStore`]: element access, mover emission for
 //! rank-boundary exiles, absorption, the blocked counting sort, and Rayon
-//! pipeline parallelism — all bit-identical to the AoS oracle the tests
-//! compare against ([`crate::push::advance_p_aos`],
-//! [`crate::sort::sort_by_voxel_with`]). The inner loop runs lane-wide
+//! pipeline parallelism — all bit-identical to the one serial reference
+//! of each kernel the tests compare against ([`crate::push::advance_p_aos`]
+//! for the push, [`crate::sort::reference_sort`] for the sort). The inner
+//! loop runs lane-wide
 //! ([`PushKernel::Lane`], built on [`crate::lanes`]) yet stays
 //! bit-identical to the scalar oracle because every lane executes the
 //! scalar kernel's exact IEEE expression tree element-wise (no
@@ -28,7 +29,6 @@ use crate::push::{
     move_p_local, push_one, retarget_and_delete, Exile, MoveOutcome, PushCoefficients, PushKernel,
     PushedFate,
 };
-use crate::sort::{reserved_end, MIN_SORT_CHUNK};
 use crate::threads::worker_threads;
 use rayon::prelude::*;
 use std::mem::MaybeUninit;
@@ -139,8 +139,7 @@ unsafe fn lane_store(b: *mut Block, l: usize, p: &Particle) {
 
 /// Raw block cursor shared across pipelines/workers. Workers touch
 /// disjoint lane sets (see the safety arguments at the use sites), so
-/// sharing the pointer across threads is sound — the AoSoA analogue of
-/// `sort::ScatterPtr`.
+/// sharing the pointer across threads is sound.
 #[derive(Clone, Copy)]
 struct BlockPtr {
     base: *mut Block,
@@ -469,67 +468,7 @@ impl AosoaStore {
     }
 }
 
-/// Lane-wide advance of one block — the production inner loop
-/// ([`PushKernel::Lane`]). Four phases:
-///
-/// 1. **Gather**: transpose the 18 interpolator coefficients of the eight
-///    lanes' voxels into [`F32x8`] vectors
-///    ([`InterpolatorArray::gather_ha_cb8`]), so the arithmetic phase has
-///    no memory indirection.
-/// 2. **Push**: the relativistic Boris kick/rotate/displace as lane-wide
-///    ops mirroring `push_one`'s expression tree *exactly* — same
-///    grouping, no fused multiply-adds — so every lane computes the same
-///    IEEE operation sequence the scalar oracle would.
-/// 3. **Masked write-back**: momenta unconditionally; positions through a
-///    `select` on the stay mask `|n| <= 1` per axis, so cell-crossing
-///    lanes keep their pre-push positions for the mover (NaN fails the
-///    compare, exactly like the scalar `if`).
-/// 4. **Scatter**: the Villasenor–Buneman quadrant currents are
-///    precomputed lane-wide ([`streak_addends`]), then scattered **in
-///    lane index order** ([`scatter_run`]): stay lanes add their quadrant
-///    addends; crossers deposit their segments right there — moved by the
-///    batched mover ([`one_face_moves`]) or, at corners and boundaries,
-///    by the scalar [`move_p_local`]. Deposits stay in lane order because
-///    accumulator adds are order-sensitive f32 sums — lanes sharing a
-///    voxel (the common case after sorting) must deposit in the same
-///    order the scalar pipeline would.
-///
-/// Padding lanes are parked on valid voxels so running the vector phases
-/// over them is safe; the scatter loop stops at `live`, so they deposit
-/// nothing and never cross. Global particle index of lane `l` is
-/// `base + l`; absorbed indices and exiles are appended for the caller
-/// (identical contract to `push::advance_block`).
-#[allow(clippy::too_many_arguments)]
-fn advance_full_block(
-    b: &mut Block,
-    base: usize,
-    n: usize,
-    c: PushCoefficients,
-    interp: &InterpolatorArray,
-    acc: &mut AccumulatorArray,
-    g: &Grid,
-    absorbed: &mut Vec<u32>,
-    exiles: &mut Vec<Exile>,
-    crossers: &mut Crossers,
-) {
-    let mut s = BlockPush::default();
-    compute_blocks([&mut *b], c, interp, [&mut s]);
-    let run = std::slice::from_mut(b);
-    scatter_run(
-        run,
-        &[s],
-        base,
-        n,
-        c.qsp,
-        acc,
-        g,
-        absorbed,
-        exiles,
-        crossers,
-    );
-}
-
-/// Everything [`compute_blocks`] hands to [`scatter_run`] for one block:
+/// Everything `compute_blocks` hands to `scatter_run` for one block:
 /// the stay mask, the half displacements the movers need, and the
 /// quadrant addends already transposed lane-major.
 #[derive(Clone, Copy, Default)]
@@ -578,7 +517,8 @@ fn put<const K: usize>(
     }
 }
 
-/// Phases 1–3 of [`advance_full_block`] plus the lane-wide quadrant
+/// Phases 1–3 of the lane kernel (see [`advance_range`]) plus the
+/// lane-wide quadrant
 /// precompute, for `K` blocks in lock step: pure vector work against the
 /// blocks and the (read-only) interpolators — no accumulator access, so
 /// the computes of different blocks are independent. Every statement
@@ -687,9 +627,9 @@ fn live_mask(live: usize) -> Mask8 {
     Mask8(0xFF >> (LANES - live))
 }
 
-/// Phase 4 of [`advance_full_block`] for a run of consecutive blocks —
-/// one drain of the deferred-scatter queue, the whole of a one-block
-/// advance: the in-order lane scatter, fed by [`compute_blocks`]'
+/// Phase 4 of the lane kernel (see [`advance_range`]) for a run of
+/// consecutive blocks — one drain of the deferred-scatter queue: the
+/// in-order lane scatter, fed by [`compute_blocks`]'
 /// precomputed addends, with the run's crossers moved as a batch. `base`
 /// is the particle index of the first block's lane 0, `n` the store's
 /// particle count, `crossers` the caller's scratch, reused from run to
@@ -1011,7 +951,7 @@ fn spill_lane(
     b.set_lane(l, &p);
 }
 
-/// How many blocks' [`compute_blocks`] results are queued before one
+/// How many blocks' `compute_blocks` results are queued before one
 /// scatter pass drains them. A drain is a burst of dependent
 /// load-add-stores plus one batched mover pass per eight crossers;
 /// batching it keeps the compute groups back to back — a steady vector
@@ -1025,9 +965,9 @@ fn spill_lane(
 /// alternating pairs).
 /// (It does not put many compute chains in flight: the reorder window
 /// holds a little over one block's instructions, which is what
-/// [`BLOCK_GROUP`] is for.) 16 blocks ≈ 128 particles of queued
+/// `BLOCK_GROUP` is for.) 16 blocks ≈ 128 particles of queued
 /// [`BlockPush`]es (~10 KiB) stay L1-resident — a fixed array on
-/// [`advance_range`]'s stack.
+/// `advance_range`'s stack.
 pub const SCATTER_BATCH: usize = 16;
 
 // Whole groups tile the queue. A pass takes a group while that many full
@@ -1112,17 +1052,44 @@ unsafe fn compute_into_queue<const K: usize>(
 
 /// One pipeline's share of the production AoSoA advance: the particle
 /// index range `[start, end)`. With [`PushKernel::Lane`], blocks fully
-/// inside the range run the lane-wide kernel with deferred scatter:
-/// [`compute_blocks`] runs [`BLOCK_GROUP`] blocks at a time while that
-/// many full blocks are ahead in the range, one at a time after that (pure
-/// vector work, no accumulator access), until [`SCATTER_BATCH`] results are
-/// queued, then they scatter in block order. Lanes of blocks straddling a
-/// pipeline boundary run the scalar per-particle path (same arithmetic —
-/// lane math is element-wise, so results are bit-identical either way);
-/// the queue is drained first so accumulator deposits keep particle-index
-/// order. With [`PushKernel::Scalar`] every lane takes the scalar path —
-/// that is the oracle configuration the differential harness compares
-/// against.
+/// inside the range run the lane-wide kernel, in four phases:
+///
+/// 1. **Gather**: transpose the 18 interpolator coefficients of the eight
+///    lanes' voxels into [`F32x8`] vectors
+///    ([`InterpolatorArray::gather_ha_cb8`]), so the arithmetic phase has
+///    no memory indirection.
+/// 2. **Push**: the relativistic Boris kick/rotate/displace as lane-wide
+///    ops mirroring `push_one`'s expression tree *exactly* — same
+///    grouping, no fused multiply-adds — so every lane computes the same
+///    IEEE operation sequence the scalar oracle would.
+/// 3. **Masked write-back**: momenta unconditionally; positions through a
+///    `select` on the stay mask `|n| <= 1` per axis, so cell-crossing
+///    lanes keep their pre-push positions for the mover (NaN fails the
+///    compare, exactly like the scalar `if`).
+/// 4. **Scatter**: the Villasenor–Buneman quadrant currents are
+///    precomputed lane-wide ([`streak_addends`]), then scattered **in
+///    lane index order** ([`scatter_run`]): stay lanes add their quadrant
+///    addends; crossers deposit their segments right there — moved by the
+///    batched mover ([`one_face_moves`]) or, at corners and boundaries,
+///    by the scalar [`move_p_local`]. Deposits stay in lane order because
+///    accumulator adds are order-sensitive f32 sums — lanes sharing a
+///    voxel (the common case after sorting) must deposit in the same
+///    order the scalar pipeline would.
+///
+/// Phases 1–3 are [`compute_blocks`], deferred: it runs [`BLOCK_GROUP`]
+/// blocks at a time while that many full blocks are ahead in the range,
+/// one at a time after that (pure vector work, no accumulator access),
+/// until [`SCATTER_BATCH`] results are queued, then phase 4 drains them
+/// in block order. Padding lanes are parked on valid voxels so running
+/// the vector phases over them is safe; the scatter stops at the store's
+/// last particle, so they deposit nothing and never cross.
+///
+/// Lanes of blocks straddling a pipeline boundary run the scalar
+/// per-particle path (same arithmetic — lane math is element-wise, so
+/// results are bit-identical either way); the queue is drained first so
+/// accumulator deposits keep particle-index order. With
+/// [`PushKernel::Scalar`] every lane takes the scalar path — the
+/// configuration whole-step oracles run.
 ///
 /// Also tallies the coherence telemetry of the range (crossers, spills,
 /// mixed blocks, straddled lanes) for the sort-cadence controller.
@@ -1261,7 +1228,7 @@ unsafe fn advance_range(
 }
 
 /// The production particle advance behind [`crate::push::advance_p`]:
-/// the exact pipeline contract of the AoS oracle
+/// the exact pipeline contract of the push's serial reference
 /// [`crate::push::advance_p_aos`] — same index partition (`block =
 /// n.div_ceil(n_pipes).max(1)` over *particle* indices, not blocks), same
 /// per-pipeline deposit order, same absorbed/exile bookkeeping — so the
@@ -1309,50 +1276,7 @@ pub(crate) fn advance_p_aosoa_pipelined_with(
     (exiles, tally)
 }
 
-/// Single-accumulator AoSoA advance for closed (periodic/reflect) domains
-/// — the unit tests' and kernel benches' single block walk. Absorbed or
-/// exiting particles are parked in place with zero weight instead of
-/// being removed/migrated; use [`crate::push::advance_p`] for the
-/// production contract.
-pub fn advance_p_aosoa(
-    store: &mut AosoaStore,
-    c: PushCoefficients,
-    interp: &InterpolatorArray,
-    acc: &mut AccumulatorArray,
-    g: &Grid,
-) {
-    let real = store.len;
-    let mut absorbed: Vec<u32> = Vec::new();
-    let mut exiles: Vec<Exile> = Vec::new();
-    let mut crossers = Crossers::default();
-    for (bi, b) in store.blocks.iter_mut().enumerate() {
-        advance_full_block(
-            b,
-            bi * LANES,
-            real,
-            c,
-            interp,
-            acc,
-            g,
-            &mut absorbed,
-            &mut exiles,
-            &mut crossers,
-        );
-    }
-    // Closed-domain fallback: park leavers with zero weight.
-    for idx in absorbed {
-        let mut p = store.get(idx as usize);
-        p.w = 0.0;
-        store.set(idx as usize, p);
-    }
-    for e in exiles {
-        let mut p = store.get(e.idx as usize);
-        p.w = 0.0;
-        store.set(e.idx as usize, p);
-    }
-}
-
-/// The compute half of the lane kernel on its own ([`compute_blocks`]
+/// The compute half of the lane kernel on its own (`compute_blocks`
 /// over every whole block of the store, `K` at a time, an odd last block
 /// alone), for the kernel benches and the pairing speed gate: `out[bi]`
 /// becomes block `bi`'s record, ready for [`lane_scatter`]. Particles
@@ -1379,9 +1303,9 @@ pub fn lane_compute<const K: usize>(
 
 /// The scatter half of the lane kernel on its own: the records from
 /// [`lane_compute`] drained [`SCATTER_BATCH`] blocks at a time, in block
-/// order, as the production queue drains them ([`scatter_run`], crossers
-/// through the batched mover). Closed domains only, like
-/// [`advance_p_aosoa`] — leavers are dropped.
+/// order, as the production queue drains them (`scatter_run`, crossers
+/// through the batched mover). Closed domains only: absorbed and exiting
+/// particles are neither removed nor reported.
 pub fn lane_scatter(
     store: &mut AosoaStore,
     pushes: &[BlockPush],
@@ -1417,6 +1341,33 @@ pub fn lane_scatter(
 /// the window they were read in.
 pub const SORT_WINDOW: usize = 1 << 17;
 
+/// Minimum particles per sort worker; below this the fan-out overhead
+/// outweighs the work and fewer (or one) workers are used.
+const MIN_SORT_CHUNK: usize = 16 * 1024;
+
+/// End of the slot range the exclusive prefix-sum reserved for the pair
+/// `(worker w, voxel v)`: the start of the next pair in `(voxel, worker)`
+/// order, `n` after the last. `starts` is a copy of the prefix-sum table
+/// taken before the in-place pass advances it. Debug builds check every
+/// slot the pass hands out against this, which is what pins "no two
+/// workers share a slot" when the workers really run at once.
+fn reserved_end(
+    starts: &[u32],
+    n_voxels: usize,
+    workers: usize,
+    n: usize,
+    w: usize,
+    v: usize,
+) -> usize {
+    if w + 1 < workers {
+        starts[(w + 1) * n_voxels + v] as usize
+    } else if v + 1 < n_voxels {
+        starts[v + 1] as usize
+    } else {
+        n
+    }
+}
+
 /// A lane the in-place pass could not place while walking its window: the
 /// particle and its output slot, stored once every window is written back.
 #[derive(Clone, Copy, Debug)]
@@ -1450,14 +1401,17 @@ impl SortBuffers {
     }
 }
 
-/// Blocked counting sort by voxel with caller-held buffers, mirroring
-/// [`crate::sort::sort_by_voxel_with`]: same worker-count rule, same
-/// per-worker histograms over contiguous *particle index* ranges, same
-/// serial `(voxel, worker)` prefix-sum — so the output permutation is
-/// exactly the stable serial counting sort, bitwise independent of the
-/// worker count and identical to the AoS sort's. The particles are
-/// rearranged in place through windows of [`SORT_WINDOW`] lanes; no second
-/// copy of the store is held.
+/// Blocked counting sort by voxel with caller-held buffers — VPIC's
+/// `sortp`, the one production sort. Each worker histograms a contiguous
+/// *particle index* range into a private per-voxel count array (at most
+/// one worker per `MIN_SORT_CHUNK` particles); a serial exclusive
+/// prefix-sum over `(voxel, worker)` pairs turns the counts into output
+/// slots, so worker `w`'s particles of voxel `v` land after every lower
+/// voxel and after workers `< w` for the same voxel, in their original
+/// order. The output permutation is therefore exactly the stable serial
+/// counting sort ([`crate::sort::reference_sort`]), bitwise independent
+/// of the worker count. The particles are rearranged in place through
+/// windows of [`SORT_WINDOW`] lanes; no second copy of the store is held.
 pub fn sort_aosoa_with(store: &mut AosoaStore, n_voxels: usize, buf: &mut SortBuffers) {
     let n = store.len;
     let workers = worker_threads().min(n.div_ceil(MIN_SORT_CHUNK)).max(1);
@@ -1465,8 +1419,9 @@ pub fn sort_aosoa_with(store: &mut AosoaStore, n_voxels: usize, buf: &mut SortBu
 }
 
 /// Worker-count- and window-explicit body of the AoSoA sort (tests drive
-/// this to pin the permutation against the AoS reference for any worker
-/// count, and through many windows and the far lists on small stores).
+/// this to pin the permutation against the serial reference for any
+/// worker count, and through many windows and the far lists on small
+/// stores).
 /// `window` is a positive multiple of [`LANES`].
 pub(crate) fn sort_aosoa_with_workers(
     store: &mut AosoaStore,
@@ -1506,8 +1461,9 @@ pub(crate) fn sort_aosoa_with_workers(
             });
     }
 
-    // Phase 2: exclusive prefix-sum in (voxel, worker) order — identical
-    // to the AoS sort, which is what makes the permutations equal.
+    // Phase 2: exclusive prefix-sum in (voxel, worker) order — worker w's
+    // slots for voxel v start after every lower voxel and after workers
+    // < w for the same voxel, which is what makes the sort stable.
     let mut running = 0u32;
     for v in 0..n_voxels {
         for w in 0..workers {
@@ -1611,9 +1567,9 @@ mod tests {
     use super::*;
     use crate::field::FieldArray;
     use crate::field_solver::{bcs_of, sync_b, sync_e};
-    use crate::push::{advance_p, advance_p_aos, advance_p_serial};
+    use crate::push::{advance_p, advance_p_aos};
     use crate::rng::Rng;
-    use crate::sort::sort_with_workers;
+    use crate::sort::{locality_fraction, reference_sort};
 
     fn random_particles(n: usize, seed: u64) -> Vec<Particle> {
         let mut rng = Rng::seeded(seed);
@@ -1745,19 +1701,19 @@ mod tests {
 
         let c = PushCoefficients::new(-1.0, 1.0, &g);
         let mut aos = parts.clone();
-        let mut acc_aos = AccumulatorArray::new(&g);
-        advance_p_serial(&mut aos, c, &ia, &mut acc_aos, &g);
+        let mut acc_aos = [AccumulatorArray::new(&g)];
+        advance_p_aos(&mut aos, c, &ia, &mut acc_aos, &g);
 
         let mut store = AosoaStore::from_particles(&parts);
-        let mut acc_soa = AccumulatorArray::new(&g);
-        advance_p_aosoa(&mut store, c, &ia, &mut acc_soa, &g);
+        let mut acc_soa = [AccumulatorArray::new(&g)];
+        advance_p(&mut store, c, &ia, &mut acc_soa, &g);
         let soa = store.to_particles();
 
         assert_eq!(aos.len(), soa.len());
         for (a, b) in aos.iter().zip(soa.iter()) {
             assert_eq!(a, b, "particle state diverged");
         }
-        for (x, y) in acc_aos.data.iter().zip(acc_soa.data.iter()) {
+        for (x, y) in acc_aos[0].data.iter().zip(acc_soa[0].data.iter()) {
             for n in 0..4 {
                 assert_eq!(x.jx[n], y.jx[n]);
                 assert_eq!(x.jy[n], y.jy[n]);
@@ -1777,12 +1733,12 @@ mod tests {
             ..Default::default()
         }];
         let mut store = AosoaStore::from_particles(&parts);
-        let mut acc = AccumulatorArray::new(&g);
+        let mut acc = [AccumulatorArray::new(&g)];
         let c = PushCoefficients::new(-1.0, 1.0, &g);
-        advance_p_aosoa(&mut store, c, &ia, &mut acc, &g);
+        advance_p(&mut store, c, &ia, &mut acc, &g);
         // Only the single real particle's deposit exists.
-        let total: f32 = acc.data.iter().flat_map(|a| a.jx.iter()).sum();
-        let single: f32 = acc.data[g.voxel(2, 2, 2)].jx.iter().sum();
+        let total: f32 = acc[0].data.iter().flat_map(|a| a.jx.iter()).sum();
+        let single: f32 = acc[0].data[g.voxel(2, 2, 2)].jx.iter().sum();
         assert_eq!(total, single);
         assert!(single != 0.0);
     }
@@ -1847,9 +1803,7 @@ mod tests {
         }
         let mut ia = InterpolatorArray::new(&g);
         ia.load(&f, &g);
-        let mut parts = loaded_plasma(&g, 8 * g.n_live(), 5);
-        let (mut scratch, mut counts) = (Vec::new(), Vec::new());
-        sort_with_workers(&mut parts, g.n_voxels(), &mut scratch, &mut counts, 1);
+        let parts = reference_sort(&loaded_plasma(&g, 8 * g.n_live(), 5), g.n_voxels());
         let c = PushCoefficients::new(-1.0, 1.0, &g);
         (g, ia, AosoaStore::from_particles(&parts), c)
     }
@@ -1858,11 +1812,12 @@ mod tests {
     fn lane_compute_and_scatter_halves_make_the_whole_push() {
         // The bench entry points are the production halves: computing
         // every block one or two at a time and scattering the records
-        // must land on the bits of the fused single-accumulator advance.
+        // must land on the bits of the production advance at one
+        // pipeline.
         let (g, ia, store, c) = kernel_workload();
         let mut whole = store.clone();
-        let mut acc_whole = AccumulatorArray::new(&g);
-        advance_p_aosoa(&mut whole, c, &ia, &mut acc_whole, &g);
+        let mut acc_whole = [AccumulatorArray::new(&g)];
+        advance_p(&mut whole, c, &ia, &mut acc_whole, &g);
         for paired in [false, true] {
             let mut halves = store.clone();
             let mut pushes = Vec::new();
@@ -1878,7 +1833,7 @@ mod tests {
                 halves.to_particles(),
                 "paired {paired}"
             );
-            for (x, y) in acc_whole.data.iter().zip(acc.data.iter()) {
+            for (x, y) in acc_whole[0].data.iter().zip(acc.data.iter()) {
                 assert_eq!((x.jx, x.jy, x.jz), (y.jx, y.jy, y.jz), "paired {paired}");
             }
         }
@@ -1945,8 +1900,7 @@ mod tests {
             (d[face % 3], u[face % 3]) = (0.9 * s, 2.0 * s);
             [p.dx, p.dy, p.dz, p.ux, p.uy, p.uz] = [d[0], d[1], d[2], u[0], u[1], u[2]];
         }
-        let (mut scratch, mut counts) = (Vec::new(), Vec::new());
-        sort_with_workers(&mut parts, g.n_voxels(), &mut scratch, &mut counts, 1);
+        let parts = reference_sort(&parts, g.n_voxels());
         let c = PushCoefficients::new(-1.0, 1.0, &g);
         (
             g.clone(),
@@ -2043,7 +1997,7 @@ mod tests {
     }
 
     #[test]
-    fn aosoa_sort_matches_aos_permutation_for_any_worker_count() {
+    fn aosoa_sort_matches_the_reference_for_any_worker_count() {
         let mut rng = Rng::seeded(21);
         let nv = 300;
         let parts: Vec<Particle> = (0..5000)
@@ -2054,9 +2008,7 @@ mod tests {
                 ..Default::default()
             })
             .collect();
-        let mut want = parts.clone();
-        let (mut s1, mut c1) = (Vec::new(), Vec::new());
-        sort_with_workers(&mut want, nv, &mut s1, &mut c1, 1);
+        let want = reference_sort(&parts, nv);
         // Sort workers (the partition) × real threads (who runs the parts).
         for threads in [1usize, 2, 4] {
             for workers in [1usize, 2, 3, 5, 8] {
@@ -2077,18 +2029,13 @@ mod tests {
 
     /// Sort `parts` through the windowed in-place pass at 1, 2 and 3
     /// workers and windows of one block up to [`SORT_WINDOW`], on 1, 2
-    /// and 4 real threads, and require the AoS oracle's permutation at the
-    /// same worker count (itself pinned to the serial reference) with the
-    /// tail's padding lanes parked. Returns the most far lanes any run
-    /// kept, so a caller can tell the far path was taken.
-    fn windowed_sort_equals_the_aos_oracle(case: &str, parts: &[Particle], nv: usize) -> usize {
-        let reference = crate::sort::reference_sort(parts, nv);
+    /// and 4 real threads, and require the serial reference's permutation
+    /// with the tail's padding lanes parked. Returns the most far lanes
+    /// any run kept, so a caller can tell the far path was taken.
+    fn windowed_sort_equals_the_reference(case: &str, parts: &[Particle], nv: usize) -> usize {
+        let want = reference_sort(parts, nv);
         let mut most_far = 0;
         for workers in [1usize, 2, 3] {
-            let mut want = parts.to_vec();
-            let (mut s, mut c) = (Vec::new(), Vec::new());
-            sort_with_workers(&mut want, nv, &mut s, &mut c, workers);
-            assert_eq!(want, reference, "{case}: AoS oracle, workers = {workers}");
             for window in [LANES, 3 * LANES, 64, SORT_WINDOW] {
                 for threads in [1usize, 2, 4] {
                     let mut store = AosoaStore::from_particles(parts);
@@ -2126,37 +2073,37 @@ mod tests {
     }
 
     #[test]
-    fn windowed_sort_of_a_reversed_store_matches_the_aos_oracle() {
+    fn windowed_sort_of_a_reversed_store_matches_the_reference() {
         // Strictly decreasing voxels: no lane's slot is near its source,
         // so at every window shorter than the store each lane is far or
         // goes back into a window already written.
         let (n, nv) = (1000, 1000);
         let parts = tagged(n, |k| (nv - 1 - k) as u32);
-        let far = windowed_sort_equals_the_aos_oracle("reversed", &parts, nv);
+        let far = windowed_sort_equals_the_reference("reversed", &parts, nv);
         assert!(far >= n / 2, "reversed store kept only {far} far lanes");
     }
 
     #[test]
-    fn windowed_sort_of_a_single_voxel_store_matches_the_aos_oracle() {
+    fn windowed_sort_of_a_single_voxel_store_matches_the_reference() {
         // One bucket: the stable sort is the identity, every slot its own
         // source, and nothing is far.
         let parts = tagged(517, |_| 7);
-        let far = windowed_sort_equals_the_aos_oracle("single voxel", &parts, 12);
+        let far = windowed_sort_equals_the_reference("single voxel", &parts, 12);
         assert_eq!(far, 0);
     }
 
     #[test]
-    fn windowed_sort_of_a_ragged_store_matches_the_aos_oracle() {
+    fn windowed_sort_of_a_ragged_store_matches_the_reference() {
         // n % 8 != 0 at several sizes, one of them a single partial block.
         for n in [2usize, 5, 13, 203, 1001] {
             let mut rng = Rng::seeded(n as u64);
             let parts = tagged(n, |_| rng.index(37) as u32);
-            windowed_sort_equals_the_aos_oracle(&format!("ragged n = {n}"), &parts, 37);
+            windowed_sort_equals_the_reference(&format!("ragged n = {n}"), &parts, 37);
         }
     }
 
     #[test]
-    fn windowed_sort_of_a_store_smaller_than_one_window_matches_the_aos_oracle() {
+    fn windowed_sort_of_a_store_smaller_than_one_window_matches_the_reference() {
         let mut rng = Rng::seeded(41);
         let parts = tagged(60, |_| rng.index(9) as u32);
         let mut store = AosoaStore::from_particles(&parts);
@@ -2166,11 +2113,11 @@ mod tests {
         // in blocks and nothing is far.
         assert_eq!(buf.window.len(), parts.len().div_ceil(LANES));
         assert_eq!(buf.far.iter().map(Vec::len).sum::<usize>(), 0);
-        windowed_sort_equals_the_aos_oracle("under one window", &parts, 9);
+        windowed_sort_equals_the_reference("under one window", &parts, 9);
     }
 
     #[test]
-    fn windowed_sort_of_a_store_spanning_many_windows_matches_the_aos_oracle() {
+    fn windowed_sort_of_a_store_spanning_many_windows_matches_the_reference() {
         // A sorted store whose particles then moved up to one voxel either
         // way — the disorder a run hands the sort — spanning ≥ 3 windows of
         // 64 lanes per worker, and a fully random one.
@@ -2181,18 +2128,18 @@ mod tests {
             v.clamp(0, nv as i64 - 1) as u32
         });
         assert!(n / 3 >= 3 * 64);
-        windowed_sort_equals_the_aos_oracle("one voxel of disorder", &near, nv);
+        windowed_sort_equals_the_reference("one voxel of disorder", &near, nv);
         let random = tagged(n, |_| rng.index(nv) as u32);
-        let far = windowed_sort_equals_the_aos_oracle("random", &random, nv);
+        let far = windowed_sort_equals_the_reference("random", &random, nv);
         assert!(far > 0);
     }
 
     #[test]
-    fn windowed_sort_after_holes_and_tail_arrivals_matches_the_aos_oracle() {
+    fn windowed_sort_after_holes_and_tail_arrivals_matches_the_reference() {
         // A sorted store after the push's own edits: `swap_remove` holes
         // filled from the tail, then arrivals appended at the tail.
         let nv = 120;
-        let sorted = crate::sort::reference_sort(&tagged(900, |k| (k * 7 % nv) as u32), nv);
+        let sorted = reference_sort(&tagged(900, |k| (k * 7 % nv) as u32), nv);
         let mut store = AosoaStore::from_particles(&sorted);
         let mut rng = Rng::seeded(47);
         for _ in 0..60 {
@@ -2207,7 +2154,7 @@ mod tests {
         }
         assert_ne!(store.len() % LANES, 0);
         let far =
-            windowed_sort_equals_the_aos_oracle("holes and arrivals", &store.to_particles(), nv);
+            windowed_sort_equals_the_reference("holes and arrivals", &store.to_particles(), nv);
         assert!(far > 0);
     }
 
@@ -2235,7 +2182,7 @@ mod tests {
                 .collect();
             let mut store = AosoaStore::from_particles(&parts);
             sort_aosoa_with_workers(&mut store, nv, &mut buf, workers, 64);
-            let want = crate::sort::reference_sort(&parts, nv);
+            let want = reference_sort(&parts, nv);
             assert_eq!(store.to_particles(), want, "round {round}");
             assert_eq!(store.blocks.len(), n.div_ceil(LANES));
             assert_eq!(buf.far.len(), workers, "round {round}: far lists");
@@ -2249,6 +2196,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn empty_and_single_are_noops() {
+        let mut buf = SortBuffers::default();
+        let mut none = AosoaStore::default();
+        sort_aosoa_with(&mut none, 10, &mut buf);
+        assert!(none.is_empty());
+        let one = Particle {
+            i: 7,
+            w: 1.0,
+            ..Default::default()
+        };
+        let mut store = AosoaStore::from_particles(&[one]);
+        sort_aosoa_with(&mut store, 10, &mut buf);
+        assert_eq!(store.to_particles(), [one]);
+        assert_eq!(buf.bytes(), 0, "a no-op sort allocated");
+    }
+
+    #[test]
+    fn persistent_buffers_are_reused() {
+        // A follow-up sort of a same-sized store reallocates none of the
+        // held buffers: the histograms and window buffers keep their
+        // allocation, and the far lists their capacity.
+        let mut rng = Rng::seeded(5);
+        let store = AosoaStore::from_particles(&tagged(2000, |_| rng.index(64) as u32));
+        let mut buf = SortBuffers::default();
+        let mut a = store.clone();
+        sort_aosoa_with_workers(&mut a, 64, &mut buf, 3, 64);
+        let held = (buf.counts.as_ptr(), buf.window.as_ptr(), buf.bytes());
+        assert!(buf.far.iter().any(|f| !f.is_empty()), "no far lanes");
+        let mut b = store.clone();
+        sort_aosoa_with_workers(&mut b, 64, &mut buf, 3, 64);
+        assert_eq!(
+            (buf.counts.as_ptr(), buf.window.as_ptr(), buf.bytes()),
+            held
+        );
+        assert_eq!(b.to_particles(), reference_sort(&store.to_particles(), 64));
+    }
+
+    #[test]
+    fn locality_improves_after_sort() {
+        let mut rng = Rng::seeded(11);
+        let parts = tagged(5000, |_| rng.index(1000) as u32);
+        let mut store = AosoaStore::from_particles(&parts);
+        let before = locality_fraction(&parts);
+        sort_aosoa_with(&mut store, 1000, &mut SortBuffers::default());
+        let after = locality_fraction(&store.to_particles());
+        assert!(after > 0.9, "after = {after}");
+        assert!(after > before);
     }
 
     #[test]

@@ -318,7 +318,7 @@ fn rle_encode(delta: &[u8], stride: usize) -> Vec<u8> {
 }
 
 /// Compress a section payload in three fully reversible passes: a
-/// byte-plane [`shuffle`], an XOR-delta with the previous byte (after the
+/// byte-plane `shuffle`, an XOR-delta with the previous byte (after the
 /// shuffle, that is the same byte position of the neighboring word or
 /// particle record — field values and particle components share
 /// sign/exponent bits, so the high planes collapse to near-zero), and a
@@ -433,7 +433,7 @@ pub fn write_section_encoded(
 
 /// Read one section written by [`write_section_encoded`], verifying the
 /// CRC before decompressing and bounding both lengths against
-/// [`MAX_SECTION`].
+/// `MAX_SECTION`.
 pub fn read_section_encoded(
     r: &mut impl Read,
     section: &'static str,
@@ -709,7 +709,7 @@ pub fn decode_fields(
 }
 
 /// Encode a species list as one section payload: the species count, then
-/// per species its record ([`species_record`]) and its particles.
+/// per species its record (`species_record`) and its particles.
 pub fn encode_species(species: &[Species]) -> Vec<u8> {
     let mut out = Vec::with_capacity(species_payload_len(species) as usize);
     encode_species_into(species, &mut out).expect("writes to a Vec cannot fail");

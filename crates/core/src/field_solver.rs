@@ -27,7 +27,7 @@ use rayon::prelude::*;
 /// * `Periodic` identifies the `n+1` node plane with plane `1` (must be
 ///   set on *both* faces of an axis).
 /// * `Pec` (perfect electric conductor) zeroes tangential `E` and normal
-///   `B` on the wall plane. Combine with a [`Sponge`]
+///   `B` on the wall plane. Combine with a [`Sponge`](crate::Sponge)
 ///   (see [`crate::sponge`]) to emulate an open boundary.
 /// * `Exchange` leaves the face's ghost planes untouched; an external
 ///   layer (the `vpic-parallel` ghost exchange) fills them from the

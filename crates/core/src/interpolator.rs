@@ -136,7 +136,7 @@ impl InterpolatorArray {
     /// voxels at a time: the eighteen coefficients come out of
     /// `coefficients` as [`F32x8`] lanes (lane `l` is voxel `v + l`), and
     /// two [`transpose8`]s turn the first sixteen into each voxel's two
-    /// [`InterpolatorRows`] rows. The row's `nx % 8` tail runs the same
+    /// `InterpolatorRows` rows. The row's `nx % 8` tail runs the same
     /// `coefficients` one `f32` voxel at a time. Every voxel gets the
     /// serial expression tree, so the result is bitwise identical to
     /// [`Self::load_serial`] for any worker count and row length.
@@ -197,7 +197,7 @@ impl InterpolatorArray {
     /// cbz)` for the eight particles of each of `K` blocks at
     /// voxel-relative offsets `(dx, dy, dz)`; block `k`'s voxels are
     /// `idx[k]`. Each lane's voxel is read as its two coefficient rows
-    /// ([`Interpolator::rows`] — two 32-byte loads in the intrinsic lane
+    /// (`Interpolator::rows` — two 32-byte loads in the intrinsic lane
     /// body) plus the `cbz`/`dcbzdz` pair, and the rows are
     /// shuffle-transposed into per-coefficient vectors: pure data
     /// movement, lane `l` of block `k` sees exactly `data[idx[k][l]]`.

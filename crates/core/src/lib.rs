@@ -16,9 +16,12 @@
 //!   interpolation coefficients (VPIC's 18-float interpolator);
 //! * [`push`] — the relativistic Boris push with charge-conserving
 //!   (Villasenor–Buneman) current deposition and `move_p` cell-crossing
-//!   segmentation;
+//!   segmentation, and its serial reference;
+//! * [`aosoa`] — the one particle store (blocks of [`LANES`] particles),
+//!   the lane-wide push behind [`push::advance_p`] and the in-place
+//!   voxel-order counting sort;
 //! * [`accumulator`] — per-pipeline current accumulators;
-//! * [`sort`] — voxel-order counting sort;
+//! * [`sort`] — the voxel sort's serial reference and locality metric;
 //! * [`maxwellian`] — plasma loading;
 //! * [`sim::Simulation`] — the step driver with per-phase timings;
 //! * [`sponge`], [`checkpoint`], [`rng`] — open-boundary damping layers,
@@ -63,9 +66,7 @@ pub mod units;
 mod zeroed;
 
 pub use accumulator::{Accumulator, AccumulatorArray, AccumulatorSet};
-pub use aosoa::{
-    advance_p_aosoa, sort_aosoa_with, AosoaStore, Block, Layout, SortBuffers, LANES, SORT_WINDOW,
-};
+pub use aosoa::{sort_aosoa_with, AosoaStore, Block, Layout, SortBuffers, LANES, SORT_WINDOW};
 pub use cadence::{
     auto_sort_interval, CadenceState, CoherenceCounters, PushTally, SortPolicy,
     DEFAULT_SORT_INTERVAL, MAX_AUTO_INTERVAL, MIN_AUTO_INTERVAL,
@@ -84,8 +85,8 @@ pub use maxwellian::{
 };
 pub use particle::{Mover, Particle};
 pub use push::{
-    advance_p, advance_p_aos, advance_p_serial, advance_p_tallied, move_p_local, Exile,
-    MoveOutcome, PushCoefficients, PushKernel,
+    advance_p, advance_p_aos, advance_p_tallied, move_p_local, Exile, MoveOutcome,
+    PushCoefficients, PushKernel,
 };
 pub use queue::{
     Job, JobEvent, JobLog, JobLogError, JobQueue, JobState, QueueError, QueueStats, RetryPolicy,
@@ -96,7 +97,6 @@ pub use sentinel::{
     FlightRecorder, HealEvent, HealthSample, HealthVerdict, SentinelConfig, SimConfig,
 };
 pub use sim::{EnergySnapshot, Simulation, StepTimings};
-pub use sort::{sort_by_voxel, sort_by_voxel_with};
 pub use species::Species;
 pub use sponge::Sponge;
 pub use threads::{with_worker_threads, worker_threads};

@@ -114,7 +114,7 @@ pub fn load_profile(
 /// Particles per chunk of [`load_profile`]'s draw. At 52 B of draws a
 /// particle a chunk is ≈ 0.1 MB and two are live at once, so the chunk
 /// the pool transforms was drawn into cache, and what a thread keeps in
-/// [`DRAWS`] stays small (a 2.1 M-particle load is 1 024 regions).
+/// `DRAWS` stays small (a 2.1 M-particle load is 1 024 regions).
 pub const LOAD_CHUNK: usize = 1 << 11;
 
 thread_local! {

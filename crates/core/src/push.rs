@@ -12,7 +12,6 @@ use crate::cadence::PushTally;
 use crate::grid::{decode_migrate, Grid, NEIGHBOR_ABSORB, NEIGHBOR_REFLECT};
 use crate::interpolator::InterpolatorArray;
 use crate::particle::{Mover, Particle};
-use rayon::prelude::*;
 
 /// Where a particle ended up after `move_p` exhausted its displacement or
 /// hit a domain boundary.
@@ -73,7 +72,8 @@ const MAX_SEGMENTS: usize = 16;
 /// choice is the oracle seam of the tests and benches, not a deck option.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PushKernel {
-    /// Per-particle scalar arithmetic ([`push_one`]) — the pinned oracle.
+    /// Per-particle scalar arithmetic (`push_one`, the arithmetic of the
+    /// serial reference [`advance_p_aos`]) — what whole-step oracles run.
     Scalar,
     /// 8-lane-wide gather → Boris push → masked write-back, one-face
     /// cell-crossers moved by a batched lane-wide mover and the rest by
@@ -115,7 +115,7 @@ impl std::fmt::Display for PushKernel {
 /// is cut into `accumulators.len()` contiguous index blocks processed in
 /// parallel, one pipeline (and private accumulator) per block — VPIC's
 /// pipeline scheme. The index partition and per-pipeline deposit order
-/// are those of the AoS oracle [`advance_p_aos`], so the two are
+/// are those of the serial reference [`advance_p_aos`], so the two are
 /// bit-identical for any fixed pipeline count.
 pub fn advance_p(
     store: &mut AosoaStore,
@@ -136,7 +136,7 @@ pub fn advance_p(
 }
 
 /// [`advance_p`] with an explicit kernel choice ([`PushKernel::Scalar`]
-/// forces every lane through [`push_one`]) that also returns the
+/// forces every lane through `push_one`) that also returns the
 /// coherence telemetry of the step: per-pipeline [`PushTally`]s summed in
 /// pipeline order (plain integer adds, so the totals are identical at any
 /// worker count). The tally feeds the sort-cadence controller.
@@ -151,9 +151,13 @@ pub fn advance_p_tallied(
     advance_p_aosoa_pipelined_with(store, coeffs, interp, accumulators, g, kernel)
 }
 
-/// The AoS oracle of [`advance_p_tallied`]: [`push_one`] over a plain
-/// particle vector, cut into the same pipelines. Only the tests and E8's
-/// layout ablation run it.
+/// The serial reference of [`advance_p_tallied`]: `push_one` over a
+/// plain particle vector, cut into the same pipelines and run one
+/// pipeline after another. The pipelines are independent (each deposits
+/// into its own accumulator) and their results are concatenated in
+/// pipeline order, so running them in turn gives the bits of running them
+/// at once. Only the tests, the kernel benches, E8's layout ablation and
+/// E9 run it.
 pub fn advance_p_aos(
     particles: &mut Vec<Particle>,
     coeffs: PushCoefficients,
@@ -166,36 +170,21 @@ pub fn advance_p_aos(
     let n = particles.len();
     let block = n.div_ceil(n_pipes).max(1);
 
-    // Each pipeline returns (absorbed indices, exiles, tally) for its block.
-    let results: Vec<(Vec<u32>, Vec<Exile>, PushTally)> = particles
-        .par_chunks_mut(block)
-        .zip(accumulators.par_iter_mut())
-        .enumerate()
-        .map(|(pipe, (chunk, acc))| {
-            let base = (pipe * block) as u32;
-            advance_block(chunk, base, coeffs, interp, acc, g)
-        })
-        .collect();
-
     let mut absorbed: Vec<u32> = Vec::new();
     let mut exiles: Vec<Exile> = Vec::new();
     let mut tally = PushTally::default();
-    for (a, e, t) in results {
+    for (pipe, (chunk, acc)) in particles.chunks_mut(block).zip(accumulators).enumerate() {
+        let base = (pipe * block) as u32;
+        let (a, e, t) = advance_block(chunk, base, coeffs, interp, acc, g);
         absorbed.extend(a);
         exiles.extend(e);
         tally.absorb(&t);
     }
-    delete_absorbed(particles, absorbed, &mut exiles);
-    (exiles, tally)
-}
-
-/// Swap-remove every absorbed particle and retarget exiles whose particle
-/// was moved by a swap.
-fn delete_absorbed(particles: &mut Vec<Particle>, absorbed: Vec<u32>, exiles: &mut [Exile]) {
     let len = particles.len();
-    retarget_and_delete(len, absorbed, exiles, |i| {
+    retarget_and_delete(len, absorbed, &mut exiles, |i| {
         particles.swap_remove(i);
     });
+    (exiles, tally)
 }
 
 /// Absorbed-particle deletion: swap-remove every index in `absorbed` (via
@@ -203,7 +192,7 @@ fn delete_absorbed(particles: &mut Vec<Particle>, absorbed: Vec<u32>, exiles: &m
 /// sequence initially `len` long) and retarget exiles whose particle was
 /// moved by a swap. An index map built once keeps this O(absorbed +
 /// exiles) instead of rescanning the exile list per removal. The AoSoA
-/// push and its AoS oracle both run this exact algorithm, so their
+/// push and its serial reference both run this exact algorithm, so their
 /// post-deletion particle order is identical.
 pub(crate) fn retarget_and_delete(
     len: usize,
@@ -236,23 +225,6 @@ pub(crate) fn retarget_and_delete(
     }
 }
 
-/// Sequential single-pipeline variant of the AoS oracle (tests and
-/// benches).
-pub fn advance_p_serial(
-    particles: &mut Vec<Particle>,
-    coeffs: PushCoefficients,
-    interp: &InterpolatorArray,
-    acc: &mut AccumulatorArray,
-    g: &Grid,
-) -> Vec<Exile> {
-    let (absorbed, mut exiles, _tally) = {
-        let chunk: &mut [Particle] = particles;
-        advance_block(chunk, 0, coeffs, interp, acc, g)
-    };
-    delete_absorbed(particles, absorbed, &mut exiles);
-    exiles
-}
-
 /// What happened to one particle in [`push_one`].
 pub(crate) enum PushedFate {
     /// Still resident in the local domain. `crossed` is true when the
@@ -269,10 +241,11 @@ pub(crate) enum PushedFate {
 
 /// Push a single particle (global index `idx`): Boris kick/rotate,
 /// displacement, current deposition, and cell-crossing handling. This is
-/// the one copy of the scalar per-particle arithmetic — the AoS oracle
-/// loops it over chunks and the AoSoA push calls it for lanes of blocks
-/// straddling a pipeline boundary (and for every lane under
-/// [`PushKernel::Scalar`]), which is what keeps the two bit-identical.
+/// the one copy of the scalar per-particle arithmetic — the serial
+/// reference [`advance_p_aos`] loops it over chunks and the AoSoA push
+/// calls it for lanes of blocks straddling a pipeline boundary (and for
+/// every lane under [`PushKernel::Scalar`]), which is what keeps the two
+/// bit-identical.
 #[inline(always)]
 pub(crate) fn push_one(
     p: &mut Particle,
@@ -510,14 +483,14 @@ mod tests {
     fn uniform_e_accelerates_unit_charge() {
         let g = Grid::periodic((8, 8, 8), (1.0, 1.0, 1.0), 0.01);
         let ia = uniform_e_setup(2.0, &g);
-        let mut acc = AccumulatorArray::new(&g);
+        let mut acc = [AccumulatorArray::new(&g)];
         let c = PushCoefficients::new(1.0, 1.0, &g);
         let mut parts = vec![Particle {
             i: g.voxel(4, 4, 4) as u32,
             w: 1.0,
             ..Default::default()
         }];
-        let exiles = advance_p_serial(&mut parts, c, &ia, &mut acc, &g);
+        let (exiles, _) = advance_p_aos(&mut parts, c, &ia, &mut acc, &g);
         assert!(exiles.is_empty());
         // du = qE dt (non-relativistic limit): 2.0 * 0.01.
         assert!((parts[0].ux - 0.02).abs() < 1e-6, "ux = {}", parts[0].ux);
@@ -537,7 +510,7 @@ mod tests {
         sync_b(&mut f, &g, bcs_of(&g));
         let mut ia = InterpolatorArray::new(&g);
         ia.load(&f, &g);
-        let mut acc = AccumulatorArray::new(&g);
+        let mut acc = [AccumulatorArray::new(&g)];
         let c = PushCoefficients::new(-1.0, 1.0, &g);
         let u0 = 0.1f32;
         let mut parts = vec![Particle {
@@ -553,7 +526,7 @@ mod tests {
             parts[0].dy = 0.0;
             parts[0].dz = 0.0;
             parts[0].i = g.voxel(2, 2, 2) as u32;
-            advance_p_serial(&mut parts, c, &ia, &mut acc, &g);
+            advance_p_aos(&mut parts, c, &ia, &mut acc, &g);
         }
         let gamma_after = parts[0].gamma();
         assert!(
@@ -580,7 +553,7 @@ mod tests {
         sync_b(&mut f, &g, bcs_of(&g));
         let mut ia = InterpolatorArray::new(&g);
         ia.load(&f, &g);
-        let mut acc = AccumulatorArray::new(&g);
+        let mut acc = [AccumulatorArray::new(&g)];
         let c = PushCoefficients::new(1.0, 1.0, &g);
         let u0 = 0.01f32; // non-relativistic
         let mut parts = vec![Particle {
@@ -595,7 +568,7 @@ mod tests {
             parts[0].dy = 0.0;
             parts[0].dz = 0.0;
             parts[0].i = g.voxel(2, 2, 2) as u32;
-            advance_p_serial(&mut parts, c, &ia, &mut acc, &g);
+            advance_p_aos(&mut parts, c, &ia, &mut acc, &g);
         }
         let angle = (-parts[0].uy).atan2(parts[0].ux); // q>0 in Bz>0 rotates u clockwise
         let want = (b0 * g.dt * n_steps as f32) % (2.0 * std::f32::consts::PI);
@@ -606,7 +579,7 @@ mod tests {
     fn crossing_updates_voxel_index() {
         let g = Grid::periodic((4, 4, 4), (1.0, 1.0, 1.0), 0.25);
         let ia = InterpolatorArray::new(&g); // zero fields
-        let mut acc = AccumulatorArray::new(&g);
+        let mut acc = [AccumulatorArray::new(&g)];
         let c = PushCoefficients::new(1.0, 1.0, &g);
         // Fast particle near the +x face: crosses into voxel (3,2,2).
         let mut parts = vec![Particle {
@@ -616,7 +589,7 @@ mod tests {
             w: 1.0,
             ..Default::default()
         }];
-        let exiles = advance_p_serial(&mut parts, c, &ia, &mut acc, &g);
+        let (exiles, _) = advance_p_aos(&mut parts, c, &ia, &mut acc, &g);
         assert!(exiles.is_empty());
         assert_eq!(parts[0].i, g.voxel(3, 2, 2) as u32);
         assert!(parts[0].dx >= -1.0 && parts[0].dx <= 1.0);
@@ -626,7 +599,7 @@ mod tests {
     fn periodic_wrap_across_domain() {
         let g = Grid::periodic((4, 4, 4), (1.0, 1.0, 1.0), 0.25);
         let ia = InterpolatorArray::new(&g);
-        let mut acc = AccumulatorArray::new(&g);
+        let mut acc = [AccumulatorArray::new(&g)];
         let c = PushCoefficients::new(1.0, 1.0, &g);
         let mut parts = vec![Particle {
             i: g.voxel(4, 2, 2) as u32,
@@ -635,7 +608,7 @@ mod tests {
             w: 1.0,
             ..Default::default()
         }];
-        advance_p_serial(&mut parts, c, &ia, &mut acc, &g);
+        advance_p_aos(&mut parts, c, &ia, &mut acc, &g);
         assert_eq!(parts[0].i, g.voxel(1, 2, 2) as u32);
     }
 
@@ -651,7 +624,7 @@ mod tests {
         ];
         let g = Grid::new((4, 4, 4), (1.0, 1.0, 1.0), 0.25, bc);
         let ia = InterpolatorArray::new(&g);
-        let mut acc = AccumulatorArray::new(&g);
+        let mut acc = [AccumulatorArray::new(&g)];
         let c = PushCoefficients::new(1.0, 1.0, &g);
         let mut parts = vec![Particle {
             i: g.voxel(4, 2, 2) as u32,
@@ -660,7 +633,7 @@ mod tests {
             w: 1.0,
             ..Default::default()
         }];
-        advance_p_serial(&mut parts, c, &ia, &mut acc, &g);
+        advance_p_aos(&mut parts, c, &ia, &mut acc, &g);
         assert_eq!(parts[0].i, g.voxel(4, 2, 2) as u32);
         assert!(parts[0].ux < 0.0, "momentum not flipped: {:?}", parts[0]);
         assert!(parts[0].dx < 0.95);
@@ -678,7 +651,7 @@ mod tests {
         ];
         let g = Grid::new((4, 4, 4), (1.0, 1.0, 1.0), 0.25, bc);
         let ia = InterpolatorArray::new(&g);
-        let mut acc = AccumulatorArray::new(&g);
+        let mut acc = [AccumulatorArray::new(&g)];
         let c = PushCoefficients::new(1.0, 1.0, &g);
         let mut parts = vec![
             Particle {
@@ -694,7 +667,7 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let exiles = advance_p_serial(&mut parts, c, &ia, &mut acc, &g);
+        let (exiles, _) = advance_p_aos(&mut parts, c, &ia, &mut acc, &g);
         assert!(exiles.is_empty());
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].i, g.voxel(2, 2, 2) as u32);
@@ -712,7 +685,7 @@ mod tests {
         ];
         let g = Grid::new((4, 4, 4), (1.0, 1.0, 1.0), 0.25, bc);
         let ia = InterpolatorArray::new(&g);
-        let mut acc = AccumulatorArray::new(&g);
+        let mut acc = [AccumulatorArray::new(&g)];
         let c = PushCoefficients::new(1.0, 1.0, &g);
         let mut parts = vec![Particle {
             i: g.voxel(4, 2, 2) as u32,
@@ -721,7 +694,7 @@ mod tests {
             w: 1.0,
             ..Default::default()
         }];
-        let exiles = advance_p_serial(&mut parts, c, &ia, &mut acc, &g);
+        let (exiles, _) = advance_p_aos(&mut parts, c, &ia, &mut acc, &g);
         assert_eq!(exiles.len(), 1);
         assert_eq!(exiles[0].face, crate::grid::FACE_HIGH_X);
         // Particle parked exactly on the face with remaining displacement.
@@ -730,7 +703,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
+    fn one_and_four_pipelines_agree() {
         use crate::rng::Rng;
         let g = Grid::periodic((6, 6, 6), (1.0, 1.0, 1.0), 0.2);
         let ia = uniform_e_setup(0.5, &g);
@@ -750,22 +723,22 @@ mod tests {
         };
         let parts: Vec<Particle> = (0..500).map(|_| mk(&mut rng)).collect();
 
-        let mut serial = parts.clone();
-        let mut acc_s = AccumulatorArray::new(&g);
+        let mut one = parts.clone();
+        let mut acc_1 = [AccumulatorArray::new(&g)];
         let c = PushCoefficients::new(-1.0, 1.0, &g);
-        advance_p_serial(&mut serial, c, &ia, &mut acc_s, &g);
+        advance_p_aos(&mut one, c, &ia, &mut acc_1, &g);
 
-        let mut par = parts.clone();
+        let mut four = parts.clone();
         let mut accs: Vec<AccumulatorArray> = (0..4).map(|_| AccumulatorArray::new(&g)).collect();
-        advance_p_aos(&mut par, c, &ia, &mut accs, &g);
+        advance_p_aos(&mut four, c, &ia, &mut accs, &g);
 
-        assert_eq!(serial, par);
+        assert_eq!(one, four);
         // Reduced accumulators must match too.
         let mut total = AccumulatorArray::new(&g);
         for a in &accs {
             total.reduce_from(a);
         }
-        for (x, y) in acc_s.data.iter().zip(total.data.iter()) {
+        for (x, y) in acc_1[0].data.iter().zip(total.data.iter()) {
             for n in 0..4 {
                 assert!((x.jx[n] - y.jx[n]).abs() < 1e-4);
                 assert!((x.jy[n] - y.jy[n]).abs() < 1e-4);

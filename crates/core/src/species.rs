@@ -210,16 +210,17 @@ impl Species {
     }
 
     /// Counting-sort the particles by voxel, in place (Rayon-parallel) —
-    /// the stable permutation of the AoS oracle sort. Each worker walks
-    /// its own blocks in windows of [`crate::SORT_WINDOW`] lanes through a
-    /// window buffer; lanes bound outside their window wait on a far list
-    /// until every window is written back. Those buffers and the
-    /// histograms persist across calls: about `min(SORT_WINDOW, n /
-    /// workers)` lanes per worker plus the far lanes, never a second copy
-    /// of a large store ([`Species::sort_buffer_bytes`]). Closes the
-    /// cadence controller's measurement window (every caller — cadence,
-    /// collisions, tests — re-establishes coherence the same way, so the
-    /// controller's view of the store stays truthful).
+    /// the stable permutation of [`crate::sort::reference_sort`]. Each
+    /// worker walks its own blocks in windows of [`crate::SORT_WINDOW`]
+    /// lanes through a window buffer; lanes bound outside their window
+    /// wait on a far list until every window is written back. Those
+    /// buffers and the histograms persist across calls: about
+    /// `min(SORT_WINDOW, n / workers)` lanes per worker plus the far
+    /// lanes, never a second copy of a large store
+    /// ([`Species::sort_buffer_bytes`]). Closes the cadence controller's
+    /// measurement window (every caller — cadence, tests — re-establishes
+    /// coherence the same way, so the controller's view of the store
+    /// stays truthful).
     pub fn sort(&mut self, g: &Grid) {
         sort_aosoa_with(&mut self.store, g.n_voxels(), &mut self.sort_buffers);
         self.counters.sorts += 1;

@@ -19,7 +19,7 @@ use vpic_core::field_solver::{bcs_of, sync_j, sync_rho};
 use vpic_core::grid::{Grid, ParticleBc};
 use vpic_core::interpolator::InterpolatorArray;
 use vpic_core::particle::Particle;
-use vpic_core::push::{advance_p_serial, PushCoefficients};
+use vpic_core::push::{advance_p_aos, PushCoefficients};
 
 /// Max |dρ/dt + ∇·J| over live nodes, normalized by the max |dρ/dt| term
 /// (so the bound is a relative roundoff measure).
@@ -61,14 +61,14 @@ fn continuity_residual(
 
 fn run_continuity(g: Grid, particles: Vec<Particle>, qsp: f32) -> f64 {
     let interp = InterpolatorArray::new(&g); // zero fields: free streaming
-    let mut acc = AccumulatorArray::new(&g);
+    let mut acc = [AccumulatorArray::new(&g)];
     let coeffs = PushCoefficients::new(qsp, 1.0, &g);
     let before = particles.clone();
     let mut parts = particles;
-    let exiles = advance_p_serial(&mut parts, coeffs, &interp, &mut acc, &g);
+    let (exiles, _) = advance_p_aos(&mut parts, coeffs, &interp, &mut acc, &g);
     assert!(exiles.is_empty(), "no migrate faces in these grids");
     let mut f = FieldArray::new(&g);
-    acc.unload(&mut f, &g);
+    acc[0].unload(&mut f, &g);
     sync_j(&mut f, &g, bcs_of(&g));
     continuity_residual(&g, &before, &parts, &f, qsp)
 }

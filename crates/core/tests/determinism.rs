@@ -101,7 +101,7 @@ fn identically_seeded_runs_are_bitwise_identical() {
 }
 
 /// The lane-kernel matrix: the scalar body (the oracle: `push_one` on
-/// every lane, the AoS oracle's arithmetic) and the lane kernel must be
+/// every lane, the serial reference's arithmetic) and the lane kernel must be
 /// the *same run* bit for bit at 1/2/4/8 pipelines and 1/2/4 threads. With
 /// `sort_interval = 4` the lane kernel sees freshly sorted single-voxel
 /// blocks, drifted mixed-voxel blocks, cell-crossing spill-outs and the

@@ -1,15 +1,16 @@
 //! Differential-oracle harness for the lane-wide push kernel.
 //!
-//! The AoS push (`advance_p_aos`: `push_one` over a plain particle
-//! vector) is the *pinned oracle*: the AoSoA store under both kernels —
-//! the scalar body and the production 8-lane one — must reproduce its
-//! results **bit for bit**: particle states, survivor order after
-//! absorption, exile records (including mover bits), and every
-//! per-pipeline accumulator entry. Proptest-generated states round-trip
-//! through all three configurations each case; pipeline counts 1/2/3/8
-//! cover the no-split, even-split, straddling-block and over-decomposed
-//! regimes, each on 1, 2 and 4 worker threads (pipelines sharing a
-//! straddled block then really do write its lanes at the same time).
+//! The serial AoS push (`advance_p_aos`: `push_one` over a plain particle
+//! vector, one pipeline after another) is the *pinned oracle*: the AoSoA
+//! store under both kernels — the scalar body and the production 8-lane
+//! one — must reproduce its results **bit for bit**: particle states,
+//! survivor order after absorption, exile records (including mover bits),
+//! and every per-pipeline accumulator entry. Proptest-generated states
+//! run through the oracle and both kernels each case; pipeline counts
+//! 1/2/3/8 cover the no-split, even-split, straddling-block and
+//! over-decomposed regimes, the kernels each on 1, 2 and 4 worker threads
+//! (pipelines sharing a straddled block then really do write its lanes at
+//! the same time).
 //!
 //! The vendored proptest shim has no shrinking, so the harness does its
 //! own: on any divergence the comparison locates the *first* differing
@@ -61,7 +62,7 @@ fn run(case: &Case, kernel: PushKernel, pipes: usize) -> RunResult {
     result(store.to_particles(), &exiles, accs, tally)
 }
 
-/// The AoS oracle's push of `case` at `pipes` pipelines.
+/// The serial oracle's push of `case` at `pipes` pipelines.
 fn run_oracle(case: &Case, pipes: usize) -> RunResult {
     let mut parts = case.parts.clone();
     let mut accs = accumulators(case, pipes);
@@ -192,21 +193,19 @@ fn diff(oracle: &RunResult, got: &RunResult, label: &str) -> Result<(), String> 
     Ok(())
 }
 
-/// Run the oracle (on one thread) and both AoSoA kernels at `pipes`
-/// pipelines on 1, 2 and 4 worker threads and check bit-identity; `Err`
+/// Run the oracle and both AoSoA kernels at `pipes` pipelines, the
+/// kernels on 1, 2 and 4 worker threads, and check bit-identity; `Err`
 /// carries the first-divergent-lane report.
 fn check_case(case: &Case, pipes: usize) -> Result<(), String> {
-    let oracle = with_worker_threads(1, || run_oracle(case, pipes));
+    let oracle = run_oracle(case, pipes);
     for threads in [1usize, 2, 4] {
-        let (aos, scalar, lane) = with_worker_threads(threads, || {
+        let (scalar, lane) = with_worker_threads(threads, || {
             (
-                run_oracle(case, pipes),
                 run(case, PushKernel::Scalar, pipes),
                 run(case, PushKernel::Lane, pipes),
             )
         });
         let at = format!("@{pipes} pipes, {threads} threads");
-        diff(&oracle, &aos, &format!("aos {at}"))?;
         diff(&oracle, &scalar, &format!("aosoa-scalar {at}"))?;
         diff(&oracle, &lane, &format!("aosoa-lane {at}"))?;
     }

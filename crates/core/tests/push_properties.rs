@@ -9,8 +9,8 @@ use vpic_core::field_solver::{bcs_of, sync_b, sync_e};
 use vpic_core::grid::Grid;
 use vpic_core::interpolator::InterpolatorArray;
 use vpic_core::particle::Particle;
-use vpic_core::push::{advance_p_serial, PushCoefficients};
-use vpic_core::sort::sort_by_voxel;
+use vpic_core::push::{advance_p_aos, PushCoefficients};
+use vpic_core::sort::reference_sort;
 
 fn grid() -> Grid {
     Grid::periodic((5, 4, 3), (0.7, 0.8, 0.9), 0.25)
@@ -72,10 +72,10 @@ proptest! {
     ) {
         let g = grid();
         let ia = uniform_b_interp(&g, bx, by, bz);
-        let mut acc = AccumulatorArray::new(&g);
+        let mut acc = [AccumulatorArray::new(&g)];
         let u2_before = p.ux as f64 * p.ux as f64 + p.uy as f64 * p.uy as f64 + p.uz as f64 * p.uz as f64;
         let mut parts = vec![p];
-        advance_p_serial(&mut parts, PushCoefficients::new(q, 1.0, &g), &ia, &mut acc, &g);
+        advance_p_aos(&mut parts, PushCoefficients::new(q, 1.0, &g), &ia, &mut acc, &g);
         let q2 = &parts[0];
         let u2_after = q2.ux as f64 * q2.ux as f64 + q2.uy as f64 * q2.uy as f64 + q2.uz as f64 * q2.uz as f64;
         prop_assert!(
@@ -90,10 +90,10 @@ proptest! {
     fn positions_stay_valid(parts in proptest::collection::vec(arb_particle(), 1..30)) {
         let g = grid();
         let ia = InterpolatorArray::new(&g);
-        let mut acc = AccumulatorArray::new(&g);
+        let mut acc = [AccumulatorArray::new(&g)];
         let mut ps = parts;
         let n_before = ps.len();
-        let exiles = advance_p_serial(&mut ps, PushCoefficients::new(-1.0, 1.0, &g), &ia, &mut acc, &g);
+        let (exiles, _) = advance_p_aos(&mut ps, PushCoefficients::new(-1.0, 1.0, &g), &ia, &mut acc, &g);
         prop_assert!(exiles.is_empty());
         prop_assert_eq!(ps.len(), n_before);
         for p in &ps {
@@ -111,19 +111,17 @@ proptest! {
         let c = PushCoefficients::new(-1.0, 1.0, &g);
 
         let mut a = parts.clone();
-        let mut acc_a = AccumulatorArray::new(&g);
-        advance_p_serial(&mut a, c, &ia, &mut acc_a, &g);
+        let mut acc_a = [AccumulatorArray::new(&g)];
+        advance_p_aos(&mut a, c, &ia, &mut acc_a, &g);
 
-        let mut b = parts;
-        let mut scratch = Vec::new();
-        sort_by_voxel(&mut b, g.n_voxels(), &mut scratch);
-        let mut acc_b = AccumulatorArray::new(&g);
-        advance_p_serial(&mut b, c, &ia, &mut acc_b, &g);
+        let mut b = reference_sort(&parts, g.n_voxels());
+        let mut acc_b = [AccumulatorArray::new(&g)];
+        advance_p_aos(&mut b, c, &ia, &mut acc_b, &g);
 
         let mut fa = FieldArray::new(&g);
-        acc_a.unload(&mut fa, &g);
+        acc_a[0].unload(&mut fa, &g);
         let mut fb = FieldArray::new(&g);
-        acc_b.unload(&mut fb, &g);
+        acc_b[0].unload(&mut fb, &g);
         let scale: f32 = fa.jx.iter().map(|v| v.abs()).fold(0.0, f32::max).max(1e-12);
         for (x, y) in fa.jx.iter().zip(fb.jx.iter()) {
             prop_assert!((x - y).abs() <= 1e-4 * scale, "jx differs: {x} vs {y}");
@@ -170,7 +168,7 @@ proptest! {
 fn zero_field_push_is_ballistic() {
     let g = grid();
     let ia = InterpolatorArray::new(&g);
-    let mut acc = AccumulatorArray::new(&g);
+    let mut acc = [AccumulatorArray::new(&g)];
     let u = (0.3f32, -0.2f32, 0.1f32);
     let mut parts = vec![Particle {
         i: g.voxel(2, 2, 2) as u32,
@@ -181,7 +179,7 @@ fn zero_field_push_is_ballistic() {
         ..Default::default()
     }];
     for _ in 0..10 {
-        advance_p_serial(
+        advance_p_aos(
             &mut parts,
             PushCoefficients::new(-1.0, 1.0, &g),
             &ia,

@@ -26,8 +26,8 @@ pub use dump::{write_field_line_x, write_series, EnergyLogger};
 pub use fft::{dominant_frequency, fft_inplace, growth_rate, power_spectrum};
 pub use histogram::{momentum_histogram, momentum_spread, tail_fraction, Histogram};
 pub use pipeline::{
-    backscatter_spectrum_of, parse_progress, spectrum_peak, Backpressure, DiagConfig, DiagEngine,
-    DiagMode, DiagPipeline, DiagSink, DiagSnapshot, DiagStats, EngineState,
+    backscatter_spectrum_of, parse_progress, spectrum_peak, DiagConfig, DiagEngine, DiagMode,
+    DiagPipeline, DiagSink, DiagSnapshot, DiagStats, EngineState,
 };
 pub use poynting::{poynting_x, wave_split_x, ReflectivityProbe};
 pub use recorder::TimeSeries;

@@ -27,12 +27,9 @@
 //! checkpoint-authoritative probe/series state, so replayed steps never
 //! double-count a sample.
 //!
-//! **Backpressure.** The default policy is `block`: when the bounded
-//! queue is full the publisher waits (stall time is counted), keeping
-//! the pipeline lossless and deterministic. The opt-in `drop` policy
-//! sheds the newest snapshot instead and counts it — cheaper under
-//! bursty load, but snapshot-lossy, so it forfeits the bit-identity
-//! contract and is never the default.
+//! **Flow control.** When the bounded queue is full the publisher waits
+//! (stall time is counted), keeping the pipeline lossless and
+//! deterministic: no snapshot is ever shed.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -82,36 +79,6 @@ impl DiagMode {
     }
 }
 
-/// What the publisher does when the bounded queue is full.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Wait for the worker (lossless, deterministic; stall is counted).
-    #[default]
-    Block,
-    /// Drop the newest snapshot and count it (lossy: forfeits the
-    /// sync/async bit-identity contract).
-    Drop,
-}
-
-impl Backpressure {
-    /// Parse the `backpressure = block|drop` deck value.
-    pub fn parse(s: &str) -> Option<Backpressure> {
-        match s {
-            "block" => Some(Backpressure::Block),
-            "drop" => Some(Backpressure::Drop),
-            _ => None,
-        }
-    }
-
-    /// Deck spelling of the policy.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Backpressure::Block => "block",
-            Backpressure::Drop => "drop",
-        }
-    }
-}
-
 /// Configuration of the diagnostics pipeline (the `[diag]` deck
 /// section). `Copy` so it can ride inside `LpiParams`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -132,7 +99,6 @@ pub struct DiagConfig {
     /// Backscatter-series retention cap in samples (0 = unbounded); see
     /// [`TimeSeries::push`] for the windowed-retention rule.
     pub series_cap: usize,
-    pub backpressure: Backpressure,
 }
 
 impl Default for DiagConfig {
@@ -143,7 +109,6 @@ impl Default for DiagConfig {
             queue_depth: 32,
             decimation: 64,
             series_cap: 65_536,
-            backpressure: Backpressure::Block,
         }
     }
 }
@@ -188,7 +153,9 @@ pub struct EngineState {
 pub struct DiagStats {
     pub published: u64,
     pub consumed: u64,
-    /// Snapshots shed under the `drop` backpressure policy.
+    /// Snapshots shed: always 0, since the publisher blocks on a full
+    /// queue. Still reported (run summary, the benchmark's
+    /// `diag.dropped`) as the check that nothing was lost.
     pub dropped: u64,
     /// High-water mark of the queue depth.
     pub max_depth: u64,
@@ -200,7 +167,6 @@ pub struct DiagStats {
 struct SharedStats {
     published: AtomicU64,
     consumed: AtomicU64,
-    dropped: AtomicU64,
     depth: AtomicU64,
     max_depth: AtomicU64,
     stall_ns: AtomicU64,
@@ -211,7 +177,7 @@ impl SharedStats {
         DiagStats {
             published: self.published.load(Ordering::Relaxed),
             consumed: self.consumed.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
+            dropped: 0,
             max_depth: self.max_depth.load(Ordering::Relaxed),
             stall_seconds: self.stall_ns.load(Ordering::Relaxed) as f64 * 1e-9,
         }
@@ -486,7 +452,6 @@ pub struct DiagPipeline {
     recycle: Receiver<Vec<f64>>,
     worker: Option<JoinHandle<DiagEngine>>,
     stats: Arc<SharedStats>,
-    backpressure: Backpressure,
 }
 
 impl DiagPipeline {
@@ -527,7 +492,6 @@ impl DiagPipeline {
             recycle,
             worker: Some(worker),
             stats,
-            backpressure: cfg.backpressure,
         }
     }
 
@@ -536,7 +500,7 @@ impl DiagPipeline {
         self.recycle.try_recv().ok()
     }
 
-    /// Publish one snapshot under the configured backpressure policy.
+    /// Publish one snapshot, waiting for the worker if the queue is full.
     pub fn publish(&mut self, snap: DiagSnapshot) {
         self.stats.published.fetch_add(1, Ordering::Relaxed);
         // Count the depth *before* sending: the worker may consume (and
@@ -545,25 +509,19 @@ impl DiagPipeline {
         self.stats.max_depth.fetch_max(d, Ordering::Relaxed);
         match self.tx.try_send(Msg::Snapshot(snap)) {
             Ok(()) => {}
-            Err(TrySendError::Full(msg)) => match self.backpressure {
-                Backpressure::Block => {
-                    let t0 = Instant::now();
-                    self.tx.send(msg).expect("diag worker died");
-                    self.stats
-                        .stall_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-                Backpressure::Drop => {
-                    self.stats.depth.fetch_sub(1, Ordering::Relaxed);
-                    self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            },
+            Err(TrySendError::Full(msg)) => {
+                let t0 = Instant::now();
+                self.tx.send(msg).expect("diag worker died");
+                self.stats
+                    .stall_ns
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
             Err(TrySendError::Disconnected(_)) => panic!("diag worker died"),
         }
     }
 
     /// Barrier: returns once every snapshot published before this call
-    /// has been ingested. Always blocking, even under `drop`.
+    /// has been ingested.
     pub fn flush(&mut self) {
         let (ack_tx, ack_rx) = sync_channel::<()>(1);
         self.tx.send(Msg::Flush(ack_tx)).expect("diag worker died");
@@ -753,7 +711,6 @@ mod tests {
             queue_depth,
             decimation: 1,
             series_cap: 0,
-            backpressure: Backpressure::Block,
         }
     }
 
@@ -845,29 +802,6 @@ mod tests {
         let replayed = run(true);
         assert_eq!(clean.len(), 15);
         assert_eq!(clean, replayed, "rollback replay double-counted");
-    }
-
-    #[test]
-    fn drop_policy_counts_losses() {
-        let mut c = cfg(DiagMode::Async, 1);
-        c.backpressure = Backpressure::Drop;
-        let mut sink = DiagSink::new(&c, 0.1);
-        // A slow consumer is not required: with depth 1 a fast publisher
-        // will overrun eventually. Retry until at least one drop lands.
-        let mut published = 0u64;
-        for i in 0..10_000u64 {
-            sink.publish(snap(i, 0.0));
-            published += 1;
-            if sink.stats().dropped > 0 {
-                break;
-            }
-        }
-        sink.flush();
-        let stats = sink.stats();
-        let (engine, fin) = sink.finish();
-        assert_eq!(stats.published, published);
-        assert_eq!(fin.consumed + fin.dropped, published);
-        assert_eq!(engine.unwrap().samples().len() as u64, fin.consumed);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! which keeps the report's meaning — application payload volume — identical
 //! to the pre-fault-tolerance substrate).
 //!
-//! Packet movement is delegated to a [`Transport`](crate::transport::Transport):
-//! the in-process channel matrix ([`LocalTransport`](crate::transport::LocalTransport),
+//! Packet movement is delegated to a `Transport`:
+//! the in-process channel matrix (`LocalTransport`,
 //! boxed values, ranks are threads) or the multi-process socket substrate
 //! ([`SocketTransport`](crate::socket::SocketTransport), CRC-framed byte
 //! messages, ranks are processes). Everything in this module — tag
@@ -236,7 +236,7 @@ pub(crate) fn on_rank_lanes<R: Send>(lanes: usize, f: impl FnOnce() -> R + Send)
 
 /// [`run`] with an optional fault-injection plan threaded through every
 /// rank's communicator. Each rank of a wider world gets a thread of its own
-/// and [`lanes_per_rank`] worker-thread lanes.
+/// and `lanes_per_rank` worker-thread lanes.
 ///
 /// A 1-rank world runs `f` on the calling thread instead, at the caller's
 /// width: it has nobody to share the budget with, and a thread of its own

@@ -19,7 +19,7 @@
 //! is `[u32 len][payload][u32 crc32(payload)]`, little-endian, CRC-32
 //! (IEEE). The first payload byte is the frame kind (HELLO / HELLO_ACK /
 //! DATA / HEARTBEAT). A DATA frame is assembled in the buffer its value
-//! was serialized into (`Comm` leaves [`FRAME_ROOM`] around it) and leaves
+//! was serialized into (`Comm` leaves `FRAME_ROOM` around it) and leaves
 //! in one `write_all`; the reader thread reads it into one allocation
 //! that becomes the packet's payload — the value's bytes are written once
 //! and read once on each side. A CRC mismatch is stream breakage — the
@@ -46,7 +46,7 @@
 //! refreshes its `last_seen` clock; a dedicated thread heartbeats every
 //! open outgoing stream. A receive that would block checks staleness: a
 //! peer once seen but silent for longer than the failure window is
-//! reported [`RecvError::Closed`], which `Comm` converts into the same
+//! reported `RecvError::Closed`, which `Comm` converts into the same
 //! `CommError::PeerClosed` path the campaign driver already escalates
 //! through. Dead streams are redialed with backoff on the next send. A
 //! `kill -9`'d rank is *adopted* at the process level: the respawned

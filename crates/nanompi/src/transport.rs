@@ -3,9 +3,9 @@
 //!
 //! `Comm` owns everything transport-independent — tag matching, per-tag
 //! FIFO dedup, epochs, fault injection, collectives, the recovery
-//! rendezvous — and delegates raw packet movement to a [`Transport`]:
+//! rendezvous — and delegates raw packet movement to a `Transport`:
 //!
-//! * [`LocalTransport`]: the original in-process substrate. Ranks are
+//! * `LocalTransport`: the original in-process substrate. Ranks are
 //!   threads, packets ride per-pair lock-free channels as boxed values
 //!   (no serialization), and a closed channel means the peer thread is
 //!   gone forever.

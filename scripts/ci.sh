@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the workspace: build, every package's tests,
-# formatting, lints.
+# formatting, lints, and warning-free rustdoc (no dead intra-doc links).
 # Run from the repository root:  bash scripts/ci.sh
 #
 # Pass "soak" (or set CI_SOAK=1) to additionally run the seeded fault-soak
@@ -67,8 +67,8 @@
 # The "threads" lane (also part of the default, argument-less run; or set
 # CI_THREADS=1) covers real worker threads: the vendored rayon's own
 # tests, then the determinism / kernel-oracle / cadence suites and the
-# AoS and AoSoA sort unit tests (the windowed in-place sort against the
-# AoS oracle on worst-case stores), the sort-buffer and accumulator
+# sort unit tests (the windowed in-place AoSoA sort against the serial
+# reference sort on worst-case stores), the sort-buffer and accumulator
 # footprint guards under RAYON_NUM_THREADS=1, 2 and 4 with debug
 # assertions on (the scatter-slot and chunk-bounds asserts are live, and
 # every deposit asserts that its voxel lies in a live row of a z-plane
@@ -91,6 +91,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 if [[ -z "${1:-}" || "${1:-}" == "threads" || "${CI_THREADS:-0}" == "1" ]]; then
     echo "==> threads lane (real worker threads, debug assertions on)"
@@ -238,7 +241,7 @@ fi
 if [[ "${1:-}" == "diag" || "${CI_DIAG:-0}" == "1" ]]; then
     echo "==> diag lane (async in-situ diagnostics pipeline)"
     # Engine + bounded-queue suites: flush/drain ordering (proptest),
-    # reset re-seeding, drop-mode accounting, windowed series retention.
+    # reset re-seeding, windowed series retention.
     cargo test --release -p vpic-diag --lib pipeline
     cargo test --release -p vpic-diag --lib recorder
     # The `diag = off|sync|async` global and the [diag] section knobs.
@@ -279,7 +282,8 @@ if [[ "${1:-}" == "kernel" || "${CI_KERNEL:-0}" == "1" ]]; then
     # through the lane kernel against the pinned scalar AoS oracle.
     cargo test --release -p vpic-core --test kernel_oracle
     # The AoSoA store (element ops against Vec semantics, the blocked
-    # counting sort against the AoS sort, padding invariants), the
+    # counting sort against the serial reference sort, padding
+    # invariants), the
     # lane-math unit suite and the kernel x pipeline-count determinism
     # matrix.
     cargo test --release -p vpic-core --lib aosoa

@@ -80,7 +80,7 @@ use vpic_core::{
     load_juttner, load_two_stream, load_uniform, FieldArray, Grid, Momentum, ParticleBc, Rng,
     Simulation, SortPolicy, Species, Sponge,
 };
-use vpic_diag::{Backpressure, DiagConfig, DiagMode};
+use vpic_diag::{DiagConfig, DiagMode};
 use vpic_lpi::{
     LaserAntenna, LpiCampaignConfig, LpiParams, LpiRun, Polarization, SweepConfig, SweepGrid,
 };
@@ -717,11 +717,10 @@ fn parse_sort_policy(deck: &Deck) -> Result<SortPolicy, DeckError> {
 
 /// Diagnostics-pipeline knobs: a bare global `diag = off|sync|async`
 /// shorthand for just the mode, plus an optional `[diag]` section
-/// (`mode`, `cadence`, `queue_depth`, `decimation`, `series_cap`,
-/// `backpressure = block|drop`). `sync` keeps the inline oracle path;
-/// `async` hands snapshots to the bounded-queue worker — bit-identical
-/// artifacts by contract, so this is a performance knob, not a physics
-/// knob.
+/// (`mode`, `cadence`, `queue_depth`, `decimation`, `series_cap`).
+/// `sync` keeps the inline oracle path; `async` hands snapshots to the
+/// bounded-queue worker — bit-identical artifacts by contract, so this is
+/// a performance knob, not a physics knob.
 fn parse_diag(deck: &Deck) -> Result<DiagConfig, DeckError> {
     let mut cfg = DiagConfig::default();
     if let Some(v) = deck.globals.get("diag") {
@@ -739,10 +738,6 @@ fn parse_diag(deck: &Deck) -> Result<DiagConfig, DeckError> {
     cfg.queue_depth = get_usize(kv, "queue_depth", cfg.queue_depth)?.max(1);
     cfg.decimation = get_usize(kv, "decimation", cfg.decimation)?.max(1);
     cfg.series_cap = get_usize(kv, "series_cap", cfg.series_cap)?;
-    if let Some(v) = kv.get("backpressure") {
-        cfg.backpressure = Backpressure::parse(v)
-            .ok_or_else(|| err(format!("diag.backpressure must be block or drop, got {v}")))?;
-    }
     Ok(cfg)
 }
 
@@ -1579,7 +1574,7 @@ corrupt_count = 4
 
     #[test]
     fn diag_knob_and_section_parse_and_reject_junk() {
-        use vpic_diag::{Backpressure, DiagMode};
+        use vpic_diag::DiagMode;
 
         // Bare global shorthand selects just the mode.
         let text = "kind = lpi\ndiag = async\n[laser]\na0 = 0.01";
@@ -1596,7 +1591,7 @@ corrupt_count = 4
         };
         assert_eq!(run.params.diag.mode, DiagMode::Off);
         let text = "kind = lpi\n[laser]\na0 = 0.01\n[diag]\nmode = sync\ncadence = 0\n\
-                    queue_depth = 8\ndecimation = 32\nseries_cap = 4096\nbackpressure = drop";
+                    queue_depth = 8\ndecimation = 32\nseries_cap = 4096";
         let BuiltRun::Lpi(run) = build(&Deck::parse(text).unwrap()).unwrap() else {
             panic!("wrong kind")
         };
@@ -1606,7 +1601,6 @@ corrupt_count = 4
         assert_eq!(d.queue_depth, 8);
         assert_eq!(d.decimation, 32);
         assert_eq!(d.series_cap, 4096);
-        assert_eq!(d.backpressure, Backpressure::Drop);
 
         // The section's mode wins over the global shorthand.
         let text = "kind = lpi\ndiag = sync\n[laser]\na0 = 0.01\n[diag]\nmode = async";
@@ -1618,7 +1612,6 @@ corrupt_count = 4
         for bad in [
             "kind = lpi\ndiag = eager\n[laser]\na0 = 0.01",
             "kind = lpi\n[laser]\na0 = 0.01\n[diag]\nmode = turbo",
-            "kind = lpi\n[laser]\na0 = 0.01\n[diag]\nbackpressure = spill",
             "kind = lpi\n[laser]\na0 = 0.01\n[diag]\ncadence = many",
         ] {
             assert!(build(&Deck::parse(bad).unwrap()).is_err(), "{bad}");
