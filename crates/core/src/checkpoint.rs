@@ -708,6 +708,42 @@ pub fn decode_fields(
     r.done()
 }
 
+/// One particle as its canonical record: eight little-endian words,
+/// whatever the blocks in memory look like.
+fn particle_words(p: Particle) -> [u32; 8] {
+    [
+        p.dx.to_bits(),
+        p.dy.to_bits(),
+        p.dz.to_bits(),
+        p.i,
+        p.ux.to_bits(),
+        p.uy.to_bits(),
+        p.uz.to_bits(),
+        p.w.to_bits(),
+    ]
+}
+
+/// CRC-32 of the simulated state alone: the live `E`, `cB` and `J`
+/// arrays (ghosts included), then every species' particle records in
+/// store order. No header, cadence, config or framing goes in, so a
+/// change of dump format never moves it; only a change of the computed
+/// bits does.
+pub fn state_hash(fields: &FieldArray, species: &[Species]) -> u32 {
+    let mut h = CrcWriter {
+        inner: io::sink(),
+        crc: Crc32::new(),
+        len: 0,
+    };
+    let [ex, ey, ez, cbx, cby, cbz, jx, jy, jz, _rho] = field_arrays(fields);
+    for arr in [ex, ey, ez, cbx, cby, cbz, jx, jy, jz] {
+        write_records(&mut h, arr.iter().map(|v| [v.to_bits()])).expect("a sink cannot fail");
+    }
+    for sp in species {
+        write_records(&mut h, sp.iter().map(particle_words)).expect("a sink cannot fail");
+    }
+    h.crc.finish()
+}
+
 /// Encode a species list as one section payload: the species count, then
 /// per species its record (`species_record`) and its particles.
 pub fn encode_species(species: &[Species]) -> Vec<u8> {
@@ -721,21 +757,7 @@ fn encode_species_into(species: &[Species], w: &mut dyn Write) -> io::Result<()>
     w.write_all(&(species.len() as u32).to_le_bytes())?;
     for sp in species {
         w.write_all(&species_record(sp))?;
-        // Always the canonical AoS byte stream: flat particle records,
-        // whatever the blocks in memory look like.
-        let records = sp.iter().map(|p| {
-            [
-                p.dx.to_bits(),
-                p.dy.to_bits(),
-                p.dz.to_bits(),
-                p.i,
-                p.ux.to_bits(),
-                p.uy.to_bits(),
-                p.uz.to_bits(),
-                p.w.to_bits(),
-            ]
-        });
-        write_records(w, records)?;
+        write_records(w, sp.iter().map(particle_words))?;
     }
     Ok(())
 }
@@ -1234,6 +1256,28 @@ mod tests {
                 assert_eq!(x, y, "{name}, {case}");
             }
         }
+    }
+
+    /// The state hash reads the fields and particles only: a dump round
+    /// trip, the cleaning cadence, the sort cadence and `rho` leave it; one
+    /// flipped bit of `J` or one more particle moves it.
+    #[test]
+    fn state_hash_sees_the_state_and_nothing_else() {
+        let mut sim = make_sim();
+        let hash = |sim: &Simulation| state_hash(&sim.fields, &sim.species);
+        let h = hash(&sim);
+        let mut buf = Vec::new();
+        save(&sim, &mut buf).unwrap();
+        assert_eq!(hash(&load(&mut buf.as_slice(), 3).unwrap()), h);
+        sim.clean_div_e_interval = 7;
+        sim.species[0].set_cadence(CadenceState::new(SortPolicy::Fixed(9)));
+        sim.fields.rho[1] = 1.0;
+        assert_eq!(hash(&sim), h);
+        sim.fields.jz[5] = f32::from_bits(sim.fields.jz[5].to_bits() ^ 1);
+        let flipped = hash(&sim);
+        assert_ne!(flipped, h);
+        sim.species[0].push(Particle::default());
+        assert_ne!(hash(&sim), flipped);
     }
 
     /// The pooled particle decode returns a serial read's store bytes and

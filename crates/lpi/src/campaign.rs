@@ -19,7 +19,8 @@ use std::path::PathBuf;
 
 use nanompi::{run_with_faults, Comm, CommError, FaultPlan};
 use vpic_core::checkpoint::{
-    load, read_section, save, write_section, CheckpointError, PayloadReader, PayloadWriter,
+    load, read_section, save, state_hash, write_section, CheckpointError, PayloadReader,
+    PayloadWriter,
 };
 use vpic_core::crc32::fingerprint32;
 use vpic_core::field::FieldArray;
@@ -86,6 +87,9 @@ pub struct LpiCampaignOutcome {
     /// bit-identity checks (not a plain CRC-32, which the dump's embedded
     /// section CRCs would blind: see `vpic_core::crc32::fingerprint32`).
     pub state_fingerprint: u32,
+    /// [`state_hash`] of the end state: the fields and particles alone,
+    /// which no change of dump format moves.
+    pub state_hash: u32,
     /// Diagnostics-pipeline counters (published/consumed/dropped snapshots,
     /// max queue depth, publisher stall time). All-zero when `diag = off`.
     pub diag: DiagStats,
@@ -161,6 +165,7 @@ fn finish(mut run: LpiRun, campaign: CampaignOutcome) -> Result<LpiCampaignOutco
         energy: run.sim.energies().total(),
         n_particles: run.sim.n_particles() as u64,
         state_fingerprint: fingerprint32(&bytes),
+        state_hash: state_hash(&run.sim.fields, &run.sim.species),
         diag,
         diag_engine,
     })

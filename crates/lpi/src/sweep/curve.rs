@@ -38,9 +38,9 @@ pub struct PointResult {
     /// Total field + kinetic energy at the end state.
     pub energy: f64,
     pub n_particles: u64,
-    /// Avalanche fingerprint of the end state's v2 dump bytes (see
-    /// `vpic_core::crc32::fingerprint32` for why this is not a plain CRC).
-    pub state_fingerprint: u32,
+    /// `vpic_core::checkpoint::state_hash` of the end state: its fields
+    /// and particles, independent of the dump format.
+    pub state_hash: u32,
 }
 
 impl PointResult {
@@ -51,7 +51,7 @@ impl PointResult {
         out.extend_from_slice(&self.reflectivity.to_bits().to_le_bytes());
         out.extend_from_slice(&self.energy.to_bits().to_le_bytes());
         out.extend_from_slice(&self.n_particles.to_le_bytes());
-        out.extend_from_slice(&self.state_fingerprint.to_le_bytes());
+        out.extend_from_slice(&self.state_hash.to_le_bytes());
         out
     }
 
@@ -70,7 +70,7 @@ impl PointResult {
             reflectivity: f64::from_bits(u64_at(8)),
             energy: f64::from_bits(u64_at(16)),
             n_particles: u64_at(24),
-            state_fingerprint: u32::from_le_bytes(bytes[32..36].try_into().unwrap()),
+            state_hash: u32::from_le_bytes(bytes[32..36].try_into().unwrap()),
         })
     }
 }
@@ -135,12 +135,12 @@ impl ReflectivityCurve {
                         s,
                         "\"status\": \"done\", \"reflectivity\": {:e}, \
                          \"reflectivity_bits\": \"{:#018x}\", \"energy\": {:e}, \
-                         \"n_particles\": {}, \"state_fingerprint\": \"{:#010x}\"",
+                         \"n_particles\": {}, \"state_hash\": \"{:#010x}\"",
                         r.reflectivity,
                         r.reflectivity.to_bits(),
                         r.energy,
                         r.n_particles,
-                        r.state_fingerprint
+                        r.state_hash
                     );
                 }
                 (None, Some(cause)) => {
@@ -400,7 +400,7 @@ mod tests {
             reflectivity: 1.25e-4,
             energy: 42.0625,
             n_particles: 123_456,
-            state_fingerprint: 0xDEAD_BEEF,
+            state_hash: 0xDEAD_BEEF,
         }
     }
 

@@ -624,7 +624,7 @@ impl SweepRunner {
                             reflectivity: out.reflectivity,
                             energy: out.energy,
                             n_particles: out.n_particles,
-                            state_fingerprint: out.state_fingerprint,
+                            state_hash: out.state_hash,
                         };
                         log.record(&JobEvent::Done {
                             id,

@@ -222,7 +222,7 @@ if [[ "${1:-}" == "transport" || "${CI_TRANSPORT:-0}" == "1" ]]; then
     cargo test --release -p vpic --lib transport_global
     cargo test --release -p vpic --lib campaign_laser_and_sponge
     # Determinism matrix: the shipped SRS campaign deck must land on the
-    # same state fingerprint over both transports.
+    # same state fingerprint and state hash over both transports.
     cargo build --release -p vpic
     rm -rf target/ci_transport_local target/ci_transport_sock
     ./target/release/vpic-run decks/srs_campaign.deck target/ci_transport_local \
@@ -231,6 +231,8 @@ if [[ "${1:-}" == "transport" || "${CI_TRANSPORT:-0}" == "1" ]]; then
         --transport socket
     diff target/ci_transport_local/state_fingerprint.txt \
         target/ci_transport_sock/state_fingerprint.txt
+    diff target/ci_transport_local/state_hash.txt \
+        target/ci_transport_sock/state_hash.txt
     # Multi-process acceptance: 4 OS processes, rank 2 kill -9'd mid-run,
     # respawned with --rejoin, bit-identical to the local baseline — then
     # the 16-plan socket fault soak.

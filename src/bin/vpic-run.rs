@@ -33,6 +33,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use vpic::core::checkpoint::state_hash;
 use vpic::core::crc32::fingerprint32;
 use vpic::deck::{build, BuiltRun, Deck};
 use vpic::diag::{write_field_line_x, write_series, EnergyLogger};
@@ -273,12 +274,13 @@ fn run_lpi_campaign_deck(
     match &out.end {
         CampaignEnd::Completed => println!(
             "completed: {} steps, {} recovery(ies), reflectivity {:.3e}, \
-             {} particles, state fingerprint {:08x}",
+             {} particles, state fingerprint {:08x}, state hash {:08x}",
             out.steps_run,
             out.recoveries.len(),
             out.reflectivity,
             out.n_particles,
-            out.state_fingerprint
+            out.state_fingerprint,
+            out.state_hash
         ),
         CampaignEnd::Degraded {
             at_step,
@@ -435,15 +437,16 @@ fn print_coherence(species: &[vpic::core::Species]) {
 
 /// Per-rank campaign result carried out of the worker closure: the
 /// outcome plus, on completion, the post-run global reductions
-/// `(particles, total energy, world state fingerprint)`.
-type RankStats = Option<(u64, f64, u32)>;
+/// `(particles, total energy, world state fingerprint, world state hash)`.
+type RankStats = Option<(u64, f64, u32, u32)>;
 /// One seat's result as the launch entry points hand it back: the rank
 /// may have panicked, failed with a campaign error, or finished.
 type RankResult = Result<Result<(CampaignOutcome, RankStats), String>, nanompi::RankPanic>;
 
-/// Fold the allgathered per-rank state fingerprints (rank order) into one
-/// world fingerprint. Identical on every transport, so a socket run can
-/// be diffed against a local run with a single number.
+/// Fold allgathered per-rank values (rank order) into one world value:
+/// the dump fingerprints into the world fingerprint, the state hashes
+/// into the world state hash. Identical on every transport, so a socket
+/// run can be diffed against a local run with a single number.
 fn world_fingerprint(fps: &[u32]) -> u32 {
     let mut bytes = Vec::with_capacity(fps.len() * 4);
     for fp in fps {
@@ -503,8 +506,7 @@ fn run_campaign_deck(
     let cfg_ref = &cfg;
     let setup_ref = &setup;
     let rejoin = cli.rejoin;
-    let fingerprint_path = Path::new(out_dir).join("state_fingerprint.txt");
-    let fp_path_ref = &fingerprint_path;
+    let out_path = Path::new(out_dir);
     let worker = move |comm: &mut nanompi::Comm| {
         let rank = comm.rank();
         let sim = setup_ref.build_rank(rank);
@@ -518,17 +520,25 @@ fn run_campaign_deck(
         let stats: RankStats = match outcome.end {
             CampaignEnd::Completed => {
                 let dump = dump_rank_bytes(&sim, false).map_err(|e| e.to_string())?;
-                let fps = comm
-                    .allgather(fingerprint32(&dump))
-                    .map_err(|e| e.to_string())?;
-                let world_fp = world_fingerprint(&fps);
+                let hash = state_hash(&sim.fields, &sim.species);
+                let (fps, hashes): (Vec<u32>, Vec<u32>) = comm
+                    .allgather((fingerprint32(&dump), hash))
+                    .map_err(|e| e.to_string())?
+                    .into_iter()
+                    .unzip();
+                let (world_fp, world_hash) = (world_fingerprint(&fps), world_fingerprint(&hashes));
                 if rank == 0 {
-                    fs::write(fp_path_ref, format!("{world_fp:08x}\n"))
-                        .map_err(|e| e.to_string())?;
+                    for (name, v) in [
+                        ("state_fingerprint.txt", world_fp),
+                        ("state_hash.txt", world_hash),
+                    ] {
+                        fs::write(out_path.join(name), format!("{v:08x}\n"))
+                            .map_err(|e| e.to_string())?;
+                    }
                 }
                 let n = sim.global_particles(comm).map_err(|e| e.to_string())?;
                 let (fe, fb, ke) = sim.global_energies(comm).map_err(|e| e.to_string())?;
-                Some((n, fe + fb + ke.iter().sum::<f64>(), world_fp))
+                Some((n, fe + fb + ke.iter().sum::<f64>(), world_fp, world_hash))
             }
             CampaignEnd::Degraded { .. } | CampaignEnd::Halted { .. } => None,
         };
@@ -603,10 +613,10 @@ fn report_world(
             }
             Ok(Ok((outcome, stats))) => {
                 report_outcome(&mut summary, outcome)?;
-                if let (Some((n, e, fp)), false) = (stats, printed_stats) {
+                if let (Some((n, e, fp, hash)), false) = (stats, printed_stats) {
                     println!(
                         "final state: {n} particles, total energy {e:.6e}, \
-                         state fingerprint {fp:08x}"
+                         state fingerprint {fp:08x}, state hash {hash:08x}"
                     );
                     printed_stats = true;
                 }
