@@ -1851,26 +1851,27 @@ mod tests {
         let (_, ia, store, c) = kernel_workload();
         let n_blocks = store.blocks.len() as f64;
         let mut pushes = Vec::new();
-        let mut time = |compute: fn(
+        let mut batch = |compute: fn(
             &mut AosoaStore,
             PushCoefficients,
             &InterpolatorArray,
             &mut Vec<BlockPush>,
         )| {
-            // Best of seven batches: a preempted batch cannot fail the gate.
-            (0..7)
-                .map(|_| {
-                    let mut s = store.clone();
-                    let t0 = Instant::now();
-                    for _ in 0..20 {
-                        compute(std::hint::black_box(&mut s), c, &ia, &mut pushes);
-                    }
-                    t0.elapsed().as_secs_f64() / (20.0 * n_blocks)
-                })
-                .fold(f64::INFINITY, f64::min)
+            let mut s = store.clone();
+            let t0 = Instant::now();
+            for _ in 0..20 {
+                compute(std::hint::black_box(&mut s), c, &ia, &mut pushes);
+            }
+            t0.elapsed().as_secs_f64() / (20.0 * n_blocks)
         };
-        let single = time(lane_compute::<1>);
-        let paired = time(lane_compute::<2>);
+        // The bodies alternate batch by batch, so a busy neighbour slows
+        // both alike; best of fifteen batches each, so a preempted batch
+        // cannot fail the gate.
+        let (mut single, mut paired) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..15 {
+            single = single.min(batch(lane_compute::<1>));
+            paired = paired.min(batch(lane_compute::<2>));
+        }
         println!(
             "compute per block: single {:.1} ns, paired {:.1} ns ({:.2}x); lanes: {}",
             single * 1e9,
