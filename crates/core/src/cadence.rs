@@ -255,7 +255,7 @@ pub fn auto_sort_interval(n_particles: u64, n_voxels: u64, rate: f64) -> u32 {
     (tau as u32).clamp(MIN_AUTO_INTERVAL, MAX_AUTO_INTERVAL)
 }
 
-/// Mutable controller state for one species. Rides v2/v3 checkpoints
+/// Mutable controller state for one species. Rides restart dumps
 /// bit-exactly (see `checkpoint::encode_species`) so resume and rollback
 /// replay the same cadence decisions.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -1,32 +1,31 @@
-//! Binary checkpointing of a single-domain simulation.
+//! Restart dumps: the one format every run writes, serial or rank.
 //!
-//! Hand-rolled little-endian format (magic `VPICRS02`): VPIC production
-//! runs at trillion-particle scale live or die by restart dumps, so the
-//! reproduction carries the same capability — hardened. The v2 format is
-//! sectioned: after the magic and a version word, the header, field and
-//! species payloads are each written length-prefixed with a CRC-32
-//! trailer, so a truncated or bit-flipped dump fails loudly with a typed
-//! [`CheckpointError`] instead of silently seeding a corrupt resumed run.
-//! Fields and particles are written verbatim; phase timings are not
-//! persisted (they are measurements, not state).
+//! VPIC production runs at trillion-particle scale live or die by restart
+//! dumps, so the reproduction carries the same capability — hardened. A
+//! dump (little-endian, magic `VPICDUMP`, version 4) is the magic, a
+//! version word and four sections in a fixed order — header, fields,
+//! species, config — each in the encoded framing of
+//! [`write_section_encoded`], closed by a CRC-32, so a truncated or
+//! bit-flipped dump fails loudly with a typed [`CheckpointError`]. The
+//! header names the seat the state belongs to: the local grid, the step
+//! count, the particles that left through `Migrate` faces, the rank and
+//! the world size. A serial [`Simulation`] is rank 0 of a 1-rank world,
+//! so [`save`] writes byte for byte a 1-rank world's raw rank dump;
+//! `vpic_parallel::dcheckpoint` fills in a rank's identity through
+//! [`write_dump`] / [`read_dump`], and a dump offered to another seat is
+//! refused. Phase timings are measurements, not state, and not dumped.
 //!
-//! [`save_to_path`] writes through a buffered writer to a temporary file
-//! and renames it into place, so a crash mid-dump never destroys the
-//! previous good checkpoint. [`save`] streams the field and species
-//! sections: their payload bytes go to the writer as they are encoded,
-//! under a running CRC, so a dump never holds a second copy of the
-//! particles in memory.
-//!
-//! The module also provides *encoded* sections ([`write_section_encoded`] /
-//! [`read_section_encoded`]): the same CRC-framed shape, plus an encoding
-//! byte and an XOR-delta + zero-RLE compressor ([`compress_delta_rle`])
-//! that the distributed v3 dump format uses to keep trillion-particle-scale
-//! restart I/O inside its write budget. Each section independently stores
-//! whichever of raw/compressed is smaller, so compression can never make a
-//! dump larger than the raw format by more than the fixed framing bytes.
+//! Field and species sections are stored raw or, on request, through an
+//! XOR-delta + zero-RLE compressor ([`compress_delta_rle`]), whichever is
+//! smaller. A raw section streams to the writer under a running CRC, so
+//! a dump never holds a second copy of the particles in memory.
+//! [`save_to_path`] writes to a temporary file and renames it into place,
+//! so a crash mid-dump never destroys the previous good checkpoint.
+//! [`state_hash`] digests the fields and particles alone, so it tells a
+//! change of dump bytes from a change of the simulated state.
 
 use crate::cadence::{CadenceState, CoherenceCounters, PushTally, SortPolicy};
-use crate::crc32::{crc32, Crc32};
+use crate::crc32::Crc32;
 use crate::field::FieldArray;
 use crate::grid::{Grid, ParticleBc};
 use crate::particle::Particle;
@@ -37,16 +36,16 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-const MAGIC: &[u8; 8] = b"VPICRS02";
-const VERSION: u32 = 2;
+const MAGIC: &[u8; 8] = b"VPICDUMP";
+const VERSION: u32 = 4;
 
 /// Largest section payload this implementation will read (guards the
 /// section-length word against corruption-driven allocation).
 const MAX_SECTION: u64 = 1 << 32;
 
 /// Typed checkpoint failure. Every load-path defect in the dump — wrong
-/// file, wrong version, truncation, bit rot, or a header that fails
-/// plausibility — maps to a distinct variant.
+/// file, wrong version, truncation, bit rot, a header that fails
+/// plausibility, or a dump of another seat — maps to a distinct variant.
 #[derive(Debug)]
 pub enum CheckpointError {
     Io(io::Error),
@@ -64,16 +63,19 @@ pub enum CheckpointError {
         expected: u32,
         got: u32,
     },
-    /// A distributed dump belongs to a different rank.
+    /// The dump belongs to a different rank.
     RankMismatch {
         expected: u64,
         got: u64,
     },
-    /// A distributed dump was written for a different domain decomposition.
-    SpecMismatch {
+    /// The dump was written by a world of a different size.
+    WorldMismatch {
         expected: u64,
         got: u64,
     },
+    /// The dump's local grid is not the restoring rank's grid under this
+    /// run's decomposition.
+    GridMismatch,
     /// The payload decoded but failed a plausibility/validity check.
     Malformed(String),
 }
@@ -102,9 +104,13 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::RankMismatch { expected, got } => {
                 write!(f, "checkpoint belongs to rank {got}, not rank {expected}")
             }
-            CheckpointError::SpecMismatch { expected, got } => write!(
+            CheckpointError::WorldMismatch { expected, got } => write!(
                 f,
-                "checkpoint domain fingerprint {got:#018x} does not match this run's {expected:#018x}"
+                "checkpoint was written by a {got}-rank world, not a {expected}-rank one"
+            ),
+            CheckpointError::GridMismatch => write!(
+                f,
+                "checkpoint's local grid is not this rank's under this run's decomposition"
             ),
             CheckpointError::Malformed(msg) => write!(f, "malformed checkpoint: {msg}"),
         }
@@ -118,15 +124,6 @@ impl std::error::Error for CheckpointError {
             _ => None,
         }
     }
-}
-
-/// Write one framed section: `u64` payload length, payload bytes, `u32`
-/// CRC-32 of the payload.
-pub fn write_section(w: &mut impl Write, payload: &[u8]) -> Result<(), CheckpointError> {
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    Ok(())
 }
 
 /// Forwards every write to `inner`, keeping the running CRC-32 and byte
@@ -148,66 +145,6 @@ impl<W: Write> Write for CrcWriter<W> {
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
     }
-}
-
-/// [`write_section`] of the `len` payload bytes that `fill` writes, which
-/// go to `w` as they come under a running CRC — the same file bytes as
-/// framing the materialised payload, without the payload ever existing
-/// whole in memory. A `fill` that writes other than `len` bytes is an
-/// error.
-fn write_section_streamed(
-    w: &mut impl Write,
-    len: u64,
-    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
-) -> Result<(), CheckpointError> {
-    w.write_all(&len.to_le_bytes())?;
-    let mut counted = CrcWriter {
-        inner: &mut *w,
-        crc: Crc32::new(),
-        len: 0,
-    };
-    fill(&mut counted)?;
-    let (written, crc) = (counted.len, counted.crc.finish());
-    if written != len {
-        return Err(CheckpointError::Malformed(format!(
-            "section payload of {written} bytes declared as {len}"
-        )));
-    }
-    w.write_all(&crc.to_le_bytes())?;
-    Ok(())
-}
-
-/// Read one framed section written by [`write_section`], verifying length
-/// and CRC. The declared length is never trusted for preallocation: a
-/// truncated file fails at EOF, not by exhausting memory.
-pub fn read_section(r: &mut impl Read, section: &'static str) -> Result<Vec<u8>, CheckpointError> {
-    let mut len_bytes = [0u8; 8];
-    r.read_exact(&mut len_bytes)
-        .map_err(|_| CheckpointError::Truncated { section })?;
-    let len = u64::from_le_bytes(len_bytes);
-    if len > MAX_SECTION {
-        return Err(CheckpointError::Malformed(format!(
-            "section `{section}` declares implausible length {len}"
-        )));
-    }
-    let mut payload = Vec::new();
-    let read = r.take(len).read_to_end(&mut payload)?;
-    if read as u64 != len {
-        return Err(CheckpointError::Truncated { section });
-    }
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)
-        .map_err(|_| CheckpointError::Truncated { section })?;
-    let expected = u32::from_le_bytes(crc_bytes);
-    let got = crc32(&payload);
-    if got != expected {
-        return Err(CheckpointError::CrcMismatch {
-            section,
-            expected,
-            got,
-        });
-    }
-    Ok(payload)
 }
 
 /// Section payload stored verbatim.
@@ -409,25 +346,61 @@ pub fn write_section_encoded(
     payload: &[u8],
     compress: bool,
 ) -> Result<(), CheckpointError> {
-    let compressed = if compress {
-        Some(compress_delta_rle(payload))
-    } else {
-        None
-    };
-    let (encoding, stored): (u8, &[u8]) = match &compressed {
-        Some(c) if c.len() < payload.len() => (ENCODING_DELTA_RLE, c.as_slice()),
-        _ => (ENCODING_RAW, payload),
-    };
-    let raw_len = (payload.len() as u64).to_le_bytes();
-    w.write_all(&(stored.len() as u64).to_le_bytes())?;
-    w.write_all(&[encoding])?;
-    w.write_all(&raw_len)?;
-    w.write_all(stored)?;
+    write_section_filled(w, payload.len() as u64, compress, |s| s.write_all(payload))
+}
+
+/// [`write_section_encoded`] of the `len` payload bytes that `fill`
+/// writes. Raw, they go to `w` as they come under a running CRC, so the
+/// payload never exists whole in memory; compressed, it is materialised
+/// once for the compressor. A `fill` that writes other than `len` bytes
+/// is an error.
+fn write_section_filled(
+    w: &mut impl Write,
+    len: u64,
+    compress: bool,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(), CheckpointError> {
+    if !compress {
+        return write_framed(w, ENCODING_RAW, len, len, fill);
+    }
+    let mut payload = Vec::with_capacity(len as usize);
+    fill(&mut payload)?;
+    match compress_delta_rle(&payload) {
+        c if c.len() < payload.len() && payload.len() as u64 == len => {
+            write_framed(w, ENCODING_DELTA_RLE, len, c.len() as u64, |s| {
+                s.write_all(&c)
+            })
+        }
+        _ => write_framed(w, ENCODING_RAW, len, len, |s| s.write_all(&payload)),
+    }
+}
+
+/// The encoded framing around the `stored_len` bytes that `fill` writes.
+fn write_framed(
+    w: &mut impl Write,
+    encoding: u8,
+    raw_len: u64,
+    stored_len: u64,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(), CheckpointError> {
+    let head = [&[encoding][..], &raw_len.to_le_bytes()].concat();
+    w.write_all(&stored_len.to_le_bytes())?;
+    w.write_all(&head)?;
     let mut crc = Crc32::new();
-    crc.update(&[encoding]);
-    crc.update(&raw_len);
-    crc.update(stored);
-    w.write_all(&crc.finish().to_le_bytes())?;
+    crc.update(&head);
+    let mut counted = CrcWriter {
+        inner: &mut *w,
+        crc,
+        len: 0,
+    };
+    fill(&mut counted)?;
+    let (written, crc) = (counted.len, counted.crc.finish());
+    if written != stored_len {
+        return Err(CheckpointError::Malformed(format!(
+            "section payload of {written} bytes declared as {stored_len}"
+        )));
+    }
+    w.write_all(&crc.to_le_bytes())?;
     Ok(())
 }
 
@@ -438,34 +411,26 @@ pub fn read_section_encoded(
     r: &mut impl Read,
     section: &'static str,
 ) -> Result<Vec<u8>, CheckpointError> {
-    let mut len_bytes = [0u8; 8];
-    r.read_exact(&mut len_bytes)
-        .map_err(|_| CheckpointError::Truncated { section })?;
-    let stored_len = u64::from_le_bytes(len_bytes);
-    let mut enc_byte = [0u8; 1];
-    r.read_exact(&mut enc_byte)
-        .map_err(|_| CheckpointError::Truncated { section })?;
-    let mut raw_bytes = [0u8; 8];
-    r.read_exact(&mut raw_bytes)
-        .map_err(|_| CheckpointError::Truncated { section })?;
-    let raw_len = u64::from_le_bytes(raw_bytes);
+    let truncated = |_| CheckpointError::Truncated { section };
+    // Stored length, then the CRC-covered encoding byte and raw length.
+    let mut head = [0u8; 17];
+    r.read_exact(&mut head).map_err(truncated)?;
+    let word = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
+    let (stored_len, raw_len) = (word(0), word(9));
     if stored_len > MAX_SECTION || raw_len > MAX_SECTION {
         return Err(CheckpointError::Malformed(format!(
             "section `{section}` declares implausible length (stored {stored_len}, raw {raw_len})"
         )));
     }
     let mut stored = Vec::new();
-    let read = r.take(stored_len).read_to_end(&mut stored)?;
-    if read as u64 != stored_len {
+    if r.take(stored_len).read_to_end(&mut stored)? as u64 != stored_len {
         return Err(CheckpointError::Truncated { section });
     }
     let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)
-        .map_err(|_| CheckpointError::Truncated { section })?;
+    r.read_exact(&mut crc_bytes).map_err(truncated)?;
     let expected = u32::from_le_bytes(crc_bytes);
     let mut crc = Crc32::new();
-    crc.update(&enc_byte);
-    crc.update(&raw_bytes);
+    crc.update(&head[8..]);
     crc.update(&stored);
     let got = crc.finish();
     if got != expected {
@@ -475,15 +440,11 @@ pub fn read_section_encoded(
             got,
         });
     }
-    match enc_byte[0] {
-        ENCODING_RAW => {
-            if stored_len != raw_len {
-                return Err(CheckpointError::Malformed(format!(
-                    "raw section `{section}` stored {stored_len} bytes but declares {raw_len}"
-                )));
-            }
-            Ok(stored)
-        }
+    match head[8] {
+        ENCODING_RAW if stored_len == raw_len => Ok(stored),
+        ENCODING_RAW => Err(CheckpointError::Malformed(format!(
+            "raw section `{section}` stored {stored_len} bytes but declares {raw_len}"
+        ))),
         ENCODING_DELTA_RLE => decompress_delta_rle(&stored, raw_len as usize, section),
         e => Err(CheckpointError::Malformed(format!(
             "unknown encoding {e:#04x} in section `{section}`"
@@ -498,10 +459,6 @@ pub struct PayloadWriter {
 }
 
 impl PayloadWriter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -543,7 +500,7 @@ impl<'a> PayloadReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         if self.pos + n > self.buf.len() {
             return Err(CheckpointError::Truncated {
                 section: self.section,
@@ -555,23 +512,19 @@ impl<'a> PayloadReader<'a> {
     }
 
     pub fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
     pub fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
     pub fn f32(&mut self) -> Result<f32, CheckpointError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(f32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
     pub fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        self.take(n)
+        Ok(f64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
     /// Bytes not yet read.
@@ -588,7 +541,7 @@ impl<'a> PayloadReader<'a> {
                 self.section
             )));
         }
-        let raw = self.take(4 * n)?;
+        let raw = self.bytes(4 * n)?;
         Ok(raw
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
@@ -608,28 +561,13 @@ impl<'a> PayloadReader<'a> {
     }
 }
 
-fn bc_code(bc: ParticleBc) -> u32 {
-    match bc {
-        ParticleBc::Periodic => 0,
-        ParticleBc::Reflect => 1,
-        ParticleBc::Absorb => 2,
-        ParticleBc::Migrate => 3,
-    }
-}
-
-fn bc_from(code: u32) -> Result<ParticleBc, CheckpointError> {
-    Ok(match code {
-        0 => ParticleBc::Periodic,
-        1 => ParticleBc::Reflect,
-        2 => ParticleBc::Absorb,
-        3 => ParticleBc::Migrate,
-        _ => {
-            return Err(CheckpointError::Malformed(format!(
-                "bad boundary code {code}"
-            )))
-        }
-    })
-}
+/// Face boundary conditions by their code in the header (the index).
+const BC_CODES: [ParticleBc; 4] = [
+    ParticleBc::Periodic,
+    ParticleBc::Reflect,
+    ParticleBc::Absorb,
+    ParticleBc::Migrate,
+];
 
 /// The ten field arrays in section order.
 fn field_arrays(f: &FieldArray) -> [&Vec<f32>; 10] {
@@ -683,29 +621,25 @@ pub fn encode_fields(f: &FieldArray) -> Vec<u8> {
     out
 }
 
-/// Decode a fields section payload into `fields` (all arrays must have
-/// exactly `n` entries).
-pub fn decode_fields(
-    payload: &[u8],
-    n: usize,
-    fields: &mut FieldArray,
-) -> Result<(), CheckpointError> {
+/// Decode a fields section payload (every array must have exactly `n`
+/// entries).
+fn decode_fields(payload: &[u8], n: usize) -> Result<FieldArray, CheckpointError> {
     let mut r = PayloadReader::new(payload, "fields");
-    for arr in [
-        &mut fields.ex,
-        &mut fields.ey,
-        &mut fields.ez,
-        &mut fields.cbx,
-        &mut fields.cby,
-        &mut fields.cbz,
-        &mut fields.jx,
-        &mut fields.jy,
-        &mut fields.jz,
-        &mut fields.rho,
-    ] {
-        *arr = r.f32_vec(n)?;
-    }
-    r.done()
+    let mut next = || r.f32_vec(n);
+    let fields = FieldArray {
+        ex: next()?,
+        ey: next()?,
+        ez: next()?,
+        cbx: next()?,
+        cby: next()?,
+        cbz: next()?,
+        jx: next()?,
+        jy: next()?,
+        jz: next()?,
+        rho: next()?,
+    };
+    r.done()?;
+    Ok(fields)
 }
 
 /// One particle as its canonical record: eight little-endian words,
@@ -734,8 +668,8 @@ pub fn state_hash(fields: &FieldArray, species: &[Species]) -> u32 {
         crc: Crc32::new(),
         len: 0,
     };
-    let [ex, ey, ez, cbx, cby, cbz, jx, jy, jz, _rho] = field_arrays(fields);
-    for arr in [ex, ey, ez, cbx, cby, cbz, jx, jy, jz] {
+    // All but `rho`, the last array, which only diagnostics fill.
+    for arr in &field_arrays(fields)[..9] {
         write_records(&mut h, arr.iter().map(|v| [v.to_bits()])).expect("a sink cannot fail");
     }
     for sp in species {
@@ -771,7 +705,7 @@ fn species_payload_len(species: &[Species]) -> u64 {
 /// One species' record in the species section, up to and including its
 /// particle count.
 fn species_record(sp: &Species) -> Vec<u8> {
-    let mut p = PayloadWriter::new();
+    let mut p = PayloadWriter::default();
     let name = sp.name.as_bytes();
     p.u32(name.len() as u32);
     p.bytes(name);
@@ -814,7 +748,7 @@ fn species_record(sp: &Species) -> Vec<u8> {
 
 /// Decode a species section payload; every particle's voxel must be below
 /// `n_voxels`.
-pub fn decode_species(payload: &[u8], n_voxels: usize) -> Result<Vec<Species>, CheckpointError> {
+fn decode_species(payload: &[u8], n_voxels: usize) -> Result<Vec<Species>, CheckpointError> {
     let mut r = PayloadReader::new(payload, "species");
     let n_species = r.u32()? as usize;
     if n_species > 1024 {
@@ -834,13 +768,10 @@ pub fn decode_species(payload: &[u8], n_voxels: usize) -> Result<Vec<Species>, C
             .map_err(|_| CheckpointError::Malformed("species name is not UTF-8".into()))?;
         let q = r.f32()?;
         let m = r.f32()?;
-        let policy = match r.u32()? {
-            0 => SortPolicy::Fixed(r.u32()?),
-            1 => {
-                r.u32()?; // reserved
-                SortPolicy::Auto
-            }
-            other => {
+        let policy = match (r.u32()?, r.u32()?) {
+            (0, n) => SortPolicy::Fixed(n),
+            (1, _) => SortPolicy::Auto,
+            (other, _) => {
                 return Err(CheckpointError::Malformed(format!(
                     "bad sort policy tag {other}"
                 )))
@@ -945,12 +876,11 @@ fn decode_particles(
 }
 
 /// Encode the portable run configuration (cleaning cadence + sentinel
-/// thresholds) as a section payload. Shared by the serial (v2) and
-/// distributed (v3) dump formats so the knobs survive a restart.
-pub fn encode_sim_config(c: &SimConfig) -> Vec<u8> {
+/// thresholds) as the config section's payload, so the knobs survive a
+/// restart.
+fn encode_sim_config(c: &SimConfig) -> Vec<u8> {
     let s = &c.sentinel;
-    let mut w = PayloadWriter::new();
-    w.u32(1); // config payload layout version
+    let mut w = PayloadWriter::default();
     w.u64(c.clean_div_e_interval as u64);
     w.u64(c.clean_div_b_interval as u64);
     w.u64(s.health_interval);
@@ -965,15 +895,9 @@ pub fn encode_sim_config(c: &SimConfig) -> Vec<u8> {
     w.finish()
 }
 
-/// Decode a configuration section written by [`encode_sim_config`].
-pub fn decode_sim_config(payload: &[u8]) -> Result<SimConfig, CheckpointError> {
+/// Decode a configuration section written by `encode_sim_config`.
+fn decode_sim_config(payload: &[u8]) -> Result<SimConfig, CheckpointError> {
     let mut r = PayloadReader::new(payload, "config");
-    let layout = r.u32()?;
-    if layout != 1 {
-        return Err(CheckpointError::Malformed(format!(
-            "unknown config layout {layout}"
-        )));
-    }
     let clean_div_e_interval = r.u64()? as usize;
     let clean_div_b_interval = r.u64()? as usize;
     let sentinel = SentinelConfig {
@@ -995,47 +919,119 @@ pub fn decode_sim_config(payload: &[u8]) -> Result<SimConfig, CheckpointError> {
     })
 }
 
-/// Write a restart dump of `sim` to `w`.
-pub fn save(sim: &Simulation, w: &mut impl Write) -> Result<(), CheckpointError> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    // Header section.
-    let g = &sim.grid;
-    let mut h = PayloadWriter::new();
-    for v in [g.nx as u32, g.ny as u32, g.nz as u32] {
-        h.u32(v);
-    }
-    for v in [g.dx, g.dy, g.dz, g.dt, g.cvac, g.eps0, g.x0, g.y0, g.z0] {
-        h.f32(v);
-    }
-    for face in 0..6 {
-        h.u32(bc_code(g.bc[face]));
-    }
-    h.u64(sim.step_count);
-    write_section(w, &h.finish())?;
-    // The two big payloads stream: neither exists whole in memory next to
-    // the state it copies.
-    let (fields, species) = (&sim.fields, &sim.species[..]);
-    write_section_streamed(w, fields_payload_len(fields), |s| {
-        encode_fields_into(fields, s)
-    })?;
-    write_section_streamed(w, species_payload_len(species), |s| {
-        encode_species_into(species, s)
-    })?;
-    // The config section keeps its layout: the cleaning cadence plus a
-    // disabled sentinel, which the serial driver never runs.
-    let config = SimConfig {
-        clean_div_e_interval: sim.clean_div_e_interval,
-        clean_div_b_interval: sim.clean_div_b_interval,
-        sentinel: SentinelConfig::default(),
-    };
-    write_section(w, &encode_sim_config(&config))?;
-    Ok(())
+/// One seat's state, borrowed for [`write_dump`]: rank `rank` of a
+/// `world`-rank run (a serial run is rank 0 of 1) on its local `grid`.
+pub struct DumpRef<'a> {
+    pub grid: &'a Grid,
+    pub rank: usize,
+    pub world: usize,
+    pub step_count: u64,
+    /// Particles that left through `Migrate` faces: a serial run's
+    /// `lost_particles`, a rank's `migrated`.
+    pub left: u64,
+    pub fields: &'a FieldArray,
+    pub species: &'a [Species],
+    pub config: SimConfig,
 }
 
-/// Restore a simulation from a restart dump. `n_pipelines` is a runtime
-/// choice and need not match the saving run.
-pub fn load(r: &mut impl Read, n_pipelines: usize) -> Result<Simulation, CheckpointError> {
+/// A dump as [`read_dump`] returns it (fields as in [`DumpRef`]).
+pub struct Dump {
+    pub grid: Grid,
+    pub step_count: u64,
+    pub left: u64,
+    pub fields: FieldArray,
+    pub species: Vec<Species>,
+    pub config: SimConfig,
+}
+
+/// The header's grid part: cells, spacing, `dt`, `cvac`, `eps0`, origin
+/// and the six face boundary conditions.
+fn encode_grid(g: &Grid) -> Vec<u8> {
+    let mut h = PayloadWriter::default();
+    [g.nx, g.ny, g.nz].iter().for_each(|&n| h.u32(n as u32));
+    let geometry = [g.dx, g.dy, g.dz, g.dt, g.cvac, g.eps0, g.x0, g.y0, g.z0];
+    geometry.iter().for_each(|&v| h.f32(v));
+    for b in g.bc {
+        h.u32(
+            BC_CODES
+                .iter()
+                .position(|&c| c == b)
+                .expect("every BC has a code") as u32,
+        );
+    }
+    h.finish()
+}
+
+/// Decode [`encode_grid`]'s bytes, refused as `Malformed` unless the grid
+/// is plausible: cells bounded before any grid-sized allocation happens,
+/// spacing and `dt` finite and positive.
+fn decode_grid(h: &mut PayloadReader<'_>) -> Result<Grid, CheckpointError> {
+    let (nx, ny, nz) = (h.u32()? as usize, h.u32()? as usize, h.u32()? as usize);
+    let mut v = [0.0f32; 9];
+    for x in &mut v {
+        *x = h.f32()?;
+    }
+    let mut bc = [ParticleBc::Periodic; 6];
+    for b in &mut bc {
+        let code = h.u32()?;
+        *b = *BC_CODES
+            .get(code as usize)
+            .ok_or_else(|| CheckpointError::Malformed(format!("bad boundary code {code}")))?;
+    }
+    let cells = [nx, ny, nz];
+    if cells.iter().any(|&n| n == 0 || n > 1 << 16)
+        || (nx + 2).saturating_mul(ny + 2).saturating_mul(nz + 2) > 1 << 31
+        || !v[..4].iter().all(|x| x.is_finite() && *x > 0.0)
+    {
+        return Err(CheckpointError::Malformed(format!(
+            "implausible grid: cells {cells:?}, spacing and dt {:?}",
+            &v[..4]
+        )));
+    }
+    let mut g = Grid::new((nx, ny, nz), (v[0], v[1], v[2]), v[3], bc);
+    [g.cvac, g.eps0, g.x0, g.y0, g.z0] = [v[4], v[5], v[6], v[7], v[8]];
+    Ok(g)
+}
+
+/// Write the dump of `d`: magic, version, then the header, fields,
+/// species and config sections. With `compress` the field and species
+/// sections may be delta+RLE compressed (the load path is the same);
+/// without, they stream.
+pub fn write_dump(
+    w: &mut impl Write,
+    d: &DumpRef<'_>,
+    compress: bool,
+) -> Result<(), CheckpointError> {
+    w.write_all(MAGIC)?;
+    w.write_all(&VERSION.to_le_bytes())?;
+    let mut h = PayloadWriter::default();
+    h.bytes(&encode_grid(d.grid));
+    h.u64(d.step_count);
+    h.u64(d.left);
+    h.u32(d.rank as u32);
+    h.u32(d.world as u32);
+    write_section_encoded(w, &h.finish(), false)?;
+    let (fields, species) = (d.fields, d.species);
+    write_section_filled(w, fields_payload_len(fields), compress, |s| {
+        encode_fields_into(fields, s)
+    })?;
+    write_section_filled(w, species_payload_len(species), compress, |s| {
+        encode_species_into(species, s)
+    })?;
+    write_section_encoded(w, &encode_sim_config(&d.config), false)
+}
+
+/// Read a dump for rank `rank` of a `world`-rank run. The header must
+/// name that seat and, when `grid` is given (a rank's local grid under
+/// the run's decomposition), that grid; without it the dump's own grid is
+/// taken (a serial run). A header is refused before any later section is
+/// read.
+pub fn read_dump(
+    r: &mut impl Read,
+    rank: usize,
+    world: usize,
+    grid: Option<&Grid>,
+) -> Result<Dump, CheckpointError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)
         .map_err(|_| CheckpointError::BadMagic)?;
@@ -1050,59 +1046,74 @@ pub fn load(r: &mut impl Read, n_pipelines: usize) -> Result<Simulation, Checkpo
         return Err(CheckpointError::UnsupportedVersion(version));
     }
 
-    let header = read_section(r, "header")?;
-    let mut hr = PayloadReader::new(&header, "header");
-    let nx = hr.u32()? as usize;
-    let ny = hr.u32()? as usize;
-    let nz = hr.u32()? as usize;
-    // Plausibility bound before any grid-sized allocation happens.
-    if nx == 0
-        || ny == 0
-        || nz == 0
-        || nx > 1 << 16
-        || ny > 1 << 16
-        || nz > 1 << 16
-        || (nx + 2).saturating_mul(ny + 2).saturating_mul(nz + 2) > 1 << 31
-    {
-        return Err(CheckpointError::Malformed(format!(
-            "implausible grid dims {nx}x{ny}x{nz}"
-        )));
+    let header = read_section_encoded(r, "header")?;
+    let mut h = PayloadReader::new(&header, "header");
+    let dump_grid = decode_grid(&mut h)?;
+    let (step_count, left) = (h.u64()?, h.u64()?);
+    let (got_rank, got_world) = (h.u32()? as u64, h.u32()? as u64);
+    h.done()?;
+    if got_world != world as u64 {
+        return Err(CheckpointError::WorldMismatch {
+            expected: world as u64,
+            got: got_world,
+        });
     }
-    let mut f9 = [0.0f32; 9];
-    for v in &mut f9 {
-        *v = hr.f32()?;
+    if got_rank != rank as u64 {
+        return Err(CheckpointError::RankMismatch {
+            expected: rank as u64,
+            got: got_rank,
+        });
     }
-    let mut bc = [ParticleBc::Periodic; 6];
-    for b in &mut bc {
-        *b = bc_from(hr.u32()?)?;
+    if grid.is_some_and(|g| encode_grid(g) != encode_grid(&dump_grid)) {
+        return Err(CheckpointError::GridMismatch);
     }
-    let step_count = hr.u64()?;
-    hr.done()?;
 
-    let mut grid = Grid::new((nx, ny, nz), (f9[0], f9[1], f9[2]), f9[3], bc);
-    grid.cvac = f9[4];
-    grid.eps0 = f9[5];
-    grid.x0 = f9[6];
-    grid.y0 = f9[7];
-    grid.z0 = f9[8];
+    let n = dump_grid.n_voxels();
+    Ok(Dump {
+        fields: decode_fields(&read_section_encoded(r, "fields")?, n)?,
+        species: decode_species(&read_section_encoded(r, "species")?, n)?,
+        config: decode_sim_config(&read_section_encoded(r, "config")?)?,
+        grid: dump_grid,
+        step_count,
+        left,
+    })
+}
 
-    let mut sim = Simulation::new(grid, n_pipelines);
-    sim.step_count = step_count;
-    let n = sim.grid.n_voxels();
+/// Write a restart dump of `sim` to `w`: the rank dump of rank 0 of a
+/// 1-rank world, raw. The config section carries the cleaning cadence
+/// and a disabled sentinel, which the serial driver never runs.
+pub fn save(sim: &Simulation, w: &mut impl Write) -> Result<(), CheckpointError> {
+    let config = SimConfig {
+        clean_div_e_interval: sim.clean_div_e_interval,
+        clean_div_b_interval: sim.clean_div_b_interval,
+        sentinel: SentinelConfig::default(),
+    };
+    let d = DumpRef {
+        grid: &sim.grid,
+        rank: 0,
+        world: 1,
+        step_count: sim.step_count,
+        left: sim.lost_particles,
+        fields: &sim.fields,
+        species: &sim.species,
+        config,
+    };
+    write_dump(w, &d, false)
+}
 
-    let fields_payload = read_section(r, "fields")?;
-    let mut fields = FieldArray::new(&sim.grid);
-    decode_fields(&fields_payload, n, &mut fields)?;
-    sim.fields = fields;
-
-    let species_payload = read_section(r, "species")?;
-    for sp in decode_species(&species_payload, n)? {
+/// Restore a simulation from a restart dump of rank 0 of a 1-rank world.
+/// `n_pipelines` is a runtime choice and need not match the saving run.
+pub fn load(r: &mut impl Read, n_pipelines: usize) -> Result<Simulation, CheckpointError> {
+    let d = read_dump(r, 0, 1, None)?;
+    let mut sim = Simulation::new(d.grid, n_pipelines);
+    sim.step_count = d.step_count;
+    sim.lost_particles = d.left;
+    sim.fields = d.fields;
+    for sp in d.species {
         sim.add_species(sp);
     }
-    let config_payload = read_section(r, "config")?;
-    let config = decode_sim_config(&config_payload)?;
-    sim.clean_div_e_interval = config.clean_div_e_interval;
-    sim.clean_div_b_interval = config.clean_div_b_interval;
+    sim.clean_div_e_interval = d.config.clean_div_e_interval;
+    sim.clean_div_b_interval = d.config.clean_div_b_interval;
     Ok(sim)
 }
 
@@ -1329,17 +1340,22 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        match load(&mut &b"NOTADUMPxxxx"[..], 1) {
-            Err(CheckpointError::BadMagic) => {}
-            Err(e) => panic!("wrong error for bad magic: {e}"),
-            Ok(_) => panic!("bad magic accepted"),
+        // Old v2 (serial) and v3 (rank) dumps are not read: dumps are
+        // restart files, not archives.
+        for (magic, version) in [(b"NOTADUMP", 0u32), (b"VPICRS02", 2), (b"VPICRD03", 3)] {
+            let old = [&magic[..], &version.to_le_bytes(), &[0u8; 64]].concat();
+            match load(&mut old.as_slice(), 1) {
+                Err(CheckpointError::BadMagic) => {}
+                Err(e) => panic!("wrong error for bad magic: {e}"),
+                Ok(_) => panic!("bad magic accepted"),
+            }
         }
     }
 
     #[test]
     fn rejects_unsupported_version() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(b"VPICRS02");
+        buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&99u32.to_le_bytes());
         match load(&mut buf.as_slice(), 1) {
             Err(CheckpointError::UnsupportedVersion(99)) => {}
@@ -1558,19 +1574,14 @@ mod tests {
             .collect()
     }
 
-    /// A section framed the one-shot way: length, the whole payload, the
-    /// CRC-32 of the whole payload.
-    fn framed(payload: &[u8]) -> Vec<u8> {
-        let len = (payload.len() as u64).to_le_bytes();
-        [&len[..], payload, &crc32(payload).to_le_bytes()].concat()
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// The streamed species and field sections are byte for byte the
-        /// materialised payloads framed whole: no species, empty and
-        /// ragged ones (lengths off the 8-lane blocks), payloads from a few bytes to dozens of 4 KiB write buffers.
+        /// The filled species and field sections, raw (streamed) and
+        /// compressed, are byte for byte the materialised payloads framed
+        /// whole: no species, empty and ragged ones (lengths off the
+        /// 8-lane blocks), payloads from a few bytes to dozens of 64 KiB
+        /// write buffers.
         #[test]
         fn streamed_sections_are_the_materialised_bytes(
             lens in proptest::collection::vec(0usize..6000, 0usize..4),
@@ -1581,25 +1592,29 @@ mod tests {
             let mut lens = lens;
             lens.push(tail);
             let species = species_list(&lens, seed);
-            let mut streamed = Vec::new();
-            write_section_streamed(&mut streamed, species_payload_len(&species), |s| {
-                encode_species_into(&species, s)
-            })
-            .unwrap();
-            proptest::prop_assert!(streamed == framed(&encode_species(&species)));
-
             let g = Grid::periodic(cells, (0.25, 0.25, 0.25), 0.05);
             let mut fields = FieldArray::new(&g);
             let mut rng = Rng::seeded(seed ^ 1);
             for (v, x) in fields.ex.iter_mut().enumerate() {
                 *x = rng.normal() as f32 * v as f32;
             }
-            let mut streamed = Vec::new();
-            write_section_streamed(&mut streamed, fields_payload_len(&fields), |s| {
-                encode_fields_into(&fields, s)
-            })
-            .unwrap();
-            proptest::prop_assert!(streamed == framed(&encode_fields(&fields)));
+            for compress in [false, true] {
+                let (mut filled, mut whole) = (Vec::new(), Vec::new());
+                write_section_filled(&mut filled, species_payload_len(&species), compress, |s| {
+                    encode_species_into(&species, s)
+                })
+                .unwrap();
+                write_section_encoded(&mut whole, &encode_species(&species), compress).unwrap();
+                proptest::prop_assert!(filled == whole, "species, compress {}", compress);
+
+                let (mut filled, mut whole) = (Vec::new(), Vec::new());
+                write_section_filled(&mut filled, fields_payload_len(&fields), compress, |s| {
+                    encode_fields_into(&fields, s)
+                })
+                .unwrap();
+                write_section_encoded(&mut whole, &encode_fields(&fields), compress).unwrap();
+                proptest::prop_assert!(filled == whole, "fields, compress {}", compress);
+            }
         }
     }
 
@@ -1607,7 +1622,7 @@ mod tests {
     fn a_stream_that_misses_its_declared_length_is_an_error() {
         for (len, wrote) in [(8u64, &b"1234567"[..]), (8, b"123456789")] {
             let mut out = Vec::new();
-            let r = write_section_streamed(&mut out, len, |s| s.write_all(wrote));
+            let r = write_section_filled(&mut out, len, false, |s| s.write_all(wrote));
             assert!(matches!(r, Err(CheckpointError::Malformed(_))), "{r:?}");
         }
     }

@@ -14,8 +14,8 @@ pub use ::crc32::{crc32, Crc32};
 ///
 /// CRC-32 has a residue property: running `payload ++ le32(crc32(payload))`
 /// through the register lands on a constant (`0x2144_DF1C` pre-final-xor)
-/// regardless of the payload. The v2 checkpoint container stores exactly
-/// that shape per section, so `crc32(whole_dump)` collapses to a function
+/// regardless of the payload. The restart dump stores exactly that shape
+/// per section (the CRC-covered bytes, then their CRC), so `crc32(whole_dump)` collapses to a function
 /// of the *section lengths only* — two dumps with the same particle count
 /// collide even when most of their bytes differ. Any end-state "are these
 /// runs bit-identical" witness must therefore NOT be a plain CRC of the
@@ -51,7 +51,7 @@ mod tests {
     /// A buffer shaped `payload ++ le32(crc32(payload))` drives the CRC
     /// register to a constant residue, so two such buffers of equal length
     /// share a CRC-32 no matter how the payloads differ. That is exactly
-    /// the v2 checkpoint section shape; `fingerprint32` must not cancel.
+    /// the restart dump's section shape; `fingerprint32` must not cancel.
     #[test]
     fn fingerprint_distinguishes_self_checksummed_sections() {
         let framed = |payload: &[u8]| {

@@ -111,10 +111,10 @@ impl SentinelConfig {
     }
 }
 
-/// Run configuration that must survive a checkpoint/restore round-trip:
-/// the divergence-cleaning cadence and the sentinel thresholds. The
-/// distributed (v3) dump carries all of it; the serial (v2) dump writes
-/// the same section with a disabled sentinel and restores the cadence.
+/// Run configuration that must survive a checkpoint/restore round-trip
+/// (the dump's config section): the divergence-cleaning cadence and the
+/// sentinel thresholds. A rank dump carries all of it; the serial dump
+/// writes a disabled sentinel, which the serial driver never runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SimConfig {
     /// Marder-clean `∇·E` every this many steps (0 = never).

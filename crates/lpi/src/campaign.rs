@@ -2,10 +2,10 @@
 //! campaign ladder (log → Marder burst → rollback → degrade) as a one-rank
 //! world, so seeded [`FaultPlan`] kills surface as the typed `CommError`
 //! faults the multi-rank runtime handles. What is LPI-specific lives here:
-//! the run's [`CampaignSim`] impl — v2 dumps plus a sidecar with the
-//! reflectivity probe, backscatter series and lost-particle count, the
-//! diagnostics pipeline flushed at every dump and re-seeded at every
-//! restore — and the end-state report. Rollback restores the full
+//! the run's [`CampaignSim`] impl — the serial dump (rank 0 of a 1-rank
+//! world) plus a sidecar with the reflectivity probe and backscatter
+//! series, the diagnostics pipeline flushed at every dump and re-seeded
+//! at every restore — and the end-state report. Rollback restores the full
 //! observable state, so a recovered campaign finishes **bit-identically**
 //! with a fault-free run of the same deck.
 //!
@@ -19,8 +19,8 @@ use std::path::PathBuf;
 
 use nanompi::{run_with_faults, Comm, CommError, FaultPlan};
 use vpic_core::checkpoint::{
-    load, read_section, save, state_hash, write_section, CheckpointError, PayloadReader,
-    PayloadWriter,
+    load, read_section_encoded, save, state_hash, write_section_encoded, CheckpointError,
+    PayloadReader, PayloadWriter,
 };
 use vpic_core::crc32::fingerprint32;
 use vpic_core::field::FieldArray;
@@ -83,7 +83,7 @@ pub struct LpiCampaignOutcome {
     /// Total energy at the end state.
     pub energy: f64,
     pub n_particles: u64,
-    /// Avalanche fingerprint of the end state's v2 dump bytes, for
+    /// Avalanche fingerprint of the end state's dump bytes, for
     /// bit-identity checks (not a plain CRC-32, which the dump's embedded
     /// section CRCs would blind: see `vpic_core::crc32::fingerprint32`).
     pub state_fingerprint: u32,
@@ -171,29 +171,27 @@ fn finish(mut run: LpiRun, campaign: CampaignOutcome) -> Result<LpiCampaignOutco
     })
 }
 
-/// The diagnostic state a v2 dump does not carry, as decoded from its
+/// The diagnostic state a dump does not carry, as decoded from its
 /// sidecar (the second half of [`LpiRun`]'s checkpoint snapshot).
 pub struct SidecarState {
     probe: ReflectivityProbe,
     series: TimeSeries,
-    lost: u64,
 }
 
-/// Magic for the diagnostic sidecar written next to each v2 dump: the
-/// observable state a dump does not carry (reflectivity probe, backscatter
-/// series, lost-particle count), CRC-framed like every other artifact.
-const DIAG_MAGIC: &[u8; 8] = b"VPICDIA1";
+/// Magic for the diagnostic sidecar written next to each dump: the
+/// observable state a dump does not carry (reflectivity probe and
+/// backscatter series), one section in the dump's encoded framing.
+const DIAG_MAGIC: &[u8; 8] = b"VPICDIA2";
 
 fn encode_sidecar(run: &LpiRun) -> Vec<u8> {
     let series = &run.backscatter_series;
     let (incident, reflected, samples) = run.probe.raw_state();
-    let mut p = PayloadWriter::new();
+    let mut p = PayloadWriter::default();
     p.u64(run.sim.step_count);
     p.u64(run.probe.plane as u64);
     p.f64(incident);
     p.f64(reflected);
     p.u64(samples);
-    p.u64(run.sim.lost_particles);
     p.f64(series.dt);
     // Windowed-retention state: the cap travels with the dump so a resumed
     // campaign keeps the same retention policy, and `discarded` keeps
@@ -209,27 +207,24 @@ fn encode_sidecar(run: &LpiRun) -> Vec<u8> {
     }
     let mut out = Vec::new();
     out.extend_from_slice(DIAG_MAGIC);
-    write_section(&mut out, &p.finish()).expect("vec write is infallible");
+    write_section_encoded(&mut out, &p.finish(), false).expect("vec write is infallible");
     out
 }
 
 fn decode_sidecar(bytes: &[u8]) -> Result<(u64, SidecarState), CheckpointError> {
-    let mut r = bytes;
-    let mut magic = [0u8; 8];
-    std::io::Read::read_exact(&mut r, &mut magic).map_err(CheckpointError::Io)?;
-    if &magic != DIAG_MAGIC {
+    let (magic, mut r) = bytes.split_at(DIAG_MAGIC.len().min(bytes.len()));
+    if magic != DIAG_MAGIC {
         return Err(CheckpointError::Malformed(format!(
             "bad diag sidecar magic {magic:02x?}"
         )));
     }
-    let payload = read_section(&mut r, "diag")?;
+    let payload = read_section_encoded(&mut r, "diag")?;
     let mut p = PayloadReader::new(&payload, "diag");
     let step = p.u64()?;
     let plane = p.u64()? as usize;
     let incident = p.f64()?;
     let reflected = p.f64()?;
     let samples = p.u64()?;
-    let lost = p.u64()?;
     let dt = p.f64()?;
     let cap = p.u64()? as usize;
     let discarded = p.u64()?;
@@ -249,14 +244,13 @@ fn decode_sidecar(bytes: &[u8]) -> Result<(u64, SidecarState), CheckpointError> 
         SidecarState {
             probe: ReflectivityProbe::from_raw(plane, incident, reflected, samples),
             series,
-            lost,
         },
     ))
 }
 
-/// The serial run as the campaign ladder's one rank: no collectives, v2
-/// dumps, and the diagnostics pipeline drained at every dump and re-seeded
-/// at every restore.
+/// The serial run as the campaign ladder's one rank: no collectives, the
+/// serial dump, and the diagnostics pipeline drained at every dump and
+/// re-seeded at every restore.
 impl CampaignSim for LpiRun {
     type Snapshot = (Simulation, SidecarState);
 
@@ -295,7 +289,7 @@ impl CampaignSim for LpiRun {
         Ok((self.sim.energies().total(), self.sim.n_particles() as f64))
     }
 
-    /// The v2 dump, cut behind a flush barrier: every snapshot published
+    /// The serial dump, cut behind a flush barrier: every snapshot published
     /// so far is consumed first, so a rollback that replays steps past
     /// this point can re-seed the pipeline without double-counting
     /// samples already folded into artifacts.
@@ -333,10 +327,9 @@ impl CampaignSim for LpiRun {
         // re-seed the engine from the restored state: the replayed steps
         // republish their snapshots deterministically.
         self.diag_flush();
-        // The v2 dump carries fields/particles/step/config; the sponge and
-        // diagnostics live outside it.
+        // The dump carries fields/particles/step/lost count/config; the
+        // sponge and diagnostics live outside it.
         sim.sponge = self.sim.sponge;
-        sim.lost_particles = diag.lost;
         self.sim = sim;
         self.probe = diag.probe;
         self.backscatter_series = diag.series;

@@ -1,117 +1,64 @@
-//! Distributed restart dumps: each rank serializes its own domain
-//! (fields and species) with a topology header, so a run can be stopped
-//! and resumed
-//! with the same decomposition — how VPIC's trillion-particle campaigns
-//! survived Roadrunner's mean time between interrupts.
-//!
-//! The v3 format (magic `VPICRD03`) reuses the hardened section framing
-//! from `vpic_core::checkpoint`: after the magic and version words, the
-//! header is a plain length-prefixed CRC-32-checked section, while the
-//! field and species payloads go through the *encoded* section framing,
-//! which can byte-shuffle + delta + RLE-compress the payload when that
-//! makes it smaller. Truncation and bit rot are detected at load time
-//! with a typed [`CheckpointError`]. Dumps reach disk through
-//! `vpic_core::checkpoint`'s atomic write (temp file, fsync, rename),
-//! keeping the previous good dump intact if the run dies mid-write.
+//! Distributed restart dumps: each rank writes its own domain, so a run
+//! can be stopped and resumed with the same decomposition — how VPIC's
+//! trillion-particle campaigns survived Roadrunner's mean time between
+//! interrupts. A rank dump is `vpic_core::checkpoint`'s one format with
+//! the rank's identity (rank, world size, local grid); a 1-rank world's
+//! raw dump is the serial dump. Loading refuses another rank's, another
+//! world size's or another decomposition's dump with a typed
+//! [`CheckpointError`], and files reach disk through the atomic write
+//! (temp file, fsync, rename).
 
 use crate::decomposition::DomainSpec;
 use crate::dsim::DistributedSim;
 use std::io::{self, Read};
 use std::path::Path;
-use vpic_core::checkpoint::{
-    decode_fields, decode_sim_config, decode_species, encode_fields, encode_sim_config,
-    encode_species, read_section, read_section_encoded, write_bytes_atomic, write_section,
-    write_section_encoded, CheckpointError, PayloadReader, PayloadWriter,
-};
-
-const MAGIC: &[u8; 8] = b"VPICRD03";
-const VERSION: u32 = 3;
+use vpic_core::checkpoint::{read_dump, write_bytes_atomic, write_dump, CheckpointError, DumpRef};
 
 /// Serialize one rank's state to an in-memory buffer, for callers that
 /// cache the newest validated dump or throttle the disk write separately
 /// (see [`write_bytes_atomic`]). `compress` lets the field and species
 /// sections be delta+RLE compressed (`false` forces raw encoding; either
 /// way the load path is identical). The `spec` is *not* written (the
-/// restart must be constructed with the same [`DomainSpec`]); a
-/// fingerprint of it is stored and checked so mismatched restarts fail
-/// loudly.
+/// restart must be constructed with the same [`DomainSpec`]); the
+/// header's rank, world size and local grid are checked against it on
+/// load.
 pub fn dump_rank_bytes(sim: &DistributedSim, compress: bool) -> Result<Vec<u8>, CheckpointError> {
+    let d = DumpRef {
+        grid: &sim.grid,
+        rank: sim.rank,
+        world: sim.spec.topo.n_ranks(),
+        step_count: sim.step_count,
+        left: sim.migrated,
+        fields: &sim.fields,
+        species: &sim.species,
+        config: sim.config,
+    };
     let mut w = Vec::new();
-    w.extend_from_slice(MAGIC);
-    w.extend_from_slice(&VERSION.to_le_bytes());
-    let mut h = PayloadWriter::new();
-    h.u32(sim.rank as u32);
-    h.u64(spec_fingerprint(&sim.spec));
-    h.u64(sim.step_count);
-    h.u64(sim.migrated);
-    write_section(&mut w, &h.finish())?;
-    write_section_encoded(&mut w, &encode_fields(&sim.fields), compress)?;
-    write_section_encoded(&mut w, &encode_species(&sim.species), compress)?;
-    write_section(&mut w, &encode_sim_config(&sim.config))?;
+    write_dump(&mut w, &d, compress)?;
     Ok(w)
 }
 
-/// Restore one rank from a dump made with the same `spec` and rank id.
+/// Restore one rank from a dump made by the same rank id under the same
+/// decomposition.
 pub fn load_rank(
     spec: DomainSpec,
     rank: usize,
     n_pipelines: usize,
     r: &mut impl Read,
 ) -> Result<DistributedSim, CheckpointError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)
-        .map_err(|_| CheckpointError::BadMagic)?;
-    if &magic != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let mut vb = [0u8; 4];
-    r.read_exact(&mut vb)
-        .map_err(|_| CheckpointError::Truncated { section: "version" })?;
-    let version = u32::from_le_bytes(vb);
-    if version != VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
-
-    let header = read_section(r, "header")?;
-    let mut hr = PayloadReader::new(&header, "header");
-    let saved_rank = hr.u32()? as u64;
-    if saved_rank != rank as u64 {
-        return Err(CheckpointError::RankMismatch {
-            expected: rank as u64,
-            got: saved_rank,
-        });
-    }
-    let fp = hr.u64()?;
-    let expected_fp = spec_fingerprint(&spec);
-    if fp != expected_fp {
-        return Err(CheckpointError::SpecMismatch {
-            expected: expected_fp,
-            got: fp,
-        });
-    }
-    let step_count = hr.u64()?;
-    let migrated = hr.u64()?;
-    hr.done()?;
-
+    let d = read_dump(r, rank, spec.topo.n_ranks(), Some(&spec.local_grid(rank)))?;
     let mut sim = DistributedSim::new(spec, rank, n_pipelines);
-    sim.step_count = step_count;
-    sim.migrated = migrated;
-    let n = sim.grid.n_voxels();
-
-    let fields_payload = read_section_encoded(r, "fields")?;
-    decode_fields(&fields_payload, n, &mut sim.fields)?;
-
-    let species_payload = read_section_encoded(r, "species")?;
-    for sp in decode_species(&species_payload, n)? {
+    sim.step_count = d.step_count;
+    sim.migrated = d.left;
+    sim.fields = d.fields;
+    for sp in d.species {
         sim.add_species(sp);
     }
-
-    let config_payload = read_section(r, "config")?;
-    sim.config = decode_sim_config(&config_payload)?;
+    sim.config = d.config;
     Ok(sim)
 }
 
-/// Atomically write one rank's restart dump to `path`.
+/// Atomically write one rank's compressed restart dump to `path`.
 pub fn save_rank_to_path(sim: &DistributedSim, path: &Path) -> Result<(), CheckpointError> {
     let bytes = dump_rank_bytes(sim, true)?;
     Ok(write_bytes_atomic(path, &bytes, None)?)
@@ -129,36 +76,13 @@ pub fn load_rank_from_path(
     load_rank(spec, rank, n_pipelines, &mut r)
 }
 
-/// Cheap structural fingerprint of a [`DomainSpec`] (FNV over its fields).
-pub fn spec_fingerprint(spec: &DomainSpec) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    mix(spec.global_cells.0 as u64);
-    mix(spec.global_cells.1 as u64);
-    mix(spec.global_cells.2 as u64);
-    mix(spec.cell.0.to_bits() as u64);
-    mix(spec.cell.1.to_bits() as u64);
-    mix(spec.cell.2.to_bits() as u64);
-    mix(spec.dt.to_bits() as u64);
-    for d in spec.topo.dims {
-        mix(d as u64);
-    }
-    for p in spec.topo.periodic {
-        mix(p as u64);
-    }
-    for bc in spec.global_bc {
-        mix(bc as u64);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nanompi::CartTopology;
+    use vpic_core::checkpoint;
     use vpic_core::maxwellian::Momentum;
+    use vpic_core::sim::Simulation;
     use vpic_core::species::Species;
 
     fn spec() -> DomainSpec {
@@ -210,36 +134,66 @@ mod tests {
         }
     }
 
+    /// A dump restores only on its own seat. Another world size (a serial
+    /// dump offered to a 2-rank run, a rank dump to the serial loader),
+    /// another rank id, another decomposition of the same box, or a file
+    /// in the old v2/v3 formats is a typed refusal, never a panic.
     #[test]
-    fn wrong_rank_or_spec_rejected() {
-        let (results, _) = nanompi::run_expect(2, |comm| {
-            let mut sim = DistributedSim::new(spec(), comm.rank(), 1);
-            sim.add_species(Species::new("e", -1.0, 1.0));
-            let dump = dump_rank_bytes(&sim, true).unwrap();
-            let wrong_rank = load_rank(spec(), 1 - comm.rank(), 1, &mut dump.as_slice());
-            let mut other = spec();
-            other.global_cells = (16, 4, 4);
-            let wrong_spec = load_rank(other, comm.rank(), 1, &mut dump.as_slice());
-            (
-                matches!(wrong_rank, Err(CheckpointError::RankMismatch { .. })),
-                matches!(wrong_spec, Err(CheckpointError::SpecMismatch { .. })),
-            )
-        });
-        for (a, b) in results {
-            assert!(a && b);
+    fn another_seats_dump_is_refused() {
+        let dumps = make_dumps();
+        let mut serial = Vec::new();
+        let mut sim = Simulation::new(spec().local_grid(0), 1);
+        sim.add_species(Species::new("e", -1.0, 1.0));
+        checkpoint::save(&sim, &mut serial).unwrap();
+        assert_eq!(spec().topo.dims, [2, 1, 1]);
+        let transposed = DomainSpec {
+            topo: CartTopology::new([1, 2, 1], [true; 3]),
+            ..spec()
+        };
+        let old = |magic: &[u8; 8], version: u32| {
+            [&magic[..], &version.to_le_bytes(), &dumps[0][12..]].concat()
+        };
+        let refusal = |spec: DomainSpec, rank: usize, dump: &[u8]| {
+            load_rank(spec, rank, 1, &mut &dump[..])
+                .map(|_| ())
+                .unwrap_err()
+        };
+        assert!(matches!(
+            refusal(spec(), 0, &serial),
+            CheckpointError::WorldMismatch {
+                expected: 2,
+                got: 1
+            }
+        ));
+        assert!(matches!(
+            checkpoint::load(&mut dumps[1].as_slice(), 1)
+                .map(|_| ())
+                .unwrap_err(),
+            CheckpointError::WorldMismatch {
+                expected: 1,
+                got: 2
+            }
+        ));
+        assert!(matches!(
+            refusal(spec(), 1, &dumps[0]),
+            CheckpointError::RankMismatch {
+                expected: 1,
+                got: 0
+            }
+        ));
+        for (rank, dump) in dumps.iter().enumerate() {
+            assert!(matches!(
+                refusal(transposed.clone(), rank, dump),
+                CheckpointError::GridMismatch
+            ));
+            assert!(load_rank(spec(), rank, 1, &mut dump.as_slice()).is_ok());
         }
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_specs() {
-        let a = spec_fingerprint(&spec());
-        let mut s2 = spec();
-        s2.dt = 0.11;
-        assert_ne!(a, spec_fingerprint(&s2));
-        let mut s3 = spec();
-        s3.global_cells.0 = 16;
-        assert_ne!(a, spec_fingerprint(&s3));
-        assert_eq!(a, spec_fingerprint(&spec()));
+        for dump in [old(b"VPICRS02", 2), old(b"VPICRD03", 3)] {
+            assert!(matches!(
+                refusal(spec(), 0, &dump),
+                CheckpointError::BadMagic
+            ));
+        }
     }
 
     #[test]

@@ -114,9 +114,49 @@ impl DomainSpec {
     }
 }
 
+/// Cheap structural fingerprint of a [`DomainSpec`] (FNV over its
+/// fields), which ties a socket world's bootstrap handshake to one run.
+pub fn spec_fingerprint(spec: &DomainSpec) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    };
+    mix(spec.global_cells.0 as u64);
+    mix(spec.global_cells.1 as u64);
+    mix(spec.global_cells.2 as u64);
+    mix(spec.cell.0.to_bits() as u64);
+    mix(spec.cell.1.to_bits() as u64);
+    mix(spec.cell.2.to_bits() as u64);
+    mix(spec.dt.to_bits() as u64);
+    for d in spec.topo.dims {
+        mix(d as u64);
+    }
+    for p in spec.topo.periodic {
+        mix(p as u64);
+    }
+    for bc in spec.global_bc {
+        mix(bc as u64);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_distinguishes_specs() {
+        let spec = || DomainSpec::periodic((8, 4, 4), (0.25, 0.25, 0.25), 0.1, 2);
+        let a = spec_fingerprint(&spec());
+        let mut s2 = spec();
+        s2.dt = 0.11;
+        assert_ne!(a, spec_fingerprint(&s2));
+        let mut s3 = spec();
+        s3.global_cells.0 = 16;
+        assert_ne!(a, spec_fingerprint(&s3));
+        assert_eq!(a, spec_fingerprint(&spec()));
+    }
 
     #[test]
     fn periodic_spec_builds_consistent_grids() {

@@ -37,10 +37,8 @@ pub use campaign::{
     run_campaign, run_campaign_from, run_campaign_with, CampaignConfig, CampaignDrive, CampaignEnd,
     CampaignError, CampaignOutcome, CampaignSim, CheckpointPolicy, DrivenSim, RecoveryEvent, Start,
 };
-pub use dcheckpoint::{
-    dump_rank_bytes, load_rank, load_rank_from_path, save_rank_to_path, spec_fingerprint,
-};
-pub use decomposition::DomainSpec;
+pub use dcheckpoint::{dump_rank_bytes, load_rank, load_rank_from_path, save_rank_to_path};
+pub use decomposition::{spec_fingerprint, DomainSpec};
 pub use dsim::DistributedSim;
 pub use exchange::GhostExchanger;
 pub use migrate::{migrate_species, transform_to_receiver, Migrant};

@@ -443,9 +443,8 @@ type RankStats = Option<(u64, f64, u32, u32)>;
 /// may have panicked, failed with a campaign error, or finished.
 type RankResult = Result<Result<(CampaignOutcome, RankStats), String>, nanompi::RankPanic>;
 
-/// Fold allgathered per-rank values (rank order) into one world value:
-/// the dump fingerprints into the world fingerprint, the state hashes
-/// into the world state hash. Identical on every transport, so a socket
+/// Fold allgathered per-rank dump fingerprints or state hashes (rank
+/// order) into one world value. Identical on every transport, so a socket
 /// run can be diffed against a local run with a single number.
 fn world_fingerprint(fps: &[u32]) -> u32 {
     let mut bytes = Vec::with_capacity(fps.len() * 4);
@@ -520,9 +519,8 @@ fn run_campaign_deck(
         let stats: RankStats = match outcome.end {
             CampaignEnd::Completed => {
                 let dump = dump_rank_bytes(&sim, false).map_err(|e| e.to_string())?;
-                let hash = state_hash(&sim.fields, &sim.species);
                 let (fps, hashes): (Vec<u32>, Vec<u32>) = comm
-                    .allgather((fingerprint32(&dump), hash))
+                    .allgather((fingerprint32(&dump), state_hash(&sim.fields, &sim.species)))
                     .map_err(|e| e.to_string())?
                     .into_iter()
                     .unzip();

@@ -433,7 +433,7 @@ pub struct CampaignSetup {
     pub fault_plan: Option<FaultPlan>,
     /// Run config (cleaning cadence + sentinel thresholds) from a
     /// `[sentinel]` section, if present. Applied to every built rank so
-    /// it rides the v3 checkpoint config section.
+    /// it rides the dump's config section.
     pub sentinel: Option<SimConfig>,
     /// Seeded field corruption from a `[fault]` section, if present.
     pub corruption: Option<CorruptionPlan>,

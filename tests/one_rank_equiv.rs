@@ -1,12 +1,14 @@
-//! The licence for the single step loop: a 1-rank `DistributedSim` and a
-//! `Simulation` of the same box are the same computation, bit for bit —
-//! the serial driver is the distributed phase sequence with no neighbours.
+//! The licence for the single step loop and the single dump format: a
+//! 1-rank `DistributedSim` and a `Simulation` of the same box are the same
+//! computation, bit for bit — the serial driver is the distributed phase
+//! sequence with no neighbours — and the 1-rank world's raw rank dump is
+//! byte for byte the serial dump.
 
 use vpic::core::cadence::SortPolicy;
-use vpic::core::checkpoint::{encode_fields, encode_species};
+use vpic::core::checkpoint::{self, encode_fields, encode_species};
 use vpic::core::{load_uniform, Grid, Momentum, ParticleBc, Rng, Simulation, Species, Sponge};
 use vpic::nanompi::{run_expect, CartTopology};
-use vpic::parallel::{DistributedSim, DomainSpec};
+use vpic::parallel::{dump_rank_bytes, DistributedSim, DomainSpec};
 
 const CELLS: (usize, usize, usize) = (12, 6, 4);
 const CELL: (f32, f32, f32) = (0.25, 0.25, 0.25);
@@ -17,8 +19,8 @@ fn electrons() -> Species {
     Species::new("e", -1.0, 1.0).with_sort_policy(SortPolicy::Auto)
 }
 
-/// Step both drivers from the same load and demand byte-equal fields and
-/// particles.
+/// Step both drivers from the same load and demand byte-equal fields,
+/// particles and dumps.
 fn assert_equivalent(
     spec: DomainSpec,
     sponge: Option<Sponge>,
@@ -55,14 +57,21 @@ fn assert_equivalent(
         for _ in 0..steps {
             sim.step(comm).unwrap();
         }
-        (encode_fields(&sim.fields), encode_species(&sim.species))
+        (
+            encode_fields(&sim.fields),
+            encode_species(&sim.species),
+            dump_rank_bytes(&sim, false).unwrap(),
+        )
     });
-    let (fields, species) = ranks.remove(0);
+    let (fields, species, dump) = ranks.remove(0);
     assert!(encode_fields(&serial.fields) == fields, "fields differ");
     assert!(
         encode_species(&serial.species) == species,
         "particles differ"
     );
+    let mut serial_dump = Vec::new();
+    checkpoint::save(&serial, &mut serial_dump).unwrap();
+    assert!(serial_dump == dump, "dumps differ");
 }
 
 #[test]

@@ -10,8 +10,8 @@
 //! * the verdict is deterministic — identical on every rank and across
 //!   worker counts (one shared reduction);
 //! * deck `[sentinel]` knobs (cleaning cadence + thresholds) survive
-//!   deck → `SimConfig` → v3 checkpoint → restore unchanged, and the
-//!   cleaning cadence survives the serial v2 dump.
+//!   deck → `SimConfig` → rank dump → restore unchanged, and the
+//!   cleaning cadence survives the serial dump.
 
 use std::path::PathBuf;
 use vpic::core::sentinel::{
@@ -276,8 +276,8 @@ fn verdict_is_identical_across_ranks_and_worker_counts() {
 }
 
 /// `[sentinel]` deck knobs — the Marder cleaning cadence and every
-/// sentinel threshold — survive deck → `SimConfig` → v3 checkpoint →
-/// restore, and the cleaning cadence survives the serial v2 format (the
+/// sentinel threshold — survive deck → `SimConfig` → rank dump →
+/// restore, and the cleaning cadence survives the serial dump (the
 /// serial driver runs no sentinel of its own).
 #[test]
 fn sentinel_config_roundtrips_deck_to_checkpoint() {
@@ -309,7 +309,7 @@ fn sentinel_config_roundtrips_deck_to_checkpoint() {
     };
     assert_eq!(setup.sentinel, Some(expected));
 
-    // v3 (distributed, per-rank) round-trip, compressed.
+    // Rank dump round-trip, compressed.
     let (results, _) = nanompi::run_expect(setup.ranks, {
         let setup = (*setup).clone();
         move |comm| {
@@ -325,10 +325,10 @@ fn sentinel_config_roundtrips_deck_to_checkpoint() {
         }
     });
     for restored in results {
-        assert_eq!(restored, expected, "v3 checkpoint dropped the config");
+        assert_eq!(restored, expected, "rank dump dropped the config");
     }
 
-    // v2 (serial) round-trip of the cleaning cadence.
+    // Serial dump round-trip of the cleaning cadence.
     let dx = 0.25f32;
     let dt = vpic::core::Grid::courant_dt(1.0, (dx, dx, dx), 0.7);
     let g = vpic::core::Grid::periodic((4, 4, 4), (dx, dx, dx), dt);
@@ -341,6 +341,6 @@ fn sentinel_config_roundtrips_deck_to_checkpoint() {
     assert_eq!(
         (restored.clean_div_e_interval, restored.clean_div_b_interval),
         (6, 9),
-        "v2 checkpoint dropped the cleaning cadence"
+        "serial dump dropped the cleaning cadence"
     );
 }
