@@ -59,9 +59,9 @@ pub struct StepTimings {
     pub sort: f64,
     /// Drive hooks, sponge, divergence cleaning.
     pub other: f64,
-    /// Diagnostics observation: probe sampling + snapshot publication
-    /// (the async pipeline's residual on-hot-path cost; the FFT/artifact
-    /// work itself runs on the worker and never lands here).
+    /// Diagnostics observation: probe sampling, snapshot capture and the
+    /// diagnostics engine's inline ingest (its spectra and streamed
+    /// artifact writes included).
     pub diag: f64,
     /// Total particle advances performed.
     pub particle_steps: u64,
@@ -428,8 +428,8 @@ impl Simulation {
     /// One step with a drive hook plus a diagnostics observer. The
     /// observer runs after the step completes (fields at `n+1`, the
     /// completed-step count passed in) and its wall time is charged to
-    /// `timings.diag` — this is the snapshot-publication seam of the
-    /// diagnostics pipeline, kept out of every physics phase's budget.
+    /// `timings.diag` — this is where in-situ diagnostics observe the
+    /// step, kept out of every physics phase's budget.
     pub fn step_with_observed(
         &mut self,
         drive: impl FnOnce(&mut FieldArray, &Grid, u64),

@@ -10,9 +10,9 @@
 //! * [`histogram`] — weighted momentum distributions and trapping
 //!   metrics (hot-tail fraction, momentum spread);
 //! * [`recorder`] — scalar time series with ω and growth-rate fits;
-//! * [`pipeline`] — the off-hot-path snapshot pipeline: a bounded-queue
-//!   worker consuming deterministic [`DiagSnapshot`]s, with the sync
-//!   inline path kept as the bit-identity oracle.
+//! * [`pipeline`] — in-situ reduction: the step loop publishes
+//!   deterministic [`DiagSnapshot`]s and one [`DiagEngine`] ingests them
+//!   inline.
 
 pub mod dump;
 pub mod fft;
@@ -27,7 +27,7 @@ pub use fft::{dominant_frequency, fft_inplace, growth_rate, power_spectrum};
 pub use histogram::{momentum_histogram, momentum_spread, tail_fraction, Histogram};
 pub use pipeline::{
     backscatter_spectrum_of, parse_progress, spectrum_peak, DiagConfig, DiagEngine, DiagMode,
-    DiagPipeline, DiagSink, DiagSnapshot, DiagStats, EngineState,
+    DiagSink, DiagSnapshot, DiagStats, EngineState,
 };
 pub use poynting::{poynting_x, wave_split_x, ReflectivityProbe};
 pub use recorder::TimeSeries;

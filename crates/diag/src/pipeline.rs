@@ -1,43 +1,23 @@
-//! Off-hot-path diagnostics pipeline: snapshot handoff from the step
-//! loop to a dedicated consumer.
+//! In-situ diagnostics: deterministic snapshots from the step loop,
+//! reduced by one engine.
 //!
 //! The SC'08 run's science product was in-situ data reduction — at a
 //! trillion particles you cannot dump raw state, so spectra and
-//! reflectivity are computed as the run flies. This module decouples
-//! that reduction from the push kernel: the step loop publishes cheap
-//! deterministic [`DiagSnapshot`]s (one scalar probe sample per sampled
-//! step; a probe-plane field slab plus decimated particle sample every
-//! `cadence`-th step) and a [`DiagEngine`] consumes them to maintain the
-//! backscatter series, spectra, spectrograms, Poynting split and a
-//! streaming `progress.json` artifact.
+//! reflectivity are computed as the run flies. The step loop publishes
+//! cheap deterministic [`DiagSnapshot`]s (one scalar probe sample per
+//! sampled step; a probe-plane field slab plus decimated particle sample
+//! every `cadence`-th step) and a [`DiagEngine`] ingests each one inline,
+//! on the step thread, to maintain the backscatter series, spectra,
+//! spectrograms, Poynting split and a streaming `progress.json` artifact.
 //!
-//! **Bit-identity by construction.** The same engine is driven two
-//! ways: `sync` ingests each snapshot inline (the oracle), `async`
-//! sends it over a bounded channel to a worker thread that calls the
-//! identical `ingest`. Snapshots arrive in publication order on a
-//! single consumer, so every artifact the engine produces — series,
-//! spectrum, spectrogram, `progress.json` — is byte-identical across
-//! modes at any pipeline count. The only observable difference is
-//! *when* the work happens.
-//!
-//! **Flush/drain contract.** `flush()` is a barrier: it returns only
-//! after every previously published snapshot has been ingested. The
-//! campaign driver flushes before every checkpoint, rollback and
-//! graceful degrade, and `reset()` rebuilds the engine from the
+//! Every artifact the engine produces is a pure function of the snapshot
+//! sequence it ingested, so it is the same at any pipeline count. A
+//! rollback calls `reset()`, which rebuilds the engine from the
 //! checkpoint-authoritative probe/series state, so replayed steps never
 //! double-count a sample.
-//!
-//! **Flow control.** When the bounded queue is full the publisher waits
-//! (stall time is counted), keeping the pipeline lossless and
-//! deterministic: no snapshot is ever shed.
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crate::fft::power_spectrum;
 use crate::recorder::TimeSeries;
@@ -46,25 +26,26 @@ use crate::spectrogram::Spectrogram;
 /// Schema identifier for the streaming progress artifact.
 pub const PROGRESS_SCHEMA: &str = "vpic-diag/progress/v1";
 
-/// Where diagnostics run relative to the step loop.
+/// Whether the step loop feeds a diagnostics engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DiagMode {
     /// No engine: only the inline probe/series sampling happens.
     #[default]
     Off,
-    /// Engine ingests every snapshot inline in the step loop (oracle).
+    /// The engine ingests every snapshot inline in the step loop.
     Sync,
-    /// Engine runs on a worker thread behind a bounded channel.
+    /// Retired: runs exactly as [`DiagMode::Sync`]. Kept only because
+    /// `benchmark/` names it (ROADMAP item 1a); no deck parses to it.
     Async,
 }
 
 impl DiagMode {
-    /// Parse the `mode = off|sync|async` deck value.
+    /// Parse the `mode = off|sync` deck value. `async`, the retired
+    /// worker-thread mode, is still accepted as a spelling of `sync`.
     pub fn parse(s: &str) -> Option<DiagMode> {
         match s {
             "off" => Some(DiagMode::Off),
-            "sync" => Some(DiagMode::Sync),
-            "async" => Some(DiagMode::Async),
+            "sync" | "async" => Some(DiagMode::Sync),
             _ => None,
         }
     }
@@ -73,14 +54,13 @@ impl DiagMode {
     pub fn as_str(&self) -> &'static str {
         match self {
             DiagMode::Off => "off",
-            DiagMode::Sync => "sync",
-            DiagMode::Async => "async",
+            DiagMode::Sync | DiagMode::Async => "sync",
         }
     }
 }
 
-/// Configuration of the diagnostics pipeline (the `[diag]` deck
-/// section). `Copy` so it can ride inside `LpiParams`.
+/// Configuration of in-situ diagnostics (the `[diag]` deck section).
+/// `Copy` so it can ride inside `LpiParams`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DiagConfig {
     pub mode: DiagMode,
@@ -91,8 +71,6 @@ pub struct DiagConfig {
     /// step number, so rollback replay regenerates the same heavy
     /// snapshots.
     pub cadence: u64,
-    /// Bounded channel depth for `async` mode (min 1).
-    pub queue_depth: usize,
     /// Particle decimation: every `decimation`-th electron contributes
     /// to the heavy snapshot's momentum sample (min 1).
     pub decimation: usize,
@@ -106,7 +84,6 @@ impl Default for DiagConfig {
         DiagConfig {
             mode: DiagMode::Off,
             cadence: 64,
-            queue_depth: 32,
             decimation: 64,
             series_cap: 65_536,
         }
@@ -127,8 +104,8 @@ pub struct DiagSnapshot {
     /// this step's sample.
     pub probe_raw: (f64, f64, u64),
     /// Probe-plane field slab `[ey, ez, cby, cbz]` per transverse cell
-    /// — heavy snapshots only. The buffer is recycled through the
-    /// pipeline (double-buffering), not reallocated per snapshot.
+    /// — heavy snapshots only. The sink hands the buffer back for the
+    /// next heavy snapshot, so it is not reallocated per snapshot.
     pub slab: Option<Vec<f64>>,
     /// Decimated electron momentum magnitudes — heavy snapshots only.
     pub particles: Option<Vec<f32>>,
@@ -148,45 +125,25 @@ pub struct EngineState {
     pub step: u64,
 }
 
-/// Pipeline counters (snapshots published/consumed, queue behavior).
+/// Sink counters: snapshots published and consumed.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DiagStats {
     pub published: u64,
     pub consumed: u64,
-    /// Snapshots shed: always 0, since the publisher blocks on a full
-    /// queue. Still reported (run summary, the benchmark's
-    /// `diag.dropped`) as the check that nothing was lost.
+    /// Always 0, since the engine ingests every snapshot (`benchmark/`'s
+    /// `diag.dropped`; ROADMAP item 1a).
     pub dropped: u64,
-    /// High-water mark of the queue depth.
+    /// Always 0, since there is no queue (`benchmark/`'s
+    /// `diag.max_queue_depth`; ROADMAP item 1a).
     pub max_depth: u64,
-    /// Publisher wall time spent blocked on a full queue.
+    /// Always 0, since the publisher never waits (`benchmark/`'s
+    /// `diag.stall_s`; ROADMAP item 1a).
     pub stall_seconds: f64,
-}
-
-#[derive(Default)]
-struct SharedStats {
-    published: AtomicU64,
-    consumed: AtomicU64,
-    depth: AtomicU64,
-    max_depth: AtomicU64,
-    stall_ns: AtomicU64,
-}
-
-impl SharedStats {
-    fn snapshot(&self) -> DiagStats {
-        DiagStats {
-            published: self.published.load(Ordering::Relaxed),
-            consumed: self.consumed.load(Ordering::Relaxed),
-            dropped: 0,
-            max_depth: self.max_depth.load(Ordering::Relaxed),
-            stall_seconds: self.stall_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-        }
-    }
 }
 
 /// Power spectrum of a backscatter series as `(ω, power)` bins — the
 /// single definition shared by [`DiagEngine`] and `LpiRun`, so the
-/// engine's artifact and the legacy inline path agree bit-for-bit.
+/// engine's artifact and the run's own spectrum agree bit-for-bit.
 pub fn backscatter_spectrum_of(samples: &[f64], dt: f64) -> Vec<(f64, f64)> {
     if samples.is_empty() {
         // Too short to have a spectrum: report that, don't zero-pad an
@@ -215,9 +172,8 @@ pub fn spectrum_peak(spectrum: &[(f64, f64)], omega_max: f64) -> Option<(f64, f6
 
 const SG_WINDOW: usize = 256;
 
-/// The diagnostics consumer: identical whether driven inline (`sync`)
-/// or from the worker thread (`async`). Everything it produces is a
-/// pure function of the snapshot sequence it ingested.
+/// The diagnostics consumer. Everything it produces is a pure function
+/// of the snapshot sequence it ingested.
 #[derive(Clone, Debug)]
 pub struct DiagEngine {
     /// Mirror of the run's backscatter series (same retention cap, so a
@@ -363,8 +319,8 @@ impl DiagEngine {
     }
 
     /// The streaming progress artifact: a pure function of the engine
-    /// state, so sync and async runs (and rollback replays) write
-    /// byte-identical files at the same ingest points.
+    /// state, so a run and its rollback replays write byte-identical
+    /// files at the same ingest points.
     pub fn progress_json(&mut self) -> String {
         use std::fmt::Write as _;
         let r = self.reflectivity();
@@ -439,143 +395,16 @@ pub fn parse_progress(json: &str) -> Option<(u64, f64)> {
     Some((step, refl))
 }
 
-enum Msg {
-    Snapshot(DiagSnapshot),
-    Flush(SyncSender<()>),
-    Reset(Box<EngineState>),
-    SetOutDir(PathBuf),
-}
-
-/// The async half: bounded channel + worker thread owning the engine.
-pub struct DiagPipeline {
-    tx: SyncSender<Msg>,
-    recycle: Receiver<Vec<f64>>,
-    worker: Option<JoinHandle<DiagEngine>>,
-    stats: Arc<SharedStats>,
-}
-
-impl DiagPipeline {
-    /// Spawn the worker with a queue of `cfg.queue_depth` snapshots.
-    pub fn spawn(engine: DiagEngine, cfg: &DiagConfig) -> DiagPipeline {
-        let (tx, rx) = sync_channel::<Msg>(cfg.queue_depth.max(1));
-        let (recycle_tx, recycle) = std::sync::mpsc::channel::<Vec<f64>>();
-        let stats = Arc::new(SharedStats::default());
-        let wstats = Arc::clone(&stats);
-        let worker = std::thread::Builder::new()
-            .name("vpic-diag".into())
-            .spawn(move || {
-                let mut engine = engine;
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        Msg::Snapshot(mut snap) => {
-                            engine.ingest(&snap);
-                            wstats.depth.fetch_sub(1, Ordering::Relaxed);
-                            wstats.consumed.fetch_add(1, Ordering::Relaxed);
-                            if let Some(mut slab) = snap.slab.take() {
-                                slab.clear();
-                                let _ = recycle_tx.send(slab);
-                            }
-                        }
-                        Msg::Flush(ack) => {
-                            let _ = ack.send(());
-                        }
-                        Msg::Reset(state) => engine.reset(*state),
-                        Msg::SetOutDir(dir) => engine.set_out_dir(dir),
-                    }
-                }
-                engine.finalize();
-                engine
-            })
-            .expect("spawn diag worker");
-        DiagPipeline {
-            tx,
-            recycle,
-            worker: Some(worker),
-            stats,
-        }
-    }
-
-    /// A recycled slab buffer if the worker has returned one.
-    pub fn slab_buffer(&mut self) -> Option<Vec<f64>> {
-        self.recycle.try_recv().ok()
-    }
-
-    /// Publish one snapshot, waiting for the worker if the queue is full.
-    pub fn publish(&mut self, snap: DiagSnapshot) {
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
-        // Count the depth *before* sending: the worker may consume (and
-        // decrement) the instant the send lands.
-        let d = self.stats.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats.max_depth.fetch_max(d, Ordering::Relaxed);
-        match self.tx.try_send(Msg::Snapshot(snap)) {
-            Ok(()) => {}
-            Err(TrySendError::Full(msg)) => {
-                let t0 = Instant::now();
-                self.tx.send(msg).expect("diag worker died");
-                self.stats
-                    .stall_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-            Err(TrySendError::Disconnected(_)) => panic!("diag worker died"),
-        }
-    }
-
-    /// Barrier: returns once every snapshot published before this call
-    /// has been ingested.
-    pub fn flush(&mut self) {
-        let (ack_tx, ack_rx) = sync_channel::<()>(1);
-        self.tx.send(Msg::Flush(ack_tx)).expect("diag worker died");
-        ack_rx.recv().expect("diag worker died");
-    }
-
-    /// Queue a rollback/resume reset (FIFO-ordered after everything
-    /// already published; callers flush first to drain stale snapshots).
-    pub fn reset(&mut self, state: EngineState) {
-        self.tx
-            .send(Msg::Reset(Box::new(state)))
-            .expect("diag worker died");
-    }
-
-    /// Route the engine's streaming artifacts to `dir`.
-    pub fn set_out_dir(&mut self, dir: PathBuf) {
-        self.tx.send(Msg::SetOutDir(dir)).expect("diag worker died");
-    }
-
-    /// Counters so far (safe to sample mid-run).
-    pub fn stats(&self) -> DiagStats {
-        self.stats.snapshot()
-    }
-
-    /// Drain the queue, stop the worker and recover the engine.
-    pub fn finish(self) -> (DiagEngine, DiagStats) {
-        let DiagPipeline {
-            tx,
-            recycle,
-            worker,
-            stats,
-            ..
-        } = self;
-        drop(tx);
-        drop(recycle);
-        let engine = worker
-            .expect("diag worker already joined")
-            .join()
-            .expect("diag worker panicked");
-        (engine, stats.snapshot())
-    }
-}
-
-/// The step loop's uniform handle over all three modes. `Off` costs a
-/// branch; `Sync` is the inline oracle; `Async` is the pipeline.
+/// The step loop's handle on the engine. `Off` costs a branch; `Inline`
+/// ingests each snapshot on the step thread.
 pub enum DiagSink {
     Off,
-    Sync {
+    Inline {
         engine: Box<DiagEngine>,
         stats: DiagStats,
         /// Spare slab buffer recycled across heavy snapshots.
         spare: Vec<f64>,
     },
-    Async(DiagPipeline),
 }
 
 impl DiagSink {
@@ -583,12 +412,11 @@ impl DiagSink {
     pub fn new(cfg: &DiagConfig, dt: f64) -> DiagSink {
         match cfg.mode {
             DiagMode::Off => DiagSink::Off,
-            DiagMode::Sync => DiagSink::Sync {
+            DiagMode::Sync | DiagMode::Async => DiagSink::Inline {
                 engine: Box::new(DiagEngine::new(dt, cfg)),
                 stats: DiagStats::default(),
                 spare: Vec::new(),
             },
-            DiagMode::Async => DiagSink::Async(DiagPipeline::spawn(DiagEngine::new(dt, cfg), cfg)),
         }
     }
 
@@ -597,68 +425,44 @@ impl DiagSink {
         matches!(self, DiagSink::Off)
     }
 
-    /// The mode this sink runs in.
-    pub fn mode(&self) -> DiagMode {
-        match self {
-            DiagSink::Off => DiagMode::Off,
-            DiagSink::Sync { .. } => DiagMode::Sync,
-            DiagSink::Async(_) => DiagMode::Async,
-        }
-    }
-
-    /// A slab buffer for the next heavy snapshot (recycled when the
-    /// consumer has returned one).
+    /// A slab buffer for the next heavy snapshot (the previous heavy
+    /// snapshot's, cleared).
     pub fn slab_buffer(&mut self) -> Vec<f64> {
         match self {
             DiagSink::Off => Vec::new(),
-            DiagSink::Sync { spare, .. } => std::mem::take(spare),
-            DiagSink::Async(p) => p.slab_buffer().unwrap_or_default(),
+            DiagSink::Inline { spare, .. } => std::mem::take(spare),
         }
     }
 
-    /// Publish one snapshot (no-op when off).
+    /// Ingest one snapshot (no-op when off).
     pub fn publish(&mut self, mut snap: DiagSnapshot) {
-        match self {
-            DiagSink::Off => {}
-            DiagSink::Sync {
-                engine,
-                stats,
-                spare,
-            } => {
-                engine.ingest(&snap);
-                stats.published += 1;
-                stats.consumed += 1;
-                if let Some(mut slab) = snap.slab.take() {
-                    slab.clear();
-                    *spare = slab;
-                }
+        if let DiagSink::Inline {
+            engine,
+            stats,
+            spare,
+        } = self
+        {
+            engine.ingest(&snap);
+            stats.published += 1;
+            stats.consumed += 1;
+            if let Some(mut slab) = snap.slab.take() {
+                slab.clear();
+                *spare = slab;
             }
-            DiagSink::Async(p) => p.publish(snap),
-        }
-    }
-
-    /// Barrier: every published snapshot has been ingested on return.
-    pub fn flush(&mut self) {
-        if let DiagSink::Async(p) = self {
-            p.flush();
         }
     }
 
     /// Rebuild the engine from checkpoint-authoritative state.
     pub fn reset(&mut self, state: EngineState) {
-        match self {
-            DiagSink::Off => {}
-            DiagSink::Sync { engine, .. } => engine.reset(state),
-            DiagSink::Async(p) => p.reset(state),
+        if let DiagSink::Inline { engine, .. } = self {
+            engine.reset(state);
         }
     }
 
     /// Route streaming artifacts to `dir`.
     pub fn set_out_dir(&mut self, dir: PathBuf) {
-        match self {
-            DiagSink::Off => {}
-            DiagSink::Sync { engine, .. } => engine.set_out_dir(dir),
-            DiagSink::Async(p) => p.set_out_dir(dir),
+        if let DiagSink::Inline { engine, .. } = self {
+            engine.set_out_dir(dir);
         }
     }
 
@@ -666,26 +470,20 @@ impl DiagSink {
     pub fn stats(&self) -> DiagStats {
         match self {
             DiagSink::Off => DiagStats::default(),
-            DiagSink::Sync { stats, .. } => *stats,
-            DiagSink::Async(p) => p.stats(),
+            DiagSink::Inline { stats, .. } => *stats,
         }
     }
 
     /// Stop the sink (replacing it with `Off`) and recover the engine +
-    /// final counters. Sync engines get their `finalize` here so both
-    /// modes write the closing progress artifact at the same point.
+    /// final counters, after the engine's closing progress write.
     pub fn finish(&mut self) -> (Option<Box<DiagEngine>>, DiagStats) {
         match std::mem::replace(self, DiagSink::Off) {
             DiagSink::Off => (None, DiagStats::default()),
-            DiagSink::Sync {
+            DiagSink::Inline {
                 mut engine, stats, ..
             } => {
                 engine.finalize();
                 (Some(engine), stats)
-            }
-            DiagSink::Async(p) => {
-                let (engine, stats) = p.finish();
-                (Some(Box::new(engine)), stats)
             }
         }
     }
@@ -702,13 +500,11 @@ pub(crate) fn write_atomic_nosync(path: &Path, bytes: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
-    fn cfg(mode: DiagMode, queue_depth: usize) -> DiagConfig {
+    fn cfg() -> DiagConfig {
         DiagConfig {
-            mode,
+            mode: DiagMode::Sync,
             cadence: 4,
-            queue_depth,
             decimation: 1,
             series_cap: 0,
         }
@@ -726,59 +522,15 @@ mod tests {
     }
 
     #[test]
-    fn sync_and_async_engines_agree_bit_for_bit() {
-        let mut sync = DiagSink::new(&cfg(DiagMode::Sync, 2), 0.1);
-        let mut asy = DiagSink::new(&cfg(DiagMode::Async, 2), 0.1);
-        for i in 0..300u64 {
-            let v = ((i as f64) * 0.37).sin();
-            sync.publish(snap(i, v));
-            asy.publish(snap(i, v));
-        }
-        let (se, ss) = sync.finish();
-        let (ae, astats) = asy.finish();
-        let (mut se, mut ae) = (se.unwrap(), ae.unwrap());
-        assert_eq!(ss.published, 300);
-        assert_eq!(astats.published, 300);
-        assert_eq!(astats.consumed, 300);
-        assert_eq!(astats.dropped, 0);
-        assert_eq!(se.samples().len(), ae.samples().len());
-        for (a, b) in se.samples().iter().zip(ae.samples()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(se.reflectivity().to_bits(), ae.reflectivity().to_bits());
-        let (s1, s2) = (se.spectrum().to_vec(), ae.spectrum().to_vec());
-        assert_eq!(s1.len(), s2.len());
-        for (a, b) in s1.iter().zip(&s2) {
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-        assert_eq!(se.progress_json(), ae.progress_json());
-    }
-
-    #[test]
-    fn flush_is_a_barrier() {
-        let mut sink = DiagSink::new(&cfg(DiagMode::Async, 1), 0.1);
-        for i in 0..50u64 {
-            sink.publish(snap(i, i as f64));
-        }
-        sink.flush();
-        let stats = sink.stats();
-        assert_eq!(stats.consumed, 50, "flush must drain the queue");
-        assert_eq!(stats.published, 50);
-        let (engine, _) = sink.finish();
-        assert_eq!(engine.unwrap().samples().len(), 50);
-    }
-
-    #[test]
     fn reset_discards_replayed_tail() {
         // Publish 10, checkpoint, publish 5 junk (the "future" a fault
         // destroys), reset to the checkpoint, replay 5 good: the engine
         // must end exactly as if the junk never happened.
         let run = |with_fault: bool| -> Vec<f64> {
-            let mut sink = DiagSink::new(&cfg(DiagMode::Async, 2), 0.1);
+            let mut sink = DiagSink::new(&cfg(), 0.1);
             for i in 0..10u64 {
                 sink.publish(snap(i, i as f64));
             }
-            sink.flush();
             let ckpt = EngineState {
                 samples: (0..10).map(|i| i as f64).collect(),
                 discarded: 0,
@@ -789,7 +541,6 @@ mod tests {
                 for i in 10..15u64 {
                     sink.publish(snap(i, -1.0));
                 }
-                sink.flush();
                 sink.reset(ckpt);
             }
             for i in 10..15u64 {
@@ -851,50 +602,18 @@ mod tests {
 
     #[test]
     fn slab_buffers_are_recycled() {
-        let mut sink = DiagSink::new(&cfg(DiagMode::Async, 2), 0.1);
+        let mut sink = DiagSink::new(&cfg(), 0.1);
         let mut recycled = false;
         for i in 0..200u64 {
             let mut buf = sink.slab_buffer();
+            assert!(buf.is_empty(), "a recycled slab comes back cleared");
             recycled |= buf.capacity() > 0;
             buf.extend_from_slice(&[1.0, 0.0, 0.0, 1.0]);
             let mut s = snap(i, 0.0);
             s.slab = Some(buf);
             sink.publish(s);
         }
-        sink.flush();
         assert!(recycled, "no slab buffer ever came back");
         sink.finish();
-    }
-
-    proptest! {
-        /// Any interleaving of publishes and flushes, at any queue
-        /// depth, delivers every sample exactly once, in order.
-        #[test]
-        fn flush_drain_preserves_order(
-            depth in 1usize..5,
-            ops in prop::collection::vec(0i32..256, 1..120),
-        ) {
-            let mut sink = DiagSink::new(&cfg(DiagMode::Async, depth), 0.1);
-            let mut model = Vec::new();
-            let mut step = 0u64;
-            for op in ops {
-                // ~1 in 4 ops is a flush barrier, the rest publish.
-                if op < 64 {
-                    sink.flush();
-                    prop_assert_eq!(sink.stats().consumed, model.len() as u64);
-                } else {
-                    let v = op as f64;
-                    sink.publish(snap(step, v));
-                    model.push(v);
-                    step += 1;
-                }
-            }
-            let (engine, stats) = sink.finish();
-            prop_assert_eq!(stats.published, model.len() as u64);
-            prop_assert_eq!(stats.consumed, model.len() as u64);
-            prop_assert_eq!(stats.dropped, 0);
-            let engine = engine.unwrap();
-            prop_assert_eq!(engine.samples(), &model[..]);
-        }
     }
 }

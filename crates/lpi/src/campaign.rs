@@ -4,10 +4,10 @@
 //! faults the multi-rank runtime handles. What is LPI-specific lives here:
 //! the run's [`CampaignSim`] impl — the serial dump (rank 0 of a 1-rank
 //! world) plus a sidecar with the reflectivity probe and backscatter
-//! series, the diagnostics pipeline flushed at every dump and re-seeded
-//! at every restore — and the end-state report. Rollback restores the full
-//! observable state, so a recovered campaign finishes **bit-identically**
-//! with a fault-free run of the same deck.
+//! series, the diagnostics engine re-seeded at every restore — and the
+//! end-state report. Rollback restores the full observable state, so a
+//! recovered campaign finishes **bit-identically** with a fault-free run
+//! of the same deck.
 //!
 //! Gauss-law monitoring and Marder E-cleaning are forced off when the run
 //! uses the immobile neutralizing ion background (the default): `rho` then
@@ -90,12 +90,12 @@ pub struct LpiCampaignOutcome {
     /// [`state_hash`] of the end state: the fields and particles alone,
     /// which no change of dump format moves.
     pub state_hash: u32,
-    /// Diagnostics-pipeline counters (published/consumed/dropped snapshots,
-    /// max queue depth, publisher stall time). All-zero when `diag = off`.
+    /// Diagnostics-sink counters (snapshots published and consumed).
+    /// All-zero when `diag = off`.
     pub diag: DiagStats,
-    /// The diagnostics engine drained from the pipeline at shutdown, when
-    /// the campaign ran with `diag = sync|async`. Carries the backscatter
-    /// spectrum/spectrogram state so callers can write final artifacts.
+    /// The diagnostics engine at shutdown, when the campaign ran with
+    /// `diag = sync`. Carries the backscatter spectrum/spectrogram state
+    /// so callers can write final artifacts.
     pub diag_engine: Option<Box<DiagEngine>>,
 }
 
@@ -249,8 +249,7 @@ fn decode_sidecar(bytes: &[u8]) -> Result<(u64, SidecarState), CheckpointError> 
 }
 
 /// The serial run as the campaign ladder's one rank: no collectives, the
-/// serial dump, and the diagnostics pipeline drained at every dump and
-/// re-seeded at every restore.
+/// serial dump, and the diagnostics engine re-seeded at every restore.
 impl CampaignSim for LpiRun {
     type Snapshot = (Simulation, SidecarState);
 
@@ -289,12 +288,8 @@ impl CampaignSim for LpiRun {
         Ok((self.sim.energies().total(), self.sim.n_particles() as f64))
     }
 
-    /// The serial dump, cut behind a flush barrier: every snapshot published
-    /// so far is consumed first, so a rollback that replays steps past
-    /// this point can re-seed the pipeline without double-counting
-    /// samples already folded into artifacts.
+    /// The serial dump.
     fn dump(&mut self, _compress: bool) -> Result<Vec<u8>, CheckpointError> {
-        self.diag_flush();
         let mut buf = Vec::new();
         save(&self.sim, &mut buf)?;
         Ok(buf)
@@ -323,16 +318,14 @@ impl CampaignSim for LpiRun {
     }
 
     fn restore(&mut self, (mut sim, diag): Self::Snapshot) {
-        // Drain in-flight snapshots from the abandoned timeline, then
-        // re-seed the engine from the restored state: the replayed steps
-        // republish their snapshots deterministically.
-        self.diag_flush();
         // The dump carries fields/particles/step/lost count/config; the
         // sponge and diagnostics live outside it.
         sim.sponge = self.sim.sponge;
         self.sim = sim;
         self.probe = diag.probe;
         self.backscatter_series = diag.series;
+        // Re-seed the engine from the restored state: the replayed steps
+        // republish their snapshots deterministically.
         self.diag_reset();
     }
 }

@@ -65,8 +65,8 @@ pub struct LpiParams {
     /// every species. Cadence decisions feed only on deterministic
     /// counters, so `auto` keeps the bit-identity contract.
     pub sort: SortPolicy,
-    /// Diagnostics pipeline (`[diag]` deck section): mode, snapshot
-    /// cadence, queue depth, particle decimation, series retention.
+    /// Diagnostics (`[diag]` deck section): mode, snapshot cadence,
+    /// particle decimation, series retention.
     pub diag: DiagConfig,
 }
 
@@ -116,8 +116,8 @@ pub struct LpiRun {
     /// `params.diag.series_cap` (windowed retention; the discarded count
     /// rides the checkpoint sidecar with the samples).
     pub backscatter_series: vpic_diag::TimeSeries,
-    /// Diagnostics sink: `Off` (inline probe only), `Sync` (engine inline,
-    /// the oracle) or `Async` (engine on a worker behind a bounded queue).
+    /// Diagnostics sink: `Off` (inline probe only) or `Inline` (the engine
+    /// ingests each snapshot on the step thread).
     pub sink: DiagSink,
     /// Backscatter spectrum memoized by series length (satellite of the
     /// pipeline refactor: progress probing must not re-run the FFT).
@@ -258,8 +258,8 @@ impl LpiRun {
     ///
     /// Probe sampling stays inline by design: it is cheap (one plane
     /// sweep), checkpoint-authoritative, and every downstream artifact
-    /// must agree with it bit-for-bit. The pipeline offloads only the
-    /// derived work (FFTs, spectrograms, artifact writes).
+    /// must agree with it bit-for-bit. The engine does the derived work
+    /// (FFTs, spectrograms, artifact writes).
     pub fn step(&mut self) {
         let antenna = self.antenna;
         let seed = self.seed_antenna;
@@ -327,15 +327,9 @@ impl LpiRun {
         );
     }
 
-    /// Barrier: every published snapshot has been consumed on return.
-    /// Called before every checkpoint, rollback and graceful degrade.
-    pub fn diag_flush(&mut self) {
-        self.sink.flush();
-    }
-
     /// Rebuild the diagnostics engine from the run's (just-restored)
     /// probe/series state, so replayed steps never double-count a
-    /// sample. Callers flush first to drain stale in-flight snapshots.
+    /// sample: the engine keeps its own copy of the series.
     pub fn diag_reset(&mut self) {
         if self.sink.is_off() {
             return;
@@ -353,7 +347,7 @@ impl LpiRun {
         self.sink.set_out_dir(dir);
     }
 
-    /// Pipeline counters so far (safe to sample mid-run).
+    /// Sink counters so far.
     pub fn diag_stats(&self) -> DiagStats {
         self.sink.stats()
     }

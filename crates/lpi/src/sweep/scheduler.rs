@@ -379,7 +379,7 @@ impl SweepRunner {
         // error (surfaced after the batch) or once any point of the batch
         // has fired the kill plan. The provisional reflectivity of the
         // progressive curve comes from the campaign's streaming
-        // `progress.json` when its diagnostics pipeline is on; `null`
+        // `progress.json` when its diagnostics engine is on; `null`
         // otherwise.
         let last_checkpoint = Mutex::new(None);
         let progress_path = self.job_dir(id).join("progress.json");

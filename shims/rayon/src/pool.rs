@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 /// polls before it parks. Long enough that the back-to-back regions of one
 /// sub-millisecond PIC step find the workers awake (no futex wake per
 /// region), short enough that a thread with nothing to do gives its core
-/// back to whoever else wants it (other ranks, libtest threads, the
-/// diagnostics worker) almost at once.
+/// back to whoever else wants it (other ranks, libtest threads) almost at
+/// once.
 const SPIN: Duration = Duration::from_micros(50);
 
 thread_local! {

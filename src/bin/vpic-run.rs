@@ -202,7 +202,7 @@ fn run(deck_path: &str, out_dir: &str, cli: &Cli) -> Result<(), Box<dyn std::err
             let ys: Vec<f64> = spec.iter().map(|(_, p)| *p).collect();
             let mut f = fs::File::create(Path::new(out_dir).join("spectrum.tsv"))?;
             write_series("backscatter_power", &xs, &ys, &mut f)?;
-            // Drain the diagnostics pipeline (a no-op when diag = off)
+            // Close the diagnostics engine (a no-op when diag = off)
             // and fold its counters into the closing summary.
             let (_engine, dstats) = run.diag_finish();
             println!(
@@ -379,22 +379,18 @@ fn run_sweep_deck(
     Ok(())
 }
 
-/// Diagnostics-pipeline counters for the closing summary: how the
-/// snapshot handoff behaved (queue pressure, publisher stalls, losses),
-/// as opposed to what the diagnostics measured. Silent when diag = off.
+/// Diagnostics-sink counters for the closing summary: how many snapshots
+/// the step loop published and the engine consumed, as opposed to what
+/// the diagnostics measured. Silent when diag = off.
 fn print_diag_stats(mode: vpic::diag::DiagMode, s: &vpic::diag::DiagStats) {
     if mode == vpic::diag::DiagMode::Off {
         return;
     }
     println!(
-        "diag [{}]: {} snapshot(s) published, {} consumed, {} dropped, \
-         max queue depth {}, publisher stalled {:.1} ms",
+        "diag [{}]: {} snapshot(s) published, {} consumed",
         mode.as_str(),
         s.published,
-        s.consumed,
-        s.dropped,
-        s.max_depth,
-        s.stall_seconds * 1e3
+        s.consumed
     );
 }
 

@@ -715,27 +715,26 @@ fn parse_sort_policy(deck: &Deck) -> Result<SortPolicy, DeckError> {
     }
 }
 
-/// Diagnostics-pipeline knobs: a bare global `diag = off|sync|async`
-/// shorthand for just the mode, plus an optional `[diag]` section
-/// (`mode`, `cadence`, `queue_depth`, `decimation`, `series_cap`).
-/// `sync` keeps the inline oracle path; `async` hands snapshots to the
-/// bounded-queue worker — bit-identical artifacts by contract, so this is
-/// a performance knob, not a physics knob.
+/// Diagnostics knobs: a bare global `diag = off|sync` shorthand for just
+/// the mode, plus an optional `[diag]` section (`mode`, `cadence`,
+/// `decimation`, `series_cap`). `sync` runs the engine inline on the step
+/// thread. `async` is a retired spelling of `sync` (`benchmark/`'s
+/// generated sweep deck names it); the retired `[diag]` keys
+/// `queue_depth` and `backpressure` are ignored, like any unknown key.
 fn parse_diag(deck: &Deck) -> Result<DiagConfig, DeckError> {
     let mut cfg = DiagConfig::default();
     if let Some(v) = deck.globals.get("diag") {
-        cfg.mode = DiagMode::parse(v)
-            .ok_or_else(|| err(format!("diag must be off, sync or async, got {v}")))?;
+        cfg.mode =
+            DiagMode::parse(v).ok_or_else(|| err(format!("diag must be off or sync, got {v}")))?;
     }
     let Some(kv) = deck.section("diag") else {
         return Ok(cfg);
     };
     if let Some(v) = kv.get("mode") {
         cfg.mode = DiagMode::parse(v)
-            .ok_or_else(|| err(format!("diag.mode must be off, sync or async, got {v}")))?;
+            .ok_or_else(|| err(format!("diag.mode must be off or sync, got {v}")))?;
     }
     cfg.cadence = get_u64(kv, "cadence", cfg.cadence)?.max(1);
-    cfg.queue_depth = get_usize(kv, "queue_depth", cfg.queue_depth)?.max(1);
     cfg.decimation = get_usize(kv, "decimation", cfg.decimation)?.max(1);
     cfg.series_cap = get_usize(kv, "series_cap", cfg.series_cap)?;
     Ok(cfg)
@@ -1574,40 +1573,51 @@ corrupt_count = 4
 
     #[test]
     fn diag_knob_and_section_parse_and_reject_junk() {
-        use vpic_diag::DiagMode;
+        use vpic_diag::{DiagMode, DiagSink};
+
+        let lpi = |text: &str| {
+            let BuiltRun::Lpi(run) = build(&Deck::parse(text).unwrap()).unwrap() else {
+                panic!("wrong kind")
+            };
+            run
+        };
 
         // Bare global shorthand selects just the mode.
-        let text = "kind = lpi\ndiag = async\n[laser]\na0 = 0.01";
-        let BuiltRun::Lpi(run) = build(&Deck::parse(text).unwrap()).unwrap() else {
-            panic!("wrong kind")
-        };
-        assert_eq!(run.params.diag.mode, DiagMode::Async);
+        let run = lpi("kind = lpi\ndiag = sync\n[laser]\na0 = 0.01");
+        assert_eq!(run.params.diag.mode, DiagMode::Sync);
+        assert!(matches!(run.sink, DiagSink::Inline { .. }));
 
         // Default is off; the [diag] section sets mode and tuning knobs,
         // and clamps the degenerate zero values to 1.
-        let text = "kind = lpi\n[laser]\na0 = 0.01";
-        let BuiltRun::Lpi(run) = build(&Deck::parse(text).unwrap()).unwrap() else {
-            panic!("wrong kind")
-        };
+        let run = lpi("kind = lpi\n[laser]\na0 = 0.01");
         assert_eq!(run.params.diag.mode, DiagMode::Off);
-        let text = "kind = lpi\n[laser]\na0 = 0.01\n[diag]\nmode = sync\ncadence = 0\n\
-                    queue_depth = 8\ndecimation = 32\nseries_cap = 4096";
-        let BuiltRun::Lpi(run) = build(&Deck::parse(text).unwrap()).unwrap() else {
-            panic!("wrong kind")
-        };
+        assert!(run.sink.is_off());
+        let run = lpi(
+            "kind = lpi\n[laser]\na0 = 0.01\n[diag]\nmode = sync\ncadence = 0\n\
+             decimation = 32\nseries_cap = 4096",
+        );
         let d = run.params.diag;
         assert_eq!(d.mode, DiagMode::Sync);
         assert_eq!(d.cadence, 1); // clamped
-        assert_eq!(d.queue_depth, 8);
         assert_eq!(d.decimation, 32);
         assert_eq!(d.series_cap, 4096);
 
         // The section's mode wins over the global shorthand.
-        let text = "kind = lpi\ndiag = sync\n[laser]\na0 = 0.01\n[diag]\nmode = async";
-        let BuiltRun::Lpi(run) = build(&Deck::parse(text).unwrap()).unwrap() else {
-            panic!("wrong kind")
-        };
-        assert_eq!(run.params.diag.mode, DiagMode::Async);
+        let run = lpi("kind = lpi\ndiag = sync\n[laser]\na0 = 0.01\n[diag]\nmode = off");
+        assert_eq!(run.params.diag.mode, DiagMode::Off);
+
+        // Retired spellings still parse, and each runs the inline sink:
+        // `async` (the removed worker-thread mode, which `benchmark/`'s
+        // generated sweep deck names) and the removed `queue_depth` knob.
+        for retired in [
+            "kind = lpi\ndiag = async\n[laser]\na0 = 0.01",
+            "kind = lpi\n[laser]\na0 = 0.01\n[diag]\nmode = async",
+            "kind = lpi\ndiag = sync\n[laser]\na0 = 0.01\n[diag]\nqueue_depth = 8",
+        ] {
+            let run = lpi(retired);
+            assert_eq!(run.params.diag.mode, DiagMode::Sync, "{retired}");
+            assert!(matches!(run.sink, DiagSink::Inline { .. }), "{retired}");
+        }
 
         for bad in [
             "kind = lpi\ndiag = eager\n[laser]\na0 = 0.01",
