@@ -12,7 +12,9 @@
 //! * [`recorder`] — scalar time series with ω and growth-rate fits;
 //! * [`pipeline`] — in-situ reduction: the step loop publishes
 //!   deterministic [`DiagSnapshot`]s and one [`DiagEngine`] ingests them
-//!   inline.
+//!   inline; the run's `progress.json` reports its own probe and series
+//!   beside the engine's reduction of a heavy snapshot built where the
+//!   file is written.
 
 pub mod dump;
 pub mod fft;
@@ -20,15 +22,13 @@ pub mod histogram;
 pub mod pipeline;
 pub mod poynting;
 pub mod recorder;
-pub mod spectrogram;
 
 pub use dump::{write_field_line_x, write_series, EnergyLogger};
 pub use fft::{dominant_frequency, fft_inplace, growth_rate, power_spectrum};
 pub use histogram::{momentum_histogram, momentum_spread, tail_fraction, Histogram};
 pub use pipeline::{
     backscatter_spectrum_of, parse_progress, spectrum_peak, DiagConfig, DiagEngine, DiagMode,
-    DiagSink, DiagSnapshot, DiagStats, EngineState,
+    DiagSink, DiagSnapshot, DiagStats,
 };
 pub use poynting::{poynting_x, wave_split_x, ReflectivityProbe};
 pub use recorder::TimeSeries;
-pub use spectrogram::Spectrogram;

@@ -3,27 +3,25 @@
 //!
 //! The SC'08 run's science product was in-situ data reduction — at a
 //! trillion particles you cannot dump raw state, so spectra and
-//! reflectivity are computed as the run flies. The step loop publishes
-//! cheap deterministic [`DiagSnapshot`]s (one scalar probe sample per
-//! sampled step; a probe-plane field slab plus decimated particle sample
-//! every `cadence`-th step) and a [`DiagEngine`] ingests each one inline,
-//! on the step thread, to maintain the backscatter series, spectra,
-//! spectrograms, Poynting split and a streaming `progress.json` artifact.
+//! reflectivity are computed as the run flies. The run itself owns the
+//! checkpoint-authoritative state (the reflectivity probe and the
+//! backscatter series). The step loop publishes one cheap deterministic
+//! [`DiagSnapshot`] per sampled step; a heavy snapshot (a probe-plane
+//! field slab plus a decimated particle sample) is built from live state
+//! only when `progress.json` is written, and the [`DiagEngine`] reduces
+//! it to the Poynting split and particle RMS that
+//! [`DiagEngine::progress_json`] reports beside the run's own probe and
+//! series.
 //!
-//! Every artifact the engine produces is a pure function of the snapshot
-//! sequence it ingested, so it is the same at any pipeline count. A
-//! rollback calls `reset()`, which rebuilds the engine from the
-//! checkpoint-authoritative probe/series state, so replayed steps never
-//! double-count a sample.
-
-use std::io;
-use std::path::{Path, PathBuf};
+//! The engine keeps no series and no probe, so a rollback has nothing to
+//! re-seed: every artifact is a pure function of the run at the step it
+//! describes, the same at any pipeline count and after any replay.
 
 use crate::fft::power_spectrum;
+use crate::poynting::ReflectivityProbe;
 use crate::recorder::TimeSeries;
-use crate::spectrogram::Spectrogram;
 
-/// Schema identifier for the streaming progress artifact.
+/// Schema identifier for the progress artifact.
 pub const PROGRESS_SCHEMA: &str = "vpic-diag/progress/v1";
 
 /// Whether the step loop feeds a diagnostics engine.
@@ -64,12 +62,10 @@ impl DiagMode {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DiagConfig {
     pub mode: DiagMode,
-    /// Heavy-snapshot cadence in steps: every snapshot carries the
-    /// scalar probe sample; steps divisible by `cadence` additionally
-    /// carry the probe-plane field slab + decimated particle sample and
-    /// trigger a `progress.json` write. Cadence keys on the absolute
-    /// step number, so rollback replay regenerates the same heavy
-    /// snapshots.
+    /// Retired: no deck sets it and the run reads it nowhere, since heavy
+    /// snapshots are built only where `progress.json` is written. Kept
+    /// only because `benchmark/`'s traced LPI step (`drivers.rs`) reads
+    /// it (ROADMAP item 1a).
     pub cadence: u64,
     /// Particle decimation: every `decimation`-th electron contributes
     /// to the heavy snapshot's momentum sample (min 1).
@@ -104,25 +100,10 @@ pub struct DiagSnapshot {
     /// this step's sample.
     pub probe_raw: (f64, f64, u64),
     /// Probe-plane field slab `[ey, ez, cby, cbz]` per transverse cell
-    /// — heavy snapshots only. The sink hands the buffer back for the
-    /// next heavy snapshot, so it is not reallocated per snapshot.
+    /// — heavy snapshots only.
     pub slab: Option<Vec<f64>>,
     /// Decimated electron momentum magnitudes — heavy snapshots only.
     pub particles: Option<Vec<f32>>,
-}
-
-/// Engine state carried by a `reset` (rollback/resume): exactly the
-/// checkpoint-authoritative probe/series state, so a replayed engine is
-/// indistinguishable from one that never left the checkpoint.
-#[derive(Clone, Debug)]
-pub struct EngineState {
-    /// Retained backscatter samples (the series' window).
-    pub samples: Vec<f64>,
-    /// Samples discarded by windowed retention before this state.
-    pub discarded: u64,
-    pub probe_raw: (f64, f64, u64),
-    /// Step count of the state.
-    pub step: u64,
 }
 
 /// Sink counters: snapshots published and consumed.
@@ -142,8 +123,9 @@ pub struct DiagStats {
 }
 
 /// Power spectrum of a backscatter series as `(ω, power)` bins — the
-/// single definition shared by [`DiagEngine`] and `LpiRun`, so the
-/// engine's artifact and the run's own spectrum agree bit-for-bit.
+/// single definition shared by [`DiagEngine::progress_json`] and
+/// `LpiRun`, so the artifact and the run's own spectrum agree
+/// bit-for-bit.
 pub fn backscatter_spectrum_of(samples: &[f64], dt: f64) -> Vec<(f64, f64)> {
     if samples.is_empty() {
         // Too short to have a spectrum: report that, don't zero-pad an
@@ -170,56 +152,28 @@ pub fn spectrum_peak(spectrum: &[(f64, f64)], omega_max: f64) -> Option<(f64, f6
         .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
 }
 
-const SG_WINDOW: usize = 256;
-
-/// The diagnostics consumer. Everything it produces is a pure function
-/// of the snapshot sequence it ingested.
-#[derive(Clone, Debug)]
+/// The diagnostics consumer: the reductions of the newest heavy
+/// snapshot it ingested. It holds no series and no probe; those belong
+/// to the run, which hands them to [`DiagEngine::progress_json`].
+#[derive(Clone, Debug, Default)]
 pub struct DiagEngine {
-    /// Mirror of the run's backscatter series (same retention cap, so a
-    /// `reset` from the checkpointed series is always consistent).
-    series: TimeSeries,
-    probe_raw: (f64, f64, u64),
-    last_step: u64,
     /// Latest heavy snapshot's Poynting split `(forward, backward)`.
     poynting: (f64, f64),
     /// Latest heavy snapshot's particle RMS momentum + sample count.
     particle_rms: f64,
     particle_samples: usize,
-    spectrum_cache: Option<(usize, Vec<(f64, f64)>)>,
-    out_dir: Option<PathBuf>,
-    ingested: u64,
 }
 
 impl DiagEngine {
-    /// New engine for a series with timestep `dt`, retaining at most
-    /// `cfg.series_cap` samples.
-    pub fn new(dt: f64, cfg: &DiagConfig) -> Self {
-        DiagEngine {
-            series: TimeSeries::new("backward amplitude", dt).with_cap(cfg.series_cap),
-            probe_raw: (0.0, 0.0, 0),
-            last_step: 0,
-            poynting: (0.0, 0.0),
-            particle_rms: 0.0,
-            particle_samples: 0,
-            spectrum_cache: None,
-            out_dir: None,
-            ingested: 0,
-        }
+    /// New engine. Its arguments are unread and kept only for
+    /// `benchmark/`'s ingest timing (ROADMAP item 1a).
+    pub fn new(_dt: f64, _cfg: &DiagConfig) -> Self {
+        DiagEngine::default()
     }
 
-    /// Stream `progress.json` into `dir` on every heavy snapshot.
-    pub fn set_out_dir(&mut self, dir: PathBuf) {
-        self.out_dir = Some(dir);
-    }
-
-    /// Consume one snapshot. Heavy snapshots (slab present) refresh the
-    /// Poynting/particle reductions and write the progress artifact.
+    /// Consume one snapshot. A heavy snapshot (slab present) refreshes
+    /// the Poynting/particle reductions; a light one changes nothing.
     pub fn ingest(&mut self, snap: &DiagSnapshot) {
-        self.series.push(snap.backward);
-        self.probe_raw = snap.probe_raw;
-        self.last_step = snap.step;
-        self.ingested += 1;
         if let Some(slab) = &snap.slab {
             let mut fwd = 0.0f64;
             let mut bwd = 0.0f64;
@@ -238,102 +192,38 @@ impl DiagEngine {
             }
             if let Some(parts) = &snap.particles {
                 self.particle_samples = parts.len();
-                if !parts.is_empty() {
-                    let sum: f64 = parts.iter().map(|&u| u as f64 * u as f64).sum();
-                    self.particle_rms = (sum / parts.len() as f64).sqrt();
-                }
+                let sum: f64 = parts.iter().map(|&u| u as f64 * u as f64).sum();
+                self.particle_rms = if parts.is_empty() {
+                    0.0
+                } else {
+                    (sum / parts.len() as f64).sqrt()
+                };
             }
-            self.write_progress();
         }
     }
 
-    /// Rebuild from checkpoint-authoritative state (rollback/resume):
-    /// drops everything ingested past the checkpoint so replayed steps
-    /// never double-count.
-    pub fn reset(&mut self, state: EngineState) {
-        self.series.samples = state.samples;
-        self.series.discarded = state.discarded;
-        self.probe_raw = state.probe_raw;
-        self.last_step = state.step;
-        self.ingested = self.series.discarded + self.series.samples.len() as u64;
-        self.poynting = (0.0, 0.0);
-        self.particle_rms = 0.0;
-        self.particle_samples = 0;
-        self.spectrum_cache = None;
-    }
-
-    /// Time-averaged power reflectivity from the probe accumulators.
-    pub fn reflectivity(&self) -> f64 {
-        let (incident, reflected, _) = self.probe_raw;
-        if incident > 0.0 {
-            reflected / incident
-        } else {
-            0.0
-        }
-    }
-
-    /// Retained backscatter samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.series.samples
-    }
-
-    /// Total samples ever ingested (retained + discarded).
-    pub fn total_samples(&self) -> u64 {
-        self.series.total_pushed()
-    }
-
-    /// Step count of the newest ingested snapshot.
-    pub fn last_step(&self) -> u64 {
-        self.last_step
-    }
-
-    /// Backscatter power spectrum over the retained window, cached by
-    /// series length so repeated probing is O(1).
-    pub fn spectrum(&mut self) -> &[(f64, f64)] {
-        let len = self.series.samples.len();
-        if self.spectrum_cache.as_ref().map(|c| c.0) != Some(len) {
-            let spec = backscatter_spectrum_of(&self.series.samples, self.series.dt);
-            self.spectrum_cache = Some((len, spec));
-        }
-        &self.spectrum_cache.as_ref().unwrap().1
-    }
-
-    /// Spectrogram of the retained window: Hann frames of
-    /// `min(256, ⌊len⌋₂)` samples at half-window hop, or `None` when the
-    /// series is shorter than 8 samples. A pure function of the series.
-    pub fn spectrogram(&self) -> Option<Spectrogram> {
-        let len = self.series.samples.len();
-        if len < 8 {
-            return None;
-        }
-        let mut w = SG_WINDOW.min(len);
-        while !w.is_power_of_two() {
-            w -= 1;
-        }
-        Some(Spectrogram::compute(
-            &self.series.samples,
-            self.series.dt,
-            w,
-            (w / 2).max(1),
-        ))
-    }
-
-    /// The streaming progress artifact: a pure function of the engine
-    /// state, so a run and its rollback replays write byte-identical
-    /// files at the same ingest points.
-    pub fn progress_json(&mut self) -> String {
+    /// The progress artifact for a run at `step` with this backscatter
+    /// `series` and reflectivity `probe`, reporting the newest heavy
+    /// snapshot's reductions: a pure function of its arguments and that
+    /// snapshot, so a run and its rollback replays write identical bytes.
+    pub fn progress_json(
+        &self,
+        step: u64,
+        series: &TimeSeries,
+        probe: &ReflectivityProbe,
+    ) -> String {
         use std::fmt::Write as _;
-        let r = self.reflectivity();
-        let (incident, _, probe_samples) = self.probe_raw;
+        let r = probe.reflectivity();
+        let (incident, _, probe_samples) = probe.raw_state();
         let (fwd, bwd) = self.poynting;
-        let (step, total, retained, discarded) = (
-            self.last_step,
-            self.series.total_pushed(),
-            self.series.samples.len(),
-            self.series.discarded,
+        let (total, retained, discarded) = (
+            series.total_pushed(),
+            series.samples.len(),
+            series.discarded,
         );
         let (rms, nparts) = (self.particle_rms, self.particle_samples);
-        let peak = spectrum_peak(self.spectrum(), f64::INFINITY);
+        let spectrum = backscatter_spectrum_of(&series.samples, series.dt);
+        let peak = spectrum_peak(&spectrum, f64::INFINITY);
         let mut s = String::new();
         let _ = writeln!(s, "{{");
         let _ = writeln!(s, "  \"schema\": \"{PROGRESS_SCHEMA}\",");
@@ -361,24 +251,6 @@ impl DiagEngine {
         }
         let _ = write!(s, "}}");
         s
-    }
-
-    /// Write `progress.json` atomically (best-effort: streaming output
-    /// must never take the run down).
-    fn write_progress(&mut self) {
-        let Some(dir) = self.out_dir.clone() else {
-            return;
-        };
-        let json = self.progress_json();
-        let _ = write_atomic_nosync(&dir.join("progress.json"), json.as_bytes());
-    }
-
-    /// End-of-run hook: one final progress write so the artifact always
-    /// reflects the complete series.
-    pub fn finalize(&mut self) {
-        if self.out_dir.is_some() {
-            self.write_progress();
-        }
     }
 }
 
@@ -452,20 +324,6 @@ impl DiagSink {
         }
     }
 
-    /// Rebuild the engine from checkpoint-authoritative state.
-    pub fn reset(&mut self, state: EngineState) {
-        if let DiagSink::Inline { engine, .. } = self {
-            engine.reset(state);
-        }
-    }
-
-    /// Route streaming artifacts to `dir`.
-    pub fn set_out_dir(&mut self, dir: PathBuf) {
-        if let DiagSink::Inline { engine, .. } = self {
-            engine.set_out_dir(dir);
-        }
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> DiagStats {
         match self {
@@ -475,26 +333,13 @@ impl DiagSink {
     }
 
     /// Stop the sink (replacing it with `Off`) and recover the engine +
-    /// final counters, after the engine's closing progress write.
+    /// final counters.
     pub fn finish(&mut self) -> (Option<Box<DiagEngine>>, DiagStats) {
         match std::mem::replace(self, DiagSink::Off) {
             DiagSink::Off => (None, DiagStats::default()),
-            DiagSink::Inline {
-                mut engine, stats, ..
-            } => {
-                engine.finalize();
-                (Some(engine), stats)
-            }
+            DiagSink::Inline { engine, stats, .. } => (Some(engine), stats),
         }
     }
-}
-
-/// Atomic streaming-artifact write: tmp + rename, no fsync (progress
-/// files are advisory; the checkpoint path owns durable writes).
-pub(crate) fn write_atomic_nosync(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
@@ -504,9 +349,9 @@ mod tests {
     fn cfg() -> DiagConfig {
         DiagConfig {
             mode: DiagMode::Sync,
-            cadence: 4,
             decimation: 1,
             series_cap: 0,
+            ..Default::default()
         }
     }
 
@@ -521,68 +366,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reset_discards_replayed_tail() {
-        // Publish 10, checkpoint, publish 5 junk (the "future" a fault
-        // destroys), reset to the checkpoint, replay 5 good: the engine
-        // must end exactly as if the junk never happened.
-        let run = |with_fault: bool| -> Vec<f64> {
-            let mut sink = DiagSink::new(&cfg(), 0.1);
-            for i in 0..10u64 {
-                sink.publish(snap(i, i as f64));
-            }
-            let ckpt = EngineState {
-                samples: (0..10).map(|i| i as f64).collect(),
-                discarded: 0,
-                probe_raw: (10.0, 9.0, 9),
-                step: 9,
-            };
-            if with_fault {
-                for i in 10..15u64 {
-                    sink.publish(snap(i, -1.0));
-                }
-                sink.reset(ckpt);
-            }
-            for i in 10..15u64 {
-                sink.publish(snap(i, i as f64));
-            }
-            let (engine, _) = sink.finish();
-            engine.unwrap().samples().to_vec()
-        };
-        let clean = run(false);
-        let replayed = run(true);
-        assert_eq!(clean.len(), 15);
-        assert_eq!(clean, replayed, "rollback replay double-counted");
+    /// A run's series and probe after `n` sampled steps.
+    fn run_state(n: u64) -> (TimeSeries, ReflectivityProbe) {
+        let mut series = TimeSeries::new("backward amplitude", 0.1);
+        for i in 0..n {
+            series.push((i as f64 * 0.5).sin());
+        }
+        (series, ReflectivityProbe::from_raw(3, 2.0, 0.5, n))
     }
 
     #[test]
     fn progress_json_parses_back() {
-        let mut engine = DiagEngine::new(0.1, &DiagConfig::default());
-        for i in 0..32u64 {
-            engine.ingest(&snap(i, (i as f64 * 0.5).sin()));
-        }
-        let json = engine.progress_json();
+        let engine = DiagEngine::new(0.1, &DiagConfig::default());
+        let (series, probe) = run_state(32);
+        let json = engine.progress_json(31, &series, &probe);
         assert!(json.contains(PROGRESS_SCHEMA));
+        assert!(json.contains("\"samples\": 32,"), "{json}");
         let (step, refl) = parse_progress(&json).unwrap();
         assert_eq!(step, 31);
-        assert_eq!(refl.to_bits(), engine.reflectivity().to_bits());
+        assert_eq!(refl.to_bits(), probe.reflectivity().to_bits());
     }
 
     #[test]
-    fn short_series_has_no_peak_and_no_spectrogram() {
+    fn short_series_has_no_peak() {
         // Empty series: no spectrum at all, so no peak — and the
         // progress artifact must still be writable (nulls, not 0s).
-        let mut engine = DiagEngine::new(0.1, &DiagConfig::default());
-        assert!(engine.spectrum().is_empty());
-        assert!(spectrum_peak(engine.spectrum(), f64::INFINITY).is_none());
-        assert!(engine.spectrogram().is_none());
-        assert!(engine.progress_json().contains("\"peak_omega\": null"));
+        let engine = DiagEngine::new(0.1, &DiagConfig::default());
+        let (empty, probe) = run_state(0);
+        assert!(backscatter_spectrum_of(&empty.samples, empty.dt).is_empty());
+        assert!(engine
+            .progress_json(0, &empty, &probe)
+            .contains("\"peak_omega\": null"));
         // One sample: a post-DC bin exists, but an `omega_max` below it
         // leaves the window empty — None, not a silent (0, 0).
-        engine.ingest(&snap(0, 1.0));
-        assert!(spectrum_peak(engine.spectrum(), f64::INFINITY).is_some());
-        assert!(spectrum_peak(engine.spectrum(), 0.0).is_none());
-        assert!(engine.spectrogram().is_none());
+        let (one, _) = run_state(1);
+        let spectrum = backscatter_spectrum_of(&one.samples, one.dt);
+        assert!(spectrum_peak(&spectrum, f64::INFINITY).is_some());
+        assert!(spectrum_peak(&spectrum, 0.0).is_none());
     }
 
     #[test]
@@ -593,11 +413,15 @@ mod tests {
         s.slab = Some(vec![2.0, 0.0, 0.0, 2.0]);
         s.particles = Some(vec![3.0, 4.0]);
         engine.ingest(&s);
-        let json = engine.progress_json();
+        // A light snapshot leaves the reductions alone.
+        engine.ingest(&snap(1, 1.0));
+        let (series, probe) = run_state(2);
+        let json = engine.progress_json(1, &series, &probe);
         assert!(json.contains("\"poynting_forward\": 4e0"), "{json}");
         assert!(json.contains("\"poynting_backward\": 0e0"), "{json}");
         // RMS of {3,4} = sqrt(12.5).
         assert!(json.contains("\"particle_rms_u\": 3.5355339059327378e0"));
+        assert!(json.contains("\"particle_samples\": 2,"));
     }
 
     #[test]
@@ -614,6 +438,8 @@ mod tests {
             sink.publish(s);
         }
         assert!(recycled, "no slab buffer ever came back");
-        sink.finish();
+        let (engine, stats) = sink.finish();
+        assert!(engine.is_some());
+        assert_eq!((stats.published, stats.consumed), (200, 200));
     }
 }

@@ -4,10 +4,12 @@
 //! faults the multi-rank runtime handles. What is LPI-specific lives here:
 //! the run's [`CampaignSim`] impl — the serial dump (rank 0 of a 1-rank
 //! world) plus a sidecar with the reflectivity probe and backscatter
-//! series, the diagnostics engine re-seeded at every restore — and the
-//! end-state report. Rollback restores the full observable state, so a
-//! recovered campaign finishes **bit-identically** with a fault-free run
-//! of the same deck.
+//! series, and `progress.json` written at every certified generation —
+//! and the end-state report. Rollback restores the full observable
+//! state, and the probe and series are the only copy of the diagnostic
+//! state, so a recovered or resumed campaign finishes
+//! **bit-identically** with a fault-free run of the same deck, its last
+//! `progress.json` included.
 //!
 //! Gauss-law monitoring and Marder E-cleaning are forced off when the run
 //! uses the immobile neutralizing ion background (the default): `rho` then
@@ -27,7 +29,7 @@ use vpic_core::field::FieldArray;
 use vpic_core::grid::Grid;
 use vpic_core::sentinel::{HealthSample, SentinelConfig};
 use vpic_core::sim::Simulation;
-use vpic_diag::{DiagEngine, DiagStats, ReflectivityProbe, TimeSeries};
+use vpic_diag::{DiagStats, ReflectivityProbe, TimeSeries};
 use vpic_parallel::campaign::{
     run_campaign_from, CampaignConfig, CampaignEnd, CampaignError, CampaignOutcome, CampaignSim,
     Start,
@@ -93,10 +95,8 @@ pub struct LpiCampaignOutcome {
     /// Diagnostics-sink counters (snapshots published and consumed).
     /// All-zero when `diag = off`.
     pub diag: DiagStats,
-    /// The diagnostics engine at shutdown, when the campaign ran with
-    /// `diag = sync`. Carries the backscatter spectrum/spectrogram state
-    /// so callers can write final artifacts.
-    pub diag_engine: Option<Box<DiagEngine>>,
+    /// The backscatter series at the end state.
+    pub backscatter_series: TimeSeries,
 }
 
 impl Deref for LpiCampaignOutcome {
@@ -127,9 +127,11 @@ pub fn run_lpi_campaign(
 ///   with an uninterrupted run. With nothing usable on disk the campaign
 ///   starts from step 0.
 /// * `on_checkpoint(step)` — called after each checkpoint generation is
-///   durably on disk (sidecar first, dump rename last). Returning `false`
-///   stops the campaign with [`CampaignEnd::Halted`]; orchestrators use
-///   this to certify progress and to model mid-campaign kills.
+///   durably on disk (sidecar first, dump rename last), by which time the
+///   run's `progress.json` describes that step (when `diag` is on and the
+///   probe has a sample). Returning `false` stops the campaign with
+///   [`CampaignEnd::Halted`]; orchestrators use this to certify progress
+///   and to model mid-campaign kills.
 pub fn run_lpi_campaign_with(
     params: LpiParams,
     cfg: &LpiCampaignConfig,
@@ -145,7 +147,7 @@ pub fn run_lpi_campaign_with(
             // module docs).
             campaign.sentinel.max_div_e_rms = 0.0;
         }
-        // Progress artifacts land next to the checkpoints they describe.
+        // `progress.json` lands next to the checkpoints it describes.
         run.diag_set_out_dir(campaign.checkpoint_dir.clone());
         let start = if resume { Start::Resume } else { Start::Fresh };
         let (run, outcome) = run_campaign_from(comm, run, &campaign, start, on_checkpoint)?;
@@ -158,7 +160,7 @@ pub fn run_lpi_campaign_with(
 fn finish(mut run: LpiRun, campaign: CampaignOutcome) -> Result<LpiCampaignOutcome, CampaignError> {
     let mut bytes = Vec::new();
     save(&run.sim, &mut bytes).map_err(CampaignError::Checkpoint)?;
-    let (diag_engine, diag) = run.diag_finish();
+    let (_, diag) = run.diag_finish();
     Ok(LpiCampaignOutcome {
         campaign,
         reflectivity: run.reflectivity(),
@@ -167,7 +169,7 @@ fn finish(mut run: LpiRun, campaign: CampaignOutcome) -> Result<LpiCampaignOutco
         state_fingerprint: fingerprint32(&bytes),
         state_hash: state_hash(&run.sim.fields, &run.sim.species),
         diag,
-        diag_engine,
+        backscatter_series: run.backscatter_series,
     })
 }
 
@@ -249,7 +251,8 @@ fn decode_sidecar(bytes: &[u8]) -> Result<(u64, SidecarState), CheckpointError> 
 }
 
 /// The serial run as the campaign ladder's one rank: no collectives, the
-/// serial dump, and the diagnostics engine re-seeded at every restore.
+/// serial dump plus the diagnostic sidecar, and `progress.json` at every
+/// certified generation.
 impl CampaignSim for LpiRun {
     type Snapshot = (Simulation, SidecarState);
 
@@ -324,9 +327,12 @@ impl CampaignSim for LpiRun {
         self.sim = sim;
         self.probe = diag.probe;
         self.backscatter_series = diag.series;
-        // Re-seed the engine from the restored state: the replayed steps
-        // republish their snapshots deterministically.
-        self.diag_reset();
+    }
+
+    /// The certified generation's `progress.json`, written before the
+    /// `on_checkpoint` hook (the sweep's reader) runs.
+    fn checkpointed(&mut self) {
+        self.write_progress();
     }
 }
 
@@ -440,6 +446,45 @@ mod tests {
         assert_eq!(resumed.reflectivity.to_bits(), clean.reflectivity.to_bits());
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    /// The sweep reads `progress.json` in its `on_checkpoint` hook: the
+    /// file must describe the certified step it is handed, and must not
+    /// exist before the probe has a sample.
+    #[test]
+    fn progress_json_reports_the_certified_step() {
+        let params = LpiParams {
+            diag: vpic_diag::DiagConfig {
+                mode: vpic_diag::DiagMode::Sync,
+                ..Default::default()
+            },
+            ..small_params()
+        };
+        let measure_after = LpiRun::new(params).measure_after;
+        let dir = temp_dir("lpi_campaign_progress");
+        let cfg = test_cfg(&dir, measure_after + 60);
+        let progress = dir.join("progress.json");
+        let seen = std::sync::Mutex::new(Vec::new());
+        let out = run_lpi_campaign_with(params, &cfg, false, &|step| {
+            let parsed = std::fs::read_to_string(&progress)
+                .ok()
+                .map(|json| vpic_diag::parse_progress(&json).map(|(s, _)| s));
+            seen.lock().unwrap().push((step, parsed));
+            true
+        })
+        .unwrap();
+        assert!(matches!(out.end, LpiCampaignEnd::Completed));
+        let seen = seen.into_inner().unwrap();
+        assert!(seen.iter().any(|&(s, _)| s < measure_after));
+        assert!(seen.iter().filter(|&&(s, _)| s >= measure_after).count() >= 3);
+        for (step, parsed) in seen {
+            if step < measure_after {
+                assert_eq!(parsed, None, "a file before the first probe sample");
+            } else {
+                assert_eq!(parsed, Some(Some(step)), "progress.json lags step {step}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use crate::laser::{LaserAntenna, Polarization};
 use crate::profile::SlabProfile;
 use crate::srs::{srs_match, SrsMatch};
+use std::path::PathBuf;
 use vpic_core::aosoa::Layout;
 use vpic_core::cadence::SortPolicy;
 use vpic_core::grid::{Grid, ParticleBc};
@@ -14,9 +15,7 @@ use vpic_core::rng::Rng;
 use vpic_core::sim::Simulation;
 use vpic_core::species::Species;
 use vpic_core::sponge::Sponge;
-use vpic_diag::{
-    DiagConfig, DiagEngine, DiagSink, DiagSnapshot, DiagStats, EngineState, ReflectivityProbe,
-};
+use vpic_diag::{DiagConfig, DiagEngine, DiagSink, DiagSnapshot, DiagStats, ReflectivityProbe};
 
 /// Parameters of an LPI run (lengths in `c/ωpe`, velocities in `c`).
 #[derive(Clone, Copy, Debug)]
@@ -65,8 +64,8 @@ pub struct LpiParams {
     /// every species. Cadence decisions feed only on deterministic
     /// counters, so `auto` keeps the bit-identity contract.
     pub sort: SortPolicy,
-    /// Diagnostics (`[diag]` deck section): mode, snapshot cadence,
-    /// particle decimation, series retention.
+    /// Diagnostics (`[diag]` deck section): mode, particle decimation,
+    /// series retention.
     pub diag: DiagConfig,
 }
 
@@ -119,9 +118,9 @@ pub struct LpiRun {
     /// Diagnostics sink: `Off` (inline probe only) or `Inline` (the engine
     /// ingests each snapshot on the step thread).
     pub sink: DiagSink,
-    /// Backscatter spectrum memoized by series length (satellite of the
-    /// pipeline refactor: progress probing must not re-run the FFT).
-    spectrum_cache: Option<(usize, Vec<(f64, f64)>)>,
+    /// Where [`LpiRun::write_progress`] puts `progress.json` (none: it
+    /// writes nothing).
+    out_dir: Option<PathBuf>,
 }
 
 impl LpiRun {
@@ -237,7 +236,7 @@ impl LpiRun {
             ions,
             backscatter_series,
             sink,
-            spectrum_cache: None,
+            out_dir: None,
         }
     }
 
@@ -258,15 +257,12 @@ impl LpiRun {
     ///
     /// Probe sampling stays inline by design: it is cheap (one plane
     /// sweep), checkpoint-authoritative, and every downstream artifact
-    /// must agree with it bit-for-bit. The engine does the derived work
-    /// (FFTs, spectrograms, artifact writes).
+    /// must agree with it bit-for-bit. The snapshot is light (no slab,
+    /// no particles); [`LpiRun::write_progress`] builds the heavy one.
     pub fn step(&mut self) {
         let antenna = self.antenna;
         let seed = self.seed_antenna;
         let measure_after = self.measure_after;
-        let cadence = self.params.diag.cadence.max(1);
-        let decimation = self.params.diag.decimation.max(1);
-        let electrons = self.electrons;
         let probe = &mut self.probe;
         let series = &mut self.backscatter_series;
         let sink = &mut self.sink;
@@ -277,7 +273,7 @@ impl LpiRun {
                     seed.drive(f, g, s);
                 }
             },
-            |f, g, species, step| {
+            |f, g, _, step| {
                 if step < measure_after {
                     return;
                 }
@@ -287,64 +283,72 @@ impl LpiRun {
                 let v = g.voxel(probe.plane, 1, 1);
                 let backward = 0.5 * (f.ey[v] - f.cbz[v]);
                 series.push(backward as f64);
-                if sink.is_off() {
-                    return;
-                }
-                // Heavy snapshots key on the absolute step number, so a
-                // rollback replay regenerates the identical sequence.
-                let heavy = step.is_multiple_of(cadence);
-                let (slab, particles) = if heavy {
-                    let mut slab = sink.slab_buffer();
-                    for k in 1..=g.nz {
-                        for j in 1..=g.ny {
-                            let v = g.voxel(probe.plane, j, k);
-                            slab.extend_from_slice(&[
-                                f.ey[v] as f64,
-                                f.ez[v] as f64,
-                                f.cby[v] as f64,
-                                f.cbz[v] as f64,
-                            ]);
-                        }
-                    }
-                    let parts: Vec<f32> = species[electrons]
-                        .iter()
-                        .step_by(decimation)
-                        .map(|p| (p.ux * p.ux + p.uy * p.uy + p.uz * p.uz).sqrt())
-                        .collect();
-                    (Some(slab), Some(parts))
-                } else {
-                    (None, None)
-                };
                 sink.publish(DiagSnapshot {
                     step,
                     time: step as f64 * g.dt as f64,
                     backward: backward as f64,
                     probe_raw: probe.raw_state(),
-                    slab,
-                    particles,
+                    slab: None,
+                    particles: None,
                 });
             },
         );
     }
 
-    /// Rebuild the diagnostics engine from the run's (just-restored)
-    /// probe/series state, so replayed steps never double-count a
-    /// sample: the engine keeps its own copy of the series.
-    pub fn diag_reset(&mut self) {
-        if self.sink.is_off() {
+    /// Write `progress.json` into the directory set by
+    /// [`LpiRun::diag_set_out_dir`] (nothing when it is unset, the
+    /// engine is off or the probe has no sample yet). The engine ingests
+    /// a heavy snapshot built from the live probe plane and every
+    /// `decimation`-th electron, then reports it beside the run's own
+    /// probe and series, so the file is a pure function of the run at
+    /// its current step. The one writer: the campaign calls it at every
+    /// certified checkpoint, [`LpiRun::diag_finish`] at the end.
+    /// Best-effort, since an advisory file must never take the run down;
+    /// atomic (temp file + rename), but not fsynced: the checkpoints are
+    /// the durable state.
+    pub fn write_progress(&mut self) {
+        let (Some(dir), DiagSink::Inline { engine, .. }) = (&self.out_dir, &mut self.sink) else {
+            return;
+        };
+        if self.probe.samples() == 0 {
             return;
         }
-        self.sink.reset(EngineState {
-            samples: self.backscatter_series.samples.clone(),
-            discarded: self.backscatter_series.discarded,
+        let (f, g) = (&self.sim.fields, &self.sim.grid);
+        let mut slab = Vec::with_capacity(4 * g.ny * g.nz);
+        for k in 1..=g.nz {
+            for j in 1..=g.ny {
+                let v = g.voxel(self.probe.plane, j, k);
+                slab.extend_from_slice(&[
+                    f.ey[v] as f64,
+                    f.ez[v] as f64,
+                    f.cby[v] as f64,
+                    f.cbz[v] as f64,
+                ]);
+            }
+        }
+        let particles = self.sim.species[self.electrons]
+            .iter()
+            .step_by(self.params.diag.decimation.max(1))
+            .map(|p| (p.ux * p.ux + p.uy * p.uy + p.uz * p.uz).sqrt())
+            .collect();
+        let (step, series) = (self.sim.step_count, &self.backscatter_series);
+        engine.ingest(&DiagSnapshot {
+            step,
+            time: step as f64 * g.dt as f64,
+            backward: series.samples.last().copied().unwrap_or_default(),
             probe_raw: self.probe.raw_state(),
-            step: self.sim.step_count,
+            slab: Some(slab),
+            particles: Some(particles),
         });
+        let json = engine.progress_json(step, series, &self.probe);
+        let tmp = dir.join("progress.json.tmp");
+        let _ = std::fs::write(&tmp, json)
+            .and_then(|()| std::fs::rename(&tmp, dir.join("progress.json")));
     }
 
-    /// Route the engine's streaming artifacts (`progress.json`) to `dir`.
-    pub fn diag_set_out_dir(&mut self, dir: std::path::PathBuf) {
-        self.sink.set_out_dir(dir);
+    /// Route `progress.json` to `dir`.
+    pub fn diag_set_out_dir(&mut self, dir: PathBuf) {
+        self.out_dir = Some(dir);
     }
 
     /// Sink counters so far.
@@ -352,9 +356,11 @@ impl LpiRun {
         self.sink.stats()
     }
 
-    /// Stop the sink and recover the engine + final counters. `None`
-    /// engine when the mode was `off`.
+    /// Write the closing `progress.json`, then stop the sink and recover
+    /// the engine + final counters. `None` engine when the mode was
+    /// `off`.
     pub fn diag_finish(&mut self) -> (Option<Box<DiagEngine>>, DiagStats) {
+        self.write_progress();
         self.sink.finish()
     }
 
@@ -382,27 +388,20 @@ impl LpiRun {
 
     /// Power spectrum of the backward wave at the probe:
     /// `(ω, power)` bins. An SRS backscatter line sits at
-    /// `ω_s = ω0 − ω_ek`; an SBS line almost on top of `ω0`. Memoized by
-    /// series length, so repeated probing (vpic-run progress lines,
-    /// sweep heartbeats) costs O(1) between new samples; empty series →
-    /// empty spectrum (no zero-padded fake bins).
-    pub fn backscatter_spectrum(&mut self) -> &[(f64, f64)] {
-        let len = self.backscatter_series.samples.len();
-        if self.spectrum_cache.as_ref().map(|c| c.0) != Some(len) {
-            let spec = vpic_diag::backscatter_spectrum_of(
-                &self.backscatter_series.samples,
-                self.backscatter_series.dt,
-            );
-            self.spectrum_cache = Some((len, spec));
-        }
-        &self.spectrum_cache.as_ref().unwrap().1
+    /// `ω_s = ω0 − ω_ek`; an SBS line almost on top of `ω0`. Empty
+    /// series → empty spectrum (no zero-padded fake bins).
+    pub fn backscatter_spectrum(&self) -> Vec<(f64, f64)> {
+        vpic_diag::backscatter_spectrum_of(
+            &self.backscatter_series.samples,
+            self.backscatter_series.dt,
+        )
     }
 
     /// Strongest backscatter line below `omega_max` (skips the DC bin).
     /// `None` when the post-DC window is empty — a too-short run or an
     /// `omega_max` below the first bin — instead of a silent `(0, 0)`.
-    pub fn backscatter_peak(&mut self, omega_max: f64) -> Option<(f64, f64)> {
-        vpic_diag::spectrum_peak(self.backscatter_spectrum(), omega_max)
+    pub fn backscatter_peak(&self, omega_max: f64) -> Option<(f64, f64)> {
+        vpic_diag::spectrum_peak(&self.backscatter_spectrum(), omega_max)
     }
 }
 

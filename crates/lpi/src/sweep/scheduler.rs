@@ -378,8 +378,9 @@ impl SweepRunner {
         // Record a `Progress` per certified checkpoint; halt on a log
         // error (surfaced after the batch) or once any point of the batch
         // has fired the kill plan. The provisional reflectivity of the
-        // progressive curve comes from the campaign's streaming
-        // `progress.json` when its diagnostics engine is on; `null`
+        // progressive curve comes from the campaign's `progress.json`,
+        // written for this certified step just before the hook, when its
+        // diagnostics engine is on and the probe has a sample; `null`
         // otherwise.
         let last_checkpoint = Mutex::new(None);
         let progress_path = self.job_dir(id).join("progress.json");

@@ -331,6 +331,10 @@ pub trait CampaignSim {
 
     /// Replace this rank's state with a loaded generation.
     fn restore(&mut self, snapshot: Self::Snapshot);
+
+    /// Called once a checkpoint generation is confirmed on every rank,
+    /// before the `on_checkpoint` hook sees it.
+    fn checkpointed(&mut self) {}
 }
 
 /// External current drive hook threaded through the campaign loop into
@@ -638,6 +642,7 @@ impl Runner {
         }
         if self.interval > 0 && step.is_multiple_of(self.interval) {
             self.take_checkpoint(comm, sim)?;
+            sim.checkpointed();
             if !on_checkpoint(step) {
                 return Ok(false);
             }

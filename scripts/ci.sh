@@ -59,9 +59,12 @@
 #
 # Pass "diag" (or set CI_DIAG=1) to run the diagnostics lane: the
 # engine/sink unit suites, the [diag] deck knobs (retired spellings
-# included), the kill-mid-measurement campaign replay, and the
-# publication gate: on the srs-sweep a0 = 0.06 point as benchmark/
-# generates it (ppc 64), publishing to the inline engine is <= 3% of the
+# included), progress.json at every certified checkpoint, the
+# kill-mid-measurement replay and the halt-and-resume campaign (both
+# write the clean run's progress.json bytes), and the publication gate:
+# on the srs-sweep a0 = 0.06 point as benchmark/ generates it (ppc 64),
+# publishing to the inline engine plus writing progress.json at every
+# multiple of the sweep's checkpoint interval (275) is <= 3% of the
 # step, with one snapshot per measured step and no drop.
 #
 # The "threads" lane (also part of the default, argument-less run; or set
@@ -242,17 +245,20 @@ fi
 
 if [[ "${1:-}" == "diag" || "${CI_DIAG:-0}" == "1" ]]; then
     echo "==> diag lane (in-situ diagnostics engine)"
-    # Engine + sink suites: reset re-seeding, slab recycling, windowed
-    # series retention.
+    # Engine + sink suites: heavy-snapshot reductions, the progress
+    # artifact, slab recycling, windowed series retention.
     cargo test --release -p vpic-diag --lib pipeline
     cargo test --release -p vpic-diag --lib recorder
     # The `diag = off|sync` global and the [diag] section knobs.
     cargo test --release -p vpic --lib diag
+    # progress.json describes the step each checkpoint hook certifies.
+    cargo test --release -p vpic-lpi --lib progress_json
     # A seeded kill mid-measurement whose rollback replay must not
-    # double-count a single sample.
+    # double-count a single sample, and a halt resumed from disk.
     cargo test --release --test diag_pipeline
     # Publication gate: a share of one real `LpiRun`'s own step timings
-    # (the srs-sweep a0 = 0.06 point at ppc 64), not a ratio of two runs.
+    # plus its timed progress.json writes (the srs-sweep a0 = 0.06 point
+    # at ppc 64), not a ratio of two runs.
     cargo test --release --test diag_pipeline publication_is_at_most -- --ignored --nocapture
 fi
 

@@ -181,7 +181,7 @@ fn run(deck_path: &str, out_dir: &str, cli: &Cli) -> Result<(), Box<dyn std::err
                 vpic::core::worker_threads(),
                 run.params.diag.mode.as_str()
             );
-            // Streaming artifacts (progress.json) land next to the TSVs.
+            // `progress.json` lands next to the TSVs, written at the end.
             run.diag_set_out_dir(PathBuf::from(out_dir));
             let names: Vec<String> = run.sim.species.iter().map(|s| s.name.clone()).collect();
             let mut elog = EnergyLogger::new(

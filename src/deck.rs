@@ -716,10 +716,10 @@ fn parse_sort_policy(deck: &Deck) -> Result<SortPolicy, DeckError> {
 }
 
 /// Diagnostics knobs: a bare global `diag = off|sync` shorthand for just
-/// the mode, plus an optional `[diag]` section (`mode`, `cadence`,
-/// `decimation`, `series_cap`). `sync` runs the engine inline on the step
-/// thread. `async` is a retired spelling of `sync` (`benchmark/`'s
-/// generated sweep deck names it); the retired `[diag]` keys
+/// the mode, plus an optional `[diag]` section (`mode`, `decimation`,
+/// `series_cap`). `sync` runs the engine inline on the step thread.
+/// `async` is a retired spelling of `sync` (`benchmark/`'s generated
+/// sweep deck names it); the retired `[diag]` keys `cadence`,
 /// `queue_depth` and `backpressure` are ignored, like any unknown key.
 fn parse_diag(deck: &Deck) -> Result<DiagConfig, DeckError> {
     let mut cfg = DiagConfig::default();
@@ -734,7 +734,6 @@ fn parse_diag(deck: &Deck) -> Result<DiagConfig, DeckError> {
         cfg.mode = DiagMode::parse(v)
             .ok_or_else(|| err(format!("diag.mode must be off or sync, got {v}")))?;
     }
-    cfg.cadence = get_u64(kv, "cadence", cfg.cadence)?.max(1);
     cfg.decimation = get_usize(kv, "decimation", cfg.decimation)?.max(1);
     cfg.series_cap = get_usize(kv, "series_cap", cfg.series_cap)?;
     Ok(cfg)
@@ -1588,19 +1587,20 @@ corrupt_count = 4
         assert!(matches!(run.sink, DiagSink::Inline { .. }));
 
         // Default is off; the [diag] section sets mode and tuning knobs,
-        // and clamps the degenerate zero values to 1.
+        // and clamps a degenerate zero decimation to 1.
         let run = lpi("kind = lpi\n[laser]\na0 = 0.01");
         assert_eq!(run.params.diag.mode, DiagMode::Off);
         assert!(run.sink.is_off());
         let run = lpi(
-            "kind = lpi\n[laser]\na0 = 0.01\n[diag]\nmode = sync\ncadence = 0\n\
-             decimation = 32\nseries_cap = 4096",
+            "kind = lpi\n[laser]\na0 = 0.01\n[diag]\nmode = sync\ndecimation = 32\n\
+             series_cap = 4096",
         );
         let d = run.params.diag;
         assert_eq!(d.mode, DiagMode::Sync);
-        assert_eq!(d.cadence, 1); // clamped
         assert_eq!(d.decimation, 32);
         assert_eq!(d.series_cap, 4096);
+        let run = lpi("kind = lpi\n[laser]\na0 = 0.01\n[diag]\nmode = sync\ndecimation = 0");
+        assert_eq!(run.params.diag.decimation, 1); // clamped
 
         // The section's mode wins over the global shorthand.
         let run = lpi("kind = lpi\ndiag = sync\n[laser]\na0 = 0.01\n[diag]\nmode = off");
@@ -1608,21 +1608,24 @@ corrupt_count = 4
 
         // Retired spellings still parse, and each runs the inline sink:
         // `async` (the removed worker-thread mode, which `benchmark/`'s
-        // generated sweep deck names) and the removed `queue_depth` knob.
+        // generated sweep deck names) and the removed `queue_depth` and
+        // `cadence` knobs, ignored whatever their value.
         for retired in [
             "kind = lpi\ndiag = async\n[laser]\na0 = 0.01",
             "kind = lpi\n[laser]\na0 = 0.01\n[diag]\nmode = async",
             "kind = lpi\ndiag = sync\n[laser]\na0 = 0.01\n[diag]\nqueue_depth = 8",
+            "kind = lpi\ndiag = sync\n[laser]\na0 = 0.01\n[diag]\ncadence = 0",
+            "kind = lpi\ndiag = sync\n[laser]\na0 = 0.01\n[diag]\ncadence = many",
         ] {
             let run = lpi(retired);
             assert_eq!(run.params.diag.mode, DiagMode::Sync, "{retired}");
+            assert_eq!(run.params.diag.cadence, DiagConfig::default().cadence);
             assert!(matches!(run.sink, DiagSink::Inline { .. }), "{retired}");
         }
 
         for bad in [
             "kind = lpi\ndiag = eager\n[laser]\na0 = 0.01",
             "kind = lpi\n[laser]\na0 = 0.01\n[diag]\nmode = turbo",
-            "kind = lpi\n[laser]\na0 = 0.01\n[diag]\ncadence = many",
         ] {
             assert!(build(&Deck::parse(bad).unwrap()).is_err(), "{bad}");
         }
