@@ -1,98 +1,61 @@
 //! Crash-safe job queue: the state machine the sweep journal records.
 //!
-//! A job walks `Pending → Leased → Running → Done | Failed |
-//! Quarantined`. Every transition is a [`JobEvent`] with a compact
-//! little-endian encoding. [`JobQueue`] is pure state — no I/O, no wall
-//! clock — so replays are deterministic and testable. [`JobLog`] pairs
-//! it with a write-ahead journal (`crate::journal`) and is the only
-//! writer of job events: it validates an event against the queue,
-//! journals it, and a restarted orchestrator rebuilds the queue by
-//! replaying the journal through [`JobQueue::apply`].
+//! A job walks `Pending → Running → Done | Failed | Quarantined`, and a
+//! `Failed` job runs again until it is quarantined. Every transition is
+//! a [`JobEvent`] with a compact little-endian encoding. [`JobQueue`] is
+//! pure state — no I/O, no clock — so replays are deterministic and
+//! testable. [`JobLog`] pairs it with a write-ahead journal
+//! (`crate::journal`) and is the only writer of job events: it validates
+//! an event against the queue, journals it, and a restarted
+//! orchestrator rebuilds the queue by replaying the journal through
+//! [`JobQueue::apply`].
 //!
-//! Timing (lease deadlines, retry backoff) uses a caller-supplied
-//! logical clock in milliseconds. Retry backoff is exponential with
-//! seeded jitter ([`RetryPolicy::backoff_ms`]) so two replays of the
-//! same sweep schedule identically while distinct jobs decorrelate.
+//! A worker drives an attempt through one pair: [`JobLog::start`]
+//! journals `Started` and returns the attempt number, and
+//! [`JobLog::finish`] journals `Done`, or a charged `Failed` (and
+//! `Quarantined` at `max_attempts`). In between, `Progress` records
+//! note each checkpoint the attempt makes durable.
 //!
-//! Two kinds of lease loss are deliberately distinct:
+//! The orchestrator runs its workers in-process and settles every
+//! attempt it starts before it starts more, so a job can be lost only
+//! with the orchestrator itself. A restarted orchestrator then calls
+//! [`JobLog::release_orphans`]: each job its predecessor left `Running`
+//! returns to `Pending` without charging an attempt, and resumes from
+//! its own newest checkpoint.
 //!
-//! * [`JobQueue::expired_leases`] — a live orchestrator notices a
-//!   heartbeat deadline passed. The worker is presumed wedged; the job
-//!   *failed an attempt* ([`JobLog::charge_failure`]) and retries with
-//!   backoff (or quarantines).
-//! * [`JobLog::release_orphans`] — a restarted orchestrator knows its
-//!   in-process workers died with it. Leases are released without
-//!   charging an attempt, and the job resumes from its last certified
-//!   checkpoint step (the `Progress` heartbeats double as step
-//!   accounting).
+//! Retry order needs no clock: [`JobQueue::next_ready`] picks the
+//! lowest-id `Pending` job, and a `Failed` one only when none is
+//! pending, so retries run after every point that has not yet had a
+//! first attempt.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::journal::{Journal, JournalError, ReplayReport};
 
-/// Retry/backoff policy for failed jobs.
+/// Retry policy for failed jobs.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Attempts before a job is quarantined (≥ 1).
     pub max_attempts: u32,
-    /// Backoff after the first failure, in logical ms.
-    pub base_backoff_ms: u64,
-    /// Upper bound on the exponential backoff, in logical ms.
-    pub max_backoff_ms: u64,
-    /// Seed for the deterministic jitter stream.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 1_000,
-            max_backoff_ms: 60_000,
-            jitter_seed: 0,
-        }
-    }
-}
-
-/// SplitMix64 finalizer (the repo's standard seed mixer).
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based: the wait after
-    /// the `attempt`-th failure) of `job_id`: exponential doubling from
-    /// `base_backoff_ms`, capped, plus up to 50% seeded jitter keyed on
-    /// (seed, job, attempt) so identical replays schedule identically.
-    pub fn backoff_ms(&self, job_id: u64, attempt: u32) -> u64 {
-        let doublings = attempt.saturating_sub(1).min(32);
-        let exp = self
-            .base_backoff_ms
-            .saturating_mul(1u64 << doublings)
-            .min(self.max_backoff_ms.max(self.base_backoff_ms));
-        let jitter_span = exp / 2 + 1;
-        let mix = splitmix64(self.jitter_seed ^ job_id.rotate_left(17) ^ (attempt as u64) << 48);
-        exp + mix % jitter_span
+        RetryPolicy { max_attempts: 3 }
     }
 }
 
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobState {
-    /// Defined and runnable (subject to its backoff gate).
+    /// Defined and runnable.
     Pending,
-    /// Handed to a worker; must start or the lease expires.
-    Leased { attempt: u32, deadline_ms: u64 },
-    /// Worker confirmed execution; heartbeats extend the deadline.
-    Running { attempt: u32, deadline_ms: u64 },
+    /// Attempt `attempt` is running.
+    Running { attempt: u32 },
     /// Finished; result payload recorded.
     Done,
-    /// Attempt failed; eligible for retry after backoff.
+    /// Attempt failed; runnable again once no job is pending.
     Failed,
     /// Poisoned: failed `max_attempts` times, never retried again.
     Quarantined,
@@ -103,7 +66,6 @@ impl JobState {
     pub fn name(&self) -> &'static str {
         match self {
             JobState::Pending => "pending",
-            JobState::Leased { .. } => "leased",
             JobState::Running { .. } => "running",
             JobState::Done => "done",
             JobState::Failed => "failed",
@@ -124,11 +86,6 @@ pub struct Job {
     pub state: JobState,
     /// Failed attempts so far.
     pub attempts: u32,
-    /// Highest certified checkpoint step heartbeated by a worker; a
-    /// resumed run must not recompute physics at or before this step.
-    pub certified_step: u64,
-    /// Logical time before which the job may not be (re)leased.
-    pub ready_at_ms: u64,
     /// Result payload from the `Done` event.
     pub result: Option<Vec<u8>>,
     /// Most recent failure/quarantine cause.
@@ -140,45 +97,38 @@ pub struct Job {
 pub enum JobEvent {
     /// Job exists with this spec fingerprint.
     Defined { id: u64, fingerprint: u64 },
-    /// Job handed to a worker until `deadline_ms`.
-    Leased {
-        id: u64,
-        attempt: u32,
-        deadline_ms: u64,
-    },
-    /// Worker confirmed execution.
+    /// Attempt `attempt` began.
     Started { id: u64, attempt: u32 },
-    /// Heartbeat: checkpoint certified at `certified_step`; lease
-    /// extended to `deadline_ms`.
-    Progress {
-        id: u64,
-        certified_step: u64,
-        deadline_ms: u64,
-    },
+    /// Heartbeat: the running attempt made its checkpoint at
+    /// `certified_step` durable.
+    Progress { id: u64, certified_step: u64 },
     /// Job finished with an opaque result payload.
     Done { id: u64, result: Vec<u8> },
-    /// Attempt `attempt` failed; retry after `ready_at_ms`.
+    /// Attempt `attempt` failed.
     Failed {
         id: u64,
         attempt: u32,
-        ready_at_ms: u64,
         cause: String,
     },
     /// Job is poison: out of attempts, never retried.
     Quarantined { id: u64, cause: String },
-    /// Lease released without charging an attempt: a restarted
-    /// orchestrator journals this for every lease its dead predecessor
-    /// held (the predecessor cannot journal its own death). The job
-    /// returns to `Pending` with its certified step intact.
+    /// Running attempt released without charging it: a restarted
+    /// orchestrator journals this for every job its dead predecessor
+    /// left running (the predecessor cannot journal its own death). The
+    /// job returns to `Pending`.
     Released { id: u64 },
 }
+
+/// Tags of event layouts older WALs used (`Leased`, and `Progress` and
+/// `Failed` with a logical-clock field). Replay refuses them rather than
+/// reading one layout as another.
+const RETIRED_TAGS: [u8; 3] = [1, 3, 5];
 
 impl JobEvent {
     /// Job this event belongs to.
     pub fn id(&self) -> u64 {
         match *self {
             JobEvent::Defined { id, .. }
-            | JobEvent::Leased { id, .. }
             | JobEvent::Started { id, .. }
             | JobEvent::Progress { id, .. }
             | JobEvent::Done { id, .. }
@@ -192,7 +142,6 @@ impl JobEvent {
     pub fn name(&self) -> &'static str {
         match self {
             JobEvent::Defined { .. } => "defined",
-            JobEvent::Leased { .. } => "leased",
             JobEvent::Started { .. } => "started",
             JobEvent::Progress { .. } => "progress",
             JobEvent::Done { .. } => "done",
@@ -211,49 +160,16 @@ impl JobEvent {
                 out.extend_from_slice(&id.to_le_bytes());
                 out.extend_from_slice(&fingerprint.to_le_bytes());
             }
-            JobEvent::Leased {
-                id,
-                attempt,
-                deadline_ms,
-            } => {
-                out.push(1);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&attempt.to_le_bytes());
-                out.extend_from_slice(&deadline_ms.to_le_bytes());
-            }
             JobEvent::Started { id, attempt } => {
                 out.push(2);
                 out.extend_from_slice(&id.to_le_bytes());
                 out.extend_from_slice(&attempt.to_le_bytes());
-            }
-            JobEvent::Progress {
-                id,
-                certified_step,
-                deadline_ms,
-            } => {
-                out.push(3);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&certified_step.to_le_bytes());
-                out.extend_from_slice(&deadline_ms.to_le_bytes());
             }
             JobEvent::Done { id, result } => {
                 out.push(4);
                 out.extend_from_slice(&id.to_le_bytes());
                 out.extend_from_slice(&(result.len() as u32).to_le_bytes());
                 out.extend_from_slice(result);
-            }
-            JobEvent::Failed {
-                id,
-                attempt,
-                ready_at_ms,
-                cause,
-            } => {
-                out.push(5);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&attempt.to_le_bytes());
-                out.extend_from_slice(&ready_at_ms.to_le_bytes());
-                out.extend_from_slice(&(cause.len() as u32).to_le_bytes());
-                out.extend_from_slice(cause.as_bytes());
             }
             JobEvent::Quarantined { id, cause } => {
                 out.push(6);
@@ -265,12 +181,24 @@ impl JobEvent {
                 out.push(7);
                 out.extend_from_slice(&id.to_le_bytes());
             }
+            JobEvent::Progress { id, certified_step } => {
+                out.push(8);
+                out.extend_from_slice(&id.to_le_bytes());
+                out.extend_from_slice(&certified_step.to_le_bytes());
+            }
+            JobEvent::Failed { id, attempt, cause } => {
+                out.push(9);
+                out.extend_from_slice(&id.to_le_bytes());
+                out.extend_from_slice(&attempt.to_le_bytes());
+                out.extend_from_slice(&(cause.len() as u32).to_le_bytes());
+                out.extend_from_slice(cause.as_bytes());
+            }
         }
         out
     }
 
-    /// Decode an event payload. Any defect (short buffer, bad tag,
-    /// trailing garbage, invalid UTF-8) is a typed [`QueueError`].
+    /// Decode an event payload. Any defect (short buffer, bad or retired
+    /// tag, trailing garbage, invalid UTF-8) is a typed [`QueueError`].
     pub fn decode(bytes: &[u8]) -> Result<JobEvent, QueueError> {
         let mut r = Reader { bytes, pos: 0 };
         let tag = r.u8()?;
@@ -279,35 +207,33 @@ impl JobEvent {
                 id: r.u64()?,
                 fingerprint: r.u64()?,
             },
-            1 => JobEvent::Leased {
-                id: r.u64()?,
-                attempt: r.u32()?,
-                deadline_ms: r.u64()?,
-            },
             2 => JobEvent::Started {
                 id: r.u64()?,
                 attempt: r.u32()?,
             },
-            3 => JobEvent::Progress {
-                id: r.u64()?,
-                certified_step: r.u64()?,
-                deadline_ms: r.u64()?,
-            },
             4 => JobEvent::Done {
                 id: r.u64()?,
                 result: r.blob()?,
-            },
-            5 => JobEvent::Failed {
-                id: r.u64()?,
-                attempt: r.u32()?,
-                ready_at_ms: r.u64()?,
-                cause: r.string()?,
             },
             6 => JobEvent::Quarantined {
                 id: r.u64()?,
                 cause: r.string()?,
             },
             7 => JobEvent::Released { id: r.u64()? },
+            8 => JobEvent::Progress {
+                id: r.u64()?,
+                certified_step: r.u64()?,
+            },
+            9 => JobEvent::Failed {
+                id: r.u64()?,
+                attempt: r.u32()?,
+                cause: r.string()?,
+            },
+            t if RETIRED_TAGS.contains(&t) => {
+                return Err(QueueError::Malformed(format!(
+                    "job event tag {t} is a retired layout (a WAL from an older version)"
+                )))
+            }
             t => return Err(QueueError::Malformed(format!("unknown job event tag {t}"))),
         };
         if r.pos != bytes.len() {
@@ -404,7 +330,6 @@ impl std::error::Error for QueueError {}
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     pub pending: usize,
-    pub leased: usize,
     pub running: usize,
     pub done: usize,
     pub failed: usize,
@@ -463,8 +388,6 @@ impl JobQueue {
                             fingerprint,
                             state: JobState::Pending,
                             attempts: 0,
-                            certified_step: 0,
-                            ready_at_ms: 0,
                             result: None,
                             last_cause: None,
                         },
@@ -489,44 +412,18 @@ impl JobQueue {
         };
         match event {
             JobEvent::Defined { .. } => unreachable!("handled above"),
-            JobEvent::Leased {
-                attempt,
-                deadline_ms,
-                ..
-            } => match job.state {
-                JobState::Pending | JobState::Failed => {
-                    job.state = JobState::Leased {
-                        attempt: *attempt,
-                        deadline_ms: *deadline_ms,
-                    };
-                }
-                _ => return Err(illegal(job, event)),
-            },
             JobEvent::Started { attempt, .. } => match job.state {
-                JobState::Leased { deadline_ms, .. } => {
-                    job.state = JobState::Running {
-                        attempt: *attempt,
-                        deadline_ms,
-                    };
+                JobState::Pending | JobState::Failed => {
+                    job.state = JobState::Running { attempt: *attempt };
                 }
                 _ => return Err(illegal(job, event)),
             },
-            JobEvent::Progress {
-                certified_step,
-                deadline_ms,
-                ..
-            } => match job.state {
-                JobState::Running { attempt, .. } => {
-                    job.state = JobState::Running {
-                        attempt,
-                        deadline_ms: *deadline_ms,
-                    };
-                    job.certified_step = job.certified_step.max(*certified_step);
-                }
+            JobEvent::Progress { .. } => match job.state {
+                JobState::Running { .. } => {}
                 _ => return Err(illegal(job, event)),
             },
             JobEvent::Done { result, .. } => match job.state {
-                JobState::Running { .. } | JobState::Leased { .. } => {
+                JobState::Running { .. } => {
                     job.state = JobState::Done;
                     job.result = Some(result.clone());
                 }
@@ -535,74 +432,37 @@ impl JobQueue {
                 JobState::Done => {}
                 _ => return Err(illegal(job, event)),
             },
-            JobEvent::Failed {
-                attempt,
-                ready_at_ms,
-                cause,
-                ..
-            } => match job.state {
-                JobState::Leased { .. } | JobState::Running { .. } => {
+            JobEvent::Failed { attempt, cause, .. } => match job.state {
+                JobState::Running { .. } => {
                     job.state = JobState::Failed;
                     job.attempts = (*attempt).max(job.attempts + 1);
-                    job.ready_at_ms = *ready_at_ms;
                     job.last_cause = Some(cause.clone());
                 }
                 _ => return Err(illegal(job, event)),
             },
             JobEvent::Quarantined { cause, .. } => match job.state {
-                JobState::Failed | JobState::Leased { .. } | JobState::Running { .. } => {
+                JobState::Failed => {
                     job.state = JobState::Quarantined;
                     job.last_cause = Some(cause.clone());
                 }
                 _ => return Err(illegal(job, event)),
             },
             JobEvent::Released { .. } => match job.state {
-                JobState::Leased { .. } | JobState::Running { .. } => {
-                    job.state = JobState::Pending;
-                    job.ready_at_ms = 0;
-                }
+                JobState::Running { .. } => job.state = JobState::Pending,
                 _ => return Err(illegal(job, event)),
             },
         }
         Ok(())
     }
 
-    /// Lowest-id job that may be leased at logical time `now_ms`
-    /// (pending or failed-and-past-backoff). Deterministic: the same
-    /// queue state and clock always picks the same job.
-    pub fn next_ready(&self, now_ms: u64) -> Option<u64> {
-        self.jobs
-            .values()
-            .find(|j| {
-                matches!(j.state, JobState::Pending | JobState::Failed) && j.ready_at_ms <= now_ms
-            })
+    /// The job to run next: the lowest-id `Pending` job, or, when none
+    /// is pending, the lowest-id `Failed` one. Deterministic: the same
+    /// queue state always picks the same job.
+    pub fn next_ready(&self) -> Option<u64> {
+        let first = |state: JobState| self.jobs.values().find(|j| j.state == state);
+        first(JobState::Pending)
+            .or_else(|| first(JobState::Failed))
             .map(|j| j.id)
-    }
-
-    /// Earliest `ready_at_ms` among retry-gated jobs (so an idle
-    /// orchestrator knows how far to advance its logical clock).
-    pub fn next_ready_at(&self) -> Option<u64> {
-        self.jobs
-            .values()
-            .filter(|j| matches!(j.state, JobState::Pending | JobState::Failed))
-            .map(|j| j.ready_at_ms)
-            .min()
-    }
-
-    /// Jobs whose lease deadline has passed at `now_ms`: a live
-    /// orchestrator turns each into a `Failed` event (the worker is
-    /// wedged; the attempt is charged).
-    pub fn expired_leases(&self, now_ms: u64) -> Vec<u64> {
-        self.jobs
-            .values()
-            .filter(|j| match j.state {
-                JobState::Leased { deadline_ms, .. } | JobState::Running { deadline_ms, .. } => {
-                    deadline_ms < now_ms
-                }
-                _ => false,
-            })
-            .map(|j| j.id)
-            .collect()
     }
 
     /// True when no job can make further progress (everything is done
@@ -619,7 +479,6 @@ impl JobQueue {
         for j in self.jobs.values() {
             match j.state {
                 JobState::Pending => s.pending += 1,
-                JobState::Leased { .. } => s.leased += 1,
                 JobState::Running { .. } => s.running += 1,
                 JobState::Done => s.done += 1,
                 JobState::Failed => s.failed += 1,
@@ -731,48 +590,65 @@ impl JobLog {
         })
     }
 
-    /// Release every lease a dead predecessor left behind, uncharged,
+    /// Start the next attempt of job `id`: one `Started` record, which
+    /// moves a `Pending` or `Failed` job to `Running`. Returns the
+    /// attempt number (1 + the attempts charged so far).
+    pub fn start(&mut self, id: u64) -> Result<u32, JobLogError> {
+        let job = self.queue.job(id).ok_or(QueueError::UnknownJob(id))?;
+        let attempt = job.attempts + 1;
+        self.record(&JobEvent::Started { id, attempt })?;
+        Ok(attempt)
+    }
+
+    /// Finish attempt `attempt` of job `id`: `Done` with the result
+    /// payload, or a charged `Failed` with the cause and, at
+    /// `max_attempts`, the terminal `Quarantined` on top, so a
+    /// quarantined job counts exactly `max_attempts` charged attempts.
+    /// Returns the job's new state: `Done`, `Failed` or `Quarantined`.
+    pub fn finish(
+        &mut self,
+        id: u64,
+        attempt: u32,
+        outcome: Result<Vec<u8>, String>,
+        max_attempts: u32,
+    ) -> Result<JobState, JobLogError> {
+        match outcome {
+            Ok(result) => self.record(&JobEvent::Done { id, result })?,
+            Err(cause) => {
+                self.record(&JobEvent::Failed {
+                    id,
+                    attempt,
+                    cause: cause.clone(),
+                })?;
+                if attempt >= max_attempts {
+                    self.record(&JobEvent::Quarantined { id, cause })?;
+                }
+            }
+        }
+        Ok(self
+            .queue
+            .job(id)
+            .expect("a recorded job is defined")
+            .state
+            .clone())
+    }
+
+    /// Release every job a dead predecessor left running, uncharged,
     /// with one `Released` record each (the predecessor could not
     /// journal its own death, and without the record the next replay
-    /// would see an illegal re-lease). Certified steps survive, so the
-    /// released jobs resume rather than restart. Returns their ids.
+    /// would see an illegal restart). A released job resumes from its
+    /// own newest checkpoint. Returns their ids.
     pub fn release_orphans(&mut self) -> Result<Vec<u64>, JobLogError> {
         let orphans: Vec<u64> = self
             .queue
             .jobs()
-            .filter(|j| matches!(j.state, JobState::Leased { .. } | JobState::Running { .. }))
+            .filter(|j| matches!(j.state, JobState::Running { .. }))
             .map(|j| j.id)
             .collect();
         for &id in &orphans {
             self.record(&JobEvent::Released { id })?;
         }
         Ok(orphans)
-    }
-
-    /// Charge failed attempt `attempt` of job `id`: a `Failed` record
-    /// gated until `ready_at_ms` for every failure, then, at
-    /// `max_attempts`, the terminal `Quarantined` marker on top, so a
-    /// quarantined job counts exactly `max_attempts` charged attempts.
-    /// Returns whether the job was quarantined.
-    pub fn charge_failure(
-        &mut self,
-        id: u64,
-        attempt: u32,
-        ready_at_ms: u64,
-        cause: String,
-        max_attempts: u32,
-    ) -> Result<bool, JobLogError> {
-        let quarantine = attempt >= max_attempts;
-        self.record(&JobEvent::Failed {
-            id,
-            attempt,
-            ready_at_ms,
-            cause: cause.clone(),
-        })?;
-        if quarantine {
-            self.record(&JobEvent::Quarantined { id, cause })?;
-        }
-        Ok(quarantine)
     }
 }
 
@@ -792,16 +668,10 @@ mod tests {
             id: 3,
             fingerprint: 0xDEAD_BEEF_CAFE_F00D,
         });
-        roundtrip(JobEvent::Leased {
-            id: 3,
-            attempt: 1,
-            deadline_ms: 30_000,
-        });
         roundtrip(JobEvent::Started { id: 3, attempt: 1 });
         roundtrip(JobEvent::Progress {
             id: 3,
             certified_step: 75,
-            deadline_ms: 60_000,
         });
         roundtrip(JobEvent::Done {
             id: 3,
@@ -810,7 +680,6 @@ mod tests {
         roundtrip(JobEvent::Failed {
             id: 3,
             attempt: 2,
-            ready_at_ms: 12_345,
             cause: "sentinel verdict: non-finite energy".into(),
         });
         roundtrip(JobEvent::Quarantined {
@@ -823,7 +692,7 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(JobEvent::decode(&[]).is_err());
-        assert!(JobEvent::decode(&[9]).is_err());
+        assert!(JobEvent::decode(&[10]).is_err());
         assert!(JobEvent::decode(&[0, 1, 2]).is_err());
         // Trailing bytes after a well-formed event.
         let mut bytes = JobEvent::Started { id: 1, attempt: 1 }.encode();
@@ -848,18 +717,13 @@ mod tests {
             fingerprint: 42,
         })
         .unwrap();
-        assert_eq!(q.next_ready(0), Some(0));
-        q.apply(&JobEvent::Leased {
-            id: 0,
-            attempt: 1,
-            deadline_ms: 100,
-        })
-        .unwrap();
+        assert_eq!(q.next_ready(), Some(0));
         q.apply(&JobEvent::Started { id: 0, attempt: 1 }).unwrap();
+        assert_eq!(q.job(0).unwrap().state, JobState::Running { attempt: 1 });
+        assert_eq!(q.next_ready(), None);
         q.apply(&JobEvent::Progress {
             id: 0,
             certified_step: 25,
-            deadline_ms: 200,
         })
         .unwrap();
         q.apply(&JobEvent::Done {
@@ -867,9 +731,7 @@ mod tests {
             result: b"r".to_vec(),
         })
         .unwrap();
-        let job = q.job(0).unwrap();
-        assert_eq!(job.state, JobState::Done);
-        assert_eq!(job.certified_step, 25);
+        assert_eq!(q.job(0).unwrap().state, JobState::Done);
         assert!(q.is_settled());
         // Duplicate Done is benign.
         q.apply(&JobEvent::Done {
@@ -887,20 +749,43 @@ mod tests {
             fingerprint: 1,
         })
         .unwrap();
-        // Start without a lease.
-        assert!(matches!(
-            q.apply(&JobEvent::Started { id: 7, attempt: 1 }),
-            Err(QueueError::IllegalTransition { .. })
-        ));
-        // Progress without running.
-        assert!(matches!(
-            q.apply(&JobEvent::Progress {
+        let illegal = |q: &mut JobQueue, ev: JobEvent| {
+            matches!(q.apply(&ev), Err(QueueError::IllegalTransition { .. }))
+        };
+        // Progress, Done and Failed without a running attempt.
+        assert!(illegal(
+            &mut q,
+            JobEvent::Progress {
                 id: 7,
                 certified_step: 1,
-                deadline_ms: 1
-            }),
-            Err(QueueError::IllegalTransition { .. })
+            }
         ));
+        assert!(illegal(
+            &mut q,
+            JobEvent::Done {
+                id: 7,
+                result: vec![]
+            }
+        ));
+        assert!(illegal(
+            &mut q,
+            JobEvent::Failed {
+                id: 7,
+                attempt: 1,
+                cause: "x".into()
+            }
+        ));
+        // Quarantine only follows a charged failure.
+        q.apply(&JobEvent::Started { id: 7, attempt: 1 }).unwrap();
+        assert!(illegal(
+            &mut q,
+            JobEvent::Quarantined {
+                id: 7,
+                cause: "x".into()
+            }
+        ));
+        // A running job cannot start again.
+        assert!(illegal(&mut q, JobEvent::Started { id: 7, attempt: 2 }));
         // Event for a job never defined.
         assert!(matches!(
             q.apply(&JobEvent::Started { id: 99, attempt: 1 }),
@@ -917,131 +802,64 @@ mod tests {
     }
 
     #[test]
-    fn retry_backoff_gates_and_quarantine_closes() {
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 100,
-            max_backoff_ms: 10_000,
-            jitter_seed: 9,
-        };
+    fn retries_run_only_once_no_job_is_pending() {
         let mut q = JobQueue::new();
-        q.apply(&JobEvent::Defined {
-            id: 1,
-            fingerprint: 5,
-        })
-        .unwrap();
-        let mut now = 0u64;
-        for attempt in 1..=policy.max_attempts {
-            q.apply(&JobEvent::Leased {
-                id: 1,
-                attempt,
-                deadline_ms: now + 1_000,
+        for id in 0..3 {
+            q.apply(&JobEvent::Defined {
+                id,
+                fingerprint: id,
             })
             .unwrap();
-            q.apply(&JobEvent::Started { id: 1, attempt }).unwrap();
-            let ready_at = now + policy.backoff_ms(1, attempt);
-            q.apply(&JobEvent::Failed {
-                id: 1,
-                attempt,
-                ready_at_ms: ready_at,
-                cause: format!("boom {attempt}"),
-            })
-            .unwrap();
-            assert_eq!(q.job(1).unwrap().attempts, attempt);
-            if attempt < policy.max_attempts {
-                // Backoff gate holds until ready_at.
-                assert_eq!(q.next_ready(now), None);
-                assert_eq!(q.next_ready_at(), Some(ready_at));
-                now = ready_at;
-                assert_eq!(q.next_ready(now), Some(1));
-            }
         }
-        q.apply(&JobEvent::Quarantined {
-            id: 1,
-            cause: "out of attempts".into(),
+        q.apply(&JobEvent::Started { id: 0, attempt: 1 }).unwrap();
+        q.apply(&JobEvent::Failed {
+            id: 0,
+            attempt: 1,
+            cause: "boom".into(),
         })
         .unwrap();
-        assert!(q.is_settled());
-        assert_eq!(q.next_ready(u64::MAX), None);
-        let stats = q.stats();
-        assert_eq!(stats.quarantined, 1);
-        assert_eq!(stats.total_failures, 3);
+        // Job 0 failed, but jobs 1 and 2 have not had a first attempt.
+        assert_eq!(q.next_ready(), Some(1));
+        q.apply(&JobEvent::Started { id: 1, attempt: 1 }).unwrap();
+        assert_eq!(q.next_ready(), Some(2));
+        q.apply(&JobEvent::Started { id: 2, attempt: 1 }).unwrap();
+        assert_eq!(q.next_ready(), Some(0));
+        // A released job is pending again, and goes first.
+        q.apply(&JobEvent::Released { id: 2 }).unwrap();
+        assert_eq!(q.next_ready(), Some(2));
+        assert_eq!(q.job(0).unwrap().attempts, 1);
     }
 
     #[test]
-    fn backoff_is_exponential_capped_and_deterministic() {
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base_backoff_ms: 100,
-            max_backoff_ms: 1_600,
-            jitter_seed: 7,
-        };
-        let mut prev_base = 0;
-        for attempt in 1..=6 {
-            let b = policy.backoff_ms(4, attempt);
-            let base = 100u64 * (1 << (attempt - 1).min(4));
-            let base = base.min(1_600);
-            assert!(
-                b >= base && b <= base + base / 2 + 1,
-                "attempt {attempt}: {b} outside [{base}, {}]",
-                base + base / 2 + 1
-            );
-            assert_eq!(b, policy.backoff_ms(4, attempt), "jitter not deterministic");
-            assert!(base >= prev_base);
-            prev_base = base;
-        }
-        // Different jobs decorrelate.
-        assert_ne!(policy.backoff_ms(4, 1), policy.backoff_ms(5, 1));
-    }
-
-    #[test]
-    fn orphan_release_keeps_certified_step_and_charges_no_attempt() {
+    fn orphan_release_charges_no_attempt() {
         let mut q = JobQueue::new();
         q.apply(&JobEvent::Defined {
             id: 2,
             fingerprint: 3,
         })
         .unwrap();
-        q.apply(&JobEvent::Leased {
-            id: 2,
-            attempt: 1,
-            deadline_ms: 500,
-        })
-        .unwrap();
         q.apply(&JobEvent::Started { id: 2, attempt: 1 }).unwrap();
         q.apply(&JobEvent::Progress {
             id: 2,
             certified_step: 50,
-            deadline_ms: 900,
         })
         .unwrap();
-        // Live path: deadline passes, lease is expired (attempt charged
-        // by the Failed event the orchestrator writes).
-        assert_eq!(q.expired_leases(899), Vec::<u64>::new());
-        assert_eq!(q.expired_leases(901), vec![2]);
-        // Crash path: `Released` returns the job to `Pending` uncharged
-        // with its resume point, and a re-lease is then legal again.
-        let mut q3 = q.clone();
-        q3.apply(&JobEvent::Released { id: 2 }).unwrap();
-        let job = q3.job(2).unwrap();
+        // `Released` returns the job to `Pending` uncharged, and a
+        // restart is then legal again.
+        q.apply(&JobEvent::Released { id: 2 }).unwrap();
+        let job = q.job(2).unwrap();
         assert_eq!(job.state, JobState::Pending);
         assert_eq!(job.attempts, 0);
-        assert_eq!(job.certified_step, 50, "resume point must survive restart");
-        q3.apply(&JobEvent::Leased {
-            id: 2,
-            attempt: 1,
-            deadline_ms: 2_000,
-        })
-        .unwrap();
-        // Released from a settled state is illegal.
-        let mut q4 = JobQueue::new();
-        q4.apply(&JobEvent::Defined {
+        q.apply(&JobEvent::Started { id: 2, attempt: 1 }).unwrap();
+        // Released from a state with no running attempt is illegal.
+        let mut q = JobQueue::new();
+        q.apply(&JobEvent::Defined {
             id: 9,
             fingerprint: 1,
         })
         .unwrap();
         assert!(matches!(
-            q4.apply(&JobEvent::Released { id: 9 }),
+            q.apply(&JobEvent::Released { id: 9 }),
             Err(QueueError::IllegalTransition { .. })
         ));
     }
@@ -1059,53 +877,32 @@ mod tests {
         JobEvent::Defined { id, fingerprint }
     }
 
-    fn lease(id: u64, attempt: u32) -> [JobEvent; 2] {
-        [
-            JobEvent::Leased {
-                id,
-                attempt,
-                deadline_ms: 1_000,
-            },
-            JobEvent::Started { id, attempt },
-        ]
-    }
-
     #[test]
     fn job_log_replays_every_event_kind_to_an_equal_queue() {
         let path = wal("every_kind");
         let mut log = JobLog::open(&path).unwrap();
-        let mut events = vec![define(0, 10), define(1, 11), define(2, 12), define(0, 10)];
-        events.extend(lease(0, 1));
-        events.push(JobEvent::Progress {
+        for ev in [define(0, 10), define(1, 11), define(2, 12), define(0, 10)] {
+            log.record(&ev).unwrap();
+        }
+        assert_eq!(log.start(0).unwrap(), 1);
+        log.record(&JobEvent::Progress {
             id: 0,
             certified_step: 20,
-            deadline_ms: 1_020,
-        });
-        events.push(JobEvent::Done {
-            id: 0,
-            result: vec![7, 8],
-        });
-        events.extend(lease(1, 1));
-        events.push(JobEvent::Failed {
-            id: 1,
-            attempt: 1,
-            ready_at_ms: 300,
-            cause: "degraded".into(),
-        });
-        events.push(JobEvent::Quarantined {
-            id: 1,
-            cause: "poison".into(),
-        });
-        events.extend(lease(2, 1));
-        events.push(JobEvent::Released { id: 2 });
-        for ev in &events {
-            log.record(ev).unwrap();
-        }
+        })
+        .unwrap();
+        assert_eq!(log.finish(0, 1, Ok(vec![7, 8]), 1).unwrap(), JobState::Done);
+        log.start(1).unwrap();
+        let poison = Err("poison".to_string());
+        assert_eq!(log.finish(1, 1, poison, 1).unwrap(), JobState::Quarantined);
+        log.start(2).unwrap();
+        assert_eq!(log.release_orphans().unwrap(), vec![2]);
         let live = log.queue().clone();
         drop(log);
 
+        // Every event kind is on disk: 4 defines, then started,
+        // progress, done, started, failed, quarantined, started, released.
         let back = JobLog::open(&path).unwrap();
-        assert_eq!(back.replay().records, events.len());
+        assert_eq!(back.replay().records, 12);
         assert_eq!(back.queue(), &live);
         let states: Vec<_> = live.jobs().map(|j| j.state.clone()).collect();
         assert_eq!(
@@ -1121,7 +918,14 @@ mod tests {
         log.record(&define(4, 1)).unwrap();
         let before = std::fs::read(&path).unwrap();
         assert!(matches!(
-            log.record(&JobEvent::Started { id: 4, attempt: 1 }),
+            log.record(&JobEvent::Progress {
+                id: 4,
+                certified_step: 0
+            }),
+            Err(JobLogError::Queue(QueueError::IllegalTransition { .. }))
+        ));
+        assert!(matches!(
+            log.finish(4, 1, Ok(vec![]), 3),
             Err(JobLogError::Queue(QueueError::IllegalTransition { .. }))
         ));
         assert!(matches!(
@@ -1129,7 +933,7 @@ mod tests {
             Err(JobLogError::Queue(QueueError::FingerprintMismatch { .. }))
         ));
         assert!(matches!(
-            log.record(&JobEvent::Released { id: 5 }),
+            log.start(5),
             Err(JobLogError::Queue(QueueError::UnknownJob(5)))
         ));
         assert_eq!(std::fs::read(&path).unwrap(), before);
@@ -1144,17 +948,12 @@ mod tests {
         let path = wal("closed");
         let mut log = JobLog::open(&path).unwrap();
         log.record(&define(0, 1)).unwrap();
-        for ev in lease(0, 1) {
-            log.record(&ev).unwrap();
-        }
+        log.start(0).unwrap();
         // A payload over the journal's record cap fails the append after
         // the queue accepted the event.
-        let huge = JobEvent::Done {
-            id: 0,
-            result: vec![0; crate::journal::MAX_RECORD as usize],
-        };
+        let huge = vec![0; crate::journal::MAX_RECORD as usize];
         assert!(matches!(
-            log.record(&huge),
+            log.finish(0, 1, Ok(huge), 3),
             Err(JobLogError::Journal(JournalError::RecordTooLarge { .. }))
         ));
         assert!(matches!(
@@ -1163,62 +962,60 @@ mod tests {
         ));
         drop(log);
         let log = JobLog::open(&path).unwrap();
-        assert_eq!(log.replay().records, 3);
-        assert!(matches!(
+        assert_eq!(log.replay().records, 2);
+        assert_eq!(
             log.queue().job(0).unwrap().state,
-            JobState::Running { .. }
-        ));
+            JobState::Running { attempt: 1 }
+        );
     }
 
     #[test]
-    fn charge_failure_quarantines_at_exactly_max_attempts() {
-        let path = wal("charge");
+    fn finish_quarantines_at_exactly_max_attempts() {
+        let path = wal("finish");
         let mut log = JobLog::open(&path).unwrap();
         log.record(&define(6, 1)).unwrap();
         for attempt in 1..=3 {
-            for ev in lease(6, attempt) {
-                log.record(&ev).unwrap();
-            }
-            let quarantined = log
-                .charge_failure(
-                    6,
-                    attempt,
-                    100 * attempt as u64,
-                    format!("boom {attempt}"),
-                    3,
-                )
+            assert_eq!(log.start(6).unwrap(), attempt);
+            let state = log
+                .finish(6, attempt, Err(format!("boom {attempt}")), 3)
                 .unwrap();
-            assert_eq!(quarantined, attempt == 3, "attempt {attempt}");
+            let expect = if attempt == 3 {
+                JobState::Quarantined
+            } else {
+                JobState::Failed
+            };
+            assert_eq!(state, expect, "attempt {attempt}");
             let job = log.queue().job(6).unwrap();
             assert_eq!(job.attempts, attempt);
             assert_eq!(job.last_cause.as_deref(), Some(&*format!("boom {attempt}")));
         }
-        assert_eq!(log.queue().job(6).unwrap().state, JobState::Quarantined);
         assert_eq!(log.queue().stats().total_failures, 3);
+        assert_eq!(log.queue().next_ready(), None);
+        assert!(matches!(
+            log.start(6),
+            Err(JobLogError::Queue(QueueError::IllegalTransition { .. }))
+        ));
         let live = log.queue().clone();
         drop(log);
         assert_eq!(JobLog::open(&path).unwrap().queue(), &live);
     }
 
     #[test]
-    fn release_orphans_keeps_certified_step() {
+    fn release_orphans_returns_running_jobs_to_pending() {
         let path = wal("orphans");
         let mut log = JobLog::open(&path).unwrap();
         for id in 0..3 {
             log.record(&define(id, id)).unwrap();
         }
-        // Job 0 is running past a checkpoint, job 1 is only leased, job
-        // 2 was never touched.
-        for ev in lease(0, 1) {
-            log.record(&ev).unwrap();
-        }
+        // Job 0 is running past a checkpoint, job 1 only started, job 2
+        // was never touched.
+        log.start(0).unwrap();
         log.record(&JobEvent::Progress {
             id: 0,
             certified_step: 50,
-            deadline_ms: 2_000,
         })
         .unwrap();
-        log.record(&lease(1, 1)[0]).unwrap();
+        log.start(1).unwrap();
         drop(log);
 
         let mut log = JobLog::open(&path).unwrap();
@@ -1226,13 +1023,56 @@ mod tests {
         let job = log.queue().job(0).unwrap();
         assert_eq!(job.state, JobState::Pending);
         assert_eq!(job.attempts, 0);
-        assert_eq!(job.certified_step, 50, "resume point must survive restart");
-        assert_eq!(log.queue().next_ready(0), Some(0));
+        assert_eq!(log.queue().next_ready(), Some(0));
         let live = log.queue().clone();
         drop(log);
         // The releases are journaled: a third open replays them legally.
         let mut log = JobLog::open(&path).unwrap();
         assert_eq!(log.queue(), &live);
         assert_eq!(log.release_orphans().unwrap(), Vec::<u64>::new());
+    }
+
+    /// A WAL written before the queue lost its leases and clock holds
+    /// records in layouts this version does not read: `Leased` (tag 1),
+    /// and `Progress` (tag 3) and `Failed` (tag 5) with a logical-time
+    /// field. Opening it is a typed refusal that leaves its bytes alone.
+    #[test]
+    fn wal_with_retired_layouts_is_refused_untouched() {
+        let mut leased = vec![1];
+        leased.extend_from_slice(&0u64.to_le_bytes());
+        leased.extend_from_slice(&1u32.to_le_bytes());
+        leased.extend_from_slice(&10_000u64.to_le_bytes());
+        let mut progress = vec![3];
+        progress.extend_from_slice(&0u64.to_le_bytes());
+        progress.extend_from_slice(&10u64.to_le_bytes());
+        progress.extend_from_slice(&10_010u64.to_le_bytes());
+        let mut failed = vec![5];
+        failed.extend_from_slice(&0u64.to_le_bytes());
+        failed.extend_from_slice(&1u32.to_le_bytes());
+        failed.extend_from_slice(&1_500u64.to_le_bytes());
+        failed.extend_from_slice(&4u32.to_le_bytes());
+        failed.extend_from_slice(b"boom");
+        for (name, old) in [
+            ("leased", leased),
+            ("progress", progress),
+            ("failed", failed),
+        ] {
+            let path = wal(&format!("retired_{name}"));
+            let mut j = Journal::create(&path).unwrap();
+            j.append(&define(0, 1).encode()).unwrap();
+            j.append(&JobEvent::Started { id: 0, attempt: 1 }.encode())
+                .unwrap();
+            j.append(&old).unwrap();
+            drop(j);
+            let before = std::fs::read(&path).unwrap();
+            assert!(
+                matches!(
+                    JobLog::open(&path),
+                    Err(JobLogError::Queue(QueueError::Malformed(_)))
+                ),
+                "{name}: a retired layout must be refused"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), before, "{name}: bytes");
+        }
     }
 }

@@ -24,8 +24,9 @@ use std::sync::OnceLock;
 use vpic_core::journal::{Journal, JournalError, ReplayReport};
 use vpic_core::queue::{JobEvent, JobQueue};
 
-/// A legal multi-job sweep history: success, retry-then-quarantine, and
-/// an orphaned lease released by a restarted orchestrator.
+/// A legal multi-job sweep history that holds every event kind:
+/// success, retry-then-quarantine, and a running job released by a
+/// restarted orchestrator.
 fn history() -> Vec<JobEvent> {
     let fp = |id: u64| 0x5EED_0000 + id;
     vec![
@@ -41,71 +42,42 @@ fn history() -> Vec<JobEvent> {
             id: 2,
             fingerprint: fp(2),
         },
-        JobEvent::Leased {
-            id: 0,
-            attempt: 1,
-            deadline_ms: 1_000,
-        },
         JobEvent::Started { id: 0, attempt: 1 },
         JobEvent::Progress {
             id: 0,
             certified_step: 50,
-            deadline_ms: 1_050,
         },
         JobEvent::Done {
             id: 0,
             result: vec![0xAB; 36],
         },
-        JobEvent::Leased {
-            id: 1,
-            attempt: 1,
-            deadline_ms: 2_000,
-        },
         JobEvent::Started { id: 1, attempt: 1 },
         JobEvent::Failed {
             id: 1,
             attempt: 1,
-            ready_at_ms: 3_000,
             cause: "sentinel tripped".into(),
-        },
-        JobEvent::Leased {
-            id: 2,
-            attempt: 1,
-            deadline_ms: 3_500,
         },
         JobEvent::Started { id: 2, attempt: 1 },
         JobEvent::Progress {
             id: 2,
             certified_step: 100,
-            deadline_ms: 3_600,
         },
         // Orchestrator died here; its successor released the orphan.
         JobEvent::Released { id: 2 },
-        JobEvent::Leased {
-            id: 1,
-            attempt: 2,
-            deadline_ms: 4_000,
+        JobEvent::Started { id: 2, attempt: 1 },
+        JobEvent::Done {
+            id: 2,
+            result: vec![0xCD; 36],
         },
         JobEvent::Started { id: 1, attempt: 2 },
         JobEvent::Failed {
             id: 1,
             attempt: 2,
-            ready_at_ms: 5_000,
             cause: "sentinel tripped again".into(),
         },
         JobEvent::Quarantined {
             id: 1,
             cause: "out of attempts".into(),
-        },
-        JobEvent::Leased {
-            id: 2,
-            attempt: 1,
-            deadline_ms: 6_000,
-        },
-        JobEvent::Started { id: 2, attempt: 1 },
-        JobEvent::Done {
-            id: 2,
-            result: vec![0xCD; 36],
         },
     ]
 }
@@ -179,6 +151,18 @@ fn pristine_wal_replays_full_history() {
     assert_eq!(queue.stats().done, 2);
     assert_eq!(queue.stats().quarantined, 1);
     assert!(queue.is_settled());
+    // The matrix below corrupts every kind of record the queue writes.
+    let kinds: std::collections::BTreeSet<_> = history().iter().map(JobEvent::name).collect();
+    let every = [
+        "defined",
+        "started",
+        "progress",
+        "done",
+        "failed",
+        "quarantined",
+        "released",
+    ];
+    assert_eq!(kinds, every.into_iter().collect());
 }
 
 proptest! {
@@ -272,7 +256,7 @@ proptest! {
         // append truncates the tail and the journal is whole again.
         let (bytes, _) = baseline();
         let events = history();
-        let next = JobEvent::Progress { id: 0, certified_step: 60, deadline_ms: 9_000 };
+        let next = JobEvent::Progress { id: 0, certified_step: 60 };
         let payload = next.encode();
         let mut frame = Vec::new();
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());

@@ -165,7 +165,7 @@ impl ReflectivityCurve {
 /// Where one grid point stands while the sweep is still in flight.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PartialStatus {
-    /// Not started (or waiting out retry backoff).
+    /// Not started, or failed and waiting for its retry.
     Pending,
     /// An attempt is running; `certified_step` is its last durable
     /// checkpoint and `reflectivity` the provisional value read from the

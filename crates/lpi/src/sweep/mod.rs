@@ -11,15 +11,16 @@
 //!   id and a spec fingerprint.
 //! * [`scheduler::SweepRunner`] — drives jobs through the
 //!   fault-tolerant [`crate::campaign`] runtime, journaling every job
-//!   transition (`Pending → Leased → Running → Done | Failed |
-//!   Quarantined`) to a write-ahead log (`vpic_core::journal`) *before*
-//!   acting on it. A restarted runner replays the log, releases orphaned
-//!   leases without charging an attempt, and resumes each in-flight job
-//!   from its last certified checkpoint — the finished curve is
-//!   **bit-identical** with an unkilled sweep's.
-//! * Failed attempts retry with exponential backoff and seeded jitter
-//!   ([`vpic_core::queue::RetryPolicy`]); a job that fails
-//!   `max_attempts` times is quarantined (its flight recorder and
+//!   transition (`Pending → Running → Done | Failed | Quarantined`) to a
+//!   write-ahead log (`vpic_core::journal`) *before* acting on it. A
+//!   restarted runner replays the log, releases the jobs its predecessor
+//!   died running without charging an attempt, and resumes each from its
+//!   last certified checkpoint — the finished curve is **bit-identical**
+//!   with an unkilled sweep's.
+//! * A failed attempt is retried once no job is pending
+//!   ([`vpic_core::queue::JobQueue::next_ready`]); a job that fails
+//!   `max_attempts` times ([`vpic_core::queue::RetryPolicy`]) is
+//!   quarantined (its flight recorder and
 //!   partial dump are already on disk in the job's checkpoint
 //!   directory) and the sweep completes over the surviving points.
 //! * [`curve::ReflectivityCurve`] — exactly-once aggregation: the curve

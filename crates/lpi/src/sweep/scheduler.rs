@@ -5,35 +5,31 @@
 //! (which replays it into the [`JobQueue`] state machine), reconciles
 //! the queue against the grid spec (defining any jobs the journal does
 //! not know — this is also what makes a salvaged torn-tail journal
-//! safe), releases leases orphaned by a previous incarnation's death
+//! safe), releases the jobs a previous incarnation died running
 //! **without charging an attempt**, and then drains the queue in
 //! *batches*. Every transition goes through the log, which journals it
 //! *before* it is acted on.
 //!
-//! A batch is up to `rayon::current_num_threads()` ready jobs, leased
-//! and started (both records journaled) before any physics runs. Its
-//! points then run as the parts of one parallel region of the
-//! persistent pool; a region opened inside a part runs inline, so each
-//! point steps on exactly one lane, and a batch of one (an odd tail, a
-//! retry) keeps the whole width for its own regions. Outcomes are folded
-//! in job-id order once the whole batch has returned: the step ledger,
-//! the `Done`/`Failed`/`Quarantined` records, the progress events. A job's physics does not depend on which lane
-//! ran it or beside whom, so the curve is byte-identical at any width.
+//! A batch is up to `rayon::current_num_threads()` jobs picked by
+//! [`JobQueue::next_ready`] (pending jobs before retries) and started
+//! with [`JobLog::start`] before any physics runs. Its points then run as
+//! the parts of one parallel region of the persistent pool; a region
+//! opened inside a part runs inline, so each point steps on exactly one
+//! lane, and a batch of one (an odd tail, a retry) keeps the whole width
+//! for its own regions. Outcomes are folded in job-id order once the
+//! whole batch has returned: the step ledger, [`JobLog::finish`] (`Done`,
+//! or `Failed`/`Quarantined`), the progress events. A job's physics does
+//! not depend on which lane ran it or beside whom, so the curve is
+//! byte-identical at any width.
 //!
 //! Campaign checkpoints double as heartbeats: the campaign's
-//! checkpoint hook appends a `Progress` record (certified step + lease
-//! extension) each time a checkpoint generation becomes durable. A
-//! killed incarnation therefore leaves behind exactly the information
-//! the next one needs to resume its in-flight jobs from their last
-//! checkpoints — no job's physics is re-run from scratch, and the
-//! finished curve is bit-identical with an unkilled sweep's because
-//! checkpointed replay is bit-exact.
-//!
-//! Time is logical (milliseconds, 1 step ≙ 1 ms): lease deadlines and
-//! retry backoff never read the wall clock, so scheduling decisions
-//! replay deterministically. A batch advances the clock by its longest
-//! attempt, as its points run side by side. Wall time appears only in
-//! the service-level bench record.
+//! checkpoint hook appends a `Progress` record (the certified step) each
+//! time a checkpoint generation becomes durable. A killed incarnation
+//! leaves each in-flight job's checkpoints in its job directory, and the
+//! next one resumes the job from its newest — no job's physics is re-run
+//! from scratch, and the finished curve is bit-identical with an
+//! unkilled sweep's because checkpointed replay is bit-exact. Wall time
+//! appears only in the service-level bench record.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -81,9 +77,9 @@ pub struct SweepKillPlan {
     /// journaling it; whatever they ran past their newest checkpoint
     /// dies with the incarnation (see [`SweepOutcome::steps_by_job`]).
     pub after_certifications: Option<u64>,
-    /// Die right after journaling the `Leased` record for this job id
-    /// (before `Started`): exercises orphaned-lease release from the
-    /// `Leased` state.
+    /// Die right after journaling the `Started` record for this job id,
+    /// before its first step: exercises orphan release of a job with no
+    /// checkpoint yet.
     pub before_job: Option<u64>,
 }
 
@@ -99,10 +95,8 @@ pub struct SweepConfig {
     pub checkpoint_interval: u64,
     /// Sweep directory: WAL, per-job checkpoint dirs and artifacts.
     pub sweep_dir: PathBuf,
-    /// Retry/backoff/quarantine policy.
+    /// Retry/quarantine policy.
     pub retry: RetryPolicy,
-    /// Lease duration granted per heartbeat, in logical ms.
-    pub lease_ms: u64,
     /// In-campaign recovery budget per attempt. Kept small: retries are
     /// the *sweep's* job, and a degraded campaign surfaces here as a
     /// failed attempt with its flight recorder already on disk.
@@ -131,7 +125,6 @@ impl SweepConfig {
             checkpoint_interval,
             sweep_dir: dir.into(),
             retry: RetryPolicy::default(),
-            lease_ms: 10_000,
             campaign_max_recoveries: 1,
             sentinel: SentinelConfig::enabled(),
             corruption_for: Vec::new(),
@@ -169,7 +162,7 @@ pub struct SweepOutcome {
     pub curve_path: Option<PathBuf>,
     /// What WAL replay found at open.
     pub replay: ReplayReport,
-    /// Leases released because a previous incarnation died holding them.
+    /// Jobs released because a previous incarnation died running them.
     pub orphans_released: Vec<u64>,
     /// Simulation steps executed per job by *this incarnation* — the
     /// step-accounting ledger chaos tests audit to prove no physics was
@@ -251,12 +244,10 @@ pub enum SweepProgress {
         done: usize,
         total: usize,
     },
-    /// An attempt failed; the job retries once the clock reaches
-    /// `ready_at_ms`.
+    /// An attempt failed; the job retries once no job is pending.
     Failed {
         job: u64,
         attempt: u32,
-        ready_at_ms: u64,
         cause: String,
     },
     /// `job` is poison: quarantined, the sweep continues without it.
@@ -274,9 +265,9 @@ struct Wal {
     error: Option<JobLogError>,
 }
 
-/// A job of the current batch, leased and started.
+/// A job of the current batch, started.
 #[derive(Clone, Copy)]
-struct Lease {
+struct Attempt {
     id: u64,
     attempt: u32,
 }
@@ -288,13 +279,11 @@ struct Batch<'a> {
     /// started, each running point's entry updated by its own hook, and
     /// the artifact written under this lock (it has one temp path).
     partial: Mutex<Vec<PartialPoint>>,
-    /// Logical clock at the batch's start.
-    clock_ms: u64,
 }
 
 /// One attempt's result, handed to the fold.
 struct AttemptRun {
-    lease: Lease,
+    job: Attempt,
     out: Result<LpiCampaignOutcome, CampaignError>,
     /// Newest checkpoint the campaign wrote, journaled or not.
     last_checkpoint: Option<u64>,
@@ -318,9 +307,9 @@ impl SweepRunner {
     }
 
     /// Snapshot the queue into progressive-curve points (grid order).
-    /// Jobs that are leased/running/backing-off all read as `Pending`
-    /// here; each running point's checkpoint hook sets its own entry of
-    /// the batch's copy to `Running`.
+    /// Jobs that are running or waiting for a retry all read as
+    /// `Pending` here; each running point's checkpoint hook sets its own
+    /// entry of the batch's copy to `Running`.
     fn partial_points(&self, queue: &JobQueue) -> Vec<PartialPoint> {
         self.grid
             .points()
@@ -358,11 +347,11 @@ impl SweepRunner {
         let _ = write_json_atomic(&self.cfg.sweep_dir.join(PARTIAL_NAME), &curve.to_json());
     }
 
-    /// Run one leased attempt of a batch: build its campaign and drive it
-    /// with the checkpoint hook as heartbeat and kill switch. Records
+    /// Run one started attempt of a batch: build its campaign and drive
+    /// it with the checkpoint hook as heartbeat and kill switch. Records
     /// only `Progress`; everything else waits for the fold.
-    fn run_attempt(&self, batch: &Batch, lease: Lease) -> AttemptRun {
-        let Lease { id, attempt } = lease;
+    fn run_attempt(&self, batch: &Batch, job: Attempt) -> AttemptRun {
+        let Attempt { id, attempt } = job;
         // `resume` is unconditionally on: attempt 1 simply finds an empty
         // directory.
         let point = self.grid.point(id).expect("job id within grid");
@@ -394,7 +383,6 @@ impl SweepRunner {
                 let ev = JobEvent::Progress {
                     id,
                     certified_step: step,
-                    deadline_ms: batch.clock_ms + step + self.cfg.lease_ms,
                 };
                 if let Err(e) = wal.log.record(&ev) {
                     wal.error = Some(e);
@@ -423,36 +411,10 @@ impl SweepRunner {
         };
         let out = run_lpi_campaign_with(point.params(&self.cfg.base), &ccfg, true, &hook);
         AttemptRun {
-            lease,
+            job,
             out,
             last_checkpoint: last_checkpoint.into_inner().expect("checkpoint lock"),
         }
-    }
-
-    /// Charge one failed attempt (see [`JobLog::charge_failure`]) and
-    /// report it.
-    fn fail_attempt(
-        &self,
-        log: &mut JobLog,
-        progress: &(dyn Fn(&SweepProgress) + Sync),
-        lease: Lease,
-        clock_ms: u64,
-        cause: String,
-    ) -> Result<(), SweepError> {
-        let Lease { id, attempt } = lease;
-        let ready_at_ms = clock_ms + self.cfg.retry.backoff_ms(id, attempt);
-        let max_attempts = self.cfg.retry.max_attempts;
-        if log.charge_failure(id, attempt, ready_at_ms, cause.clone(), max_attempts)? {
-            progress(&SweepProgress::Quarantined { job: id, cause });
-        } else {
-            progress(&SweepProgress::Failed {
-                job: id,
-                attempt,
-                ready_at_ms,
-                cause,
-            });
-        }
-        Ok(())
     }
 
     /// Drain the queue (or die trying, per the kill plan).
@@ -491,13 +453,10 @@ impl SweepRunner {
         }
 
         // A previous incarnation's in-process workers died with it:
-        // release their leases without charging attempts. The certified
-        // step survives, so released jobs resume, not restart.
+        // release their jobs without charging attempts. Each resumes from
+        // its own newest checkpoint, not from scratch.
         let orphans_released = log.release_orphans()?;
 
-        // The logical clock (1 step ≙ 1 ms). A batch advances it by its
-        // longest attempt: its points run side by side.
-        let mut clock_ms: u64 = log.queue().jobs().map(|j| j.ready_at_ms).max().unwrap_or(0);
         let mut steps_by_job: BTreeMap<u64, u64> = BTreeMap::new();
         let mut attempts_launched = 0u64;
         let mut outcome_end = SweepEnd::Completed;
@@ -517,41 +476,19 @@ impl SweepRunner {
         });
         'drain: loop {
             let log = &mut wal.get_mut().expect("journal lock poisoned").log;
-            if log.queue().is_settled() {
-                break;
-            }
-            // Wedged-worker defense: any lease past its deadline is a
-            // charged failure. (Every lease of an in-process batch is
-            // settled before the next pass, so this only fires on clock
-            // jumps, but the queue is also the state machine for future
-            // out-of-process workers.)
-            for id in log.queue().expired_leases(clock_ms) {
-                let job = log.queue().job(id).expect("expired lease of defined job");
-                let lease = Lease {
-                    id,
-                    attempt: job.attempts + 1,
-                };
-                let cause = "lease expired: worker presumed wedged".to_string();
-                self.fail_attempt(log, progress, lease, clock_ms, cause)?;
-            }
-
-            // Lease and start up to `width` ready jobs, lowest id first.
-            let mut batch: Vec<Lease> = Vec::with_capacity(width);
+            // Start up to `width` jobs, pending ones before retries. No
+            // job is running between batches, so an empty batch means
+            // every job is done or quarantined.
+            let mut batch: Vec<Attempt> = Vec::with_capacity(width);
             while batch.len() < width {
-                let Some(id) = log.queue().next_ready(clock_ms) else {
+                let Some(id) = log.queue().next_ready() else {
                     break;
                 };
-                let attempt = log.queue().job(id).expect("ready job is defined").attempts + 1;
-                log.record(&JobEvent::Leased {
-                    id,
-                    attempt,
-                    deadline_ms: clock_ms + self.cfg.lease_ms,
-                })?;
+                let attempt = log.start(id)?;
                 if self.cfg.kill.before_job == Some(id) {
                     outcome_end = SweepEnd::Killed;
                     break 'drain;
                 }
-                log.record(&JobEvent::Started { id, attempt })?;
                 attempts_launched += 1;
                 let point = self.grid.point(id).expect("job id within grid");
                 progress(&SweepProgress::Started {
@@ -561,37 +498,19 @@ impl SweepRunner {
                     n_over_ncr: point.n_over_ncr,
                     vth: point.vth,
                 });
-                batch.push(Lease { id, attempt });
+                batch.push(Attempt { id, attempt });
             }
             if batch.is_empty() {
-                // Everything is gated by retry backoff: jump the clock.
-                match log.queue().next_ready_at() {
-                    Some(at) if at > clock_ms => {
-                        clock_ms = at;
-                        continue;
-                    }
-                    _ => break,
-                }
+                break;
             }
 
             // The batch is one region of the pool: one part per point.
             let partial = Mutex::new(self.partial_points(log.queue()));
-            let shared = Batch {
-                wal: &wal,
-                partial,
-                clock_ms,
-            };
+            let shared = Batch { wal: &wal, partial };
             let runs: Vec<AttemptRun> = batch
                 .par_iter()
-                .map(|&lease| self.run_attempt(&shared, lease))
+                .map(|&job| self.run_attempt(&shared, job))
                 .collect();
-            let longest = runs
-                .iter()
-                .filter_map(|r| r.out.as_ref().ok())
-                .map(|o| o.steps_run)
-                .max()
-                .unwrap_or(0);
-            clock_ms += longest.max(1);
             let Wal {
                 log, killed, error, ..
             } = wal.get_mut().expect("journal lock poisoned");
@@ -601,7 +520,7 @@ impl SweepRunner {
 
             // Fold in job-id order.
             for run in runs {
-                let Lease { id, attempt } = run.lease;
+                let Attempt { id, attempt } = run.job;
                 let out = run.out?;
                 if *killed {
                     // Die without journaling anything else, like a real
@@ -614,40 +533,42 @@ impl SweepRunner {
                     continue;
                 }
                 *steps_by_job.entry(id).or_insert(0) += out.steps_run;
-                match out.end {
+                let point = self.grid.point(id).expect("job id within grid");
+                let outcome = match out.end {
                     CampaignEnd::Halted { .. } => {
                         unreachable!("only a log error or a fired kill halts a point")
                     }
-                    CampaignEnd::Completed => {
-                        let point = self.grid.point(id).expect("job id within grid");
-                        let result = PointResult {
-                            fingerprint: point.fingerprint(&self.cfg.base, self.cfg.steps),
-                            reflectivity: out.reflectivity,
-                            energy: out.energy,
-                            n_particles: out.n_particles,
-                            state_hash: out.state_hash,
-                        };
-                        log.record(&JobEvent::Done {
-                            id,
-                            result: result.encode(),
-                        })?;
-                        progress(&SweepProgress::Done {
-                            job: id,
-                            attempt,
-                            reflectivity: out.reflectivity,
-                            done: log.queue().stats().done,
-                            total: self.grid.len(),
-                        });
+                    CampaignEnd::Completed => Ok(PointResult {
+                        fingerprint: point.fingerprint(&self.cfg.base, self.cfg.steps),
+                        reflectivity: out.reflectivity,
+                        energy: out.energy,
+                        n_particles: out.n_particles,
+                        state_hash: out.state_hash,
                     }
-                    CampaignEnd::Degraded { at_step, .. } => {
-                        let cause = format!(
-                            "campaign degraded at step {at_step} (attempt {attempt}); \
-                             flight recorder in {}",
-                            self.job_dir(id).display()
-                        );
-                        self.fail_attempt(log, progress, run.lease, clock_ms, cause)?;
-                    }
-                }
+                    .encode()),
+                    CampaignEnd::Degraded { at_step, .. } => Err(format!(
+                        "campaign degraded at step {at_step} (attempt {attempt}); \
+                         flight recorder in {}",
+                        self.job_dir(id).display()
+                    )),
+                };
+                let cause = outcome.as_ref().err().cloned().unwrap_or_default();
+                let event = match log.finish(id, attempt, outcome, self.cfg.retry.max_attempts)? {
+                    JobState::Done => SweepProgress::Done {
+                        job: id,
+                        attempt,
+                        reflectivity: out.reflectivity,
+                        done: log.queue().stats().done,
+                        total: self.grid.len(),
+                    },
+                    JobState::Quarantined => SweepProgress::Quarantined { job: id, cause },
+                    _ => SweepProgress::Failed {
+                        job: id,
+                        attempt,
+                        cause,
+                    },
+                };
+                progress(&event);
             }
             if *killed {
                 outcome_end = SweepEnd::Killed;
@@ -800,8 +721,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let grid = SweepGrid::single(&small_base());
 
-        // Incarnation 1 dies right after journaling the lease: zero
-        // physics runs.
+        // Incarnation 1 dies right after journaling `Started`, before the
+        // first step: zero physics runs, and the WAL holds the job running.
         let mut cfg = test_cfg(&dir);
         cfg.kill.before_job = Some(0);
         let out = SweepRunner::new(grid.clone(), cfg).run().unwrap();
@@ -809,9 +730,13 @@ mod tests {
         assert_eq!(out.steps_by_job.values().sum::<u64>(), 0);
         assert!(out.curve.is_none(), "killed sweep must not aggregate");
         assert!(!dir.join(CURVE_NAME).exists());
+        let log = JobLog::open(&dir.join(WAL_NAME)).unwrap();
+        let state = &log.queue().job(0).unwrap().state;
+        assert_eq!(*state, JobState::Running { attempt: 1 });
+        drop(log);
 
-        // Incarnation 2 replays the WAL, releases the orphaned lease
-        // (no attempt charged) and finishes the sweep.
+        // Incarnation 2 replays the WAL, releases the orphaned job (no
+        // attempt charged) and finishes the sweep.
         let out = SweepRunner::new(grid, test_cfg(&dir)).run().unwrap();
         assert_eq!(out.end, SweepEnd::Completed);
         assert_eq!(out.orphans_released, vec![0]);

@@ -9,8 +9,8 @@
 //!
 //! Also home to the integrity/jitter primitives the socket layer uses: the
 //! workspace's one CRC-32 (the dependency-free `crc32` crate, which also
-//! frames `vpic_core::journal`'s WAL) and the same splitmix64 jitter
-//! discipline as `vpic_core::queue`'s retry backoff.
+//! frames `vpic_core::journal`'s WAL) and a splitmix64-seeded jittered
+//! backoff for redials.
 
 use std::time::Duration;
 
@@ -289,8 +289,7 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Exponential backoff with seeded jitter, the same discipline as the
-/// sweep queue's `RetryPolicy::backoff_ms`: `base·2^attempt` capped at
+/// Exponential backoff with seeded jitter: `base·2^attempt` capped at
 /// `max`, plus up to 50% deterministic jitter keyed on `(seed, attempt)`.
 pub(crate) fn backoff(attempt: u32, base: Duration, max: Duration, seed: u64) -> Duration {
     let exp = base

@@ -22,8 +22,8 @@
 //!   degradation;
 //! * [`sweepjob`] — distributed campaigns as WAL-journaled sweep jobs,
 //!   sharing the reflectivity-sweep service's job log
-//!   (`vpic_core::queue::JobLog`: leases, retry/backoff, quarantine,
-//!   exactly-once results).
+//!   (`vpic_core::queue::JobLog`: one start/finish pair, retries,
+//!   quarantine, exactly-once results).
 
 pub mod campaign;
 pub mod dcheckpoint;

@@ -3,26 +3,25 @@
 //! The LPI sweep service (`vpic-lpi`'s `sweep` module) drives one-rank
 //! campaigns through a WAL-backed job queue. Multi-rank campaigns are
 //! the other worker type that service will eventually schedule, and
-//! they must speak the *same* state machine: `Defined → Leased →
-//! Running → Done | Failed | Quarantined`, every transition validated
-//! and journaled before it is acted on, orphaned leases released
-//! uncharged, results folded exactly once from `Done` records.
+//! they speak the *same* state machine: `Pending → Running → Done |
+//! Failed | Quarantined`, every transition validated and journaled
+//! before it is acted on, orphaned attempts released uncharged, results
+//! folded exactly once from `Done` records.
 //!
 //! They do so by sharing its journal: [`JobJournal`] is a
 //! [`JobLog`] (the one writer of job events, in `vpic_core::queue`)
 //! plus [`JobJournal::run_campaign_job`], which wraps one campaign
-//! attempt in the journaled lifecycle. The caller launches the world
-//! (typically `nanompi::run` around
+//! attempt in the log's one start/finish pair (`JobLog::start`,
+//! `JobLog::finish`), as the sweep scheduler does. The caller launches
+//! the world (typically `nanompi::run` around
 //! [`run_campaign`](crate::campaign::run_campaign)). A completed
 //! campaign lands as a `Done` record carrying a fixed-width
 //! [`JobResult`] payload; a degraded one (recovery budget exhausted) is
-//! a charged failure that retries with the caller's [`RetryPolicy`]
-//! until quarantine — with the flight recorder's path in the recorded
+//! a charged failure, retried until the caller's [`RetryPolicy`]
+//! quarantines it — with the flight recorder's path in the recorded
 //! cause, exactly like the LPI sweep's poison jobs.
 //!
-//! Unlike the LPI sweep, a distributed attempt holds its lease for
-//! the whole campaign, so `lease_ms` must cover one full attempt. The
-//! campaign driver's `on_checkpoint` hook
+//! The campaign driver's `on_checkpoint` hook
 //! ([`run_campaign_from`](crate::campaign::run_campaign_from)) is where
 //! per-checkpoint heartbeat `Progress` records would slot in; this
 //! adapter does not journal them.
@@ -30,7 +29,7 @@
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
 
-use vpic_core::queue::{JobEvent, JobLog, JobLogError, QueueError, RetryPolicy};
+use vpic_core::queue::{JobEvent, JobLog, JobLogError, JobState, RetryPolicy};
 
 use crate::campaign::{CampaignEnd, CampaignError, CampaignOutcome};
 
@@ -76,8 +75,8 @@ pub enum JobVerdict {
     /// Campaign completed; its `Done` record is durable.
     Done(JobResult),
     /// Attempt failed (degradation or infrastructure error); the job
-    /// retries once the logical clock reaches `ready_at_ms`.
-    Retry { attempt: u32, ready_at_ms: u64 },
+    /// may run again.
+    Retry { attempt: u32 },
     /// Poisoned after `max_attempts` failures; never retried again.
     Quarantined { attempt: u32 },
 }
@@ -113,74 +112,62 @@ impl JobJournal {
         self.record(&JobEvent::Defined { id, fingerprint })
     }
 
-    /// Run one journaled attempt at job `id`: `Leased` and `Started`
-    /// are durable before `drive` executes the campaign, and exactly
-    /// one of `Done` / `Failed` / `Quarantined` is durable after. A job
-    /// that is undefined, running or settled is the queue's typed error
+    /// Run one journaled attempt at job `id`: `Started` is durable
+    /// before `drive` executes the campaign, and exactly one of `Done` /
+    /// `Failed` / `Failed` + `Quarantined` is durable after. A job that
+    /// is undefined, running or settled is the queue's typed error
     /// before anything is journaled.
     ///
     /// `drive` is the world launch (typically `nanompi::run` around
     /// [`run_campaign`](crate::campaign::run_campaign)) distilled to
     /// the designated result rank's outcome. Both a `Degraded` end and
     /// a [`CampaignError`] are *charged* failures — infrastructure
-    /// trouble retries with backoff like physics trouble does.
+    /// trouble retries like physics trouble does.
+    ///
+    /// `_clock_ms` and `_lease_ms` are unread: the queue has no clock
+    /// and no leases. They stay because `benchmark/`'s campaign workload
+    /// passes them.
     pub fn run_campaign_job(
         &mut self,
         id: u64,
-        clock_ms: u64,
-        lease_ms: u64,
+        _clock_ms: u64,
+        _lease_ms: u64,
         retry: &RetryPolicy,
         drive: impl FnOnce() -> Result<CampaignOutcome, CampaignError>,
     ) -> Result<JobVerdict, JobLogError> {
-        let job = self.queue().job(id).ok_or(QueueError::UnknownJob(id))?;
-        let attempt = job.attempts + 1;
-        self.record(&JobEvent::Leased {
-            id,
-            attempt,
-            deadline_ms: clock_ms + lease_ms,
-        })?;
-        self.record(&JobEvent::Started { id, attempt })?;
-
-        let failure = match drive() {
+        let attempt = self.start(id)?;
+        let outcome = match drive() {
             Ok(out) => match out.end {
-                CampaignEnd::Completed => {
-                    let result = JobResult {
-                        steps_run: out.steps_run,
-                        recoveries: out.recoveries.len() as u64,
-                        peak_imbalance: out.peak_imbalance,
-                    };
-                    self.record(&JobEvent::Done {
-                        id,
-                        result: result.encode(),
-                    })?;
-                    return Ok(JobVerdict::Done(result));
-                }
+                CampaignEnd::Completed => Ok(JobResult {
+                    steps_run: out.steps_run,
+                    recoveries: out.recoveries.len() as u64,
+                    peak_imbalance: out.peak_imbalance,
+                }),
                 CampaignEnd::Degraded {
                     at_step,
                     flight_recorder,
                     ..
-                } => format!(
+                } => Err(format!(
                     "campaign degraded at step {at_step} (attempt {attempt}); \
                      flight recorder {}",
                     flight_recorder.display()
-                ),
-                CampaignEnd::Halted { at_step } => {
-                    format!("campaign halted at step {at_step} (attempt {attempt})")
-                }
+                )),
+                CampaignEnd::Halted { at_step } => Err(format!(
+                    "campaign halted at step {at_step} (attempt {attempt})"
+                )),
             },
-            Err(e) => format!("campaign error (attempt {attempt}): {e}"),
+            Err(e) => Err(format!("campaign error (attempt {attempt}): {e}")),
         };
-        let ready_at_ms = clock_ms + retry.backoff_ms(id, attempt);
-        Ok(
-            if self.charge_failure(id, attempt, ready_at_ms, failure, retry.max_attempts)? {
-                JobVerdict::Quarantined { attempt }
-            } else {
-                JobVerdict::Retry {
-                    attempt,
-                    ready_at_ms,
-                }
-            },
-        )
+        let payload = outcome
+            .as_ref()
+            .map(JobResult::encode)
+            .map_err(String::clone);
+        let state = self.finish(id, attempt, payload, retry.max_attempts)?;
+        Ok(match (outcome, state) {
+            (Ok(result), _) => JobVerdict::Done(result),
+            (Err(_), JobState::Quarantined) => JobVerdict::Quarantined { attempt },
+            (Err(_), _) => JobVerdict::Retry { attempt },
+        })
     }
 }
 
@@ -192,7 +179,7 @@ mod tests {
     use crate::dsim::DistributedSim;
     use std::path::PathBuf;
     use vpic_core::maxwellian::Momentum;
-    use vpic_core::queue::JobState;
+    use vpic_core::queue::QueueError;
     use vpic_core::species::Species;
 
     const RANKS: usize = 2;
@@ -264,7 +251,7 @@ mod tests {
         // A fresh incarnation replays to the same settled state and can
         // decode the Done payload — exactly-once aggregation material.
         let jj2 = JobJournal::open(&wal).unwrap();
-        assert!(jj2.replay().records >= 4);
+        assert_eq!(jj2.replay().records, 3, "defined, started, done");
         assert!(!jj2.replay().torn_tail);
         let job = jj2.queue().job(7).unwrap();
         assert_eq!(job.state, JobState::Done);
@@ -276,39 +263,27 @@ mod tests {
     }
 
     #[test]
-    fn degraded_campaign_retries_with_backoff_then_quarantines() {
+    fn degraded_campaign_retries_then_quarantines() {
         let dir = tmp("degrade");
         let wal = dir.join("jobs.wal");
-        let retry = RetryPolicy {
-            max_attempts: 2,
-            base_backoff_ms: 100,
-            max_backoff_ms: 1_000,
-            jitter_seed: 9,
-        };
+        let retry = RetryPolicy { max_attempts: 2 };
         let mut jj = JobJournal::open(&wal).unwrap();
         jj.define(0, 0xBEEF).unwrap();
 
         let v1 = jj
-            .run_campaign_job(0, 0, 1_000, &retry, || Ok(degraded_outcome()))
+            .run_campaign_job(0, 0, 0, &retry, || Ok(degraded_outcome()))
             .unwrap();
-        let JobVerdict::Retry {
-            attempt,
-            ready_at_ms,
-        } = v1
-        else {
-            panic!("expected Retry, got {v1:?}")
-        };
-        assert_eq!(attempt, 1);
-        assert!(ready_at_ms >= 100, "backoff must gate the retry");
+        assert_eq!(v1, JobVerdict::Retry { attempt: 1 });
+        assert_eq!(jj.queue().job(0).unwrap().state, JobState::Failed);
 
         let v2 = jj
-            .run_campaign_job(0, ready_at_ms, 1_000, &retry, || Ok(degraded_outcome()))
+            .run_campaign_job(0, 0, 0, &retry, || Ok(degraded_outcome()))
             .unwrap();
         assert_eq!(v2, JobVerdict::Quarantined { attempt: 2 });
         // A settled job is the queue's typed error: nothing runs and
         // nothing is journaled.
         let before = std::fs::read(&wal).unwrap();
-        let again = jj.run_campaign_job(0, ready_at_ms, 1_000, &retry, || {
+        let again = jj.run_campaign_job(0, 0, 0, &retry, || {
             panic!("a quarantined job must not launch")
         });
         assert!(matches!(
@@ -332,21 +307,15 @@ mod tests {
     }
 
     #[test]
-    fn orphaned_lease_is_released_uncharged_on_reopen() {
+    fn orphaned_attempt_is_released_uncharged_on_reopen() {
         let dir = tmp("orphan");
         let wal = dir.join("jobs.wal");
         {
             let mut jj = JobJournal::open(&wal).unwrap();
             jj.define(3, 0xCAFE).unwrap();
-            // Simulate a worker dying between Started and any outcome:
-            // journal the lease + start, then drop the journal.
-            jj.record(&JobEvent::Leased {
-                id: 3,
-                attempt: 1,
-                deadline_ms: 5_000,
-            })
-            .unwrap();
-            jj.record(&JobEvent::Started { id: 3, attempt: 1 }).unwrap();
+            // Simulate a worker dying between `Started` and any outcome:
+            // start the attempt, then drop the journal.
+            assert_eq!(jj.start(3).unwrap(), 1);
         }
         let mut jj = JobJournal::open(&wal).unwrap();
         assert_eq!(jj.release_orphans().unwrap(), vec![3]);

@@ -1,11 +1,7 @@
-//! Campaign-level modeling: time-to-solution for the paper's full
-//! parameter study, including restart-dump overhead and machine
-//! availability — the operational arithmetic behind running a
-//! trillion-particle study on a machine whose mean time between
-//! interrupts is measured in hours (a real constraint the Roadrunner
-//! papers discuss).
-
-use crate::model::{NodeLoad, PerfModel};
+//! Campaign checkpoint arithmetic: the Young/Daly optimum period, which
+//! balances the cost of a restart dump against the work an interrupt
+//! throws away on a machine whose mean time between interrupts is
+//! measured in hours (a real constraint the Roadrunner papers discuss).
 
 /// The Young/Daly optimal checkpoint period in *seconds*:
 /// `τ_opt = √(2·δ·MTBI)` for a per-dump cost `δ` and mean time between
@@ -33,166 +29,9 @@ pub fn young_daly_interval_steps(
     (tau / step_seconds).max(1.0) as u64
 }
 
-/// One run of a parameter study.
-#[derive(Clone, Copy, Debug)]
-pub struct RunPlan {
-    /// Steps of physics per run.
-    pub steps: u64,
-    /// Steps between restart dumps (0 = never).
-    pub checkpoint_interval: u64,
-    /// Seconds to write one restart dump (dominated by particle bytes
-    /// through the I/O system).
-    pub checkpoint_seconds: f64,
-}
-
-impl RunPlan {
-    /// Dump cost estimate from the particle count and an aggregate
-    /// filesystem bandwidth (GB/s): 32 bytes per particle.
-    pub fn checkpoint_cost(n_particles: f64, fs_bandwidth_gbs: f64) -> f64 {
-        n_particles * 32.0 / (fs_bandwidth_gbs * 1e9)
-    }
-}
-
-/// Campaign model: `n_runs` runs on the machine described by `model`.
-#[derive(Clone, Copy, Debug)]
-pub struct Campaign {
-    pub model: PerfModel,
-    pub load: NodeLoad,
-    pub plan: RunPlan,
-    /// Runs in the study (the paper scanned laser intensity).
-    pub n_runs: usize,
-    /// Mean time between machine interrupts (seconds); each interrupt
-    /// costs the work since the last dump plus a restart.
-    pub mtbi_seconds: f64,
-    /// Seconds to restart after an interrupt (requeue + reload).
-    pub restart_seconds: f64,
-}
-
-/// The campaign's predicted cost breakdown (seconds).
-#[derive(Clone, Copy, Debug)]
-pub struct CampaignCost {
-    pub physics: f64,
-    pub checkpointing: f64,
-    pub rework: f64,
-    pub restarts: f64,
-}
-
-impl CampaignCost {
-    /// Total wall time.
-    pub fn total(&self) -> f64 {
-        self.physics + self.checkpointing + self.rework + self.restarts
-    }
-
-    /// Fraction of wall time doing physics.
-    pub fn efficiency(&self) -> f64 {
-        self.physics / self.total()
-    }
-}
-
-impl Campaign {
-    /// Predict the campaign's wall-clock cost.
-    pub fn cost(&self) -> CampaignCost {
-        let step_time = self.model.step_budget(&self.load).total();
-        let physics_per_run = self.plan.steps as f64 * step_time;
-        let physics = physics_per_run * self.n_runs as f64;
-
-        let dumps_per_run = self
-            .plan
-            .steps
-            .checked_div(self.plan.checkpoint_interval)
-            .unwrap_or(0) as f64;
-        let checkpointing = dumps_per_run * self.plan.checkpoint_seconds * self.n_runs as f64;
-
-        // Interrupts: Poisson at rate 1/MTBI over the productive time;
-        // each one throws away on average half a checkpoint interval of
-        // physics (or half a run if never dumping).
-        let productive = physics + checkpointing;
-        let n_interrupts = productive / self.mtbi_seconds;
-        let rework_per_interrupt = if self.plan.checkpoint_interval > 0 {
-            0.5 * self.plan.checkpoint_interval as f64 * step_time
-        } else {
-            0.5 * physics_per_run
-        };
-        CampaignCost {
-            physics,
-            checkpointing,
-            rework: n_interrupts * rework_per_interrupt,
-            restarts: n_interrupts * self.restart_seconds,
-        }
-    }
-
-    /// The checkpoint interval (steps) minimizing total cost — the classic
-    /// Young/Daly optimum `τ_opt = √(2·δ·MTBI)` expressed in steps.
-    pub fn optimal_checkpoint_interval(&self) -> u64 {
-        let step_time = self.model.step_budget(&self.load).total();
-        young_daly_interval_steps(self.plan.checkpoint_seconds, self.mtbi_seconds, step_time)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::Machine;
-    use crate::model::KernelRates;
-
-    fn paper_campaign(interval: u64) -> Campaign {
-        let machine = Machine::roadrunner();
-        let model = PerfModel {
-            machine,
-            rates: KernelRates::from_paper_inner_loop(&machine, 0.488),
-        };
-        let load = NodeLoad::paper_headline(&machine);
-        Campaign {
-            model,
-            load,
-            plan: RunPlan {
-                steps: 10_000,
-                checkpoint_interval: interval,
-                checkpoint_seconds: RunPlan::checkpoint_cost(1.0e12, 50.0),
-            },
-            n_runs: 6, // the intensity scan
-            mtbi_seconds: 6.0 * 3600.0,
-            restart_seconds: 600.0,
-        }
-    }
-
-    #[test]
-    fn checkpoint_cost_is_io_bound() {
-        // 1e12 particles × 32 B at 50 GB/s ≈ 640 s per dump.
-        let c = RunPlan::checkpoint_cost(1.0e12, 50.0);
-        assert!((c - 640.0).abs() < 1.0, "dump = {c}");
-    }
-
-    #[test]
-    fn never_checkpointing_loses_runs_to_interrupts() {
-        let with = paper_campaign(2000).cost();
-        let without = paper_campaign(0).cost();
-        // A multi-hour run without dumps replays far more work per
-        // interrupt (half a run instead of half a dump interval).
-        assert!(
-            without.rework > 2.5 * with.rework,
-            "{:?} vs {:?}",
-            with,
-            without
-        );
-        // Whether dumping wins *overall* depends on the dump cost; at the
-        // assumed 50 GB/s filesystem it costs more wall time than the
-        // rework it saves — exactly the trade Young/Daly optimizes, so
-        // check the optimum interval lands between the two extremes.
-        assert!(with.efficiency() > 0.5 && without.efficiency() > 0.5);
-    }
-
-    #[test]
-    fn optimum_interval_beats_extremes() {
-        let base = paper_campaign(1);
-        let opt = base.optimal_checkpoint_interval();
-        assert!(opt > 10, "opt = {opt}");
-        let cost_opt = paper_campaign(opt).cost().total();
-        let cost_tiny = paper_campaign(opt / 8).cost().total();
-        let cost_huge = paper_campaign(opt * 8).cost().total();
-        assert!(cost_opt <= cost_tiny, "opt {cost_opt} vs tiny {cost_tiny}");
-        assert!(cost_opt <= cost_huge, "opt {cost_opt} vs huge {cost_huge}");
-    }
 
     #[test]
     fn young_daly_matches_closed_form_across_grid() {
@@ -217,24 +56,5 @@ mod tests {
         assert_eq!(young_daly_interval_seconds(640.0, 0.0), 0.0);
         assert_eq!(young_daly_interval_steps(640.0, 3600.0, 0.0), 1);
         assert_eq!(young_daly_interval_steps(0.0, 0.0, 1.0), 1);
-    }
-
-    #[test]
-    fn campaign_optimum_delegates_to_young_daly() {
-        let c = paper_campaign(1);
-        let step = c.model.step_budget(&c.load).total();
-        assert_eq!(
-            c.optimal_checkpoint_interval(),
-            young_daly_interval_steps(c.plan.checkpoint_seconds, c.mtbi_seconds, step)
-        );
-    }
-
-    #[test]
-    fn physics_time_matches_step_budget() {
-        let c = paper_campaign(2000);
-        let cost = c.cost();
-        let step = c.model.step_budget(&c.load).total();
-        assert!((cost.physics - 6.0 * 10_000.0 * step).abs() < 1e-6);
-        assert!(cost.total() > cost.physics);
     }
 }

@@ -19,8 +19,6 @@ pub mod flops;
 pub mod machine;
 pub mod model;
 
-pub use campaign::{
-    young_daly_interval_seconds, young_daly_interval_steps, Campaign, CampaignCost, RunPlan,
-};
+pub use campaign::{young_daly_interval_seconds, young_daly_interval_steps};
 pub use machine::Machine;
 pub use model::{KernelRates, NodeLoad, PerfModel, StepBudget};

@@ -145,13 +145,15 @@ fi
 
 if [[ "${1:-}" == "sweep" || "${CI_SWEEP:-0}" == "1" ]]; then
     echo "==> sweep lane (crash-proof reflectivity-sweep service)"
-    # WAL hardening: truncation/bit-flip/torn-tail matrix plus the
-    # journal and job-queue unit suites. `--lib queue` also selects the
-    # JobLog tests: job_log_replays_every_event_kind_to_an_equal_queue,
+    # WAL hardening: truncation/bit-flip/torn-tail matrix over every
+    # event kind, plus the journal and job-queue unit suites. `--lib
+    # queue` also selects the JobLog tests:
+    # job_log_replays_every_event_kind_to_an_equal_queue,
     # rejected_events_leave_the_wal_bytes_unchanged,
     # failed_append_closes_the_handle,
-    # charge_failure_quarantines_at_exactly_max_attempts,
-    # release_orphans_keeps_certified_step.
+    # finish_quarantines_at_exactly_max_attempts,
+    # release_orphans_returns_running_jobs_to_pending,
+    # wal_with_retired_layouts_is_refused_untouched.
     cargo test --release -p vpic-core --test journal_corruption
     cargo test --release -p vpic-core --lib journal
     cargo test --release -p vpic-core --lib queue
@@ -167,7 +169,9 @@ if [[ "${1:-}" == "sweep" || "${CI_SWEEP:-0}" == "1" ]]; then
     done
     # End to end: a shrunk [sweep] deck through vpic-run (kill-safe
     # service path) at both widths, the two curves byte-compared, then
-    # the e5 harness consuming the curve artifact.
+    # the e5 harness consuming the curve artifact. The deck keeps the
+    # retired keys lease_ms, base_backoff_ms and jitter_seed: an older
+    # deck must still run.
     cargo build --release -p vpic -p vpic-bench
     deck=target/ci_sweep.deck
     cat > "$deck" <<'EOF'
@@ -181,6 +185,10 @@ ppc = 4
 [sweep]
 a0 = 0.01, 0.02, 0.03
 checkpoint_interval = 10
+max_attempts = 2
+lease_ms = 10000
+base_backoff_ms = 1000
+jitter_seed = 42
 [sentinel]
 health_interval = 10
 max_energy_growth = 100

@@ -14,7 +14,7 @@
 //! per-rank recovery logs next to them, and a per-rank summary is written
 //! to `campaign.tsv`. `kind = lpi` decks with a `[sweep]` section run the
 //! crash-proof reflectivity-sweep service: per-job progress is narrated
-//! as jobs lease/finish/retry, and the aggregated curve lands in
+//! as jobs start/finish/retry, and the aggregated curve lands in
 //! `<output-dir>/sweep/reflectivity_curve.json` (re-running the same
 //! deck resumes a killed sweep from its write-ahead log).
 //!
@@ -340,16 +340,17 @@ fn run_sweep_deck(
         SweepProgress::Failed {
             job,
             attempt,
-            ready_at_ms,
             cause,
-        } => println!("job {job} attempt {attempt} failed: {cause}; retry at t={ready_at_ms}ms"),
+        } => {
+            println!("job {job} attempt {attempt} failed: {cause}; retried after the pending jobs")
+        }
         SweepProgress::Quarantined { job, cause } => {
             println!("job {job} quarantined: {cause}")
         }
     })?;
     if out.replay.records > 0 {
         println!(
-            "resumed: replayed {} WAL record(s){}, released {} orphaned lease(s)",
+            "resumed: replayed {} WAL record(s){}, released {} orphaned job(s)",
             out.replay.records,
             if out.replay.torn_tail {
                 " (salvaged a torn tail)"

@@ -51,11 +51,12 @@
 //! reflectivity-sweep service (see [`SweepSetup`]): the `[laser]`
 //! section is the base deck, templated over comma-separated `a0` /
 //! `n_over_ncr` / `vth` axis lists, each grid point driven as a
-//! WAL-journaled job with leases (`lease_ms`), retry with backoff
-//! (`max_attempts`, `base_backoff_ms`, `max_backoff_ms`,
-//! `jitter_seed`) and quarantine, aggregated exactly-once into
-//! `reflectivity_curve.json`. Re-running the same deck against the
-//! same directory resumes the sweep instead of restarting it.
+//! WAL-journaled job whose failed attempts are retried after every
+//! pending point and quarantined at `max_attempts`, aggregated
+//! exactly-once into `reflectivity_curve.json`. Re-running the same deck
+//! against the same directory resumes the sweep instead of restarting
+//! it. The retired keys `lease_ms`, `base_backoff_ms`, `max_backoff_ms`
+//! and `jitter_seed` are ignored, like every key the deck does not read.
 //!
 //! Either campaign kind also honours a `[sentinel]` section
 //! (numerical-integrity thresholds: `health_interval`,
@@ -276,6 +277,11 @@ pub enum BuiltRun {
 
 /// Build the run a deck describes.
 pub fn build(deck: &Deck) -> Result<BuiltRun, DeckError> {
+    // `Deck::steps` and `Deck::seed` fall back to their defaults on a
+    // value that does not parse; a deck that sets one must set it right.
+    for key in ["steps", "seed"] {
+        get_u64(&deck.globals, key, 0)?;
+    }
     match deck.globals.get("kind").map(String::as_str) {
         Some("plasma") | None if deck.section("campaign").is_some() => {
             build_campaign(deck).map(|c| BuiltRun::Campaign(Box::new(c)))
@@ -316,8 +322,8 @@ fn parse_sentinel(deck: &Deck) -> Result<Option<SimConfig>, DeckError> {
             max_div_b_rms: f("max_div_b_rms", d.max_div_b_rms)?,
             max_momentum: f("max_momentum", d.max_momentum)?,
             max_particle_drift: f("max_particle_drift", d.max_particle_drift)?,
-            marder_passes: get_u64(kv, "marder_passes", d.marder_passes as u64)? as u32,
-            max_marder_bursts: get_u64(kv, "max_marder_bursts", d.max_marder_bursts as u64)? as u32,
+            marder_passes: get_u32(kv, "marder_passes", d.marder_passes)?,
+            max_marder_bursts: get_u32(kv, "max_marder_bursts", d.max_marder_bursts)?,
             recorder_len: get_usize(kv, "recorder_len", d.recorder_len)?,
         },
     }))
@@ -576,7 +582,7 @@ fn build_lpi_campaign(deck: &Deck) -> Result<LpiCampaignSetup, DeckError> {
         steps: deck.steps(),
         checkpoint_interval: interval,
         keep_checkpoints: get_usize(ckv, "keep_checkpoints", 2)?.max(1),
-        max_recoveries: get_u64(ckv, "max_recoveries", 3)? as u32,
+        max_recoveries: get_u32(ckv, "max_recoveries", 3)?,
         dir: ckv.get("dir").map(PathBuf::from),
         sentinel: parse_sentinel(deck)?,
         corruption: parse_corruption(deck)?,
@@ -586,8 +592,8 @@ fn build_lpi_campaign(deck: &Deck) -> Result<LpiCampaignSetup, DeckError> {
 
 /// Everything a `kind = lpi` deck's `[sweep]` section describes: the
 /// base LPI parameters, the `(a0, n/ncr, vth)` grid templated over
-/// them, and the sweep-service knobs (WAL-backed queue, retry/backoff,
-/// leases). Axes are comma-separated lists; an absent axis degenerates
+/// them, and the sweep-service knobs (WAL-backed queue, retries,
+/// quarantine). Axes are comma-separated lists; an absent axis degenerates
 /// to the base deck's single value.
 #[derive(Clone, Debug)]
 pub struct SweepSetup {
@@ -598,7 +604,6 @@ pub struct SweepSetup {
     /// Explicit sweep directory (else `<out>/sweep`).
     pub dir: Option<PathBuf>,
     pub retry: RetryPolicy,
-    pub lease_ms: u64,
     pub campaign_max_recoveries: u32,
     pub sentinel: Option<SimConfig>,
     /// `[fault]` corruption plan, aimed at `corrupt_job`'s attempts.
@@ -616,7 +621,6 @@ impl SweepSetup {
         let dir = self.dir.clone().unwrap_or_else(|| fallback.join("sweep"));
         let mut cfg = SweepConfig::new(self.params, self.steps, self.checkpoint_interval, dir);
         cfg.retry = self.retry.clone();
-        cfg.lease_ms = self.lease_ms;
         cfg.campaign_max_recoveries = self.campaign_max_recoveries;
         if let Some(s) = self.sentinel {
             cfg.sentinel = s.sentinel;
@@ -644,7 +648,6 @@ fn build_sweep(deck: &Deck) -> Result<SweepSetup, DeckError> {
     if grid.is_empty() {
         return Err(err("sweep grid has an empty axis"));
     }
-    let d = RetryPolicy::default();
     let fkv = deck.section("fault");
     let corrupt_attempt = match fkv.and_then(|kv| kv.get("attempt")) {
         None => None,
@@ -660,13 +663,9 @@ fn build_sweep(deck: &Deck) -> Result<SweepSetup, DeckError> {
         checkpoint_interval: get_u64(skv, "checkpoint_interval", 50)?,
         dir: skv.get("dir").map(PathBuf::from),
         retry: RetryPolicy {
-            max_attempts: (get_u64(skv, "max_attempts", d.max_attempts as u64)? as u32).max(1),
-            base_backoff_ms: get_u64(skv, "base_backoff_ms", d.base_backoff_ms)?,
-            max_backoff_ms: get_u64(skv, "max_backoff_ms", d.max_backoff_ms)?,
-            jitter_seed: get_u64(skv, "jitter_seed", deck.seed())?,
+            max_attempts: get_u32(skv, "max_attempts", RetryPolicy::default().max_attempts)?.max(1),
         },
-        lease_ms: get_u64(skv, "lease_ms", 10_000)?,
-        campaign_max_recoveries: get_u64(skv, "max_recoveries", 1)? as u32,
+        campaign_max_recoveries: get_u32(skv, "max_recoveries", 1)?,
         sentinel: parse_sentinel(deck)?,
         corruption: parse_corruption(deck)?,
         corrupt_job: fkv.map_or(Ok(0), |kv| get_u64(kv, "job", 0))?,
@@ -746,6 +745,13 @@ fn get_u64(kv: &BTreeMap<String, String>, key: &str, default: u64) -> Result<u64
             .parse()
             .map_err(|_| err(format!("bad integer for {key}: {v}"))),
     }
+}
+
+/// A `u32` key: a value that does not fit is an error naming the key,
+/// never a truncation.
+fn get_u32(kv: &BTreeMap<String, String>, key: &str, default: u32) -> Result<u32, DeckError> {
+    let v = get_u64(kv, key, default.into())?;
+    u32::try_from(v).map_err(|_| err(format!("{key} must be at most {}, got {v}", u32::MAX)))
 }
 
 fn build_campaign(deck: &Deck) -> Result<CampaignSetup, DeckError> {
@@ -935,7 +941,7 @@ fn build_campaign(deck: &Deck) -> Result<CampaignSetup, DeckError> {
         checkpoint_write_bps,
         dir: ckv.get("dir").map(PathBuf::from),
         keep_checkpoints: get_usize(ckv, "keep_checkpoints", 2)?.max(1),
-        max_recoveries: get_u64(ckv, "max_recoveries", 3)? as u32,
+        max_recoveries: get_u32(ckv, "max_recoveries", 3)?,
         health_interval: get_u64(ckv, "health_interval", 1)?,
         op_timeout_ms: match ckv.get("op_timeout_ms") {
             None => None,
@@ -1136,7 +1142,10 @@ a0 = 0.01, 0.02, 0.05
 vth = 0.04, 0.06
 checkpoint_interval = 10
 max_attempts = 2
+# Retired keys, still accepted and ignored:
 lease_ms = 500
+base_backoff_ms = 100
+max_backoff_ms = 1000
 jitter_seed = 7
 "#;
         let deck = Deck::parse(text).unwrap();
@@ -1152,10 +1161,9 @@ jitter_seed = 7
         assert_eq!(setup.grid.len(), 6);
         assert_eq!(setup.steps, 40);
         assert_eq!(setup.retry.max_attempts, 2);
-        assert_eq!(setup.retry.jitter_seed, 7);
         let cfg = setup.config(Path::new("/tmp/out"));
         assert_eq!(cfg.checkpoint_interval, 10);
-        assert_eq!(cfg.lease_ms, 500);
+        assert_eq!(cfg.retry.max_attempts, 2);
         assert_eq!(cfg.sweep_dir, Path::new("/tmp/out").join("sweep"));
     }
 
@@ -1181,6 +1189,45 @@ jitter_seed = 7
         assert!(build(&deck).is_err());
         let bad_loader = "kind = plasma\n[grid]\ncells = 2 2 2\n[species.e]\nloader = magic";
         assert!(build(&Deck::parse(bad_loader).unwrap()).is_err());
+    }
+
+    /// A `u32` key set past `u32::MAX`, and a `steps` or `seed` that does
+    /// not parse, are errors that name the key — not a truncated count
+    /// or a silent default.
+    #[test]
+    fn bad_integers_are_errors_that_name_the_key() {
+        let names_key = |text: &str, key: &str| match build(&Deck::parse(text).unwrap()) {
+            Err(e) => assert!(e.to_string().contains(key), "{key}: {e}"),
+            Ok(_) => panic!("{key}: accepted in\n{text}"),
+        };
+        let too_big = "4294967296";
+        names_key(
+            &CAMPAIGN_DECK.replace("max_recoveries = 2", &format!("max_recoveries = {too_big}")),
+            "max_recoveries",
+        );
+        for key in ["marder_passes", "max_marder_bursts"] {
+            names_key(
+                &format!("{CAMPAIGN_DECK}\n[sentinel]\n{key} = {too_big}\n"),
+                key,
+            );
+        }
+        let lpi = "kind = lpi\nsteps = 10\n[laser]\na0 = 0.05\n";
+        names_key(
+            &format!("{lpi}[campaign]\nmax_recoveries = {too_big}\n"),
+            "max_recoveries",
+        );
+        for key in ["max_attempts", "max_recoveries"] {
+            names_key(&format!("{lpi}[sweep]\n{key} = {too_big}\n"), key);
+        }
+        names_key(&CAMPAIGN_DECK.replace("steps = 12", "steps = 1e3"), "steps");
+        names_key(&CAMPAIGN_DECK.replace("seed = 5", "seed = five"), "seed");
+        names_key(
+            "kind = plasma\nsteps = -1\n[grid]\ncells = 2 2 2\n",
+            "steps",
+        );
+        // The accessors keep their fallbacks; `build` is the gate.
+        let deck = Deck::parse("steps = 1e3\nseed = five").unwrap();
+        assert_eq!((deck.steps(), deck.seed()), (100, 1));
     }
 
     const CAMPAIGN_DECK: &str = r#"

@@ -3,8 +3,8 @@
 //! The soak (`#[ignore]`d; run it in release with
 //! `cargo test --release --test sweep_soak -- --ignored`) throws 16
 //! seeded kill-the-orchestrator plans at a 3-point sweep: each plan
-//! SIGKILLs the service either right after a journaled lease (before
-//! the job starts) or at a seeded checkpoint certification (right
+//! SIGKILLs the service either right after a journaled `Started` (before
+//! the job's first step) or at a seeded checkpoint certification (right
 //! after its `Progress` record is durable). A fresh incarnation then
 //! replays the WAL and finishes the sweep. Every plan must produce a
 //! `reflectivity_curve.json` **byte-identical** with the unkilled
@@ -18,8 +18,9 @@
 //! Shrunk non-ignored tests keep the same guarantees in tier-1 CI: a
 //! concurrent sweep against the serial one, a single kill/resume cycle
 //! at each width, and a poison job that lands in quarantine after
-//! exactly `max_attempts` charged, backoff-gated retries while the
-//! sweep completes over the surviving point.
+//! exactly `max_attempts` charged attempts, its retries started only
+//! after every pending point, while the sweep completes over the
+//! surviving points.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -136,9 +137,9 @@ fn audit_journal(dir: &Path, jobs: u64) -> BTreeMap<u64, Vec<u8>> {
     let mut done: Vec<(u64, Vec<u8>)> = Vec::new();
     let (_, report) = Journal::open(dir.join(WAL_NAME), |payload| {
         match JobEvent::decode(payload).expect("journaled event decodes") {
-            JobEvent::Progress {
-                id, certified_step, ..
-            } => progress.entry(id).or_default().push(certified_step),
+            JobEvent::Progress { id, certified_step } => {
+                progress.entry(id).or_default().push(certified_step)
+            }
             JobEvent::Done { id, result } => done.push((id, result)),
             _ => {}
         }
@@ -211,7 +212,7 @@ fn killed_orchestrator_soak_is_bit_identical() {
             let started = Instant::now();
             let roll = splitmix64(0xC0FF_EE00 ^ seed);
             // Three of four plans die at a seeded certification; the
-            // rest die between the lease and the first step of a seeded
+            // rest die between `Started` and the first step of a seeded
             // job.
             let kill = if seed % 4 == 3 {
                 SweepKillPlan {
@@ -345,10 +346,10 @@ fn killed_concurrent_sweep_resumes_bit_identically() {
 }
 
 /// A poison job — its campaign degrades on every attempt — must land in
-/// `Quarantined` after exactly `max_attempts` charged, backoff-gated
-/// retries, with its flight recorder on disk, while the sweep still
-/// completes and emits a curve over the surviving point — one point
-/// at a time, and with the survivor running beside the poison job.
+/// `Quarantined` after exactly `max_attempts` charged attempts, each
+/// retry started only once no point is pending, with its flight recorder
+/// on disk, while the sweep still completes and emits a curve over the
+/// surviving points — one point at a time, and two at once.
 #[test]
 fn poison_job_quarantines_after_exactly_n_attempts() {
     poison_job_at(1);
@@ -356,13 +357,11 @@ fn poison_job_quarantines_after_exactly_n_attempts() {
 }
 
 fn poison_job_at(width: usize) {
-    let mut grid = soak_grid();
-    grid.a0 = vec![0.01, 0.02];
+    let grid = soak_grid();
 
     let dir = temp_dir(&format!("poison_w{width}"));
     let mut c = cfg(&dir);
     c.retry.max_attempts = 3;
-    c.retry.base_backoff_ms = 500;
     // Retries are the sweep's job: no in-campaign recovery budget, so
     // the injected NaN degrades the attempt deterministically (injected
     // at step 15, caught by the step-20 health check before the step-20
@@ -382,9 +381,10 @@ fn poison_job_at(width: usize) {
 
     let out = run_at(width, &grid, c);
     assert_eq!(out.end, SweepEnd::Completed);
-    assert_eq!(out.stats.done, 1);
+    assert_eq!(out.stats.done, 2);
     assert_eq!(out.stats.quarantined, 1);
     assert_eq!(out.stats.total_failures, 3, "exactly N charged attempts");
+    assert_eq!(out.attempts_launched, 5);
 
     let curve = out.curve.expect("curve over surviving points");
     assert_eq!(curve.points[0].attempts, 3);
@@ -394,8 +394,10 @@ fn poison_job_at(width: usize) {
         .as_ref()
         .expect("poison point is marked quarantined");
     assert!(cause.contains("flight recorder"), "cause: {cause}");
-    assert!(curve.points[1].result.is_some(), "survivor kept its result");
-    assert!(curve.points[1].quarantined.is_none());
+    for p in &curve.points[1..] {
+        assert!(p.result.is_some(), "survivor kept its result");
+        assert!(p.quarantined.is_none());
+    }
 
     // The flight recorder the cause points at is actually on disk.
     assert!(
@@ -403,52 +405,48 @@ fn poison_job_at(width: usize) {
         "quarantined job must leave its flight recorder behind"
     );
 
-    // WAL audit: three charged Failed records with strictly later
-    // backoff gates (exponential doubling + seeded jitter), then the
-    // terminal Quarantined marker — and nothing after it for job 0.
-    let mut failed: Vec<(u32, u64)> = Vec::new();
-    let mut quarantined_at: Option<usize> = None;
-    let mut job0_events = 0usize;
+    // WAL audit: the poison job's retries start only after every other
+    // job's first attempt has started; every attempt journals one
+    // charged `Failed`; `Quarantined` is job 0's last record.
+    let mut events = Vec::new();
     Journal::open(dir.join(WAL_NAME), |payload| {
-        let ev = JobEvent::decode(payload).expect("journaled event decodes");
-        let id = match &ev {
-            JobEvent::Defined { id, .. }
-            | JobEvent::Leased { id, .. }
-            | JobEvent::Started { id, .. }
-            | JobEvent::Progress { id, .. }
-            | JobEvent::Done { id, .. }
-            | JobEvent::Failed { id, .. }
-            | JobEvent::Quarantined { id, .. }
-            | JobEvent::Released { id } => *id,
-        };
-        if id != 0 {
-            return;
-        }
-        job0_events += 1;
-        match ev {
-            JobEvent::Failed {
-                attempt,
-                ready_at_ms,
-                ..
-            } => failed.push((attempt, ready_at_ms)),
-            JobEvent::Quarantined { .. } => quarantined_at = Some(job0_events),
-            JobEvent::Done { .. } => panic!("poison job must never journal Done"),
-            _ => {}
-        }
+        events.push(JobEvent::decode(payload).expect("journaled event decodes"));
     })
     .expect("settled WAL replays");
+    let last_first_start = events
+        .iter()
+        .rposition(|ev| matches!(ev, JobEvent::Started { id, attempt: 1 } if *id != 0))
+        .expect("the survivors started");
+    let retries: Vec<usize> = events
+        .iter()
+        .enumerate()
+        .filter(|(_, ev)| matches!(ev, JobEvent::Started { id: 0, attempt } if *attempt > 1))
+        .map(|(at, _)| at)
+        .collect();
+    assert_eq!(retries.len(), 2, "two retries of the poison job");
+    assert!(
+        retries.iter().all(|&at| at > last_first_start),
+        "a retry started before a pending point: {events:?}"
+    );
+    let job0: Vec<&JobEvent> = events.iter().filter(|ev| ev.id() == 0).collect();
+    let failed: Vec<u32> = job0
+        .iter()
+        .filter_map(|ev| match ev {
+            JobEvent::Failed { attempt, .. } => Some(*attempt),
+            _ => None,
+        })
+        .collect();
     assert_eq!(
-        failed.iter().map(|f| f.0).collect::<Vec<_>>(),
+        failed,
         vec![1, 2, 3],
         "every attempt journals one charged Failed record"
     );
     assert!(
-        failed.windows(2).all(|w| w[0].1 < w[1].1),
-        "backoff gates must move forward: {failed:?}"
+        !job0.iter().any(|ev| matches!(ev, JobEvent::Done { .. })),
+        "poison job must never journal Done"
     );
-    assert_eq!(
-        quarantined_at,
-        Some(job0_events),
+    assert!(
+        matches!(job0.last(), Some(JobEvent::Quarantined { .. })),
         "Quarantined is the terminal record for the poison job"
     );
 
