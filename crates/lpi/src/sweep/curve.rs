@@ -79,8 +79,8 @@ impl PointResult {
 #[derive(Clone, Debug, PartialEq)]
 pub struct CurvePoint {
     pub point: SweepPoint,
-    /// Failed attempts charged against the job (0 for a job that only
-    /// ever lost its lease to orchestrator kills — those are free).
+    /// Failed attempts charged against the job (0 for a job whose only
+    /// lost attempts died with a killed orchestrator — those are free).
     pub attempts: u32,
     /// `Some` iff the job reached `Done`.
     pub result: Option<PointResult>,

@@ -297,7 +297,7 @@ fn killed_sweep_resumes_bit_identically() {
     assert_eq!(
         outs[1].orphans_released,
         vec![1],
-        "job 1's lease was orphaned by the kill"
+        "job 1 was left running by the kill"
     );
 
     let curve = std::fs::read(dir.join(CURVE_NAME)).expect("resumed curve");
