@@ -535,6 +535,8 @@ pub struct JobLog {
     journal: Journal,
     queue: JobQueue,
     replay: ReplayReport,
+    /// `Defined` records replayed at open, per job id.
+    replayed_defined: BTreeMap<u64, u64>,
     /// An append failed; see [`JobLogError::Closed`].
     closed: bool,
 }
@@ -547,10 +549,17 @@ impl JobLog {
     /// journal.
     pub fn open(path: &Path) -> Result<JobLog, JobLogError> {
         let mut queue = JobQueue::new();
+        let mut replayed_defined = BTreeMap::new();
         let mut defect = None;
         let (journal, replay) = Journal::open(path, |payload| {
             if defect.is_none() {
-                if let Err(e) = JobEvent::decode(payload).and_then(|ev| queue.apply(&ev)) {
+                let applied = JobEvent::decode(payload).and_then(|ev| {
+                    if let JobEvent::Defined { id, .. } = ev {
+                        *replayed_defined.entry(id).or_insert(0) += 1;
+                    }
+                    queue.apply(&ev)
+                });
+                if let Err(e) = applied {
                     defect = Some(e);
                 }
             }
@@ -562,6 +571,7 @@ impl JobLog {
             journal,
             queue,
             replay,
+            replayed_defined,
             closed: false,
         })
     }
@@ -574,6 +584,11 @@ impl JobLog {
     /// What replay found at open.
     pub fn replay(&self) -> &ReplayReport {
         &self.replay
+    }
+
+    /// How many `Defined` records of job `id` replay found at open.
+    pub fn replayed_definitions(&self, id: u64) -> u64 {
+        self.replayed_defined.get(&id).copied().unwrap_or(0)
     }
 
     /// Apply `event` and, if the queue accepts it, journal it durably.

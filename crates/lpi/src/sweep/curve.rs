@@ -285,7 +285,8 @@ pub struct SweepBench {
     pub quarantined: usize,
     /// Failed attempts across all jobs (retries + quarantines).
     pub retries: u64,
-    /// Orchestrator restarts observed by this journal (replays).
+    /// Earlier incarnations of this sweep (killed or finished) whose
+    /// records the journal replayed.
     pub restarts: u64,
     /// Simulation steps executed by this invocation.
     pub steps_executed: u64,

@@ -445,6 +445,10 @@ impl SweepRunner {
         // record per job per restart, a price worth paying for
         // reconciliation that needs no out-of-band spec file.
         let mut log = JobLog::open(&wal_path)?;
+        // Every incarnation defines every point before it runs anything,
+        // so the first point's (job 0's) replayed definitions count the
+        // earlier incarnations.
+        let restarts = log.replayed_definitions(0);
         for point in self.grid.points() {
             log.record(&JobEvent::Defined {
                 id: point.job_id,
@@ -592,7 +596,7 @@ impl SweepRunner {
             let bench = SweepBench::from_stats(
                 &stats,
                 self.grid.len(),
-                u64::from(log.replay().records > 0),
+                restarts,
                 steps_executed,
                 wall_start.elapsed().as_secs_f64(),
                 stats.done,
@@ -736,7 +740,14 @@ mod tests {
         drop(log);
 
         // Incarnation 2 replays the WAL, releases the orphaned job (no
-        // attempt charged) and finishes the sweep.
+        // attempt charged) and dies the same way.
+        let mut cfg = test_cfg(&dir);
+        cfg.kill.before_job = Some(0);
+        let out = SweepRunner::new(grid.clone(), cfg).run().unwrap();
+        assert_eq!(out.end, SweepEnd::Killed);
+        assert_eq!(out.orphans_released, vec![0]);
+
+        // Incarnation 3 releases it again and finishes the sweep.
         let out = SweepRunner::new(grid, test_cfg(&dir)).run().unwrap();
         assert_eq!(out.end, SweepEnd::Completed);
         assert_eq!(out.orphans_released, vec![0]);
@@ -744,6 +755,9 @@ mod tests {
         let curve = out.curve.unwrap();
         assert_eq!(curve.done(), 1);
         assert_eq!(curve.points[0].attempts, 0, "orphan release is free");
+        // Two earlier incarnations, however many records each left.
+        let bench = std::fs::read_to_string(dir.join(BENCH_NAME)).unwrap();
+        assert!(bench.contains("\"restarts\": 2,"), "{bench}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,22 +1,29 @@
-//! Point-to-point messaging, collectives, traffic instrumentation, and
+//! Point-to-point messaging, collectives, the traffic ledger, and
 //! fault-tolerant error handling.
 //!
 //! Every operation that can be stranded by a dead or misbehaving peer is
 //! bounded: receives (and the receive half of every collective) poll with a
 //! deadline and return a typed [`CommError`] instead of hanging or aborting
-//! the process. Collectives run over the same point-to-point channels as
-//! application traffic (their bytes are *not* added to the traffic report,
-//! which keeps the report's meaning — application payload volume — identical
-//! to the pre-fault-tolerance substrate).
+//! the process.
+//!
+//! The traffic ledger lives here, not in the transports: every rank counts
+//! its own application sends ([`Comm::send`], [`Comm::send_vec`]) into its
+//! row of the world's ledger, once per send call, whatever the network or
+//! a fault plan then does to the message. Collectives, the recovery
+//! rendezvous and an injected duplicate's second copy move over the same
+//! transport but are not counted, so the [`TrafficReport`] is application
+//! payload volume on every transport. Each launcher holds every rank's row
+//! and builds the report from the rows after the world is joined, so the
+//! sends of a rank that panicked are still in it.
 //!
 //! Packet movement is delegated to a `Transport`:
 //! the in-process channel matrix (`LocalTransport`,
 //! boxed values, ranks are threads) or the multi-process socket substrate
 //! ([`SocketTransport`](crate::socket::SocketTransport), CRC-framed byte
 //! messages, ranks are processes). Everything in this module — tag
-//! matching, dedup, epochs, fault injection, collectives, recovery — is
-//! transport-independent, which is what lets a fault plan written for the
-//! in-process world run unmodified over sockets.
+//! matching, dedup, epochs, fault injection, collectives, recovery,
+//! counting — is transport-independent, which is what lets a fault plan
+//! written for the in-process world run unmodified over sockets.
 //!
 //! Recovery: packets carry an epoch number. [`Comm::recover`] bumps the
 //! epoch, drains stale traffic, revives a killed rank and rendezvouses with
@@ -40,7 +47,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultKind, FaultPlan, FaultState};
@@ -134,6 +141,8 @@ pub struct Comm {
     /// Newest `(epoch, seq)` accepted per `(from, tag)`; duplicates at or
     /// below it are dropped on receipt.
     recv_seq: HashMap<(usize, u64), (u64, u64)>,
+    /// This rank's row of the world's traffic ledger.
+    traffic: Arc<TrafficRow>,
 }
 
 /// Aggregate communication statistics for one `run`.
@@ -164,6 +173,61 @@ impl TrafficReport {
     /// The `k` heaviest tags by byte volume.
     pub fn top_tags(&self, k: usize) -> &[TagTraffic] {
         &self.by_tag[..self.by_tag.len().min(k)]
+    }
+
+    /// The report of a world whose rank `r` counted into `rows[r]`.
+    pub(crate) fn from_rows(rows: &[Arc<TrafficRow>]) -> TrafficReport {
+        let n = rows.len();
+        let mut bytes = vec![vec![0; n]; n];
+        let mut messages = vec![vec![0; n]; n];
+        let mut tags: HashMap<u64, (u64, u64)> = HashMap::new();
+        for (from, row) in rows.iter().enumerate() {
+            for (&(to, tag), &(m, b)) in row.0.lock().expect("no rank panics while counting").iter()
+            {
+                messages[from][to] += m;
+                bytes[from][to] += b;
+                let e = tags.entry(tag).or_insert((0, 0));
+                e.0 += m;
+                e.1 += b;
+            }
+        }
+        let mut by_tag: Vec<TagTraffic> = tags
+            .into_iter()
+            .map(|(tag, (messages, bytes))| TagTraffic {
+                tag,
+                messages,
+                bytes,
+            })
+            .collect();
+        by_tag.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.tag.cmp(&b.tag)));
+        TrafficReport {
+            n_ranks: n,
+            total_bytes: bytes.iter().flatten().sum(),
+            total_messages: messages.iter().flatten().sum(),
+            bytes,
+            messages,
+            by_tag,
+        }
+    }
+}
+
+/// One rank's counted application sends, `(to, tag) -> (messages, bytes)`.
+/// Only the owning rank's `Comm` writes it; the launcher reads it once the
+/// world is joined.
+#[derive(Default)]
+pub(crate) struct TrafficRow(Mutex<HashMap<(usize, u64), (u64, u64)>>);
+
+impl TrafficRow {
+    /// One empty row per rank of an `n`-rank world.
+    pub(crate) fn world(n: usize) -> Vec<Arc<TrafficRow>> {
+        (0..n).map(|_| Arc::default()).collect()
+    }
+
+    fn count(&self, to: usize, tag: u64, nbytes: u64) {
+        let mut row = self.0.lock().expect("no rank panics while counting");
+        let e = row.entry((to, tag)).or_insert((0, 0));
+        e.0 += 1;
+        e.1 += nbytes;
     }
 }
 
@@ -213,30 +277,9 @@ where
     (results, traffic)
 }
 
-/// Worker-thread lanes each rank of an `n`-rank thread-per-rank world
-/// gets: an equal share of the spawning thread's budget
-/// (`rayon::current_num_threads()`), at least 1. Ranks already are the
-/// world's parallelism; letting each also fan out over the whole pool
-/// would oversubscribe the host `n`-fold. With as many ranks as cores
-/// every rank gets 1 lane and its step loop never leaves the rank thread.
-pub(crate) fn lanes_per_rank(n: usize) -> usize {
-    (rayon::current_num_threads() / n).max(1)
-}
-
-/// Run a rank's closure with its parallel regions limited to `lanes`
-/// threads (thread-locals do not cross `spawn`, so every rank thread sets
-/// its own width).
-pub(crate) fn on_rank_lanes<R: Send>(lanes: usize, f: impl FnOnce() -> R + Send) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(lanes)
-        .build()
-        .expect("building a pool fails only if the OS refuses its threads")
-        .install(f)
-}
-
 /// [`run`] with an optional fault-injection plan threaded through every
 /// rank's communicator. Each rank of a wider world gets a thread of its own
-/// and `lanes_per_rank` worker-thread lanes.
+/// and an equal share of the caller's worker-thread lanes.
 ///
 /// A 1-rank world runs `f` on the calling thread instead, at the caller's
 /// width: it has nobody to share the budget with, and a thread of its own
@@ -266,46 +309,66 @@ where
     }
     // senders[from] gets its `to`-th element in outer-loop order, so
     // senders[from][to] is already correct.
-    let shared = Arc::new(Shared::new(n, senders));
-
-    if n == 1 {
-        let transport = LocalTransport {
-            rank: 0,
+    let shared = Arc::new(Shared { senders });
+    let mut seats: Vec<LocalTransport> = receivers
+        .into_iter()
+        .enumerate()
+        .map(|(rank, receivers)| LocalTransport {
+            rank,
             shared: Arc::clone(&shared),
-            receivers: receivers.pop().expect("one receiver set"),
-        };
-        let mut comm = Comm::from_transport(Box::new(transport), plan);
-        let result =
-            panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm))).map_err(|payload| RankPanic {
-                rank: 0,
-                message: panic_message(payload.as_ref()),
-            });
-        return (vec![result], report_from_shared(&shared));
-    }
+            receivers,
+        })
+        .collect();
+    let rows = TrafficRow::world(n);
+    let rank_body = |seat: LocalTransport| {
+        let row = Arc::clone(&rows[seat.rank]);
+        f(&mut Comm::from_transport(Box::new(seat), plan.clone(), row))
+    };
+    let results = if n == 1 {
+        let seat = seats.pop().expect("one seat");
+        let result = panic::catch_unwind(AssertUnwindSafe(|| rank_body(seat)));
+        vec![result.map_err(|payload| RankPanic {
+            rank: 0,
+            message: panic_message(payload.as_ref()),
+        })]
+    } else {
+        spawn_ranks(seats, rank_body)
+    };
+    (results, TrafficReport::from_rows(&rows))
+}
 
-    let mut receiver_slots: Vec<Option<Vec<Receiver<Packet>>>> =
-        receivers.into_iter().map(Some).collect();
-
-    let lanes = lanes_per_rank(n);
-    let results: Vec<Result<R, RankPanic>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (rank, slot) in receiver_slots.iter_mut().enumerate() {
-            let shared = Arc::clone(&shared);
-            let rx = slot.take().expect("receiver set");
-            let plan = plan.clone();
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                on_rank_lanes(lanes, || {
-                    let transport = LocalTransport {
-                        rank,
-                        shared,
-                        receivers: rx,
-                    };
-                    let mut comm = Comm::from_transport(Box::new(transport), plan);
-                    f(&mut comm)
+/// Run `rank_body(seats[r])` for every rank `r` of a multi-rank world,
+/// each on a scoped thread of its own, and join them all: a rank that
+/// panicked yields its `RankPanic`.
+///
+/// Each rank's parallel regions get an equal share of the spawning
+/// thread's worker budget (`rayon::current_num_threads()`), at least 1
+/// lane; thread-locals do not cross `spawn`, so every rank thread sets
+/// its own width. Ranks already are the world's parallelism; letting
+/// each also fan out over the whole pool would oversubscribe the host
+/// `n`-fold. With as many ranks as cores every rank gets 1 lane and its
+/// step loop never leaves the rank thread.
+pub(crate) fn spawn_ranks<S, R, B>(seats: Vec<S>, rank_body: B) -> Vec<Result<R, RankPanic>>
+where
+    S: Send,
+    R: Send,
+    B: Fn(S) -> R + Sync,
+{
+    let lanes = (rayon::current_num_threads() / seats.len()).max(1);
+    let rank_body = &rank_body;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = seats
+            .into_iter()
+            .map(|seat| {
+                scope.spawn(move || {
+                    rayon::ThreadPoolBuilder::new()
+                        .num_threads(lanes)
+                        .build()
+                        .expect("building a pool fails only if the OS refuses its threads")
+                        .install(|| rank_body(seat))
                 })
-            }));
-        }
+            })
+            .collect();
         handles
             .into_iter()
             .enumerate()
@@ -316,36 +379,10 @@ where
                 })
             })
             .collect()
-    });
-
-    (results, report_from_shared(&shared))
+    })
 }
 
-pub(crate) fn report_from_shared(shared: &Shared) -> TrafficReport {
-    use std::sync::atomic::Ordering;
-    let n = shared.size;
-    let n2 = |v: &[std::sync::atomic::AtomicU64]| -> Vec<Vec<u64>> {
-        (0..n)
-            .map(|from| {
-                (0..n)
-                    .map(|to| v[from * n + to].load(Ordering::Relaxed))
-                    .collect()
-            })
-            .collect()
-    };
-    let bytes = n2(&shared.bytes);
-    let messages = n2(&shared.msgs);
-    TrafficReport {
-        n_ranks: n,
-        total_bytes: bytes.iter().flatten().sum(),
-        total_messages: messages.iter().flatten().sum(),
-        bytes,
-        messages,
-        by_tag: shared.tag_traffic(),
-    }
-}
-
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -357,10 +394,12 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 impl Comm {
     /// Wrap a transport seat in a full communicator (fresh epoch, no
-    /// pending traffic). Entry point for every transport backend.
+    /// pending traffic) that counts its sends into `traffic`. Entry point
+    /// for every transport backend.
     pub(crate) fn from_transport(
         transport: Box<dyn Transport>,
         plan: Option<Arc<FaultPlan>>,
+        traffic: Arc<TrafficRow>,
     ) -> Comm {
         let rank = transport.rank();
         let n = transport.size();
@@ -375,6 +414,7 @@ impl Comm {
             killed: None,
             send_seq: HashMap::new(),
             recv_seq: HashMap::new(),
+            traffic,
         }
     }
 
@@ -474,7 +514,7 @@ impl Comm {
         let fate = self.fault.on_send();
         if counted {
             // Count the send attempt once, whatever the network does to it.
-            self.transport.count(to, tag, nbytes as u64);
+            self.traffic.count(to, tag, nbytes as u64);
         }
         let seq = {
             let c = self.send_seq.entry((to, tag)).or_insert(0);
@@ -495,9 +535,9 @@ impl Comm {
                 // expected message the peer may be gone by the time the
                 // copy lands, and that must not fail the real send.
                 let copy = self.make_payload(msg.clone(), nbytes);
-                self.deliver(to, tag, seq, nbytes, false, copy)?;
+                self.deliver(to, tag, seq, false, copy)?;
                 let payload = self.make_payload(msg, nbytes);
-                let _ = self.deliver(to, tag, seq, nbytes, false, payload);
+                let _ = self.deliver(to, tag, seq, false, payload);
                 return Ok(());
             }
             Some(FaultKind::Delay(d)) => {
@@ -508,7 +548,7 @@ impl Comm {
             Some(FaultKind::Kill) | None => false,
         };
         let payload = self.make_payload(msg, nbytes);
-        self.deliver(to, tag, seq, nbytes, corrupt, payload)
+        self.deliver(to, tag, seq, corrupt, payload)
     }
 
     /// Raw transport delivery (no fault injection, no counting).
@@ -517,7 +557,6 @@ impl Comm {
         to: usize,
         tag: u64,
         seq: u64,
-        nbytes: usize,
         corrupt: bool,
         payload: Payload,
     ) -> Result<(), CommError> {
@@ -525,7 +564,6 @@ impl Comm {
             epoch: self.epoch,
             tag,
             seq,
-            nbytes,
             corrupt,
             payload,
         };
@@ -761,7 +799,7 @@ impl Comm {
     /// Send one recovery announcement (bypasses fault injection).
     fn announce(&mut self, to: usize) -> Result<(), CommError> {
         let payload = self.make_payload(self.epoch, 8);
-        self.deliver(to, RECOVER_TAG, 1, 8, false, payload)
+        self.deliver(to, RECOVER_TAG, 1, false, payload)
     }
 
     /// The epoch value carried by a recovery announcement, whatever its
@@ -1301,11 +1339,10 @@ mod fault_tests {
             fn try_recv(&mut self, _: usize) -> Option<Packet> {
                 None
             }
-            fn count(&self, _: usize, _: u64, _: u64) {}
         }
         let plan = Arc::new(FaultPlan::new(1).duplicate_message(0, 1));
         let transport = Box::new(ClosesAfterOne { delivered: false });
-        let mut c = Comm::from_transport(transport, Some(plan));
+        let mut c = Comm::from_transport(transport, Some(plan), Arc::default());
         c.send(1, 9, 5u32)
             .expect("the real copy was delivered; the send succeeded");
         // An undelivered *real* message is still the sender's error.

@@ -18,7 +18,12 @@
 //! Same discipline as the WAL journal (`vpic_core::journal`): every frame
 //! is `[u32 len][payload][u32 crc32(payload)]`, little-endian, CRC-32
 //! (IEEE). The first payload byte is the frame kind (HELLO / HELLO_ACK /
-//! DATA / HEARTBEAT). A DATA frame is assembled in the buffer its value
+//! DATA / HEARTBEAT). A DATA payload is a 34-byte header — kind, epoch,
+//! tag, per-tag sequence number (u64 each after the kind byte), the
+//! injected-corruption flag (one byte) and the value's type fingerprint
+//! (u64) — followed by the value's wire encoding. It carries no byte
+//! count for the ledger: traffic is counted by the sending `Comm`, never
+//! on receipt. A DATA frame is assembled in the buffer its value
 //! was serialized into (`Comm` leaves `FRAME_ROOM` around it) and leaves
 //! in one `write_all`; the reader thread reads it into one allocation
 //! that becomes the packet's payload — the value's bytes are written once
@@ -55,7 +60,6 @@
 //! hands it the world's current epoch (`observed_epoch`) so the recovery
 //! rendezvous converges.
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -64,9 +68,9 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::comm::{Comm, CommError, RankPanic, TrafficReport};
+use crate::comm::{spawn_ranks, Comm, CommError, RankPanic, TrafficReport, TrafficRow};
 use crate::fault::FaultPlan;
-use crate::transport::{FrameRoom, Packet, Payload, RecvError, TagTraffic, Transport};
+use crate::transport::{FrameRoom, Packet, Payload, RecvError, Transport};
 use crate::wire::{self, crc32, WireReader};
 
 /// Wire protocol version; bumped on any framing, handshake or message-
@@ -76,7 +80,10 @@ use crate::wire::{self, crc32, WireReader};
 /// * 2 — one per phase, axis and direction (components concatenated); a
 ///   version-1 peer would mis-size every plane, so it is refused at the
 ///   handshake.
-pub const WIRE_VERSION: u32 = 2;
+/// * 3 — the DATA header drops the sender's counted payload size, which
+///   no receiver read (traffic is counted by the sending `Comm`); it is
+///   34 B, not 42.
+pub const WIRE_VERSION: u32 = 3;
 
 const KIND_HELLO: u8 = 1;
 const KIND_HELLO_ACK: u8 = 2;
@@ -88,8 +95,8 @@ const KIND_HEARTBEAT: u8 = 4;
 const MAX_FRAME: u32 = 1 << 30;
 
 /// Bytes of a DATA frame's payload in front of the serialized value:
-/// kind, epoch, tag, seq, nbytes, corrupt flag, type fingerprint.
-const DATA_HEADER: usize = 1 + 8 + 8 + 8 + 8 + 1 + 8;
+/// kind, epoch, tag, seq, corrupt flag, type fingerprint.
+const DATA_HEADER: usize = 1 + 8 + 8 + 8 + 1 + 8;
 
 /// What [`frame_data`] needs around a serialized value: the length prefix
 /// and DATA header in front, the CRC behind.
@@ -352,7 +359,6 @@ fn frame_data(pkt: Packet) -> Vec<u8> {
     put(&pkt.epoch.to_le_bytes());
     put(&pkt.tag.to_le_bytes());
     put(&pkt.seq.to_le_bytes());
-    put(&(pkt.nbytes as u64).to_le_bytes());
     put(&[pkt.corrupt as u8]);
     put(&fp.to_le_bytes());
     let crc = crc32(&frame[4..]);
@@ -367,14 +373,12 @@ fn decode_data(body: Vec<u8>) -> Option<Packet> {
     let epoch = r.u64()?;
     let tag = r.u64()?;
     let seq = r.u64()?;
-    let nbytes = usize::try_from(r.u64()?).ok()?;
     let corrupt = r.u8()? != 0;
     let fp = r.u64()?;
     Some(Packet {
         epoch,
         tag,
         seq,
-        nbytes,
         corrupt,
         payload: Payload::Bytes {
             fp,
@@ -382,25 +386,6 @@ fn decode_data(body: Vec<u8>) -> Option<Packet> {
             start: DATA_HEADER,
         },
     })
-}
-
-/// This rank's outgoing traffic counters (one row of the world's matrix).
-struct Counters {
-    n: usize,
-    bytes: Vec<AtomicU64>,
-    msgs: Vec<AtomicU64>,
-    tags: Mutex<HashMap<u64, (u64, u64)>>,
-}
-
-impl Counters {
-    fn new(n: usize) -> Self {
-        Counters {
-            n,
-            bytes: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            msgs: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            tags: Mutex::new(HashMap::new()),
-        }
-    }
 }
 
 /// State shared with the accept, reader, and heartbeat threads.
@@ -420,7 +405,6 @@ struct Inner {
     last_seen: Vec<AtomicU64>,
     /// Persistent per-peer inbox feeds; reconnections reuse them.
     inboxes: Vec<Sender<Packet>>,
-    counters: Arc<Counters>,
 }
 
 impl Inner {
@@ -499,7 +483,6 @@ impl SocketTransport {
             start: Instant::now(),
             last_seen: (0..n).map(|_| AtomicU64::new(0)).collect(),
             inboxes,
-            counters: Arc::new(Counters::new(n)),
         });
 
         {
@@ -657,10 +640,6 @@ impl SocketTransport {
         }
         Err(CommError::PeerClosed { peer: to })
     }
-
-    fn counters(&self) -> Arc<Counters> {
-        Arc::clone(&self.inner.counters)
-    }
 }
 
 impl Drop for SocketTransport {
@@ -718,16 +697,6 @@ impl Transport for SocketTransport {
 
     fn try_recv(&mut self, from: usize) -> Option<Packet> {
         self.receivers[from].try_recv().ok()
-    }
-
-    fn count(&self, to: usize, tag: u64, nbytes: u64) {
-        let c = &self.inner.counters;
-        c.bytes[to].fetch_add(nbytes, Ordering::Relaxed);
-        c.msgs[to].fetch_add(1, Ordering::Relaxed);
-        let mut tags = c.tags.lock().unwrap();
-        let e = tags.entry(tag).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += nbytes;
     }
 
     fn peer_may_return(&self) -> bool {
@@ -857,57 +826,23 @@ fn heartbeat_loop(
     }
 }
 
-fn socket_report(n: usize, rows: &[Option<Arc<Counters>>]) -> TrafficReport {
-    let mut bytes = vec![vec![0u64; n]; n];
-    let mut messages = vec![vec![0u64; n]; n];
-    let mut tag_map: HashMap<u64, (u64, u64)> = HashMap::new();
-    for (from, row) in rows.iter().enumerate() {
-        let Some(c) = row else { continue };
-        for to in 0..n.min(c.n) {
-            bytes[from][to] = c.bytes[to].load(Ordering::Relaxed);
-            messages[from][to] = c.msgs[to].load(Ordering::Relaxed);
-        }
-        for (&tag, &(m, b)) in c.tags.lock().unwrap().iter() {
-            let e = tag_map.entry(tag).or_insert((0, 0));
-            e.0 += m;
-            e.1 += b;
-        }
-    }
-    let mut by_tag: Vec<TagTraffic> = tag_map
-        .into_iter()
-        .map(|(tag, (messages, bytes))| TagTraffic {
-            tag,
-            messages,
-            bytes,
-        })
-        .collect();
-    by_tag.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.tag.cmp(&b.tag)));
-    TrafficReport {
-        n_ranks: n,
-        total_bytes: bytes.iter().flatten().sum(),
-        total_messages: messages.iter().flatten().sum(),
-        bytes,
-        messages,
-        by_tag,
-    }
-}
-
 /// Run one rank of a multi-process socket world in *this* process. The
 /// returned traffic report covers this rank's outgoing row only (each
-/// process keeps its own counters).
+/// process counts its own sends).
 pub fn run_socket<R>(
     boot: &SocketBoot,
     plan: Option<FaultPlan>,
     f: impl FnOnce(&mut Comm) -> R,
 ) -> Result<(R, TrafficReport), BootstrapError> {
     let transport = SocketTransport::bootstrap(boot)?;
-    let counters = transport.counters();
-    let mut comm = Comm::from_transport(Box::new(transport), plan.map(Arc::new));
-    let result = f(&mut comm);
-    drop(comm);
-    let mut rows: Vec<Option<Arc<Counters>>> = (0..boot.world).map(|_| None).collect();
-    rows[boot.rank] = Some(counters);
-    Ok((result, socket_report(boot.world, &rows)))
+    let rows = TrafficRow::world(boot.world);
+    let row = Arc::clone(&rows[boot.rank]);
+    let result = f(&mut Comm::from_transport(
+        Box::new(transport),
+        plan.map(Arc::new),
+        row,
+    ));
+    Ok((result, TrafficReport::from_rows(&rows)))
 }
 
 /// Spawn `n` ranks as threads of this process, each with its own
@@ -930,7 +865,7 @@ where
 {
     assert!(n >= 1, "need at least one rank");
     let plan = plan.map(Arc::new);
-    let rows: Mutex<Vec<Option<Arc<Counters>>>> = Mutex::new((0..n).map(|_| None).collect());
+    let rows = TrafficRow::world(n);
     // MPI_Init-style rendezvous: no rank enters (or leaves) its closure
     // until every rank has finished bootstrapping, else a rank with a
     // short closure can tear down its listener before a slower peer has
@@ -938,53 +873,34 @@ where
     // plans and traffic counters see identical send sequences on both
     // transports. Failed bootstraps count too, so they can't hang peers.
     let booted = (Mutex::new(0usize), Condvar::new());
-    let lanes = crate::comm::lanes_per_rank(n);
-    let results: Vec<Result<R, RankPanic>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for rank in 0..n {
-            let spec = spec.clone();
-            let plan = plan.clone();
-            let f = &f;
-            let rows = &rows;
-            let booted = &booted;
-            handles.push(scope.spawn(move || {
-                let boot = SocketBoot::new(spec, rank, n);
-                let outcome = SocketTransport::bootstrap(&boot);
-                {
-                    let mut done = booted.0.lock().unwrap();
-                    *done += 1;
-                    booted.1.notify_all();
-                }
-                let transport =
-                    outcome.unwrap_or_else(|e| panic!("rank {rank} bootstrap failed: {e}"));
-                rows.lock().unwrap()[rank] = Some(transport.counters());
-                let mut comm = Comm::from_transport(Box::new(transport), plan);
-                let guard = booted.0.lock().unwrap();
-                let _ = booted
-                    .1
-                    .wait_timeout_while(guard, Duration::from_secs(30), |done| *done < n)
-                    .unwrap();
-                crate::comm::on_rank_lanes(lanes, || f(&mut comm))
-            }));
+    let seats = (0..n)
+        .map(|rank| SocketBoot::new(spec.clone(), rank, n))
+        .collect();
+    let results = spawn_ranks(seats, |boot: SocketBoot| {
+        let outcome = SocketTransport::bootstrap(&boot);
+        {
+            let mut done = booted.0.lock().unwrap();
+            *done += 1;
+            booted.1.notify_all();
         }
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| {
-                h.join().map_err(|payload| RankPanic {
-                    rank,
-                    message: crate::comm::panic_message(payload.as_ref()),
-                })
-            })
-            .collect()
+        let rank = boot.rank;
+        let transport = outcome.unwrap_or_else(|e| panic!("rank {rank} bootstrap failed: {e}"));
+        let row = Arc::clone(&rows[rank]);
+        let mut comm = Comm::from_transport(Box::new(transport), plan.clone(), row);
+        let guard = booted.0.lock().unwrap();
+        let _ = booted
+            .1
+            .wait_timeout_while(guard, Duration::from_secs(30), |done| *done < n)
+            .unwrap();
+        f(&mut comm)
     });
-    let report = socket_report(n, &rows.into_inner().unwrap());
-    (results, report)
+    (results, TrafficReport::from_rows(&rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TagTraffic;
 
     fn test_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("nanompi_{}_{name}", std::process::id()));
@@ -996,25 +912,84 @@ mod tests {
     #[test]
     fn socket_world_ring_pass_matches_local_and_counts_bytes() {
         let dir = test_dir("ring");
-        let over_socket = |c: &mut Comm| {
+        let ring = |c: &mut Comm| {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
             c.send(right, 7, c.rank() as u64).unwrap();
+            c.send_vec(left, 9, vec![c.rank() as f32; c.rank() + 1])
+                .unwrap();
             let from_left: u64 = c.recv(left, 7).unwrap();
-            c.allreduce_sum(from_left as f64).unwrap()
+            let from_right: Vec<f32> = c.recv(right, 9).unwrap();
+            c.allreduce_sum(from_left as f64 + from_right.len() as f64)
+                .unwrap()
         };
-        let (socket_results, traffic) =
-            run_socket_world(3, SocketAddrSpec::unix(&dir), None, over_socket);
-        let (local_results, _) = crate::run_expect(3, over_socket);
+        let (socket_results, socket) = run_socket_world(3, SocketAddrSpec::unix(&dir), None, ring);
+        let (local_results, local) = crate::run_expect(3, ring);
         let socket_results: Vec<f64> = socket_results.into_iter().map(|r| r.unwrap()).collect();
         // Bit-identical across transports.
         for (s, l) in socket_results.iter().zip(&local_results) {
             assert_eq!(s.to_bits(), l.to_bits());
         }
-        assert_eq!(traffic.total_messages, 3);
-        assert_eq!(traffic.total_bytes, 3 * 8);
-        assert_eq!(traffic.by_tag.len(), 1);
-        assert_eq!(traffic.by_tag[0].tag, 7);
+        // One ledger: the same report, pair by pair and tag by tag.
+        assert_eq!(socket.bytes, local.bytes);
+        assert_eq!(socket.messages, local.messages);
+        assert_eq!(socket.by_tag, local.by_tag);
+        assert_eq!(
+            (socket.total_messages, socket.total_bytes),
+            (local.total_messages, local.total_bytes)
+        );
+        assert_eq!(
+            socket.messages,
+            vec![vec![0, 1, 1], vec![1, 0, 1], vec![1, 1, 0]]
+        );
+        assert_eq!(
+            socket.bytes,
+            vec![vec![0, 8, 4], vec![8, 0, 8], vec![8, 12, 0]]
+        );
+        assert_eq!(
+            socket.by_tag,
+            vec![
+                TagTraffic {
+                    tag: 7,
+                    messages: 3,
+                    bytes: 24
+                },
+                TagTraffic {
+                    tag: 9,
+                    messages: 3,
+                    bytes: 24
+                },
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sends_of_a_panicked_rank_stay_in_the_report() {
+        // The launcher holds every rank's row, so a rank that counts and
+        // then panics is still in the report, on both transports.
+        let dir = test_dir("panicked_row");
+        let world = |c: &mut Comm| {
+            c.set_op_timeout(Duration::from_millis(500));
+            if c.rank() == 0 {
+                c.send_vec(1, 5, vec![0u32; 10]).unwrap();
+                c.send(1, 6, 1u64).unwrap();
+                panic!("rank 0 dies after sending");
+            }
+            let v: Vec<u32> = c.recv(0, 5).unwrap();
+            let x: u64 = c.recv(0, 6).unwrap();
+            assert_eq!((v.len(), x), (10, 1));
+        };
+        let (local_results, local) = crate::run(2, world);
+        let (socket_results, socket) = run_socket_world(2, SocketAddrSpec::unix(&dir), None, world);
+        for (results, report) in [(local_results, local), (socket_results, socket)] {
+            let p = results[0].as_ref().expect_err("rank 0 panicked");
+            assert!(p.message.contains("dies after sending"), "{}", p.message);
+            assert!(results[1].is_ok());
+            assert_eq!(report.messages, vec![vec![0, 2], vec![0, 0]]);
+            assert_eq!(report.bytes, vec![vec![0, 48], vec![0, 0]]);
+            assert_eq!(report.by_tag.len(), 2);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1078,9 +1053,10 @@ mod tests {
     #[test]
     fn data_frame_built_in_place_is_the_layered_encoding() {
         // The frame `frame_data` completes inside the payload buffer must
-        // be byte for byte what wrapping the header + value in
-        // `[len][payload][crc]` gives (the frame format did not change),
-        // and `decode_data` must hand the value back where it lies.
+        // be byte for byte what wrapping the header (kind, epoch, tag,
+        // seq, corrupt flag, type fingerprint) + value in
+        // `[len][payload][crc]` gives, and `decode_data` must hand the
+        // value back where it lies.
         let value = vec![1.5f32, -0.0, f32::from_bits(0x7fc0_0001)];
         let mut encoded = Vec::new();
         wire::Wire::wire_put(&value, &mut encoded);
@@ -1090,7 +1066,6 @@ mod tests {
             epoch: 3,
             tag: 0xE001,
             seq: 17,
-            nbytes: 12,
             corrupt: true,
             payload: Payload::Bytes {
                 fp: 0x1234_5678_9abc_def0,
@@ -1102,7 +1077,6 @@ mod tests {
         payload.extend_from_slice(&3u64.to_le_bytes());
         payload.extend_from_slice(&0xE001u64.to_le_bytes());
         payload.extend_from_slice(&17u64.to_le_bytes());
-        payload.extend_from_slice(&12u64.to_le_bytes());
         payload.push(1);
         payload.extend_from_slice(&0x1234_5678_9abc_def0u64.to_le_bytes());
         payload.extend_from_slice(&encoded);
@@ -1115,7 +1089,8 @@ mod tests {
 
         let back = decode_data(payload).expect("decode");
         assert_eq!((back.epoch, back.tag, back.seq), (3, 0xE001, 17));
-        assert_eq!((back.nbytes, back.corrupt), (12, true));
+        assert!(back.corrupt);
+        assert_eq!((DATA_HEADER, FRAME_ROOM.head), (34, 38));
         match back.payload {
             Payload::Bytes { fp, buf, start } => {
                 assert_eq!(fp, 0x1234_5678_9abc_def0);
@@ -1208,10 +1183,10 @@ mod tests {
 
     #[test]
     fn bootstrap_version_mismatch_is_typed() {
-        // A future build, and the previous one (version 1 sent one plane
-        // message per field component; its peers would mis-size every
-        // coalesced halo message, so it must not get past the handshake).
-        assert_eq!(WIRE_VERSION, 2);
+        // A future build, and the previous one (version 2's DATA header
+        // carried 8 more bytes; its peers would misread every frame, so it
+        // must not get past the handshake).
+        assert_eq!(WIRE_VERSION, 3);
         for theirs in [WIRE_VERSION + 1, WIRE_VERSION - 1] {
             let dir = test_dir(&format!("version_mismatch_{theirs}"));
             let acceptor = forged_acceptor(

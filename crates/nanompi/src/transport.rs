@@ -3,7 +3,8 @@
 //!
 //! `Comm` owns everything transport-independent — tag matching, per-tag
 //! FIFO dedup, epochs, fault injection, collectives, the recovery
-//! rendezvous — and delegates raw packet movement to a `Transport`:
+//! rendezvous, the traffic ledger — and delegates raw packet movement to
+//! a `Transport`, which counts nothing:
 //!
 //! * `LocalTransport`: the original in-process substrate. Ranks are
 //!   threads, packets ride per-pair lock-free channels as boxed values
@@ -16,10 +17,8 @@
 //!   rendezvous treats send failures.
 
 use std::any::Any;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::comm::CommError;
@@ -85,8 +84,6 @@ pub(crate) struct Packet {
     /// duplicates reuse their original's number so the receiver can
     /// suppress the copy instead of desyncing per-tag FIFO order.
     pub seq: u64,
-    #[allow(dead_code)]
-    pub nbytes: usize,
     pub corrupt: bool,
     pub payload: Payload,
 }
@@ -122,9 +119,6 @@ pub(crate) trait Transport: Send {
     /// Non-blocking: next already-arrived packet from `from`, if any.
     fn try_recv(&mut self, from: usize) -> Option<Packet>;
 
-    /// Account one counted application send (per-pair and per-tag).
-    fn count(&self, to: usize, tag: u64, nbytes: u64);
-
     /// Whether a dead peer can reappear (process respawn). The recovery
     /// rendezvous retries announcements to such peers with backoff instead
     /// of failing fast.
@@ -153,44 +147,13 @@ pub struct TagTraffic {
     pub bytes: u64,
 }
 
-/// Traffic counters shared by every rank of one in-process world.
+/// The channel matrix of one in-process world. A rank's senders live as
+/// long as the world does, not as long as the rank: a finished or
+/// panicked rank leaves its peers timing out, not disconnected.
 pub(crate) struct Shared {
-    pub size: usize,
-    /// Channel matrix: `senders[from][to]` (receivers are taken by their
-    /// owning rank at startup).
+    /// `senders[from][to]` (receivers are taken by their owning rank at
+    /// startup).
     pub senders: Vec<Vec<Sender<Packet>>>,
-    /// bytes[from * size + to]
-    pub bytes: Vec<AtomicU64>,
-    pub msgs: Vec<AtomicU64>,
-    /// tag -> (messages, bytes), application traffic only.
-    pub tags: Mutex<HashMap<u64, (u64, u64)>>,
-}
-
-impl Shared {
-    pub fn new(size: usize, senders: Vec<Vec<Sender<Packet>>>) -> Self {
-        Shared {
-            size,
-            senders,
-            bytes: (0..size * size).map(|_| AtomicU64::new(0)).collect(),
-            msgs: (0..size * size).map(|_| AtomicU64::new(0)).collect(),
-            tags: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Per-tag totals sorted by bytes (descending), ties by tag.
-    pub fn tag_traffic(&self) -> Vec<TagTraffic> {
-        let map = self.tags.lock().unwrap();
-        let mut v: Vec<TagTraffic> = map
-            .iter()
-            .map(|(&tag, &(messages, bytes))| TagTraffic {
-                tag,
-                messages,
-                bytes,
-            })
-            .collect();
-        v.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.tag.cmp(&b.tag)));
-        v
-    }
 }
 
 /// The original in-process substrate: one rank's seat on the shared
@@ -207,7 +170,7 @@ impl Transport for LocalTransport {
     }
 
     fn size(&self) -> usize {
-        self.shared.size
+        self.shared.senders.len()
     }
 
     fn send(&mut self, to: usize, pkt: Packet) -> Result<(), CommError> {
@@ -226,15 +189,5 @@ impl Transport for LocalTransport {
 
     fn try_recv(&mut self, from: usize) -> Option<Packet> {
         self.receivers[from].try_recv().ok()
-    }
-
-    fn count(&self, to: usize, tag: u64, nbytes: u64) {
-        let idx = self.rank * self.shared.size + to;
-        self.shared.bytes[idx].fetch_add(nbytes, Ordering::Relaxed);
-        self.shared.msgs[idx].fetch_add(1, Ordering::Relaxed);
-        let mut tags = self.shared.tags.lock().unwrap();
-        let e = tags.entry(tag).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += nbytes;
     }
 }

@@ -54,7 +54,8 @@
 # coalesced halo exchange, migration rounds), the distributed
 # consistency suite (sort votes over both transports), the relative
 # CRC speed gate, the local-vs-socket determinism matrix on the shipped
-# SRS deck, the multi-process kill -9/rejoin recovery test, and the
+# SRS deck (state fingerprint, state hash and the printed traffic lines
+# must match), the multi-process kill -9/rejoin recovery test, and the
 # 16-plan socket fault soak.
 #
 # Pass "diag" (or set CI_DIAG=1) to run the diagnostics lane: the
@@ -233,17 +234,24 @@ if [[ "${1:-}" == "transport" || "${CI_TRANSPORT:-0}" == "1" ]]; then
     cargo test --release -p vpic --lib transport_global
     cargo test --release -p vpic --lib campaign_laser_and_sponge
     # Determinism matrix: the shipped SRS campaign deck must land on the
-    # same state fingerprint and state hash over both transports.
+    # same state fingerprint and state hash over both transports, and
+    # print the same traffic summary (the `traffic:` total and per-tag
+    # lines), which both transports count in the one ledger `Comm` keeps.
     cargo build --release -p vpic
     rm -rf target/ci_transport_local target/ci_transport_sock
+    mkdir -p target/ci_transport_local target/ci_transport_sock
     ./target/release/vpic-run decks/srs_campaign.deck target/ci_transport_local \
-        --transport local
+        --transport local | tee target/ci_transport_local/stdout.txt
     ./target/release/vpic-run decks/srs_campaign.deck target/ci_transport_sock \
-        --transport socket
+        --transport socket | tee target/ci_transport_sock/stdout.txt
     diff target/ci_transport_local/state_fingerprint.txt \
         target/ci_transport_sock/state_fingerprint.txt
     diff target/ci_transport_local/state_hash.txt \
         target/ci_transport_sock/state_hash.txt
+    for out in target/ci_transport_local target/ci_transport_sock; do
+        grep -E '^(traffic:|  tag )' "$out/stdout.txt" >"$out/traffic.txt"
+    done
+    diff target/ci_transport_local/traffic.txt target/ci_transport_sock/traffic.txt
     # Multi-process acceptance: 4 OS processes, rank 2 kill -9'd mid-run,
     # respawned with --rejoin, bit-identical to the local baseline — then
     # the 16-plan socket fault soak.

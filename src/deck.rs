@@ -278,9 +278,13 @@ pub enum BuiltRun {
 /// Build the run a deck describes.
 pub fn build(deck: &Deck) -> Result<BuiltRun, DeckError> {
     // `Deck::steps` and `Deck::seed` fall back to their defaults on a
-    // value that does not parse; a deck that sets one must set it right.
+    // value that does not parse, and so does `vpic-run`'s reading of
+    // `[output] energy_interval`; a deck that sets one must set it right.
     for key in ["steps", "seed"] {
         get_u64(&deck.globals, key, 0)?;
+    }
+    if let Some(output) = deck.section("output") {
+        get_u64(output, "energy_interval", 0)?;
     }
     match deck.globals.get("kind").map(String::as_str) {
         Some("plasma") | None if deck.section("campaign").is_some() => {
@@ -1221,6 +1225,10 @@ jitter_seed = 7
         }
         names_key(&CAMPAIGN_DECK.replace("steps = 12", "steps = 1e3"), "steps");
         names_key(&CAMPAIGN_DECK.replace("seed = 5", "seed = five"), "seed");
+        names_key(
+            "kind = plasma\nsteps = 10\n[grid]\ncells = 2 2 2\n[output]\nenergy_interval = 1e2\n",
+            "energy_interval",
+        );
         names_key(
             "kind = plasma\nsteps = -1\n[grid]\ncells = 2 2 2\n",
             "steps",
